@@ -7,9 +7,16 @@ f, the level-i norm is
         = product of f over the primitive ell^i-th roots of unity,
 
 and the product identity  ell^n * kappa_n = kappa_0 * N_1 * ... * N_n
-recovers every spanning-tree count in the tower from resultants alone.
-Matrix-tree determinants on the actual covers cross-check the low
-levels.
+recovers every spanning-tree count in the tower from the norms alone.
+
+N_i is computed multi-modularly (level_norm): modulo primes
+q = 1 (mod ell^i) below 2**30 the roots of unity lie in F_q.  Since f
+is fixed by T -> 1/T, N_i = M_i^2 for ell^i > 2, where M_i is the norm
+from the real subfield Q(zeta)^+; M_i is recovered with its sign by CRT
+once the primes' product exceeds 2 * ||f_i||_1^(phi(ell^i)/2).  Up to
+mt_check_level, every N_i is recomputed by the subresultant sequence
+and every kappa_n by the matrix-tree theorem on the actual cover; a
+disagreement raises ArithmeticError.
 
 For a prime p != ell the valuation ord_p(kappa_n) obeys
 
@@ -28,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .factorint import ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import (
@@ -38,6 +47,7 @@ from .graphs import (
     validate,
 )
 from .intpoly import IntPoly, cyclotomic, euler_phi, poly_mod_gcd, resultant
+from .multimodular import check_word_prime, crt, primes_for_bound
 
 
 class PrimeEqualsEllError(ValueError):
@@ -134,25 +144,95 @@ class LevelNorm:
 
 
 def level_norm(f: GenPoly, i: int) -> int:
-    """N_i: the resultant of the ell^i-th cyclotomic polynomial with the
-    level-i reduction of f; equals the product of f over all primitive
-    ell^i-th roots of unity.  N_0 is 1 by convention."""
+    """N_i: the product of f over the primitive ell^i-th roots of unity,
+    i.e. Res(Phi_{ell^i}, f_i) with f_i = f.reduce_level(i).  N_0 is 1
+    by convention.
+
+    Multi-modular: for m = ell^i and word-size primes q = 1 (mod m),
+    F_q holds the primitive m-th roots zeta^k, so N_i mod q is a product
+    of values f_i(zeta^k).  When f_i is fixed by T -> 1/T (every voltage
+    determinant is), f_i(zeta^-k) = f_i(zeta^k) and N_i = M_i^2 for
+    m > 2, where M_i, the norm from the real subfield, is the product
+    over k in (Z/m)^*/{+-1}.  |f_i(zeta^k)| <= ||f_i||_1, so primes are
+    taken until their product exceeds 2 * ||f_i||_1^(phi(m)/2); CRT then
+    gives M_i with its sign.  Otherwise the product runs over all units
+    with bound ||f_i||_1^phi(m) and is N_i itself.  For m = 2,
+    N_1 = f_1(-1).  Tower.level_norm cross-checks against the
+    subresultant at every matrix-tree-checked level."""
     if i == 0:
         return 1
     reduced = f.reduce_level(i)
     if reduced.is_zero:
         return 0
-    return resultant(cyclotomic(f.ell**i), reduced)
+    m = f.ell**i
+    if m == 2:
+        return reduced(-1)
+    terms = [(e, c) for e, c in enumerate(reduced.coeffs) if c]
+    coeff = dict(terms)
+    symmetric = all(coeff.get(-e % m) == c for e, c in terms)
+    top = m // 2 if symmetric else m - 1
+    units = np.array([k for k in range(1, top + 1) if k % f.ell], dtype=np.int64)
+    bound = sum(abs(c) for _, c in terms) ** units.size
+    qs = primes_for_bound(bound, m)
+    exps = np.array([e for e, _ in terms], dtype=np.int64)
+    images = [_norm_mod(exps, [c % q for _, c in terms], units, f.ell, m, q) for q in qs]
+    norm = crt(images, qs)
+    return norm * norm if symmetric else norm
+
+
+# Largest (terms x roots) block the norm evaluates at once, in int64 entries.
+_NORM_BLOCK = 1 << 16
+
+
+def _norm_mod(exps: np.ndarray, coeffs: list[int], units: np.ndarray,
+              ell: int, m: int, q: int) -> int:
+    """prod_k sum_e c_e zeta^(e k) mod q over k in units, for zeta of
+    exact order m in F_q (q = 1 mod m, q < 2**30)."""
+    check_word_prime(q)
+    table = _root_powers(ell, m, q)
+    cq = np.array(coeffs, dtype=np.int64)
+    vals = np.zeros(units.size, dtype=np.int64)
+    rows = max(1, _NORM_BLOCK // units.size)
+    for s in range(0, exps.size, rows):
+        idx = np.outer(exps[s : s + rows], units) % m
+        vals += (table[idx] * cq[s : s + rows, None] % q).sum(axis=0) % q
+        vals %= q
+    while vals.size > 1:  # pairwise product tree
+        half = vals.size // 2
+        head = vals[:half] * vals[half : 2 * half] % q
+        if vals.size % 2:
+            head[0] = head[0] * vals[-1] % q
+        vals = head
+    return int(vals[0])
+
+
+def _root_powers(ell: int, m: int, q: int) -> np.ndarray:
+    """zeta^j mod q for j < m, zeta of exact order m = ell^i in F_q."""
+    g = 2
+    while True:
+        zeta = pow(g, (q - 1) // m, q)
+        if pow(zeta, m // ell, q) != 1:
+            break
+        g += 1
+    table = np.empty(m, dtype=np.int64)
+    table[0] = 1
+    step, power = 1, zeta
+    while step < m:
+        n = min(step, m - step)
+        table[step : step + n] = table[:n] * power % q
+        step, power = 2 * step, power * power % q
+    return table
 
 
 class Tower:
     """An abelian ell-tower over a fixed voltage assignment.
 
-    Caches the determinant polynomial, level norms and spanning-tree
-    counts.  kappa_n comes from the product identity (resultants);
-    matrix-tree counting of the actual derived graph verifies every
-    level up to mt_check_level.  All state is write-once; instances are
-    safe to share between threads.
+    Caches the determinant polynomial, level norms, their running
+    products and spanning-tree counts.  kappa_n comes from the product
+    identity (multi-modular level norms); up to mt_check_level the
+    subresultant sequence re-derives each norm and matrix-tree counting
+    of the actual derived graph each kappa_n.  All state is write-once;
+    instances are safe to share between threads.
     """
 
     def __init__(self, va: VoltageAssignment, mt_check_level: int | None = None,
@@ -172,6 +252,7 @@ class Tower:
         self.f = determinant(voltage_matrix(va))
         self.kappa_base = spanning_tree_count(va.graph)
         self._norms: dict[int, int] = {0: 1}
+        self._products: dict[int, int] = {0: self.kappa_base}
         self._kappas: dict[int, int] = {0: self.kappa_base}
 
     @property
@@ -184,22 +265,39 @@ class Tower:
         return None if self.va.is_integral else self.va.precision
 
     def level_norm(self, i: int) -> int:
+        """N_i from the multi-modular engine; at levels up to
+        mt_check_level also recomputed by the subresultant route."""
         if i not in self._norms:
             n = level_norm(self.f, i)
             if n == 0:
                 raise DisconnectedTowerError(f"level {i} norm vanishes")
+            if i <= self.mt_check_level:
+                check = resultant(cyclotomic(self.ell**i), self.f.reduce_level(i))
+                if check != n:
+                    raise ArithmeticError(
+                        f"level-norm cross-check failed at level {i}: "
+                        f"multi-modular {n} != subresultant {check}"
+                    )
             self._norms[i] = n
         return self._norms[i]
 
     def level_norms(self, depth: int) -> list[LevelNorm]:
         return [LevelNorm(i, self.level_norm(i)) for i in range(1, depth + 1)]
 
+    def norm_product(self, n: int) -> int:
+        """kappa_0 * N_1 * ... * N_n (= ell^n * kappa_n), each level built
+        on the product below it."""
+        top = n
+        while top not in self._products:
+            top -= 1
+        for i in range(top + 1, n + 1):
+            self._products[i] = self._products[i - 1] * self.level_norm(i)
+        return self._products[n]
+
     def kappa(self, n: int) -> int:
         """Exact number of spanning trees of the level-n cover."""
         if n not in self._kappas:
-            prod = self.kappa_base
-            for i in range(1, n + 1):
-                prod *= self.level_norm(i)
+            prod = self.norm_product(n)
             scale = self.ell**n
             kappa, rem = divmod(prod, scale)
             if rem or kappa <= 0:
@@ -446,14 +544,10 @@ class ProductIdentityCheck:
 
 
 def verify_product_identity(tower: Tower, depth: int) -> ProductIdentityCheck:
-    """ell^n * kappa_n(matrix-tree) == kappa_0 * prod N_i(resultants),
+    """ell^n * kappa_n(matrix-tree) == kappa_0 * prod N_i(level norms),
     exactly, at every level 1..depth.  Vacuously true at depth 0."""
     residuals = []
     for n in range(1, depth + 1):
         mt = spanning_tree_count(derived_graph(tower.va, n))
-        lhs = tower.ell**n * mt
-        rhs = tower.kappa_base
-        for i in range(1, n + 1):
-            rhs *= tower.level_norm(i)
-        residuals.append(lhs - rhs)
+        residuals.append(tower.ell**n * mt - tower.norm_product(n))
     return ProductIdentityCheck(all(r == 0 for r in residuals), tuple(residuals))

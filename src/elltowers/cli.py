@@ -30,7 +30,7 @@ from .analysis import (
     analyze_prime,
     iwasawa_fit_ell,
 )
-from .factorint import FactoredInteger, factor_kappa, is_probable_prime
+from .factorint import FactoredInteger, factor_kappa, is_probable_prime, ord_p
 from .graphs import DisconnectedGraphError, cover_connected_by_voltages, validate
 from .intpoly import UnitRootMissingError, ZeroPolynomialError
 from .omega import classify_omega, INAPPLICABLE
@@ -300,7 +300,7 @@ def cmd_report(args) -> int:
         "integral_voltages": va.is_integral,
         "matrix_tree_checked_to": min(tower.mt_check_level, args.levels),
         "levels": [
-            {"n": n, "kappa": str(kappa), "ord_ell": _ord(kappa, tower.ell),
+            {"n": n, "kappa": str(kappa), "ord_ell": ord_p(kappa, tower.ell),
              **_factorization_dict(fact)}
             for n, kappa, fact in rows
         ],
@@ -335,14 +335,6 @@ def cmd_report(args) -> int:
                 print(f"p={pd['p']}: mu={pd['mu']} n0={pd['n0']} nu={pd['nu']} "
                       f"observed={pd['observed']}")
     return EXIT_OK
-
-
-def _ord(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v
 
 
 def cmd_selftest(args) -> int:

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 # bound (Sorenson-Webster).
 DETERMINISTIC_MR_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Bases 2, 7, 61 alone witness every composite below this bound (Jaeschke);
+# it covers the word-size primes of the multi-modular engines.
+_WORD_MR_BOUND = 4_759_123_141
+_WORD_MR_BASES = (2, 7, 61)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -58,6 +62,8 @@ def is_certified_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < _WORD_MR_BOUND:
+        return _miller_rabin(n, _WORD_MR_BASES)
     if n >= DETERMINISTIC_MR_BOUND:
         raise ValueError(f"{n} exceeds the deterministic Miller-Rabin range")
     return _miller_rabin(n, _MR_BASES)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .factorint import ord_p
 from .graphs import VoltageAssignment
 from .intpoly import IntPoly
 from .padics import PrecisionError, TruncatedPadic
@@ -205,22 +206,12 @@ class GenPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def ord_p_int(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("infinite valuation")
-    n, v = abs(n), 0
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v
-
-
 def mu_invariant(f: GenPoly, p: int) -> tuple[int, GenPoly]:
     """(mu, g): mu is the minimal p-adic valuation over the coefficients
     and f = p^mu * g with mu(g) = 0."""
     if f.is_zero:
         raise ZeroGenPolyError("mu of the zero polynomial")
-    mu = min(ord_p_int(c, p) for _, c in f.terms)
+    mu = min(ord_p(c, p) for _, c in f.terms)
     return mu, f.divide_coefficients(p**mu)
 
 

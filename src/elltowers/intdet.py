@@ -6,8 +6,9 @@ Two engines behind one dispatcher:
   entries) for matrices up to BAREISS_THRESHOLD;
 * multi-modular: the determinant mod many word-size primes via vectorized
   Gaussian elimination, recombined by remaindering against a Hadamard
-  bound, for everything larger.  Level-4 covers need minors in the 600s
-  with results hundreds of digits long, far past where Bareiss is usable.
+  bound, for everything larger (primes and CRT from multimodular).
+  Level-4 covers need minors in the 600s with results hundreds of
+  digits long, far past where Bareiss is usable.
 
 Both paths are exact; the threshold only trades constant factors.
 """
@@ -16,21 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factorint import previous_prime
+from .multimodular import check_word_prime, crt, primes
 
 BAREISS_THRESHOLD = 120
-
-# 30-bit moduli keep every intermediate of the mod-p elimination inside
-# int64: products < 2**60, accumulated differences < 2**61.
-_PRIME_CEILING = 1 << 30
-_prime_pool: list[int] = []
-
-
-def _primes(count: int) -> list[int]:
-    while len(_prime_pool) < count:
-        q = _prime_pool[-1] if _prime_pool else _PRIME_CEILING
-        _prime_pool.append(previous_prime(q))
-    return _prime_pool[:count]
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -60,6 +49,7 @@ def bareiss_det(rows: list[list[int]]) -> int:
 
 def det_mod(matrix: np.ndarray, p: int) -> int:
     """Determinant of an int64 matrix mod p (p < 2**30)."""
+    check_word_prime(p)
     a = np.mod(matrix, p).astype(np.int64)
     n = a.shape[0]
     det = 1
@@ -103,20 +93,10 @@ def multimodular_det(rows: list[list[int]]) -> int:
     if bound_bits == 0:
         return 0
     needed = bound_bits + 2  # one extra bit for the sign
-    primes = _primes(-(-needed // 29))  # every pool prime has 30 bits
-    residue, modulus = 0, 1
-    for p in primes:
-        ap = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-        r = det_mod(ap, p)
-        if modulus == 1:
-            residue, modulus = r, p
-        else:
-            inv = pow(modulus % p, -1, p)
-            residue += modulus * ((r - residue) * inv % p)
-            modulus *= p
-    if residue > modulus // 2:
-        residue -= modulus
-    return residue
+    qs = primes(-(-needed // 29))  # every pool prime has 30 bits
+    images = [det_mod(np.array([[x % q for x in row] for row in rows], dtype=np.int64), q)
+              for q in qs]
+    return crt(images, qs)
 
 
 def det_int(rows: list[list[int]], bareiss_threshold: int | None = None) -> int:

@@ -3,7 +3,10 @@
 Coefficients are arbitrary-precision integers stored lowest degree
 first; the zero polynomial is the empty tuple.  Resultants are computed
 by the subresultant polynomial remainder sequence (fraction-free, exact;
-no floating point anywhere).  Reductions mod p use numpy int64 arrays,
+no floating point anywhere).  Level norms no longer go through it: the
+multi-modular engine in analysis.level_norm computes them, and
+Tower.level_norm uses resultant only to cross-check that engine at the
+matrix-tree-checked levels.  Reductions mod p use numpy int64 arrays,
 which is safe for p below 2**30.
 """
 

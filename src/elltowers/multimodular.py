@@ -1,0 +1,88 @@
+"""Word-size primes and Chinese remaindering for the multi-modular engines.
+
+Two engines compute an exact integer from its images modulo many
+primes: intdet's determinant of large integer matrices and analysis's
+level norm.  Both work in numpy int64, which is exact while every
+residue is below WORD_LIMIT = 2**30: a product of two residues stays
+below 2**60, and a sum of up to 2**33 reduced products below 2**63.
+
+primes(count, modulus) hands out the largest primes q < PRIME_CEILING
+with q = 1 (mod modulus), in decreasing order; the pool of each modulus
+is built on first use and then grown on demand, never at import.  crt
+recombines the images into the symmetric representative, so signs are
+recovered as long as the primes' product exceeds twice the absolute
+value (primes_for_bound picks that many).
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+
+from .factorint import is_certified_prime
+
+WORD_LIMIT = 1 << 30
+PRIME_CEILING = WORD_LIMIT
+
+_pools: dict[tuple[int, int], list[int]] = {}
+_pool_lock = threading.Lock()
+
+
+class PrimePoolExhaustedError(ArithmeticError):
+    """Too few primes q = 1 (mod modulus) below the ceiling for the
+    requested bound; no value is returned."""
+
+
+def check_word_prime(q: int) -> None:
+    """Refuse a modulus outside the range where int64 arithmetic is exact."""
+    if not 2 <= q < WORD_LIMIT:
+        raise ValueError(f"modulus {q} is outside the int64-safe range [2, 2**30)")
+
+
+def primes(count: int, modulus: int = 1) -> list[int]:
+    """The count largest odd primes q < PRIME_CEILING with q = 1 (mod
+    modulus), in decreasing order.  A prime that is 1 mod ell^j is also
+    1 mod every lower power of ell, but each modulus keeps its own pool
+    so that every level gets the largest primes available to it."""
+    ceiling = PRIME_CEILING
+    # odd q = 1 (mod modulus) is q = 1 (mod lcm(2, modulus))
+    step = modulus if modulus % 2 == 0 else 2 * modulus
+    with _pool_lock:
+        pool = _pools.setdefault((ceiling, modulus), [])
+        q = pool[-1] if pool else ceiling - 1 - (ceiling - 2) % step + step
+        while len(pool) < count:
+            q -= step
+            if q < 3:
+                raise PrimePoolExhaustedError(
+                    f"only {len(pool)} primes = 1 (mod {modulus}) below {ceiling}, "
+                    f"{count} needed"
+                )
+            if is_certified_prime(q):
+                pool.append(q)
+        return pool[:count]
+
+
+def primes_for_bound(bound: int, modulus: int = 1) -> list[int]:
+    """The fewest leading primes of the modulus's pool whose product
+    exceeds 2 * bound: enough for crt to recover any integer of absolute
+    value at most bound."""
+    target = 2 * bound
+    count = max(1, target.bit_length() // 30)  # every prime is below 2**30
+    qs = primes(count, modulus)
+    prod = math.prod(qs)
+    while prod <= target:
+        count += 1
+        qs = primes(count, modulus)
+        prod *= qs[-1]
+    return qs
+
+
+def crt(residues, moduli) -> int:
+    """The x with |x| < prod(moduli) / 2 and x = residues[k] mod moduli[k]
+    (Garner's incremental form; the moduli are distinct primes)."""
+    x, prod = 0, 1
+    for r, q in zip(residues, moduli, strict=True):
+        t = (r - x % q) * pow(prod % q, -1, q) % q
+        x += prod * t
+        prod *= q
+    return x - prod if x > prod // 2 else x

@@ -14,6 +14,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elltowers import (
     Multigraph,
@@ -30,6 +31,7 @@ from elltowers import (
     stabilization_bounds,
     verify_product_identity,
 )
+from elltowers import analysis, multimodular
 from elltowers.analysis import (
     DisconnectedTowerError,
     InapplicableError,
@@ -38,6 +40,9 @@ from elltowers.analysis import (
 )
 from elltowers.corpus import CORPUS
 from elltowers.factorint import ord_p
+from elltowers.genpoly import GenPoly, determinant, voltage_matrix
+from elltowers.intpoly import cyclotomic, resultant
+from elltowers.multimodular import PrimePoolExhaustedError
 from elltowers.towerspec import build_assignment, parse_tower_spec
 
 TOWERS = {}
@@ -79,6 +84,108 @@ def test_norm_valuation_is_phi_times_mu_beyond_n0():
     t2 = tower("bouquet4-ell3")
     for i in (2, 3, 4):  # n0 = 2 for p = 2
         assert ord_p(t2.level_norm(i), 2) == (3**i - 3 ** (i - 1)) * 1
+
+
+# -- the multi-modular norm engine against the subresultant --------------------
+
+@st.composite
+def voltage_specs(draw):
+    """Tower specs on 1-2 vertices with integer, padic and sqrt voltages.
+    ell = 7 stops at precision 3: the subresultant oracle alone takes
+    seconds per norm at 7^4."""
+    ell = draw(st.sampled_from([2, 3, 5, 7]))
+    precision = draw(st.integers(1, 3 if ell == 7 else 4))
+    names = ["v1", "v2"][: draw(st.integers(1, 2))]
+    edges = []
+    for _ in range(draw(st.integers(len(names), 3))):
+        kind = draw(st.sampled_from(["integer", "padic", "sqrt"]))
+        if kind == "integer":
+            voltage = str(draw(st.integers(-20, 20)))
+        elif kind == "padic":
+            digits = st.lists(st.integers(0, ell - 1), min_size=precision, max_size=precision)
+            voltage = {"kind": "padic", "digits": draw(digits)}
+        else:
+            branch = draw(st.sampled_from([1, 3, 5, 7] if ell == 2 else range(1, ell)))
+            radicand = branch * branch + (8 if ell == 2 else ell) * draw(st.integers(1, 40))
+            voltage = {"kind": "sqrt", "radicand": radicand, "branch": branch}
+        edges.append({"tail": draw(st.sampled_from(names)), "head": draw(st.sampled_from(names)),
+                      "voltage": voltage})
+    return {"ell": ell, "precision": precision, "vertices": names, "edges": edges}
+
+
+@settings(deadline=None, max_examples=40)
+@given(voltage_specs())
+def test_level_norm_matches_subresultant(doc):
+    va = build_assignment(parse_tower_spec(doc))
+    f = determinant(voltage_matrix(va))
+    ell = va.ell
+    for i in range(1, min(doc["precision"], 4) + 1):
+        reduced = f.reduce_level(i)
+        expected = 0 if reduced.is_zero else resultant(cyclotomic(ell**i), reduced)
+        norm = level_norm(f, i)
+        assert norm == expected, (doc, i)
+        if ell**i > 2:  # N_i = M_i^2
+            assert math.isqrt(norm) ** 2 == norm
+
+
+def test_level_norm_recovers_sign_of_real_subfield_norm():
+    # M_1 = (-7)^3 = -343: a lost sign would square a wrong residue
+    assert level_norm(GenPoly.constant(7, 2, -7), 1) == 7**6
+    assert level_norm(GenPoly.constant(7, 2, -7), 2) == 7**42
+
+
+def test_level_norm_non_symmetric_takes_all_units(monkeypatch):
+    bounds = []
+
+    def spy(bound, modulus=1):
+        bounds.append(bound)
+        return multimodular.primes_for_bound(bound, modulus)
+
+    monkeypatch.setattr(analysis, "primes_for_bound", spy)
+    f = GenPoly(5, 3, ((0, 1), (1, 2), (7, -3)))  # 1 + 2T - 3T^7, not T -> 1/T symmetric
+    for i in (1, 2, 3):
+        assert level_norm(f, i) == resultant(cyclotomic(5**i), f.reduce_level(i))
+    # bounds ||f||_1^phi(5^i): the product ran over every unit
+    assert bounds == [6 ** (4 * 5 ** (i - 1)) for i in (1, 2, 3)]
+
+
+def test_level_norm_raises_when_primes_run_out(monkeypatch):
+    # below 64 the only prime = 1 (mod 16) is 17, far short of the bound
+    monkeypatch.setattr(multimodular, "PRIME_CEILING", 64)
+    f = GenPoly(2, 4, ((0, 4), (1, -1), (15, -1)))
+    with pytest.raises(PrimePoolExhaustedError):
+        level_norm(f, 4)
+
+
+def test_level_norm_cross_check_failure_raises(monkeypatch):
+    t = Tower(build_assignment(parse_tower_spec(CORPUS[0].spec)))
+    monkeypatch.setattr(analysis, "resultant", lambda a, b: 1)
+    with pytest.raises(ArithmeticError, match="cross-check"):
+        t.level_norm(1)
+
+
+def test_subresultant_only_at_checked_levels(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append(a.degree)
+        return resultant(a, b)
+
+    monkeypatch.setattr(analysis, "resultant", spy)
+    entry = CORPUS[0]
+    t = Tower(build_assignment(parse_tower_spec(entry.spec)), mt_check_level=2)
+    t.kappas(4)
+    ell = t.ell
+    assert calls == [ell - 1, ell * (ell - 1)]
+
+
+def test_kappa_running_product_any_order():
+    entry = next(e for e in CORPUS if e.name == "bouquet4-ell3")
+    deep_first = Tower(build_assignment(parse_tower_spec(entry.spec)))
+    in_order = Tower(build_assignment(parse_tower_spec(entry.spec)))
+    assert deep_first.kappa(4) == in_order.kappas(4)[4]
+    for n in range(5):
+        assert in_order.norm_product(n) == 3**n * in_order.kappa(n)
 
 
 # -- splitting data ---------------------------------------------------------------

@@ -67,3 +67,47 @@ def test_multimodular_large_entries():
     rng = random.Random(5)
     m = [[rng.randint(-(10**12), 10**12) for _ in range(4)] for _ in range(4)]
     assert multimodular_det(m) == bareiss_det(m)
+
+
+# -- the shared prime pool and CRT ------------------------------------------------
+
+def test_prime_pool_is_the_previous_prime_chain():
+    from elltowers.factorint import previous_prime
+    from elltowers.multimodular import primes
+
+    chain, q = [], 1 << 30
+    for _ in range(40):
+        q = previous_prime(q)
+        chain.append(q)
+    assert primes(40) == chain
+
+
+def test_prime_pool_per_modulus():
+    from elltowers.factorint import is_certified_prime
+    from elltowers.multimodular import primes
+
+    for m in (4, 9, 625, 2401):
+        qs = primes(25, m)
+        assert qs == sorted(qs, reverse=True) and len(set(qs)) == 25
+        assert all(q % m == 1 and q < 1 << 30 and is_certified_prime(q) for q in qs)
+        # nothing skipped between the ceiling and the last prime handed out
+        assert sum(is_certified_prime(c) for c in range(qs[-1], 1 << 30, m)) == 25
+
+
+def test_crt_symmetric_representative():
+    from elltowers.multimodular import crt, primes_for_bound
+
+    rng = random.Random(2)
+    for _ in range(50):
+        x = rng.randint(-(10**80), 10**80)
+        qs = primes_for_bound(10**80, 27)
+        assert crt([x % q for q in qs], qs) == x
+    assert crt([0, 0], [5, 7]) == 0
+    assert crt([34], [37]) == -3
+
+
+def test_int64_code_refuses_large_moduli():
+    import numpy as np
+
+    with pytest.raises(ValueError):
+        det_mod(np.eye(2, dtype=np.int64), (1 << 30) + 3)
