@@ -10,7 +10,6 @@ from .analysis import (
     EllFit,
     InapplicableError,
     InconclusiveError,
-    LevelNorm,
     N0Search,
     PrimeAnalysisReport,
     PrimeEqualsEllError,

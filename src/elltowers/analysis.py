@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorint import ord_p
+from .factorint import factor_kappa, ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import (
     VoltageAssignment,
@@ -86,24 +86,12 @@ def multiplicative_order(a: int, modulus: int) -> int:
         raise ValueError(f"{a} is not a unit mod {modulus}")
     group = euler_phi(modulus)
     order = group
-    for q in _prime_factors(group):
+    # complete: after trial division to 10**6, rho splits whatever is left
+    # of any group order small enough for euler_phi to reach
+    for q, _ in factor_kappa(group).factors:
         while order % q == 0 and pow(a, order // q, modulus) == 1:
             order //= q
     return order
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def inertia_degree(p: int, ell: int, i: int) -> tuple[int, int]:
@@ -136,12 +124,6 @@ def eventual_prime_count(p: int, ell: int) -> int:
 # ---------------------------------------------------------------------------
 # level norms and the tower orchestration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevelNorm:
-    level: int
-    norm: int
-
 
 def level_norm(f: GenPoly, i: int) -> int:
     """N_i: the product of f over the primitive ell^i-th roots of unity,
@@ -280,9 +262,6 @@ class Tower:
                     )
             self._norms[i] = n
         return self._norms[i]
-
-    def level_norms(self, depth: int) -> list[LevelNorm]:
-        return [LevelNorm(i, self.level_norm(i)) for i in range(1, depth + 1)]
 
     def norm_product(self, n: int) -> int:
         """kappa_0 * N_1 * ... * N_n (= ell^n * kappa_n), each level built

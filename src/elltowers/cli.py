@@ -30,7 +30,7 @@ from .analysis import (
     analyze_prime,
     iwasawa_fit_ell,
 )
-from .factorint import FactoredInteger, factor_kappa, is_probable_prime, ord_p
+from .factorint import FactoredInteger, decimal_str, factor_kappa, is_probable_prime, ord_p
 from .graphs import DisconnectedGraphError, cover_connected_by_voltages, validate
 from .intpoly import UnitRootMissingError, ZeroPolynomialError
 from .omega import classify_omega, INAPPLICABLE
@@ -64,15 +64,15 @@ def _tower_from_file(path, mt_level=None):
     return spec, va, Tower(va, mt_check_level=mt_level)
 
 
-def _fmt_factors(fact: FactoredInteger) -> str:
-    return str(fact)
+def _kappa_line(n: int, kappa: int, fact: FactoredInteger) -> str:
+    return f"kappa_{n} = {decimal_str(kappa)} = {fact}"
 
 
 def _factorization_dict(fact: FactoredInteger) -> dict:
     omega, exact = fact.omega()
     return {
-        "factors": [[str(p), e] for p, e in fact.factors],
-        "cofactor": str(fact.cofactor),
+        "factors": [[decimal_str(p), e] for p, e in fact.factors],
+        "cofactor": decimal_str(fact.cofactor),
         "complete": fact.complete,
         "omega": omega,
         "omega_is_lower_bound": not exact,
@@ -142,14 +142,14 @@ def cmd_count(args) -> int:
     if args.json:
         doc = {
             "levels": [
-                {"n": n, "kappa": str(kappa), **_factorization_dict(fact)}
+                {"n": n, "kappa": decimal_str(kappa), **_factorization_dict(fact)}
                 for n, kappa, fact in rows
             ]
         }
         _print_json(doc)
     else:
         for n, kappa, fact in rows:
-            print(f"kappa_{n} = {kappa} = {_fmt_factors(fact)}")
+            print(_kappa_line(n, kappa, fact))
     return EXIT_OK
 
 
@@ -190,7 +190,10 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except InconclusiveError as exc:
-        print(f"warning: stabilization level inconclusive: {exc}")
+        if args.json:
+            _print_json({"p": p, "inconclusive": True, "reason": str(exc)})
+        else:
+            print(f"warning: stabilization level inconclusive: {exc}")
         return EXIT_OK
     doc = {
         "p": p,
@@ -237,10 +240,10 @@ def cmd_classify(args) -> int:
         "verdict": cls.verdict,
         "unit_root_multiplicity": cls.unit_root_multiplicity,
         "cyclotomic_factors": [list(x) for x in cls.cyclotomic_factors],
-        "content": None if cls.content is None else str(cls.content),
+        "content": None if cls.content is None else decimal_str(cls.content),
         "non_cyclotomic_part": None if cls.non_cyclotomic_part is None
-        else [str(c) for c in cls.non_cyclotomic_part.coeffs],
-        "content_primes": [str(p) for p in cls.content_primes],
+        else [decimal_str(c) for c in cls.non_cyclotomic_part.coeffs],
+        "content_primes": [decimal_str(p) for p in cls.content_primes],
     }
     if args.json:
         _print_json(doc)
@@ -250,12 +253,12 @@ def cmd_classify(args) -> int:
                   "the root-of-unity criterion does not apply")
         else:
             print(f"omega(kappa_n) is {cls.verdict} as n grows")
-            print(f"U = {cls.content} * (T-1)^{cls.unit_root_multiplicity}"
+            print(f"U = {decimal_str(cls.content)} * (T-1)^{cls.unit_root_multiplicity}"
                   + "".join(f" * Phi_{d}^{m}" if m > 1 else f" * Phi_{d}"
                             for d, m in cls.cyclotomic_factors)
                   + f" * ({cls.non_cyclotomic_part})")
             if cls.content_primes:
-                print("content primes:", ", ".join(str(p) for p in cls.content_primes))
+                print("content primes:", ", ".join(decimal_str(p) for p in cls.content_primes))
     return EXIT_OK
 
 
@@ -300,7 +303,7 @@ def cmd_report(args) -> int:
         "integral_voltages": va.is_integral,
         "matrix_tree_checked_to": min(tower.mt_check_level, args.levels),
         "levels": [
-            {"n": n, "kappa": str(kappa), "ord_ell": ord_p(kappa, tower.ell),
+            {"n": n, "kappa": decimal_str(kappa), "ord_ell": ord_p(kappa, tower.ell),
              **_factorization_dict(fact)}
             for n, kappa, fact in rows
         ],
@@ -312,9 +315,9 @@ def cmd_report(args) -> int:
             "verdict": cls.verdict,
             "unit_root_multiplicity": cls.unit_root_multiplicity,
             "cyclotomic_factors": [list(x) for x in cls.cyclotomic_factors],
-            "content": None if cls.content is None else str(cls.content),
+            "content": None if cls.content is None else decimal_str(cls.content),
             "non_cyclotomic_part": None if cls.non_cyclotomic_part is None
-            else [str(c) for c in cls.non_cyclotomic_part.coeffs],
+            else [decimal_str(c) for c in cls.non_cyclotomic_part.coeffs],
         },
         "primes": primes_doc,
         "timing_ms": int((time.monotonic() - started) * 1000),
@@ -323,7 +326,7 @@ def cmd_report(args) -> int:
         _print_json(doc)
     else:
         for n, kappa, fact in rows:
-            print(f"kappa_{n} = {kappa} = {_fmt_factors(fact)}")
+            print(_kappa_line(n, kappa, fact))
         if fit is not None and fit.found:
             print(f"ell-part: ord_{tower.ell}(kappa_n) = {fit.mu}*{tower.ell}^n "
                   f"+ {fit.lam}*n + {fit.nu} for n >= {fit.onset}")
@@ -357,7 +360,8 @@ def cmd_selftest(args) -> int:
             want = entry.kappa(n)
             if got != want:
                 failures.append((entry.name, n, got, want))
-                print(f"FAIL {entry.name} kappa_{n}: got {got}, want {want}")
+                print(f"FAIL {entry.name} kappa_{n}: got {decimal_str(got)}, "
+                      f"want {decimal_str(want)}")
             else:
                 print(f"ok   {entry.name} kappa_{n}")
         else:
@@ -395,13 +399,13 @@ def cmd_sqrt(args) -> int:
         "radicand": args.radicand,
         "ell": args.ell,
         "precision": args.precision,
-        "residue": str(root.residue),
+        "residue": decimal_str(root.residue),
         "digits": root.digits(),
     }
     if args.json:
         _print_json(doc)
     else:
-        print(f"sqrt({args.radicand}) = {root} residue {root.residue} "
+        print(f"sqrt({args.radicand}) = {root} residue {decimal_str(root.residue)} "
               f"mod {args.ell}^{args.precision}")
     return EXIT_OK
 

@@ -1,10 +1,15 @@
 """Budgeted integer factorization with certified primes.
 
 Spanning-tree counts in a tower grow doubly fast, so full factorization
-is best-effort: trial division up to a bound, perfect-power reduction,
-then Brent-cycle Pollard rho under an iteration budget.  Whatever the
-budget leaves unsplit is reported as a composite cofactor instead of
-being guessed at.
+is best-effort: batched trial division up to a bound, perfect-power
+reduction, then Brent-cycle Pollard rho under an iteration budget.
+Whatever the budget leaves unsplit is reported as a composite cofactor.
+
+Trial division takes one gcd per block of BLOCK_SIZE primes against the
+block's product (sieved once per process, on first use) and divides out
+only the primes of blocks that share a factor (Bernstein's smooth-part
+technique); it stops at the first block whose smallest prime squared
+exceeds what is left.
 
 Primality of every reported prime is certified: deterministic
 Miller-Rabin with the 13 bases 2..41 is a proven primality test below
@@ -14,8 +19,12 @@ listed as factors; they stay in the cofactor.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
+from decimal import Decimal
+from itertools import compress
 
 # The first 13 primes witness compositeness for every composite below this
 # bound (Sorenson-Webster).
@@ -30,6 +39,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_ITERATIONS = 10**7
+BLOCK_SIZE = 256
+
+
+def decimal_str(n: int) -> str:
+    """n in decimal past str(int)'s digit limit: Decimal converts exactly."""
+    return str(Decimal(n))
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -200,9 +215,9 @@ class FactoredInteger:
     def __str__(self) -> str:
         if not self.factors and self.cofactor == 1:
             return "1"
-        parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors]
+        parts = [decimal_str(p) + (f"^{e}" if e > 1 else "") for p, e in self.factors]
         if self.cofactor != 1:
-            parts.append(f"C{self.cofactor}")
+            parts.append(f"C{decimal_str(self.cofactor)}")
         return " * ".join(parts)
 
 
@@ -219,12 +234,18 @@ def factor_kappa(
 
     found: dict[int, int] = {}
     rest = n
-    for p in range(2, trial_bound + 1) if trial_bound < 1000 else _trial_candidates(trial_bound):
-        if p * p > rest:
+    for product, block in _prime_blocks(trial_bound):
+        if block[0] * block[0] > rest:
             break
-        while rest % p == 0:
-            found[p] = found.get(p, 0) + 1
-            rest //= p
+        g = math.gcd(rest, product)  # the product of the block's primes dividing rest
+        for p in block:
+            if g == 1:
+                break
+            if g % p == 0:
+                g //= p
+                while rest % p == 0:
+                    found[p] = found.get(p, 0) + 1
+                    rest //= p
     budget = [rho_iterations]
     cofactor = 1
     stack: list[tuple[int, int]] = [(rest, 1)] if rest > 1 else []
@@ -283,11 +304,18 @@ def _finalize_cofactor(cofactor: int, found: dict[int, int]) -> int:
     return cofactor
 
 
-def _trial_candidates(bound: int):
-    yield 2
-    yield 3
-    k = 5
-    while k <= bound:  # 6k +- 1 wheel
-        yield k
-        yield k + 2
-        k += 6
+@functools.cache
+def _prime_blocks(bound: int) -> tuple[tuple[int, array], ...]:
+    """The primes <= bound in blocks of BLOCK_SIZE, each block as
+    (the product of its primes, its primes)."""
+    if bound < 2:
+        return ()
+    odd = bytearray([1]) * ((bound + 1) // 2)  # odd[k] stands for 2k + 1
+    for k in range(1, (math.isqrt(bound) + 1) // 2):
+        if odd[k]:
+            p, start = 2 * k + 1, 2 * k * (k + 1)  # odd[start] stands for p * p
+            odd[start::p] = bytes(len(range(start, len(odd), p)))
+    ps = array("I", compress(range(1, bound + 1, 2), odd))
+    ps[0] = 2  # odd[0] (the number 1) was kept as the slot for 2
+    blocks = (ps[k : k + BLOCK_SIZE] for k in range(0, len(ps), BLOCK_SIZE))
+    return tuple((math.prod(block), block) for block in blocks)

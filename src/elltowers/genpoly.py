@@ -79,9 +79,6 @@ class GenPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff_map(self) -> dict[int, int]:
-        return dict(self.terms)
-
     def coefficients(self) -> list[int]:
         return [c for _, c in self.terms]
 
@@ -148,9 +145,6 @@ class GenPoly:
         mod = self.modulus
         return GenPoly(self.ell, self.precision,
                        tuple(((e * c) % mod, k) for e, k in self.terms), self.integral)
-
-    def evaluate_at_one(self) -> int:
-        return sum(c for _, c in self.terms)
 
     # -- lifting and reduction ----------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multimodular import check_word_prime, crt, primes
+from .multimodular import check_word_prime, crt, primes_for_bound
 
 BAREISS_THRESHOLD = 120
 
@@ -92,8 +92,7 @@ def multimodular_det(rows: list[list[int]]) -> int:
     bound_bits = hadamard_bound_bits(rows)
     if bound_bits == 0:
         return 0
-    needed = bound_bits + 2  # one extra bit for the sign
-    qs = primes(-(-needed // 29))  # every pool prime has 30 bits
+    qs = primes_for_bound(1 << bound_bits)
     images = [det_mod(np.array([[x % q for x in row] for row in rows], dtype=np.int64), q)
               for q in qs]
     return crt(images, qs)

@@ -153,7 +153,3 @@ def build_assignment(spec: TowerSpec) -> VoltageAssignment:
         else:
             volts.append(padic_sqrt(v["radicand"], spec.ell, spec.precision, v["branch"]))
     return VoltageAssignment.from_padics(graph, volts)
-
-
-def roundtrip_equal(a: TowerSpec, b: TowerSpec) -> bool:
-    return a == b

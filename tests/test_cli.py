@@ -183,6 +183,54 @@ def test_analyze_never_divides_message(spec_file, capsys):
     assert "never divides" in out
 
 
+def test_analyze_json_inconclusive_is_json(spec_file, capsys, monkeypatch):
+    import elltowers.cli as cli_mod
+    from elltowers.analysis import InconclusiveError
+
+    def inconclusive(tower, p, depth):
+        raise InconclusiveError("roots persist at the top searchable level 4")
+
+    monkeypatch.setattr(cli_mod, "analyze_prime", inconclusive)
+    code, out, _ = run_cli(capsys, "analyze", spec_file(BOUQUET3_ELL5_SPEC),
+                           "--p", "7", "--levels", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == {"p": 7, "inconclusive": True,
+                               "reason": "roots persist at the top searchable level 4"}
+    code, out, _ = run_cli(capsys, "analyze", spec_file(BOUQUET3_ELL5_SPEC),
+                           "--p", "7", "--levels", "3")
+    assert code == 0 and out.startswith("warning: stabilization level inconclusive")
+
+
+def test_integers_past_the_str_digit_limit_render(spec_file, capsys, monkeypatch):
+    import sys
+
+    import elltowers.cli as cli_mod
+    from elltowers.factorint import FactoredInteger
+
+    limit = sys.get_int_max_str_digits()
+    cofactor = 10**5000 + 7  # its digits are known without converting it
+    kappa = 12 * cofactor
+    fact = FactoredInteger(kappa, ((2, 2), (3, 1)), cofactor)
+    kappa_digits = "12" + "0" * 4998 + "84"
+    cofactor_digits = "1" + "0" * 4999 + "7"
+
+    doc = cli_mod._factorization_dict(fact)
+    assert doc["cofactor"] == cofactor_digits
+    assert doc["factors"] == [["2", 2], ["3", 1]]
+    line = cli_mod._kappa_line(5, kappa, fact)
+    assert line == f"kappa_5 = {kappa_digits} = 2^2 * 3 * C{cofactor_digits}"
+
+    monkeypatch.setattr(cli_mod, "_level_rows", lambda tower, levels, budget: [(0, kappa, fact)])
+    path = spec_file(BOUQUET3_ELL5_SPEC)
+    code, out, _ = run_cli(capsys, "count", path, "--levels", "0")
+    assert code == 0 and out == line.replace("kappa_5", "kappa_0") + "\n"
+    code, out, _ = run_cli(capsys, "count", path, "--levels", "0", "--json")
+    assert code == 0
+    level = json.loads(out)["levels"][0]
+    assert level["kappa"] == kappa_digits and level["cofactor"] == cofactor_digits
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_classify_verdicts(spec_file, capsys):
     code, out, _ = run_cli(capsys, "classify", spec_file(BOUQUET4_ELL3.spec))
     assert code == 0 and "unbounded" in out

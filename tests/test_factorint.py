@@ -1,10 +1,20 @@
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import elltowers
 from elltowers.factorint import (
+    BLOCK_SIZE,
+    DEFAULT_RHO_ITERATIONS,
+    DEFAULT_TRIAL_BOUND,
     DETERMINISTIC_MR_BOUND,
     FactoredInteger,
+    _prime_blocks,
     factor_kappa,
     integer_nth_root,
     is_certified_prime,
@@ -144,3 +154,107 @@ def test_finalize_cofactor_keeps_lower_bound_honest():
 def test_factored_str():
     assert str(factor_kappa(405)) == "3^4 * 5"
     assert str(factor_kappa(1)) == "1"
+
+
+# -- batched trial division ---------------------------------------------------------
+
+def _reference_factor(n: int, trial_bound: int, rho_iterations: int) -> FactoredInteger:
+    """Oracle: one remainder per 6k +- 1 wheel candidate up to the bound,
+    stopping once the candidate squared exceeds what is left; the rest
+    goes through factor_kappa with no trial stage."""
+    found, rest = {}, n
+    candidates = [2, 3] + [k + d for k in range(5, trial_bound + 1, 6) for d in (0, 2)]
+    for p in candidates:
+        if p > trial_bound or p * p > rest:
+            break
+        while rest % p == 0:
+            found[p] = found.get(p, 0) + 1
+            rest //= p
+    tail = factor_kappa(rest, trial_bound=1, rho_iterations=rho_iterations)
+    for p, e in tail.factors:
+        found[p] = found.get(p, 0) + e
+    return FactoredInteger(n, tuple(sorted(found.items())), tail.cofactor)
+
+
+def _assert_matches_wheel(n: int, bound: int = DEFAULT_TRIAL_BOUND) -> FactoredInteger:
+    """factor_kappa agrees with the oracle with no rho budget, where the
+    trial stage alone decides what is found, and with the default one."""
+    for rho in (0, DEFAULT_RHO_ITERATIONS):
+        got = factor_kappa(n, trial_bound=bound, rho_iterations=rho)
+        assert got == _reference_factor(n, bound, rho), (n, bound, rho)
+    return got
+
+
+def _sieve(bound: int) -> list[int]:
+    flags = bytearray([1]) * (bound + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, int(bound**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return [p for p in range(bound + 1) if flags[p]]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 100, 1000, 1009, DEFAULT_TRIAL_BOUND])
+def test_prime_blocks_hold_the_primes_up_to_the_bound(bound):
+    blocks = _prime_blocks(bound)
+    assert [p for _, block in blocks for p in block] == _sieve(bound)
+    for product, block in blocks:
+        assert 0 < len(block) <= BLOCK_SIZE and product == math.prod(block)
+    assert all(len(block) == BLOCK_SIZE for _, block in blocks[:-1])
+
+
+def _block_edges() -> list[int]:
+    blocks = _prime_blocks(DEFAULT_TRIAL_BOUND)
+    return sorted({blocks[k][1][j] for k in (0, 1, 150, -2, -1) for j in (0, -1)})
+
+
+def test_block_edge_primes_match_the_wheel():
+    edges = _block_edges()
+    assert edges[0] == 2 and edges[-1] == 999983  # the largest prime <= 10**6
+    cases = [
+        math.prod(edges),
+        math.prod(edges) * 1000003,  # the first prime above the bound
+        edges[1] * edges[2],  # the last prime of block 0 times the first of block 1
+        2 * 999983,  # stops after block 0 with a prime below the bound left
+        999983 * 1000003,
+        1000003**2,
+    ]
+    for n in cases:
+        _assert_matches_wheel(n)
+
+
+def test_prime_powers_match_the_wheel():
+    edges = _block_edges()
+    for n in (2**200, 3**50, edges[1] ** 7, edges[2] ** 5 * edges[-2] ** 3,
+              999983**4, 2**82 * 999983**2 * 1000003**3):
+        _assert_matches_wheel(n)
+
+
+def test_leftover_primes_below_the_bound_squared():
+    big = previous_prime(DEFAULT_TRIAL_BOUND**2)  # 999999999989
+    for n in (big, 2**10 * big, 999983 * big, 1000003 * big):
+        f = _assert_matches_wheel(n)
+        assert f.complete and (big, 1) in f.factors
+
+
+@pytest.mark.parametrize("bound", [100, 1000, 1009])
+def test_non_default_trial_bounds_match_the_wheel(bound):
+    rng = random.Random(bound)
+    small = _sieve(1100)
+    cases = [previous_prime(bound**2), 2 * previous_prime(bound**2), 1009**2 * 1013,
+             97 * 101 * 997 * 1009, 1013 * 1019]
+    for _ in range(40):
+        smooth = math.prod(rng.choice(small) ** rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+        cases.append(smooth * rng.choice((1, 1000003, 999999999989)))
+    for n in cases:
+        _assert_matches_wheel(n, bound)
+
+
+def test_prime_table_is_not_built_at_import():
+    src = str(Path(elltowers.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import elltowers.cli, elltowers.factorint as f; "
+            "print(f._prime_blocks.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"

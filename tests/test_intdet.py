@@ -69,6 +69,25 @@ def test_multimodular_large_entries():
     assert multimodular_det(m) == bareiss_det(m)
 
 
+def test_multimodular_uses_the_fewest_primes_for_the_hadamard_bound(monkeypatch):
+    import elltowers.intdet as intdet
+    from elltowers.multimodular import primes_for_bound
+
+    rng = random.Random(3)
+    n = intdet.BAREISS_THRESHOLD + 1
+    m = [[rng.randint(-1, 1) if abs(i - j) <= 3 else 0 for j in range(n)] for i in range(n)]
+    used = []
+    real_det_mod = intdet.det_mod
+
+    def recording_det_mod(matrix, q):
+        used.append(q)
+        return real_det_mod(matrix, q)
+
+    monkeypatch.setattr(intdet, "det_mod", recording_det_mod)
+    assert det_int(m) == bareiss_det(m)
+    assert used == primes_for_bound(1 << hadamard_bound_bits(m))
+
+
 # -- the shared prime pool and CRT ------------------------------------------------
 
 def test_prime_pool_is_the_previous_prime_chain():
