@@ -9,17 +9,28 @@ Verbs:
     selftest                      recompute the built-in corpus
     sqrt      --radicand D ...    ell-adic square root helper
 
-Exit codes: 0 success, 1 domain failure, 2 usage/parse error.  All big
-integers are printed as decimal strings; --json switches to a
-machine-readable document whose bytes depend only on the input and the
-budget (a timing field aside).  Wall-clock budgets are converted to
-fixed iteration budgets so identical inputs give identical output.
+Exit codes: 0 success, 1 domain failure, 2 usage/parse error, 3
+internal error (a failed cross-check, an overflow, an exhausted prime
+pool; the exception text goes to stderr).  All big integers are printed
+as decimal strings; --json switches to a machine-readable document whose
+bytes depend only on the input and the budget (a timing field aside).
+Wall-clock budgets are converted to fixed iteration budgets so identical
+inputs give identical output.
+
+count and report never factor kappa_n itself.  By the product identity
+ell^n kappa_n = kappa_0 N_1 ... N_n, each level's new piece (kappa_0,
+then each level norm N_i, through its real-subfield root M_i when N_i is
+a square) is factored once, and kappa_n's factorisation is assembled
+from the pieces below it.  --budget-ms is split evenly across the
+levels + 1 pieces; each level row reports the rho iterations its piece
+used (rho_iterations) and whether they ran out (budget_exhausted).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -30,7 +41,14 @@ from .analysis import (
     analyze_prime,
     iwasawa_fit_ell,
 )
-from .factorint import FactoredInteger, decimal_str, factor_kappa, is_probable_prime, ord_p
+from .factorint import (
+    FactoredInteger,
+    decimal_str,
+    factor_kappa,
+    is_probable_prime,
+    multiply_factored,
+    ord_p,
+)
 from .graphs import DisconnectedGraphError, cover_connected_by_voltages, validate
 from .intpoly import UnitRootMissingError, ZeroPolynomialError
 from .omega import classify_omega, INAPPLICABLE
@@ -41,6 +59,7 @@ from . import corpus
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 # deterministic budget conversion: 1 ms of budget buys this many rho steps
 RHO_ITERATIONS_PER_MS = 500
@@ -76,6 +95,8 @@ def _factorization_dict(fact: FactoredInteger) -> dict:
         "complete": fact.complete,
         "omega": omega,
         "omega_is_lower_bound": not exact,
+        "rho_iterations": fact.rho_iterations,
+        "budget_exhausted": fact.budget_exhausted,
     }
 
 
@@ -122,14 +143,43 @@ def cmd_validate(args) -> int:
 
 
 def _level_rows(tower, levels, budget_ms):
+    """(n, kappa_n, its factorisation) for n = 0..levels.
+
+    ell^n kappa_n = kappa_0 N_1 ... N_n, so every level brings one new
+    piece (_level_piece), factored once with an even share of the rho
+    budget; kappa_n's factorisation is the running product of the pieces'
+    less ell^n.  Each row carries the rho statistics of its own piece.
+    """
     rho_budget = budget_ms * RHO_ITERATIONS_PER_MS
     per_level = max(rho_budget // (levels + 1), 1)
+    ell = tower.ell
+    exps, cofactor = {ell: 0}, 1  # ell listed from the start, so it never hides in the cofactor
     rows = []
     for n in range(levels + 1):
         kappa = tower.kappa(n)
-        fact = factor_kappa(kappa, rho_iterations=per_level)
-        rows.append((n, kappa, fact))
+        piece, power = _level_piece(tower, n)
+        part = factor_kappa(piece, rho_iterations=per_level)
+        cofactor = multiply_factored(exps, cofactor, part, power)
+        found = {**exps, ell: exps[ell] - n}
+        factors = tuple(sorted((p, e) for p, e in found.items() if e))
+        rows.append((n, kappa, FactoredInteger(kappa, factors, cofactor, part.rho_iterations,
+                                               part.budget_exhausted)))
     return rows
+
+
+def _level_piece(tower, n):
+    """(piece, power): level n's new factor of ell^n kappa_n is piece**power.
+
+    kappa_0 at level 0; above it the level norm N_n, through its
+    real-subfield norm M_n = sqrt(N_n) when ell^n > 2 and N_n is a square.
+    """
+    if n == 0:
+        return tower.kappa(0), 1
+    norm = abs(tower.level_norm(n))
+    root = math.isqrt(norm)
+    if tower.ell**n > 2 and root * root == norm:
+        return root, 2
+    return norm, 1
 
 
 def cmd_count(args) -> int:
@@ -477,7 +527,6 @@ _DOMAIN_ERRORS = (
     PrecisionError,
     ZeroPolynomialError,
     UnitRootMissingError,
-    ArithmeticError,
 )
 
 
@@ -488,6 +537,9 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_DOMAIN
+    except ArithmeticError as exc:  # a failed cross-check, an overflow, no primes left
+        print(f"internal error: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     if argv is None:
         sys.exit(code)
     return code

@@ -9,7 +9,14 @@ Trial division takes one gcd per block of BLOCK_SIZE primes against the
 block's product (sieved once per process, on first use) and divides out
 only the primes of blocks that share a factor (Bernstein's smooth-part
 technique); it stops at the first block whose smallest prime squared
-exceeds what is left.
+exceeds what is left.  What it leaves has no prime factor up to the
+trial bound, so the perfect-power search stops at the first exponent
+whose root falls below it.
+
+Products are factored piecewise: multiply_factored merges a factored
+part into a running factorisation.  The CLI factors kappa_0 and each
+level norm once, with an even share of the rho budget, and assembles
+every kappa_n from them (ell^n kappa_n = kappa_0 N_1 ... N_n).
 
 Primality of every reported prime is certified: deterministic
 Miller-Rabin with the 13 bases 2..41 is a proven primality test below
@@ -22,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import compress
 
@@ -120,12 +127,19 @@ def ord_p(n: int, p: int) -> int:
 
 
 def integer_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, exactly."""
+    """floor(n ** (1/k)) for n >= 0, k >= 1, exactly.
+
+    Newton's iteration from above, started at a float estimate of the
+    root's leading 53 bits (inflated past its rounding error), so it
+    needs a step or two instead of about k from a power of two.
+    """
     if n < 0 or k < 1:
         raise ValueError
     if n < 2 or k == 1:
         return n
-    x = 1 << (-(-n.bit_length() // k))  # upper bound
+    shift = max(0, n.bit_length() // k - 52)
+    top = math.exp(math.log(n >> shift * k) / k)  # the root of n's leading bits
+    x = (int(top * (1 + 2.0**-30)) + 2) << shift  # above floor(n ** (1/k))
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -133,14 +147,20 @@ def integer_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def perfect_power(n: int) -> tuple[int, int] | None:
-    """(b, k) with n = b**k and k maximal >= 2, or None."""
+def perfect_power(n: int, floor: int = 2) -> tuple[int, int] | None:
+    """(b, k) with n = b**k and k maximal >= 2, or None.
+
+    floor is a lower bound on every prime factor of n (2 when nothing is
+    known), hence on any base b: the search stops at the first k whose
+    integer root falls below it.
+    """
     if n < 4:
         return None
+    floor = max(floor, 2)
     best = None
     for k in range(2, n.bit_length() + 1):
         b = integer_nth_root(n, k)
-        if b < 2:
+        if b < floor:
             break
         if b**k == n:
             best = (b, k)
@@ -186,11 +206,19 @@ def _brent_rho(n: int, budget: list[int], seed: int = 1) -> int | None:
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """value = cofactor * prod(p**e); every listed p is a certified prime."""
+    """value = cofactor * prod(p**e); every listed p is a certified prime.
+
+    rho_iterations and budget_exhausted say what the rho stage did: the
+    iterations it spent, and whether it ran out of them (as opposed to
+    leaving only probable primes it cannot certify).  They describe the
+    work, not the number, so they take no part in equality.
+    """
 
     value: int
     factors: tuple[tuple[int, int], ...]
     cofactor: int = 1
+    rho_iterations: int = field(default=0, compare=False)
+    budget_exhausted: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         prod = self.cofactor
@@ -246,14 +274,16 @@ def factor_kappa(
                 while rest % p == 0:
                     found[p] = found.get(p, 0) + 1
                     rest //= p
+    floor = trial_bound + 1  # no prime up to the trial bound is left
     budget = [rho_iterations]
+    exhausted = False
     cofactor = 1
     stack: list[tuple[int, int]] = [(rest, 1)] if rest > 1 else []
     while stack:
         m, mult = stack.pop()
         if m == 1:
             continue
-        pp = perfect_power(m)
+        pp = perfect_power(m, floor)
         if pp is not None:
             stack.append((pp[0], mult * pp[1]))
             continue
@@ -267,40 +297,50 @@ def factor_kappa(
             continue
         f = _brent_rho(m, budget)
         if f is None:
+            exhausted = True
             cofactor *= m**mult
             continue
         stack.append((f, mult))
         stack.append((m // f, mult))
 
-    cofactor = _finalize_cofactor(cofactor, found)
+    cofactor = _finalize_cofactor(cofactor, found, floor)
     factors = tuple(sorted(found.items()))
-    return FactoredInteger(n, factors, cofactor)
+    return FactoredInteger(n, factors, cofactor, rho_iterations - budget[0], exhausted)
 
 
-def _finalize_cofactor(cofactor: int, found: dict[int, int]) -> int:
+def multiply_factored(exps: dict[int, int], cofactor: int, part: FactoredInteger,
+                      power: int = 1) -> int:
+    """Multiply part**power into the running product cofactor * prod(p**exps[p]).
+
+    exps gains the part's exponents in place.  The returned cofactor is
+    the old one times the part's, cleaned by _finalize_cofactor so that
+    it stays coprime to every prime of exps.  The parts are factor_kappa
+    results at the default trial bound, so no unsplit cofactor has a
+    prime factor up to it.
+    """
+    for p, e in part.factors:
+        exps[p] = exps.get(p, 0) + power * e
+    return _finalize_cofactor(cofactor * part.cofactor**power, exps, DEFAULT_TRIAL_BOUND + 1)
+
+
+def _finalize_cofactor(cofactor: int, found: dict[int, int], floor: int = 2) -> int:
     """Strip certified primes out of an unsplit cofactor.
 
     Keeps the cofactor coprime to every listed factor (so omega lower
     bounds stay honest lower bounds) and absorbs it entirely whenever
     the leftover turns out to be a certifiable prime or prime power.
+    floor bounds the prime factors of the cofactor, as in perfect_power.
     """
-    while cofactor > 1:
-        progressed = False
-        for p in list(found):
-            while cofactor % p == 0:
-                cofactor //= p
-                found[p] += 1
-                progressed = True
-        if cofactor == 1:
-            break
-        pp = perfect_power(cofactor)
+    for p in found:
+        while cofactor % p == 0:
+            cofactor //= p
+            found[p] += 1
+    if cofactor > 1:
+        pp = perfect_power(cofactor, floor)
         base, mult = pp if pp else (cofactor, 1)
         if base < DETERMINISTIC_MR_BOUND and is_certified_prime(base):
             found[base] = found.get(base, 0) + mult
             cofactor = 1
-            break
-        if not progressed:
-            break
     return cofactor
 
 

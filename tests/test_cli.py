@@ -151,12 +151,32 @@ def test_count_matches_table(spec_file, capsys):
                                "--levels", "3", "--json")
     doc = json.loads(doc_out)
     assert doc["levels"][3]["kappa"] == str(2**124 * 3 * 5**3)
+    assert [(row["rho_iterations"], row["budget_exhausted"]) for row in doc["levels"]] == [(0, False)] * 4
 
 
 def test_count_past_precision_is_domain_error(spec_file, capsys):
     code, _, err = run_cli(capsys, "count", spec_file(BOUQUET2_SQRT17_ELL2.spec),
                            "--levels", "9")
     assert code == 1
+
+
+def test_internal_faults_exit_3(spec_file, capsys, monkeypatch):
+    import elltowers.analysis as analysis_mod
+    import elltowers.cli as cli_mod
+
+    path = spec_file(THETA_ELL5.spec)
+    with monkeypatch.context() as m:  # the subresultant now disagrees with every norm
+        m.setattr(analysis_mod, "resultant", lambda a, b: 1)
+        code, out, err = run_cli(capsys, "report", path, "--levels", "2", "--json")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: level-norm cross-check failed at level 1")
+
+    def overflow(tower, p, depth):
+        raise OverflowError("Python int too large to convert to C long")
+
+    monkeypatch.setattr(cli_mod, "analyze_prime", overflow)
+    code, _, err = run_cli(capsys, "report", path, "--levels", "2")
+    assert code == 3 and "too large to convert to C long" in err
 
 
 def test_analyze_renders_law(spec_file, capsys):

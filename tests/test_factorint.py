@@ -90,6 +90,62 @@ def test_perfect_power():
     assert perfect_power(2) is None
 
 
+def test_integer_nth_root_near_exact_powers():
+    # the float-seeded start must never fall below the root
+    rng = random.Random(1)
+    for _ in range(400):
+        k = rng.choice((2, 3, 5, 7, 64, 500))
+        bits = rng.choice([b for b in (8, 52, 53, 54, 200, 700) if b * k <= 30000])
+        b = rng.randrange(2, 1 << bits)
+        for n in (b**k - 1, b**k, b**k + 1):
+            r = integer_nth_root(n, k)
+            assert r**k <= n < (r + 1) ** k, (b, k)
+
+
+def _unfloored(n: int):
+    """The plain search: every k up to the bit length."""
+    best = None
+    for k in range(2, n.bit_length() + 1):
+        b = integer_nth_root(n, k)
+        if b >= 2 and b**k == n:
+            best = (b, k)
+    return best
+
+
+def test_perfect_power_with_a_floor_matches_the_plain_search():
+    floor = DEFAULT_TRIAL_BOUND + 1
+    rough = [p for p in range(floor, floor + 400) if is_certified_prime(p)]
+    rng = random.Random(5)
+    for _ in range(60):
+        n = math.prod(rng.choice(rough) ** rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        n **= rng.choice((1, 1, 2, 3, 6))
+        assert perfect_power(n, floor) == _unfloored(n), n
+    for b in (floor, rough[0], rough[0] * rough[1], rough[1] ** 3):
+        for k in (2, 3, 4, 7, 12, 31):
+            assert perfect_power(b**k, floor) == _unfloored(b**k), (b, k)
+            assert perfect_power(b**k + 2, floor) is None
+    assert perfect_power(rough[0] ** 12, floor) == (rough[0], 12)
+    # a floor above the base is the caller's promise broken: nothing found
+    assert perfect_power(rough[0] ** 5, rough[0] + 1) is None
+    assert perfect_power(2**64) == (2, 64)
+
+
+def test_rho_statistics():
+    n = 1000000007 * 1000000009
+    starved = factor_kappa(n, rho_iterations=10)
+    assert starved.budget_exhausted and starved.rho_iterations == 10
+    split = factor_kappa(n)
+    assert split.complete and not split.budget_exhausted
+    assert 0 < split.rho_iterations < DEFAULT_RHO_ITERATIONS
+    assert split == FactoredInteger(n, split.factors)  # statistics take no part in equality
+    # a probable prime past the proven range stays in the cofactor, budget untouched
+    mersenne = 2**89 - 1
+    kept = factor_kappa(4 * mersenne)
+    assert kept.cofactor == mersenne and kept.factors == ((2, 2),)
+    assert not kept.budget_exhausted and kept.rho_iterations == 0
+    assert factor_kappa(2**10 * 3).rho_iterations == 0
+
+
 def test_factor_one():
     f = factor_kappa(1)
     assert f.factors == () and f.cofactor == 1 and f.complete
