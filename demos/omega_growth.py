@@ -1,36 +1,47 @@
 """When does the number of prime divisors of kappa_n blow up?
 
-Two towers over the four-loop bouquet at ell = 3, differing only in one
-voltage.  Both have U(T) = T^b f(T) with the forced (T-1)^2 factor; the
-first leaves a quadratic with roots off the unit circle (omega grows
-forever), the second is compared against a tower whose U is a pure
-product of cyclotomics (omega stays bounded).
+Two towers from demos/specs, both run through the CLI.  The four-loop
+bouquet at ell = 3 with voltages (1,1,2,2) has U(T) = T^b f(T) with the
+forced (T-1)^2 factor and a leftover quadratic whose roots lie off the
+unit circle, so omega(kappa_n) grows forever.  The theta graph at
+ell = 5 with voltages (1,2,2) leaves a pure product of cyclotomics, so
+omega stays bounded.  `classify` gives the verdict exactly from U;
+`count` shows omega level by level from the factored level pieces.
 """
 
-from elltowers import Multigraph, Tower, VoltageAssignment, classify_omega
-from elltowers.omega import omega_sequence
+import contextlib
+import io
+import json
+from pathlib import Path
 
-bouquet = Multigraph.bouquet(4)
+from elltowers.cli import main
 
-print("=== voltages (1,1,2,2): unbounded omega ===")
-tower = Tower(VoltageAssignment.from_integers(bouquet, 3, [1, 1, 2, 2], 4))
-cls = classify_omega(tower.f)
-print("U factor data:", cls.content, "* (T-1)^", cls.unit_root_multiplicity,
-      "* leftover", cls.non_cyclotomic_part)
-print("verdict:", cls.verdict)
-for point in omega_sequence(tower, 4):
-    bound = "" if point.exact else " (lower bound, budget hit)"
-    print(f"  omega(kappa_{point.level}) = {point.omega}{bound}   "
-          f"kappa_{point.level} = {point.factorization}")
+SPECS = Path(__file__).resolve().parent / "specs"
 
-print()
-print("=== theta graph at ell = 5, voltages (1,2,2): bounded omega ===")
-theta = Multigraph.from_edge_list(2, [(0, 1), (1, 0), (1, 0)])
-tower = Tower(VoltageAssignment.from_integers(theta, 5, [1, 2, 2], 4))
-cls = classify_omega(tower.f)
-print("cyclotomic factors of U1:", cls.cyclotomic_factors,
-      "leftover:", cls.non_cyclotomic_part)
-print("verdict:", cls.verdict)
-for point in omega_sequence(tower, 4):
-    print(f"  omega(kappa_{point.level}) = {point.omega}   "
-          f"kappa_{point.level} = {point.factorization}")
+
+def cli_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--json"])
+    if code:
+        raise SystemExit(code)
+    return json.loads(out.getvalue())
+
+
+def factorization(level):
+    parts = [p if e == 1 else f"{p}^{e}" for p, e in level["factors"]]
+    if level["cofactor"] != "1":
+        parts.append(f"C{level['cofactor']}")
+    return " * ".join(parts) or "1"
+
+
+for title, name in (("voltages (1,1,2,2) on the four-loop bouquet, ell = 3", "bouquet4_ell3.json"),
+                    ("theta graph, voltages (1,2,2), ell = 5", "theta_ell5.json")):
+    path = str(SPECS / name)
+    print(f"=== {title} ===")
+    main(["classify", path])
+    for level in cli_json("count", path, "--levels", "4")["levels"]:
+        bound = " (lower bound, budget hit)" if level["omega_is_lower_bound"] else ""
+        print(f"  omega(kappa_{level['n']}) = {level['omega']}{bound}   "
+              f"kappa_{level['n']} = {factorization(level)}")
+    print()

@@ -49,7 +49,7 @@ from .graphs import (
     validate,
 )
 from .intpoly import IntPoly, cyclotomic, resultant, unit_root_factor
-from .omega import OmegaClassification, classify_omega, omega_sequence, strip_cyclotomics
+from .omega import OmegaClassification, classify_omega, strip_cyclotomics
 from .padics import AmbiguousBranchError, NonResidueError, PrecisionError, TruncatedPadic, padic_sqrt
 from .towerspec import SpecParseError, TowerSpec, build_assignment, parse_tower_spec
 

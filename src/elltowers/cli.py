@@ -9,13 +9,26 @@ Verbs:
     selftest                      recompute the built-in corpus
     sqrt      --radicand D ...    ell-adic square root helper
 
-Exit codes: 0 success, 1 domain failure, 2 usage/parse error, 3
-internal error (a failed cross-check, an overflow, an exhausted prime
-pool; the exception text goes to stderr).  All big integers are printed
-as decimal strings; --json switches to a machine-readable document whose
-bytes depend only on the input and the budget (a timing field aside).
-Wall-clock budgets are converted to fixed iteration budgets so identical
-inputs give identical output.
+report is built from one builder per section (levels, ell-part fit,
+classification, one entry per prime); count, analyze and classify each
+compute and print one of those sections, plus keys of their own.
+
+Exit codes, all mapped in main, with the message on stderr:
+    0  success
+    1  domain failure, "error: ..." (invalid graph, disconnected tower,
+       precision exceeded, too few levels for the ell-part fit, a
+       non-residue or missing branch given to the sqrt verb)
+    2  usage or parse error: argparse rejects bad options (a negative
+       --levels or --budget-ms, a non-prime report --p or sqrt --ell,
+       sqrt's --precision below 1), analyze a non-prime --p; an
+       unreadable, malformed or unbuildable spec (an ell-adic square
+       root that does not exist) prints "parse error: ..."
+    3  internal error, "internal error: ..." (a failed cross-check, an
+       overflow, an exhausted prime pool)
+All big integers are printed as decimal strings; --json switches to a
+machine-readable document whose bytes depend only on the input and the
+budget (a timing field aside).  Wall-clock budgets are converted to
+fixed iteration budgets so identical inputs give identical output.
 
 count and report never factor kappa_n itself.  By the product identity
 ell^n kappa_n = kappa_0 N_1 ... N_n, each level's new piece (kappa_0,
@@ -37,6 +50,7 @@ import time
 from .analysis import (
     DisconnectedTowerError,
     InconclusiveError,
+    InsufficientDataError,
     Tower,
     analyze_prime,
     iwasawa_fit_ell,
@@ -66,20 +80,28 @@ RHO_ITERATIONS_PER_MS = 500
 DEFAULT_BUDGET_MS = 30_000
 
 
-def _load_spec(path):
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SpecParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_tower_spec(doc)
 
 
-def _tower_from_file(path, mt_level=None):
-    spec = _load_spec(path)
-    va = build_assignment(spec)
+def _assignment(doc):
+    """(spec, voltage assignment) of a spec document; an ell-adic voltage
+    that cannot be built is a parse error like any other bad input."""
+    spec = parse_tower_spec(doc)
+    try:
+        return spec, build_assignment(spec)
+    except (NonResidueError, AmbiguousBranchError) as exc:
+        raise SpecParseError(str(exc)) from exc
+
+
+def _tower(doc, mt_level=None):
+    spec, va = _assignment(doc)
     return spec, va, Tower(va, mt_check_level=mt_level)
 
 
@@ -105,42 +127,8 @@ def _print_json(doc) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# report sections: report prints all of them, the other verbs one each
 # ---------------------------------------------------------------------------
-
-def cmd_validate(args) -> int:
-    try:
-        spec = _load_spec(args.file)
-        va = build_assignment(spec)
-    except (SpecParseError, NonResidueError, AmbiguousBranchError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = validate(va.graph)
-    problems = list(report.problems)
-    if report.ok and not cover_connected_by_voltages(va, 1):
-        problems.append("cycle voltages do not generate Z/ell: level-1 cover disconnected")
-    doc = {
-        "ok": not problems,
-        "problems": problems,
-        "vertices": va.graph.num_vertices,
-        "edges": va.graph.num_edges,
-        "ell": va.ell,
-        "precision": va.precision,
-        "integral_voltages": va.is_integral,
-    }
-    if args.json:
-        _print_json(doc)
-    else:
-        if problems:
-            print("INVALID:")
-            for p in problems:
-                print(f"  - {p}")
-        else:
-            print(f"OK: {va.graph.num_vertices} vertices, {va.graph.num_edges} edges, "
-                  f"ell={va.ell}, precision={va.precision}, "
-                  f"{'integral' if va.is_integral else 'ell-adic'} voltages")
-    return EXIT_OK if not problems else EXIT_DOMAIN
-
 
 def _level_rows(tower, levels, budget_ms):
     """(n, kappa_n, its factorisation) for n = 0..levels.
@@ -182,211 +170,191 @@ def _level_piece(tower, n):
     return norm, 1
 
 
-def cmd_count(args) -> int:
-    try:
-        spec, va, tower = _tower_from_file(args.file, args.matrix_tree_max_level)
-        rows = _level_rows(tower, args.levels, args.budget_ms)
-    except (SpecParseError, NonResidueError, AmbiguousBranchError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.json:
-        doc = {
-            "levels": [
-                {"n": n, "kappa": decimal_str(kappa), **_factorization_dict(fact)}
-                for n, kappa, fact in rows
-            ]
-        }
-        _print_json(doc)
-    else:
-        for n, kappa, fact in rows:
-            print(_kappa_line(n, kappa, fact))
-    return EXIT_OK
+def _levels_section(tower, rows) -> list[dict]:
+    return [{"n": n, "kappa": decimal_str(kappa), "ord_ell": ord_p(kappa, tower.ell),
+             **_factorization_dict(fact)} for n, kappa, fact in rows]
 
 
-def cmd_analyze(args) -> int:
+def _ell_fit(tower, levels) -> dict:
+    """The three-parameter law of ord_ell(kappa_n) fitted on levels 0..levels."""
+    fit = iwasawa_fit_ell(tower.ord_ell_sequence(levels), tower.ell)
+    return {"found": fit.found, "mu": fit.mu, "lambda": fit.lam, "nu": fit.nu, "onset": fit.onset}
+
+
+def _fit_law(ell, fit) -> str:
+    return (f"ord_{ell}(kappa_n) = {fit['mu']}*{ell}^n + {fit['lambda']}*n + {fit['nu']} "
+            f"for n >= {fit['onset']}")
+
+
+def _prime_entry(tower, p, levels):
+    """(entry, analysis) for one prime p != ell: report's entry and the
+    analysis behind it, or the InconclusiveError that ended the n0 search."""
     try:
-        spec, va, tower = _tower_from_file(args.file, args.matrix_tree_max_level)
-    except (SpecParseError, NonResidueError, AmbiguousBranchError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    p = args.p
-    if not is_probable_prime(p):
-        print(f"error: {p} is not prime", file=sys.stderr)
-        return EXIT_USAGE
-    depth = args.levels
-    if p == tower.ell:
-        # the ell-part follows the three-parameter Iwasawa-type law
-        try:
-            fit = iwasawa_fit_ell(tower.ord_ell_sequence(depth), tower.ell)
-        except PrecisionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-        doc = {
-            "p": p, "kind": "ell-part-fit", "found": fit.found,
-            "mu": fit.mu, "lambda": fit.lam, "nu": fit.nu, "onset": fit.onset,
-            "observed": list(tower.ord_ell_sequence(depth)),
-        }
-        if args.json:
-            _print_json(doc)
-        elif fit.found:
-            print(f"ord_{p}(kappa_n) = {fit.mu}*{p}^n + {fit.lam}*n + {fit.nu} "
-                  f"for n >= {fit.onset} (empirical fit on computed levels)")
-        else:
-            print(f"no exact three-parameter fit for ord_{p} on the computed levels")
-        return EXIT_OK
-    try:
-        report = analyze_prime(tower, p, depth)
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        rep = analyze_prime(tower, p, levels)
     except InconclusiveError as exc:
-        if args.json:
-            _print_json({"p": p, "inconclusive": True, "reason": str(exc)})
-        else:
-            print(f"warning: stabilization level inconclusive: {exc}")
-        return EXIT_OK
-    doc = {
-        "p": p,
-        "ell": report.ell,
-        "mu": report.mu,
-        "n0": report.n0,
-        "n0_certified": report.certified,
-        "nu": report.nu,
-        "n1": report.n1,
-        "log_bound": report.log_bound,
-        "root_levels": list(report.root_levels),
-        "observed": list(report.observed),
-        "predicted": list(report.predicted),
-        "divides_any": report.divides_any,
-        "closed_form": report.closed_form(),
-    }
-    if args.json:
-        _print_json(doc)
-    else:
-        cert = "certified" if report.certified else f"empirical to level {va.precision}"
-        print(f"p = {p}: mu = {report.mu}, n0 = {report.n0} ({cert}), nu = {report.nu}")
-        if report.n1 is not None:
-            print(f"stabilization bounds: n1 = {report.n1}, log bound = {report.log_bound:.3f}")
-        form = report.closed_form()
-        if form:
-            print(form)
-        if not report.divides_any:
-            print(f"{p} never divides kappa_n"
-                  + ("" if report.certified else " (up to the computed levels)"))
-        print(" n | observed | predicted")
-        for n, (o, q) in enumerate(zip(report.observed, report.predicted)):
-            print(f"{n:2d} | {o:8d} | {q:9d}")
-    return EXIT_OK
+        return {"p": p, "inconclusive": True}, exc
+    return {
+        "p": p, "mu": rep.mu, "n0": rep.n0, "n0_certified": rep.certified,
+        "nu": rep.nu, "n1": rep.n1, "log_bound": rep.log_bound,
+        "observed": list(rep.observed), "predicted": list(rep.predicted),
+        "divides_any": rep.divides_any, "closed_form": rep.closed_form(),
+    }, rep
 
 
-def cmd_classify(args) -> int:
-    try:
-        spec, va, tower = _tower_from_file(args.file)
-    except (SpecParseError, NonResidueError, AmbiguousBranchError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    cls = classify_omega(tower.f)
-    doc = {
+def _classification(cls) -> dict:
+    return {
         "verdict": cls.verdict,
         "unit_root_multiplicity": cls.unit_root_multiplicity,
         "cyclotomic_factors": [list(x) for x in cls.cyclotomic_factors],
         "content": None if cls.content is None else decimal_str(cls.content),
         "non_cyclotomic_part": None if cls.non_cyclotomic_part is None
         else [decimal_str(c) for c in cls.non_cyclotomic_part.coeffs],
-        "content_primes": [decimal_str(p) for p in cls.content_primes],
+    }
+
+
+# ---------------------------------------------------------------------------
+# verbs
+# ---------------------------------------------------------------------------
+
+def cmd_validate(args) -> int:
+    _, va = _assignment(_read_json(args.file))
+    report = validate(va.graph)
+    problems = list(report.problems)
+    if report.ok and not cover_connected_by_voltages(va, 1):
+        problems.append("cycle voltages do not generate Z/ell: level-1 cover disconnected")
+    doc = {
+        "ok": not problems,
+        "problems": problems,
+        "vertices": va.graph.num_vertices,
+        "edges": va.graph.num_edges,
+        "ell": va.ell,
+        "precision": va.precision,
+        "integral_voltages": va.is_integral,
     }
     if args.json:
         _print_json(doc)
     else:
-        if cls.verdict == INAPPLICABLE:
-            print("inapplicable: voltages are not declared integers, "
-                  "the root-of-unity criterion does not apply")
+        if problems:
+            print("INVALID:")
+            for p in problems:
+                print(f"  - {p}")
         else:
-            print(f"omega(kappa_n) is {cls.verdict} as n grows")
-            print(f"U = {decimal_str(cls.content)} * (T-1)^{cls.unit_root_multiplicity}"
-                  + "".join(f" * Phi_{d}^{m}" if m > 1 else f" * Phi_{d}"
-                            for d, m in cls.cyclotomic_factors)
-                  + f" * ({cls.non_cyclotomic_part})")
-            if cls.content_primes:
-                print("content primes:", ", ".join(decimal_str(p) for p in cls.content_primes))
+            print(f"OK: {va.graph.num_vertices} vertices, {va.graph.num_edges} edges, "
+                  f"ell={va.ell}, precision={va.precision}, "
+                  f"{'integral' if va.is_integral else 'ell-adic'} voltages")
+    return EXIT_OK if not problems else EXIT_DOMAIN
+
+
+def cmd_count(args) -> int:
+    _, _, tower = _tower(_read_json(args.file), args.matrix_tree_max_level)
+    rows = _level_rows(tower, args.levels, args.budget_ms)
+    if args.json:
+        _print_json({"levels": [{k: v for k, v in row.items() if k != "ord_ell"}
+                                for row in _levels_section(tower, rows)]})
+    else:
+        for row in rows:
+            print(_kappa_line(*row))
+    return EXIT_OK
+
+
+def cmd_analyze(args) -> int:
+    _, va, tower = _tower(_read_json(args.file), args.matrix_tree_max_level)
+    p, depth = args.p, args.levels
+    if not is_probable_prime(p):
+        print(f"error: {p} is not prime", file=sys.stderr)
+        return EXIT_USAGE
+    if p == tower.ell:
+        # the ell-part follows the three-parameter Iwasawa-type law
+        fit = _ell_fit(tower, depth)
+        if args.json:
+            _print_json({"p": p, "kind": "ell-part-fit", **fit,
+                         "observed": tower.ord_ell_sequence(depth)})
+        elif fit["found"]:
+            print(f"{_fit_law(p, fit)} (empirical fit on computed levels)")
+        else:
+            print(f"no exact three-parameter fit for ord_{p} on the computed levels")
+        return EXIT_OK
+    entry, rep = _prime_entry(tower, p, depth)
+    if isinstance(rep, InconclusiveError):
+        if args.json:
+            _print_json({**entry, "reason": str(rep)})
+        else:
+            print(f"warning: stabilization level inconclusive: {rep}")
+        return EXIT_OK
+    doc = {**entry, "ell": rep.ell, "root_levels": list(rep.root_levels)}
+    if args.json:
+        _print_json(doc)
+        return EXIT_OK
+    cert = "certified" if doc["n0_certified"] else f"empirical to level {va.precision}"
+    print(f"p = {p}: mu = {doc['mu']}, n0 = {doc['n0']} ({cert}), nu = {doc['nu']}")
+    if doc["n1"] is not None:
+        print(f"stabilization bounds: n1 = {doc['n1']}, log bound = {doc['log_bound']:.3f}")
+    if doc["closed_form"]:
+        print(doc["closed_form"])
+    if not doc["divides_any"]:
+        print(f"{p} never divides kappa_n"
+              + ("" if doc["n0_certified"] else " (up to the computed levels)"))
+    print(" n | observed | predicted")
+    for n, (o, q) in enumerate(zip(doc["observed"], doc["predicted"])):
+        print(f"{n:2d} | {o:8d} | {q:9d}")
+    return EXIT_OK
+
+
+def cmd_classify(args) -> int:
+    _, _, tower = _tower(_read_json(args.file))
+    cls = classify_omega(tower.f)
+    if args.json:
+        _print_json({**_classification(cls),
+                     "content_primes": [decimal_str(p) for p in cls.content_primes]})
+    elif cls.verdict == INAPPLICABLE:
+        print("inapplicable: voltages are not declared integers, "
+              "the root-of-unity criterion does not apply")
+    else:
+        print(f"omega(kappa_n) is {cls.verdict} as n grows")
+        print(f"U = {decimal_str(cls.content)} * (T-1)^{cls.unit_root_multiplicity}"
+              + "".join(f" * Phi_{d}^{m}" if m > 1 else f" * Phi_{d}"
+                        for d, m in cls.cyclotomic_factors)
+              + f" * ({cls.non_cyclotomic_part})")
+        if cls.content_primes:
+            print("content primes:", ", ".join(decimal_str(p) for p in cls.content_primes))
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     started = time.monotonic()
-    try:
-        spec, va, tower = _tower_from_file(args.file, args.matrix_tree_max_level)
-        rows = _level_rows(tower, args.levels, args.budget_ms)
-    except (SpecParseError, NonResidueError, AmbiguousBranchError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-
-    fit = iwasawa_fit_ell(tower.ord_ell_sequence(args.levels), tower.ell) \
-        if args.levels >= 3 else None
+    spec, va, tower = _tower(_read_json(args.file), args.matrix_tree_max_level)
+    rows = _level_rows(tower, args.levels, args.budget_ms)
+    fit = _ell_fit(tower, args.levels) if args.levels >= 3 else None
     cls = classify_omega(tower.f)
-
-    prime_set = set(args.p or [])
-    for _, _, fact in rows:
-        prime_set.update(p for p, _ in fact.factors)
-    prime_set.discard(tower.ell)
-    primes_doc = []
-    for p in sorted(prime_set):
-        try:
-            rep = analyze_prime(tower, p, args.levels)
-        except InconclusiveError:
-            primes_doc.append({"p": p, "inconclusive": True})
-            continue
-        primes_doc.append({
-            "p": p, "mu": rep.mu, "n0": rep.n0, "n0_certified": rep.certified,
-            "nu": rep.nu, "n1": rep.n1, "log_bound": rep.log_bound,
-            "observed": list(rep.observed), "predicted": list(rep.predicted),
-            "divides_any": rep.divides_any, "closed_form": rep.closed_form(),
-        })
-
+    primes = set(args.p or []).union(*({p for p, _ in fact.factors} for _, _, fact in rows))
+    primes.discard(tower.ell)
+    primes_doc = [_prime_entry(tower, p, args.levels)[0] for p in sorted(primes)]
     doc = {
         "schema": "elltowers.report.v1",
         "tower": spec.to_json_dict(),
         "working_precision": va.precision,
         "integral_voltages": va.is_integral,
         "matrix_tree_checked_to": min(tower.mt_check_level, args.levels),
-        "levels": [
-            {"n": n, "kappa": decimal_str(kappa), "ord_ell": ord_p(kappa, tower.ell),
-             **_factorization_dict(fact)}
-            for n, kappa, fact in rows
-        ],
-        "ell_fit": None if fit is None else {
-            "found": fit.found, "mu": fit.mu, "lambda": fit.lam,
-            "nu": fit.nu, "onset": fit.onset,
-        },
-        "classification": {
-            "verdict": cls.verdict,
-            "unit_root_multiplicity": cls.unit_root_multiplicity,
-            "cyclotomic_factors": [list(x) for x in cls.cyclotomic_factors],
-            "content": None if cls.content is None else decimal_str(cls.content),
-            "non_cyclotomic_part": None if cls.non_cyclotomic_part is None
-            else [decimal_str(c) for c in cls.non_cyclotomic_part.coeffs],
-        },
+        "levels": _levels_section(tower, rows),
+        "ell_fit": fit,
+        "classification": _classification(cls),
         "primes": primes_doc,
         "timing_ms": int((time.monotonic() - started) * 1000),
     }
     if args.json:
         _print_json(doc)
-    else:
-        for n, kappa, fact in rows:
-            print(_kappa_line(n, kappa, fact))
-        if fit is not None and fit.found:
-            print(f"ell-part: ord_{tower.ell}(kappa_n) = {fit.mu}*{tower.ell}^n "
-                  f"+ {fit.lam}*n + {fit.nu} for n >= {fit.onset}")
-        print(f"omega growth: {cls.verdict}")
-        for pd in primes_doc:
-            if pd.get("inconclusive"):
-                print(f"p={pd['p']}: inconclusive")
-            else:
-                print(f"p={pd['p']}: mu={pd['mu']} n0={pd['n0']} nu={pd['nu']} "
-                      f"observed={pd['observed']}")
+        return EXIT_OK
+    for row in rows:
+        print(_kappa_line(*row))
+    if fit is not None and fit["found"]:
+        print(f"ell-part: {_fit_law(tower.ell, fit)}")
+    print(f"omega growth: {cls.verdict}")
+    for pd in primes_doc:
+        if pd.get("inconclusive"):
+            print(f"p={pd['p']}: inconclusive")
+        else:
+            print(f"p={pd['p']}: mu={pd['mu']} n0={pd['n0']} nu={pd['nu']} "
+                  f"observed={pd['observed']}")
     return EXIT_OK
 
 
@@ -394,13 +362,10 @@ def cmd_selftest(args) -> int:
     """Recompute the built-in corpus and compare exactly."""
     budget_s = args.budget_ms / 1000.0
     started = time.monotonic()
-    corpus_entries = corpus.CORPUS
     failures = []
     skipped = 0
-    for entry in corpus_entries:
-        spec = parse_tower_spec(entry.spec)
-        va = build_assignment(spec)
-        tower = Tower(va)
+    for entry in corpus.CORPUS:
+        _, _, tower = _tower(entry.spec)
         for n in range(entry.depth + 1):
             if time.monotonic() - started > budget_s:
                 skipped += 1
@@ -440,11 +405,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_sqrt(args) -> int:
-    try:
-        root = padic_sqrt(args.radicand, args.ell, args.precision, args.branch)
-    except (NonResidueError, AmbiguousBranchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    root = padic_sqrt(args.radicand, args.ell, args.precision, args.branch)
     doc = {
         "radicand": args.radicand,
         "ell": args.ell,
@@ -462,6 +423,24 @@ def cmd_sqrt(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _int_type(ok, what):
+    """argparse type: an integer passing ok, else a usage error (exit 2)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+_NATURAL = _int_type(lambda n: n >= 0, "a non-negative integer")
+_POSITIVE = _int_type(lambda n: n >= 1, "a positive integer")
+_PRIME = _int_type(is_probable_prime, "a prime")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="elltowers",
@@ -470,16 +449,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, levels=False):
+    def add_common(p, budget=True):
         p.add_argument("file", help="tower spec JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--budget-ms", type=int, default=DEFAULT_BUDGET_MS,
-                       help="factoring budget (converted to a fixed iteration count)")
+        if budget:
+            p.add_argument("--budget-ms", type=_NATURAL, default=DEFAULT_BUDGET_MS,
+                           help="factoring budget (converted to a fixed iteration count)")
         p.add_argument("--matrix-tree-max-level", type=int, default=None,
                        help="deepest level cross-checked by matrix-tree "
                             "(default: 5 for ell=2, 3 for ell=3, else 2)")
-        if levels:
-            p.add_argument("--levels", type=int, default=3, help="deepest level n")
+        p.add_argument("--levels", type=_NATURAL, default=3, help="deepest level n")
 
     p = sub.add_parser("validate", help="check a tower spec")
     p.add_argument("file")
@@ -487,11 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("count", help="exact kappa table")
-    add_common(p, levels=True)
+    add_common(p)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("analyze", help="valuation law for one prime")
-    add_common(p, levels=True)
+    add_common(p, budget=False)
     p.add_argument("--p", type=int, required=True, help="prime (p = ell gives the ell-part fit)")
     p.set_defaults(fn=cmd_analyze)
 
@@ -501,19 +480,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("report", help="full report")
-    add_common(p, levels=True)
-    p.add_argument("--p", type=int, action="append",
+    add_common(p)
+    p.add_argument("--p", type=_PRIME, action="append",
                    help="extra prime(s) to analyze (repeatable)")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("selftest", help="recompute the built-in corpus")
-    p.add_argument("--budget-ms", type=int, default=600_000)
+    p.add_argument("--budget-ms", type=_NATURAL, default=600_000)
     p.set_defaults(fn=cmd_selftest)
 
     p = sub.add_parser("sqrt", help="ell-adic square root (for authoring specs)")
     p.add_argument("--radicand", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--precision", type=int, required=True)
+    p.add_argument("--ell", type=_PRIME, required=True)
+    p.add_argument("--precision", type=_POSITIVE, required=True)
     p.add_argument("--branch", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_sqrt)
@@ -522,8 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DOMAIN_ERRORS = (
+    AmbiguousBranchError,
     DisconnectedGraphError,
     DisconnectedTowerError,
+    InsufficientDataError,
+    NonResidueError,
     PrecisionError,
     ZeroPolynomialError,
     UnitRootMissingError,
@@ -531,9 +513,13 @@ _DOMAIN_ERRORS = (
 
 
 def main(argv=None) -> int:
+    """Run one verb; the only place where errors become exit codes."""
     args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
+    except SpecParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_DOMAIN

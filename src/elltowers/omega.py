@@ -9,21 +9,15 @@ test is exact trial division by every Phi_d with phi(d) <= deg, no
 numerics involved.
 
 For genuinely ell-adic voltages the criterion does not apply; the
-verdict is "inapplicable" and only the empirical omega sequence is
-reported.
+verdict is "inapplicable", and only the omega of each computed level
+(count and report, from budgeted factorisations) is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import Tower
-from .factorint import (
-    DEFAULT_RHO_ITERATIONS,
-    DEFAULT_TRIAL_BOUND,
-    FactoredInteger,
-    factor_kappa,
-)
+from .factorint import factor_kappa
 from .genpoly import GenPoly
 from .intpoly import IntPoly, cyclotomic, euler_phi, unit_root_factor
 
@@ -111,27 +105,3 @@ def classify_omega(f: GenPoly) -> OmegaClassification:
         non_cyclotomic_part=rest,
         content_primes=content_primes,
     )
-
-
-@dataclass(frozen=True)
-class OmegaPoint:
-    level: int
-    omega: int
-    exact: bool
-    factorization: FactoredInteger
-
-
-def omega_sequence(tower: Tower, depth: int,
-                   trial_bound: int = DEFAULT_TRIAL_BOUND,
-                   rho_iterations: int = DEFAULT_RHO_ITERATIONS) -> list[OmegaPoint]:
-    """omega(kappa_n) for n = 0..depth from budgeted factorizations.
-
-    Exhibits growth only; the boundedness verdict always comes from
-    classify_omega.  Incomplete factorizations yield flagged lower
-    bounds, never invented counts."""
-    out = []
-    for n in range(depth + 1):
-        fact = factor_kappa(tower.kappa(n), trial_bound, rho_iterations)
-        count, exact = fact.omega()
-        out.append(OmegaPoint(n, count, exact, fact))
-    return out

@@ -3,6 +3,7 @@ determinism, and the embedded selftest."""
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,9 @@ def spec_file(tmp_path):
         return str(path)
 
     return write
+
+
+DEMO_SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +156,84 @@ def test_count_matches_table(spec_file, capsys):
     doc = json.loads(doc_out)
     assert doc["levels"][3]["kappa"] == str(2**124 * 3 * 5**3)
     assert [(row["rho_iterations"], row["budget_exhausted"]) for row in doc["levels"]] == [(0, False)] * 4
+
+
+NON_RESIDUE_SPEC = {  # 3 is not a square in Z_2
+    "ell": 2, "precision": 8, "vertices": ["v1"],
+    "edges": [{"tail": "v1", "head": "v1", "voltage": {"kind": "sqrt", "radicand": 3, "branch": 1}},
+              {"tail": "v1", "head": "v1", "voltage": "5"}],
+}
+SPEC_VERBS = {"validate": [], "count": [], "analyze": ["--p", "2"], "classify": [], "report": []}
+
+
+@pytest.mark.parametrize("verb, spec, extra, code, prefix", [
+    *[(verb, bad, SPEC_VERBS[verb], 2, "parse error: ")
+      for verb in SPEC_VERBS for bad in ("unreadable", "invalid-json", "non-residue")],
+    ("count", "sqrt17", ["--levels", "9"], 1, "error: exponents known mod 2^8, level 9"),
+    ("report", "sqrt17", ["--levels", "9"], 1, "error: exponents known mod 2^8, level 9"),
+    ("sqrt", None, ["--radicand", "3", "--ell", "2", "--precision", "5", "--branch", "1"],
+     1, "error: 3 is not a square"),
+])
+def test_error_mapping(spec_file, capsys, tmp_path, verb, spec, extra, code, prefix):
+    """Parse errors exit 2, domain errors 1, each with its label on stderr."""
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    path = {"unreadable": str(tmp_path / "missing.json"), "invalid-json": str(bad_json),
+            "non-residue": spec_file(NON_RESIDUE_SPEC, "non-residue.json"),
+            "sqrt17": spec_file(BOUQUET2_SQRT17_ELL2.spec, "sqrt17.json"), None: None}[spec]
+    got, out, err = run_cli(capsys, verb, *([path] if path else []), *extra)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("levels", ["0", "1", "2"])
+def test_ell_fit_on_too_few_levels_is_domain_error(spec_file, capsys, levels):
+    code, out, err = run_cli(capsys, "analyze", spec_file(BOUQUET4_ELL3.spec),
+                             "--p", "3", "--levels", levels)
+    assert (code, out) == (1, "")
+    assert err == "error: need valuations at four levels or more\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "SPEC", "--levels", "-1"],
+    ["report", "SPEC", "--levels", "-1"],
+    ["count", "SPEC", "--budget-ms", "-1"],
+    ["report", "SPEC", "--budget-ms", "-5"],
+    ["analyze", "SPEC", "--p", "2", "--levels", "-1"],
+    ["analyze", "SPEC", "--p", "2", "--budget-ms", "5"],  # analyze has no factoring budget
+    ["report", "SPEC", "--p", "6"],  # a composite p crashed, or printed a law for it
+    ["report", "SPEC", "--p", "9"],
+    ["sqrt", "--radicand", "17", "--ell", "2", "--precision", "0", "--branch", "1"],
+    ["sqrt", "--radicand", "17", "--ell", "4", "--precision", "3", "--branch", "1"],
+    ["sqrt", "--radicand", "17", "--ell", "x", "--precision", "3", "--branch", "1"],
+])
+def test_bad_arguments_are_usage_errors(spec_file, capsys, argv):
+    path = spec_file(BOUQUET4_ELL3.spec)
+    with pytest.raises(SystemExit) as exc:
+        main([path if a == "SPEC" else a for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_verbs_are_projections_of_report(capsys):
+    """count, classify and analyze print report's sections and their own keys."""
+    path = str(DEMO_SPECS / "bouquet4_ell3.json")
+    report = json.loads(run_cli(capsys, "report", path, "--levels", "4", "--json")[1])
+    count = json.loads(run_cli(capsys, "count", path, "--levels", "4", "--json")[1])
+    assert count["levels"] == [{k: v for k, v in row.items() if k != "ord_ell"}
+                               for row in report["levels"]]
+    classify = json.loads(run_cli(capsys, "classify", path, "--json")[1])
+    assert classify == {**report["classification"], "content_primes": ["2"]}
+    assert len(report["primes"]) > 1
+    for entry in report["primes"]:
+        analyze = json.loads(run_cli(capsys, "analyze", path, "--p", str(entry["p"]),
+                                     "--levels", "4", "--json")[1])
+        assert {k: v for k, v in analyze.items() if k not in ("ell", "root_levels")} == entry
+        assert analyze["ell"] == 3 and isinstance(analyze["root_levels"], list)
+    fit = json.loads(run_cli(capsys, "analyze", path, "--p", "3", "--levels", "4", "--json")[1])
+    assert fit == {**report["ell_fit"], "p": 3, "kind": "ell-part-fit",
+                   "observed": [row["ord_ell"] for row in report["levels"]]}
 
 
 def test_count_past_precision_is_domain_error(spec_file, capsys):

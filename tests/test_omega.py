@@ -1,7 +1,8 @@
 from elltowers import Tower, classify_omega, strip_cyclotomics
+from elltowers.cli import DEFAULT_BUDGET_MS, _factorization_dict, _level_rows
 from elltowers.corpus import CORPUS
 from elltowers.intpoly import IntPoly, cyclotomic
-from elltowers.omega import BOUNDED, INAPPLICABLE, UNBOUNDED, omega_sequence
+from elltowers.omega import BOUNDED, INAPPLICABLE, UNBOUNDED
 from elltowers.towerspec import build_assignment, parse_tower_spec
 
 TOWERS = {e.name: Tower(build_assignment(parse_tower_spec(e.spec))) for e in CORPUS}
@@ -97,39 +98,41 @@ def test_every_mu_positive_prime_divides_content():
                 assert content % p == 0
 
 
-# -- omega sequences ----------------------------------------------------------------
+# -- omega sequences, from the CLI's level rows ------------------------------------
+
+def omegas(name, depth, budget_ms=DEFAULT_BUDGET_MS):
+    """(omega, omega_is_lower_bound) of kappa_0..kappa_depth as count --json reports them."""
+    rows = _level_rows(TOWERS[name], depth, budget_ms)
+    return [(doc["omega"], doc["omega_is_lower_bound"])
+            for doc in (_factorization_dict(fact) for _, _, fact in rows)]
+
 
 def test_omega_sequence_bouquet4():
-    seq = omega_sequence(TOWERS["bouquet4-ell3"], 4)
-    assert [p.omega for p in seq] == [0, 2, 3, 5, 8]  # kappa_0 = 1 has omega 0
-    assert all(p.exact for p in seq)
+    # kappa_0 = 1 has omega 0
+    assert omegas("bouquet4-ell3", 4) == [(w, False) for w in (0, 2, 3, 5, 8)]
 
 
 def test_omega_sequence_theta_bounded():
-    seq = omega_sequence(TOWERS["theta-ell5"], 4)
-    assert [p.omega for p in seq] == [1, 3, 3, 3, 3]
-    assert max(p.omega for p in seq) <= 3
+    assert omegas("theta-ell5", 4) == [(w, False) for w in (1, 3, 3, 3, 3)]
 
 
 def test_omega_sequence_bouquet3():
-    seq = omega_sequence(TOWERS["bouquet3-ell5"], 2)
-    assert [p.omega for p in seq] == [0, 2, 2]
+    assert omegas("bouquet3-ell5", 2) == [(0, False), (2, False), (2, False)]
 
 
 def test_omega_sequence_honest_under_budget():
-    t = TOWERS["bouquet4-ell3-skew"]
-    seq = omega_sequence(t, 4, trial_bound=100, rho_iterations=5)
-    last = seq[4]
-    assert not last.exact  # 17-digit prime cannot be found with 5 iterations
-    full = omega_sequence(t, 4)[4]
-    assert full.exact and full.omega == 6
-    assert last.omega <= full.omega  # lower bound stays a lower bound
+    # with no budget, level 7's piece keeps the composite 1518337^2 * 27744257^2
+    starved = omegas("bouquet2-sqrt17-ell2", 7, budget_ms=0)
+    full = omegas("bouquet2-sqrt17-ell2", 7)
+    assert starved[7] == (6, True) and full[7] == (7, False)
+    for (low, flagged), (exact, _) in zip(starved, full):
+        assert low <= exact  # a lower bound stays a lower bound
+        assert flagged or low == exact
 
 
 def test_unbounded_towers_grow_on_computed_rows():
     for name, depth in (("bouquet4-ell3", 4), ("parallel4-ell2", 6)):
-        seq = omega_sequence(TOWERS[name], depth)
-        omegas = [p.omega for p in seq if p.exact]
-        tail = omegas[1:]
+        exact = [w for w, lower in omegas(name, depth) if not lower]
+        tail = exact[1:]
         assert all(b >= a for a, b in zip(tail, tail[1:]))
         assert tail[-1] > tail[0]
