@@ -15,6 +15,8 @@ polynomials can be lifted to honest Laurent polynomials (integerize).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 from .factorint import ord_p
 from .graphs import VoltageAssignment
@@ -213,9 +215,6 @@ def mu_invariant(f: GenPoly, p: int) -> tuple[int, GenPoly]:
 # matrices of generalized polynomials
 # ---------------------------------------------------------------------------
 
-COFACTOR_LIMIT = 6
-
-
 @dataclass(frozen=True)
 class GenPolyMatrix:
     entries: tuple[tuple[GenPoly, ...], ...]
@@ -254,81 +253,27 @@ def voltage_matrix(va: VoltageAssignment) -> GenPolyMatrix:
     return GenPolyMatrix(tuple(tuple(row) for row in rows))
 
 
-def _det_cofactor(m: GenPolyMatrix) -> GenPoly:
+def determinant(m: GenPolyMatrix) -> GenPoly:
+    """Exact determinant by Berkowitz's division-free algorithm, valid
+    over any commutative ring.  The result is fixed by T -> 1/T for
+    voltage matrices."""
     entries = m.entries
     n = m.size
-    cache: dict[tuple[int, ...], GenPoly] = {}
-
-    def minor(cols: tuple[int, ...]) -> GenPoly:
-        row = n - len(cols)
-        if not cols:
-            raise AssertionError
-        if len(cols) == 1:
-            return entries[row][cols[0]]
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        acc = None
-        for k, c in enumerate(cols):
-            sub = minor(cols[:k] + cols[k + 1 :])
-            term = entries[row][c] * sub
-            if k % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        cache[cols] = acc
-        return acc
-
     if n == 0:
         raise ValueError("empty matrix")
-    return minor(tuple(range(n)))
-
-
-def _det_berkowitz(m: GenPolyMatrix) -> GenPoly:
-    """Division-free determinant (Berkowitz), valid over any commutative
-    ring, used past the cofactor size limit."""
-    entries = m.entries
-    n = m.size
     sample = entries[0][0]
     one = GenPoly.constant(sample.ell, sample.precision, 1, True)
 
+    def dot(row, v):  # row[:len(v)] . v
+        return reduce(add, map(mul, row, v))
+
+    # entering step i, vec is the characteristic polynomial of the leading i x i block
     vec = [one, -entries[0][0]]
     for i in range(1, n):
-        col = [entries[j][i] for j in range(i)]
-        s = []
-        v = col
+        s, v = [], [entries[j][i] for j in range(i)]
         for _ in range(i):
-            s_k = None
-            for j in range(i):
-                term = entries[i][j] * v[j]
-                s_k = term if s_k is None else s_k + term
-            s.append(s_k)
-            w = []
-            for r in range(i):
-                acc = None
-                for j in range(i):
-                    term = entries[r][j] * v[j]
-                    acc = term if acc is None else acc + term
-                w.append(acc)
-            v = w
+            s.append(dot(entries[i], v))
+            v = [dot(entries[r], v) for r in range(i)]
         toep = [one, -entries[i][i]] + [-x for x in s]
-        new = []
-        for k in range(i + 2):
-            acc = None
-            for j in range(min(k, len(vec) - 1) + 1):
-                if k - j < len(toep):
-                    term = toep[k - j] * vec[j]
-                    acc = term if acc is None else acc + term
-            new.append(acc)
-        vec = new
-    det = vec[n]
-    if n % 2:
-        det = -det
-    return det
-
-
-def determinant(m: GenPolyMatrix) -> GenPoly:
-    """Exact determinant; cofactor expansion for small sizes, Berkowitz
-    beyond.  The result is fixed by T -> 1/T for voltage matrices."""
-    if m.size <= COFACTOR_LIMIT:
-        return _det_cofactor(m)
-    return _det_berkowitz(m)
+        vec = [dot(toep[k::-1], vec) for k in range(i + 2)]
+    return -vec[n] if n % 2 else vec[n]

@@ -65,9 +65,6 @@ class Multigraph:
                 d += 1
         return d
 
-    def valencies(self) -> list[int]:
-        return [self.valency(i) for i in range(self.num_vertices)]
-
     def adjacency(self) -> list[list[int]]:
         """Undirected adjacency counts; A[i][i] counts each loop twice."""
         g = self.num_vertices
@@ -234,7 +231,7 @@ def derived_graph(va: VoltageAssignment, n: int) -> DerivedCover:
     return DerivedCover(n, va, Multigraph(vertices, tuple(edges)))
 
 
-def spanning_tree_count(graph_or_cover, bareiss_threshold: int | None = None) -> int:
+def spanning_tree_count(graph_or_cover) -> int:
     """Exact number of spanning trees, by a Laplacian principal minor."""
     graph = getattr(graph_or_cover, "graph", graph_or_cover)
     if not is_connected(graph):
@@ -251,7 +248,7 @@ def spanning_tree_count(graph_or_cover, bareiss_threshold: int | None = None) ->
         lap[t][t] += 1
         lap[h][h] += 1
     minor = [row[1:] for row in lap[1:]]
-    return det_int(minor, bareiss_threshold)
+    return det_int(minor)
 
 
 def _bfs_spanning_tree(graph: Multigraph) -> list[int]:
