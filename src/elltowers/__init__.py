@@ -23,7 +23,6 @@ from .analysis import (
     level_norm,
     n0_search,
     stabilization_bounds,
-    verify_product_identity,
 )
 from .factorint import FactoredInteger, factor_kappa
 from .genpoly import (
@@ -44,7 +43,6 @@ from .graphs import (
     derived_graph,
     euler_characteristic,
     is_connected,
-    normalize_voltages,
     spanning_tree_count,
     validate,
 )

@@ -217,20 +217,18 @@ class Tower:
     instances are safe to share between threads.
     """
 
-    def __init__(self, va: VoltageAssignment, mt_check_level: int | None = None,
-                 check: bool = True):
+    def __init__(self, va: VoltageAssignment, mt_check_level: int | None = None):
         self.va = va
         self.ell = va.ell
         self.mt_check_level = (default_mt_check_level(va.ell)
                                if mt_check_level is None else mt_check_level)
-        if check:
-            report = validate(va.graph)
-            if not report.ok:
-                raise DisconnectedTowerError("; ".join(report.problems))
-            if not cover_connected_by_voltages(va, 1):
-                raise DisconnectedTowerError(
-                    "cycle voltages do not generate Z/ell: covers are disconnected"
-                )
+        report = validate(va.graph)
+        if not report.ok:
+            raise DisconnectedTowerError("; ".join(report.problems))
+        if not cover_connected_by_voltages(va, 1):
+            raise DisconnectedTowerError(
+                "cycle voltages do not generate Z/ell: covers are disconnected"
+            )
         self.f = determinant(voltage_matrix(va))
         self.kappa_base = spanning_tree_count(va.graph)
         self._norms: dict[int, int] = {0: 1}
@@ -322,18 +320,26 @@ def _has_primitive_root(g: GenPoly, p: int, i: int) -> bool:
     return gcd.size != 1
 
 
-def n0_search(g: GenPoly, p: int, max_level: int | None = None) -> N0Search:
+def _first_rootless_level(p: int, ell: int, dbar: int) -> int:
+    """First level i whose inertia degree f_i exceeds dbar = deg(U mod p).
+    A root at a primitive ell^i-th root of unity forces an irreducible
+    factor of Phi_{ell^i} mod p, of degree f_i, into U mod p, and f_i
+    never falls as i grows, so no level from here on carries roots."""
+    i = 1
+    while inertia_degree(p, ell, i)[0] <= dbar:
+        i += 1
+    return i
+
+
+def n0_search(g: GenPoly, p: int) -> N0Search:
     """Smallest n0 with no primitive ell^i-th-root zero of g mod p for any
     i >= n0.  Requires mu_p(g) = 0.
 
-    Integral exponents: certified, and max_level is ignored (the bound
-    is intrinsic).  Roots force an irreducible factor of Phi_{ell^i}
-    mod p, of degree f_i, into U mod p; once f_i exceeds deg(U mod p)
-    no level can have roots, so the search space is finite.
+    Integral exponents: certified, searched below the first level whose
+    inertia degree exceeds deg(U mod p), so the search space is finite.
 
-    Non-integral: searched up to max_level (default: the stored
-    precision); empirical, and inconclusive if the top level still has
-    roots.
+    Non-integral: searched up to the stored precision; empirical, and
+    inconclusive if the top level still has roots.
     """
     ell = g.ell
     if g.is_zero or all(c % p == 0 for c in g.coefficients()):
@@ -343,14 +349,11 @@ def n0_search(g: GenPoly, p: int, max_level: int | None = None) -> N0Search:
         dbar = u.degree_mod(p)
         if dbar < 0:
             raise ValueError("mu(g) must be 0")
-        limit = 1
-        while inertia_degree(p, ell, limit)[0] <= dbar:
-            limit += 1
-        # levels >= limit cannot carry roots
+        limit = _first_rootless_level(p, ell, dbar)
         roots = tuple(i for i in range(1, limit) if _has_primitive_root(g, p, i))
         return N0Search(max(roots) + 1 if roots else 1, True, roots, limit - 1)
 
-    top = g.precision if max_level is None else min(max_level, g.precision)
+    top = g.precision
     if top < 1:
         raise ValueError("need at least one level to search")
     roots = tuple(i for i in range(1, top + 1) if _has_primitive_root(g, p, i))
@@ -379,9 +382,7 @@ def stabilization_bounds(u: IntPoly, p: int, ell: int) -> StabilizationBounds:
     dbar = u.degree_mod(p)
     if dbar < 0:
         raise InapplicableError(f"mu_{p} > 0: ord_{p}(kappa_n) is unbounded")
-    n1 = 1
-    while inertia_degree(p, ell, n1)[0] <= dbar:
-        n1 += 1
+    n1 = _first_rootless_level(p, ell, dbar)
     r = eventual_prime_count(p, ell)
     log_bound = 0.0 if dbar == 0 else math.log(r * ell * dbar / (ell - 1), ell)
     return StabilizationBounds(n1, log_bound, r)
@@ -510,23 +511,3 @@ def iwasawa_fit_ell(values, ell: int) -> EllFit:
         if all(vals[n] == mu * ell**n + lam * n + nu for n in range(onset, last + 1)):
             return EllFit(True, mu, lam, nu, onset)
     return EllFit(False)
-
-
-# ---------------------------------------------------------------------------
-# the product identity, checked against matrix-tree counts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProductIdentityCheck:
-    ok: bool
-    residuals: tuple[int, ...]  # lhs - rhs per level 1..depth
-
-
-def verify_product_identity(tower: Tower, depth: int) -> ProductIdentityCheck:
-    """ell^n * kappa_n(matrix-tree) == kappa_0 * prod N_i(level norms),
-    exactly, at every level 1..depth.  Vacuously true at depth 0."""
-    residuals = []
-    for n in range(1, depth + 1):
-        mt = spanning_tree_count(derived_graph(tower.va, n))
-        residuals.append(tower.ell**n * mt - tower.norm_product(n))
-    return ProductIdentityCheck(all(r == 0 for r in residuals), tuple(residuals))

@@ -228,9 +228,6 @@ class GenPolyMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def determinant(self) -> GenPoly:
-        return determinant(self)
-
 
 def voltage_matrix(va: VoltageAssignment) -> GenPolyMatrix:
     """The g x g matrix D - sum_s (T^alpha(s) at inc(s)) - (T^-alpha(s)

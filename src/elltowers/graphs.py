@@ -9,6 +9,13 @@ a, an edge (tail(s), a) -> (head(s), a + voltage(s) mod ell^n).  Running
 n upwards produces a tower of cyclic covers whose spanning-tree counts
 this package studies.
 
+Connectivity has one engine, a breadth-first search from vertex 0 that
+gives each vertex it reaches a potential: phi(head) = phi(tail) +
+voltage along each tree edge.  A graph is connected when the search
+reaches every vertex.  Every cover of level n >= 1 is connected exactly
+when the base is and some edge closes a cycle of unit voltage, i.e.
+phi(tail) + voltage - phi(head) is nonzero mod ell.
+
 Spanning trees are counted exactly by the matrix-tree theorem: any
 principal minor of the Laplacian (valency matrix minus adjacency, loops
 cancelling) has determinant equal to the tree count.
@@ -65,42 +72,39 @@ class Multigraph:
                 d += 1
         return d
 
-    def adjacency(self) -> list[list[int]]:
-        """Undirected adjacency counts; A[i][i] counts each loop twice."""
-        g = self.num_vertices
-        a = [[0] * g for _ in range(g)]
-        for t, h in self.edges:
-            a[t][h] += 1
-            a[h][t] += 1
-        return a
-
 
 def euler_characteristic(graph: Multigraph) -> int:
     return graph.num_vertices - graph.num_edges
 
 
+def _potentials(graph: Multigraph, voltages, modulus: int) -> list[int | None]:
+    """Breadth-first search from vertex 0: phi(0) = 0 and, along each tree
+    edge, phi(head) = phi(tail) + voltage mod modulus.  Vertices the
+    search does not reach keep None."""
+    g = graph.num_vertices
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g)]  # (other end, shift)
+    for (t, h), v in zip(graph.edges, voltages):
+        incident[t].append((h, v))
+        incident[h].append((t, -v))
+    phi: list[int | None] = [None] * g
+    queue = deque()
+    if g:
+        phi[0] = 0
+        queue.append(0)
+    while queue:
+        v = queue.popleft()
+        for w, shift in incident[v]:
+            if phi[w] is None:
+                phi[w] = (phi[v] + shift) % modulus
+                queue.append(w)
+    return phi
+
+
 def is_connected(graph_or_cover) -> bool:
     """Single undirected component?  Accepts a Multigraph or DerivedCover."""
     graph = getattr(graph_or_cover, "graph", graph_or_cover)
-    g = graph.num_vertices
-    if g == 0:
-        return False
-    neighbors: list[list[int]] = [[] for _ in range(g)]
-    for t, h in graph.edges:
-        neighbors[t].append(h)
-        neighbors[h].append(t)
-    seen = [False] * g
-    seen[0] = True
-    queue = deque([0])
-    reached = 1
-    while queue:
-        v = queue.popleft()
-        for w in neighbors[v]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                queue.append(w)
-    return reached == g
+    phi = _potentials(graph, [0] * graph.num_edges, 1)
+    return bool(phi) and None not in phi
 
 
 @dataclass(frozen=True)
@@ -206,10 +210,6 @@ class DerivedCover:
     assignment: VoltageAssignment
     graph: Multigraph = field(compare=False)
 
-    @property
-    def base(self) -> Multigraph:
-        return self.assignment.graph
-
     def vertex_index(self, base_index: int, cls: int) -> int:
         return base_index * self.assignment.ell**self.level + cls
 
@@ -251,103 +251,20 @@ def spanning_tree_count(graph_or_cover) -> int:
     return det_int(minor)
 
 
-def _bfs_spanning_tree(graph: Multigraph) -> list[int]:
-    """Edge indices of the lowest-index BFS spanning tree rooted at 0."""
-    g = graph.num_vertices
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(g)]  # (edge idx, other end)
-    for idx, (t, h) in enumerate(graph.edges):
-        incident[t].append((idx, h))
-        incident[h].append((idx, t))
-    for lst in incident:
-        lst.sort()
-    seen = [False] * g
-    seen[0] = True
-    tree: list[int] = []
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for idx, w in incident[v]:
-            if not seen[w]:
-                seen[w] = True
-                tree.append(idx)
-                queue.append(w)
-    if len(tree) != g - 1:
-        raise DisconnectedGraphError("no spanning tree: graph is disconnected")
-    return sorted(tree)
-
-
-def normalize_voltages(va: VoltageAssignment, tree: list[int] | None = None) -> VoltageAssignment:
-    """Cycle-normalize a voltage assignment along a spanning tree.
-
-    Each section edge s determines a closed path: the tree geodesic from
-    head(s) back to tail(s), then s itself.  The returned assignment
-    carries the signed voltage sum of that path: 0 on tree edges, the
-    cycle voltage elsewhere.  It derives a tower isomorphic to the
-    original one.
-    """
-    graph = va.graph
-    tree_edges = _bfs_spanning_tree(graph) if tree is None else sorted(tree)
-    if len(tree_edges) != graph.num_vertices - 1:
-        raise ValueError("spanning tree must have |V| - 1 edges")
-
-    mod = va.ell**va.precision
-    # Potentials: phi(root)=0 and phi(head) = phi(tail) + voltage on tree edges.
-    phi_res: list[int | None] = [None] * graph.num_vertices
-    phi_int: list[int | None] = [None] * graph.num_vertices
-    phi_res[0] = 0
-    phi_int[0] = 0
-    in_tree = set(tree_edges)
-    pending = True
-    while pending:
-        pending = False
-        progressed = False
-        for idx in tree_edges:
-            t, h = graph.edges[idx]
-            if phi_res[t] is not None and phi_res[h] is None:
-                phi_res[h] = (phi_res[t] + va.voltages[idx].residue) % mod
-                if va.is_integral:
-                    phi_int[h] = phi_int[t] + va.integer_values[idx]
-                progressed = True
-            elif phi_res[h] is not None and phi_res[t] is None:
-                phi_res[t] = (phi_res[h] - va.voltages[idx].residue) % mod
-                if va.is_integral:
-                    phi_int[t] = phi_int[h] - va.integer_values[idx]
-                progressed = True
-        pending = any(x is None for x in phi_res)
-        if pending and not progressed:
-            raise ValueError("tree edges do not span the graph")
-
-    new_res = []
-    new_int = [] if va.is_integral else None
-    for idx, (t, h) in enumerate(graph.edges):
-        if idx in in_tree:
-            new_res.append(TruncatedPadic(va.ell, va.precision, 0))
-            if new_int is not None:
-                new_int.append(0)
-            continue
-        r = (phi_res[t] - phi_res[h] + va.voltages[idx].residue) % mod
-        new_res.append(TruncatedPadic(va.ell, va.precision, r))
-        if new_int is not None:
-            new_int.append(phi_int[t] - phi_int[h] + va.integer_values[idx])
-    if new_int is not None:
-        # Re-provision precision: cycle sums can exceed the raw voltages.
-        return VoltageAssignment.from_integers(graph, va.ell, new_int, va.precision)
-    return VoltageAssignment(graph, va.ell, tuple(new_res), None)
-
-
-def cycle_voltages(va: VoltageAssignment) -> list[TruncatedPadic]:
-    """Voltages of the fundamental cycles of the BFS spanning tree."""
-    normalized = normalize_voltages(va)
-    tree = set(_bfs_spanning_tree(va.graph))
-    return [v for i, v in enumerate(normalized.voltages) if i not in tree]
-
-
 def cover_connected_by_voltages(va: VoltageAssignment, n: int) -> bool:
-    """Algebraic connectivity criterion for the level-n cover: the cycle
-    voltages must generate Z/ell^n, i.e. some cycle voltage is a unit.
+    """Algebraic connectivity criterion for the level-n cover.
+
+    The cover is connected when the base is and the cycle voltages
+    generate Z/ell^n, i.e. some cycle voltage is a unit.  With the
+    potentials phi of the base search taken mod ell, the cycle closed by
+    an edge s has voltage phi(tail) + voltage(s) - phi(head) mod ell, so
+    the test is whether that is nonzero on some edge (tree edges give 0).
     Agrees with breadth-first search on the derived graph."""
-    if not is_connected(va.graph):
+    ell = va.ell
+    volts = [va.voltage_mod(idx, 1) for idx in range(va.graph.num_edges)]
+    phi = _potentials(va.graph, volts, ell)
+    if not phi or None in phi:
         return False
     if n == 0:
         return True
-    return any(v.is_unit() for v in cycle_voltages(va))
+    return any((phi[t] + v - phi[h]) % ell for (t, h), v in zip(va.graph.edges, volts))

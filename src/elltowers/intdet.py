@@ -116,18 +116,15 @@ def det_mod(matrix: np.ndarray, qs) -> list[int]:
 
 
 def hadamard_bound_bits(rows: list[list[int]]) -> int:
-    """Bits of the Hadamard bound prod_i ||row_i||_2 on |det|.
-
-    Uses bit_length as a safe upper estimate of log2, so the bound is
-    never undershot even for entries past float range.
-    """
-    bits = 0.0
+    """Bits of the Hadamard bound: |det| <= sqrt(P) < 2**bits, where P is
+    the exact product of the squared row norms; 0 when a row vanishes,
+    since then det = 0."""
+    prod = 1
     for row in rows:
-        s = sum(x * x for x in row)
-        if s == 0:
-            return 0
-        bits += s.bit_length() / 2
-    return int(bits) + 2
+        prod *= sum(x * x for x in row)
+    if prod == 0:
+        return 0
+    return (prod.bit_length() + 1) // 2
 
 
 def multimodular_det(rows: list[list[int]]) -> int:

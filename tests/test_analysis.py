@@ -22,14 +22,15 @@ from elltowers import (
     Tower,
     VoltageAssignment,
     analyze_prime,
+    derived_graph,
     eventual_prime_count,
     inertia_degree,
     iwasawa_fit_ell,
     level_norm,
     mu_invariant,
     n0_search,
+    spanning_tree_count,
     stabilization_bounds,
-    verify_product_identity,
 )
 from elltowers import analysis, multimodular
 from elltowers.analysis import (
@@ -363,6 +364,7 @@ def test_n0_below_n1_when_defined():
             search = n0_search(g, p)
             bounds = stabilization_bounds(u, p, t.ell)
             assert search.n0 <= bounds.n1
+            assert search.searched_to + 1 == bounds.n1
 
 
 # -- the ell-part fit -----------------------------------------------------------------
@@ -395,21 +397,39 @@ def test_fit_needs_four_points():
 
 # -- product identity ------------------------------------------------------------------
 
+def fresh_tower(name) -> Tower:
+    """An uncached tower, for tests that corrupt its state."""
+    entry = next(e for e in CORPUS if e.name == name)
+    return Tower(build_assignment(parse_tower_spec(entry.spec)))
+
+
 def test_product_identity_bouquet3_depth2():
-    check = verify_product_identity(tower("bouquet3-ell5"), 2)
-    assert check.ok and check.residuals == (0, 0)
+    # Tower.kappa checks ell^n kappa_n(matrix-tree) == kappa_0 N_1 ... N_n
+    t = fresh_tower("bouquet3-ell5")
+    assert t.mt_check_level >= 2
+    for n in (1, 2):
+        assert 5**n * t.kappa(n) == t.norm_product(n)
+        assert t.kappa(n) == spanning_tree_count(derived_graph(t.va, n))
 
 
 def test_product_identity_theta_depth1():
-    t = tower("theta-ell5")
-    check = verify_product_identity(t, 1)
-    assert check.ok
+    t = fresh_tower("theta-ell5")
+    assert t.kappa(1) == 240
     assert 5 * 240 == 3 * t.level_norm(1)
 
 
 def test_product_identity_depth0_vacuous():
-    check = verify_product_identity(tower("theta-ell5"), 0)
-    assert check.ok and check.residuals == ()
+    # at level 0 the identity reads kappa_0 = kappa_0
+    t = fresh_tower("theta-ell5")
+    assert t.kappa(0) == t.norm_product(0) == spanning_tree_count(t.va.graph) == 3
+
+
+def test_corrupted_norm_fails_the_matrix_tree_check():
+    t = fresh_tower("theta-ell5")
+    # 3 * 405 is still divisible by 5, so only the matrix-tree count catches it
+    t._norms[1] = t.level_norm(1) + 5
+    with pytest.raises(ArithmeticError, match="matrix-tree cross-check"):
+        t.kappa(1)
 
 
 # -- tower plumbing ---------------------------------------------------------------------

@@ -12,7 +12,6 @@ from elltowers import (
     derived_graph,
     euler_characteristic,
     is_connected,
-    normalize_voltages,
     spanning_tree_count,
     validate,
 )
@@ -140,16 +139,39 @@ def test_voltage_ell_gives_disconnected_low_level():
     assert not cover_connected_by_voltages(va, 1)
 
 
+def _disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:
+    g = a.num_vertices
+    return Multigraph.from_edge_list(
+        g + b.num_vertices, list(a.edges) + [(t + g, h + g) for t, h in b.edges])
+
+
 def test_bfs_agrees_with_subgroup_criterion():
+    # integral, ell-adic and all-multiples-of-ell voltages, on connected
+    # and disconnected bases, at levels 0..2
     rng = random.Random(2)
-    for _ in range(25):
+    outcomes = set()
+    for trial in range(60):
         graph = random_connected_multigraph(rng, max_edges=6)
+        if trial % 5 == 4:
+            graph = _disjoint_union(graph, random_connected_multigraph(rng, max_vertices=2))
         ell = rng.choice([2, 3, 5])
-        va = VoltageAssignment.from_integers(
-            graph, ell, [rng.randint(-6, 6) for _ in graph.edges], 2
-        )
-        for n in (1, 2):
-            assert is_connected(derived_graph(va, n)) == cover_connected_by_voltages(va, n)
+        values = [rng.randint(-6, 6) for _ in graph.edges]
+        kind = trial % 3
+        if kind == 0:
+            va = VoltageAssignment.from_integers(graph, ell, values, 2)
+        elif kind == 1:
+            va = VoltageAssignment.from_integers(graph, ell, [ell * v for v in values], 2)
+        else:
+            va = VoltageAssignment.from_padics(
+                graph, [TruncatedPadic(ell, 2, rng.randrange(ell**2)) for _ in graph.edges])
+        for n in (0, 1, 2):
+            connected = cover_connected_by_voltages(va, n)
+            assert is_connected(derived_graph(va, n)) == connected
+            outcomes.add((kind, n, connected))
+    # every kind reaches both outcomes at level 1; multiples of ell never connect
+    assert {(k, c) for k, n, c in outcomes if n == 1} == {
+        (0, True), (0, False), (1, False), (2, True), (2, False)}
+    assert (0, 0, False) in outcomes and (0, 0, True) in outcomes
 
 
 # -- spanning trees -----------------------------------------------------------
@@ -178,51 +200,7 @@ def test_matrix_tree_against_bruteforce():
         assert spanning_tree_count(graph) == spanning_trees_bruteforce(graph)
 
 
-# -- voltage normalization ---------------------------------------------------
-
-def test_bouquet_voltages_unchanged():
-    va = VoltageAssignment.from_integers(Multigraph.bouquet(3), 5, [1, 2, 3], 2)
-    normalized = normalize_voltages(va)
-    assert normalized.integer_values == (1, 2, 3)
-
-
-def test_all_zero_voltages_normalize_to_zero():
-    rng = random.Random(4)
-    graph = random_connected_multigraph(rng)
-    va = VoltageAssignment.from_integers(graph, 3, [0] * graph.num_edges, 2)
-    assert all(v == 0 for v in normalize_voltages(va).integer_values)
-
-
-def test_tree_edges_get_zero():
-    va = VoltageAssignment.from_integers(THETA, 5, [1, 2, 2], 3)
-    normalized = normalize_voltages(va, tree=[0])
-    assert normalized.integer_values == (0, 3, 3)
-
-
-def test_normalized_tower_has_same_counts():
-    # same tower up to isomorphism: spanning-tree counts agree at n = 1..3
-    va = VoltageAssignment.from_integers(THETA, 5, [1, 2, 2], 3)
-    normalized = normalize_voltages(va, tree=[0])
-    for n in range(1, 4):
-        original = spanning_tree_count(derived_graph(va, n))
-        renamed = spanning_tree_count(derived_graph(normalized, n))
-        assert original == renamed
-        assert is_connected(derived_graph(normalized, n))
-
-
-def test_normalization_preserves_counts_random():
-    rng = random.Random(5)
-    for _ in range(8):
-        graph = random_connected_multigraph(rng, max_edges=6)
-        ell = rng.choice([2, 3])
-        va = VoltageAssignment.from_integers(
-            graph, ell, [rng.randint(-8, 8) for _ in graph.edges], 2
-        )
-        normalized = normalize_voltages(va)
-        for n in (1, 2):
-            assert (spanning_tree_count(derived_graph(va, n))
-                    == spanning_tree_count(derived_graph(normalized, n)))
-
+# -- voltage assignments ----------------------------------------------------
 
 def test_integer_lift_guard():
     with pytest.raises(ValueError):

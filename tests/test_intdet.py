@@ -71,6 +71,17 @@ def test_hadamard_bound_dominates():
             assert abs(d).bit_length() <= hadamard_bound_bits(m)
 
 
+def test_hadamard_bound_is_taken_from_the_exact_norm_product():
+    # every row has squared norm 3: |det| <= 3**32 < 2**51, where rounding
+    # each row's norm up to its bit length would give 2**64
+    n = 64
+    m = [[1 if (j - i) % n < 3 else 0 for j in range(n)] for i in range(n)]
+    bits = hadamard_bound_bits(m)
+    assert bits <= 52
+    assert 3**32 < 1 << bits
+    assert abs(det_int(m)).bit_length() <= bits
+
+
 def test_multimodular_large_entries():
     # entries big enough that a wrong bound or overflow would corrupt CRT
     rng = random.Random(5)
