@@ -11,19 +11,24 @@ this package studies.
 
 Connectivity has one engine, a breadth-first search from vertex 0 that
 gives each vertex it reaches a potential: phi(head) = phi(tail) +
-voltage along each tree edge.  A graph is connected when the search
-reaches every vertex.  Every cover of level n >= 1 is connected exactly
-when the base is and some edge closes a cycle of unit voltage, i.e.
-phi(tail) + voltage - phi(head) is nonzero mod ell.
+voltage along each tree edge, and records the order of its visits.  A
+graph is connected when the search reaches every vertex.  Every cover
+of level n >= 1 is connected exactly when the base is and some edge
+closes a cycle of unit voltage, i.e. phi(tail) + voltage - phi(head) is
+nonzero mod ell.
 
 Spanning trees are counted exactly by the matrix-tree theorem: any
 principal minor of the Laplacian (valency matrix minus adjacency, loops
-cancelling) has determinant equal to the tree count.
+cancelling) has determinant equal to the tree count.  The Laplacian is
+built in the reverse of the search's visit order (reverse Cuthill-McKee
+without the valency sort), so vertex 0 comes last and is the one
+dropped, and every vertex's neighbours lie in its own search level or
+an adjacent one: the minor's nonzeros hug the diagonal, which is what the
+envelope elimination of intdet.det_mod exploits.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .intdet import det_int
@@ -77,34 +82,36 @@ def euler_characteristic(graph: Multigraph) -> int:
     return graph.num_vertices - graph.num_edges
 
 
-def _potentials(graph: Multigraph, voltages, modulus: int) -> list[int | None]:
+def _potentials(graph: Multigraph, voltages, modulus: int) -> tuple[list[int | None], list[int]]:
     """Breadth-first search from vertex 0: phi(0) = 0 and, along each tree
-    edge, phi(head) = phi(tail) + voltage mod modulus.  Vertices the
-    search does not reach keep None."""
+    edge, phi(head) = phi(tail) + voltage mod modulus.  Returns phi, where
+    vertices the search does not reach keep None, and the vertices in the
+    order the search visited them."""
     g = graph.num_vertices
     incident: list[list[tuple[int, int]]] = [[] for _ in range(g)]  # (other end, shift)
     for (t, h), v in zip(graph.edges, voltages):
         incident[t].append((h, v))
         incident[h].append((t, -v))
     phi: list[int | None] = [None] * g
-    queue = deque()
+    order = [0] if g else []  # the visit order is also the queue
     if g:
         phi[0] = 0
-        queue.append(0)
-    while queue:
-        v = queue.popleft()
+    for v in order:
         for w, shift in incident[v]:
             if phi[w] is None:
                 phi[w] = (phi[v] + shift) % modulus
-                queue.append(w)
-    return phi
+                order.append(w)
+    return phi, order
+
+
+def _search_order(graph: Multigraph) -> list[int]:
+    return _potentials(graph, [0] * graph.num_edges, 1)[1]
 
 
 def is_connected(graph_or_cover) -> bool:
     """Single undirected component?  Accepts a Multigraph or DerivedCover."""
     graph = getattr(graph_or_cover, "graph", graph_or_cover)
-    phi = _potentials(graph, [0] * graph.num_edges, 1)
-    return bool(phi) and None not in phi
+    return 0 < len(_search_order(graph)) == graph.num_vertices
 
 
 @dataclass(frozen=True)
@@ -232,23 +239,32 @@ def derived_graph(va: VoltageAssignment, n: int) -> DerivedCover:
 
 
 def spanning_tree_count(graph_or_cover) -> int:
-    """Exact number of spanning trees, by a Laplacian principal minor."""
+    """Exact number of spanning trees, by the Laplacian minor without
+    vertex 0, its rows and columns in reverse breadth-first order."""
     graph = getattr(graph_or_cover, "graph", graph_or_cover)
-    if not is_connected(graph):
-        raise DisconnectedGraphError("spanning trees are counted for connected graphs only")
+    order = _search_order(graph)
     g = graph.num_vertices
+    if not 0 < len(order) == g:
+        raise DisconnectedGraphError("spanning trees are counted for connected graphs only")
     if g == 1:
         return 1
+    pos = [0] * g
+    for i, v in enumerate(reversed(order)):
+        pos[v] = i
     lap = [[0] * g for _ in range(g)]
     for t, h in graph.edges:
         if t == h:
             continue  # loops cancel between valency and adjacency
+        t, h = pos[t], pos[h]
         lap[t][h] -= 1
         lap[h][t] -= 1
         lap[t][t] += 1
         lap[h][h] += 1
-    minor = [row[1:] for row in lap[1:]]
-    return det_int(minor)
+    # vertex 0 was visited first, so it is the last row and column
+    lap.pop()
+    for row in lap:
+        row.pop()
+    return det_int(lap)
 
 
 def cover_connected_by_voltages(va: VoltageAssignment, n: int) -> bool:
@@ -262,7 +278,7 @@ def cover_connected_by_voltages(va: VoltageAssignment, n: int) -> bool:
     Agrees with breadth-first search on the derived graph."""
     ell = va.ell
     volts = [va.voltage_mod(idx, 1) for idx in range(va.graph.num_edges)]
-    phi = _potentials(va.graph, volts, ell)
+    phi, _ = _potentials(va.graph, volts, ell)
     if not phi or None in phi:
         return False
     if n == 0:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elltowers import (
     DisconnectedGraphError,
@@ -15,6 +16,7 @@ from elltowers import (
     spanning_tree_count,
     validate,
 )
+from elltowers.intdet import BAREISS_THRESHOLD
 from util import random_connected_multigraph, spanning_trees_bruteforce
 
 THETA = Multigraph.from_edge_list(2, [(0, 1), (1, 0), (1, 0)])
@@ -198,6 +200,53 @@ def test_matrix_tree_against_bruteforce():
     for _ in range(60):
         graph = random_connected_multigraph(rng, max_vertices=4, max_edges=8)
         assert spanning_tree_count(graph) == spanning_trees_bruteforce(graph)
+
+
+def _lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+ORDERS = (3, 20, BAREISS_THRESHOLD, BAREISS_THRESHOLD + 1, 100, 255)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_cycle_has_n_spanning_trees(n):
+    assert spanning_tree_count(Multigraph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])) == n
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_complete_graph_has_n_to_the_n_minus_2_spanning_trees(n):
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert spanning_tree_count(Multigraph.from_edge_list(n, edges)) == n ** (n - 2)
+
+
+@pytest.mark.parametrize("n", [order - 1 for order in ORDERS if order > 3])
+def test_wheel_spanning_trees_are_lucas_numbers(n):
+    # hub 0 and rim 1..n: W_n has L_{2n} - 2 spanning trees
+    edges = [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)]
+    assert spanning_tree_count(Multigraph.from_edge_list(n + 1, edges)) == _lucas(2 * n) - 2
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_tree_count_is_invariant_under_relabelling(data):
+    t = BAREISS_THRESHOLD
+    g = data.draw(st.one_of(st.integers(2, t), st.integers(t + 1, 120)), label="order")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    # a random tree, then random edges, loops and parallel copies
+    edges = [(rng.randrange(i), i) for i in range(1, g)]
+    edges += [(rng.randrange(g), rng.randrange(g)) for _ in range(rng.randint(0, g))]
+    edges += [(v, v) for v in rng.sample(range(g), rng.randint(0, min(g, 3)))]
+    edges += rng.sample(edges, rng.randint(0, min(len(edges), 5)))
+    rng.shuffle(edges)
+    perm = rng.sample(range(g), g)
+    relabelled = [(perm[a], perm[b]) for a, b in edges]
+    count = spanning_tree_count(Multigraph.from_edge_list(g, edges))
+    assert count == spanning_tree_count(Multigraph.from_edge_list(g, relabelled))
+    assert count >= 1
 
 
 # -- voltage assignments ----------------------------------------------------

@@ -82,6 +82,60 @@ def test_hadamard_bound_is_taken_from_the_exact_norm_product():
     assert abs(det_int(m)).bit_length() <= bits
 
 
+def _laplacian_minor(rng, g, extra):
+    """The Laplacian of a random connected multigraph on g vertices, with
+    loops and parallel edges, less a random vertex's row and column."""
+    edges = [(rng.randrange(i), i) for i in range(1, g)]
+    edges += [(rng.randrange(g), rng.randrange(g)) for _ in range(extra)]
+    edges += rng.sample(edges, min(len(edges), 3))
+    lap = [[0] * g for _ in range(g)]
+    for t, h in edges:
+        if t != h:
+            lap[t][h] -= 1
+            lap[h][t] -= 1
+            lap[t][t] += 1
+            lap[h][h] += 1
+    drop = rng.randrange(g)
+    return [[x for j, x in enumerate(row) if j != drop] for i, row in enumerate(lap) if i != drop]
+
+
+def _row_norm_bits(m):
+    prod = 1
+    for row in m:
+        prod *= sum(x * x for x in row)
+    return (prod.bit_length() + 1) // 2
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_diagonal_bound_dominates_laplacian_minors(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    g = data.draw(st.integers(2, 24), label="order")
+    m = _laplacian_minor(rng, g, data.draw(st.integers(0, 3 * g), label="extra edges"))
+    bits = hadamard_bound_bits(m)
+    diagonal = 1
+    for i, row in enumerate(m):
+        diagonal *= row[i]
+    assert bits == diagonal.bit_length() <= _row_norm_bits(m)
+    assert 0 < bareiss_det(m) < 1 << bits  # a connected graph has a spanning tree
+
+
+def test_other_matrices_keep_the_row_norm_bound():
+    rng = random.Random(41)
+    for _ in range(20):
+        m = _laplacian_minor(rng, rng.randint(3, 20), 10)
+        assert hadamard_bound_bits(m) <= _row_norm_bits(m)
+        unsymmetric = [row[:] for row in m]
+        unsymmetric[0][1] -= 1
+        weak = [row[:] for row in m]
+        weak[1][1] = sum(map(abs, m[1])) - m[1][1] - 1  # below its row's other entries
+        negative = [[-x for x in row] for row in m]
+        for other in (unsymmetric, weak, negative):
+            assert hadamard_bound_bits(other) == _row_norm_bits(other)
+            d = bareiss_det(other)
+            assert abs(d) < 1 << hadamard_bound_bits(other)
+
+
 def test_multimodular_large_entries():
     # entries big enough that a wrong bound or overflow would corrupt CRT
     rng = random.Random(5)
@@ -106,6 +160,16 @@ def test_multimodular_uses_the_fewest_primes_for_the_hadamard_bound(monkeypatch)
     monkeypatch.setattr(intdet, "det_mod", recording_det_mod)
     assert det_int(m) == bareiss_det(m)
     assert used == primes_for_bound(1 << hadamard_bound_bits(m))
+    # a reduced Laplacian: the product of its diagonal, a prime below the
+    # row norms on a sparse graph
+    lap = _laplacian_minor(rng, 4 * n, n // 2)
+    used.clear()
+    assert det_int(lap) == bareiss_det(lap)
+    diagonal = 1
+    for i, row in enumerate(lap):
+        diagonal *= row[i]
+    assert used == primes_for_bound(1 << diagonal.bit_length())
+    assert len(used) < len(primes_for_bound(1 << _row_norm_bits(lap)))
 
 
 def test_multimodular_stacks_stay_below_the_entry_limit(monkeypatch):
@@ -202,6 +266,140 @@ def test_stack_worst_case_magnitudes_past_the_lazy_bound():
         assert pow(h, n, q) == bareiss_det(m) % q
 
 
+# -- the envelope: each step updates only the box of its nonzeros ----------------
+
+def _det_mod_reference(m, q):
+    """det m mod q by plain row reduction over Python ints."""
+    a = [[x % q for x in row] for row in m]
+    n, det = len(a), 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det = det * a[k][k] % q
+        inv = pow(a[k][k], -1, q)
+        for i in range(k + 1, n):
+            f = a[i][k] * inv % q
+            if f:
+                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[k])]
+    return det % q
+
+
+def _band(rng, n, lower, upper, cyclic, bound, zeros=0.0):
+    """Random entries on the band lower below to upper above the diagonal,
+    wrapping around the corners when cyclic; zeros elsewhere."""
+    def inside(i, j):
+        if cyclic:
+            return (j - i) % n <= upper or (i - j) % n <= lower
+        return -lower <= j - i <= upper
+    return [[rng.randint(-bound, bound) if inside(i, j) and rng.random() >= zeros else 0
+             for j in range(n)] for i in range(n)]
+
+
+def _lu_image(n, q, low, up):
+    """M = L U mod q, balanced, for L unit lower triangular and U upper
+    triangular with h = (q - 1) / 2 on U's diagonal and wherever low(i, k)
+    (i > k) or up(k, j) (j > k) holds.  Eliminating M mod q reproduces
+    L's multipliers and U's rows, all at h: each update subtracts h**2,
+    the largest growth balanced residues allow, and det M = h**n mod q."""
+    h = (q - 1) // 2
+    lower = [[k for k in range(i) if low(i, k)] + [i] for i in range(n)]
+    upper = [[k] + [j for j in range(k + 1, n) if up(k, j)] for k in range(n)]
+    m = []
+    for i in range(n):
+        row = [0] * n
+        for k in lower[i]:
+            for j in upper[k]:
+                row[j] += h * h if k < i else h
+        m.append([(x + h) % q - h for x in row])
+    return m
+
+
+def test_stack_image_swaps_in_a_row_from_below_the_others_envelope():
+    from elltowers.multimodular import primes
+
+    rng = random.Random(31)
+    qs = primes(2)
+    n = 40
+    m = _band(rng, n, 2, 2, False, 50)
+    # column 0 vanishes mod qs[1] down to row 25, which vanishes mod qs[0]:
+    # the qs[1] image swaps row 25, whose band reaches column 27, into the
+    # pivot row, while the qs[0] image keeps a pivot row ending at column
+    # 2; row 26 takes a multiple of the pivot row in both images
+    m[0][0], m[1][0], m[2][0], m[25][0], m[26][0] = qs[1], 2 * qs[1], qs[1], qs[0], 7
+    got = det_mod(np.array(m, dtype=np.int64), qs)
+    assert got == [_det_mod_reference(m, q) for q in qs] == _images(m, qs)
+
+
+def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
+    from elltowers.multimodular import primes
+
+    rng = random.Random(37)
+    qs = primes(3)
+    for n in (64, 97, 131, 200):
+        m = _band(rng, n, 2, 3, True, 2**29)
+        got = det_mod(np.array(m, dtype=np.int64), qs)
+        assert got == [_det_mod_reference(m, q) for q in qs]
+    # the elimination of a cyclic band fills its last rows and columns:
+    # with every multiplier and pivot-row entry at h, the boxes reach the
+    # corner at every step and the fill grows by h**2 per step
+    for n in (64, 200):
+        for q in qs[:2]:
+            w = 3
+            m = _lu_image(n, q, lambda i, k: i - k <= w or i >= n - w,
+                          lambda k, j: j - k <= w or j >= n - w)
+            got = det_mod(np.array(m, dtype=np.int64), qs)
+            assert got == [_det_mod_reference(m, p) for p in qs]
+            assert got[qs.index(q)] == pow((q - 1) // 2, n, q)
+
+
+def test_lazy_reduction_covers_every_box_since_the_last():
+    import elltowers.intdet as intdet
+    from elltowers.multimodular import primes
+
+    # an arrow whose last row and column get h**2 at every step except
+    # step LAZY - 1, whose box is the single entry right of its pivot: a
+    # reduction of that last box alone would leave the arrow 2 * LAZY - 1
+    # updates deep, past int64
+    n, hole = 2 * intdet.LAZY + 4, intdet.LAZY - 1
+    for q in primes(2):
+        m = _lu_image(n, q, lambda i, k: i == k + 1 or (i == n - 1 and k != hole),
+                      lambda k, j: j == k + 1 or (j == n - 1 and k != hole))
+        assert det_mod(np.array(m, dtype=np.int64), [q]) == [pow((q - 1) // 2, n, q)]
+
+
+def test_large_boxes_update_in_slices_of_rows(monkeypatch):
+    import elltowers.intdet as intdet
+    from elltowers.multimodular import primes
+
+    rng = random.Random(43)
+    qs = primes(3)
+    for entries in (1, 50, 500):
+        monkeypatch.setattr(intdet, "UPDATE_ENTRIES", entries)
+        m = _random_matrix(rng, 40, -(2**29), 2**29)
+        assert det_mod(np.array(m, dtype=np.int64), qs) == [_det_mod_reference(m, q) for q in qs]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_det_mod_on_banded_and_cyclic_band_matrices(data):
+    from elltowers.multimodular import primes
+
+    n = data.draw(st.integers(2, 100), label="order")
+    lower = data.draw(st.integers(0, 6), label="lower band")
+    upper = data.draw(st.integers(0, 6), label="upper band")
+    cyclic = data.draw(st.booleans(), label="cyclic")
+    bound = data.draw(st.sampled_from([1, 9, 2**29, 2**40]), label="entry bound")
+    zeros = data.draw(st.sampled_from([0.0, 0.3]), label="zero fraction")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    m = _band(rng, n, lower, upper, cyclic, bound, zeros)
+    qs = primes(3)
+    assert det_mod(np.array(m, dtype=np.int64), qs) == [_det_mod_reference(m, q) for q in qs]
+
+
 def test_entries_beyond_int64_stay_exact():
     import elltowers.intdet as intdet
 
@@ -213,6 +411,10 @@ def test_entries_beyond_int64_stay_exact():
     assert det_int(m) == multimodular_det(m) == bareiss_det(m)
     qs = [1073741789, 1073741783]
     assert det_mod(np.array(m, dtype=object), qs) == _images(m, qs)
+    # and int64 entries at the ends of the int64 range
+    m = _random_matrix(rng, 12)
+    m[0][0], m[3][5], m[7][2] = 2**63 - 1, -(2**63), 2**63 - 2**28
+    assert det_mod(np.array(m, dtype=np.int64), qs) == _images(m, qs)
 
 
 @settings(deadline=None, max_examples=25)
