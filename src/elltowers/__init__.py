@@ -34,7 +34,6 @@ from .genpoly import (
     voltage_matrix,
 )
 from .graphs import (
-    DerivedCover,
     DisconnectedGraphError,
     Multigraph,
     ValidationReport,

@@ -239,11 +239,6 @@ class Tower:
     def is_integral(self) -> bool:
         return self.va.is_integral
 
-    @property
-    def max_level(self) -> int | None:
-        """Deepest computable level (None = unbounded, integral voltages)."""
-        return None if self.va.is_integral else self.va.precision
-
     def level_norm(self, i: int) -> int:
         """N_i from the multi-modular engine; at levels up to
         mt_check_level also recomputed by the subresultant route."""
@@ -264,6 +259,8 @@ class Tower:
     def norm_product(self, n: int) -> int:
         """kappa_0 * N_1 * ... * N_n (= ell^n * kappa_n), each level built
         on the product below it."""
+        if n < 0:
+            raise ValueError("level must be >= 0")
         top = n
         while top not in self._products:
             top -= 1
@@ -290,9 +287,6 @@ class Tower:
                     )
             self._kappas[n] = kappa
         return self._kappas[n]
-
-    def kappas(self, depth: int) -> list[int]:
-        return [self.kappa(n) for n in range(depth + 1)]
 
     def ord_ell_sequence(self, depth: int) -> list[int]:
         return [ord_p(self.kappa(n), self.ell) for n in range(depth + 1)]

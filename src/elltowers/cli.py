@@ -19,10 +19,10 @@ Exit codes, all mapped in main, with the message on stderr:
        precision exceeded, too few levels for the ell-part fit, a
        non-residue or missing branch given to the sqrt verb)
     2  usage or parse error: argparse rejects bad options (a negative
-       --levels or --budget-ms, a non-prime report --p or sqrt --ell,
-       sqrt's --precision below 1), analyze a non-prime --p; an
-       unreadable, malformed or unbuildable spec (an ell-adic square
-       root that does not exist) prints "parse error: ..."
+       --levels, --budget-ms or --matrix-tree-max-level, a non-prime
+       --p or sqrt --ell, sqrt's --precision below 1); an unreadable,
+       malformed or unbuildable spec (an ell-adic square root that does
+       not exist) prints "parse error: ..."
     3  internal error, "internal error: ..." (a failed cross-check, an
        overflow, an exhausted prime pool)
 All big integers are printed as decimal strings; --json switches to a
@@ -260,9 +260,6 @@ def cmd_count(args) -> int:
 def cmd_analyze(args) -> int:
     _, va, tower = _tower(_read_json(args.file), args.matrix_tree_max_level)
     p, depth = args.p, args.levels
-    if not is_probable_prime(p):
-        print(f"error: {p} is not prime", file=sys.stderr)
-        return EXIT_USAGE
     if p == tower.ell:
         # the ell-part follows the three-parameter Iwasawa-type law
         fit = _ell_fit(tower, depth)
@@ -455,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget-ms", type=_NATURAL, default=DEFAULT_BUDGET_MS,
                            help="factoring budget (converted to a fixed iteration count)")
-        p.add_argument("--matrix-tree-max-level", type=int, default=None,
+        p.add_argument("--matrix-tree-max-level", type=_NATURAL, default=None,
                        help="deepest level cross-checked by matrix-tree "
                             "(default: 5 for ell=2, 3 for ell=3, else 2)")
         p.add_argument("--levels", type=_NATURAL, default=3, help="deepest level n")
@@ -471,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="valuation law for one prime")
     add_common(p, budget=False)
-    p.add_argument("--p", type=int, required=True, help="prime (p = ell gives the ell-part fit)")
+    p.add_argument("--p", type=_PRIME, required=True,
+                   help="prime (p = ell gives the ell-part fit)")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("classify", help="omega-growth classification")

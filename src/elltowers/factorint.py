@@ -44,7 +44,7 @@ _WORD_MR_BASES = (2, 7, 61)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-DEFAULT_TRIAL_BOUND = 10**6
+TRIAL_BOUND = 10**6
 DEFAULT_RHO_ITERATIONS = 10**7
 BLOCK_SIZE = 256
 
@@ -104,16 +104,6 @@ def is_probable_prime(n: int) -> bool:
     return _miller_rabin(n, _MR_BASES)
 
 
-def previous_prime(n: int) -> int:
-    """Largest prime < n (certified range only)."""
-    k = n - 1 if n % 2 == 0 else n - 2
-    while k >= 2:
-        if is_certified_prime(k):
-            return k
-        k -= 2
-    raise ValueError("no prime below 2")
-
-
 def ord_p(n: int, p: int) -> int:
     """Exponent of p in n (n != 0)."""
     if n == 0:
@@ -167,7 +157,7 @@ def perfect_power(n: int, floor: int = 2) -> tuple[int, int] | None:
     return best
 
 
-def _brent_rho(n: int, budget: list[int], seed: int = 1) -> int | None:
+def _brent_rho(n: int, budget: list[int]) -> int | None:
     """One Brent-cycle rho attempt; returns a nontrivial factor or None.
 
     budget is a single-element list of remaining iterations, decremented
@@ -175,7 +165,7 @@ def _brent_rho(n: int, budget: list[int], seed: int = 1) -> int | None:
     """
     if n % 2 == 0:
         return 2
-    c = seed
+    c = 1
     while budget[0] > 0:
         y, m, g, r, q = 2, 128, 1, 1, 1
         while g == 1 and budget[0] > 0:
@@ -249,12 +239,9 @@ class FactoredInteger:
         return " * ".join(parts)
 
 
-def factor_kappa(
-    n: int,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_iterations: int = DEFAULT_RHO_ITERATIONS,
-) -> FactoredInteger:
-    """Best-effort factorization of n >= 1 within the given budget."""
+def factor_kappa(n: int, rho_iterations: int = DEFAULT_RHO_ITERATIONS) -> FactoredInteger:
+    """Best-effort factorization of n >= 1: trial division up to
+    TRIAL_BOUND (read at each call), then rho within the budget."""
     if n < 1:
         raise ValueError("expected a positive integer")
     if n == 1:
@@ -262,7 +249,7 @@ def factor_kappa(
 
     found: dict[int, int] = {}
     rest = n
-    for product, block in _prime_blocks(trial_bound):
+    for product, block in _prime_blocks(TRIAL_BOUND):
         if block[0] * block[0] > rest:
             break
         g = math.gcd(rest, product)  # the product of the block's primes dividing rest
@@ -274,7 +261,7 @@ def factor_kappa(
                 while rest % p == 0:
                     found[p] = found.get(p, 0) + 1
                     rest //= p
-    floor = trial_bound + 1  # no prime up to the trial bound is left
+    floor = TRIAL_BOUND + 1  # no prime up to the trial bound is left
     budget = [rho_iterations]
     exhausted = False
     cofactor = 1
@@ -315,12 +302,11 @@ def multiply_factored(exps: dict[int, int], cofactor: int, part: FactoredInteger
     exps gains the part's exponents in place.  The returned cofactor is
     the old one times the part's, cleaned by _finalize_cofactor so that
     it stays coprime to every prime of exps.  The parts are factor_kappa
-    results at the default trial bound, so no unsplit cofactor has a
-    prime factor up to it.
+    results, so no unsplit cofactor has a prime factor up to TRIAL_BOUND.
     """
     for p, e in part.factors:
         exps[p] = exps.get(p, 0) + power * e
-    return _finalize_cofactor(cofactor * part.cofactor**power, exps, DEFAULT_TRIAL_BOUND + 1)
+    return _finalize_cofactor(cofactor * part.cofactor**power, exps, TRIAL_BOUND + 1)
 
 
 def _finalize_cofactor(cofactor: int, found: dict[int, int], floor: int = 2) -> int:

@@ -113,9 +113,6 @@ class GenPoly:
         return GenPoly(self.ell, self.precision,
                        tuple((e, -c) for e, c in self.terms), self.integral)
 
-    def __sub__(self, other: "GenPoly") -> "GenPoly":
-        return self + (-other)
-
     def __mul__(self, other: "GenPoly") -> "GenPoly":
         n, a, b = self._aligned(other)
         mod = self.ell**n
@@ -126,27 +123,11 @@ class GenPoly:
                 acc[e] = acc.get(e, 0) + ca * cb
         return GenPoly(self.ell, n, tuple(acc.items()), a.integral and b.integral)
 
-    def scale(self, k: int) -> "GenPoly":
-        return GenPoly(self.ell, self.precision,
-                       tuple((e, k * c) for e, c in self.terms), self.integral)
-
     def divide_coefficients(self, k: int) -> "GenPoly":
         if any(c % k for _, c in self.terms):
             raise ValueError(f"{k} does not divide every coefficient")
         return GenPoly(self.ell, self.precision,
                        tuple((e, c // k) for e, c in self.terms), self.integral)
-
-    def reciprocal(self) -> "GenPoly":
-        """Substitute T -> 1/T (negate all exponents)."""
-        mod = self.modulus
-        return GenPoly(self.ell, self.precision,
-                       tuple(((-e) % mod, c) for e, c in self.terms), self.integral)
-
-    def scale_exponents(self, c: int) -> "GenPoly":
-        """Substitute T -> T**c."""
-        mod = self.modulus
-        return GenPoly(self.ell, self.precision,
-                       tuple(((e * c) % mod, k) for e, k in self.terms), self.integral)
 
     # -- lifting and reduction ----------------------------------------------
 

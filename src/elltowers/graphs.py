@@ -5,8 +5,10 @@ directed edges (one chosen direction per undirected edge -- the section).
 Loops and parallel edges are allowed.  A voltage assignment labels each
 section edge with a truncated ell-adic integer; the level-n derived
 cover has vertex set V x Z/ell^n and, for each section edge s and class
-a, an edge (tail(s), a) -> (head(s), a + voltage(s) mod ell^n).  Running
-n upwards produces a tower of cyclic covers whose spanning-tree counts
+a, an edge (tail(s), a) -> (head(s), a + voltage(s) mod ell^n).  The
+cover is itself a Multigraph, vertex (v, a) at index v * ell^n + a, so
+connectivity and tree counting take Multigraphs only.  Running n
+upwards produces a tower of cyclic covers whose spanning-tree counts
 this package studies.
 
 Connectivity has one engine, a breadth-first search from vertex 0 that
@@ -29,7 +31,7 @@ envelope elimination of intdet.det_mod exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .intdet import det_int
 from .padics import PrecisionError, TruncatedPadic
@@ -108,9 +110,8 @@ def _search_order(graph: Multigraph) -> list[int]:
     return _potentials(graph, [0] * graph.num_edges, 1)[1]
 
 
-def is_connected(graph_or_cover) -> bool:
-    """Single undirected component?  Accepts a Multigraph or DerivedCover."""
-    graph = getattr(graph_or_cover, "graph", graph_or_cover)
+def is_connected(graph: Multigraph) -> bool:
+    """Single undirected component?"""
     return 0 < len(_search_order(graph)) == graph.num_vertices
 
 
@@ -211,18 +212,9 @@ class VoltageAssignment:
         return self.voltages[index].reduce(n)
 
 
-@dataclass(frozen=True)
-class DerivedCover:
-    level: int
-    assignment: VoltageAssignment
-    graph: Multigraph = field(compare=False)
-
-    def vertex_index(self, base_index: int, cls: int) -> int:
-        return base_index * self.assignment.ell**self.level + cls
-
-
-def derived_graph(va: VoltageAssignment, n: int) -> DerivedCover:
-    """The level-n derived cover X(Z/ell^n, S, alpha_n)."""
+def derived_graph(va: VoltageAssignment, n: int) -> Multigraph:
+    """The level-n derived cover X(Z/ell^n, S, alpha_n); vertex (v, a)
+    has index v * ell^n + a."""
     if n < 0:
         raise ValueError("level must be >= 0")
     if not va.is_integral and n > va.precision:
@@ -235,13 +227,12 @@ def derived_graph(va: VoltageAssignment, n: int) -> DerivedCover:
         shift = va.voltage_mod(idx, n)
         for a in range(m):
             edges.append((t * m + a, h * m + (a + shift) % m))
-    return DerivedCover(n, va, Multigraph(vertices, tuple(edges)))
+    return Multigraph(vertices, tuple(edges))
 
 
-def spanning_tree_count(graph_or_cover) -> int:
+def spanning_tree_count(graph: Multigraph) -> int:
     """Exact number of spanning trees, by the Laplacian minor without
     vertex 0, its rows and columns in reverse breadth-first order."""
-    graph = getattr(graph_or_cover, "graph", graph_or_cover)
     order = _search_order(graph)
     g = graph.num_vertices
     if not 0 < len(order) == g:

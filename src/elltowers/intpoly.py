@@ -52,10 +52,6 @@ class IntPoly:
             out[e] += c
         return cls(tuple(out))
 
-    @classmethod
-    def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -107,12 +103,6 @@ class IntPoly:
             return IntPoly(())
         return IntPoly(tuple(k * c for c in self.coeffs))
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by T**k."""
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def content(self) -> int:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -122,9 +112,6 @@ class IntPoly:
         if c <= 1:
             return self
         return IntPoly(tuple(x // c for x in self.coeffs))
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
 
     def divmod_by_monic(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Division by a monic divisor; stays inside Z[T]."""

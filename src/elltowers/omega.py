@@ -69,19 +69,6 @@ class OmegaClassification:
     non_cyclotomic_part: IntPoly | None = None
     content_primes: tuple[int, ...] = ()
 
-    def reconstruct_u(self) -> IntPoly | None:
-        """content * (T-1)^m * prod Phi_d^mult * non_cyclotomic_part."""
-        if self.verdict == INAPPLICABLE:
-            return None
-        out = IntPoly.constant(self.content)
-        t_minus_1 = IntPoly((-1, 1))
-        for _ in range(self.unit_root_multiplicity):
-            out = out * t_minus_1
-        for d, mult in self.cyclotomic_factors:
-            for _ in range(mult):
-                out = out * cyclotomic(d)
-        return out * self.non_cyclotomic_part
-
 
 def classify_omega(f: GenPoly) -> OmegaClassification:
     """Bounded/unbounded verdict for omega(kappa_n) along the tower of f.

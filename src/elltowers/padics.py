@@ -1,10 +1,10 @@
 """Truncated ell-adic integers.
 
 An element of Z_ell known modulo ell**N is stored as its residue in
-[0, ell**N).  Arithmetic between two values closes at the smaller of the
-two precisions; there is no silent zero-padding, so asking for more
-digits than were ever computed is an error at the call site that needs
-them, not here.
+[0, ell**N).  Values are only built (from an integer or as a square
+root), reduced and printed: voltages never do ell-adic arithmetic.
+There is no silent zero-padding, so asking for more digits than were
+ever computed (reduce past the precision) raises PrecisionError.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class TruncatedPadic:
             raise ValueError("precision must be >= 1")
         object.__setattr__(self, "residue", self.residue % self.ell**self.precision)
 
-    @property
-    def modulus(self) -> int:
-        return self.ell**self.precision
-
     @classmethod
     def from_integer(cls, value: int, ell: int, precision: int) -> "TruncatedPadic":
         return cls(ell, precision, value % ell**precision)
@@ -55,9 +51,6 @@ class TruncatedPadic:
             )
         return self.residue % self.ell**n
 
-    def truncate(self, n: int) -> "TruncatedPadic":
-        return TruncatedPadic(self.ell, n, self.reduce(n))
-
     def digits(self) -> list[int]:
         """Base-ell digits d0..d(N-1), least significant first."""
         out, r = [], self.residue
@@ -65,40 +58,6 @@ class TruncatedPadic:
             out.append(r % self.ell)
             r //= self.ell
         return out
-
-    def valuation(self) -> int:
-        """ord_ell of the residue; equals precision when the residue is 0
-        (meaning only "at least precision" is known)."""
-        if self.residue == 0:
-            return self.precision
-        v, r = 0, self.residue
-        while r % self.ell == 0:
-            v += 1
-            r //= self.ell
-        return v
-
-    def is_unit(self) -> bool:
-        return self.residue % self.ell != 0
-
-    def _common_precision(self, other: "TruncatedPadic") -> int:
-        if self.ell != other.ell:
-            raise ValueError("mixed primes ell")
-        return min(self.precision, other.precision)
-
-    def __add__(self, other: "TruncatedPadic") -> "TruncatedPadic":
-        n = self._common_precision(other)
-        return TruncatedPadic(self.ell, n, self.residue + other.residue)
-
-    def __sub__(self, other: "TruncatedPadic") -> "TruncatedPadic":
-        n = self._common_precision(other)
-        return TruncatedPadic(self.ell, n, self.residue - other.residue)
-
-    def __neg__(self) -> "TruncatedPadic":
-        return TruncatedPadic(self.ell, self.precision, -self.residue)
-
-    def __mul__(self, other: "TruncatedPadic") -> "TruncatedPadic":
-        n = self._common_precision(other)
-        return TruncatedPadic(self.ell, n, self.residue * other.residue)
 
     def __str__(self) -> str:
         d = self.digits()

@@ -45,6 +45,7 @@ from elltowers.genpoly import GenPoly, determinant, voltage_matrix
 from elltowers.intpoly import cyclotomic, resultant
 from elltowers.multimodular import PrimePoolExhaustedError
 from elltowers.towerspec import build_assignment, parse_tower_spec
+from util import substitute_power
 
 TOWERS = {}
 for entry in CORPUS:
@@ -175,7 +176,7 @@ def test_subresultant_only_at_checked_levels(monkeypatch):
     monkeypatch.setattr(analysis, "resultant", spy)
     entry = CORPUS[0]
     t = Tower(build_assignment(parse_tower_spec(entry.spec)), mt_check_level=2)
-    t.kappas(4)
+    t.kappa(4)
     ell = t.ell
     assert calls == [ell - 1, ell * (ell - 1)]
 
@@ -184,9 +185,18 @@ def test_kappa_running_product_any_order():
     entry = next(e for e in CORPUS if e.name == "bouquet4-ell3")
     deep_first = Tower(build_assignment(parse_tower_spec(entry.spec)))
     in_order = Tower(build_assignment(parse_tower_spec(entry.spec)))
-    assert deep_first.kappa(4) == in_order.kappas(4)[4]
+    in_order_kappas = [in_order.kappa(n) for n in range(5)]
+    assert deep_first.kappa(4) == in_order_kappas[4]
     for n in range(5):
         assert in_order.norm_product(n) == 3**n * in_order.kappa(n)
+
+
+def test_negative_levels_are_rejected():
+    # below level 0 there is no cached product for norm_product to build on
+    t = Tower(VoltageAssignment.from_integers(Multigraph.bouquet(3), 5, [1, 1, 1]))
+    for call in (t.kappa, t.norm_product, t.level_norm):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            call(-1)
 
 
 # -- splitting data ---------------------------------------------------------------
@@ -449,7 +459,7 @@ def test_tower_rejects_invalid_graph():
 def test_kappa_divisibility_along_corpus():
     for entry in CORPUS:
         t = tower(entry.name)
-        ks = t.kappas(entry.depth)
+        ks = [t.kappa(n) for n in range(entry.depth + 1)]
         for a, b in zip(ks, ks[1:]):
             assert b % a == 0
 
@@ -465,4 +475,4 @@ def test_galois_conjugate_norm_stability():
                 c = rng.randrange(1, t.ell**i)
                 while c % t.ell == 0:
                     c = rng.randrange(1, t.ell**i)
-                assert abs(level_norm(t.f.scale_exponents(c), i)) == base
+                assert abs(level_norm(substitute_power(t.f, c), i)) == base

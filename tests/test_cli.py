@@ -119,13 +119,6 @@ def test_validate_disconnected_cover_is_domain_failure(spec_file, capsys):
     assert "disconnected" in out
 
 
-def test_analyze_nonprime_p_is_usage_error(spec_file, capsys):
-    code, _, err = run_cli(capsys, "analyze", spec_file(BOUQUET4_ELL3.spec),
-                           "--p", "6", "--levels", "2")
-    assert code == 2
-    assert "not prime" in err
-
-
 def test_matrix_tree_level_flag(spec_file, capsys):
     path = spec_file(THETA_ELL5.spec)
     code, out, _ = run_cli(capsys, "count", path, "--levels", "2",
@@ -206,6 +199,10 @@ def test_ell_fit_on_too_few_levels_is_domain_error(spec_file, capsys, levels):
     ["sqrt", "--radicand", "17", "--ell", "2", "--precision", "0", "--branch", "1"],
     ["sqrt", "--radicand", "17", "--ell", "4", "--precision", "3", "--branch", "1"],
     ["sqrt", "--radicand", "17", "--ell", "x", "--precision", "3", "--branch", "1"],
+    ["analyze", "SPEC", "--p", "6", "--levels", "2"],
+    ["count", "SPEC", "--matrix-tree-max-level", "-1"],
+    ["report", "SPEC", "--levels", "2", "--matrix-tree-max-level", "-3"],
+    ["analyze", "SPEC", "--p", "2", "--matrix-tree-max-level", "-1"],
 ])
 def test_bad_arguments_are_usage_errors(spec_file, capsys, argv):
     path = spec_file(BOUQUET4_ELL3.spec)

@@ -6,13 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
 import elltowers
+from elltowers import factorint
 from elltowers.factorint import (
     BLOCK_SIZE,
     DEFAULT_RHO_ITERATIONS,
-    DEFAULT_TRIAL_BOUND,
     DETERMINISTIC_MR_BOUND,
+    TRIAL_BOUND,
     FactoredInteger,
     _prime_blocks,
     factor_kappa,
@@ -21,7 +23,6 @@ from elltowers.factorint import (
     is_probable_prime,
     ord_p,
     perfect_power,
-    previous_prime,
 )
 
 
@@ -55,11 +56,6 @@ def test_certified_range_guard():
     assert is_certified_prime(DETERMINISTIC_MR_BOUND + 2) is False  # even
     # probable-prime check still answers above the bound
     assert isinstance(is_probable_prime(n), bool)
-
-
-def test_previous_prime():
-    assert previous_prime(10) == 7
-    assert previous_prime(1 << 30) == (1 << 30) - 35  # 1073741789
 
 
 def test_ord_p():
@@ -113,7 +109,7 @@ def _unfloored(n: int):
 
 
 def test_perfect_power_with_a_floor_matches_the_plain_search():
-    floor = DEFAULT_TRIAL_BOUND + 1
+    floor = TRIAL_BOUND + 1
     rough = [p for p in range(floor, floor + 400) if is_certified_prime(p)]
     rng = random.Random(5)
     for _ in range(60):
@@ -178,7 +174,7 @@ def test_factor_needs_rho_and_perfect_square():
 def test_budget_exhaustion_is_honest():
     # two 15-digit primes: rho with a tiny budget cannot split them
     n = 100000000000031 * 100000000000067
-    f = factor_kappa(n, trial_bound=100, rho_iterations=10)
+    f = factor_kappa(n, rho_iterations=10)
     assert not f.complete
     assert f.cofactor == n
     assert f.factors == ()
@@ -216,8 +212,9 @@ def test_factored_str():
 
 def _reference_factor(n: int, trial_bound: int, rho_iterations: int) -> FactoredInteger:
     """Oracle: one remainder per 6k +- 1 wheel candidate up to the bound,
-    stopping once the candidate squared exceeds what is left; the rest
-    goes through factor_kappa with no trial stage."""
+    stopping once the candidate squared exceeds what is left; sympy
+    factors the rest.  Without a rho budget only the perfect-power stage
+    can split that rest, so unless it is a prime power it stays whole."""
     found, rest = {}, n
     candidates = [2, 3] + [k + d for k in range(5, trial_bound + 1, 6) for d in (0, 2)]
     for p in candidates:
@@ -226,17 +223,21 @@ def _reference_factor(n: int, trial_bound: int, rho_iterations: int) -> Factored
         while rest % p == 0:
             found[p] = found.get(p, 0) + 1
             rest //= p
-    tail = factor_kappa(rest, trial_bound=1, rho_iterations=rho_iterations)
-    for p, e in tail.factors:
+    tail = sympy.factorint(rest)
+    if rho_iterations == 0 and len(tail) > 1:
+        return FactoredInteger(n, tuple(sorted(found.items())), rest)
+    for p, e in tail.items():
         found[p] = found.get(p, 0) + e
-    return FactoredInteger(n, tuple(sorted(found.items())), tail.cofactor)
+    return FactoredInteger(n, tuple(sorted(found.items())))
 
 
-def _assert_matches_wheel(n: int, bound: int = DEFAULT_TRIAL_BOUND) -> FactoredInteger:
-    """factor_kappa agrees with the oracle with no rho budget, where the
-    trial stage alone decides what is found, and with the default one."""
+def _assert_matches_wheel(n: int) -> FactoredInteger:
+    """factor_kappa agrees with the oracle at the trial bound in force
+    with no rho budget, where the trial stage alone decides what is
+    found, and with the default one."""
+    bound = factorint.TRIAL_BOUND
     for rho in (0, DEFAULT_RHO_ITERATIONS):
-        got = factor_kappa(n, trial_bound=bound, rho_iterations=rho)
+        got = factor_kappa(n, rho_iterations=rho)
         assert got == _reference_factor(n, bound, rho), (n, bound, rho)
     return got
 
@@ -250,7 +251,7 @@ def _sieve(bound: int) -> list[int]:
     return [p for p in range(bound + 1) if flags[p]]
 
 
-@pytest.mark.parametrize("bound", [1, 2, 100, 1000, 1009, DEFAULT_TRIAL_BOUND])
+@pytest.mark.parametrize("bound", [1, 2, 100, 1000, 1009, TRIAL_BOUND])
 def test_prime_blocks_hold_the_primes_up_to_the_bound(bound):
     blocks = _prime_blocks(bound)
     assert [p for _, block in blocks for p in block] == _sieve(bound)
@@ -260,7 +261,7 @@ def test_prime_blocks_hold_the_primes_up_to_the_bound(bound):
 
 
 def _block_edges() -> list[int]:
-    blocks = _prime_blocks(DEFAULT_TRIAL_BOUND)
+    blocks = _prime_blocks(TRIAL_BOUND)
     return sorted({blocks[k][1][j] for k in (0, 1, 150, -2, -1) for j in (0, -1)})
 
 
@@ -287,23 +288,25 @@ def test_prime_powers_match_the_wheel():
 
 
 def test_leftover_primes_below_the_bound_squared():
-    big = previous_prime(DEFAULT_TRIAL_BOUND**2)  # 999999999989
+    big = sympy.prevprime(TRIAL_BOUND**2)  # 999999999989
     for n in (big, 2**10 * big, 999983 * big, 1000003 * big):
         f = _assert_matches_wheel(n)
         assert f.complete and (big, 1) in f.factors
 
 
 @pytest.mark.parametrize("bound", [100, 1000, 1009])
-def test_non_default_trial_bounds_match_the_wheel(bound):
+def test_non_default_trial_bounds_match_the_wheel(bound, monkeypatch):
+    # factor_kappa reads the bound when called
+    monkeypatch.setattr(factorint, "TRIAL_BOUND", bound)
     rng = random.Random(bound)
     small = _sieve(1100)
-    cases = [previous_prime(bound**2), 2 * previous_prime(bound**2), 1009**2 * 1013,
+    cases = [sympy.prevprime(bound**2), 2 * sympy.prevprime(bound**2), 1009**2 * 1013,
              97 * 101 * 997 * 1009, 1013 * 1019]
     for _ in range(40):
         smooth = math.prod(rng.choice(small) ** rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
         cases.append(smooth * rng.choice((1, 1000003, 999999999989)))
     for n in cases:
-        _assert_matches_wheel(n, bound)
+        _assert_matches_wheel(n)
 
 
 def test_prime_table_is_not_built_at_import():

@@ -16,6 +16,7 @@ from elltowers import (
     voltage_matrix,
 )
 from elltowers.intpoly import IntPoly
+from util import random_voltage_tower, reciprocal, substitute_power
 
 THETA = Multigraph.from_edge_list(2, [(0, 1), (1, 0), (1, 0)])
 
@@ -33,7 +34,7 @@ def test_terms_normalize_and_merge():
 
 def test_addition_cancels():
     f = gp(3, 2, [(1, 2)])
-    assert (f - f).is_zero
+    assert (f + -f).is_zero
 
 
 def test_multiplication_wraps_exponents():
@@ -50,9 +51,11 @@ def test_mixed_precision_closes_at_min():
 
 
 def test_reciprocal_and_scale_exponents():
+    # the substitution oracles of the symmetry and Galois checks
     f = gp(5, 2, [(1, 2), (24, 3)])
-    assert f.reciprocal().terms == ((1, 3), (24, 2))
-    assert f.scale_exponents(-1) == f.reciprocal()
+    assert reciprocal(f).terms == ((1, 3), (24, 2))
+    assert substitute_power(f, 2).terms == ((2, 2), (23, 3))
+    assert substitute_power(f, 26) == f
 
 
 @settings(deadline=None, max_examples=50)
@@ -60,8 +63,8 @@ def test_reciprocal_and_scale_exponents():
        st.lists(st.tuples(st.integers(0, 24), st.integers(-5, 5)), max_size=5))
 def test_reciprocal_is_ring_morphism(ta, tb):
     a, b = gp(5, 2, ta), gp(5, 2, tb)
-    assert (a * b).reciprocal() == a.reciprocal() * b.reciprocal()
-    assert (a + b).reciprocal() == a.reciprocal() + b.reciprocal()
+    assert reciprocal(a * b) == reciprocal(a) * reciprocal(b)
+    assert reciprocal(a + b) == reciprocal(a) + reciprocal(b)
 
 
 # -- voltage matrices ----------------------------------------------------------
@@ -118,12 +121,11 @@ def test_determinant_of_diagonal_matrix():
 
 def test_reciprocity_of_voltage_determinants():
     rng = random.Random(6)
-    from util import random_voltage_tower
 
     for _ in range(12):
         va = random_voltage_tower(rng)
         f = determinant(voltage_matrix(va))
-        assert f == f.reciprocal()
+        assert f == reciprocal(f)
 
 
 def _det_expansion(entries):
@@ -202,7 +204,7 @@ def test_integerize_bouquet3():
     u, b = f.integerize()
     assert b == 1
     assert u == IntPoly((-3, 6, -3))
-    assert u.is_palindromic() and u(1) == 0 and u.coeffs[0] != 0
+    assert u.coeffs == u.coeffs[::-1] and u(1) == 0 and u.coeffs[0] != 0
 
 
 def test_integerize_bouquet4():
@@ -231,7 +233,7 @@ def test_reduce_level_wraps_exponents():
     s17 = TruncatedPadic(2, 8, 233)
     f = (GenPoly.constant(2, 8, 4, integral=False)
          + GenPoly.monomial(2, 8, s17, -1)
-         + GenPoly.monomial(2, 8, -s17, -1)
+         + GenPoly.monomial(2, 8, TruncatedPadic(2, 8, -233), -1)
          + GenPoly.monomial(2, 8, 5, -1)
          + GenPoly.monomial(2, 8, -5, -1))
     r1 = f.reduce_level(1)
@@ -272,7 +274,7 @@ def test_reduce_level_agrees_with_root_of_unity_evaluation():
         pairs = [(rng.randint(-15, 15), rng.randint(-5, 5)) for _ in range(4)]
         f = gp(3, 4, pairs)
         u, b = f.integerize()
-        lhs = f.reduce_level(2).shift(b % 9)
+        lhs = f.reduce_level(2) * IntPoly((0,) * (b % 9) + (1,))  # times T^(b mod 9)
         # compare modulo T^9 - 1 first (exponent classes), then mod Phi_9
         t9 = IntPoly((-1,) + (0,) * 8 + (1,))
         diff = (lhs - u).divmod_by_monic(t9)[1]

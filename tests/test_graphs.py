@@ -60,23 +60,23 @@ def test_euler_characteristic():
 def test_derived_cover_counts():
     va = VoltageAssignment.from_integers(Multigraph.bouquet(3), 5, [1, 1, 1], 2)
     cover = derived_graph(va, 1)
-    assert cover.graph.num_vertices == 5
-    assert cover.graph.num_edges == 15
+    assert cover.num_vertices == 5
+    assert cover.num_edges == 15
 
 
 def test_level_zero_is_base():
     va = VoltageAssignment.from_integers(THETA, 5, [1, 2, 2], 2)
     cover = derived_graph(va, 0)
-    assert cover.graph.num_vertices == 2
-    assert cover.graph.num_edges == 3
-    assert [(t, h) for t, h in cover.graph.edges] == list(THETA.edges)
+    assert cover.num_vertices == 2
+    assert cover.num_edges == 3
+    assert [(t, h) for t, h in cover.edges] == list(THETA.edges)
 
 
 def test_theta_level_2_cover():
     va = VoltageAssignment.from_integers(THETA, 5, [1, 2, 2], 2)
     cover = derived_graph(va, 2)
-    assert cover.graph.num_vertices == 50
-    assert cover.graph.num_edges == 75
+    assert cover.num_vertices == 50
+    assert cover.num_edges == 75
     assert is_connected(cover)
 
 
@@ -91,13 +91,14 @@ def test_cover_structure_invariants():
         for n in (0, 1, 2):
             cover = derived_graph(va, n)
             m = ell**n
-            assert cover.graph.num_vertices == m * graph.num_vertices
-            assert cover.graph.num_edges == m * graph.num_edges
-            assert euler_characteristic(cover.graph) == m * euler_characteristic(graph)
+            assert cover.num_vertices == m * graph.num_vertices
+            assert cover.num_edges == m * graph.num_edges
+            assert euler_characteristic(cover) == m * euler_characteristic(graph)
             # unramified: fiber vertices keep the base valency
             for i in range(graph.num_vertices):
                 for a in range(m):
-                    assert cover.graph.valency(cover.vertex_index(i, a)) == graph.valency(i)
+                    assert cover.vertices[i * m + a] == (graph.vertices[i], a)
+                    assert cover.valency(i * m + a) == graph.valency(i)
 
 
 def test_projection_recovers_base_incidence():
@@ -106,7 +107,7 @@ def test_projection_recovers_base_incidence():
     va = VoltageAssignment.from_integers(graph, 3, [rng.randint(-5, 5) for _ in graph.edges], 2)
     cover = derived_graph(va, 2)
     m = 9
-    projected = sorted((t // m, h // m) for t, h in cover.graph.edges)
+    projected = sorted((t // m, h // m) for t, h in cover.edges)
     expected = sorted(edge for edge in graph.edges for _ in range(m))
     assert projected == expected
 

@@ -435,12 +435,13 @@ def test_det_int_matches_bareiss_across_the_threshold(data):
 # -- the shared prime pool and CRT ------------------------------------------------
 
 def test_prime_pool_is_the_previous_prime_chain():
-    from elltowers.factorint import previous_prime
+    import sympy
+
     from elltowers.multimodular import primes
 
     chain, q = [], 1 << 30
     for _ in range(40):
-        q = previous_prime(q)
+        q = sympy.prevprime(q)
         chain.append(q)
     assert primes(40) == chain
 

@@ -3,9 +3,11 @@ from hypothesis import given, strategies as st
 
 from elltowers import (
     AmbiguousBranchError,
+    Multigraph,
     NonResidueError,
     PrecisionError,
     TruncatedPadic,
+    VoltageAssignment,
     padic_sqrt,
 )
 
@@ -18,40 +20,30 @@ def test_residue_normalized_into_range():
 
 def test_reduce_and_truncate():
     x = TruncatedPadic.from_integer(47, 3, 4)
+    assert x.residue == 47  # 47 < 3^4: nothing truncated
+    assert TruncatedPadic.from_integer(47, 3, 2) == TruncatedPadic(3, 2, 47 % 9)
     assert x.reduce(2) == 47 % 9
-    assert x.truncate(2) == TruncatedPadic(3, 2, 47 % 9)
+    assert x.reduce(0) == 0
     with pytest.raises(PrecisionError):
         x.reduce(5)
+    with pytest.raises(ValueError):
+        x.reduce(-1)
 
 
-def test_digits_and_valuation():
+def test_digits():
     x = TruncatedPadic.from_integer(18, 3, 4)  # 18 = 0*1 + 0*3 + 2*9
     assert x.digits() == [0, 0, 2, 0]
-    assert x.valuation() == 2
-    assert TruncatedPadic(3, 4, 0).valuation() == 4  # only ">= precision" known
-    assert TruncatedPadic(3, 4, 1).is_unit()
-
-
-def test_arithmetic_closes_at_min_precision():
-    a = TruncatedPadic.from_integer(7, 5, 4)
-    b = TruncatedPadic.from_integer(9, 5, 2)
-    assert (a + b).precision == 2
-    assert (a * b).residue == 63 % 25
-    assert (-a).residue == (5**4 - 7)
-    assert (a - a).residue == 0
+    assert TruncatedPadic(3, 4, 0).digits() == [0, 0, 0, 0]
+    assert str(x) == "0.020 (base 3)"
 
 
 def test_mixed_primes_rejected():
-    with pytest.raises(ValueError):
-        TruncatedPadic.from_integer(1, 3, 2) + TruncatedPadic.from_integer(1, 5, 2)
-
-
-@given(st.integers(0, 3**5 - 1), st.integers(0, 3**5 - 1), st.integers(0, 3**5 - 1))
-def test_ring_laws_mod_ell_power(a, b, c):
-    A, B, C = (TruncatedPadic(3, 5, v) for v in (a, b, c))
-    assert (A + B).residue == (B + A).residue
-    assert ((A + B) + C).residue == (A + (B + C)).residue
-    assert (A * (B + C)).residue == (A * B + A * C).residue
+    # a tower's voltages all live in Z_ell for its one ell
+    bouquet = Multigraph.bouquet(2)
+    with pytest.raises(ValueError, match="voltage prime"):
+        VoltageAssignment.from_padics(bouquet, [TruncatedPadic(3, 2, 1), TruncatedPadic(5, 2, 1)])
+    with pytest.raises(ValueError, match="one precision"):
+        VoltageAssignment.from_padics(bouquet, [TruncatedPadic(3, 2, 1), TruncatedPadic(3, 3, 1)])
 
 
 # -- square roots -------------------------------------------------------------

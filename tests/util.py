@@ -9,7 +9,17 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from elltowers import Multigraph, VoltageAssignment, cover_connected_by_voltages, validate
+from elltowers import GenPoly, Multigraph, VoltageAssignment, cover_connected_by_voltages, validate
+
+
+def substitute_power(f: GenPoly, c: int) -> GenPoly:
+    """f(T^c): every exponent times c (mod the exponent modulus)."""
+    return GenPoly(f.ell, f.precision, tuple((e * c, k) for e, k in f.terms), f.integral)
+
+
+def reciprocal(f: GenPoly) -> GenPoly:
+    """f(1/T)."""
+    return substitute_power(f, -1)
 
 
 def spanning_trees_bruteforce(graph: Multigraph) -> int:
@@ -87,14 +97,14 @@ def check_tower_properties(va: VoltageAssignment, depth: int = 3, pmax: int = 50
 
     tower = Tower(va)
     ell = va.ell
-    kappas = tower.kappas(depth)  # exact-divisibility + MT cross-checks inside
+    kappas = [tower.kappa(n) for n in range(depth + 1)]  # exact-divisibility + MT cross-checks inside
     for a, b in zip(kappas, kappas[1:]):
         assert b % a == 0, "kappa divisibility failed"
 
     f = tower.f
-    assert f == f.reciprocal(), "determinant polynomial is not reciprocal"
+    assert f == reciprocal(f), "determinant polynomial is not reciprocal"
     u, _b = f.integerize()
-    assert u.is_palindromic(), "U is not palindromic"
+    assert u.coeffs == u.coeffs[::-1], "U is not palindromic"
     assert u(1) == 0, "U(1) != 0"
 
     for p in range(2, pmax + 1):
