@@ -8,21 +8,16 @@ classification of the number of prime divisors of kappa_n.
 
 from .analysis import (
     EllFit,
-    InapplicableError,
     InconclusiveError,
     N0Search,
     PrimeAnalysisReport,
     PrimeEqualsEllError,
-    StabilizationBounds,
     Tower,
     analyze_prime,
     default_mt_check_level,
-    eventual_prime_count,
-    inertia_degree,
     iwasawa_fit_ell,
     level_norm,
     n0_search,
-    stabilization_bounds,
 )
 from .factorint import FactoredInteger, factor_kappa
 from .genpoly import (

@@ -7,7 +7,8 @@ f, the level-i norm is
         = product of f over the primitive ell^i-th roots of unity,
 
 and the product identity  ell^n * kappa_n = kappa_0 * N_1 * ... * N_n
-recovers every spanning-tree count in the tower from the norms alone.
+recovers every spanning-tree count in the tower from the norms alone,
+one level at a time: kappa_n = kappa_(n-1) * N_n / ell.
 
 N_i is computed multi-modularly (level_norm): modulo primes
 q = 1 (mod ell^i) below 2**30 the roots of unity lie in F_q.  Since f
@@ -25,28 +26,29 @@ For a prime p != ell the valuation ord_p(kappa_n) obeys
 where p^mu is the content of f, and n0 is the last level at which f/p^mu
 still vanishes at a primitive ell^i-th root of unity mod p, plus one.
 For integral voltages the root search is certified: no roots can occur
-once the multiplicative order of p mod ell^i exceeds deg(U mod p).  For
-genuinely ell-adic voltages no effective bound is available, so n0 is
-reported empirically up to the stored precision and flagged as such.
+once the inertia degree f_i of p (its order mod ell^i) exceeds
+deg(U mod p).  One sweep gives every f_i: f_1 from the factorisation of
+ell - 1, then f_(i+1) in {f_i, ell f_i} from one pow per level.  The
+sweep yields n1, the first rootless level, which bounds the search, and
+r, the eventual number of primes above p; the per-prime report reads n1
+and the closed-form log bound off the search.  For genuinely ell-adic
+voltages no effective bound is available, so n0 is reported empirically
+up to the stored precision and flagged as such.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from .factorint import factor_kappa, ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
-from .graphs import (
-    VoltageAssignment,
-    cover_connected_by_voltages,
-    derived_graph,
-    spanning_tree_count,
-    validate,
-)
-from .intpoly import IntPoly, cyclotomic, euler_phi, poly_mod_gcd, resultant
+from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
+from .intpoly import cyclotomic, poly_mod_gcd, resultant
 from .multimodular import check_word_prime, crt, primes_for_bound
 
 
@@ -57,10 +59,6 @@ class PrimeEqualsEllError(ValueError):
 class InconclusiveError(RuntimeError):
     """Root search hit the precision ceiling while roots were still
     appearing; no stabilization level can be reported."""
-
-
-class InapplicableError(ValueError):
-    """Stabilization bounds need mu_p = 0 and integral exponents."""
 
 
 class DisconnectedTowerError(ValueError):
@@ -81,44 +79,57 @@ def default_mt_check_level(ell: int) -> int:
 # splitting data of p in the ell-power cyclotomic tower
 # ---------------------------------------------------------------------------
 
-def multiplicative_order(a: int, modulus: int) -> int:
-    if math.gcd(a, modulus) != 1:
-        raise ValueError(f"{a} is not a unit mod {modulus}")
-    group = euler_phi(modulus)
-    order = group
-    # complete: after trial division to 10**6, rho splits whatever is left
-    # of any group order small enough for euler_phi to reach
-    for q, _ in factor_kappa(group).factors:
-        while order % q == 0 and pow(a, order // q, modulus) == 1:
-            order //= q
+def multiplicative_order(a: int, q: int) -> int:
+    """The order of a mod the prime q, from the factorisation of q - 1."""
+    if a % q == 0:
+        raise ValueError(f"{a} is not a unit mod {q}")
+    group = factor_kappa(q - 1)
+    if not group.complete:
+        # a multiple of the order would certify rootless levels too early
+        raise ArithmeticError(
+            f"cannot certify the order of {a} mod {q}: {q - 1} leaves "
+            f"the unfactored cofactor {group.cofactor}"
+        )
+    order = q - 1
+    for r, _ in group.factors:
+        while order % r == 0 and pow(a, order // r, q) == 1:
+            order //= r
     return order
 
 
-def inertia_degree(p: int, ell: int, i: int) -> tuple[int, int]:
-    """(f_i, r_i): the multiplicative order of p mod ell^i and the number
-    of primes above p in the ell^i-th cyclotomic field, f_i * r_i = phi."""
-    if p == ell:
-        raise PrimeEqualsEllError("inertia data is for p != ell")
-    if i < 1:
-        raise ValueError("level must be >= 1")
-    f = multiplicative_order(p, ell**i)
-    return f, euler_phi(ell**i) // f
-
-
-def eventual_prime_count(p: int, ell: int) -> int:
-    """r with exactly r primes above p in Q(zeta_{ell^i}) for all large i."""
-    if p == ell:
-        raise PrimeEqualsEllError("p must differ from ell")
-    floor = 3 if ell == 2 else 2
-    prev = multiplicative_order(p, ell)
-    i = 1
+def inertia_degrees(p: int, ell: int) -> Iterator[int]:
+    """f_1, f_2, ...: f_i is the order of p mod ell^i, the inertia degree
+    of p != ell in Q(zeta_{ell^i}).  The kernel of (Z/ell^(i+1))^* ->
+    (Z/ell^i)^* has order ell, so f_(i+1) is f_i when p^(f_i) = 1 (mod
+    ell^(i+1)) and ell * f_i otherwise (Washington, GTM 83, ch. 2): only
+    f_1 needs a factorisation, each later level costs one pow."""
+    f, modulus = multiplicative_order(p, ell), ell
     while True:
-        i += 1
-        cur = multiplicative_order(p, ell**i)
-        if i > floor and cur == ell * prev:
-            # orders now grow by ell each level, so r_i is constant
-            return euler_phi(ell**i) // cur
-        prev = cur
+        yield f
+        modulus *= ell
+        if pow(p, f, modulus) != 1:
+            f *= ell
+
+
+def splitting(p: int, ell: int, dbar: int) -> tuple[int, int]:
+    """(n1, r) from one sweep of the inertia degrees.
+
+    n1 is the first level whose f_i exceeds dbar = deg(U mod p): a root
+    at a primitive ell^i-th root of unity forces an irreducible factor of
+    Phi_{ell^i} mod p, of degree f_i, into U mod p, and f_i never falls,
+    so no level from n1 on carries roots.  r = phi(ell^i) / f_i is the
+    eventual number of primes above p: once f_(i+1) = ell * f_i (for
+    ell = 2, from i = 2 on: f_2 = 2 f_1 whenever p = 3 mod 4), the orders
+    grow by ell at every level, and so does phi(ell^i) = (ell-1) ell^(i-1).
+    """
+    n1 = r = None
+    for i, (f, lifted) in enumerate(pairwise(inertia_degrees(p, ell)), start=1):
+        if n1 is None and f > dbar:
+            n1 = i
+        if r is None and lifted > f and (ell > 2 or i > 1):
+            r = (ell - 1) * ell ** (i - 1) // f
+        if n1 is not None and r is not None:
+            return n1, r
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +220,13 @@ def _root_powers(ell: int, m: int, q: int) -> np.ndarray:
 class Tower:
     """An abelian ell-tower over a fixed voltage assignment.
 
-    Caches the determinant polynomial, level norms, their running
-    products and spanning-tree counts.  kappa_n comes from the product
-    identity (multi-modular level norms); up to mt_check_level the
-    subresultant sequence re-derives each norm and matrix-tree counting
-    of the actual derived graph each kappa_n.  All state is write-once;
-    instances are safe to share between threads.
+    Caches the determinant polynomial, level norms and spanning-tree
+    counts.  kappa_n = kappa_(n-1) * N_n / ell, the product identity
+    taken one level at a time (multi-modular level norms); up to
+    mt_check_level the subresultant sequence re-derives each norm and
+    matrix-tree counting of the actual derived graph each kappa_n.  All
+    state is written once per level; instances are safe to share between
+    threads.
     """
 
     def __init__(self, va: VoltageAssignment, mt_check_level: int | None = None):
@@ -222,22 +234,13 @@ class Tower:
         self.ell = va.ell
         self.mt_check_level = (default_mt_check_level(va.ell)
                                if mt_check_level is None else mt_check_level)
-        report = validate(va.graph)
-        if not report.ok:
-            raise DisconnectedTowerError("; ".join(report.problems))
-        if not cover_connected_by_voltages(va, 1):
-            raise DisconnectedTowerError(
-                "cycle voltages do not generate Z/ell: covers are disconnected"
-            )
+        problems = tower_problems(va)
+        if problems:
+            raise DisconnectedTowerError("; ".join(problems))
         self.f = determinant(voltage_matrix(va))
         self.kappa_base = spanning_tree_count(va.graph)
         self._norms: dict[int, int] = {0: 1}
-        self._products: dict[int, int] = {0: self.kappa_base}
         self._kappas: dict[int, int] = {0: self.kappa_base}
-
-    @property
-    def is_integral(self) -> bool:
-        return self.va.is_integral
 
     def level_norm(self, i: int) -> int:
         """N_i from the multi-modular engine; at levels up to
@@ -256,36 +259,26 @@ class Tower:
             self._norms[i] = n
         return self._norms[i]
 
-    def norm_product(self, n: int) -> int:
-        """kappa_0 * N_1 * ... * N_n (= ell^n * kappa_n), each level built
-        on the product below it."""
-        if n < 0:
-            raise ValueError("level must be >= 0")
-        top = n
-        while top not in self._products:
-            top -= 1
-        for i in range(top + 1, n + 1):
-            self._products[i] = self._products[i - 1] * self.level_norm(i)
-        return self._products[n]
-
     def kappa(self, n: int) -> int:
         """Exact number of spanning trees of the level-n cover."""
-        if n not in self._kappas:
-            prod = self.norm_product(n)
-            scale = self.ell**n
-            kappa, rem = divmod(prod, scale)
+        if n < 0:
+            raise ValueError("level must be >= 0")
+        # the cached levels are 0..len - 1: every fill runs upward from there
+        for i in range(len(self._kappas), n + 1):
+            prod = self._kappas[i - 1] * self.level_norm(i)
+            kappa, rem = divmod(prod, self.ell)
             if rem or kappa <= 0:
                 raise ArithmeticError(
-                    f"product identity failed at level {n}: {prod} vs {scale}"
+                    f"product identity failed at level {i}: {prod} vs {self.ell}"
                 )
-            if n <= self.mt_check_level:
-                direct = spanning_tree_count(derived_graph(self.va, n))
+            if i <= self.mt_check_level:
+                direct = spanning_tree_count(derived_graph(self.va, i))
                 if direct != kappa:
                     raise ArithmeticError(
-                        f"matrix-tree cross-check failed at level {n}: "
+                        f"matrix-tree cross-check failed at level {i}: "
                         f"{direct} != {kappa}"
                     )
-            self._kappas[n] = kappa
+            self._kappas[i] = kappa
         return self._kappas[n]
 
     def ord_ell_sequence(self, depth: int) -> list[int]:
@@ -302,6 +295,8 @@ class N0Search:
     certified: bool
     root_levels: tuple[int, ...]
     searched_to: int
+    n1: int | None
+    log_bound: float | None
 
 
 def _has_primitive_root(g: GenPoly, p: int, i: int) -> bool:
@@ -314,23 +309,15 @@ def _has_primitive_root(g: GenPoly, p: int, i: int) -> bool:
     return gcd.size != 1
 
 
-def _first_rootless_level(p: int, ell: int, dbar: int) -> int:
-    """First level i whose inertia degree f_i exceeds dbar = deg(U mod p).
-    A root at a primitive ell^i-th root of unity forces an irreducible
-    factor of Phi_{ell^i} mod p, of degree f_i, into U mod p, and f_i
-    never falls as i grows, so no level from here on carries roots."""
-    i = 1
-    while inertia_degree(p, ell, i)[0] <= dbar:
-        i += 1
-    return i
-
-
 def n0_search(g: GenPoly, p: int) -> N0Search:
     """Smallest n0 with no primitive ell^i-th-root zero of g mod p for any
     i >= n0.  Requires mu_p(g) = 0.
 
-    Integral exponents: certified, searched below the first level whose
-    inertia degree exceeds deg(U mod p), so the search space is finite.
+    Integral exponents: certified, searched below n1, the first level
+    whose inertia degree exceeds dbar = deg(U mod p) (splitting), so the
+    search space is finite.  The search also gives the closed-form
+    bound log_ell(r ell dbar / (ell - 1)), r the eventual number of
+    primes above p.
 
     Non-integral: searched up to the stored precision; empirical, and
     inconclusive if the top level still has roots.
@@ -338,48 +325,26 @@ def n0_search(g: GenPoly, p: int) -> N0Search:
     ell = g.ell
     if g.is_zero or all(c % p == 0 for c in g.coefficients()):
         raise ValueError("mu(g) must be 0")
+    n1 = log_bound = None
     if g.integral:
         u, _ = g.integerize()
         dbar = u.degree_mod(p)
         if dbar < 0:
             raise ValueError("mu(g) must be 0")
-        limit = _first_rootless_level(p, ell, dbar)
-        roots = tuple(i for i in range(1, limit) if _has_primitive_root(g, p, i))
-        return N0Search(max(roots) + 1 if roots else 1, True, roots, limit - 1)
-
-    top = g.precision
-    if top < 1:
-        raise ValueError("need at least one level to search")
+        n1, r = splitting(p, ell, dbar)
+        log_bound = 0.0 if dbar == 0 else math.log(r * ell * dbar / (ell - 1), ell)
+        top = n1 - 1
+    else:
+        top = g.precision
+        if top < 1:
+            raise ValueError("need at least one level to search")
     roots = tuple(i for i in range(1, top + 1) if _has_primitive_root(g, p, i))
-    if roots and roots[-1] == top:
+    if n1 is None and roots and roots[-1] == top:
         raise InconclusiveError(
             f"roots persist at the top searchable level {top}; "
             "raise the voltage precision for a stabilization estimate"
         )
-    return N0Search(max(roots) + 1 if roots else 1, False, roots, top)
-
-
-@dataclass(frozen=True)
-class StabilizationBounds:
-    n1: int
-    log_bound: float
-    eventual_primes: int
-
-
-def stabilization_bounds(u: IntPoly, p: int, ell: int) -> StabilizationBounds:
-    """Certified constancy bounds for ord_p(kappa_n) when mu_p = 0 and the
-    exponents are integral: n1 is the first level whose inertia degree
-    exceeds deg(U mod p); the closed-form log bound uses the eventual
-    number r of primes above p."""
-    if u.is_zero:
-        raise InapplicableError("zero polynomial")
-    dbar = u.degree_mod(p)
-    if dbar < 0:
-        raise InapplicableError(f"mu_{p} > 0: ord_{p}(kappa_n) is unbounded")
-    n1 = _first_rootless_level(p, ell, dbar)
-    r = eventual_prime_count(p, ell)
-    log_bound = 0.0 if dbar == 0 else math.log(r * ell * dbar / (ell - 1), ell)
-    return StabilizationBounds(n1, log_bound, r)
+    return N0Search(max(roots) + 1 if roots else 1, n1 is not None, roots, top, n1, log_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +418,8 @@ def analyze_prime(tower: Tower, p: int, depth: int) -> PrimeAnalysisReport:
 
     divides_any = mu > 0 or base_ord > 0 or bool(search.root_levels)
 
-    n1 = log_bound = None
-    if tower.is_integral and mu == 0:
-        u, _ = tower.f.integerize()
-        bounds = stabilization_bounds(u, p, ell)
-        n1, log_bound = bounds.n1, bounds.log_bound
+    # the bounds hold for f itself only when mu = 0; otherwise ord_p grows
+    n1, log_bound = (search.n1, search.log_bound) if mu == 0 else (None, None)
 
     return PrimeAnalysisReport(
         p=p, ell=ell, mu=mu, n0=n0, certified=search.certified,

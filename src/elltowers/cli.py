@@ -63,7 +63,7 @@ from .factorint import (
     multiply_factored,
     ord_p,
 )
-from .graphs import DisconnectedGraphError, cover_connected_by_voltages, validate
+from .graphs import DisconnectedGraphError, tower_problems
 from .intpoly import UnitRootMissingError, ZeroPolynomialError
 from .omega import classify_omega, INAPPLICABLE
 from .padics import AmbiguousBranchError, NonResidueError, PrecisionError, padic_sqrt
@@ -218,10 +218,7 @@ def _classification(cls) -> dict:
 
 def cmd_validate(args) -> int:
     _, va = _assignment(_read_json(args.file))
-    report = validate(va.graph)
-    problems = list(report.problems)
-    if report.ok and not cover_connected_by_voltages(va, 1):
-        problems.append("cycle voltages do not generate Z/ell: level-1 cover disconnected")
+    problems = tower_problems(va)
     doc = {
         "ok": not problems,
         "problems": problems,

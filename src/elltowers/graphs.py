@@ -275,3 +275,13 @@ def cover_connected_by_voltages(va: VoltageAssignment, n: int) -> bool:
     if n == 0:
         return True
     return any((phi[t] + v - phi[h]) % ell for (t, h), v in zip(va.graph.edges, volts))
+
+
+def tower_problems(va: VoltageAssignment) -> list[str]:
+    """Why va defines no tower: validate's problems with the base, or
+    else covers that are disconnected.  Empty when every hypothesis
+    holds."""
+    problems = list(validate(va.graph).problems)
+    if not problems and not cover_connected_by_voltages(va, 1):
+        problems.append("cycle voltages do not generate Z/ell: every cover is disconnected")
+    return problems

@@ -3,15 +3,17 @@
 Claims verified here:
   - level norms satisfy the product identity against matrix-tree counts
   - inertia degrees and eventual prime counts match classical cyclotomic
-    splitting data
+    splitting data, and the lifted inertia degrees match sympy's n_order
   - n0, mu, nu reproduce every pinned reference value
   - predicted valuations equal observed ones wherever both exist
-  - stabilization bounds certify the observed constancy
+  - the stabilization bounds n1 and log_bound certify the observed
+    constancy
   - the ell-part fit recovers (mu, lambda, nu, onset) on all six towers
 """
 
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,21 +25,19 @@ from elltowers import (
     VoltageAssignment,
     analyze_prime,
     derived_graph,
-    eventual_prime_count,
-    inertia_degree,
     iwasawa_fit_ell,
     level_norm,
     mu_invariant,
     n0_search,
     spanning_tree_count,
-    stabilization_bounds,
 )
 from elltowers import analysis, multimodular
 from elltowers.analysis import (
     DisconnectedTowerError,
-    InapplicableError,
     InsufficientDataError,
+    inertia_degrees,
     multiplicative_order,
+    splitting,
 )
 from elltowers.corpus import CORPUS
 from elltowers.factorint import ord_p
@@ -181,6 +181,12 @@ def test_subresultant_only_at_checked_levels(monkeypatch):
     assert calls == [ell - 1, ell * (ell - 1)]
 
 
+def norm_product(t, n):
+    """kappa_0 * N_1 * ... * N_n, which the product identity equates
+    with ell^n * kappa_n."""
+    return t.kappa(0) * math.prod(t.level_norm(i) for i in range(1, n + 1))
+
+
 def test_kappa_running_product_any_order():
     entry = next(e for e in CORPUS if e.name == "bouquet4-ell3")
     deep_first = Tower(build_assignment(parse_tower_spec(entry.spec)))
@@ -188,13 +194,13 @@ def test_kappa_running_product_any_order():
     in_order_kappas = [in_order.kappa(n) for n in range(5)]
     assert deep_first.kappa(4) == in_order_kappas[4]
     for n in range(5):
-        assert in_order.norm_product(n) == 3**n * in_order.kappa(n)
+        assert norm_product(in_order, n) == 3**n * in_order.kappa(n)
 
 
 def test_negative_levels_are_rejected():
-    # below level 0 there is no cached product for norm_product to build on
+    # below level 0 there is no cached kappa for kappa to build on
     t = Tower(VoltageAssignment.from_integers(Multigraph.bouquet(3), 5, [1, 1, 1]))
-    for call in (t.kappa, t.norm_product, t.level_norm):
+    for call in (t.kappa, t.level_norm):
         with pytest.raises(ValueError, match="level must be >= 0"):
             call(-1)
 
@@ -202,27 +208,50 @@ def test_negative_levels_are_rejected():
 # -- splitting data ---------------------------------------------------------------
 
 def test_multiplicative_order():
-    assert multiplicative_order(2, 9) == 6
-    assert multiplicative_order(17, 9) == 2
+    # the order mod the prime ell, from the factorisation of ell - 1
+    assert multiplicative_order(2, 7) == 3
+    assert multiplicative_order(17, 3) == 2
+    assert multiplicative_order(3, 13) == 3
     with pytest.raises(ValueError):
-        multiplicative_order(3, 9)
+        multiplicative_order(3, 3)
+
+
+def f_i(p, ell, i):
+    return list(islice(inertia_degrees(p, ell), i))[-1]
 
 
 def test_inertia_degree_examples():
-    assert inertia_degree(2, 3, 2) == (6, 1)
-    assert inertia_degree(17, 3, 2) == (2, 3)   # 3 primes above 17 in Q(zeta_9)
-    assert inertia_degree(109, 3, 3) == (1, 18)  # 109 = 1 mod 27
+    # (p, ell, i, f_i, r_i): r_i = phi(ell^i) / f_i primes lie above p in
+    # Q(zeta_{ell^i}); 3 above 17 in Q(zeta_9), and 109 = 1 mod 27 splits
+    for p, ell, i, f, r in ((2, 3, 2, 6, 1), (17, 3, 2, 2, 3), (109, 3, 3, 1, 18)):
+        assert f_i(p, ell, i) == f
+        assert (ell - 1) * ell ** (i - 1) == f * r
+
+
+def test_inertia_degrees_match_sympy():
+    # ell = 2 with p = 3 (mod 4) is the one case where f_2 = 2 f_1 before
+    # the orders settle into growing by ell
+    from sympy import n_order, primerange
+
+    for ell in (2, 3, 5, 7, 11, 13):
+        for p in primerange(2, 300):
+            if p != ell:
+                degrees = list(islice(inertia_degrees(p, ell), 6))
+                assert degrees == [n_order(p, ell**i) for i in range(1, 7)], (p, ell)
 
 
 def test_eventual_prime_counts():
-    assert eventual_prime_count(17, 3) == 3
-    assert eventual_prime_count(53, 3) == 9
-    assert eventual_prime_count(109, 3) == 18
+    assert splitting(17, 3, 0)[1] == 3
+    assert splitting(53, 3, 0)[1] == 9
+    assert splitting(109, 3, 0)[1] == 18
+    assert splitting(3, 2, 0)[1] == 2   # f_i = 2^(i-2) from i = 3, phi = 2^(i-1)
+    assert splitting(7, 2, 0)[1] == 4   # 7^2 = 1 mod 16: f_4 = 2
+    assert splitting(17, 2, 0)[1] == 8  # 17 = 1 mod 16
 
 
 def test_inertia_rejects_p_equal_ell():
-    with pytest.raises(PrimeEqualsEllError):
-        inertia_degree(3, 3, 1)
+    with pytest.raises(ValueError):
+        next(inertia_degrees(3, 3))
 
 
 # -- n0 ---------------------------------------------------------------------------
@@ -326,45 +355,37 @@ def test_observed_matches_predicted_on_corpus():
 # -- stabilization bounds ------------------------------------------------------------
 
 def test_stabilization_bounds_17():
-    t = tower("bouquet4-ell3")
-    u, _ = t.f.integerize()
-    b = stabilization_bounds(u, 17, 3)
-    assert b.n1 == 3
-    assert b.eventual_primes == 3
-    assert math.isclose(b.log_bound, math.log(18, 3))
+    r = analyze_prime(tower("bouquet4-ell3"), 17, 4)
+    assert r.n1 == 3
+    assert splitting(17, 3, 0)[1] == 3
+    assert math.isclose(r.log_bound, math.log(18, 3))
     # the bound certifies what the table shows: constant 2 from n = 2 on
-    r = analyze_prime(t, 17, 4)
     assert r.observed == (0, 0, 2, 2, 2)
-    assert all(v == r.observed[b.n1] for v in r.observed[b.n1:])
+    assert all(v == r.observed[r.n1] for v in r.observed[r.n1:])
 
 
 def test_stabilization_bounds_53():
-    t = tower("bouquet4-ell3")
-    u, _ = t.f.integerize()
-    b = stabilization_bounds(u, 53, 3)
-    assert b.n1 == 4 and b.eventual_primes == 9
-    r = analyze_prime(t, 53, 4)
+    r = analyze_prime(tower("bouquet4-ell3"), 53, 4)
+    assert r.n1 == 4 and splitting(53, 3, 0)[1] == 9
     assert r.observed == (0, 0, 0, 2, 2)
 
 
 def test_stabilization_constant_poly():
-    from elltowers.intpoly import IntPoly
-
-    b = stabilization_bounds(IntPoly((7,)), 5, 3)
-    assert b.n1 == 1 and b.log_bound == 0.0
+    # no tower has a constant determinant (f(1) = det of the base
+    # Laplacian = 0), so the constant case is the search's alone
+    search = n0_search(GenPoly.constant(3, 2, 7), 5)
+    assert search.n1 == 1 and search.log_bound == 0.0
 
 
 def test_stabilization_inapplicable_when_mu_positive():
-    t = tower("bouquet3-ell5")
-    u, _ = t.f.integerize()  # content 3
-    with pytest.raises(InapplicableError):
-        stabilization_bounds(u, 3, 5)
+    r = analyze_prime(tower("bouquet3-ell5"), 3, 2)
+    assert r.mu > 0
+    assert r.n1 is None and r.log_bound is None
 
 
 def test_n0_below_n1_when_defined():
     for name in ("bouquet4-ell3", "bouquet4-ell3-skew", "parallel4-ell2"):
         t = tower(name)
-        u, _ = t.f.integerize()
         for p in (7, 11, 13, 17, 19, 23):
             if p == t.ell:
                 continue
@@ -372,9 +393,9 @@ def test_n0_below_n1_when_defined():
             if mu:
                 continue
             search = n0_search(g, p)
-            bounds = stabilization_bounds(u, p, t.ell)
-            assert search.n0 <= bounds.n1
-            assert search.searched_to + 1 == bounds.n1
+            n1 = analyze_prime(t, p, 1).n1
+            assert search.n0 <= n1
+            assert search.searched_to + 1 == n1
 
 
 # -- the ell-part fit -----------------------------------------------------------------
@@ -418,7 +439,7 @@ def test_product_identity_bouquet3_depth2():
     t = fresh_tower("bouquet3-ell5")
     assert t.mt_check_level >= 2
     for n in (1, 2):
-        assert 5**n * t.kappa(n) == t.norm_product(n)
+        assert 5**n * t.kappa(n) == norm_product(t, n)
         assert t.kappa(n) == spanning_tree_count(derived_graph(t.va, n))
 
 
@@ -431,7 +452,7 @@ def test_product_identity_theta_depth1():
 def test_product_identity_depth0_vacuous():
     # at level 0 the identity reads kappa_0 = kappa_0
     t = fresh_tower("theta-ell5")
-    assert t.kappa(0) == t.norm_product(0) == spanning_tree_count(t.va.graph) == 3
+    assert t.kappa(0) == norm_product(t, 0) == spanning_tree_count(t.va.graph) == 3
 
 
 def test_corrupted_norm_fails_the_matrix_tree_check():

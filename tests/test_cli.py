@@ -3,6 +3,9 @@ determinism, and the embedded selftest."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,6 +120,56 @@ def test_validate_disconnected_cover_is_domain_failure(spec_file, capsys):
     code, out, _ = run_cli(capsys, "validate", spec_file(doc))
     assert code == 1
     assert "disconnected" in out
+
+
+def test_validate_and_count_name_the_same_problem(spec_file, capsys):
+    # bouquet(2) with voltages 0 and 3: no cycle voltage is a unit mod 3
+    doc = {
+        "ell": 3, "precision": 2, "vertices": ["v1"],
+        "edges": [{"tail": "v1", "head": "v1", "voltage": "0"},
+                  {"tail": "v1", "head": "v1", "voltage": "3"}],
+    }
+    path = spec_file(doc)
+    code, out, _ = run_cli(capsys, "validate", path, "--json")
+    problems = json.loads(out)["problems"]
+    assert code == 1 and len(problems) == 1
+    code, out, err = run_cli(capsys, "count", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: {problems[0]}\n"
+
+
+def theta_spec(ell):
+    """Two vertices joined by three edges of voltages 0, 1 and 2."""
+    return {"ell": ell, "precision": 1, "vertices": ["a", "b"],
+            "edges": [{"tail": "a", "head": "b", "voltage": str(v)} for v in (0, 1, 2)]}
+
+
+def test_report_for_a_20_digit_ell_finishes(spec_file):
+    # the order of p mod ell comes from factoring ell - 1, where
+    # euler_phi(ell) trial-divided up to sqrt(ell)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "elltowers.cli", "report", spec_file(theta_spec(10**20 + 39)),
+         "--levels", "0", "--json"], env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    (entry,) = json.loads(done.stdout)["primes"]
+    assert (entry["p"], entry["n1"], entry["n0_certified"]) == (3, 1, True)
+
+
+def test_unfactored_ell_minus_1_is_an_internal_error(spec_file, capsys, monkeypatch):
+    import elltowers.analysis as analysis_mod
+    from elltowers import factorint
+
+    # ell - 1 = 92 P Q, P Q out of reach of 10^5 rho steps
+    ell = 92 * 100000000000000003 * 300000000000000011 + 1
+    monkeypatch.setattr(analysis_mod, "factor_kappa",
+                        lambda n: factorint.factor_kappa(n, rho_iterations=10**5))
+    code, out, err = run_cli(capsys, "analyze", spec_file(theta_spec(ell)),
+                             "--p", "3", "--levels", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"internal error: cannot certify the order of 3 mod {ell}")
 
 
 def test_matrix_tree_level_flag(spec_file, capsys):
