@@ -10,14 +10,20 @@ and the product identity  ell^n * kappa_n = kappa_0 * N_1 * ... * N_n
 recovers every spanning-tree count in the tower from the norms alone,
 one level at a time: kappa_n = kappa_(n-1) * N_n / ell.
 
-N_i is computed multi-modularly (level_norm): modulo primes
-q = 1 (mod ell^i) below 2**30 the roots of unity lie in F_q.  Since f
-is fixed by T -> 1/T, N_i = M_i^2 for ell^i > 2, where M_i is the norm
-from the real subfield Q(zeta)^+; M_i is recovered with its sign by CRT
-once the primes' product exceeds 2 * ||f_i||_1^(phi(ell^i)/2).  Up to
-mt_check_level, every N_i is recomputed by the subresultant sequence
-and every kappa_n by the matrix-tree theorem on the actual cover; a
-disagreement raises ArithmeticError.
+N_i is computed multi-modularly.  f is fixed by T -> 1/T, so N_i =
+M_i^2 for ell^i > 2, where M_i is the norm from the real subfield
+Q(zeta)^+ (Washington, GTM 83, ch. 2 and 8); level_norm returns M_i,
+recovered with its sign by CRT once the primes' product exceeds
+2 * ||f_i||_1^(phi(ell^i)/2), and Tower squares it.  With f = V(T + 1/T),
+M_i = Res(Psi_(ell^i), V) for Psi_(ell^i) the minimal polynomial of
+zeta + 1/zeta.  Integral towers take it as a determinant in F_q[x]/(V),
+for any word prime q not dividing lc(V), once phi(ell^i)/2 reaches
+RING_THRESHOLD (_ring_norm); ell-adic towers and lower levels evaluate
+f at the roots of unity of F_q, for primes q = 1 (mod ell^i)
+(_evaluation_norm).
+Up to mt_check_level, every N_i is recomputed by the subresultant
+sequence and every kappa_n by the matrix-tree theorem on the actual
+cover; a disagreement raises ArithmeticError.
 
 For a prime p != ell the valuation ord_p(kappa_n) obeys
 
@@ -48,7 +54,8 @@ import numpy as np
 from .factorint import factor_kappa, ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
-from .intpoly import cyclotomic, poly_mod_gcd, resultant
+from .intdet import det_stack
+from .intpoly import IntPoly, cyclotomic, dickson, poly_mod_gcd, real_form, resultant
 from .multimodular import check_word_prime, crt, primes_for_bound
 
 
@@ -79,11 +86,19 @@ def default_mt_check_level(ell: int) -> int:
 # splitting data of p in the ell-power cyclotomic tower
 # ---------------------------------------------------------------------------
 
+# Rho steps for factoring q - 1 in multiplicative_order, outside any
+# --budget-ms: every ell of the corpus, the demos and the golden specs
+# (and 10^20 + 39) needs none, and 10^5 steps take about 0.2 s on a
+# 115-bit cofactor that they cannot split.
+ORDER_RHO_ITERATIONS = 10**5
+
+
 def multiplicative_order(a: int, q: int) -> int:
-    """The order of a mod the prime q, from the factorisation of q - 1."""
+    """The order of a mod the prime q, from the factorisation of q - 1
+    with at most ORDER_RHO_ITERATIONS rho steps."""
     if a % q == 0:
         raise ValueError(f"{a} is not a unit mod {q}")
-    group = factor_kappa(q - 1)
+    group = factor_kappa(q - 1, rho_iterations=ORDER_RHO_ITERATIONS)
     if not group.complete:
         # a multiple of the order would certify rootless levels too early
         raise ArithmeticError(
@@ -136,84 +151,227 @@ def splitting(p: int, ell: int, dbar: int) -> tuple[int, int]:
 # level norms and the tower orchestration
 # ---------------------------------------------------------------------------
 
-def level_norm(f: GenPoly, i: int) -> int:
-    """N_i: the product of f over the primitive ell^i-th roots of unity,
-    i.e. Res(Phi_{ell^i}, f_i) with f_i = f.reduce_level(i).  N_0 is 1
-    by convention.
+# Integral level norms take the ring route once h = phi(ell^i)/2 reaches
+# RING_THRESHOLD, and the evaluation route below it: the ring pays a
+# fixed cost per level (the Dickson steps and a b-step elimination), the
+# evaluation route work proportional to h^2.  Measured on integral_deep
+# towers (2-core x86-64, Python 3.11, numpy 2.4; ms per level, best of
+# three); a larger b moves the crossover up:
+#
+#     ell, level, b    2,8,5  3,5,4  2,9,5  3,6,4  2,10,5  3,7,4  7,4,4
+#     h                   64     81    128    243     256    729   1029
+#     ring              0.54   0.49   0.69   0.86    1.17   1.79   3.55
+#     evaluation        0.29   0.33   0.70   1.26    1.92   7.22  12.4
+#
+#     ell, level, b    2,9,7  3,6,10  2,10,7  3,7,10
+#     ring              1.38    3.52    1.94   11.2
+#     evaluation        0.77    2.66    2.08   23.0
+RING_THRESHOLD = 128
 
-    Multi-modular: for m = ell^i and word-size primes q = 1 (mod m),
-    F_q holds the primitive m-th roots zeta^k, so N_i mod q is a product
-    of values f_i(zeta^k).  When f_i is fixed by T -> 1/T (every voltage
-    determinant is), f_i(zeta^-k) = f_i(zeta^k) and N_i = M_i^2 for
-    m > 2, where M_i, the norm from the real subfield, is the product
-    over k in (Z/m)^*/{+-1}.  |f_i(zeta^k)| <= ||f_i||_1, so primes are
-    taken until their product exceeds 2 * ||f_i||_1^(phi(m)/2); CRT then
-    gives M_i with its sign.  Otherwise the product runs over all units
-    with bound ||f_i||_1^phi(m) and is N_i itself.  For m = 2,
-    N_1 = f_1(-1).  Tower.level_norm cross-checks against the
+
+def level_norm(f: GenPoly, i: int) -> int:
+    """M_i, the norm of f from the real subfield Q(zeta_m)^+, m = ell^i:
+    f is fixed by T -> 1/T (every voltage determinant is), so f(zeta^k)
+    = f(zeta^-k) and N_i = M_i^2 for m > 2, with M_i the product of f
+    over k in (Z/m)^*/{+-1}.  For m = 2 it returns N_1 = f(-1) itself,
+    and M_0 = 1 by convention.  A non-symmetric f raises ValueError.
+
+    |f(zeta^k)| <= ||f_i||_1 for f_i = f.reduce_level(i), so word-size
+    primes are taken until their product exceeds 2 ||f_i||_1^h, h =
+    phi(m)/2, and CRT gives M_i with its sign.  Integral exponents take
+    the images from F_q[x]/(V) once h reaches RING_THRESHOLD (_ring_norm);
+    ell-adic ones, and lower levels, from the roots of unity of F_q
+    (_evaluation_norm).  Tower.level_norm cross-checks N_i against the
     subresultant at every matrix-tree-checked level."""
     if i == 0:
         return 1
+    coeff, modulus = dict(f.terms), f.modulus
+    if any(coeff.get(-e % modulus) != c for e, c in f.terms):
+        raise ValueError("level norms need f fixed by T -> 1/T, as every voltage determinant is")
     reduced = f.reduce_level(i)
     if reduced.is_zero:
         return 0
     m = f.ell**i
     if m == 2:
         return reduced(-1)
+    h = (f.ell - 1) * m // f.ell // 2
+    bound = sum(map(abs, reduced.coeffs)) ** h
+    if f.integral and h >= RING_THRESHOLD:
+        return _ring_norm(real_form(f.integerize()[0]), f.ell, i, h, bound)
+    return _evaluation_norm(reduced, f.ell, m, h, bound)
+
+
+# Largest number of int64 entries in the stacks and temporaries of one
+# block of primes.  On padic_deep, blocks of 2**16 entries raised the
+# peak memory by about 0.3 MiB, and blocks of 2**14 ran about 10% slower.
+_NORM_BLOCK = 1 << 15
+
+
+def _ring_norm(v: IntPoly, ell: int, i: int, h: int, bound: int) -> int:
+    """M_i = Res(Psi_m, V) for f = V(T + 1/T), where Psi_m =
+    real_form(Phi_m), monic of degree h, has the roots zeta^k + zeta^-k.
+    So M_i = (-1)^(hb) lc(V)^h det, where det is the determinant of
+    Psi_m(x) acting on F_q[x]/(V), b = deg V, for word primes q not
+    dividing lc(V): no root of unity is needed, so any such q qualifies.
+    Psi_m(x) comes from x by Dickson steps: Phi_(ell^i)(T) =
+    Phi_(ell^j)(T^(ell^(i-j))) gives Psi_(ell^i) = Psi_(ell^j)(y) for
+    y = D_ell(D_ell(...D_ell(x))), i - j steps, from j = 1 (j = 2 for
+    ell = 2).  The b x b images of a block of primes are one stack for
+    intdet.det_stack."""
+    b, lead = v.degree, v.leading
+    if b == 0:
+        return lead**h
+    qs = primes_for_bound(bound, avoid=lead)
+    base = 2 if ell == 2 else 1
+    outer, step = real_form(cyclotomic(ell**base)), dickson(ell)
+    sign = -1 if h * b % 2 else 1
+    per_block = max(1, _NORM_BLOCK // (2 * b * b))
+    images = []
+    for s in range(0, len(qs), per_block):
+        block = qs[s : s + per_block]
+        ring = _QuotientRing(v, block)
+        y = ring.x()
+        for _ in range(i - base):
+            y = ring.evaluate(step, y)
+        dets = det_stack(ring.multiplication_matrix(ring.evaluate(outer, y)), block)
+        images += [sign * det * pow(lead, h, q) % q for det, q in zip(dets, block)]
+    return crt(images, qs)
+
+
+class _QuotientRing:
+    """F_q[x]/(g) for every prime q of a block at once (q not dividing
+    lc(g), q < 2**30).  An element is an int64 (primes, d) array of
+    residues in [0, q), the coefficients of 1, x, ..., x^(d-1), d = deg g."""
+
+    def __init__(self, g: IntPoly, qs):
+        self.q = np.array(qs, dtype=np.int64).reshape(-1, 1)
+        self.d = g.degree
+        inv = np.array([pow(g.leading, -1, q) for q in qs], dtype=np.int64).reshape(-1, 1)
+        # x^d = sum_j tail[j] x^j, with tail = -g[:d] / lc(g)
+        self.tail = -self.residues(g.coeffs[:-1]) * inv % self.q
+        # rows x^(d + k) for k < d - 1, which fold a product back into degree < d
+        fold = [self.tail]
+        for _ in range(self.d - 2):
+            fold.append(self.times_x(fold[-1]))
+        self.fold = np.stack(fold, axis=1) if self.d > 1 else None
+
+    def residues(self, coeffs) -> np.ndarray:
+        """Integer coefficients mod every q, as a (primes, len) array."""
+        try:
+            c = np.array(coeffs, dtype=np.int64)
+        except OverflowError:
+            c = np.array([int(x) for x in coeffs], dtype=object)
+        return (c % self.q).astype(np.int64)
+
+    def x(self) -> np.ndarray:
+        """x mod g."""
+        one = np.zeros((self.q.size, self.d), dtype=np.int64)
+        one[:, 0] = 1
+        return self.times_x(one)
+
+    def times_x(self, a: np.ndarray) -> np.ndarray:
+        out = a[:, -1:] * self.tail
+        out[:, 1:] += a[:, :-1]
+        return out % self.q
+
+    def mul(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        n, d = a.shape
+        q3 = self.q[:, :, None]
+        # row j of the skewed outer product holds a_j c shifted by j, so
+        # its column sums are the coefficients of the product
+        skew = np.zeros((n, d, 2 * d), dtype=np.int64)
+        skew[:, :, :d] = a[:, :, None] * c[:, None, :] % q3
+        prod = skew.reshape(n, -1)[:, : d * (2 * d - 1)].reshape(n, d, 2 * d - 1).sum(axis=1)
+        out = prod[:, :d]
+        if d > 1:
+            high = prod[:, d:] % self.q
+            out += (high[:, :, None] * self.fold % q3).sum(axis=1)
+        return out % self.q
+
+    def evaluate(self, p: IntPoly, y: np.ndarray) -> np.ndarray:
+        """p(y) by Horner's rule, for p of degree >= 1."""
+        coeffs = self.residues(p.coeffs)
+        acc = y * coeffs[:, -1:] % self.q
+        acc[:, 0] += coeffs[:, -2]
+        for k in range(len(p.coeffs) - 3, -1, -1):
+            acc = self.mul(acc % self.q, y)
+            acc[:, 0] += coeffs[:, k]
+        return acc % self.q
+
+    def multiplication_matrix(self, y: np.ndarray) -> np.ndarray:
+        """The stack of d x d matrices of multiplication by y: row j is
+        y x^j."""
+        rows = [y]
+        for _ in range(self.d - 1):
+            rows.append(self.times_x(rows[-1]))
+        return np.stack(rows, axis=1)
+
+
+def _evaluation_norm(reduced: IntPoly, ell: int, m: int, h: int, bound: int) -> int:
+    """M_i from the roots of unity of F_q, for word primes q = 1 (mod m):
+    M_i mod q is the product of f_i(zeta^k) over the units k <= m/2.  The
+    exponent table e k mod m is built once per level; each block of primes
+    shares one array of root powers."""
     terms = [(e, c) for e, c in enumerate(reduced.coeffs) if c]
-    coeff = dict(terms)
-    symmetric = all(coeff.get(-e % m) == c for e, c in terms)
-    top = m // 2 if symmetric else m - 1
-    units = np.array([k for k in range(1, top + 1) if k % f.ell], dtype=np.int64)
-    bound = sum(abs(c) for _, c in terms) ** units.size
+    units = np.array([k for k in range(1, m // 2 + 1) if k % ell], dtype=np.int64)
+    idx = np.outer(np.array([e for e, _ in terms], dtype=np.int64), units) % m
+    coeffs = [c for _, c in terms]
     qs = primes_for_bound(bound, m)
-    exps = np.array([e for e, _ in terms], dtype=np.int64)
-    images = [_norm_mod(exps, [c % q for _, c in terms], units, f.ell, m, q) for q in qs]
-    norm = crt(images, qs)
-    return norm * norm if symmetric else norm
+    per_block = max(1, _NORM_BLOCK // max(idx.size, m))
+    images = []
+    for s in range(0, len(qs), per_block):
+        images += _evaluation_block(idx, coeffs, qs[s : s + per_block], ell, m)
+    return crt(images, qs)
 
 
-# Largest (terms x roots) block the norm evaluates at once, in int64 entries.
-_NORM_BLOCK = 1 << 16
-
-
-def _norm_mod(exps: np.ndarray, coeffs: list[int], units: np.ndarray,
-              ell: int, m: int, q: int) -> int:
-    """prod_k sum_e c_e zeta^(e k) mod q over k in units, for zeta of
-    exact order m in F_q (q = 1 mod m, q < 2**30)."""
-    check_word_prime(q)
-    table = _root_powers(ell, m, q)
-    cq = np.array(coeffs, dtype=np.int64)
-    vals = np.zeros(units.size, dtype=np.int64)
-    rows = max(1, _NORM_BLOCK // units.size)
-    for s in range(0, exps.size, rows):
-        idx = np.outer(exps[s : s + rows], units) % m
-        vals += (table[idx] * cq[s : s + rows, None] % q).sum(axis=0) % q
-        vals %= q
-    while vals.size > 1:  # pairwise product tree
-        half = vals.size // 2
-        head = vals[:half] * vals[half : 2 * half] % q
-        if vals.size % 2:
-            head[0] = head[0] * vals[-1] % q
+def _evaluation_block(idx: np.ndarray, coeffs: list[int], qs, ell: int, m: int) -> list[int]:
+    """prod_k sum_e c_e zeta^(e k) mod q for every q of the block, zeta of
+    exact order m in F_q; idx holds the exponents e k mod m."""
+    for q in qs:
+        check_word_prime(q)
+    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
+    q3 = q[:, :, None]
+    table = _root_powers(ell, m, qs)
+    cq = np.array([[c % p for c in coeffs] for p in qs], dtype=np.int64)
+    vals = 0
+    rows = max(1, _NORM_BLOCK // (len(qs) * idx.shape[1]))
+    for s in range(0, idx.shape[0], rows):
+        terms = table[:, idx[s : s + rows]]
+        terms *= cq[:, s : s + rows, None]
+        terms %= q3
+        vals = (vals + terms.sum(axis=1)) % q
+    while vals.shape[1] > 1:  # pairwise product tree
+        half = vals.shape[1] // 2
+        head = vals[:, :half] * vals[:, half : 2 * half] % q
+        if vals.shape[1] % 2:
+            head[:, :1] = head[:, :1] * vals[:, -1:] % q
         vals = head
-    return int(vals[0])
+    return vals[:, 0].tolist()
 
 
-def _root_powers(ell: int, m: int, q: int) -> np.ndarray:
-    """zeta^j mod q for j < m, zeta of exact order m = ell^i in F_q."""
-    g = 2
-    while True:
-        zeta = pow(g, (q - 1) // m, q)
-        if pow(zeta, m // ell, q) != 1:
-            break
-        g += 1
-    table = np.empty(m, dtype=np.int64)
-    table[0] = 1
-    step, power = 1, zeta
-    while step < m:
+def _root_powers(ell: int, m: int, qs) -> np.ndarray:
+    """zeta^j mod q for j < m, one row per q, zeta of exact order m = ell^i
+    in F_q, by doubling: row[s : 2s] = row[:s] * zeta^s."""
+    steps = []  # zeta^(2^k) for every q, k < log2(m)
+    for q in qs:
+        g = 2
+        while True:
+            zeta = pow(g, (q - 1) // m, q)
+            if pow(zeta, m // ell, q) != 1:
+                break
+            g += 1
+        powers = [zeta]
+        while 1 << len(powers) < m:
+            powers.append(powers[-1] * powers[-1] % q)
+        steps.append(powers)
+    steps = np.array(steps, dtype=np.int64)
+    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
+    table = np.empty((len(qs), m), dtype=np.int64)
+    table[:, 0] = 1
+    for k in range(steps.shape[1]):
+        step = 1 << k
         n = min(step, m - step)
-        table[step : step + n] = table[:n] * power % q
-        step, power = 2 * step, power * power % q
+        table[:, step : step + n] = table[:, :n] * steps[:, k : k + 1] % q
     return table
 
 
@@ -242,22 +400,31 @@ class Tower:
         self._norms: dict[int, int] = {0: 1}
         self._kappas: dict[int, int] = {0: self.kappa_base}
 
-    def level_norm(self, i: int) -> int:
-        """N_i from the multi-modular engine; at levels up to
-        mt_check_level also recomputed by the subresultant route."""
+    def real_norm(self, i: int) -> int:
+        """M_i from the multi-modular engine (level_norm): N_i = M_i^2 for
+        ell^i > 2, and M_1 = N_1 for ell^i = 2.  At levels up to
+        mt_check_level N_i is also recomputed by the subresultant route."""
         if i not in self._norms:
-            n = level_norm(self.f, i)
-            if n == 0:
+            root = level_norm(self.f, i)
+            if root == 0:
                 raise DisconnectedTowerError(f"level {i} norm vanishes")
             if i <= self.mt_check_level:
+                n = self._square(i, root)
                 check = resultant(cyclotomic(self.ell**i), self.f.reduce_level(i))
                 if check != n:
                     raise ArithmeticError(
                         f"level-norm cross-check failed at level {i}: "
                         f"multi-modular {n} != subresultant {check}"
                     )
-            self._norms[i] = n
+            self._norms[i] = root
         return self._norms[i]
+
+    def level_norm(self, i: int) -> int:
+        """N_i = Res(Phi_(ell^i), f_i)."""
+        return self._square(i, self.real_norm(i))
+
+    def _square(self, i: int, root: int) -> int:
+        return root * root if self.ell**i > 2 else root
 
     def kappa(self, n: int) -> int:
         """Exact number of spanning trees of the level-n cover."""

@@ -32,18 +32,18 @@ fixed iteration budgets so identical inputs give identical output.
 
 count and report never factor kappa_n itself.  By the product identity
 ell^n kappa_n = kappa_0 N_1 ... N_n, each level's new piece (kappa_0,
-then each level norm N_i, through its real-subfield root M_i when N_i is
-a square) is factored once, and kappa_n's factorisation is assembled
-from the pieces below it.  --budget-ms is split evenly across the
-levels + 1 pieces; each level row reports the rho iterations its piece
-used (rho_iterations) and whether they ran out (budget_exhausted).
+then each level norm N_i, through its real-subfield norm M_i when
+ell^i > 2, as N_i = M_i^2) is factored once, and kappa_n's
+factorisation is assembled from the pieces below it.  --budget-ms is
+split evenly across the levels + 1 pieces; each level row reports the
+rho iterations its piece used (rho_iterations) and whether they ran out
+(budget_exhausted).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -158,16 +158,12 @@ def _level_rows(tower, levels, budget_ms):
 def _level_piece(tower, n):
     """(piece, power): level n's new factor of ell^n kappa_n is piece**power.
 
-    kappa_0 at level 0; above it the level norm N_n, through its
-    real-subfield norm M_n = sqrt(N_n) when ell^n > 2 and N_n is a square.
+    kappa_0 at level 0; above it the real-subfield norm |M_n|, squared
+    when ell^n > 2 (N_n = M_n^2), and N_1 itself when ell^n = 2.
     """
     if n == 0:
         return tower.kappa(0), 1
-    norm = abs(tower.level_norm(n))
-    root = math.isqrt(norm)
-    if tower.ell**n > 2 and root * root == norm:
-        return root, 2
-    return norm, 1
+    return abs(tower.real_norm(n)), 2 if tower.ell**n > 2 else 1
 
 
 def _levels_section(tower, rows) -> list[dict]:

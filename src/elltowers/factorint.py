@@ -11,7 +11,9 @@ only the primes of blocks that share a factor (Bernstein's smooth-part
 technique); it stops at the first block whose smallest prime squared
 exceeds what is left.  What it leaves has no prime factor up to the
 trial bound, so the perfect-power search stops at the first exponent
-whose root falls below it.
+whose root falls below it; it tries prime exponents only, and takes a
+root only when power-residue tests modulo small primes let the exponent
+pass.
 
 Products are factored piecewise: multiply_factored merges a factored
 part into a running factorisation.  The CLI factors kappa_0 and each
@@ -21,7 +23,11 @@ every kappa_n from them (ell^n kappa_n = kappa_0 N_1 ... N_n).
 Primality of every reported prime is certified: deterministic
 Miller-Rabin with the 13 bases 2..41 is a proven primality test below
 DETERMINISTIC_MR_BOUND (~3.3e24).  Larger probable primes are never
-listed as factors; they stay in the cofactor.
+listed as factors; they stay in the cofactor.  Testing one for
+probable primality costs about as many products as its bit length,
+which is what that many rho iterations cost, so the test runs only when
+the remaining rho budget covers it; otherwise the number stays in the
+cofactor with the budget exhausted.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
-from itertools import compress
+from itertools import compress, count, islice
 
 # The first 13 primes witness compositeness for every composite below this
 # bound (Sorenson-Webster).
@@ -141,20 +147,47 @@ def perfect_power(n: int, floor: int = 2) -> tuple[int, int] | None:
     """(b, k) with n = b**k and k maximal >= 2, or None.
 
     floor is a lower bound on every prime factor of n (2 when nothing is
-    known), hence on any base b: the search stops at the first k whose
-    integer root falls below it.
+    known), hence on any base b: the search stops at the first exponent
+    whose integer root falls below it.  Only prime exponents are tried,
+    each as often as it divides k (b**k is a p-th power exactly for the
+    primes p dividing k, b no power), and a root is taken only when no
+    residue test rules p out (_may_be_power).
     """
     if n < 4:
         return None
     floor = max(floor, 2)
-    best = None
-    for k in range(2, n.bit_length() + 1):
-        b = integer_nth_root(n, k)
-        if b < floor:
-            break
-        if b**k == n:
-            best = (b, k)
-    return best
+    base, k, p = n, 1, 2
+    # past this p, floor**p > base: every root is below the floor
+    while p * (floor.bit_length() - 1) < base.bit_length():
+        if _may_be_power(base, p):
+            root = integer_nth_root(base, p)
+            if root < floor:
+                break
+            if root**p == base:
+                base, k = root, k * p
+                continue
+        p += 1
+        while not is_certified_prime(p):
+            p += 1
+    return (base, k) if k > 1 else None
+
+
+def _may_be_power(n: int, p: int) -> bool:
+    """False when n is shown not to be a p-th power: modulo a prime r = 1
+    (mod p), the p-th powers of units are the x with x^((r-1)/p) = 1,
+    a 1/p share of them."""
+    for r in _residue_primes(p):
+        x = n % r
+        if x and pow(x, (r - 1) // p, r) != 1:
+            return False
+    return True
+
+
+@functools.cache
+def _residue_primes(p: int) -> tuple[int, ...]:
+    """The three least odd primes r = 1 (mod p)."""
+    step = p if p % 2 == 0 else 2 * p
+    return tuple(islice((r for r in count(1 + step, step) if is_certified_prime(r)), 3))
 
 
 def _brent_rho(n: int, budget: list[int]) -> int | None:
@@ -278,7 +311,7 @@ def factor_kappa(n: int, rho_iterations: int = DEFAULT_RHO_ITERATIONS) -> Factor
             if is_certified_prime(m):
                 found[m] = found.get(m, 0) + mult
                 continue
-        elif is_probable_prime(m):
+        elif budget[0] >= m.bit_length() and is_probable_prime(m):
             # probably prime but not certifiable here; report honestly
             cofactor *= m**mult
             continue

@@ -8,7 +8,12 @@ Two engines behind one dispatcher, both exact:
   images are recombined by CRT against a Hadamard bound (the product of
   the diagonal for a reduced Laplacian, else the row norms).
 
-det_mod is envelope (profile) elimination, as in George and Liu,
+The elimination itself is det_stack, which takes a stack of residue
+matrices, each image with its own prime: det_mod reduces one integer
+matrix modulo a list of primes into such a stack, and analysis's level
+norm builds its stacks of multiplication matrices directly.
+
+det_stack is envelope (profile) elimination, as in George and Liu,
 Computer Solution of Large Sparse Positive Definite Systems (1981),
 ch. 4: step k updates only the box of rows k+1 .. r-1 and columns
 k+1 .. c-1, where r - 1 is the last row with a nonzero in column k and
@@ -100,23 +105,31 @@ def _last_nonzero(mask: np.ndarray) -> int:
 def det_mod(matrix: np.ndarray, qs) -> list[int]:
     """Determinants of a square integer matrix (int64, or object for
     entries past int64) modulo each prime q in qs (every q < 2**30), in
-    [0, q), from one elimination over the stack of images.  Each image
-    pivots on its own first nonzero row; an image whose column vanishes
-    has determinant 0.  Step k updates only the box of rows below k down
-    to the last nonzero of column k, and columns right of k up to the
-    last nonzero of row k, in any image."""
+    [0, q), from one elimination over the stack of images (det_stack)."""
     for q in qs:
         check_word_prime(q)
-    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
-    half = (q - 1) // 2
-    q3, half3 = q[:, :, None], half[:, :, None]
     n = matrix.shape[0]
     a = np.empty((len(qs), n, n), dtype=np.int64)
     if matrix.dtype == object:
         for image, p in zip(a, qs):
             image[...] = matrix % p
     else:
-        np.remainder(matrix, q3, out=a)
+        np.remainder(matrix, np.array(qs, dtype=np.int64).reshape(-1, 1, 1), out=a)
+    return det_stack(a, qs)
+
+
+def det_stack(a: np.ndarray, qs) -> list[int]:
+    """Determinants of the images a[k] modulo qs[k], in [0, q), from one
+    elimination over the stack; a is an int64 (len(qs), n, n) array of
+    residues, |a| < q < 2**30, overwritten.  Each image pivots on its own
+    first nonzero row; an image whose column vanishes has determinant 0.
+    Step k updates only the box of rows below k down to the last nonzero
+    of column k, and columns right of k up to the last nonzero of row k,
+    in any image."""
+    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
+    half = (q - 1) // 2
+    q3, half3 = q[:, :, None], half[:, :, None]
+    n = a.shape[1]
     _balance(a, q3, half3)
     images = [1] * len(qs)
     # the union of the boxes updated since the last reduction lies in

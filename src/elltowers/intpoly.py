@@ -3,18 +3,23 @@
 Coefficients are arbitrary-precision integers stored lowest degree
 first; the zero polynomial is the empty tuple.  Resultants are computed
 by the subresultant polynomial remainder sequence (fraction-free, exact;
-no floating point anywhere).  Level norms no longer go through it: the
-multi-modular engine in analysis.level_norm computes them, and
-Tower.level_norm uses resultant only to cross-check that engine at the
-matrix-tree-checked levels.  Reductions mod p use numpy int64 arrays,
-which is safe for p below 2**30.
+no floating point anywhere).  Level norms do not go through it: the
+multi-modular engines in analysis.level_norm compute them, and
+Tower.level_norm uses resultant only to cross-check those engines at
+the matrix-tree-checked levels.  The Dickson polynomials and real_form
+rewrite a palindromic polynomial in x = T + 1/T, the variable of the
+real subfield in which the ring route of the level norm works.
+Reductions mod p use numpy int64 arrays, which is safe for p below
+2**30.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -213,6 +218,39 @@ def cyclotomic(d: int) -> IntPoly:
         if d % e == 0:
             num = num.exact_div_monic(cyclotomic(e))
     return num
+
+
+def dickson(n: int) -> IntPoly:
+    """The Dickson polynomial D_n, with D_n(T + 1/T) = T^n + T^-n."""
+    return IntPoly(next(islice(_dickson_coefficients(), n, None)))
+
+
+def _dickson_coefficients() -> Iterator[list[int]]:
+    """D_0, D_1, ... as coefficient lists: D_0 = 2, D_1 = x and
+    D_(e+1) = x D_e - D_(e-1)."""
+    prev, cur = [2], [0, 1]
+    yield prev
+    while True:
+        yield cur
+        nxt = [0] + cur
+        for k, c in enumerate(prev):
+            nxt[k] -= c
+        prev, cur = cur, nxt
+
+
+def real_form(u: IntPoly) -> IntPoly:
+    """V with U(T) = T^b V(T + 1/T), for U palindromic of degree 2b:
+    T^-b U = c_0 + sum_(e >= 1) c_e (T^e + T^-e), so V = c_0 + sum c_e D_e,
+    of degree b with the leading coefficient of U.  real_form(Phi_m) is
+    Psi_m, the minimal polynomial of zeta_m + 1/zeta_m, for m > 2."""
+    b = u.degree // 2
+    v = [0] * (b + 1)
+    v[0] = u.coeffs[b]
+    for e, d in zip(range(1, b + 1), islice(_dickson_coefficients(), 1, None)):
+        c = u.coeffs[b + e]
+        for k, x in enumerate(d):
+            v[k] += c * x
+    return IntPoly(tuple(v))
 
 
 def _smallest_prime_factor(n: int) -> int:

@@ -8,15 +8,18 @@ below 2**60, and a sum of up to 2**33 reduced products below 2**63.
 
 primes(count, modulus) hands out the largest primes q < PRIME_CEILING
 with q = 1 (mod modulus), in decreasing order; the pool of each modulus
-is built on first use and then grown on demand, never at import.  crt
-recombines the images into the symmetric representative, so signs are
-recovered as long as the primes' product exceeds twice the absolute
-value (primes_for_bound picks that many).
+is built on first use and then grown on demand, never at import.  The
+determinants and the integral level norms draw on the pool of modulus
+1, every prime below the ceiling; only the level norms of ell-adic
+towers, which need the ell^i-th roots of unity in F_q, draw on the
+pools of q = 1 (mod ell^i).  crt recombines the images into the
+symmetric representative, so signs are recovered as long as the primes'
+product exceeds twice the absolute value (primes_for_bound picks that
+many, skipping the primes that divide a given integer).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 
 from .factorint import is_certified_prime
@@ -62,18 +65,22 @@ def primes(count: int, modulus: int = 1) -> list[int]:
         return pool[:count]
 
 
-def primes_for_bound(bound: int, modulus: int = 1) -> list[int]:
-    """The fewest leading primes of the modulus's pool whose product
-    exceeds 2 * bound: enough for crt to recover any integer of absolute
-    value at most bound."""
+def primes_for_bound(bound: int, modulus: int = 1, avoid: int = 1) -> list[int]:
+    """The fewest leading primes of the modulus's pool, skipping those
+    that divide avoid, whose product exceeds 2 * bound: enough for crt to
+    recover any integer of absolute value at most bound."""
     target = 2 * bound
     count = max(1, target.bit_length() // 30)  # every prime is below 2**30
-    qs = primes(count, modulus)
-    prod = math.prod(qs)
+    qs, prod, seen = [], 1, 0
     while prod <= target:
-        count += 1
-        qs = primes(count, modulus)
-        prod *= qs[-1]
+        pool = primes(count, modulus)
+        for q in pool[seen:]:
+            if avoid % q:
+                qs.append(q)
+                prod *= q
+                if prod > target:
+                    break
+        seen, count = count, count + 1
     return qs
 
 

@@ -73,9 +73,10 @@ def test_level_norm_level_zero_convention():
 def test_level_norm_of_constant():
     from elltowers import GenPoly
 
+    # M_i = 7^(phi(5^i)/2), with N_i = M_i^2
     c = GenPoly.constant(5, 3, 7)
-    assert level_norm(c, 1) == 7**4
-    assert level_norm(c, 2) == 7**20
+    assert level_norm(c, 1) == 7**2
+    assert level_norm(c, 2) == 7**10
 
 
 def test_norm_valuation_is_phi_times_mu_beyond_n0():
@@ -124,31 +125,25 @@ def test_level_norm_matches_subresultant(doc):
     for i in range(1, min(doc["precision"], 4) + 1):
         reduced = f.reduce_level(i)
         expected = 0 if reduced.is_zero else resultant(cyclotomic(ell**i), reduced)
-        norm = level_norm(f, i)
-        assert norm == expected, (doc, i)
-        if ell**i > 2:  # N_i = M_i^2
-            assert math.isqrt(norm) ** 2 == norm
+        root = level_norm(f, i)
+        assert (root * root if ell**i > 2 else root) == expected, (doc, i)
 
 
 def test_level_norm_recovers_sign_of_real_subfield_norm():
-    # M_1 = (-7)^3 = -343: a lost sign would square a wrong residue
-    assert level_norm(GenPoly.constant(7, 2, -7), 1) == 7**6
-    assert level_norm(GenPoly.constant(7, 2, -7), 2) == 7**42
+    # M_1 = (-7)^3 = -343: a lost sign would give 343
+    assert level_norm(GenPoly.constant(7, 2, -7), 1) == -(7**3)
+    assert level_norm(GenPoly.constant(7, 2, -7), 2) == -(7**21)
 
 
-def test_level_norm_non_symmetric_takes_all_units(monkeypatch):
-    bounds = []
-
-    def spy(bound, modulus=1):
-        bounds.append(bound)
-        return multimodular.primes_for_bound(bound, modulus)
-
-    monkeypatch.setattr(analysis, "primes_for_bound", spy)
+def test_level_norm_rejects_non_symmetric_f():
     f = GenPoly(5, 3, ((0, 1), (1, 2), (7, -3)))  # 1 + 2T - 3T^7, not T -> 1/T symmetric
-    for i in (1, 2, 3):
-        assert level_norm(f, i) == resultant(cyclotomic(5**i), f.reduce_level(i))
-    # bounds ||f||_1^phi(5^i): the product ran over every unit
-    assert bounds == [6 ** (4 * 5 ** (i - 1)) for i in (1, 2, 3)]
+    with pytest.raises(ValueError, match="T -> 1/T"):
+        level_norm(f, 1)
+    integral = GenPoly(5, 3, ((0, 3), (1, -1), (124, -1)), integral=True)  # 3 - T - T^-1
+    # V = 3 - x at the roots (-1 +- sqrt 5)/2 of Psi_5: M_1 = 11, N_1 = 121
+    assert level_norm(integral, 1) == 11
+    with pytest.raises(ValueError, match="T -> 1/T"):
+        level_norm(GenPoly(5, 3, ((0, 3), (1, -1), (123, -1)), integral=True), 1)
 
 
 def test_level_norm_raises_when_primes_run_out(monkeypatch):

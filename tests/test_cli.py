@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -158,16 +159,14 @@ def test_report_for_a_20_digit_ell_finishes(spec_file):
     assert (entry["p"], entry["n1"], entry["n0_certified"]) == (3, 1, True)
 
 
-def test_unfactored_ell_minus_1_is_an_internal_error(spec_file, capsys, monkeypatch):
-    import elltowers.analysis as analysis_mod
-    from elltowers import factorint
-
-    # ell - 1 = 92 P Q, P Q out of reach of 10^5 rho steps
+def test_unfactored_ell_minus_1_is_an_internal_error(spec_file, capsys):
+    # ell - 1 = 92 P Q, P Q out of reach of analysis.ORDER_RHO_ITERATIONS
+    # rho steps, which bound the time spent: 12 s with the default 10^7
     ell = 92 * 100000000000000003 * 300000000000000011 + 1
-    monkeypatch.setattr(analysis_mod, "factor_kappa",
-                        lambda n: factorint.factor_kappa(n, rho_iterations=10**5))
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "analyze", spec_file(theta_spec(ell)),
                              "--p", "3", "--levels", "0")
+    assert time.perf_counter() - start < 2
     assert (code, out) == (3, "")
     assert err.startswith(f"internal error: cannot certify the order of 3 mod {ell}")
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,34 @@ def test_rho_statistics():
     assert kept.cofactor == mersenne and kept.factors == ((2, 2),)
     assert not kept.budget_exhausted and kept.rho_iterations == 0
     assert factor_kappa(2**10 * 3).rho_iterations == 0
+
+
+def test_probable_prime_test_needs_the_budget():
+    # a base of Miller-Rabin costs about bit_length products mod m, like
+    # as many rho steps: a smaller budget leaves m unsplit, unexamined
+    mersenne = 2**127 - 1
+    short = factor_kappa(4 * mersenne, rho_iterations=100)
+    assert short.cofactor == mersenne and short.factors == ((2, 2),)
+    assert short.budget_exhausted and short.rho_iterations == 100
+    enough = factor_kappa(4 * mersenne, rho_iterations=127)
+    assert enough.cofactor == mersenne and not enough.budget_exhausted
+    assert enough.rho_iterations == 0
+
+
+def test_perfect_power_of_a_huge_number_is_quick():
+    # a 140,000-bit number once took an integer root for each of its
+    # ~7,000 candidate exponents; residue tests now rule almost all out
+    rng = random.Random(3)
+    big = rng.getrandbits(140_000) | 1
+    start = time.perf_counter()
+    assert perfect_power(big, TRIAL_BOUND + 1) is None
+    p = 1_000_003
+    assert perfect_power(p**6000, TRIAL_BOUND + 1) == (p, 6000)
+    assert time.perf_counter() - start < 5
+    for k in (2, 3, 4, 6, 9, 10, 25, 27, 32, 49):
+        b = rng.randrange(2, 10**6)
+        assert perfect_power(b**k) == _unfloored(b**k), (b, k)
+        assert perfect_power(b**k * 3 + 1) == _unfloored(b**k * 3 + 1), (b, k)
 
 
 def test_factor_one():

@@ -1,8 +1,9 @@
 """kappa_n's factorisation assembled from the factored level pieces.
 
 By the product identity ell^n kappa_n = kappa_0 N_1 ... N_n, the CLI
-factors kappa_0 and each level norm once (through M_i = sqrt(N_i) when
-N_i is a square) and builds every kappa_n's factorisation from them.
+factors kappa_0 and each level norm once (through the real-subfield
+norm M_i, N_i = M_i^2, when ell^i > 2) and builds every kappa_n's
+factorisation from them.
 The oracle is factor_kappa run on kappa_n itself: wherever that is
 complete, the assembled row must be the same factorisation.
 """
@@ -96,24 +97,18 @@ class NormTower:
     def __init__(self, f: GenPoly, kappa_0: int):
         self.f, self.ell, self.kappa_0 = f, f.ell, kappa_0
 
-    def level_norm(self, i):
+    def real_norm(self, i):
         return level_norm(self.f, i)
+
+    def level_norm(self, i):
+        root = self.real_norm(i)
+        return root * root if self.ell**i > 2 else root
 
     def kappa(self, n):
         prod = self.kappa_0 * math.prod(self.level_norm(i) for i in range(1, n + 1))
         kappa, rem = divmod(abs(prod), self.ell**n)
         assert rem == 0
         return kappa
-
-
-def test_non_square_norms_enter_whole():
-    f = GenPoly(5, 3, ((0, 1), (1, 2), (7, -3)))  # 1 + 2T - 3T^7, not T -> 1/T symmetric
-    tower = NormTower(f, 5**3 * 6)
-    for i in (1, 2, 3):
-        norm = abs(tower.level_norm(i))
-        assert math.isqrt(norm) ** 2 != norm
-        assert _level_piece(tower, i) == (norm, 1)
-    check_rows(tower, 3, DEFAULT_BUDGET_MS)
 
 
 def test_square_pieces_double_their_exponents():
@@ -129,7 +124,7 @@ def test_cofactors_stay_coprime_to_later_primes(monkeypatch):
     # 2p lists p, which must then leave the running cofactor
     p, q, r = 100000000000031, 100000000000067, 100000000000097
     stub = NormTower(GenPoly.constant(2, 2, 1), 1)
-    stub.level_norm = {1: 2 * p * q * r, 2: (2 * p) ** 2}.get
+    stub.real_norm = {1: 2 * p * q * r, 2: 2 * p}.get  # N_2 = (2p)^2
     monkeypatch.setattr(cli_mod, "factor_kappa",
                         lambda n, rho_iterations: factor_kappa(n, rho_iterations=0))
     rows = [fact for _, _, fact in _level_rows(stub, 2, DEFAULT_BUDGET_MS)]
@@ -138,7 +133,7 @@ def test_cofactors_stay_coprime_to_later_primes(monkeypatch):
     assert rows[2].factors == ((2, 1), (p, 3)) and rows[2].cofactor == q * r
     assert rows[2].omega() == (3, False) and not rows[2].budget_exhausted
     # a cofactor left prime once the listed primes are out is absorbed
-    stub.level_norm = {1: 2 * p * q, 2: (2 * p) ** 2}.get
+    stub.real_norm = {1: 2 * p * q, 2: 2 * p}.get
     rows = [fact for _, _, fact in _level_rows(stub, 2, DEFAULT_BUDGET_MS)]
     assert rows[1].cofactor == p * q
     assert rows[2].factors == ((2, 1), (p, 3), (q, 1)) and rows[2].complete
