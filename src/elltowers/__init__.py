@@ -40,7 +40,7 @@ from .graphs import (
     spanning_tree_count,
     validate,
 )
-from .intpoly import IntPoly, cyclotomic, resultant, unit_root_factor
+from .intpoly import IntPoly, cyclotomic, resultant
 from .omega import OmegaClassification, classify_omega, strip_cyclotomics
 from .padics import AmbiguousBranchError, NonResidueError, PrecisionError, TruncatedPadic, padic_sqrt
 from .towerspec import SpecParseError, TowerSpec, build_assignment, parse_tower_spec

@@ -401,15 +401,15 @@ class Tower:
         self._kappas: dict[int, int] = {0: self.kappa_base}
 
     def real_norm(self, i: int) -> int:
-        """M_i from the multi-modular engine (level_norm): N_i = M_i^2 for
-        ell^i > 2, and M_1 = N_1 for ell^i = 2.  At levels up to
-        mt_check_level N_i is also recomputed by the subresultant route."""
+        """M_i from the multi-modular engine (level_norm), with
+        N_i = M_i^norm_power(i).  At levels up to mt_check_level N_i is
+        also recomputed by the subresultant route."""
         if i not in self._norms:
             root = level_norm(self.f, i)
             if root == 0:
                 raise DisconnectedTowerError(f"level {i} norm vanishes")
             if i <= self.mt_check_level:
-                n = self._square(i, root)
+                n = root ** self.norm_power(i)
                 check = resultant(cyclotomic(self.ell**i), self.f.reduce_level(i))
                 if check != n:
                     raise ArithmeticError(
@@ -421,10 +421,11 @@ class Tower:
 
     def level_norm(self, i: int) -> int:
         """N_i = Res(Phi_(ell^i), f_i)."""
-        return self._square(i, self.real_norm(i))
+        return self.real_norm(i) ** self.norm_power(i)
 
-    def _square(self, i: int, root: int) -> int:
-        return root * root if self.ell**i > 2 else root
+    def norm_power(self, i: int) -> int:
+        """e with N_i = M_i^e: 2 for ell^i > 2, and 1 for ell^i = 2."""
+        return 2 if self.ell**i > 2 else 1
 
     def kappa(self, n: int) -> int:
         """Exact number of spanning trees of the level-n cover."""

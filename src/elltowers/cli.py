@@ -64,8 +64,8 @@ from .factorint import (
     ord_p,
 )
 from .graphs import DisconnectedGraphError, tower_problems
-from .intpoly import UnitRootMissingError, ZeroPolynomialError
-from .omega import classify_omega, INAPPLICABLE
+from .intpoly import ZeroPolynomialError
+from .omega import INAPPLICABLE, UnitRootMissingError, classify_omega
 from .padics import AmbiguousBranchError, NonResidueError, PrecisionError, padic_sqrt
 from .towerspec import SpecParseError, build_assignment, parse_tower_spec
 from . import corpus
@@ -158,12 +158,12 @@ def _level_rows(tower, levels, budget_ms):
 def _level_piece(tower, n):
     """(piece, power): level n's new factor of ell^n kappa_n is piece**power.
 
-    kappa_0 at level 0; above it the real-subfield norm |M_n|, squared
-    when ell^n > 2 (N_n = M_n^2), and N_1 itself when ell^n = 2.
+    kappa_0 at level 0; above it the real-subfield norm |M_n|, with the
+    power that gives N_n = M_n^power (Tower.norm_power).
     """
     if n == 0:
         return tower.kappa(0), 1
-    return abs(tower.real_norm(n)), 2 if tower.ell**n > 2 else 1
+    return abs(tower.real_norm(n)), tower.norm_power(n)
 
 
 def _levels_section(tower, rows) -> list[dict]:

@@ -114,12 +114,29 @@ def ord_p(n: int, p: int) -> int:
     """Exponent of p in n (n != 0)."""
     if n == 0:
         raise ValueError("ord_p(0) is infinite")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v
+    return _split_power(abs(n), p)[0]
+
+
+def _split_power(n: int, p: int) -> tuple[int, int]:
+    """(e, n // p**e) for p**e the exact power of p dividing n > 0.
+
+    Divides by p, p^2, p^4, ... while the division is exact, then by the
+    same powers back down, so a large e costs O(log e) divisions instead
+    of e."""
+    e, powers, q = 0, [], p
+    while True:
+        quotient, remainder = divmod(n, q)
+        if remainder:
+            break
+        n, e = quotient, e + (1 << len(powers))
+        powers.append(q)
+        q *= q
+    # what is left has fewer than 2^len(powers) factors p: one bit per power
+    for bit in range(len(powers) - 1, -1, -1):
+        quotient, remainder = divmod(n, powers[bit])
+        if not remainder:
+            n, e = quotient, e + (1 << bit)
+    return e, n
 
 
 def integer_nth_root(n: int, k: int) -> int:
@@ -291,9 +308,7 @@ def factor_kappa(n: int, rho_iterations: int = DEFAULT_RHO_ITERATIONS) -> Factor
                 break
             if g % p == 0:
                 g //= p
-                while rest % p == 0:
-                    found[p] = found.get(p, 0) + 1
-                    rest //= p
+                found[p], rest = _split_power(rest, p)
     floor = TRIAL_BOUND + 1  # no prime up to the trial bound is left
     budget = [rho_iterations]
     exhausted = False
@@ -351,9 +366,8 @@ def _finalize_cofactor(cofactor: int, found: dict[int, int], floor: int = 2) -> 
     floor bounds the prime factors of the cofactor, as in perfect_power.
     """
     for p in found:
-        while cofactor % p == 0:
-            cofactor //= p
-            found[p] += 1
+        e, cofactor = _split_power(cofactor, p)
+        found[p] += e
     if cofactor > 1:
         pp = perfect_power(cofactor, floor)
         base, mult = pp if pp else (cofactor, 1)

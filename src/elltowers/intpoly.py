@@ -1,14 +1,17 @@
 """Dense integer polynomials: cyclotomics, resultants, mod-p reductions.
 
 Coefficients are arbitrary-precision integers stored lowest degree
-first; the zero polynomial is the empty tuple.  Resultants are computed
-by the subresultant polynomial remainder sequence (fraction-free, exact;
-no floating point anywhere).  Level norms do not go through it: the
-multi-modular engines in analysis.level_norm compute them, and
-Tower.level_norm uses resultant only to cross-check those engines at
-the matrix-tree-checked levels.  The Dickson polynomials and real_form
-rewrite a palindromic polynomial in x = T + 1/T, the variable of the
-real subfield in which the ring route of the level norm works.
+first; the zero polynomial is the empty tuple.  Division by a monic
+polynomial (divmod_by_monic) stays inside Z[T]; it is the one division
+behind Phi_d, which comes from one recursion on the least prime of d
+down to Phi_1 = T - 1, and behind omega.strip_cyclotomics.  Resultants
+are computed by the subresultant polynomial remainder sequence
+(fraction-free, exact; no floating point anywhere).  Level norms do not
+go through it: the multi-modular engines in analysis.level_norm compute
+them, and Tower.level_norm uses resultant only to cross-check those
+engines at the matrix-tree-checked levels.  The Dickson polynomials and
+real_form rewrite a palindromic polynomial in x = T + 1/T, the variable
+of the real subfield in which the ring route of the level norm works.
 Reductions mod p use numpy int64 arrays, which is safe for p below
 2**30.
 """
@@ -26,10 +29,6 @@ import numpy as np
 
 class ZeroPolynomialError(ValueError):
     """Operation undefined for the zero polynomial."""
-
-
-class UnitRootMissingError(ValueError):
-    """U(1) != 0 where the Laplacian forces a root at 1 upstream."""
 
 
 def _strip(coeffs) -> tuple[int, ...]:
@@ -127,12 +126,13 @@ class IntPoly:
         if d == 0:
             return self, IntPoly(())
         q = [0] * max(len(r) - d, 0)
+        terms = [(i, c) for i, c in enumerate(divisor.coeffs[:d]) if c]
         for k in range(len(r) - d - 1, -1, -1):
             top = r[d + k]
             if top:
                 q[k] = top
-                for i in range(d + 1):
-                    r[k + i] -= top * divisor.coeffs[i]
+                for i, c in terms:
+                    r[k + i] -= top * c
         return IntPoly(tuple(q)), IntPoly(tuple(r[:d]))
 
     def exact_div_monic(self, divisor: "IntPoly") -> "IntPoly":
@@ -140,14 +140,6 @@ class IntPoly:
         if not r.is_zero:
             raise ValueError("division is not exact")
         return q
-
-    def divides(self, other: "IntPoly") -> bool:
-        """Does self divide other over Q?  Only supported for monic self."""
-        if other.is_zero:
-            return True
-        if other.degree < self.degree:
-            return False
-        return other.divmod_by_monic(self)[1].is_zero
 
     def mod_array(self, p: int) -> np.ndarray:
         """Coefficients mod p as an int64 array (ascending, unstripped)."""
@@ -179,45 +171,24 @@ class IntPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def euler_phi(d: int) -> int:
-    out, n, q = 1, d, 2
-    while q * q <= n:
-        if n % q == 0:
-            n //= q
-            out *= q - 1
-            while n % q == 0:
-                n //= q
-                out *= q
-        q += 1
-    if n > 1:
-        out *= n - 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPoly:
-    """The d-th cyclotomic polynomial, monic of degree phi(d)."""
+    """The d-th cyclotomic polynomial, monic of degree phi(d).
+
+    Phi_1 = T - 1; for d = p m with p the least prime of d,
+    Phi_d(T) = Phi_m(T^p) when p divides m, else Phi_m(T^p) / Phi_m(T).
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     if d == 1:
         return IntPoly((-1, 1))
-    # prime-power fast path: Phi_{q^k}(T) = Phi_q(T^(q^(k-1)))
-    q = _smallest_prime_factor(d)
-    k, rest = 0, d
-    while rest % q == 0:
-        rest //= q
-        k += 1
-    if rest == 1:
-        step = q ** (k - 1)
-        out = [0] * ((q - 1) * step + 1)
-        for j in range(q):
-            out[j * step] = 1
-        return IntPoly(tuple(out))
-    num = IntPoly((-1,) + (0,) * (d - 1) + (1,))  # T^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            num = num.exact_div_monic(cyclotomic(e))
-    return num
+    p = _smallest_prime_factor(d)
+    m = d // p
+    inner = cyclotomic(m)
+    coeffs = [0] * (inner.degree * p + 1)
+    coeffs[::p] = inner.coeffs
+    lifted = IntPoly(tuple(coeffs))  # Phi_m(T^p)
+    return lifted if m % p == 0 else lifted.exact_div_monic(inner)
 
 
 def dickson(n: int) -> IntPoly:
@@ -262,26 +233,6 @@ def _smallest_prime_factor(n: int) -> int:
             return q
         q += 2
     return n
-
-
-def unit_root_factor(u: IntPoly) -> tuple[int, IntPoly]:
-    """Strip the full (T-1)^m factor; the Laplacian guarantees m >= 1."""
-    if u.is_zero:
-        raise ZeroPolynomialError("zero polynomial")
-    if u(1) != 0:
-        raise UnitRootMissingError("expected 1 to be a root (singular Laplacian)")
-    m, cur = 0, u
-    while not cur.is_zero and cur(1) == 0:
-        # synthetic division by (T - 1)
-        coeffs = cur.coeffs
-        q = [0] * (len(coeffs) - 1)
-        acc = 0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc += coeffs[i]
-            q[i - 1] = acc
-        cur = IntPoly(tuple(q))
-        m += 1
-    return m, cur
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:

@@ -1,12 +1,15 @@
 """Boundedness of the number of prime divisors of kappa_n.
 
-For integral voltages, write U = T^b * f as an integer polynomial and
-strip the forced (T-1)^m factor.  The number of distinct primes omega
-(kappa_n) stays bounded along the tower exactly when every remaining
-root of U is a root of unity; root-of-unity roots of an integer
-polynomial all come from cyclotomic factors over Q (Kronecker), so the
-test is exact trial division by every Phi_d with phi(d) <= deg, no
-numerics involved.
+For integral voltages, write U = T^b * f as an integer polynomial.  The
+number of distinct primes omega(kappa_n) stays bounded along the tower
+exactly when every root of U is a root of unity; root-of-unity roots of
+an integer polynomial all come from cyclotomic factors over Q
+(Kronecker), so the test is exact and involves no numerics.
+strip_cyclotomics divides U by Phi_d for every d with phi(d) <= deg U,
+from d = 1 up: the candidate orders are built from prime powers, with
+phi(p^k) = (p - 1) p^(k-1), and each attempt is one exact division by
+a monic Phi_d.  Phi_1 = T - 1 is the forced root of the singular
+Laplacian, so its multiplicity is at least one.
 
 For genuinely ell-adic voltages the criterion does not apply; the
 verdict is "inapplicable", and only the omega of each computed level
@@ -17,44 +20,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .factorint import factor_kappa
+from .factorint import factor_kappa, is_certified_prime
 from .genpoly import GenPoly
-from .intpoly import IntPoly, cyclotomic, euler_phi, unit_root_factor
+from .intpoly import IntPoly, ZeroPolynomialError, cyclotomic
 
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
 INAPPLICABLE = "inapplicable"
 
 
-def _cyclotomic_candidates(max_degree: int) -> list[int]:
-    """All d >= 2 with phi(d) <= max_degree."""
-    if max_degree < 1:
-        return []
-    out = []
-    d = 2
-    # phi(d) > sqrt(d/2), so d <= 2*(max_degree^2 + 1) exhausts the range
-    while d <= 2 * (max_degree * max_degree + 1):
-        if euler_phi(d) <= max_degree:
-            out.append(d)
-        d += 1
-    return out
+class UnitRootMissingError(ValueError):
+    """U(1) != 0 where the Laplacian forces a root at 1 upstream."""
 
 
-def strip_cyclotomics(u1: IntPoly) -> tuple[tuple[tuple[int, int], ...], IntPoly]:
-    """Divide out every cyclotomic factor of u1 (with multiplicity);
-    returns ((d, multiplicity), ...) and the cyclotomic-free remainder."""
-    if u1.is_zero:
-        raise ValueError("zero polynomial")
-    found = []
-    rest = u1
-    for d in _cyclotomic_candidates(rest.degree):
-        phi = cyclotomic(d)
-        if phi.degree > rest.degree:
+def _cyclotomic_orders(max_degree: int) -> list[int]:
+    """Every d with phi(d) <= max_degree, ascending.  Each d is built once
+    from its prime powers by increasing prime; a prime p of such a d has
+    phi(p) = p - 1 <= max_degree."""
+    orders = [(1, 1)]  # (d, phi(d))
+    for p in range(2, max_degree + 2):
+        if not is_certified_prime(p):
             continue
+        for d, phi in list(orders):
+            power, phi_power = p, p - 1
+            while phi * phi_power <= max_degree:
+                orders.append((d * power, phi * phi_power))
+                power, phi_power = power * p, phi_power * p
+    return sorted(d for d, phi in orders if phi <= max_degree)
+
+
+def strip_cyclotomics(u: IntPoly) -> tuple[tuple[tuple[int, int], ...], IntPoly]:
+    """Divide out every cyclotomic factor of u, Phi_1 = T - 1 included,
+    with multiplicity; returns ((d, multiplicity), ...) by ascending d
+    and the cyclotomic-free remainder."""
+    if u.is_zero:
+        raise ZeroPolynomialError("zero polynomial")
+    found = []
+    rest = u
+    for d in _cyclotomic_orders(u.degree):
+        phi = cyclotomic(d)
         mult = 0
-        while phi.divides(rest):
-            rest = rest.exact_div_monic(phi)
-            mult += 1
+        while phi.degree <= rest.degree:
+            quotient, remainder = rest.divmod_by_monic(phi)
+            if not remainder.is_zero:
+                break
+            rest, mult = quotient, mult + 1
         if mult:
             found.append((d, mult))
     return tuple(found), rest
@@ -65,7 +75,7 @@ class OmegaClassification:
     verdict: str
     unit_root_multiplicity: int | None = None
     cyclotomic_factors: tuple[tuple[int, int], ...] = ()
-    content: int | None = None  # signed: content of U1 times its leading sign
+    content: int | None = None  # signed: content of U times its leading sign
     non_cyclotomic_part: IntPoly | None = None
     content_primes: tuple[int, ...] = ()
 
@@ -79,15 +89,18 @@ def classify_omega(f: GenPoly) -> OmegaClassification:
     if not f.integral:
         return OmegaClassification(INAPPLICABLE)
     u, _b = f.integerize()
-    m, u1 = unit_root_factor(u)
-    content = u1.content() * (1 if u1.leading > 0 else -1)
-    factors, rest = strip_cyclotomics(u1.primitive_part().scale(1 if u1.leading > 0 else -1))
+    sign = 1 if u.leading > 0 else -1  # a zero U raises ZeroPolynomialError here
+    # (T - 1)^m is primitive, so by Gauss's lemma U / (T - 1)^m has U's content
+    content = sign * u.content()
+    factors, rest = strip_cyclotomics(u.primitive_part().scale(sign))
+    if not factors or factors[0][0] != 1:
+        raise UnitRootMissingError("expected 1 to be a root (singular Laplacian)")
     verdict = UNBOUNDED if rest.degree >= 1 else BOUNDED
     content_primes = tuple(p for p, _ in factor_kappa(abs(content)).factors)
     return OmegaClassification(
         verdict=verdict,
-        unit_root_multiplicity=m,
-        cyclotomic_factors=factors,
+        unit_root_multiplicity=factors[0][1],
+        cyclotomic_factors=factors[1:],
         content=content,
         non_cyclotomic_part=rest,
         content_primes=content_primes,

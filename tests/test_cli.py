@@ -146,8 +146,8 @@ def theta_spec(ell):
 
 
 def test_report_for_a_20_digit_ell_finishes(spec_file):
-    # the order of p mod ell comes from factoring ell - 1, where
-    # euler_phi(ell) trial-divided up to sqrt(ell)
+    # the order of p mod ell comes from factoring ell - 1, with no
+    # trial division of ell up to sqrt(ell)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

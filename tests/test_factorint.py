@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import elltowers
 from elltowers import factorint
@@ -18,6 +19,7 @@ from elltowers.factorint import (
     TRIAL_BOUND,
     FactoredInteger,
     _prime_blocks,
+    _split_power,
     factor_kappa,
     integer_nth_root,
     is_certified_prime,
@@ -65,6 +67,17 @@ def test_ord_p():
     assert ord_p(-27, 3) == 3
     with pytest.raises(ValueError):
         ord_p(0, 2)
+    assert ord_p(3 * 2**60000, 2) == 60000
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 10**30), st.sampled_from((2, 3, 5, 7, 101, 1000003)), st.integers(0, 300))
+def test_split_power_matches_one_division_at_a_time(unit, p, e):
+    n = unit * p**e
+    naive_e, naive_rest = 0, n
+    while naive_rest % p == 0:
+        naive_e, naive_rest = naive_e + 1, naive_rest // p
+    assert _split_power(n, p) == (naive_e, naive_rest)
 
 
 def test_integer_nth_root():

@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from elltowers.intpoly import (
     IntPoly,
-    UnitRootMissingError,
     ZeroPolynomialError,
     cyclotomic,
-    euler_phi,
     poly_mod_gcd,
     resultant,
-    unit_root_factor,
 )
 
 T = sympy.Symbol("T")
@@ -63,6 +60,18 @@ def test_monic_division():
         IntPoly((1, 1)).exact_div_monic(IntPoly((1, 0, 1)))  # inexact division
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.integers(-9, 9), max_size=12),
+       st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), max_size=6))
+def test_divmod_by_monic_matches_sympy(num, low):
+    # divisors with many zero coefficients, as cyclotomics have
+    a, b = IntPoly(tuple(num)), IntPoly(tuple(low) + (1,))
+    q, r = a.divmod_by_monic(b)
+    sq, sr = sympy.div(_to_sympy(a), _to_sympy(b))
+    assert (_to_sympy(q), _to_sympy(r)) == (sq, sr)
+    assert r.degree < b.degree
+
+
 # -- cyclotomics ---------------------------------------------------------------
 
 def test_small_cyclotomics():
@@ -77,9 +86,14 @@ def test_small_cyclotomics():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 9, 12, 15, 25, 27, 32, 105])
 def test_cyclotomic_degree_and_monic(d):
     phi = cyclotomic(d)
-    assert phi.degree == euler_phi(d)
+    assert phi.degree == sympy.totient(d)
     assert phi.leading == 1
     assert _to_sympy(phi).as_expr() == sympy.cyclotomic_poly(d, T)
+
+
+def test_cyclotomics_match_sympy_up_to_300():
+    for d in range(1, 301):
+        assert _to_sympy(cyclotomic(d)) == sympy.Poly(sympy.cyclotomic_poly(d, T), T), d
 
 
 def test_prime_power_fast_path_matches_product_form():
@@ -91,30 +105,6 @@ def test_prime_power_fast_path_matches_product_form():
             prod = prod * cyclotomic(ell**j)
         tn = IntPoly((-1,) + (0,) * (n - 1) + (1,))
         assert prod == tn
-
-
-# -- the forced root at 1 -------------------------------------------------------
-
-def test_unit_root_factor_examples():
-    m, u1 = unit_root_factor(IntPoly((-3, 6, -3)))  # -3(T-1)^2
-    assert (m, u1.coeffs) == (2, (-3,))
-    m, u1 = unit_root_factor(IntPoly((-2, 0, 0, 4, 0, 0, -2)))  # -2 + 4T^3 - 2T^6
-    assert m == 2
-    assert u1 == (cyclotomic(3) * cyclotomic(3)).scale(-2)  # -2 Phi_3^2
-
-
-def test_unit_root_factor_quartic():
-    # U = T^3 f for f = -T^-3 - 2T^-2 - 3T^-1 + 12 - 3T - 2T^2 - T^3
-    u = IntPoly((-1, -2, -3, 12, -3, -2, -1))
-    m, u1 = unit_root_factor(u)
-    assert m == 2
-    assert u1.coeffs == (-1, -4, -10, -4, -1)
-    assert u1.coeffs == u1.coeffs[::-1] and u1(1) != 0
-
-
-def test_unit_root_factor_requires_root():
-    with pytest.raises(UnitRootMissingError):
-        unit_root_factor(IntPoly((1, 1)))
 
 
 # -- resultants -----------------------------------------------------------------

@@ -100,9 +100,8 @@ class NormTower:
     def real_norm(self, i):
         return level_norm(self.f, i)
 
-    def level_norm(self, i):
-        root = self.real_norm(i)
-        return root * root if self.ell**i > 2 else root
+    norm_power = Tower.norm_power
+    level_norm = Tower.level_norm
 
     def kappa(self, n):
         prod = self.kappa_0 * math.prod(self.level_norm(i) for i in range(1, n + 1))

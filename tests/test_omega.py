@@ -1,15 +1,50 @@
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
 from elltowers import GenPoly, Tower, classify_omega, strip_cyclotomics
 from elltowers.cli import DEFAULT_BUDGET_MS, _factorization_dict, _level_rows
 from elltowers.corpus import CORPUS
-from elltowers.intpoly import IntPoly, cyclotomic
-from elltowers.omega import BOUNDED, INAPPLICABLE, UNBOUNDED
+from elltowers.intpoly import IntPoly, ZeroPolynomialError, cyclotomic
+from elltowers.omega import (
+    BOUNDED,
+    INAPPLICABLE,
+    UNBOUNDED,
+    UnitRootMissingError,
+    _cyclotomic_orders,
+)
 from elltowers.towerspec import build_assignment, parse_tower_spec
 from util import reciprocal
 
 TOWERS = {e.name: Tower(build_assignment(parse_tower_spec(e.spec))) for e in CORPUS}
+T = sympy.Symbol("T")
+
+
+# -- candidate orders ------------------------------------------------------------
+
+def test_cyclotomic_orders_are_the_d_with_small_totient():
+    # phi(d) > sqrt(d/2), so every d with phi(d) <= 60 is below 2 (60^2 + 1)
+    totients = {d: sympy.totient(d) for d in range(1, 2 * (60 * 60 + 1) + 1)}
+    for degree in range(61):
+        assert _cyclotomic_orders(degree) == [d for d, phi in totients.items() if phi <= degree]
 
 
 # -- cyclotomic stripping --------------------------------------------------------
+
+def test_strip_unit_root_examples():
+    assert strip_cyclotomics(IntPoly((-3, 6, -3))) == (((1, 2),), IntPoly((-3,)))  # -3(T-1)^2
+    # -2 + 4T^3 - 2T^6 = -2 (T-1)^2 Phi_3^2
+    assert strip_cyclotomics(IntPoly((-2, 0, 0, 4, 0, 0, -2))) == (((1, 2), (3, 2)), IntPoly((-2,)))
+    # U = T^3 f for f = -T^-3 - 2T^-2 - 3T^-1 + 12 - 3T - 2T^2 - T^3
+    factors, rest = strip_cyclotomics(IntPoly((-1, -2, -3, 12, -3, -2, -1)))
+    assert factors == ((1, 2),)
+    assert rest.coeffs == (-1, -4, -10, -4, -1)
+    assert rest.coeffs == rest.coeffs[::-1] and rest(1) != 0
+    # no root at 1: no d = 1 entry
+    assert strip_cyclotomics(IntPoly((1, 1))) == (((2, 1),), IntPoly((1,)))
+    with pytest.raises(ZeroPolynomialError):
+        strip_cyclotomics(IntPoly(()))
+
 
 def test_strip_theta_u1():
     u1 = (cyclotomic(3) * cyclotomic(3)).scale(-2)
@@ -37,6 +72,40 @@ def test_strip_mixed_product():
     assert rest == IntPoly((3, 1, 3))
 
 
+def _sympy_cyclotomic_factors(u: IntPoly) -> dict[int, int]:
+    """{d: multiplicity} of the factors sympy.factor_list finds that are
+    cyclotomic polynomials, up to sign."""
+    out = {}
+    for factor, mult in sympy.factor_list(sympy.Poly(list(reversed(u.coeffs)), T))[1]:
+        if factor.is_cyclotomic:
+            deg = factor.degree()
+            d = next(d for d in range(1, 2 * (deg * deg + 1) + 1) if sympy.totient(d) == deg
+                     and sympy.Poly(sympy.cyclotomic_poly(d, T), T) in (factor, -factor))
+            out[d] = out.get(d, 0) + mult
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 30), max_size=6),
+       st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+       st.integers(-6, 6).filter(bool))
+def test_strip_matches_sympy_on_planted_products(planted, half, scale):
+    # a palindromic cofactor times Phi_d for the planted d, d = 1 included
+    if half[-1] == 0:
+        half[-1] = 1
+    u = IntPoly(tuple(half[:0:-1] + half)).scale(scale)
+    for d in planted:
+        u = u * cyclotomic(d)
+    factors, rest = strip_cyclotomics(u)
+    rebuilt = rest
+    for d, mult in factors:
+        for _ in range(mult):
+            rebuilt = rebuilt * cyclotomic(d)
+    assert rebuilt == u
+    assert dict(factors) == _sympy_cyclotomic_factors(u)
+    assert [d for d, _ in factors] == sorted(d for d, _ in factors)
+
+
 # -- classification ---------------------------------------------------------------
 
 def test_classify_corpus_verdicts():
@@ -59,6 +128,25 @@ def test_classify_theta_details():
     assert cls.cyclotomic_factors == ((3, 2),)
     assert cls.non_cyclotomic_part.coeffs == (1,)
     assert cls.content == -2
+
+
+def test_classify_requires_the_unit_root():
+    # U = 1 + T has no root at 1
+    with pytest.raises(UnitRootMissingError):
+        classify_omega(GenPoly(3, 2, ((0, 1), (1, 1)), integral=True))
+    with pytest.raises(UnitRootMissingError):
+        classify_omega(GenPoly.constant(3, 2, 7))
+    with pytest.raises(ZeroPolynomialError):
+        classify_omega(GenPoly.zero(3, 2))
+
+
+def test_classify_unit_root_multiplicity_and_signed_content():
+    # f = -3 T^-3 (T^3 - 1)^2 gives U = -3 (T-1)^2 Phi_3^2
+    f = GenPoly(3, 3, ((-3, -3), (0, 6), (3, -3)), integral=True)
+    cls = classify_omega(f)
+    assert (cls.unit_root_multiplicity, cls.cyclotomic_factors) == (2, ((3, 2),))
+    assert cls.content == -3 and cls.non_cyclotomic_part == IntPoly((1,))
+    assert cls.verdict == BOUNDED and cls.content_primes == (3,)
 
 
 def test_classify_inapplicable_for_padic_voltages():
