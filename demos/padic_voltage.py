@@ -25,7 +25,7 @@ print("check: residue^2 - 17 =", root.residue**2 - 17,
       "= 0 mod 2^8?", (root.residue**2 - 17) % 2**8 == 0)
 
 graph = Multigraph.bouquet(2)
-five = TruncatedPadic.from_integer(5, 2, 8)
+five = TruncatedPadic(2, 8, 5)
 va = VoltageAssignment.from_padics(graph, [root, five])
 tower = Tower(va)
 

@@ -56,7 +56,7 @@ from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
 from .intdet import det_stack
 from .intpoly import IntPoly, cyclotomic, dickson, poly_mod_gcd, real_form, resultant
-from .multimodular import check_word_prime, crt, primes_for_bound
+from .multimodular import check_word_prime, crt, primes_for_bound, residues
 
 
 class PrimeEqualsEllError(ValueError):
@@ -248,20 +248,12 @@ class _QuotientRing:
         self.d = g.degree
         inv = np.array([pow(g.leading, -1, q) for q in qs], dtype=np.int64).reshape(-1, 1)
         # x^d = sum_j tail[j] x^j, with tail = -g[:d] / lc(g)
-        self.tail = -self.residues(g.coeffs[:-1]) * inv % self.q
+        self.tail = -residues(g.coeffs[:-1], self.q) * inv % self.q
         # rows x^(d + k) for k < d - 1, which fold a product back into degree < d
         fold = [self.tail]
         for _ in range(self.d - 2):
             fold.append(self.times_x(fold[-1]))
         self.fold = np.stack(fold, axis=1) if self.d > 1 else None
-
-    def residues(self, coeffs) -> np.ndarray:
-        """Integer coefficients mod every q, as a (primes, len) array."""
-        try:
-            c = np.array(coeffs, dtype=np.int64)
-        except OverflowError:
-            c = np.array([int(x) for x in coeffs], dtype=object)
-        return (c % self.q).astype(np.int64)
 
     def x(self) -> np.ndarray:
         """x mod g."""
@@ -290,7 +282,7 @@ class _QuotientRing:
 
     def evaluate(self, p: IntPoly, y: np.ndarray) -> np.ndarray:
         """p(y) by Horner's rule, for p of degree >= 1."""
-        coeffs = self.residues(p.coeffs)
+        coeffs = residues(p.coeffs, self.q)
         acc = y * coeffs[:, -1:] % self.q
         acc[:, 0] += coeffs[:, -2]
         for k in range(len(p.coeffs) - 3, -1, -1):
@@ -332,7 +324,7 @@ def _evaluation_block(idx: np.ndarray, coeffs: list[int], qs, ell: int, m: int) 
     q = np.array(qs, dtype=np.int64).reshape(-1, 1)
     q3 = q[:, :, None]
     table = _root_powers(ell, m, qs)
-    cq = np.array([[c % p for c in coeffs] for p in qs], dtype=np.int64)
+    cq = residues(coeffs, q)
     vals = 0
     rows = max(1, _NORM_BLOCK // (len(qs) * idx.shape[1]))
     for s in range(0, idx.shape[0], rows):

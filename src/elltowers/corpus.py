@@ -2,8 +2,9 @@
 
 Each entry carries a tower spec document, the factored spanning-tree
 counts per level, the ell-part Iwasawa fit, the omega-growth verdict,
-and per-prime valuation expectations.  `selftest` recomputes everything
-and compares exactly.
+and per-prime valuation expectations.  `selftest` recomputes the
+counts, the fit and the verdict and compares them exactly; the tests
+compare the per-prime fields with analyze_prime's report.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ class CorpusEntry:
     kappa_factors: tuple[dict, ...]  # kappa_n as {prime: exponent}, n = 0..depth
     ell_fit: tuple[int, int, int, int] | None  # (mu, lambda, nu, onset)
     verdict: str
-    primes: dict = field(default_factory=dict)  # p -> expected report fields
+    primes: dict = field(default_factory=dict)  # p -> expected analyze_prime fields
 
     def kappa(self, n: int) -> int:
         out = 1
@@ -71,8 +72,8 @@ BOUQUET4_ELL3 = CorpusEntry(
     verdict="unbounded",
     primes={
         2: {"mu": 1, "n0": 2, "nu": 1},
-        17: {"mu": 0, "nu": 2, "stable_from": 2},
-        53: {"mu": 0, "nu": 2, "stable_from": 3},
+        17: {"mu": 0, "nu": 2, "closed_form_from": 2},
+        53: {"mu": 0, "nu": 2, "closed_form_from": 3},
     },
 )
 
@@ -119,8 +120,8 @@ BOUQUET4_ELL3_SKEW = CorpusEntry(
     ell_fit=(0, 1, 0, 1),
     verdict="unbounded",
     primes={
-        2: {"mu": 0, "nu": 4, "stable_from": 1},
-        127: {"mu": 0, "stable_from": 2},
+        2: {"mu": 0, "nu": 4, "closed_form_from": 1},
+        127: {"mu": 0, "closed_form_from": 2},
     },
 )
 

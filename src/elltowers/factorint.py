@@ -82,19 +82,13 @@ def _miller_rabin(n: int, bases) -> bool:
 
 
 def is_certified_prime(n: int) -> bool:
-    """True iff n is prime, proven.  Raises for n beyond the proven range."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < _WORD_MR_BOUND:
-        return _miller_rabin(n, _WORD_MR_BASES)
+    """True iff n is prime, proven.  Raises for n beyond the proven range,
+    unless a small prime divides n."""
     if n >= DETERMINISTIC_MR_BOUND:
+        if any(n % p == 0 for p in _SMALL_PRIMES):
+            return False  # a division witness needs no Miller-Rabin
         raise ValueError(f"{n} exceeds the deterministic Miller-Rabin range")
-    return _miller_rabin(n, _MR_BASES)
+    return is_probable_prime(n)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -107,7 +101,7 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    return _miller_rabin(n, _MR_BASES)
+    return _miller_rabin(n, _WORD_MR_BASES if n < _WORD_MR_BOUND else _MR_BASES)
 
 
 def ord_p(n: int, p: int) -> int:

@@ -6,6 +6,10 @@ arithmetic is addition mod ell**N.  Evaluation at an ell^n-th root of
 unity (n <= N) only sees exponents mod ell^n, so this truncation is
 faithful for everything computed here.
 
+A tower has one ring: every GenPoly of a run is built at the voltage
+assignment's ell and precision, from integer exponent residues, and sum
+and product refuse operands of another ring instead of re-aligning them.
+
 Whether an exponent "is an integer" is a declaration carried over from
 the input voltages, never inferred from a residue: a truncated ell-adic
 number with small digits is still not an integer.  Only declared-integral
@@ -20,16 +24,12 @@ from operator import add, mul
 
 from .factorint import ord_p
 from .graphs import VoltageAssignment
-from .intpoly import IntPoly
-from .padics import PrecisionError, TruncatedPadic
+from .intpoly import IntPoly, ZeroPolynomialError
+from .padics import PrecisionError
 
 
 class NonIntegralExponentError(ValueError):
     """Integer-polynomial view requested for declared ell-adic exponents."""
-
-
-class ZeroGenPolyError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class GenPoly:
     integral: bool = False
 
     def __post_init__(self):
-        mod = self.ell**self.precision
+        mod = self.modulus
         acc: dict[int, int] = {}
         for e, c in self.terms:
             if c:
@@ -61,15 +61,9 @@ class GenPoly:
         return cls(ell, precision, ((0, c),), integral)
 
     @classmethod
-    def monomial(cls, ell: int, precision: int, exponent, coeff: int = 1,
+    def monomial(cls, ell: int, precision: int, exponent: int, coeff: int = 1,
                  integral: bool = False) -> "GenPoly":
-        if isinstance(exponent, TruncatedPadic):
-            if exponent.ell != ell or exponent.precision < precision:
-                raise PrecisionError("exponent known to less precision than requested")
-            e = exponent.reduce(precision)
-        else:
-            e = int(exponent) % ell**precision
-        return cls(ell, precision, ((e, coeff),), integral)
+        return cls(ell, precision, ((exponent, coeff),), integral)
 
     # -- structure ----------------------------------------------------------
 
@@ -84,44 +78,32 @@ class GenPoly:
     def coefficients(self) -> list[int]:
         return [c for _, c in self.terms]
 
-    def _aligned(self, other: "GenPoly") -> tuple[int, "GenPoly", "GenPoly"]:
-        if self.ell != other.ell:
-            raise ValueError("mixed primes ell")
-        n = min(self.precision, other.precision)
-        return n, self.at_precision(n), other.at_precision(n)
-
-    def at_precision(self, n: int) -> "GenPoly":
-        """Reduce to a smaller working precision (exponents mod ell**n)."""
-        if n == self.precision:
-            return self
-        if n > self.precision:
-            if not self.integral:
-                raise PrecisionError("cannot raise precision of ell-adic exponents")
-            mod = self.ell**n
-            return GenPoly(self.ell, n,
-                           tuple((self.lift_exponent(e) % mod, c) for e, c in self.terms),
-                           True)
-        return GenPoly(self.ell, n, self.terms, self.integral)
+    def _ring(self, other: "GenPoly") -> int:
+        """The shared exponent modulus; refuses an operand of another ring."""
+        if (self.ell, self.precision) != (other.ell, other.precision):
+            raise ValueError("GenPoly operands of different rings")
+        return self.modulus
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "GenPoly") -> "GenPoly":
-        n, a, b = self._aligned(other)
-        return GenPoly(self.ell, n, a.terms + b.terms, a.integral and b.integral)
+        self._ring(other)
+        return GenPoly(self.ell, self.precision, self.terms + other.terms,
+                       self.integral and other.integral)
 
     def __neg__(self) -> "GenPoly":
         return GenPoly(self.ell, self.precision,
                        tuple((e, -c) for e, c in self.terms), self.integral)
 
     def __mul__(self, other: "GenPoly") -> "GenPoly":
-        n, a, b = self._aligned(other)
-        mod = self.ell**n
+        mod = self._ring(other)
         acc: dict[int, int] = {}
-        for ea, ca in a.terms:
-            for eb, cb in b.terms:
+        for ea, ca in self.terms:
+            for eb, cb in other.terms:
                 e = (ea + eb) % mod
                 acc[e] = acc.get(e, 0) + ca * cb
-        return GenPoly(self.ell, n, tuple(acc.items()), a.integral and b.integral)
+        return GenPoly(self.ell, self.precision, tuple(acc.items()),
+                       self.integral and other.integral)
 
     def divide_coefficients(self, k: int) -> "GenPoly":
         if any(c % k for _, c in self.terms):
@@ -187,7 +169,7 @@ def mu_invariant(f: GenPoly, p: int) -> tuple[int, GenPoly]:
     """(mu, g): mu is the minimal p-adic valuation over the coefficients
     and f = p^mu * g with mu(g) = 0."""
     if f.is_zero:
-        raise ZeroGenPolyError("mu of the zero polynomial")
+        raise ZeroPolynomialError("mu of the zero polynomial")
     mu = min(ord_p(c, p) for _, c in f.terms)
     return mu, f.divide_coefficients(p**mu)
 

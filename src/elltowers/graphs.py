@@ -194,7 +194,7 @@ class VoltageAssignment:
     def from_integers(cls, graph: Multigraph, ell: int, values, precision: int = 1) -> "VoltageAssignment":
         values = tuple(int(v) for v in values)
         n = max(precision, _min_precision_for_integers(ell, values))
-        volts = tuple(TruncatedPadic.from_integer(v, ell, n) for v in values)
+        volts = tuple(TruncatedPadic(ell, n, v) for v in values)
         return cls(graph, ell, volts, values)
 
     @classmethod
@@ -258,22 +258,21 @@ def spanning_tree_count(graph: Multigraph) -> int:
     return det_int(lap)
 
 
-def cover_connected_by_voltages(va: VoltageAssignment, n: int) -> bool:
-    """Algebraic connectivity criterion for the level-n cover.
+def cover_connected_by_voltages(va: VoltageAssignment) -> bool:
+    """Algebraic connectivity criterion for the covers of every level n >= 1.
 
-    The cover is connected when the base is and the cycle voltages
-    generate Z/ell^n, i.e. some cycle voltage is a unit.  With the
-    potentials phi of the base search taken mod ell, the cycle closed by
-    an edge s has voltage phi(tail) + voltage(s) - phi(head) mod ell, so
-    the test is whether that is nonzero on some edge (tree edges give 0).
-    Agrees with breadth-first search on the derived graph."""
+    The level-n cover is connected when the base is and the cycle
+    voltages generate Z/ell^n, i.e. some cycle voltage is a unit; that
+    does not depend on n.  With the potentials phi of the base search
+    taken mod ell, the cycle closed by an edge s has voltage phi(tail) +
+    voltage(s) - phi(head) mod ell, so the test is whether that is
+    nonzero on some edge (tree edges give 0).  Agrees with breadth-first
+    search on the derived graphs."""
     ell = va.ell
     volts = [va.voltage_mod(idx, 1) for idx in range(va.graph.num_edges)]
     phi, _ = _potentials(va.graph, volts, ell)
     if not phi or None in phi:
         return False
-    if n == 0:
-        return True
     return any((phi[t] + v - phi[h]) % ell for (t, h), v in zip(va.graph.edges, volts))
 
 
@@ -282,6 +281,6 @@ def tower_problems(va: VoltageAssignment) -> list[str]:
     else covers that are disconnected.  Empty when every hypothesis
     holds."""
     problems = list(validate(va.graph).problems)
-    if not problems and not cover_connected_by_voltages(va, 1):
+    if not problems and not cover_connected_by_voltages(va):
         problems.append("cycle voltages do not generate Z/ell: every cover is disconnected")
     return problems

@@ -10,7 +10,8 @@ Two engines behind one dispatcher, both exact:
 
 The elimination itself is det_stack, which takes a stack of residue
 matrices, each image with its own prime: det_mod reduces one integer
-matrix modulo a list of primes into such a stack, and analysis's level
+matrix modulo a list of primes into such a stack (multimodular.residues,
+which also serves the level norms), and analysis's level
 norm builds its stacks of multiplication matrices directly.
 
 det_stack is envelope (profile) elimination, as in George and Liu,
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multimodular import check_word_prime, crt, primes_for_bound
+from .multimodular import check_word_prime, crt, integer_array, primes_for_bound, residues
 
 BAREISS_THRESHOLD = 36
 
@@ -108,14 +109,7 @@ def det_mod(matrix: np.ndarray, qs) -> list[int]:
     [0, q), from one elimination over the stack of images (det_stack)."""
     for q in qs:
         check_word_prime(q)
-    n = matrix.shape[0]
-    a = np.empty((len(qs), n, n), dtype=np.int64)
-    if matrix.dtype == object:
-        for image, p in zip(a, qs):
-            image[...] = matrix % p
-    else:
-        np.remainder(matrix, np.array(qs, dtype=np.int64).reshape(-1, 1, 1), out=a)
-    return det_stack(a, qs)
+    return det_stack(residues(matrix, np.array(qs, dtype=np.int64)), qs)
 
 
 def det_stack(a: np.ndarray, qs) -> list[int]:
@@ -214,10 +208,7 @@ def multimodular_det(rows: list[list[int]]) -> int:
     if bound_bits == 0:
         return 0
     qs = primes_for_bound(1 << bound_bits)
-    try:
-        matrix = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        matrix = np.array(rows, dtype=object)
+    matrix = integer_array(rows)
     # as few stacks as STACK_ENTRIES allows, of nearly equal size
     stacks = -(-len(qs) // max(1, STACK_ENTRIES // (n * n)))
     images = []

@@ -16,11 +16,17 @@ pools of q = 1 (mod ell^i).  crt recombines the images into the
 symmetric representative, so signs are recovered as long as the primes'
 product exceeds twice the absolute value (primes_for_bound picks that
 many, skipping the primes that divide a given integer).
+
+residues(values, q) is both engines' one reduction of an array of
+integers modulo each prime of a block; integers past int64 stay exact
+there (integer_array), so neither engine has an overflow path of its own.
 """
 
 from __future__ import annotations
 
 import threading
+
+import numpy as np
 
 from .factorint import is_certified_prime
 
@@ -40,6 +46,22 @@ def check_word_prime(q: int) -> None:
     """Refuse a modulus outside the range where int64 arithmetic is exact."""
     if not 2 <= q < WORD_LIMIT:
         raise ValueError(f"modulus {q} is outside the int64-safe range [2, 2**30)")
+
+
+def integer_array(values) -> np.ndarray:
+    """values as an int64 array, or as an object array of Python ints
+    when some entry lies past int64 (where numpy would pick uint64 or
+    float64)."""
+    a = np.asarray(values)
+    return a if a.dtype in (np.int64, object) else np.array(values, dtype=object)
+
+
+def residues(values, q: np.ndarray) -> np.ndarray:
+    """The integers values modulo each prime of q (an int64 array, flat
+    or a column), as an int64 array of shape (len(q), *np.shape(values))
+    with entries in [0, q)."""
+    a = integer_array(values)
+    return (a % q.reshape(-1, *(1,) * a.ndim)).astype(np.int64, copy=False)
 
 
 def primes(count: int, modulus: int = 1) -> list[int]:

@@ -37,10 +37,6 @@ class TruncatedPadic:
             raise ValueError("precision must be >= 1")
         object.__setattr__(self, "residue", self.residue % self.ell**self.precision)
 
-    @classmethod
-    def from_integer(cls, value: int, ell: int, precision: int) -> "TruncatedPadic":
-        return cls(ell, precision, value % ell**precision)
-
     def reduce(self, n: int) -> int:
         """Residue modulo ell**n, for n <= precision."""
         if n < 0:

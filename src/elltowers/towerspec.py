@@ -138,7 +138,7 @@ def build_assignment(spec: TowerSpec) -> VoltageAssignment:
     volts = []
     for _, _, v in spec.edges:
         if isinstance(v, str):
-            volts.append(TruncatedPadic.from_integer(int(v), spec.ell, spec.precision))
+            volts.append(TruncatedPadic(spec.ell, spec.precision, int(v)))
         elif v["kind"] == "padic":
             digits = v["digits"]
             if len(digits) < spec.precision:

@@ -347,6 +347,15 @@ def test_observed_matches_predicted_on_corpus():
             assert all(b >= a for a, b in zip(r.observed, r.observed[1:]))
 
 
+@pytest.mark.parametrize("entry,p", [
+    pytest.param(entry, p, id=f"{entry.name}-p{p}") for entry in CORPUS for p in entry.primes])
+def test_corpus_prime_expectations(entry, p):
+    # every field the corpus lists for p, as analyze_prime reports it
+    expected = entry.primes[p]
+    r = analyze_prime(tower(entry.name), p, entry.depth)
+    assert {key: getattr(r, key) for key in expected} == expected
+
+
 # -- stabilization bounds ------------------------------------------------------------
 
 def test_stabilization_bounds_17():

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from elltowers import (
     mu_invariant,
     voltage_matrix,
 )
-from elltowers.intpoly import IntPoly
+from elltowers.intpoly import IntPoly, ZeroPolynomialError
 from util import random_voltage_tower, reciprocal, substitute_power
 
 THETA = Multigraph.from_edge_list(2, [(0, 1), (1, 0), (1, 0)])
@@ -43,11 +44,15 @@ def test_multiplication_wraps_exponents():
     assert (f * g).terms == ((1, 1),)  # T^2 * T^2 = T^4 = T^(4 mod 3)
 
 
-def test_mixed_precision_closes_at_min():
+def test_mixed_rings_rejected():
+    # a tower has one ring: operands of another ell or precision are refused
     a = gp(3, 3, [(1, 1)])
-    b = gp(3, 2, [(2, 1)])
-    assert (a + b).precision == 2
-    assert (a * b).precision == 2
+    for b in (gp(3, 2, [(2, 1)]), gp(5, 3, [(2, 1)])):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(ValueError):
+                op(a, b)
+            with pytest.raises(ValueError):
+                op(b, a)
 
 
 def test_reciprocal_and_scale_exponents():
@@ -193,9 +198,7 @@ def test_mu_invariant_examples():
 
 
 def test_mu_of_zero_rejected():
-    from elltowers.genpoly import ZeroGenPolyError
-
-    with pytest.raises(ZeroGenPolyError):
+    with pytest.raises(ZeroPolynomialError):
         mu_invariant(GenPoly.zero(3, 2), 2)
 
 
@@ -232,8 +235,8 @@ def test_reduce_level_wraps_exponents():
     # 4 - T^s17 - T^-s17 - T^5 - T^-5 at level 1 (all exponents odd): 4 - 4T
     s17 = TruncatedPadic(2, 8, 233)
     f = (GenPoly.constant(2, 8, 4, integral=False)
-         + GenPoly.monomial(2, 8, s17, -1)
-         + GenPoly.monomial(2, 8, TruncatedPadic(2, 8, -233), -1)
+         + GenPoly.monomial(2, 8, s17.residue, -1)
+         + GenPoly.monomial(2, 8, TruncatedPadic(2, 8, -233).residue, -1)
          + GenPoly.monomial(2, 8, 5, -1)
          + GenPoly.monomial(2, 8, -5, -1))
     r1 = f.reduce_level(1)

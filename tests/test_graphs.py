@@ -113,7 +113,7 @@ def test_projection_recovers_base_incidence():
 
 
 def test_precision_guard_for_padic_voltages():
-    volts = [TruncatedPadic.from_integer(1, 5, 2)] * 3
+    volts = [TruncatedPadic(5, 2, 1)] * 3
     va = VoltageAssignment.from_padics(Multigraph.bouquet(3), volts)
     derived_graph(va, 2)
     with pytest.raises(PrecisionError):
@@ -125,13 +125,13 @@ def test_precision_guard_for_padic_voltages():
 def test_zero_voltages_disconnect_cover():
     va = VoltageAssignment.from_integers(Multigraph.bouquet(2), 3, [0, 0], 2)
     assert not is_connected(derived_graph(va, 1))
-    assert not cover_connected_by_voltages(va, 1)
+    assert not cover_connected_by_voltages(va)
 
 
 def test_connected_cover_example():
     va = VoltageAssignment.from_integers(Multigraph.bouquet(4), 3, [1, 1, 2, 2], 2)
     assert is_connected(derived_graph(va, 2))
-    assert cover_connected_by_voltages(va, 2)
+    assert cover_connected_by_voltages(va)
 
 
 def test_voltage_ell_gives_disconnected_low_level():
@@ -139,7 +139,7 @@ def test_voltage_ell_gives_disconnected_low_level():
     va = VoltageAssignment.from_integers(Multigraph.bouquet(1), 3, [3], 2)
     assert not is_connected(derived_graph(va, 1))
     assert not is_connected(derived_graph(va, 2))
-    assert not cover_connected_by_voltages(va, 1)
+    assert not cover_connected_by_voltages(va)
 
 
 def _disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:
@@ -150,7 +150,7 @@ def _disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:
 
 def test_bfs_agrees_with_subgroup_criterion():
     # integral, ell-adic and all-multiples-of-ell voltages, on connected
-    # and disconnected bases, at levels 0..2
+    # and disconnected bases, at levels 0..2; level 0 is the base itself
     rng = random.Random(2)
     outcomes = set()
     for trial in range(60):
@@ -168,7 +168,7 @@ def test_bfs_agrees_with_subgroup_criterion():
             va = VoltageAssignment.from_padics(
                 graph, [TruncatedPadic(ell, 2, rng.randrange(ell**2)) for _ in graph.edges])
         for n in (0, 1, 2):
-            connected = cover_connected_by_voltages(va, n)
+            connected = cover_connected_by_voltages(va) if n else is_connected(graph)
             assert is_connected(derived_graph(va, n)) == connected
             outcomes.add((kind, n, connected))
     # every kind reaches both outcomes at level 1; multiples of ell never connect
@@ -257,6 +257,6 @@ def test_integer_lift_guard():
         # residues fit, but the modulus is too small to lift |values| safely
         VoltageAssignment(
             Multigraph.bouquet(2), 3,
-            (TruncatedPadic.from_integer(7, 3, 2), TruncatedPadic.from_integer(1, 3, 2)),
+            (TruncatedPadic(3, 2, 7), TruncatedPadic(3, 2, 1)),
             (7, 1),
         )

@@ -470,6 +470,32 @@ def test_crt_symmetric_representative():
     assert crt([34], [37]) == -3
 
 
+def _mod(values, p):
+    """values % p entrywise, in Python integers, for nested lists."""
+    return [_mod(v, p) for v in values] if isinstance(values, list) else values % p
+
+
+def test_residues_match_python_remainders():
+    from elltowers.multimodular import residues
+
+    qs = [1073741789, 1073741783, 7]
+    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
+    rng = random.Random(5)
+    small = [rng.randint(-(2**62), 2**62) for _ in range(9)]
+    # past int64, where numpy alone would read uint64, float64 or objects
+    cases = (small, [2**63 + 1, -1], [2**64 - 1], [-(2**90), 3, 2**64 + 1],
+             [[rng.randint(-(2**100), 2**100) for _ in range(3)] for _ in range(2)])
+    for values in cases:
+        got = residues(values, q)
+        assert got.dtype == np.int64
+        assert got.tolist() == [_mod(values, p) for p in qs]
+    # an int64 matrix against a flat array of primes
+    a = np.array(small, dtype=np.int64).reshape(3, 3)
+    assert residues(a, q.ravel()).tolist() == [_mod(a.tolist(), p) for p in qs]
+
+
 def test_int64_code_refuses_large_moduli():
-    with pytest.raises(ValueError):
-        det_mod(np.eye(2, dtype=np.int64), [(1 << 30) + 3])
+    for matrix in (np.eye(2, dtype=np.int64), np.array([[2**70, 0], [0, 1]], dtype=object)):
+        for bad in ((1 << 30) + 3, 1 << 30):
+            with pytest.raises(ValueError):
+                det_mod(matrix, [1073741789, bad])

@@ -19,9 +19,9 @@ def test_residue_normalized_into_range():
 
 
 def test_reduce_and_truncate():
-    x = TruncatedPadic.from_integer(47, 3, 4)
+    x = TruncatedPadic(3, 4, 47)
     assert x.residue == 47  # 47 < 3^4: nothing truncated
-    assert TruncatedPadic.from_integer(47, 3, 2) == TruncatedPadic(3, 2, 47 % 9)
+    assert TruncatedPadic(3, 2, 47) == TruncatedPadic(3, 2, 47 % 9)
     assert x.reduce(2) == 47 % 9
     assert x.reduce(0) == 0
     with pytest.raises(PrecisionError):
@@ -31,7 +31,7 @@ def test_reduce_and_truncate():
 
 
 def test_digits():
-    x = TruncatedPadic.from_integer(18, 3, 4)  # 18 = 0*1 + 0*3 + 2*9
+    x = TruncatedPadic(3, 4, 18)  # 18 = 0*1 + 0*3 + 2*9
     assert x.digits() == [0, 0, 2, 0]
     assert TruncatedPadic(3, 4, 0).digits() == [0, 0, 0, 0]
     assert str(x) == "0.020 (base 3)"

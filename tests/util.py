@@ -77,7 +77,7 @@ def random_voltage_tower(rng: random.Random, ells=(2, 3, 5), max_vertices=4,
         ell = rng.choice(list(ells))
         values = [rng.randint(-max_voltage, max_voltage) for _ in range(graph.num_edges)]
         va = VoltageAssignment.from_integers(graph, ell, values, 1)
-        if cover_connected_by_voltages(va, 1):
+        if cover_connected_by_voltages(va):
             return va
 
 
