@@ -25,8 +25,9 @@ cancelling) has determinant equal to the tree count.  The Laplacian is
 built in the reverse of the search's visit order (reverse Cuthill-McKee
 without the valency sort), so vertex 0 comes last and is the one
 dropped, and every vertex's neighbours lie in its own search level or
-an adjacent one: the minor's nonzeros hug the diagonal, which is what the
-envelope elimination of intdet.det_mod exploits.
+an adjacent one: the minor's nonzeros hug the diagonal in a narrow band,
+which intdet.det_mod eliminates without row swaps in band storage,
+many images modulo its primes to one stack.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -59,6 +60,7 @@ def test_det_mod_matches_exact():
         m = _random_matrix(rng, n, -50, 50)
         exact = bareiss_det(m)
         assert det_mod(np.array(m, dtype=np.int64), [p]) == [exact % p]
+        assert det_mod(np.array(m, dtype=np.int64), []) == []
 
 
 def test_hadamard_bound_dominates():
@@ -134,6 +136,12 @@ def test_other_matrices_keep_the_row_norm_bound():
             assert hadamard_bound_bits(other) == _row_norm_bits(other)
             d = bareiss_det(other)
             assert abs(d) < 1 << hadamard_bound_bits(other)
+    # int64 entries whose row sums pass int64: wrapped, the first row
+    # would pass for dominant and the diagonal bound 2**186 fall below
+    # |det| = 3 * 2**185
+    m = [[2**61, -(2**62), -(2**62)], [-(2**62), 2**62, 0], [-(2**62), 0, 2**62]]
+    assert hadamard_bound_bits(np.array(m, dtype=np.int64)) == _row_norm_bits(m)
+    assert multimodular_det(m) == bareiss_det(m) == -3 * 2**185
 
 
 def test_multimodular_large_entries():
@@ -195,6 +203,23 @@ def test_multimodular_stacks_stay_below_the_entry_limit(monkeypatch):
         assert [q for s in stacks for q in s] == qs
         assert len(stacks) == -(-len(qs) // per_stack)
         assert max(sizes) <= per_stack and max(sizes) - min(sizes) <= 1
+    # a symmetric dominant band of half-width w is stored as n x (2w + 1)
+    # per image, and its stacks are partitioned by those stored entries
+    n, w = 200, 40
+    m = _symmetric_band(rng, n, w, 1)
+    for i in range(n - w):
+        m[i][i + w] = m[i + w][i] = -1
+    for i in range(n):
+        m[i][i] = sum(map(abs, m[i])) + rng.randint(0, 40)
+    stacks = []
+    assert multimodular_det(m) == bareiss_det(m)
+    qs = primes_for_bound(1 << hadamard_bound_bits(m))
+    per_stack = intdet.STACK_ENTRIES // (n * (2 * w + 1))
+    sizes = [len(s) for s in stacks]
+    assert per_stack > 1 and len(stacks) > 1
+    assert [q for s in stacks for q in s] == qs
+    assert len(stacks) == -(-len(qs) // per_stack)
+    assert max(sizes) <= per_stack and max(sizes) - min(sizes) <= 1
 
 
 # -- the stacked elimination ------------------------------------------------------
@@ -499,3 +524,142 @@ def test_int64_code_refuses_large_moduli():
         for bad in ((1 << 30) + 3, 1 << 30):
             with pytest.raises(ValueError):
                 det_mod(matrix, [1073741789, bad])
+
+
+# -- the band kernel: symmetric dominant matrices eliminated without swaps ---------
+
+def _record_det_stack(monkeypatch):
+    """The prime lists of every det_stack call, the band kernel's fallbacks."""
+    import elltowers.intdet as intdet
+
+    calls, real = [], intdet.det_stack
+    monkeypatch.setattr(intdet, "det_stack", lambda a, qs: calls.append(list(qs)) or real(a, qs))
+    return calls
+
+
+def _symmetric_band(rng, n, w, bound, zeros=0.0):
+    """_band's upper half of width w mirrored below a zero diagonal."""
+    up = _band(rng, n, 0, w, False, bound, zeros)
+    return [[up[min(i, j)][max(i, j)] if i != j else 0 for j in range(n)] for i in range(n)]
+
+
+def _dominant(m, q):
+    """m with each diagonal entry raised by a multiple of q until the matrix
+    is diagonally dominant: the same image modulo q."""
+    m = [row[:] for row in m]
+    for i, row in enumerate(m):
+        others = sum(map(abs, row)) - abs(row[i])
+        row[i] += max(0, -(-(others - row[i]) // q)) * q
+    return m
+
+
+def test_breadth_first_band_laplacian_takes_one_stack_for_all_its_primes(monkeypatch):
+    import elltowers.intdet as intdet
+    from elltowers.graphs import Multigraph, spanning_tree_count
+    from elltowers.multimodular import primes_for_bound
+
+    # a 256-cycle with doubled edges: its breadth-first ordered reduced
+    # Laplacian has order 255 and half-bandwidth 2, and two dense images
+    # fill a stack
+    rng = random.Random(47)
+    g = 256
+    mult = [rng.choice((1, 2)) for _ in range(g)]
+    edges = [(i, (i + 1) % g) for i in range(g) for _ in range(mult[i])]
+    calls, real_det_mod = [], intdet.det_mod
+
+    def recording_det_mod(matrix, qs):
+        calls.append((matrix, list(qs)))
+        return real_det_mod(matrix, qs)
+
+    monkeypatch.setattr(intdet, "det_mod", recording_det_mod)
+    trees = sum(math.prod(mult[:e] + mult[e + 1 :]) for e in range(g))
+    assert spanning_tree_count(Multigraph.from_edge_list(g, edges)) == trees
+    ((lap, used),) = calls
+    assert lap.shape == (255, 255) and intdet._width(intdet._band_profile(lap)) == 2
+    assert used == primes_for_bound(1 << hadamard_bound_bits(lap))
+    assert intdet.STACK_ENTRIES // (255 * 255) == 2 and len(used) >= 13
+
+
+def test_band_images_whose_leading_minors_vanish_are_recomputed_alone(monkeypatch):
+    import elltowers.intdet as intdet
+    from elltowers.multimodular import primes
+
+    rng = random.Random(53)
+    qs = primes(4)
+    m = _dominant(_symmetric_band(rng, 30, 3, 5), 1)
+    # the leading entry vanishes mod qs[1], and the leading 2 x 2 minor
+    # mod qs[2]: both images lose their pivot before the last step
+    m[0][0] = qs[1]
+    m[1][1] = m[0][1] ** 2 * pow(m[0][0], -1, qs[2]) % qs[2]
+    m = _dominant(m, qs[2])
+    assert (m[0][0] * m[1][1] - m[0][1] ** 2) % qs[2] == 0 and m[0][0] % qs[2]
+    a = np.array(m, dtype=np.int64)
+    assert intdet._band_profile(a) is not None
+    calls = _record_det_stack(monkeypatch)
+    got = det_mod(a, qs)
+    assert got == [_det_mod_reference(m, q) for q in qs] == _images(m, qs)
+    assert calls == [[qs[1]], [qs[2]]]
+
+
+def test_band_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
+    import elltowers.intdet as intdet
+    from elltowers.multimodular import primes
+
+    rng = random.Random(59)
+    qs = primes(3)
+    m = _dominant(_symmetric_band(rng, 40, 4, 3), 1)
+    # det is linear in the last diagonal entry: det = x * D + C, with D the
+    # leading minor of order n - 1; pick x = -C / D mod qs[0]
+    lead = bareiss_det([row[:-1] for row in m[:-1]])
+    m[-1][-1] = 0
+    rest = bareiss_det(m)
+    m[-1][-1] = -rest * pow(lead, -1, qs[0]) % qs[0]
+    m = _dominant(m, qs[0])
+    calls = _record_det_stack(monkeypatch)
+    got = det_mod(np.array(m, dtype=np.int64), qs)
+    assert got == [_det_mod_reference(m, q) for q in qs] and got[0] == 0 and all(got[1:])
+    assert calls == []
+
+
+def test_band_worst_case_magnitudes_between_lazy_reductions():
+    import elltowers.intdet as intdet
+    from elltowers.multimodular import primes
+
+    # M = U^T U mod q for U unit upper triangular with h = (q - 1) / 2 on
+    # the w diagonals above its own: every pivot is 1 and every pivot-row
+    # entry and multiplier is h, so each update subtracts h**2 from its
+    # box, the largest growth balanced residues allow, and with w > LAZY
+    # entries take LAZY updates between reductions; det M = 1
+    w = intdet.LAZY + 2
+    n = 2 * w + 10
+    for q in primes(2):
+        h = (q - 1) // 2
+        up = [[1 if i == j else h if 0 < j - i <= w else 0 for j in range(n)] for i in range(n)]
+        m = [[sum(up[k][i] * up[k][j] for k in range(n)) % q for j in range(n)] for i in range(n)]
+        m = _dominant([[x - q if x > h else x for x in row] for row in m], q)
+        a = np.array(m, dtype=np.int64)
+        assert intdet._width(intdet._band_profile(a)) == w
+        assert det_mod(a, [q]) == [1]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_det_mod_on_symmetric_dominant_bands(data):
+    import elltowers.intdet as intdet
+    from elltowers.multimodular import primes
+
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    n = data.draw(st.integers(2, 90), label="order")
+    w = data.draw(st.integers(0, (n - 2) // 2), label="half-bandwidth")
+    bound = data.draw(st.sampled_from([1, 9, 2**20]), label="entry bound")
+    zeros = data.draw(st.sampled_from([0.0, 0.5]), label="zero fraction")
+    qs = primes(3)
+    # diagonals at the dominance limit, or past it by a multiple of a prime
+    # of the list, so that leading minors vanish modulo it now and then
+    m = _dominant(_symmetric_band(rng, n, w, bound, zeros), 1)
+    for i in range(n):
+        m[i][i] += rng.choice((0, 0, 1, qs[rng.randrange(3)]))
+    a = np.array(m, dtype=np.int64)
+    assert intdet._band_profile(a) is not None
+    assert det_mod(a, qs) == [_det_mod_reference(m, q) for q in qs]
+    assert det_mod(a, []) == []
