@@ -25,16 +25,19 @@ cancelling) has determinant equal to the tree count.  The Laplacian is
 built in the reverse of the search's visit order (reverse Cuthill-McKee
 without the valency sort), so vertex 0 comes last and is the one
 dropped, and every vertex's neighbours lie in its own search level or
-an adjacent one: the minor's nonzeros hug the diagonal in a narrow band,
-which intdet.det_mod eliminates without row swaps in band storage,
-many images modulo its primes to one stack.
+an adjacent one: the minor's nonzeros hug the diagonal in a narrow band.
+reduced_laplacian reads the minor and its envelope profile (the first
+nonzero column of each row) off the edges, and intdet.det_int
+eliminates it without row swaps: by exact Bareiss inside the envelope
+while that is narrow, else modulo word-size primes in band storage,
+many images to one stack.  No dense matrix of Python integers is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intdet import det_int
+from .intdet import ReducedLaplacian, det_int
 from .padics import PrecisionError, TruncatedPadic
 
 
@@ -232,31 +235,37 @@ def derived_graph(va: VoltageAssignment, n: int) -> Multigraph:
 
 
 def spanning_tree_count(graph: Multigraph) -> int:
-    """Exact number of spanning trees, by the Laplacian minor without
-    vertex 0, its rows and columns in reverse breadth-first order."""
+    """Exact number of spanning trees: the determinant of the reduced
+    Laplacian."""
+    return det_int(reduced_laplacian(graph))
+
+
+def reduced_laplacian(graph: Multigraph) -> ReducedLaplacian:
+    """The Laplacian minor without vertex 0, its rows and columns in
+    reverse breadth-first order, read off the edges with its profile."""
     order = _search_order(graph)
     g = graph.num_vertices
     if not 0 < len(order) == g:
         raise DisconnectedGraphError("spanning trees are counted for connected graphs only")
-    if g == 1:
-        return 1
+    # vertex 0 was visited first, so it is the last row and column, n
+    n = g - 1
     pos = [0] * g
     for i, v in enumerate(reversed(order)):
         pos[v] = i
-    lap = [[0] * g for _ in range(g)]
+    diagonal, edges, first = [0] * n, [], list(range(n))
     for t, h in graph.edges:
-        if t == h:
+        i, j = pos[t], pos[h]
+        if i > j:
+            i, j = j, i
+        elif i == j:
             continue  # loops cancel between valency and adjacency
-        t, h = pos[t], pos[h]
-        lap[t][h] -= 1
-        lap[h][t] -= 1
-        lap[t][t] += 1
-        lap[h][h] += 1
-    # vertex 0 was visited first, so it is the last row and column
-    lap.pop()
-    for row in lap:
-        row.pop()
-    return det_int(lap)
+        diagonal[i] += 1
+        if j < n:
+            diagonal[j] += 1
+            edges.append((i, j))
+            if i < first[j]:
+                first[j] = i
+    return ReducedLaplacian(diagonal, edges, first)
 
 
 def cover_connected_by_voltages(va: VoltageAssignment) -> bool:

@@ -1,35 +1,73 @@
 """Exact determinants of integer matrices.
 
-Two engines behind one dispatcher, both exact:
+det_int takes a square integer matrix as a list of rows, or a reduced
+Laplacian (ReducedLaplacian: a multigraph's Laplacian less its last row
+and column, given by its edges, as graphs.spanning_tree_count builds
+it).  It sends each to one of two exact engines by its envelope work
+(below):
 
-* fraction-free Bareiss elimination for orders up to BAREISS_THRESHOLD;
-* multi-modular for larger orders: det_mod runs one Gaussian
-  elimination over a stack of images modulo word-size primes, and the
-  images are recombined by CRT against a Hadamard bound (the product of
-  the diagonal for a reduced Laplacian, else the row norms).
+* bareiss_det, fraction-free elimination (Bareiss 1968): a list of rows
+  is eliminated dense, swapping rows past zero pivots; a reduced
+  Laplacian is eliminated without swaps inside its envelope, read from
+  its edges (ReducedLaplacian.envelope).
+* multimodular_det: one elimination over a stack of images modulo
+  word-size primes (det_mod), recombined by CRT against a Hadamard
+  bound (the product of the diagonal for a reduced Laplacian, else the
+  row norms).  A reduced Laplacian comes as an int64 array built from
+  its edges (ReducedLaplacian.array).
+
+Envelopes.  first[i] is the first nonzero column of row i of a
+symmetric matrix (i when there is none), and reach[k] is one past the
+last row whose first nonzero lies in a column <= k.  Elimination step k
+then changes only the box of rows and columns k+1 .. reach[k]-1: no
+fill falls outside the envelope, and the boxes come from the static
+profile (George and Liu, Computer Solution of Large Sparse Positive
+Definite Systems, 1981, ch. 4).  graphs.reduced_laplacian orders a
+Laplacian by a breadth-first search, so its profile hugs the diagonal,
+and reads first off the edges: first[j] is the least i of an edge
+(i, j), i < j.
+
+Envelope Bareiss.  After Bareiss step k, entry (i, j) of the trailing
+block is the minor of the matrix on rows 0..k, i and columns 0..k, j,
+and the pivot of step k is the leading principal minor d_k of order
+k+1, so step k sets a_ij to (d_k a_ij - a_ik a_kj) / d_{k-1}, an exact
+division.  bareiss_det applies that only inside the boxes:
+
+* Only the upper triangle, row i holding columns i .. reach[i]-1: the
+  minors are symmetric in i and j, so the pivot row also serves as the
+  pivot column (a_ik = a_ki).
+* Entering entries are scaled.  An entry whose column j has been
+  outside every box so far was never updated, but Bareiss would have:
+  the pivot rows so far are 0 in column j, so each step s only
+  multiplied it by d_s / d_{s-1}, which telescopes to d_{k-1} before
+  step k.  So when column j enters the box
+  at step k (reach[k-1] <= j < reach[k]), its entries in rows k .. j
+  are multiplied by the previous pivot d_{k-1} once, and from then on
+  they are updated at every step, since reach never falls.
+* No row swaps.  A reduced Laplacian is symmetric with a dominant
+  nonnegative diagonal, hence positive semidefinite.  If a leading
+  minor d_k vanishes, some x != 0 has A_k x = 0; then y = (x, 0) has
+  y^T A y = 0, so A y = 0 and det A = 0.  A zero pivot ends the
+  elimination with determinant 0 (a disconnected graph).
+
+Engine choice.  With t_k = reach[k] - k - 1 the side of step k's box,
+the envelope work is sum t_k^2 / n, about the box entries per row that
+an elimination updates; a list of rows counts as dense, reach[k] = n,
+where the work is (n - 1)(2n - 1) / 6.  det_int runs Bareiss up to
+BAREISS_WORK and multimodular_det above it.
 
 det_mod(matrix, qs) picks one of two kernels from the matrix itself:
 
 * _det_band, for an int64 matrix that is symmetric, diagonally dominant
-  and of half-bandwidth w = max(i - first nonzero column of row i) with
-  2w + 1 < n: a reduced Laplacian whose rows graphs orders by a
-  breadth-first search (w = 2-74 on the order 47-255 minors that the
-  cover_check benchmark sends to multimodular_det, seeds 1-3, first
-  round).  Such a matrix is positive semidefinite, and positive
-  definite when nonsingular, so every leading principal minor is
-  positive and Gaussian elimination needs no row swap modulo q unless q
-  divides one of them.  Each image is stored as n rows of
+  and of half-bandwidth w = max(i - first[i]) with 2w + 1 < n, such as
+  a reduced Laplacian past BAREISS_WORK.  It is positive definite when
+  nonsingular, so Gaussian elimination needs no row swap modulo q
+  unless q divides a leading minor.  Each image is stored as n rows of
   2w + 1 entries (the band) and read through one sheared (m, n, n)
-  view; step k updates the square box of rows and columns k+1 ..
-  reach[k]-1, reach[k] being one past the last row whose first nonzero
-  lies in a column <= k.  That is envelope (profile) elimination, as in
-  George and Liu, Computer Solution of Large Sparse Positive Definite
-  Systems (1981), ch. 4: no fill falls outside the envelope, and the
-  boxes come from the matrix's static profile, computed once.  The
-  Schur complements stay symmetric, so the pivot row also serves as the
-  pivot column.  An image whose pivot vanishes before the last step (q
-  divides a leading minor) is recomputed alone by det_stack; one that
-  vanishes at the last step has determinant 0.
+  view, and step k updates the box of its envelope, the pivot row
+  serving as the pivot column as in Bareiss.  An image whose
+  pivot vanishes before the last step is recomputed alone by
+  det_stack; one that vanishes at the last step has determinant 0.
 * det_stack, for every other matrix: dense Gaussian elimination over a
   stack of residue matrices, each image with its own prime, pivoting
   on each image's first nonzero row.  It also serves analysis's level
@@ -38,8 +76,7 @@ det_mod(matrix, qs) picks one of two kernels from the matrix itself:
 
 multimodular_det sizes its stacks by the entries one image stores, n *
 (2w + 1) in band storage or n * n dense, so that a stack holds at most
-STACK_ENTRIES: the 13-14 primes of a band minor of order 255 and small
-w share one elimination, where dense images go two to a stack.
+STACK_ENTRIES.
 
 Residues are balanced in (-q/2, q/2]; the pivot row (and in det_stack
 the pivot column) is reduced at each step, and every LAZY steps the
@@ -48,32 +85,41 @@ current box (delayed reduction, as in Dumas, Giorgi and Pernet's
 FFLAS).  A box's product is a temporary, taken in slices of rows when
 the box is large, so a stack needs no stack-sized buffer.
 
-BAREISS_THRESHOLD is the measured crossover (2-core x86-64, shared,
-Python 3.11, numpy 2.4; ms, medians of repeated timings).  On breadth-
-first ordered Laplacian minors of random multigraphs of mean valency 4,
-most of them too wide for band storage, the two engines tie near order
-32 (three runs of five timings of 12 minors per order):
+BAREISS_WORK is the measured crossover (2-core x86-64, shared, Python
+3.11, numpy 2.4): microseconds per row, medians of five timings of
+each minor, Bareiss from ReducedLaplacian.envelope and multimodular_det
+from ReducedLaplacian.array, by envelope work per row.  Cover minors
+are the distinct minors of order above 36 in rounds 0-2 of the
+cover_check benchmark (seeds 1-3) and rounds 0-1 of padic_deep (seed
+1); random minors are breadth-first ordered minors of random
+multigraphs of order 24-56 and mean valency 8.
 
-    order         24    28    32    36    40    48    63    127
-    Bareiss      0.8   1.3   2.0   3.0   3.8   7.1  15.8  131
-    multimodular 1.4   1.5   1.9   2.4   2.6   3.4   5.5   18
+    work          <50  50- 100- 150- 200- 250- 400- 500- 700- 1000-
+                       100  150  200  250  400  500  700 1000  4000
+    cover minors    8    8   13   11    9    6   10   13    7    17
+      Bareiss      14   35   41   57   64   95  117  140  189   369
+      multimod.    54   55   53   57   55   65   76   84   85   187
+    random minors             7    6    5   15    9    5    1
+      Bareiss                23   30   37   70   74  173   96
+      multimod.              33   35   37   52   52   86   55
 
-On the minors of the cover_check towers (seeds 1-8, all in band storage
-from order 24 on), which the band kernel serves, Bareiss still wins at
-order 35 (2.3 against 2.7) and loses from order 47 on (5.5 against 2.9
-at 47, 11.0 against 4.0 at 63).  Covers are what the matrix-tree check
-counts, so the threshold stays at 36.
+The cover minors tie near 200 and the random ones between 200 and 250
+(multimodular's cost per row barely grows with the width of a narrow
+band, Bareiss's grows with the work), so BAREISS_WORK is 200, and
+dense matrices, whose work is (n - 1)(2n - 1) / 6, go to Bareiss up
+to order 25.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .multimodular import check_word_prime, crt, integer_array, primes_for_bound, residues
 
-BAREISS_THRESHOLD = 36
+BAREISS_WORK = 200
 
 # Balanced residues have |r| <= q/2 < 2**29 for q < 2**30, so one rank-1
 # update adds at most (q/2)**2 < 2**58 to an entry.  An entry reduced
@@ -92,7 +138,60 @@ STACK_ENTRIES = 1 << 17
 UPDATE_ENTRIES = STACK_ENTRIES // 4
 
 
-def bareiss_det(rows: list[list[int]]) -> int:
+class ReducedLaplacian(NamedTuple):
+    """The Laplacian of a multigraph on n + 1 vertices less its last row
+    and column, by its edges: diagonal[i] is vertex i's valency without
+    its loops, each edge between two of the first n vertices appears in
+    edges once as (i, j) with i < j, and first is the envelope profile,
+    first[j] the least i of an edge (i, j), else j."""
+
+    diagonal: list[int]
+    edges: list[tuple[int, int]]
+    first: list[int]
+
+    def envelope(self, reach: list[int]) -> list[list[int]]:
+        """The upper envelope that bareiss_det eliminates: row i's entries
+        in columns i .. reach[i] - 1, where every edge (i, j) lies."""
+        rows = [[0] * (r - i) for i, r in enumerate(reach)]
+        for row, d in zip(rows, self.diagonal):
+            row[0] = d
+        for i, j in self.edges:
+            rows[i][j - i] -= 1
+        return rows
+
+    def array(self) -> np.ndarray:
+        """The whole matrix, an int64 array."""
+        a = np.diag(np.array(self.diagonal, dtype=np.int64))
+        if self.edges:
+            i, j = np.array(self.edges, dtype=np.intp).T
+            np.subtract.at(a, (i, j), 1)
+            np.subtract.at(a, (j, i), 1)
+        return a
+
+
+def _reach(first) -> list[int]:
+    """reach[k] of a profile (module docstring): one past the last row
+    whose first nonzero lies in a column <= k."""
+    last = [0] * len(first)
+    for r, f in enumerate(first):
+        last[f] = r
+    return [r + 1 for r in accumulate(last, max)]
+
+
+def _bareiss_serves(reach: list[int]) -> bool:
+    """Is the envelope work of the profile with this reach at most
+    BAREISS_WORK?"""
+    return sum((r - k - 1) ** 2 for k, r in enumerate(reach)) <= BAREISS_WORK * len(reach)
+
+
+def bareiss_det(rows: list[list[int]], reach: list[int] | None = None) -> int:
+    """Exact determinant by fraction-free elimination.  Without reach,
+    rows is a square matrix, copied and eliminated dense with row
+    swaps; with reach, rows is the upper envelope of a positive
+    semidefinite matrix (ReducedLaplacian.envelope), eliminated in place
+    inside its boxes (module docstring)."""
+    if reach is not None:
+        return _envelope_bareiss(rows, reach)
     n = len(rows)
     if n == 0:
         return 1
@@ -115,6 +214,25 @@ def bareiss_det(rows: list[list[int]]) -> int:
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def _envelope_bareiss(rows: list[list[int]], reach: list[int]) -> int:
+    prev, entered = 1, 0  # the columns below entered have been in a box
+    for k, (pivot_row, r) in enumerate(zip(rows, reach)):
+        if r > entered:
+            if prev != 1:
+                for i in range(k, r):
+                    row, lo = rows[i], max(entered, i) - i
+                    row[lo : r - i] = [x * prev for x in row[lo : r - i]]
+            entered = r
+        pivot = pivot_row[0]
+        if pivot == 0:
+            return 0
+        for i in range(k + 1, r):
+            m, row = pivot_row[i - k], rows[i]
+            row[: r - i] = [(pivot * x - m * y) // prev for x, y in zip(row, pivot_row[i - k :])]
+        prev = pivot
+    return prev
 
 
 def _balance(a: np.ndarray, q: np.ndarray, half: np.ndarray) -> None:
@@ -210,11 +328,7 @@ def _det_band(matrix: np.ndarray, qs, first: np.ndarray) -> list[int]:
     step = band.itemsize
     a = np.lib.stride_tricks.as_strided(
         band.reshape(m, n * (2 * w + 1))[:, w:], shape=(m, n, n), strides=(band.strides[0], 2 * w * step, step))
-    # reach[k]: one past the last row whose first nonzero is at or before k
-    last = [0] * n
-    for r, f in enumerate(first.tolist()):
-        last[f] = r
-    reach = [r + 1 for r in accumulate(last, max)]
+    reach = _reach(first.tolist())
     images, vanished = [1] * m, set()
     for k, r in enumerate(reach):
         row = a[:, k, k:r]
@@ -296,7 +410,7 @@ def hadamard_bound_bits(rows) -> int:
     return (prod.bit_length() + 1) // 2
 
 
-def multimodular_det(rows: list[list[int]]) -> int:
+def multimodular_det(rows: list[list[int]] | np.ndarray) -> int:
     n = len(rows)
     if n == 0:
         return 1
@@ -316,11 +430,18 @@ def multimodular_det(rows: list[list[int]]) -> int:
     return crt(images, qs)
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant; dispatches on size."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+def det_int(matrix: ReducedLaplacian | list[list[int]]) -> int:
+    """Exact determinant of a reduced Laplacian or of a square matrix
+    given by its rows: Bareiss up to BAREISS_WORK of envelope work per
+    row, multi-modular above (module docstring)."""
+    if isinstance(matrix, ReducedLaplacian):
+        reach = _reach(matrix.first)
+        if _bareiss_serves(reach):
+            return bareiss_det(matrix.envelope(reach), reach)
+        return multimodular_det(matrix.array())
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
         raise ValueError("matrix must be square")
-    if n <= BAREISS_THRESHOLD:
-        return bareiss_det(rows)
-    return multimodular_det(rows)
+    if _bareiss_serves([n] * n):
+        return bareiss_det(matrix)
+    return multimodular_det(matrix)

@@ -16,8 +16,7 @@ from elltowers import (
     spanning_tree_count,
     validate,
 )
-from elltowers.intdet import BAREISS_THRESHOLD
-from util import random_connected_multigraph, spanning_trees_bruteforce
+from util import dense_bareiss_order, random_connected_multigraph, spanning_trees_bruteforce
 
 THETA = Multigraph.from_edge_list(2, [(0, 1), (1, 0), (1, 0)])
 
@@ -210,7 +209,12 @@ def _lucas(n):
     return a
 
 
-ORDERS = (3, 20, BAREISS_THRESHOLD, BAREISS_THRESHOLD + 1, 100, 255)
+DENSE = dense_bareiss_order()
+# graph orders on both sides of the Bareiss crossover: the complete graph
+# and the wheel on DENSE + 1 vertices have minors of order DENSE with a
+# dense profile, the largest that Bareiss takes, and those on DENSE + 2
+# vertices go to the multi-modular engine (cycles all take Bareiss)
+ORDERS = tuple(sorted({3, 20, DENSE + 1, DENSE + 2, 36, 37, 100, 255}))
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -234,8 +238,7 @@ def test_wheel_spanning_trees_are_lucas_numbers(n):
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_tree_count_is_invariant_under_relabelling(data):
-    t = BAREISS_THRESHOLD
-    g = data.draw(st.one_of(st.integers(2, t), st.integers(t + 1, 120)), label="order")
+    g = data.draw(st.one_of(st.integers(2, DENSE + 1), st.integers(DENSE + 2, 120)), label="order")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     # a random tree, then random edges, loops and parallel copies
     edges = [(rng.randrange(i), i) for i in range(1, g)]

@@ -3,9 +3,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from elltowers import Multigraph, spanning_tree_count
+from elltowers.graphs import reduced_laplacian
 from elltowers.intdet import bareiss_det, det_int, det_mod, hadamard_bound_bits, multimodular_det
+from util import dense_bareiss_order, spanning_trees_bruteforce
 
 
 def _random_matrix(rng, n, lo=-9, hi=9):
@@ -33,19 +36,44 @@ def test_engines_agree_on_random_matrices():
             assert bareiss_det(m) == multimodular_det(m)
 
 
+def _band_graph(g, b):
+    """Vertex i joined to i + 1 .. i + b: searched from vertex 0 in order,
+    its reduced Laplacian has profile first[j] = max(0, j - b)."""
+    return Multigraph.from_edge_list(g, [(i, j) for i in range(g) for j in range(i + 1, min(i + b + 1, g))])
+
+
+def _band_work(n, b):
+    """sum t_k**2 of the profile first[j] = max(0, j - b) of order n."""
+    return sum(min(b, n - 1 - k) ** 2 for k in range(n))
+
+
 def test_dispatcher_threshold(monkeypatch):
     import elltowers.intdet as intdet
 
+    def engines(matrix):
+        calls = []
+        monkeypatch.setattr(intdet, "bareiss_det", lambda rows, reach=None: calls.append("bareiss") or 0)
+        monkeypatch.setattr(intdet, "multimodular_det", lambda rows: calls.append("mm") or 0)
+        det_int(matrix)
+        monkeypatch.undo()
+        return calls
+
+    # a list of rows counts as dense
     rng = random.Random(1)
-    for n in (6, intdet.BAREISS_THRESHOLD, intdet.BAREISS_THRESHOLD + 1):
+    dense = dense_bareiss_order()
+    for n in (6, dense, dense + 1):
         m = _random_matrix(rng, n)
         assert multimodular_det(m) == bareiss_det(m)
-        engines = []
-        monkeypatch.setattr(intdet, "bareiss_det", lambda rows: engines.append("bareiss") or 0)
-        monkeypatch.setattr(intdet, "multimodular_det", lambda rows: engines.append("mm") or 0)
-        det_int(m)
-        monkeypatch.undo()
-        assert engines == ["bareiss" if n <= intdet.BAREISS_THRESHOLD else "mm"]
+        assert engines(m) == ["bareiss" if n <= dense else "mm"]
+    # a reduced Laplacian by its envelope work: band graphs whose work per
+    # row is just within BAREISS_WORK and just past it
+    n = 200
+    b = max(b for b in range(1, n) if _band_work(n, b) <= intdet.BAREISS_WORK * n)
+    for width, engine in ((1, "bareiss"), (b, "bareiss"), (b + 1, "mm"), (2 * b, "mm")):
+        lap = reduced_laplacian(_band_graph(n + 1, width))
+        assert lap.first == [max(0, j - width) for j in range(n)]
+        assert engines(lap) == [engine]
+        assert det_int(lap) == _envelope_det(lap) == multimodular_det(lap.array())
 
 
 def test_rejects_non_square():
@@ -156,7 +184,7 @@ def test_multimodular_uses_the_fewest_primes_for_the_hadamard_bound(monkeypatch)
     from elltowers.multimodular import primes_for_bound
 
     rng = random.Random(3)
-    n = intdet.BAREISS_THRESHOLD + 1
+    n = dense_bareiss_order() + 1
     m = [[rng.randint(-1, 1) if abs(i - j) <= 3 else 0 for j in range(n)] for i in range(n)]
     used = []
     real_det_mod = intdet.det_mod
@@ -426,10 +454,8 @@ def test_det_mod_on_banded_and_cyclic_band_matrices(data):
 
 
 def test_entries_beyond_int64_stay_exact():
-    import elltowers.intdet as intdet
-
     rng = random.Random(23)
-    n = intdet.BAREISS_THRESHOLD + 4
+    n = dense_bareiss_order() + 4
     m = _random_matrix(rng, n)
     for _ in range(10):
         m[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, 1)) * rng.randint(2**63, 2**90)
@@ -445,9 +471,7 @@ def test_entries_beyond_int64_stay_exact():
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_det_int_matches_bareiss_across_the_threshold(data):
-    import elltowers.intdet as intdet
-
-    t = intdet.BAREISS_THRESHOLD
+    t = dense_bareiss_order()
     n = data.draw(st.one_of(st.integers(1, 6), st.integers(t - 2, t + 6)), label="order")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     zeros = data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="zero fraction")
@@ -553,18 +577,47 @@ def _dominant(m, q):
     return m
 
 
+def _clique_ring(s, m):
+    """K_s x C_m, the Cartesian product: m cliques of s vertices in a ring,
+    each vertex joined to its copies in the two neighbouring cliques."""
+    v = lambda u, c: c * s + u
+    edges = [(v(u, c), v(w, c)) for c in range(m) for u in range(s) for w in range(u + 1, s)]
+    edges += [(v(u, c), v(u, (c + 1) % m)) for c in range(m) for u in range(s)]
+    return Multigraph.from_edge_list(s * m, edges)
+
+
+def _clique_ring_trees(s, m):
+    """Spanning trees of K_s x C_m (m >= 3).  The Laplacian eigenvalues are
+    the sums of those of K_s (0 once, s with multiplicity s - 1) and of
+    C_m (2 - 2 cos(2 pi j / m)), so the count is m (a_m - 2)**(s - 1) / s,
+    with a_m = prod_j (s + 2 - 2 cos(2 pi j / m)) + 2 from a_0 = 2,
+    a_1 = s + 2 and a_k = (s + 2) a_(k-1) - a_(k-2)."""
+    a, b = 2, s + 2
+    for _ in range(m - 1):
+        a, b = b, (s + 2) * b - a
+    count, rest = divmod(m * (b - 2) ** (s - 1), s)
+    assert rest == 0
+    return count
+
+
+def test_clique_ring_tree_counts():
+    for s in (1, 2, 3, 4):
+        for m in (3, 4, 5):
+            assert spanning_tree_count(_clique_ring(s, m)) == _clique_ring_trees(s, m)
+    assert _clique_ring_trees(2, 3) == 75  # the triangular prism
+    for s, m in ((1, 3), (2, 3), (3, 3)):
+        assert spanning_trees_bruteforce(_clique_ring(s, m)) == _clique_ring_trees(s, m)
+
+
 def test_breadth_first_band_laplacian_takes_one_stack_for_all_its_primes(monkeypatch):
     import elltowers.intdet as intdet
-    from elltowers.graphs import Multigraph, spanning_tree_count
     from elltowers.multimodular import primes_for_bound
 
-    # a 256-cycle with doubled edges: its breadth-first ordered reduced
-    # Laplacian has order 255 and half-bandwidth 2, and two dense images
-    # fill a stack
-    rng = random.Random(47)
-    g = 256
-    mult = [rng.choice((1, 2)) for _ in range(g)]
-    edges = [(i, (i + 1) % g) for i in range(g) for _ in range(mult[i])]
+    # K_8 x C_21: its breadth-first ordered reduced Laplacian has order 167,
+    # half-bandwidth 16 and envelope work 235 per row, past BAREISS_WORK,
+    # so the band kernel takes it; its 18 primes share one stack, where
+    # dense images would go four to a stack
+    graph = _clique_ring(8, 21)
     calls, real_det_mod = [], intdet.det_mod
 
     def recording_det_mod(matrix, qs):
@@ -572,12 +625,92 @@ def test_breadth_first_band_laplacian_takes_one_stack_for_all_its_primes(monkeyp
         return real_det_mod(matrix, qs)
 
     monkeypatch.setattr(intdet, "det_mod", recording_det_mod)
-    trees = sum(math.prod(mult[:e] + mult[e + 1 :]) for e in range(g))
-    assert spanning_tree_count(Multigraph.from_edge_list(g, edges)) == trees
+    assert spanning_tree_count(graph) == _clique_ring_trees(8, 21)
     ((lap, used),) = calls
-    assert lap.shape == (255, 255) and intdet._width(intdet._band_profile(lap)) == 2
+    assert lap.shape == (167, 167) and intdet._width(intdet._band_profile(lap)) == 16
     assert used == primes_for_bound(1 << hadamard_bound_bits(lap))
-    assert intdet.STACK_ENTRIES // (255 * 255) == 2 and len(used) >= 13
+    assert intdet.STACK_ENTRIES // (167 * 167) < len(used)
+
+
+# -- envelope Bareiss: reduced Laplacians without row swaps -----------------------
+
+def _exact_det(m):
+    """sympy's determinant of a list of rows."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    n = len(m)
+    return int(DomainMatrix([[ZZ(x) for x in row] for row in m], (n, n), ZZ).det()) if n else 1
+
+
+def _profile(m):
+    """The first nonzero column of each row of a list of rows (the
+    diagonal's when there is none before it)."""
+    return [next((j for j, x in enumerate(row[:i]) if x), i) for i, row in enumerate(m)]
+
+
+def _envelope_det(lap):
+    import elltowers.intdet as intdet
+
+    reach = intdet._reach(lap.first)
+    return bareiss_det(lap.envelope(reach), reach)
+
+
+def _check_envelope(graph):
+    """The envelope Bareiss value of graph's reduced Laplacian against the
+    pivoting Bareiss value, sympy and det_int, and its profile against
+    the dense minor's."""
+    lap = reduced_laplacian(graph)
+    dense = lap.array().tolist()
+    assert lap.first == _profile(dense)
+    det = _envelope_det(lap)
+    assert det == bareiss_det(dense) == _exact_det(dense) == det_int(lap) > 0
+    return det
+
+
+def test_envelope_grows_by_many_columns_in_one_step():
+    import elltowers.intdet as intdet
+
+    # a clique on 0 .. 12 and a path 12 - 13 - ... - 32 of doubled edges:
+    # searched from 0, the path is visited last, so it opens the minor, and
+    # the other 11 columns of the clique all enter the box at the step of
+    # vertex 12, after 20 pivots whose leading minor is 2**20, which their
+    # entries are scaled by
+    clique = [(u, w) for u in range(13) for w in range(u + 1, 13)]
+    path = [(v, v + 1) for v in range(12, 32) for _ in range(2)]
+    graph = Multigraph.from_edge_list(33, clique + path)
+    lap = reduced_laplacian(graph)
+    reach = intdet._reach(lap.first)
+    assert reach[19:21] == [21, 32] and intdet._bareiss_serves(reach)
+    assert bareiss_det([row[:20] for row in lap.array().tolist()[:20]]) == 2**20
+    assert _check_envelope(graph) == 2**20 * 13**11
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_envelope_bareiss_on_random_multigraphs(data):
+    import elltowers.intdet as intdet
+
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    g = data.draw(st.integers(1, 56), label="order")
+    extra = data.draw(st.sampled_from([0, 1, 2, 6]), label="extra edges per vertex")
+    pendant = data.draw(st.integers(0, 10), label="pendant path")
+    # a random tree, then random edges, loops and parallel copies, and a
+    # path hanging off one vertex, all relabelled at random
+    edges = [(rng.randrange(i), i) for i in range(1, g)]
+    edges += [(rng.randrange(g), rng.randrange(g)) for _ in range(extra * g)]
+    edges += [(v, v) for v in rng.sample(range(g), min(g, 3))]
+    edges += rng.sample(edges, min(len(edges), 5))
+    tail = rng.randrange(g)
+    for v in range(g, g + pendant):
+        edges.append((tail, v))
+        tail = v
+    g += pendant
+    perm = rng.sample(range(g), g)
+    graph = Multigraph.from_edge_list(g, [(perm[t], perm[h]) for t, h in edges])
+    _check_envelope(graph)
+    lap = reduced_laplacian(graph)
+    event("Bareiss" if intdet._bareiss_serves(intdet._reach(lap.first)) else "multi-modular")
 
 
 def test_band_images_whose_leading_minors_vanish_are_recomputed_alone(monkeypatch):

@@ -22,6 +22,18 @@ def reciprocal(f: GenPoly) -> GenPoly:
     return substitute_power(f, -1)
 
 
+def dense_bareiss_order() -> int:
+    """The largest order of a matrix given by its rows that det_int
+    eliminates by Bareiss: a dense profile's envelope work per row,
+    (n - 1)(2n - 1) / 6, is at most BAREISS_WORK."""
+    from elltowers.intdet import BAREISS_WORK
+
+    n = 1
+    while n * (2 * n + 1) <= 6 * BAREISS_WORK:  # the work of order n + 1
+        n += 1
+    return n
+
+
 def spanning_trees_bruteforce(graph: Multigraph) -> int:
     """Count spanning trees by enumerating all (|V|-1)-subsets of edges.
 
