@@ -10,17 +10,11 @@ and the product identity  ell^n * kappa_n = kappa_0 * N_1 * ... * N_n
 recovers every spanning-tree count in the tower from the norms alone,
 one level at a time: kappa_n = kappa_(n-1) * N_n / ell.
 
-N_i is computed multi-modularly.  f is fixed by T -> 1/T, so N_i =
-M_i^2 for ell^i > 2, where M_i is the norm from the real subfield
-Q(zeta)^+ (Washington, GTM 83, ch. 2 and 8); level_norm returns M_i,
-recovered with its sign by CRT once the primes' product exceeds
-2 * ||f_i||_1^(phi(ell^i)/2), and Tower squares it.  With f = V(T + 1/T),
-M_i = Res(Psi_(ell^i), V) for Psi_(ell^i) the minimal polynomial of
-zeta + 1/zeta.  Integral towers take it as a determinant in F_q[x]/(V),
-for any word prime q not dividing lc(V), once phi(ell^i)/2 reaches
-RING_THRESHOLD (_ring_norm); ell-adic towers and lower levels evaluate
-f at the roots of unity of F_q, for primes q = 1 (mod ell^i)
-(_evaluation_norm).
+f is fixed by T -> 1/T, so N_i = M_i^2 for ell^i > 2, where M_i is the
+norm from the real subfield Q(zeta)^+ (Washington, GTM 83, ch. 2 and
+8); level_norm returns M_i with its sign, and Tower squares it:
+exactly over Z by Graeffe root-powering for integral towers, from the
+roots of unity of F_q and CRT for ell-adic ones.
 Up to mt_check_level, every N_i is recomputed by the subresultant
 sequence and every kappa_n by the matrix-tree theorem on the actual
 cover; a disagreement raises ArithmeticError.
@@ -54,8 +48,7 @@ import numpy as np
 from .factorint import factor_kappa, ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
-from .intdet import det_stack
-from .intpoly import IntPoly, cyclotomic, dickson, poly_mod_gcd, real_form, resultant
+from .intpoly import IntPoly, cyclotomic, poly_mod_gcd, real_form, resultant
 from .multimodular import check_word_prime, crt, primes_for_bound, residues
 
 
@@ -151,24 +144,6 @@ def splitting(p: int, ell: int, dbar: int) -> tuple[int, int]:
 # level norms and the tower orchestration
 # ---------------------------------------------------------------------------
 
-# Integral level norms take the ring route once h = phi(ell^i)/2 reaches
-# RING_THRESHOLD, and the evaluation route below it: the ring pays a
-# fixed cost per level (the Dickson steps and a b-step elimination), the
-# evaluation route work proportional to h^2.  Measured on integral_deep
-# towers (2-core x86-64, Python 3.11, numpy 2.4; ms per level, best of
-# three); a larger b moves the crossover up:
-#
-#     ell, level, b    2,8,5  3,5,4  2,9,5  3,6,4  2,10,5  3,7,4  7,4,4
-#     h                   64     81    128    243     256    729   1029
-#     ring              0.54   0.49   0.69   0.86    1.17   1.79   3.55
-#     evaluation        0.29   0.33   0.70   1.26    1.92   7.22  12.4
-#
-#     ell, level, b    2,9,7  3,6,10  2,10,7  3,7,10
-#     ring              1.38    3.52    1.94   11.2
-#     evaluation        0.77    2.66    2.08   23.0
-RING_THRESHOLD = 128
-
-
 def level_norm(f: GenPoly, i: int) -> int:
     """M_i, the norm of f from the real subfield Q(zeta_m)^+, m = ell^i:
     f is fixed by T -> 1/T (every voltage determinant is), so f(zeta^k)
@@ -176,127 +151,142 @@ def level_norm(f: GenPoly, i: int) -> int:
     over k in (Z/m)^*/{+-1}.  For m = 2 it returns N_1 = f(-1) itself,
     and M_0 = 1 by convention.  A non-symmetric f raises ValueError.
 
-    |f(zeta^k)| <= ||f_i||_1 for f_i = f.reduce_level(i), so word-size
-    primes are taken until their product exceeds 2 ||f_i||_1^h, h =
-    phi(m)/2, and CRT gives M_i with its sign.  Integral exponents take
-    the images from F_q[x]/(V) once h reaches RING_THRESHOLD (_ring_norm);
-    ell-adic ones, and lower levels, from the roots of unity of F_q
-    (_evaluation_norm).  Tower.level_norm cross-checks N_i against the
-    subresultant at every matrix-tree-checked level."""
+    Integral exponents take M_i by Graeffe root-powering (_graeffe_norm),
+    ell-adic ones by evaluation and CRT (_evaluation_norm).  Tower
+    cross-checks N_i against the subresultant up to mt_check_level."""
     if i == 0:
         return 1
     coeff, modulus = dict(f.terms), f.modulus
     if any(coeff.get(-e % modulus) != c for e, c in f.terms):
         raise ValueError("level norms need f fixed by T -> 1/T, as every voltage determinant is")
+    m = f.ell**i
+    if f.integral and m > 2:
+        return _graeffe_norm(*f.integerize(), f.ell, i)
     reduced = f.reduce_level(i)
     if reduced.is_zero:
         return 0
-    m = f.ell**i
     if m == 2:
         return reduced(-1)
     h = (f.ell - 1) * m // f.ell // 2
     bound = sum(map(abs, reduced.coeffs)) ** h
-    if f.integral and h >= RING_THRESHOLD:
-        return _ring_norm(real_form(f.integerize()[0]), f.ell, i, h, bound)
     return _evaluation_norm(reduced, f.ell, m, h, bound)
+
+
+def _graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
+    """M_i for U = T^b f, palindromic of degree 2b, and ell^i > 2.
+
+    zeta -> zeta^ell maps the primitive ell^i-th roots of unity ell-to-one
+    onto the primitive ell^(i-1)-th ones, with fibres {zeta omega^j} that
+    respect inversion, so M_i(f) = M_(i-1)(f') for the Graeffe step
+    f'(T^ell) = prod_(j < ell) f(omega^j T) (Pan, SIAM Review 39, 1997):
+    U' = T^b f' has the roots r^ell of U.  For ell = 2 the step carries
+    the sign (-1)^b, which survives only from level 3 to 2 (h = 1).  The
+    steps stop where the norm is a short formula: M_2 = f(sqrt(-1)) for
+    ell = 2, M_1 = f(omega) for ell = 3, and M_1 = Res(Psi_ell, V) above
+    (_scaled_graeffe_norm).  Every step is an identity in Z[T]; no prime
+    is drawn, and for ell = 2 and 3 nothing is divided."""
+    if u.degree < 1:  # f = 0 or a constant c: M_i = c^h
+        return u(0) ** ((ell - 1) * ell ** (i - 1) // 2)
+    if ell == 2:
+        for _ in range(i - 2):
+            even, odd = IntPoly(u.coeffs[0::2]), IntPoly(u.coeffs[1::2])
+            u = even * even - _T * odd * odd  # U(T) U(-T) = U'(T^2)
+        # f(sqrt(-1)) = sum_e u_e sqrt(-1)^(e - b), a rational integer
+        m = sum(u.coeffs[b % 4 :: 4]) - sum(u.coeffs[(b + 2) % 4 :: 4])
+        return -m if i > 2 and b % 2 else m
+    if ell == 3:
+        for _ in range(i - 1):
+            # U = X(T^3) + T Y(T^3) + T^2 Z(T^3): the norm from Q(omega)
+            x, y, z = (IntPoly(u.coeffs[r::3]) for r in range(3))
+            u = x * x * x + _T * (y * y * y + _T * z * z * z - (x * y * z).scale(3))
+        # f(omega) = A + B omega + C omega^2, A, B and C the sums of u_e
+        # over e - b = 0, 1, 2 (mod 3), is rational, so B = C
+        return sum(u.coeffs[b % 3 :: 3]) - sum(u.coeffs[(b + 1) % 3 :: 3])
+    return _scaled_graeffe_norm(u, b, ell, i)
+
+
+_T = IntPoly((0, 1))
+
+
+def _scaled_graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
+    """M_i for ell >= 5 from the monic W = c^(2b-1) U(T/c), c = lc(U),
+    whose roots are c r: a step takes W's power sums to index 2b ell
+    (O(ell b^2) products) and Newton's identities on every ell-th one,
+    dividing only by k <= 2b.  After i - 1 steps W has the roots C s,
+    s those of U_(i-1) and C = c^(ell^(i-1)), so its real form in
+    y = T + C^2/T is V~(y) = C^(b-1) V(y / C), V = real_form(U_(i-1)).
+    With Psi = real_form(Phi_ell) of degree e = (ell - 1)/2,
+
+        M_i = Res(Psi, V) = C^(-e(b-1)) prod_(Psi(x)=0) V~(C x)
+            = (-1)^(eb) C^(-e(b-1)) prod_(V~(y)=0) C^e Psi(y / C),
+
+    by whichever norm has fewer conjugates; the one division, by the
+    power of C, is exact and trivial when |c| = 1."""
+    n, c = u.degree, u.leading
+    w = [x * c ** (n - 1 - j) for j, x in enumerate(u.coeffs[:-1])] + [1]
+    for _ in range(i - 1):
+        sums = _power_sums(w, ell * n)
+        w = _from_power_sums(sums[::ell])
+    lead = c ** (ell ** (i - 1))
+    v = real_form(IntPoly(tuple(w)), lead * lead)
+    psi = real_form(cyclotomic(ell))
+    e = psi.degree
+    if e <= b:
+        norm = _norm(IntPoly(tuple(x * lead**k for k, x in enumerate(v.coeffs))), psi)
+    else:
+        homogeneous = IntPoly(tuple(x * lead ** (e - k) for k, x in enumerate(psi.coeffs)))
+        norm = (-1) ** (e * b) * _norm(homogeneous, v)
+    root, rem = divmod(norm, lead ** (e * (b - 1)))
+    if rem:
+        raise ArithmeticError("scaled Graeffe norm is not divisible by its scale")
+    return root
+
+
+def _power_sums(w: list[int], count: int) -> list[int]:
+    """p_0, ..., p_count for the roots of the monic w (ascending), by
+    Newton's identities: p_j = -(j a_j + sum_(k<j) a_k p_(j-k)), with a_k
+    the coefficient of T^(n-k)."""
+    n = len(w) - 1
+    lower = [(k, w[n - k]) for k in range(1, n + 1) if w[n - k]]
+    sums = [n]
+    for j in range(1, count + 1):
+        acc = j * w[n - j] if j <= n else 0
+        for k, a in lower:
+            if k >= j:
+                break
+            acc += a * sums[j - k]
+        sums.append(-acc)
+    return sums
+
+
+def _from_power_sums(sums: list[int]) -> list[int]:
+    """The monic polynomial (ascending) with power sums sums[1:]: its
+    coefficient a_k of T^(n-k) is -(p_k + sum_(0<j<k) a_j p_(k-j)) / k,
+    exact for the power sums of a monic integer polynomial."""
+    a = [1]
+    for k in range(1, len(sums)):
+        acc = sums[k] + sum(a[j] * sums[k - j] for j in range(1, k))
+        a.append(-acc // k)
+    return a[::-1]
+
+
+def _norm(r: IntPoly, p: IntPoly) -> int:
+    """prod r(x) over the roots x of the monic p, the determinant of
+    multiplication by r in Z[x]/(p), from the traces of r^1, ..., r^n."""
+    n = p.degree
+    traces = _power_sums(list(p.coeffs), n - 1)
+    alpha = r.divmod_by_monic(p)[1]
+    power, t = IntPoly((1,)), [n]
+    for _ in range(n):
+        power = (power * alpha).divmod_by_monic(p)[1]
+        t.append(sum(x * traces[k] for k, x in enumerate(power.coeffs)))
+    return _from_power_sums(t)[0] * (-1) ** n
 
 
 # Largest number of int64 entries in the stacks and temporaries of one
 # block of primes.  On padic_deep, blocks of 2**16 entries raised the
 # peak memory by about 0.3 MiB, and blocks of 2**14 ran about 10% slower.
 _NORM_BLOCK = 1 << 15
-
-
-def _ring_norm(v: IntPoly, ell: int, i: int, h: int, bound: int) -> int:
-    """M_i = Res(Psi_m, V) for f = V(T + 1/T), where Psi_m =
-    real_form(Phi_m), monic of degree h, has the roots zeta^k + zeta^-k.
-    So M_i = (-1)^(hb) lc(V)^h det, where det is the determinant of
-    Psi_m(x) acting on F_q[x]/(V), b = deg V, for word primes q not
-    dividing lc(V): no root of unity is needed, so any such q qualifies.
-    Psi_m(x) comes from x by Dickson steps: Phi_(ell^i)(T) =
-    Phi_(ell^j)(T^(ell^(i-j))) gives Psi_(ell^i) = Psi_(ell^j)(y) for
-    y = D_ell(D_ell(...D_ell(x))), i - j steps, from j = 1 (j = 2 for
-    ell = 2).  The b x b images of a block of primes are one stack for
-    intdet.det_stack."""
-    b, lead = v.degree, v.leading
-    if b == 0:
-        return lead**h
-    qs = primes_for_bound(bound, avoid=lead)
-    base = 2 if ell == 2 else 1
-    outer, step = real_form(cyclotomic(ell**base)), dickson(ell)
-    sign = -1 if h * b % 2 else 1
-    per_block = max(1, _NORM_BLOCK // (2 * b * b))
-    images = []
-    for s in range(0, len(qs), per_block):
-        block = qs[s : s + per_block]
-        ring = _QuotientRing(v, block)
-        y = ring.x()
-        for _ in range(i - base):
-            y = ring.evaluate(step, y)
-        dets = det_stack(ring.multiplication_matrix(ring.evaluate(outer, y)), block)
-        images += [sign * det * pow(lead, h, q) % q for det, q in zip(dets, block)]
-    return crt(images, qs)
-
-
-class _QuotientRing:
-    """F_q[x]/(g) for every prime q of a block at once (q not dividing
-    lc(g), q < 2**30).  An element is an int64 (primes, d) array of
-    residues in [0, q), the coefficients of 1, x, ..., x^(d-1), d = deg g."""
-
-    def __init__(self, g: IntPoly, qs):
-        self.q = np.array(qs, dtype=np.int64).reshape(-1, 1)
-        self.d = g.degree
-        inv = np.array([pow(g.leading, -1, q) for q in qs], dtype=np.int64).reshape(-1, 1)
-        # x^d = sum_j tail[j] x^j, with tail = -g[:d] / lc(g)
-        self.tail = -residues(g.coeffs[:-1], self.q) * inv % self.q
-        # rows x^(d + k) for k < d - 1, which fold a product back into degree < d
-        fold = [self.tail]
-        for _ in range(self.d - 2):
-            fold.append(self.times_x(fold[-1]))
-        self.fold = np.stack(fold, axis=1) if self.d > 1 else None
-
-    def x(self) -> np.ndarray:
-        """x mod g."""
-        one = np.zeros((self.q.size, self.d), dtype=np.int64)
-        one[:, 0] = 1
-        return self.times_x(one)
-
-    def times_x(self, a: np.ndarray) -> np.ndarray:
-        out = a[:, -1:] * self.tail
-        out[:, 1:] += a[:, :-1]
-        return out % self.q
-
-    def mul(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        n, d = a.shape
-        q3 = self.q[:, :, None]
-        # row j of the skewed outer product holds a_j c shifted by j, so
-        # its column sums are the coefficients of the product
-        skew = np.zeros((n, d, 2 * d), dtype=np.int64)
-        skew[:, :, :d] = a[:, :, None] * c[:, None, :] % q3
-        prod = skew.reshape(n, -1)[:, : d * (2 * d - 1)].reshape(n, d, 2 * d - 1).sum(axis=1)
-        out = prod[:, :d]
-        if d > 1:
-            high = prod[:, d:] % self.q
-            out += (high[:, :, None] * self.fold % q3).sum(axis=1)
-        return out % self.q
-
-    def evaluate(self, p: IntPoly, y: np.ndarray) -> np.ndarray:
-        """p(y) by Horner's rule, for p of degree >= 1."""
-        coeffs = residues(p.coeffs, self.q)
-        acc = y * coeffs[:, -1:] % self.q
-        acc[:, 0] += coeffs[:, -2]
-        for k in range(len(p.coeffs) - 3, -1, -1):
-            acc = self.mul(acc % self.q, y)
-            acc[:, 0] += coeffs[:, k]
-        return acc % self.q
-
-    def multiplication_matrix(self, y: np.ndarray) -> np.ndarray:
-        """The stack of d x d matrices of multiplication by y: row j is
-        y x^j."""
-        rows = [y]
-        for _ in range(self.d - 1):
-            rows.append(self.times_x(rows[-1]))
-        return np.stack(rows, axis=1)
 
 
 def _evaluation_norm(reduced: IntPoly, ell: int, m: int, h: int, bound: int) -> int:
@@ -372,7 +362,7 @@ class Tower:
 
     Caches the determinant polynomial, level norms and spanning-tree
     counts.  kappa_n = kappa_(n-1) * N_n / ell, the product identity
-    taken one level at a time (multi-modular level norms); up to
+    taken one level at a time (level norms from level_norm); up to
     mt_check_level the subresultant sequence re-derives each norm and
     matrix-tree counting of the actual derived graph each kappa_n.  All
     state is written once per level; instances are safe to share between
@@ -393,8 +383,7 @@ class Tower:
         self._kappas: dict[int, int] = {0: self.kappa_base}
 
     def real_norm(self, i: int) -> int:
-        """M_i from the multi-modular engine (level_norm), with
-        N_i = M_i^norm_power(i).  At levels up to mt_check_level N_i is
+        """M_i from level_norm, with N_i = M_i^norm_power(i).  At levels up to mt_check_level N_i is
         also recomputed by the subresultant route."""
         if i not in self._norms:
             root = level_norm(self.f, i)
@@ -406,7 +395,7 @@ class Tower:
                 if check != n:
                     raise ArithmeticError(
                         f"level-norm cross-check failed at level {i}: "
-                        f"multi-modular {n} != subresultant {check}"
+                        f"level_norm {n} != subresultant {check}"
                     )
             self._norms[i] = root
         return self._norms[i]

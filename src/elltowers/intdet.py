@@ -70,9 +70,8 @@ det_mod(matrix, qs) picks one of two kernels from the matrix itself:
   det_stack; one that vanishes at the last step has determinant 0.
 * det_stack, for every other matrix: dense Gaussian elimination over a
   stack of residue matrices, each image with its own prime, pivoting
-  on each image's first nonzero row.  It also serves analysis's level
-  norms, which build their stacks of multiplication matrices directly
-  (det_mod reduces its matrix with multimodular.residues).
+  on each image's first nonzero row (det_mod reduces its matrix with
+  multimodular.residues).
 
 multimodular_det sizes its stacks by the entries one image stores, n *
 (2w + 1) in band storage or n * n dense, so that a stack holds at most

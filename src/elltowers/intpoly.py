@@ -7,11 +7,11 @@ behind Phi_d, which comes from one recursion on the least prime of d
 down to Phi_1 = T - 1, and behind omega.strip_cyclotomics.  Resultants
 are computed by the subresultant polynomial remainder sequence
 (fraction-free, exact; no floating point anywhere).  Level norms do not
-go through it: the multi-modular engines in analysis.level_norm compute
-them, and Tower.level_norm uses resultant only to cross-check those
-engines at the matrix-tree-checked levels.  The Dickson polynomials and
-real_form rewrite a palindromic polynomial in x = T + 1/T, the variable
-of the real subfield in which the ring route of the level norm works.
+go through it: analysis.level_norm computes them (Graeffe root-powering
+for integral towers, evaluation modulo word primes for ell-adic ones),
+and Tower.level_norm uses resultant only to cross-check that engine at
+the matrix-tree-checked levels.  real_form rewrites a polynomial in
+y = T + q/T, the variable of the real subfield for q = 1.
 Reductions mod p use numpy int64 arrays, which is safe for p below
 2**30.
 """
@@ -191,33 +191,40 @@ def cyclotomic(d: int) -> IntPoly:
     return lifted if m % p == 0 else lifted.exact_div_monic(inner)
 
 
-def dickson(n: int) -> IntPoly:
-    """The Dickson polynomial D_n, with D_n(T + 1/T) = T^n + T^-n."""
-    return IntPoly(next(islice(_dickson_coefficients(), n, None)))
+def cyclotomic_value(d: int, a: int) -> int:
+    """Phi_d(a) for an integer a >= 2 (every Phi_m(a) > 0), by the
+    recursion of cyclotomic on values, building no Phi_d."""
+    if d == 1:
+        return a - 1
+    p = _smallest_prime_factor(d)
+    m = d // p
+    lifted = cyclotomic_value(m, a**p)
+    return lifted if m % p == 0 else lifted // cyclotomic_value(m, a)
 
 
-def _dickson_coefficients() -> Iterator[list[int]]:
-    """D_0, D_1, ... as coefficient lists: D_0 = 2, D_1 = x and
-    D_(e+1) = x D_e - D_(e-1)."""
+def _dickson_coefficients(q: int = 1) -> Iterator[list[int]]:
+    """D_0, D_1, ... as coefficient lists, D_e(T + q/T) = T^e + q^e T^-e:
+    D_0 = 2, D_1 = x and D_(e+1) = x D_e - q D_(e-1)."""
     prev, cur = [2], [0, 1]
     yield prev
     while True:
         yield cur
         nxt = [0] + cur
         for k, c in enumerate(prev):
-            nxt[k] -= c
+            nxt[k] -= q * c
         prev, cur = cur, nxt
 
 
-def real_form(u: IntPoly) -> IntPoly:
-    """V with U(T) = T^b V(T + 1/T), for U palindromic of degree 2b:
-    T^-b U = c_0 + sum_(e >= 1) c_e (T^e + T^-e), so V = c_0 + sum c_e D_e,
-    of degree b with the leading coefficient of U.  real_form(Phi_m) is
-    Psi_m, the minimal polynomial of zeta_m + 1/zeta_m, for m > 2."""
+def real_form(u: IntPoly, q: int = 1) -> IntPoly:
+    """V with U(T) = T^b V(T + q/T), for U of degree 2b with u_(b-e) =
+    q^e u_(b+e) (palindromic for q = 1): T^-b U = u_b + sum_(e >= 1)
+    u_(b+e) (T^e + q^e T^-e), so V = u_b + sum u_(b+e) D_e, of degree b
+    with lc(U).  real_form(Phi_m) is Psi_m, the minimal polynomial of
+    zeta_m + 1/zeta_m, for m > 2."""
     b = u.degree // 2
     v = [0] * (b + 1)
     v[0] = u.coeffs[b]
-    for e, d in zip(range(1, b + 1), islice(_dickson_coefficients(), 1, None)):
+    for e, d in zip(range(1, b + 1), islice(_dickson_coefficients(q), 1, None)):
         c = u.coeffs[b + e]
         for k, x in enumerate(d):
             v[k] += c * x

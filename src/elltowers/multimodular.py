@@ -1,21 +1,22 @@
 """Word-size primes and Chinese remaindering for the multi-modular engines.
 
 Two engines compute an exact integer from its images modulo many
-primes: intdet's determinant of large integer matrices and analysis's
-level norm.  Both work in numpy int64, which is exact while every
-residue is below WORD_LIMIT = 2**30: a product of two residues stays
-below 2**60, and a sum of up to 2**33 reduced products below 2**63.
+primes: intdet's determinant of large integer matrices and the level
+norm of ell-adic towers in analysis (integral towers take theirs over Z
+by Graeffe root-powering, and draw no prime).  Both work in numpy int64,
+which is exact while every residue is below WORD_LIMIT = 2**30: a
+product of two residues stays below 2**60, and a sum of up to 2**33
+reduced products below 2**63.
 
 primes(count, modulus) hands out the largest primes q < PRIME_CEILING
 with q = 1 (mod modulus), in decreasing order; the pool of each modulus
 is built on first use and then grown on demand, never at import.  The
-determinants and the integral level norms draw on the pool of modulus
-1, every prime below the ceiling; only the level norms of ell-adic
-towers, which need the ell^i-th roots of unity in F_q, draw on the
-pools of q = 1 (mod ell^i).  crt recombines the images into the
-symmetric representative, so signs are recovered as long as the primes'
-product exceeds twice the absolute value (primes_for_bound picks that
-many, skipping the primes that divide a given integer).
+determinants draw on the pool of modulus 1, every prime below the
+ceiling; the level norms of ell-adic towers, which need the ell^i-th
+roots of unity in F_q, draw on the pools of q = 1 (mod ell^i).  crt
+recombines the images into the symmetric representative, so signs are
+recovered as long as the primes' product exceeds twice the absolute
+value (primes_for_bound picks that many).
 
 residues(values, q) is both engines' one reduction of an array of
 integers modulo each prime of a block; integers past int64 stay exact
@@ -87,22 +88,20 @@ def primes(count: int, modulus: int = 1) -> list[int]:
         return pool[:count]
 
 
-def primes_for_bound(bound: int, modulus: int = 1, avoid: int = 1) -> list[int]:
-    """The fewest leading primes of the modulus's pool, skipping those
-    that divide avoid, whose product exceeds 2 * bound: enough for crt to
-    recover any integer of absolute value at most bound."""
+def primes_for_bound(bound: int, modulus: int = 1) -> list[int]:
+    """The fewest leading primes of the modulus's pool whose product
+    exceeds 2 * bound: enough for crt to recover any integer of absolute
+    value at most bound."""
     target = 2 * bound
     count = max(1, target.bit_length() // 30)  # every prime is below 2**30
-    qs, prod, seen = [], 1, 0
+    qs, prod = [], 1
     while prod <= target:
-        pool = primes(count, modulus)
-        for q in pool[seen:]:
-            if avoid % q:
-                qs.append(q)
-                prod *= q
-                if prod > target:
-                    break
-        seen, count = count, count + 1
+        for q in primes(count, modulus)[len(qs):]:
+            qs.append(q)
+            prod *= q
+            if prod > target:
+                break
+        count += 1
     return qs
 
 

@@ -8,7 +8,9 @@ an integer polynomial all come from cyclotomic factors over Q
 strip_cyclotomics divides U by Phi_d for every d with phi(d) <= deg U,
 from d = 1 up: the candidate orders are built from prime powers, with
 phi(p^k) = (p - 1) p^(k-1), and each attempt is one exact division by
-a monic Phi_d.  Phi_1 = T - 1 is the forced root of the singular
+a monic Phi_d, made only when Phi_d(a) divides U(a) at a = 2 and 3 (a
+necessary condition that rules out almost every d at the cost of two
+integer remainders).  Phi_1 = T - 1 is the forced root of the singular
 Laplacian, so its multiplicity is at least one.
 
 For genuinely ell-adic voltages the criterion does not apply; the
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .factorint import factor_kappa, is_certified_prime
 from .genpoly import GenPoly
-from .intpoly import IntPoly, ZeroPolynomialError, cyclotomic
+from .intpoly import IntPoly, ZeroPolynomialError, cyclotomic, cyclotomic_value
 
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
@@ -57,14 +59,17 @@ def strip_cyclotomics(u: IntPoly) -> tuple[tuple[tuple[int, int], ...], IntPoly]
         raise ZeroPolynomialError("zero polynomial")
     found = []
     rest = u
+    # Phi_d | rest forces Phi_d(a) | rest(a), and Phi_d(a) >= 1 for a >= 2
+    values = [rest(2), rest(3)]
     for d in _cyclotomic_orders(u.degree):
-        phi = cyclotomic(d)
+        at = [cyclotomic_value(d, 2), cyclotomic_value(d, 3)]
         mult = 0
-        while phi.degree <= rest.degree:
-            quotient, remainder = rest.divmod_by_monic(phi)
+        while all(v % p == 0 for v, p in zip(values, at)):
+            quotient, remainder = rest.divmod_by_monic(cyclotomic(d))
             if not remainder.is_zero:
                 break
             rest, mult = quotient, mult + 1
+            values = [v // p for v, p in zip(values, at)]
         if mult:
             found.append((d, mult))
     return tuple(found), rest

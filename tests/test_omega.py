@@ -106,6 +106,45 @@ def test_strip_matches_sympy_on_planted_products(planted, half, scale):
     assert [d for d, _ in factors] == sorted(d for d, _ in factors)
 
 
+def _strip_by_trial_division(u: IntPoly):
+    """strip_cyclotomics without its value sieve: every Phi_d is tried."""
+    found, rest = [], u
+    for d in _cyclotomic_orders(u.degree):
+        mult = 0
+        while True:
+            quotient, remainder = rest.divmod_by_monic(cyclotomic(d))
+            if not remainder.is_zero:
+                break
+            rest, mult = quotient, mult + 1
+        if mult:
+            found.append((d, mult))
+    return tuple(found), rest
+
+
+# loop voltages 1, 200 and 2 at ell = 3: U of degree 400, no cyclotomic
+# factor but (T - 1)^2, and 790 candidate orders
+DEGREE_400 = {"ell": 3, "precision": 1, "vertices": ["v1"],
+              "edges": [{"tail": "v1", "head": "v1", "voltage": str(v)} for v in (1, 200, 2)]}
+
+
+def test_value_sieve_leaves_every_factor_and_skips_the_divisions(monkeypatch):
+    # Phi_d(a) | U(a) at a = 2, 3 is necessary for Phi_d | U, so the sieve
+    # changes no answer; on the degree-400 bouquet it leaves only the two
+    # divisions by T - 1 that succeed, out of about 790 trial divisions
+    us = [TOWERS[e.name].f.integerize()[0] for e in CORPUS if TOWERS[e.name].f.integral]
+    us.append(Tower(build_assignment(parse_tower_spec(DEGREE_400))).f.integerize()[0])
+    assert us[-1].degree == 400
+    for u in us:
+        assert strip_cyclotomics(u.primitive_part()) == _strip_by_trial_division(u.primitive_part())
+    divisions = []
+    real = IntPoly.divmod_by_monic
+    monkeypatch.setattr(IntPoly, "divmod_by_monic",
+                        lambda self, d: divisions.append(d.degree) or real(self, d))
+    factors, rest = strip_cyclotomics(us[-1].primitive_part())
+    assert factors == ((1, 2),) and rest.degree == 398
+    assert divisions == [1, 1]
+
+
 # -- classification ---------------------------------------------------------------
 
 def test_classify_corpus_verdicts():

@@ -1,13 +1,12 @@
-"""The two routes of the level norm, each against the other and the
-subresultant.
+"""The Graeffe engine of the integral level norm, against the evaluation
+route and the subresultant.
 
 level_norm returns M_i, the norm from the real subfield (N_i = M_i^2
-for ell^i > 2).  Integral towers take it from F_q[x]/(V) (the ring
-route) once h = phi(ell^i)/2 reaches RING_THRESHOLD, and from the roots
-of unity of F_q (the evaluation route) below it.  Both routes are valid
-at every level of an integral tower, so patching the threshold runs
-either one anywhere: each is the other's oracle, sign included, and the
-subresultant Res(Phi_(ell^i), f_i) = N_i is the oracle of both.
+for ell^i > 2).  Integral towers take it exactly over Z by Graeffe
+root-powering; the evaluation route (a product over the roots of unity
+of F_q, recombined by CRT), which ell-adic towers take, is valid at
+every level of an integral tower too, so it is the oracle of the sign,
+and the subresultant Res(Phi_(ell^i), f_i) = N_i is the oracle of both.
 """
 
 import json
@@ -16,12 +15,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elltowers import analysis, multimodular
+from elltowers import analysis, intdet, multimodular
 from elltowers.analysis import DisconnectedTowerError, Tower, level_norm
 from elltowers.cli import main
 from elltowers.corpus import CORPUS
 from elltowers.genpoly import GenPoly, determinant, voltage_matrix
-from elltowers.intpoly import IntPoly, cyclotomic, dickson, real_form, resultant
+from elltowers.intpoly import IntPoly, cyclotomic, real_form, resultant
 from elltowers.towerspec import build_assignment, parse_tower_spec
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -31,14 +30,19 @@ def corpus_spec(name):
     return next(e for e in CORPUS if e.name == name).spec
 
 
-def routes(f: GenPoly, i: int) -> tuple[int, int]:
-    """(ring, evaluation): M_i from each route."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "RING_THRESHOLD", 0)
-        ring = level_norm(f, i)
-        mp.setattr(analysis, "RING_THRESHOLD", float("inf"))
-        evaluation = level_norm(f, i)
-    return ring, evaluation
+def tower_f(doc) -> GenPoly:
+    return determinant(voltage_matrix(build_assignment(parse_tower_spec(doc))))
+
+
+def evaluation(f: GenPoly, i: int) -> int:
+    """M_i by the evaluation route, which integral towers no longer take."""
+    reduced, m = f.reduce_level(i), f.ell**i
+    if reduced.is_zero:
+        return 0
+    if m == 2:
+        return reduced(-1)
+    h = (f.ell - 1) * m // f.ell // 2
+    return analysis._evaluation_norm(reduced, f.ell, m, h, sum(map(abs, reduced.coeffs)) ** h)
 
 
 def subresultant(f: GenPoly, i: int) -> int:
@@ -47,11 +51,12 @@ def subresultant(f: GenPoly, i: int) -> int:
 
 
 def check_level(f: GenPoly, i: int) -> int:
-    """Both routes agree and square to the subresultant; returns M_i."""
-    ring, evaluation = routes(f, i)
-    assert ring == evaluation, (f, i)
-    assert (ring * ring if f.ell**i > 2 else ring) == subresultant(f, i), (f, i)
-    return ring
+    """Graeffe equals the evaluation route and squares to the
+    subresultant; returns M_i."""
+    root = level_norm(f, i)
+    assert root == evaluation(f, i), (f, i)
+    assert (root * root if f.ell**i > 2 else root) == subresultant(f, i), (f, i)
+    return root
 
 
 def laurent(ell: int, coeffs: dict[int, int]) -> GenPoly:
@@ -60,12 +65,12 @@ def laurent(ell: int, coeffs: dict[int, int]) -> GenPoly:
 
 
 # Deepest level whose subresultant stays cheap: Phi of degree <= 110.
-DEPTH = {2: 6, 3: 4, 5: 3, 7: 2, 11: 2}
+DEPTH = {2: 6, 3: 4, 5: 3, 7: 2}
 
 
 @st.composite
 def integral_specs(draw):
-    """Integer voltages in [-20, 20] on 1-3 vertices, ell in 2..11."""
+    """Integer voltages in [-20, 20] on 1-3 vertices, ell in 2..7."""
     ell = draw(st.sampled_from(sorted(DEPTH)))
     names = ["v1", "v2", "v3"][: draw(st.integers(1, 3))]
     edges = [{"tail": draw(st.sampled_from(names)), "head": draw(st.sampled_from(names)),
@@ -76,34 +81,25 @@ def integral_specs(draw):
 
 @settings(deadline=None, max_examples=80)
 @given(integral_specs())
-def test_ring_route_matches_evaluation_and_subresultant(doc):
-    f = determinant(voltage_matrix(build_assignment(parse_tower_spec(doc))))
+def test_graeffe_matches_evaluation_and_subresultant(doc):
+    f = tower_f(doc)
     for i in range(1, DEPTH[doc["ell"]] + 1):
         check_level(f, i)
 
 
-def compose(p: IntPoly, q: IntPoly) -> IntPoly:
-    """p(q), by Horner's rule."""
-    out = IntPoly(())
-    for c in reversed(p.coeffs):
-        out = out * q + IntPoly((c,))
-    return out
-
-
 def test_dickson_and_real_cyclotomics():
-    # D_e(T + 1/T) = T^e + T^-e; Psi_m has the roots 2 cos(2 pi k / m)
-    assert [dickson(e).coeffs for e in range(5)] == [
-        (2,), (0, 1), (-2, 0, 1), (0, -3, 0, 1), (2, 0, -4, 0, 1)]
+    # real_form(T^(2e) + 1) = D_e, with D_e(T + 1/T) = T^e + T^-e;
+    # Psi_m = real_form(Phi_m) has the roots 2 cos(2 pi k / m)
+    dickson = [real_form(IntPoly((1,) + (0,) * (2 * e - 1) + (1,))).coeffs for e in range(1, 5)]
+    assert dickson == [(0, 1), (-2, 0, 1), (0, -3, 0, 1), (2, 0, -4, 0, 1)]
     assert real_form(cyclotomic(3)).coeffs == (1, 1)
     assert real_form(cyclotomic(4)).coeffs == (0, 1)
     assert real_form(cyclotomic(8)).coeffs == (-2, 0, 1)
     assert real_form(cyclotomic(9)).coeffs == (1, -3, 0, 1)
-    # the Dickson steps of the ring route: Psi_(ell^i) = Psi_(ell^j)(D_(ell^(i-j)))
-    for ell, j, i in ((2, 2, 5), (3, 1, 3), (5, 1, 2), (7, 1, 2)):
-        psi = real_form(cyclotomic(ell**i))
-        assert psi.degree == cyclotomic(ell**i).degree // 2 and psi.leading == 1
-        assert compose(real_form(cyclotomic(ell**j)), dickson(ell ** (i - j))) == psi
-        assert compose(dickson(ell), dickson(ell ** (i - j - 1))) == dickson(ell ** (i - j))
+    # with q: U = (T - 2)(T - 3)(T - 6/2)(T - 6/3) pairs r with 6/r, and
+    # V(y) = (y - 5)^2 has the roots r + 6/r
+    u = IntPoly((36, -60, 37, -10, 1))
+    assert real_form(u, 6).coeffs == (25, -10, 1)
 
 
 def test_linear_v():
@@ -115,6 +111,15 @@ def test_linear_v():
         check_level(g, i)
 
 
+def test_ell_2_odd_b_sign():
+    # from level 3 to 2 the step f(T) f(-T) = (-1)^b f'(T^2) carries a
+    # sign, which odd b leaves in M_i
+    f = laurent(2, {0: 3, 1: -1, -1: -1})
+    assert [check_level(f, i) for i in range(2, 6)] == [3, 7, 47, 2207]
+    cube = laurent(2, {0: 45, 1: -30, -1: -30, 2: 9, -2: 9, 3: -1, -3: -1})  # (3 - x)^3
+    assert [check_level(cube, i) for i in range(2, 5)] == [27, 343, 103823]
+
+
 def test_constant_f():
     # b = 0: M_i = c^h, sign included
     for c in (7, -7):
@@ -122,54 +127,64 @@ def test_constant_f():
         assert [check_level(f, i) for i in (1, 2)] == [c**2, c**10]
 
 
+def test_zero_f():
+    for ell in (2, 3, 5):
+        f = GenPoly.zero(ell, 6)
+        assert [level_norm(f, i) for i in range(4)] == [1, 0, 0, 0]
+
+
 def test_ell_2_at_levels_1_to_3():
-    # level 1 is N_1 = f(-1); level 2 takes Psi_4 = x with no Dickson
-    # step, level 3 one step D_2 = x^2 - 2
-    f = determinant(voltage_matrix(build_assignment(parse_tower_spec(
-        corpus_spec("parallel4-ell2")))))
+    # level 1 is N_1 = f(-1); level 2 is f(sqrt(-1)) with no Graeffe
+    # step, level 3 one step
+    f = tower_f(corpus_spec("parallel4-ell2"))
     assert [check_level(f, i) for i in (1, 2, 3)] == [16, 16, 136]
     odd = laurent(2, {0: 5, 1: 2, -1: 2, 3: -1, -3: -1})  # b = 3 against h = 1, 2
     for i in (1, 2, 3):
         check_level(odd, i)
 
 
-def test_lead_divisible_by_the_first_pool_prime(monkeypatch):
-    # lc(V) = 1048573, the largest prime below 2^20: with the pool
-    # starting there, the ring route must skip it (F_q[x]/(V) needs
-    # lc(V) invertible) and still take enough primes for the bound
-    lead = 1048573
-    monkeypatch.setattr(multimodular, "PRIME_CEILING", lead + 1)
-    assert multimodular.primes(1) == [lead]
-    f = laurent(3, {0: 5, 2: lead, -2: lead, 1: 1, -1: 1})
-    assert real_form(f.integerize()[0]).leading == lead
-    for i in (2, 3):
-        check_level(f, i)
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_scaled_route_with_a_non_unit_lead(ell):
+    # lc(U) = 6 and 1048573: the steps run on c^(2b-1) U(T / c), and the
+    # one exact division by a power of c^(ell^(i-1)) undoes the scaling;
+    # b = 2 and 3 sit on both sides of (ell - 1)/2 = 2, 3, 5, 6
+    for lead, b in ((6, 2), (-6, 3), (1048573, 2)):
+        coeffs = {0: 5, 1: 1, -1: 1, b: lead, -b: lead}
+        f = laurent(ell, coeffs)
+        for i in (1, 2):
+            assert level_norm(f, i) == evaluation(f, i), (lead, b, i)
+        assert level_norm(f, 1) ** 2 == subresultant(f, 1)
 
 
-def test_vanishing_norm_is_a_disconnected_tower(monkeypatch):
+def test_vanishing_norm_is_a_disconnected_tower():
     # 1 + T + 1/T vanishes at the primitive cube roots of unity: V = 1 + x = Psi_3
     t = Tower(build_assignment(parse_tower_spec(corpus_spec("bouquet4-ell3"))))
     t.f = laurent(3, {0: 1, 1: 1, -1: 1})
-    assert routes(t.f, 1) == (0, 0)
-    for threshold in (0, float("inf")):
-        monkeypatch.setattr(analysis, "RING_THRESHOLD", threshold)
-        with pytest.raises(DisconnectedTowerError, match="level 1 norm vanishes"):
-            t.real_norm(1)
+    assert level_norm(t.f, 1) == evaluation(t.f, 1) == 0
+    with pytest.raises(DisconnectedTowerError, match="level 1 norm vanishes"):
+        t.real_norm(1)
 
 
-def test_deep_levels_take_the_ring_route(monkeypatch):
-    calls = []
-    real = analysis._ring_norm
+def test_theta_at_ell_101():
+    # Psi_101 has degree 50 against b = 1: the norm is taken over V~
+    doc = json.loads((DEMOS / "theta_ell5.json").read_text())
+    doc["ell"] = 101
+    f = tower_f(doc)
+    assert level_norm(f, 2) == evaluation(f, 2)
+    assert level_norm(f, 1) == evaluation(f, 1)
 
-    def spy(*args):
-        calls.append(args[2])
-        return real(*args)
 
-    monkeypatch.setattr(analysis, "_ring_norm", spy)
-    t = Tower(build_assignment(parse_tower_spec(corpus_spec("bouquet4-ell3"))))
-    t.kappa(7)
-    # h = 3^(i-1) reaches RING_THRESHOLD = 128 at level 6
-    assert analysis.RING_THRESHOLD == 128 and calls == [6, 7]
+def test_integral_levels_draw_no_primes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an integral level norm drew on the prime pools")
+
+    for module, name in ((multimodular, "primes"), (intdet, "det_stack"),
+                         (analysis, "_evaluation_norm"), (analysis, "resultant")):
+        monkeypatch.setattr(module, name, refuse)
+    t = Tower(build_assignment(parse_tower_spec(corpus_spec("bouquet4-ell3"))),
+              mt_check_level=0)
+    assert [t.real_norm(i) for i in (1, 2)] == [12, 408]
+    assert t.real_norm(8).bit_length() > 3000
 
 
 @pytest.mark.parametrize("doc, levels", [
