@@ -27,10 +27,12 @@ without the valency sort), so vertex 0 comes last and is the one
 dropped, and every vertex's neighbours lie in its own search level or
 an adjacent one: the minor's nonzeros hug the diagonal in a narrow band.
 reduced_laplacian reads the minor and its envelope profile (the first
-nonzero column of each row) off the edges, and intdet.det_int
-eliminates it without row swaps: by exact Bareiss inside the envelope
-while that is narrow, else modulo word-size primes in band storage,
-many images to one stack.  No dense matrix of Python integers is built.
+nonzero column of each row) off the edges as an intdet.ReducedLaplacian,
+the one input of intdet.det_int, which eliminates it without row swaps:
+by exact Bareiss inside the envelope while that is narrow, else modulo
+word-size primes, many images to one stack, in band storage when the
+profile is narrow and dense otherwise.  No dense matrix of Python
+integers is built.
 """
 
 from __future__ import annotations

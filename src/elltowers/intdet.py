@@ -1,20 +1,20 @@
-"""Exact determinants of integer matrices.
+"""Exact determinants of reduced Laplacians, for the matrix-tree check.
 
-det_int takes a square integer matrix as a list of rows, or a reduced
-Laplacian (ReducedLaplacian: a multigraph's Laplacian less its last row
-and column, given by its edges, as graphs.spanning_tree_count builds
-it).  It sends each to one of two exact engines by its envelope work
-(below):
+det_int has one input: the ReducedLaplacian that
+graphs.spanning_tree_count reads off a multigraph's edges, the
+Laplacian less its last row and column, given by its diagonal, its
+edges and its envelope profile.  It is symmetric with a dominant
+nonnegative diagonal, hence positive semidefinite, so neither engine
+swaps rows, and |det| is at most the product of its diagonal
+(Hadamard's inequality for positive semidefinite matrices).  det_int
+sends it to one of two exact engines by its envelope work (below):
 
-* bareiss_det, fraction-free elimination (Bareiss 1968): a list of rows
-  is eliminated dense, swapping rows past zero pivots; a reduced
-  Laplacian is eliminated without swaps inside its envelope, read from
-  its edges (ReducedLaplacian.envelope).
+* bareiss_det, fraction-free elimination (Bareiss 1968) inside the
+  envelope, read from the edges (ReducedLaplacian.envelope).
 * multimodular_det: one elimination over a stack of images modulo
-  word-size primes (det_mod), recombined by CRT against a Hadamard
-  bound (the product of the diagonal for a reduced Laplacian, else the
-  row norms).  A reduced Laplacian comes as an int64 array built from
-  its edges (ReducedLaplacian.array).
+  word-size primes (det_mod), recombined by CRT against the diagonal
+  product, of the int64 array built from the edges
+  (ReducedLaplacian.array).
 
 Envelopes.  first[i] is the first nonzero column of row i of a
 symmetric matrix (i when there is none), and reach[k] is one past the
@@ -44,50 +44,45 @@ division.  bareiss_det applies that only inside the boxes:
   at step k (reach[k-1] <= j < reach[k]), its entries in rows k .. j
   are multiplied by the previous pivot d_{k-1} once, and from then on
   they are updated at every step, since reach never falls.
-* No row swaps.  A reduced Laplacian is symmetric with a dominant
-  nonnegative diagonal, hence positive semidefinite.  If a leading
-  minor d_k vanishes, some x != 0 has A_k x = 0; then y = (x, 0) has
-  y^T A y = 0, so A y = 0 and det A = 0.  A zero pivot ends the
-  elimination with determinant 0 (a disconnected graph).
+* No row swaps.  If a leading minor d_k vanishes, some x != 0 has
+  A_k x = 0; then y = (x, 0) has y^T A y = 0, so A y = 0 (A is positive
+  semidefinite) and det A = 0.  A zero pivot ends the elimination with
+  determinant 0 (a disconnected graph).
 
 Engine choice.  With t_k = reach[k] - k - 1 the side of step k's box,
 the envelope work is sum t_k^2 / n, about the box entries per row that
-an elimination updates; a list of rows counts as dense, reach[k] = n,
-where the work is (n - 1)(2n - 1) / 6.  det_int runs Bareiss up to
-BAREISS_WORK and multimodular_det above it.
+an elimination updates.  det_int runs Bareiss up to BAREISS_WORK and
+multimodular_det above it.
 
-det_mod(matrix, qs) picks one of two kernels from the matrix itself:
+The modular kernel.  det_mod(matrix, qs, first) runs the loop of
+envelope Bareiss on the images of a reduced Laplacian modulo each prime
+of qs at once, with the profile its caller passes: no row swaps, step k
+updates the box of its envelope in every image, and the pivot row
+serves as the pivot column.  Modulo q a leading minor may vanish
+although the integer one does not; an image whose pivot vanishes before
+the last step is recomputed alone by det_stack, a dense Gaussian
+elimination that pivots on each image's own first nonzero row, and one
+that vanishes at the last step has determinant 0.  Each image is read
+through one (m, n, n) view of one of two storages, by its half-bandwidth
+w = max(i - first[i]):
 
-* _det_band, for an int64 matrix that is symmetric, diagonally dominant
-  and of half-bandwidth w = max(i - first[i]) with 2w + 1 < n, such as
-  a reduced Laplacian past BAREISS_WORK.  It is positive definite when
-  nonsingular, so Gaussian elimination needs no row swap modulo q
-  unless q divides a leading minor.  Each image is stored as n rows of
-  2w + 1 entries (the band) and read through one sheared (m, n, n)
-  view, and step k updates the box of its envelope, the pivot row
-  serving as the pivot column as in Bareiss.  An image whose
-  pivot vanishes before the last step is recomputed alone by
-  det_stack; one that vanishes at the last step has determinant 0.
-* det_stack, for every other matrix: dense Gaussian elimination over a
-  stack of residue matrices, each image with its own prime, pivoting
-  on each image's first nonzero row (det_mod reduces its matrix with
-  multimodular.residues).
+* 2w + 1 < n: band storage, n rows of 2w + 1 entries, read through a
+  sheared view;
+* else dense, n x n.
 
-multimodular_det sizes its stacks by the entries one image stores, n *
-(2w + 1) in band storage or n * n dense, so that a stack holds at most
-STACK_ENTRIES.
+multimodular_det sizes its stacks by the entries one image stores,
+n min(n, 2w + 1), so that a stack holds at most STACK_ENTRIES.
 
 Residues are balanced in (-q/2, q/2]; the pivot row (and in det_stack
 the pivot column) is reduced at each step, and every LAZY steps the
-trailing block, in band storage its part inside the envelope, the
-current box (delayed reduction, as in Dumas, Giorgi and Pernet's
-FFLAS).  A box's product is a temporary, taken in slices of rows when
-the box is large, so a stack needs no stack-sized buffer.
+current box (in det_stack the trailing block; delayed reduction, as in
+Dumas, Giorgi and Pernet's FFLAS).  A box's product is a temporary,
+taken in slices of rows when the box is large, so a stack needs no
+stack-sized buffer.
 
 BAREISS_WORK is the measured crossover (2-core x86-64, shared, Python
 3.11, numpy 2.4): microseconds per row, medians of five timings of
-each minor, Bareiss from ReducedLaplacian.envelope and multimodular_det
-from ReducedLaplacian.array, by envelope work per row.  Cover minors
+each minor by each engine, by envelope work per row.  Cover minors
 are the distinct minors of order above 36 in rounds 0-2 of the
 cover_check benchmark (seeds 1-3) and rounds 0-1 of padic_deep (seed
 1); random minors are breadth-first ordered minors of random
@@ -104,19 +99,18 @@ multigraphs of order 24-56 and mean valency 8.
 
 The cover minors tie near 200 and the random ones between 200 and 250
 (multimodular's cost per row barely grows with the width of a narrow
-band, Bareiss's grows with the work), so BAREISS_WORK is 200, and
-dense matrices, whose work is (n - 1)(2n - 1) / 6, go to Bareiss up
-to order 25.
+band, Bareiss's grows with the work), so BAREISS_WORK is 200.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .multimodular import check_word_prime, crt, integer_array, primes_for_bound, residues
+from .multimodular import check_word_prime, crt, primes_for_bound, residues
 
 BAREISS_WORK = 200
 
@@ -168,7 +162,7 @@ class ReducedLaplacian(NamedTuple):
         return a
 
 
-def _reach(first) -> list[int]:
+def _reach(first: list[int]) -> list[int]:
     """reach[k] of a profile (module docstring): one past the last row
     whose first nonzero lies in a column <= k."""
     last = [0] * len(first)
@@ -177,45 +171,21 @@ def _reach(first) -> list[int]:
     return [r + 1 for r in accumulate(last, max)]
 
 
+def _width(first: list[int]) -> int:
+    """The half-bandwidth of a profile, max(i - first[i])."""
+    return max((i - f for i, f in enumerate(first)), default=0)
+
+
 def _bareiss_serves(reach: list[int]) -> bool:
     """Is the envelope work of the profile with this reach at most
     BAREISS_WORK?"""
     return sum((r - k - 1) ** 2 for k, r in enumerate(reach)) <= BAREISS_WORK * len(reach)
 
 
-def bareiss_det(rows: list[list[int]], reach: list[int] | None = None) -> int:
-    """Exact determinant by fraction-free elimination.  Without reach,
-    rows is a square matrix, copied and eliminated dense with row
-    swaps; with reach, rows is the upper envelope of a positive
-    semidefinite matrix (ReducedLaplacian.envelope), eliminated in place
-    inside its boxes (module docstring)."""
-    if reach is not None:
-        return _envelope_bareiss(rows, reach)
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, r)) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _envelope_bareiss(rows: list[list[int]], reach: list[int]) -> int:
+def bareiss_det(rows: list[list[int]], reach: list[int]) -> int:
+    """Exact determinant of a reduced Laplacian by fraction-free
+    elimination of its upper envelope rows (ReducedLaplacian.envelope),
+    in place inside the boxes of reach (module docstring)."""
     prev, entered = 1, 0  # the columns below entered have been in a box
     for k, (pivot_row, r) in enumerate(zip(rows, reach)):
         if r > entered:
@@ -241,50 +211,6 @@ def _balance(a: np.ndarray, q: np.ndarray, half: np.ndarray) -> None:
     a -= half
 
 
-def _dominant_symmetric(a: np.ndarray) -> bool:
-    """Symmetric, with each diagonal entry at least the sum of the absolute
-    values of the other entries of its row (so nonnegative)?  Exact: in
-    int64 while no row sum can pass 2**62, else over Python ints."""
-    n = len(a)
-    if not np.array_equal(a, a.T):
-        return False
-    if a.dtype != object and not -(1 << 62) // n < a.min() <= a.max() < (1 << 62) // n:
-        a = a.astype(object)
-    return bool((2 * a.diagonal() >= np.abs(a).sum(axis=1)).all())
-
-
-def _band_profile(a: np.ndarray) -> np.ndarray | None:
-    """first[i], the first nonzero column of row i (its diagonal when the
-    row vanishes), of an int64 matrix that det_mod eliminates in band
-    storage (_det_band): symmetric, diagonally dominant, and of
-    half-bandwidth w = max(i - first[i]) with 2w + 1 < n.  None for any
-    other matrix, which det_mod eliminates dense (det_stack)."""
-    n = len(a)
-    if a.dtype != np.int64 or not _dominant_symmetric(a):
-        return None
-    first = ((a != 0) | np.eye(n, dtype=bool)).argmax(axis=1)
-    return first if 2 * _width(first) + 1 < n else None
-
-
-def _width(first: np.ndarray) -> int:
-    """The half-bandwidth of a band profile."""
-    return int((np.arange(len(first)) - first).max())
-
-
-def det_mod(matrix: np.ndarray, qs) -> list[int]:
-    """Determinants of a square integer matrix (int64, or object for
-    entries past int64) modulo each prime q in qs (every q < 2**30), in
-    [0, q), from one elimination over the stack of images: in band
-    storage without pivoting (_det_band) for a narrow symmetric dominant
-    matrix such as a reduced Laplacian, else dense (det_stack)."""
-    for q in qs:
-        check_word_prime(q)
-    first = _band_profile(matrix)
-    if first is None:
-        return det_stack(residues(matrix, np.array(qs, dtype=np.int64)), qs)
-    return _det_band(matrix, qs, first)
-
-
 def _factors(col: np.ndarray, pivots: list[int], qs, q: np.ndarray, half: np.ndarray) -> np.ndarray:
     """The balanced multipliers col / pivot of each image; an image whose
     pivot vanished gets multipliers 0."""
@@ -303,33 +229,40 @@ def _update(box: np.ndarray, factors: np.ndarray, pivot_row: np.ndarray) -> None
         box[:, lo : lo + rows] -= factors[:, lo : lo + rows, None] * pivot_row
 
 
-def _det_band(matrix: np.ndarray, qs, first: np.ndarray) -> list[int]:
-    """det_mod of a matrix with band profile first (_band_profile), by the
-    band kernel of the module docstring: no row swaps, n x (2w + 1)
-    entries per image, and step k confined to the box of rows and columns
-    k + 1 .. reach[k] - 1.  An image whose pivot vanishes before the last
-    step is recomputed alone by det_stack."""
+def det_mod(matrix: np.ndarray, qs, first: list[int]) -> list[int]:
+    """Determinants of a reduced Laplacian of order n >= 1, an int64 array
+    (ReducedLaplacian.array) with profile first, modulo each prime q in
+    qs (every q < 2**30), in [0, q): the kernel of the module docstring,
+    no row swaps and step k confined to the box of rows and columns
+    k + 1 .. reach[k] - 1, in band storage when 2w + 1 < n, else dense.
+    An image whose pivot vanishes before the last step is recomputed
+    alone by det_stack."""
+    for q in qs:
+        check_word_prime(q)
     n, m, w = len(matrix), len(qs), _width(first)
     q = np.array(qs, dtype=np.int64).reshape(-1, 1)
     half = (q - 1) // 2
     q3, half3 = q[:, :, None], half[:, :, None]
-    i = np.arange(n)
-    # entry (i, j) of image k is band[k, i, j - i + w], at i * 2w + j + w
-    # in the image's n (2w + 1) entries: distinct for |i - j| <= w, which
-    # holds for every entry the elimination reads or writes.  The slots of
-    # columns j outside 0 .. n - 1 hold copies of row i's end entries and
-    # are never read.
-    cols = (i[:, None] + np.arange(-w, w + 1)).clip(0, n - 1)
-    band = matrix[i[:, None], cols]
-    del cols
-    band = residues(band, q)
-    _balance(band, q3, half3)
-    step = band.itemsize
-    a = np.lib.stride_tricks.as_strided(
-        band.reshape(m, n * (2 * w + 1))[:, w:], shape=(m, n, n), strides=(band.strides[0], 2 * w * step, step))
-    reach = _reach(first.tolist())
+    if 2 * w + 1 < n:
+        # entry (i, j) of image k is stored[k, i, j - i + w], at
+        # i * 2w + j + w in the image's n (2w + 1) entries: distinct for
+        # |i - j| <= w, which holds for every entry the elimination reads
+        # or writes.  The slots of columns j outside 0 .. n - 1 hold
+        # copies of row i's end entries and are never read.
+        i = np.arange(n)
+        cols = (i[:, None] + np.arange(-w, w + 1)).clip(0, n - 1)
+        stored = matrix[i[:, None], cols]
+        del cols
+        stored = residues(stored, q)
+        step = stored.itemsize
+        a = np.lib.stride_tricks.as_strided(
+            stored.reshape(m, n * (2 * w + 1))[:, w:], shape=(m, n, n),
+            strides=(stored.strides[0], 2 * w * step, step))
+    else:
+        stored = a = residues(matrix, q)
+    _balance(stored, q3, half3)
     images, vanished = [1] * m, set()
-    for k, r in enumerate(reach):
+    for k, r in enumerate(_reach(first)):
         row = a[:, k, k:r]
         _balance(row, q, half)
         pivots = row[:, 0].tolist()
@@ -342,7 +275,7 @@ def _det_band(matrix: np.ndarray, qs, first: np.ndarray) -> list[int]:
             _update(a[:, k + 1 : r, k + 1 : r], _factors(row[:, 1:], pivots, qs, q, half), row[:, 1:])
         if (k + 1) % LAZY == 0:
             _balance(a[:, k + 1 : r, k + 1 : r], q3, half3)
-    del a, band, row  # before the fallbacks' dense images
+    del a, stored, row  # before the fallbacks' dense images
     for j in sorted(vanished):
         images[j] = det_stack(residues(matrix, q[j]), qs[j : j + 1])[0]
     return images
@@ -388,59 +321,29 @@ def det_stack(a: np.ndarray, qs) -> list[int]:
     return images
 
 
-def hadamard_bound_bits(rows) -> int:
-    """Bits of a Hadamard bound |det| < 2**bits for a square matrix (lists
-    of rows, or an integer_array); 0 when a row vanishes,
-    since then det = 0.  A symmetric matrix whose diagonal dominates its
-    rows, such as a reduced Laplacian, is positive semidefinite, so
-    |det| <= the product of its diagonal, never more than the row-norm
-    bound.  Any other matrix has |det| <= sqrt(P), where P is the exact
-    product of the squared row norms."""
-    a = integer_array(rows)
-    prod = 1
-    if _dominant_symmetric(a):
-        for x in a.diagonal().tolist():
-            prod *= x
-        return prod.bit_length()
-    for row in a.tolist():
-        prod *= sum(x * x for x in row)
-    if prod == 0:
-        return 0
-    return (prod.bit_length() + 1) // 2
-
-
-def multimodular_det(rows: list[list[int]] | np.ndarray) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    matrix = integer_array(rows)
-    bound_bits = hadamard_bound_bits(matrix)
-    if bound_bits == 0:
-        return 0
-    qs = primes_for_bound(1 << bound_bits)
+def multimodular_det(lap: ReducedLaplacian) -> int:
+    """Exact determinant of a reduced Laplacian from its images modulo the
+    fewest primes whose product passes twice the diagonal product, a
+    bound on |det| (module docstring)."""
+    n, bound = len(lap.diagonal), math.prod(lap.diagonal)
+    if n == 0 or bound == 0:
+        return bound  # the empty product, 1; or a row of zeros
+    matrix, qs = lap.array(), primes_for_bound(bound)
     # as few stacks as STACK_ENTRIES allows, of nearly equal size, counting
-    # the entries det_mod stores per image: n (2w + 1) in band storage
-    first = _band_profile(matrix)
-    stored = n * n if first is None else n * (2 * _width(first) + 1)
+    # the entries det_mod stores per image
+    stored = n * min(n, 2 * _width(lap.first) + 1)
     stacks = -(-len(qs) // max(1, STACK_ENTRIES // stored))
     images = []
     for s in range(stacks):
-        images += det_mod(matrix, qs[s * len(qs) // stacks : (s + 1) * len(qs) // stacks])
+        images += det_mod(matrix, qs[s * len(qs) // stacks : (s + 1) * len(qs) // stacks], lap.first)
     return crt(images, qs)
 
 
-def det_int(matrix: ReducedLaplacian | list[list[int]]) -> int:
-    """Exact determinant of a reduced Laplacian or of a square matrix
-    given by its rows: Bareiss up to BAREISS_WORK of envelope work per
-    row, multi-modular above (module docstring)."""
-    if isinstance(matrix, ReducedLaplacian):
-        reach = _reach(matrix.first)
-        if _bareiss_serves(reach):
-            return bareiss_det(matrix.envelope(reach), reach)
-        return multimodular_det(matrix.array())
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
-        raise ValueError("matrix must be square")
-    if _bareiss_serves([n] * n):
-        return bareiss_det(matrix)
-    return multimodular_det(matrix)
+def det_int(lap: ReducedLaplacian) -> int:
+    """Exact determinant of a reduced Laplacian: Bareiss up to
+    BAREISS_WORK of envelope work per row, multi-modular above (module
+    docstring)."""
+    reach = _reach(lap.first)
+    if _bareiss_serves(reach):
+        return bareiss_det(lap.envelope(reach), reach)
+    return multimodular_det(lap)

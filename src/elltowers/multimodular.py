@@ -1,7 +1,7 @@
 """Word-size primes and Chinese remaindering for the multi-modular engines.
 
 Two engines compute an exact integer from its images modulo many
-primes: intdet's determinant of large integer matrices and the level
+primes: intdet's determinant of reduced Laplacians and the level
 norm of ell-adic towers in analysis (integral towers take theirs over Z
 by Graeffe root-powering, and draw no prime).  Both work in numpy int64,
 which is exact while every residue is below WORD_LIMIT = 2**30: a
@@ -19,8 +19,10 @@ recovered as long as the primes' product exceeds twice the absolute
 value (primes_for_bound picks that many).
 
 residues(values, q) is both engines' one reduction of an array of
-integers modulo each prime of a block; integers past int64 stay exact
-there (integer_array), so neither engine has an overflow path of its own.
+integers modulo each prime of a block.  A reduced Laplacian is an int64
+array; the coefficients of an ell-adic level norm may lie past int64,
+and stay exact there (integer_array), so neither engine has an overflow
+path of its own.
 """
 
 from __future__ import annotations

@@ -5,35 +5,57 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import elltowers.intdet as intdet
 from elltowers import Multigraph, spanning_tree_count
 from elltowers.graphs import reduced_laplacian
-from elltowers.intdet import bareiss_det, det_int, det_mod, hadamard_bound_bits, multimodular_det
-from util import dense_bareiss_order, spanning_trees_bruteforce
+from elltowers.intdet import bareiss_det, det_int, det_mod, det_stack, multimodular_det
+from elltowers.multimodular import crt, primes, primes_for_bound, residues
+from util import dense_bareiss_det, dense_bareiss_order, spanning_trees_bruteforce, sympy_det
 
 
 def _random_matrix(rng, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
+def _random_multigraph(rng, g, extra):
+    """A random connected multigraph on g vertices: a random tree, extra
+    random edges (loops among them), and parallel copies of a few."""
+    edges = [(rng.randrange(i), i) for i in range(1, g)]
+    edges += [(rng.randrange(g), rng.randrange(g)) for _ in range(extra)]
+    edges += rng.sample(edges, min(len(edges), 3))
+    return Multigraph.from_edge_list(g, edges)
+
+
+def _envelope_det(lap):
+    reach = intdet._reach(lap.first)
+    return bareiss_det(lap.envelope(reach), reach)
+
+
+# -- the oracle: dense pivoting Bareiss of any square matrix ---------------------
+
 def test_known_small_determinants():
-    assert bareiss_det([]) == 1
-    assert bareiss_det([[7]]) == 7
-    assert bareiss_det([[1, 2], [3, 4]]) == -2
-    assert bareiss_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
-    assert bareiss_det([[1, 2], [2, 4]]) == 0
+    assert dense_bareiss_det([]) == 1
+    assert dense_bareiss_det([[7]]) == 7
+    assert dense_bareiss_det([[1, 2], [3, 4]]) == -2
+    assert dense_bareiss_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
+    assert dense_bareiss_det([[1, 2], [2, 4]]) == 0
 
 
 def test_row_swap_sign():
-    assert bareiss_det([[0, 1], [1, 0]]) == -1
-    assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert dense_bareiss_det([[0, 1], [1, 0]]) == -1
+    assert dense_bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
+
+# -- det_int and its two engines on reduced Laplacians ---------------------------
 
 def test_engines_agree_on_random_matrices():
+    # reduced Laplacians of random multigraphs, the one input of both engines
     rng = random.Random(7)
-    for n in (1, 2, 3, 5, 8, 12):
+    for g in (2, 3, 5, 8, 12, 30):
         for _ in range(10):
-            m = _random_matrix(rng, n)
-            assert bareiss_det(m) == multimodular_det(m)
+            lap = reduced_laplacian(_random_multigraph(rng, g, rng.randint(0, 3 * g)))
+            dense = lap.array().tolist()
+            assert _envelope_det(lap) == multimodular_det(lap) == dense_bareiss_det(dense) > 0
 
 
 def _band_graph(g, b):
@@ -48,217 +70,171 @@ def _band_work(n, b):
 
 
 def test_dispatcher_threshold(monkeypatch):
-    import elltowers.intdet as intdet
-
-    def engines(matrix):
+    def engines(lap):
         calls = []
-        monkeypatch.setattr(intdet, "bareiss_det", lambda rows, reach=None: calls.append("bareiss") or 0)
-        monkeypatch.setattr(intdet, "multimodular_det", lambda rows: calls.append("mm") or 0)
-        det_int(matrix)
+        monkeypatch.setattr(intdet, "bareiss_det", lambda rows, reach: calls.append("bareiss") or 0)
+        monkeypatch.setattr(intdet, "multimodular_det", lambda lap: calls.append("mm") or 0)
+        det_int(lap)
         monkeypatch.undo()
         return calls
 
-    # a list of rows counts as dense
-    rng = random.Random(1)
-    dense = dense_bareiss_order()
-    for n in (6, dense, dense + 1):
-        m = _random_matrix(rng, n)
-        assert multimodular_det(m) == bareiss_det(m)
-        assert engines(m) == ["bareiss" if n <= dense else "mm"]
-    # a reduced Laplacian by its envelope work: band graphs whose work per
-    # row is just within BAREISS_WORK and just past it
+    # by envelope work: band graphs whose work per row is just within
+    # BAREISS_WORK and just past it
     n = 200
     b = max(b for b in range(1, n) if _band_work(n, b) <= intdet.BAREISS_WORK * n)
     for width, engine in ((1, "bareiss"), (b, "bareiss"), (b + 1, "mm"), (2 * b, "mm")):
         lap = reduced_laplacian(_band_graph(n + 1, width))
         assert lap.first == [max(0, j - width) for j in range(n)]
         assert engines(lap) == [engine]
-        assert det_int(lap) == _envelope_det(lap) == multimodular_det(lap.array())
-
-
-def test_rejects_non_square():
-    with pytest.raises(ValueError):
-        det_int([[1, 2], [3]])
+        assert det_int(lap) == _envelope_det(lap) == multimodular_det(lap)
+    # a complete graph's minor has a dense profile, whose work per row is
+    # (n - 1)(2n - 1) / 6
+    dense = dense_bareiss_order()
+    for g in (dense + 1, dense + 2):
+        lap = reduced_laplacian(Multigraph.from_edge_list(g, [(i, j) for i in range(g) for j in range(i)]))
+        assert engines(lap) == ["bareiss" if g == dense + 1 else "mm"]
+        assert det_int(lap) == g ** (g - 2)
 
 
 def test_det_mod_matches_exact():
     rng = random.Random(3)
     p = 1073741789  # prime below 2**30
-    for n in (2, 4, 7):
-        m = _random_matrix(rng, n, -50, 50)
-        exact = bareiss_det(m)
-        assert det_mod(np.array(m, dtype=np.int64), [p]) == [exact % p]
-        assert det_mod(np.array(m, dtype=np.int64), []) == []
-
-
-def test_hadamard_bound_dominates():
-    rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(1, 6)
-        m = _random_matrix(rng, n, -20, 20)
-        d = bareiss_det(m)
-        if d:
-            assert abs(d).bit_length() <= hadamard_bound_bits(m)
-
-
-def test_hadamard_bound_is_taken_from_the_exact_norm_product():
-    # every row has squared norm 3: |det| <= 3**32 < 2**51, where rounding
-    # each row's norm up to its bit length would give 2**64
-    n = 64
-    m = [[1 if (j - i) % n < 3 else 0 for j in range(n)] for i in range(n)]
-    bits = hadamard_bound_bits(m)
-    assert bits <= 52
-    assert 3**32 < 1 << bits
-    assert abs(det_int(m)).bit_length() <= bits
-
-
-def _laplacian_minor(rng, g, extra):
-    """The Laplacian of a random connected multigraph on g vertices, with
-    loops and parallel edges, less a random vertex's row and column."""
-    edges = [(rng.randrange(i), i) for i in range(1, g)]
-    edges += [(rng.randrange(g), rng.randrange(g)) for _ in range(extra)]
-    edges += rng.sample(edges, min(len(edges), 3))
-    lap = [[0] * g for _ in range(g)]
-    for t, h in edges:
-        if t != h:
-            lap[t][h] -= 1
-            lap[h][t] -= 1
-            lap[t][t] += 1
-            lap[h][h] += 1
-    drop = rng.randrange(g)
-    return [[x for j, x in enumerate(row) if j != drop] for i, row in enumerate(lap) if i != drop]
-
-
-def _row_norm_bits(m):
-    prod = 1
-    for row in m:
-        prod *= sum(x * x for x in row)
-    return (prod.bit_length() + 1) // 2
+    for g in (2, 3, 5, 8, 40):
+        lap = reduced_laplacian(_random_multigraph(rng, g, 2 * g))
+        a = lap.array()
+        assert det_mod(a, [p], lap.first) == [dense_bareiss_det(a.tolist()) % p]
+        assert det_mod(a, [], lap.first) == []
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_diagonal_bound_dominates_laplacian_minors(data):
+    # the bound multimodular_det recombines against: |det| <= the product
+    # of the diagonal, since a reduced Laplacian is positive semidefinite
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     g = data.draw(st.integers(2, 24), label="order")
-    m = _laplacian_minor(rng, g, data.draw(st.integers(0, 3 * g), label="extra edges"))
-    bits = hadamard_bound_bits(m)
-    diagonal = 1
-    for i, row in enumerate(m):
-        diagonal *= row[i]
-    assert bits == diagonal.bit_length() <= _row_norm_bits(m)
-    assert 0 < bareiss_det(m) < 1 << bits  # a connected graph has a spanning tree
-
-
-def test_other_matrices_keep_the_row_norm_bound():
-    rng = random.Random(41)
-    for _ in range(20):
-        m = _laplacian_minor(rng, rng.randint(3, 20), 10)
-        assert hadamard_bound_bits(m) <= _row_norm_bits(m)
-        unsymmetric = [row[:] for row in m]
-        unsymmetric[0][1] -= 1
-        weak = [row[:] for row in m]
-        weak[1][1] = sum(map(abs, m[1])) - m[1][1] - 1  # below its row's other entries
-        negative = [[-x for x in row] for row in m]
-        for other in (unsymmetric, weak, negative):
-            assert hadamard_bound_bits(other) == _row_norm_bits(other)
-            d = bareiss_det(other)
-            assert abs(d) < 1 << hadamard_bound_bits(other)
-    # int64 entries whose row sums pass int64: wrapped, the first row
-    # would pass for dominant and the diagonal bound 2**186 fall below
-    # |det| = 3 * 2**185
-    m = [[2**61, -(2**62), -(2**62)], [-(2**62), 2**62, 0], [-(2**62), 0, 2**62]]
-    assert hadamard_bound_bits(np.array(m, dtype=np.int64)) == _row_norm_bits(m)
-    assert multimodular_det(m) == bareiss_det(m) == -3 * 2**185
+    lap = reduced_laplacian(_random_multigraph(rng, g, data.draw(st.integers(0, 3 * g), label="extra edges")))
+    dense = lap.array().tolist()
+    assert [row[i] for i, row in enumerate(dense)] == lap.diagonal
+    det = dense_bareiss_det(dense)
+    assert 0 < det <= math.prod(lap.diagonal)  # a connected graph has a spanning tree
+    assert multimodular_det(lap) == det
 
 
 def test_multimodular_large_entries():
-    # entries big enough that a wrong bound or overflow would corrupt CRT
+    # many parallel edges to the dropped vertex put diagonal entries up to
+    # 10**12 on a random graph: a wrong bound or an overflow would corrupt
+    # the CRT
     rng = random.Random(5)
-    m = [[rng.randint(-(10**12), 10**12) for _ in range(4)] for _ in range(4)]
-    assert multimodular_det(m) == bareiss_det(m)
+    lap = reduced_laplacian(_random_multigraph(rng, 30, 60))
+    lap = lap._replace(diagonal=[d + rng.randint(0, 10**12) for d in lap.diagonal])
+    assert multimodular_det(lap) == _envelope_det(lap) == dense_bareiss_det(lap.array().tolist())
+
+
+def _record_det_mod(monkeypatch):
+    """The matrix, primes and profile of every det_mod call."""
+    calls, real = [], intdet.det_mod
+    monkeypatch.setattr(intdet, "det_mod",
+                        lambda matrix, qs, first: calls.append((matrix, list(qs), first)) or real(matrix, qs, first))
+    return calls
 
 
 def test_multimodular_uses_the_fewest_primes_for_the_hadamard_bound(monkeypatch):
-    import elltowers.intdet as intdet
-    from elltowers.multimodular import primes_for_bound
-
+    # the product of the diagonal is the bound: the primes' product passes
+    # twice it, and all but the last prime's does not
     rng = random.Random(3)
-    n = dense_bareiss_order() + 1
-    m = [[rng.randint(-1, 1) if abs(i - j) <= 3 else 0 for j in range(n)] for i in range(n)]
-    used = []
-    real_det_mod = intdet.det_mod
+    calls = _record_det_mod(monkeypatch)
+    for lap in (reduced_laplacian(_band_graph(101, 12)), reduced_laplacian(_random_multigraph(rng, 60, 30))):
+        calls.clear()
+        assert multimodular_det(lap) == _envelope_det(lap)
+        used = [q for _, qs, _ in calls for q in qs]
+        bound = math.prod(lap.diagonal)
+        assert used == primes_for_bound(bound)
+        assert math.prod(used[:-1]) <= 2 * bound < math.prod(used)
 
-    def recording_det_mod(matrix, qs):
-        used.extend(qs)
-        return real_det_mod(matrix, qs)
 
-    monkeypatch.setattr(intdet, "det_mod", recording_det_mod)
-    assert det_int(m) == bareiss_det(m)
-    assert used == primes_for_bound(1 << hadamard_bound_bits(m))
-    # a reduced Laplacian: the product of its diagonal, a prime below the
-    # row norms on a sparse graph
-    lap = _laplacian_minor(rng, 4 * n, n // 2)
-    used.clear()
-    assert det_int(lap) == bareiss_det(lap)
-    diagonal = 1
-    for i, row in enumerate(lap):
-        diagonal *= row[i]
-    assert used == primes_for_bound(1 << diagonal.bit_length())
-    assert len(used) < len(primes_for_bound(1 << _row_norm_bits(lap)))
+def _wheel(n):
+    """The wheel, hub 0 and rim 1 .. n.  Its reduced Laplacian drops the
+    hub: the rim's cycle, whose closing edge gives a profile of half-width
+    n - 1, stored dense."""
+    spokes = [(0, i) for i in range(1, n + 1)]
+    return Multigraph.from_edge_list(n + 1, spokes + [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def _wheel_trees(n):
+    """W_n has L_{2n} - 2 spanning trees (L the Lucas numbers)."""
+    a, b = 2, 1
+    for _ in range(2 * n):
+        a, b = b, a + b
+    return a - 2
 
 
 def test_multimodular_stacks_stay_below_the_entry_limit(monkeypatch):
-    import elltowers.intdet as intdet
-    from elltowers.multimodular import primes_for_bound
-
-    rng = random.Random(29)
-    real_det_mod = intdet.det_mod
-    for n in (40, 100, 182):
-        m = [[5 if i == j else rng.randint(-1, 1) if abs(i - j) <= 2 else 0 for j in range(n)]
-             for i in range(n)]
-        stacks = []
-
-        def recording_det_mod(matrix, qs):
-            stacks.append(list(qs))
-            return real_det_mod(matrix, qs)
-
-        monkeypatch.setattr(intdet, "det_mod", recording_det_mod)
-        assert multimodular_det(m) == bareiss_det(m)
-        qs = primes_for_bound(1 << hadamard_bound_bits(m))
-        per_stack = max(1, intdet.STACK_ENTRIES // (n * n))
+    # an image in dense storage keeps n x n entries (the wheels), one in
+    # band storage n x (2w + 1) (a band of half-width 40), and the stacks
+    # are partitioned by those stored entries
+    calls = _record_det_mod(monkeypatch)
+    cases = [(reduced_laplacian(_wheel(n)), n, _wheel_trees(n)) for n in (40, 100, 182)]
+    band = reduced_laplacian(_band_graph(201, 40))
+    cases.append((band, 81, _envelope_det(band)))
+    counts = []
+    for lap, row_entries, det in cases:
+        n = len(lap.first)
+        assert min(n, 2 * intdet._width(lap.first) + 1) == row_entries
+        calls.clear()
+        assert multimodular_det(lap) == det
+        stacks = [qs for _, qs, _ in calls]
+        qs = primes_for_bound(math.prod(lap.diagonal))
+        per_stack = max(1, intdet.STACK_ENTRIES // (n * row_entries))
         sizes = [len(s) for s in stacks]
         assert [q for s in stacks for q in s] == qs
         assert len(stacks) == -(-len(qs) // per_stack)
         assert max(sizes) <= per_stack and max(sizes) - min(sizes) <= 1
-    # a symmetric dominant band of half-width w is stored as n x (2w + 1)
-    # per image, and its stacks are partitioned by those stored entries
-    n, w = 200, 40
-    m = _symmetric_band(rng, n, w, 1)
-    for i in range(n - w):
-        m[i][i + w] = m[i + w][i] = -1
-    for i in range(n):
-        m[i][i] = sum(map(abs, m[i])) + rng.randint(0, 40)
-    stacks = []
-    assert multimodular_det(m) == bareiss_det(m)
-    qs = primes_for_bound(1 << hadamard_bound_bits(m))
-    per_stack = intdet.STACK_ENTRIES // (n * (2 * w + 1))
-    sizes = [len(s) for s in stacks]
-    assert per_stack > 1 and len(stacks) > 1
-    assert [q for s in stacks for q in s] == qs
-    assert len(stacks) == -(-len(qs) // per_stack)
-    assert max(sizes) <= per_stack and max(sizes) - min(sizes) <= 1
+        counts.append((per_stack, len(stacks)))
+    # several stacks in each storage, and several images to a band stack
+    assert counts[2][1] > 1 and counts[3][0] > 1 and counts[3][1] > 1
 
 
-# -- the stacked elimination ------------------------------------------------------
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_det_int_matches_bareiss_across_the_threshold(data):
+    # random multigraphs with parallel edges, from sparse to complete, of
+    # orders on both sides of the largest dense profile Bareiss takes
+    t = dense_bareiss_order()
+    g = data.draw(st.one_of(st.integers(2, 7), st.integers(t - 1, t + 7)), label="vertices")
+    density = data.draw(st.sampled_from([1.0, 0.5, 0.1]), label="edge density")
+    copies = data.draw(st.sampled_from([1, 3]), label="most parallel copies")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    edges = [(rng.randrange(i), i) for i in range(1, g)]
+    edges += [(i, j) for i in range(g) for j in range(i) if rng.random() < density
+              for _ in range(rng.randint(1, copies))]
+    lap = reduced_laplacian(Multigraph.from_edge_list(g, edges))
+    event("Bareiss" if intdet._bareiss_serves(intdet._reach(lap.first)) else "multi-modular")
+    assert det_int(lap) == dense_bareiss_det(lap.array().tolist()) == multimodular_det(lap)
+
+
+def test_empty_and_singular_laplacians():
+    # the minor of a one-vertex graph is empty, with determinant 1; a
+    # vertex with no edge gives a zero row, so determinant 0
+    empty = intdet.ReducedLaplacian([], [], [])
+    isolated = intdet.ReducedLaplacian([0, 2, 1], [(1, 2)], [0, 1, 1])
+    for lap, det in ((empty, 1), (isolated, 0)):
+        assert det_int(lap) == multimodular_det(lap) == det
+    assert spanning_tree_count(Multigraph.from_edge_list(1, [(0, 0)])) == 1
+
+
+# -- det_stack: dense elimination with a pivot per image, the fallback ------------
 
 def _images(m, qs):
-    return [bareiss_det(m) % q for q in qs]
+    return [dense_bareiss_det(m) % q for q in qs]
+
+
+def _stack(m, qs):
+    """det_stack of the images of m modulo qs."""
+    return det_stack(residues(m, np.array(qs, dtype=np.int64)), qs)
 
 
 def test_stack_pivots_per_image():
-    from elltowers.multimodular import primes
-
     rng = random.Random(17)
     qs = primes(3)
     n = 9
@@ -268,12 +244,10 @@ def test_stack_pivots_per_image():
     m[0][0] = qs[1] * 3
     m[1][1] = m[0][1] * m[1][0] * pow(m[0][0], -1, qs[2]) % qs[2]
     assert m[0][0] % qs[2] and (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % qs[2] == 0
-    assert det_mod(np.array(m, dtype=np.int64), qs) == _images(m, qs)
+    assert _stack(m, qs) == _images(m, qs)
 
 
 def test_stack_image_zero_while_others_are_not():
-    from elltowers.multimodular import primes
-
     rng = random.Random(19)
     qs = primes(4)
     n = 8
@@ -281,7 +255,7 @@ def test_stack_image_zero_while_others_are_not():
     m = _random_matrix(rng, n, -40, 40)
     for i in range(n):
         m[i][3] = qs[2] * rng.randint(-2, 2)
-    got = det_mod(np.array(m, dtype=np.int64), qs)
+    got = _stack(m, qs)
     assert got == _images(m, qs) and got[2] == 0 and all(got[k] for k in (0, 1, 3))
     # det = +-qs[1]: unimodular transforms of diag(qs[1], 1, ..., 1)
     m = [[qs[1] if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
@@ -293,15 +267,12 @@ def test_stack_image_zero_while_others_are_not():
         else:
             for row in m:
                 row[i] += c * row[j]
-    assert abs(bareiss_det(m)) == qs[1]
-    got = det_mod(np.array(m, dtype=np.int64), qs)
+    assert abs(dense_bareiss_det(m)) == qs[1]
+    got = _stack(m, qs)
     assert got == _images(m, qs) and got[1] == 0 and all(got[k] for k in (0, 2, 3))
 
 
 def test_stack_worst_case_magnitudes_past_the_lazy_bound():
-    import elltowers.intdet as intdet
-    from elltowers.multimodular import primes
-
     qs = primes(3)
     n = intdet.LAZY + 3
     for q in qs:
@@ -315,11 +286,18 @@ def test_stack_worst_case_magnitudes_past_the_lazy_bound():
         m = [[sum(low[i][k] * up[k][j] for k in range(min(i, j) + 1)) % q for j in range(n)]
              for i in range(n)]
         m = [[x - q if x > h else x for x in row] for row in m]
-        assert det_mod(np.array(m, dtype=np.int64), qs) == _images(m, qs)
-        assert pow(h, n, q) == bareiss_det(m) % q
+        assert _stack(m, qs) == _images(m, qs)
+        assert pow(h, n, q) == dense_bareiss_det(m) % q
 
 
-# -- the envelope: each step updates only the box of its nonzeros ----------------
+def test_det_stack_images_of_int64_extremes():
+    # int64 entries at the ends of the int64 range, reduced by residues
+    rng = random.Random(23)
+    qs = [1073741789, 1073741783]
+    m = _random_matrix(rng, 12)
+    m[0][0], m[3][5], m[7][2] = 2**63 - 1, -(2**63), 2**63 - 2**28
+    assert _stack(np.array(m, dtype=np.int64), qs) == _images(m, qs)
+
 
 def _det_mod_reference(m, q):
     """det m mod q by plain row reduction over Python ints."""
@@ -352,28 +330,7 @@ def _band(rng, n, lower, upper, cyclic, bound, zeros=0.0):
              for j in range(n)] for i in range(n)]
 
 
-def _lu_image(n, q, low, up):
-    """M = L U mod q, balanced, for L unit lower triangular and U upper
-    triangular with h = (q - 1) / 2 on U's diagonal and wherever low(i, k)
-    (i > k) or up(k, j) (j > k) holds.  Eliminating M mod q reproduces
-    L's multipliers and U's rows, all at h: each update subtracts h**2,
-    the largest growth balanced residues allow, and det M = h**n mod q."""
-    h = (q - 1) // 2
-    lower = [[k for k in range(i) if low(i, k)] + [i] for i in range(n)]
-    upper = [[k] + [j for j in range(k + 1, n) if up(k, j)] for k in range(n)]
-    m = []
-    for i in range(n):
-        row = [0] * n
-        for k in lower[i]:
-            for j in upper[k]:
-                row[j] += h * h if k < i else h
-        m.append([(x + h) % q - h for x in row])
-    return m
-
-
 def test_stack_image_swaps_in_a_row_from_below_the_others_envelope():
-    from elltowers.multimodular import primes
-
     rng = random.Random(31)
     qs = primes(2)
     n = 40
@@ -383,188 +340,36 @@ def test_stack_image_swaps_in_a_row_from_below_the_others_envelope():
     # pivot row, while the qs[0] image keeps a pivot row ending at column
     # 2; row 26 takes a multiple of the pivot row in both images
     m[0][0], m[1][0], m[2][0], m[25][0], m[26][0] = qs[1], 2 * qs[1], qs[1], qs[0], 7
-    got = det_mod(np.array(m, dtype=np.int64), qs)
-    assert got == [_det_mod_reference(m, q) for q in qs] == _images(m, qs)
+    assert _stack(m, qs) == [_det_mod_reference(m, q) for q in qs] == _images(m, qs)
 
 
-def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
-    from elltowers.multimodular import primes
+# -- det_mod: symmetric dominant matrices eliminated without swaps ----------------
 
-    rng = random.Random(37)
-    qs = primes(3)
-    for n in (64, 97, 131, 200):
-        m = _band(rng, n, 2, 3, True, 2**29)
-        got = det_mod(np.array(m, dtype=np.int64), qs)
-        assert got == [_det_mod_reference(m, q) for q in qs]
-    # the elimination of a cyclic band fills its last rows and columns:
-    # with every multiplier and pivot-row entry at h, the boxes reach the
-    # corner at every step and the fill grows by h**2 per step
-    for n in (64, 200):
-        for q in qs[:2]:
-            w = 3
-            m = _lu_image(n, q, lambda i, k: i - k <= w or i >= n - w,
-                          lambda k, j: j - k <= w or j >= n - w)
-            got = det_mod(np.array(m, dtype=np.int64), qs)
-            assert got == [_det_mod_reference(m, p) for p in qs]
-            assert got[qs.index(q)] == pow((q - 1) // 2, n, q)
+def _profile(m):
+    """The first nonzero column of each row of a list of rows (the
+    diagonal's when there is none before it)."""
+    return [next((j for j, x in enumerate(row[:i]) if x), i) for i, row in enumerate(m)]
 
 
-def test_lazy_reduction_covers_every_box_since_the_last():
-    import elltowers.intdet as intdet
-    from elltowers.multimodular import primes
-
-    # an arrow whose last row and column get h**2 at every step except
-    # step LAZY - 1, whose box is the single entry right of its pivot: a
-    # reduction of that last box alone would leave the arrow 2 * LAZY - 1
-    # updates deep, past int64
-    n, hole = 2 * intdet.LAZY + 4, intdet.LAZY - 1
-    for q in primes(2):
-        m = _lu_image(n, q, lambda i, k: i == k + 1 or (i == n - 1 and k != hole),
-                      lambda k, j: j == k + 1 or (j == n - 1 and k != hole))
-        assert det_mod(np.array(m, dtype=np.int64), [q]) == [pow((q - 1) // 2, n, q)]
+def _dense_storage(m):
+    """Does det_mod store m's images dense (2w + 1 >= n), not as a band?"""
+    return 2 * intdet._width(_profile(m)) + 1 >= len(m)
 
 
-def test_large_boxes_update_in_slices_of_rows(monkeypatch):
-    import elltowers.intdet as intdet
-    from elltowers.multimodular import primes
-
-    rng = random.Random(43)
-    qs = primes(3)
-    for entries in (1, 50, 500):
-        monkeypatch.setattr(intdet, "UPDATE_ENTRIES", entries)
-        m = _random_matrix(rng, 40, -(2**29), 2**29)
-        assert det_mod(np.array(m, dtype=np.int64), qs) == [_det_mod_reference(m, q) for q in qs]
+def _det_mod(m, qs):
+    """det_mod of a symmetric matrix given by its rows, with its profile."""
+    return det_mod(np.array(m, dtype=np.int64), qs, _profile(m))
 
 
-@settings(deadline=None, max_examples=25)
-@given(st.data())
-def test_det_mod_on_banded_and_cyclic_band_matrices(data):
-    from elltowers.multimodular import primes
-
-    n = data.draw(st.integers(2, 100), label="order")
-    lower = data.draw(st.integers(0, 6), label="lower band")
-    upper = data.draw(st.integers(0, 6), label="upper band")
-    cyclic = data.draw(st.booleans(), label="cyclic")
-    bound = data.draw(st.sampled_from([1, 9, 2**29, 2**40]), label="entry bound")
-    zeros = data.draw(st.sampled_from([0.0, 0.3]), label="zero fraction")
-    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    m = _band(rng, n, lower, upper, cyclic, bound, zeros)
-    qs = primes(3)
-    assert det_mod(np.array(m, dtype=np.int64), qs) == [_det_mod_reference(m, q) for q in qs]
+def _symmetric(m):
+    """The upper triangle of m mirrored below a zero diagonal."""
+    return [[m[min(i, j)][max(i, j)] if i != j else 0 for j in range(len(m))] for i in range(len(m))]
 
 
-def test_entries_beyond_int64_stay_exact():
-    rng = random.Random(23)
-    n = dense_bareiss_order() + 4
-    m = _random_matrix(rng, n)
-    for _ in range(10):
-        m[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, 1)) * rng.randint(2**63, 2**90)
-    assert det_int(m) == multimodular_det(m) == bareiss_det(m)
-    qs = [1073741789, 1073741783]
-    assert det_mod(np.array(m, dtype=object), qs) == _images(m, qs)
-    # and int64 entries at the ends of the int64 range
-    m = _random_matrix(rng, 12)
-    m[0][0], m[3][5], m[7][2] = 2**63 - 1, -(2**63), 2**63 - 2**28
-    assert det_mod(np.array(m, dtype=np.int64), qs) == _images(m, qs)
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.data())
-def test_det_int_matches_bareiss_across_the_threshold(data):
-    t = dense_bareiss_order()
-    n = data.draw(st.one_of(st.integers(1, 6), st.integers(t - 2, t + 6)), label="order")
-    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    zeros = data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="zero fraction")
-    bound = data.draw(st.sampled_from([1, 9, 2**40]), label="entry bound")
-    m = [[0 if rng.random() < zeros else rng.randint(-bound, bound) for _ in range(n)]
-         for _ in range(n)]
-    assert det_int(m) == bareiss_det(m) == multimodular_det(m)
-
-
-# -- the shared prime pool and CRT ------------------------------------------------
-
-def test_prime_pool_is_the_previous_prime_chain():
-    import sympy
-
-    from elltowers.multimodular import primes
-
-    chain, q = [], 1 << 30
-    for _ in range(40):
-        q = sympy.prevprime(q)
-        chain.append(q)
-    assert primes(40) == chain
-
-
-def test_prime_pool_per_modulus():
-    from elltowers.factorint import is_certified_prime
-    from elltowers.multimodular import primes
-
-    for m in (4, 9, 625, 2401):
-        qs = primes(25, m)
-        assert qs == sorted(qs, reverse=True) and len(set(qs)) == 25
-        assert all(q % m == 1 and q < 1 << 30 and is_certified_prime(q) for q in qs)
-        # nothing skipped between the ceiling and the last prime handed out
-        assert sum(is_certified_prime(c) for c in range(qs[-1], 1 << 30, m)) == 25
-
-
-def test_crt_symmetric_representative():
-    from elltowers.multimodular import crt, primes_for_bound
-
-    rng = random.Random(2)
-    for _ in range(50):
-        x = rng.randint(-(10**80), 10**80)
-        qs = primes_for_bound(10**80, 27)
-        assert crt([x % q for q in qs], qs) == x
-    assert crt([0, 0], [5, 7]) == 0
-    assert crt([34], [37]) == -3
-
-
-def _mod(values, p):
-    """values % p entrywise, in Python integers, for nested lists."""
-    return [_mod(v, p) for v in values] if isinstance(values, list) else values % p
-
-
-def test_residues_match_python_remainders():
-    from elltowers.multimodular import residues
-
-    qs = [1073741789, 1073741783, 7]
-    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
-    rng = random.Random(5)
-    small = [rng.randint(-(2**62), 2**62) for _ in range(9)]
-    # past int64, where numpy alone would read uint64, float64 or objects
-    cases = (small, [2**63 + 1, -1], [2**64 - 1], [-(2**90), 3, 2**64 + 1],
-             [[rng.randint(-(2**100), 2**100) for _ in range(3)] for _ in range(2)])
-    for values in cases:
-        got = residues(values, q)
-        assert got.dtype == np.int64
-        assert got.tolist() == [_mod(values, p) for p in qs]
-    # an int64 matrix against a flat array of primes
-    a = np.array(small, dtype=np.int64).reshape(3, 3)
-    assert residues(a, q.ravel()).tolist() == [_mod(a.tolist(), p) for p in qs]
-
-
-def test_int64_code_refuses_large_moduli():
-    for matrix in (np.eye(2, dtype=np.int64), np.array([[2**70, 0], [0, 1]], dtype=object)):
-        for bad in ((1 << 30) + 3, 1 << 30):
-            with pytest.raises(ValueError):
-                det_mod(matrix, [1073741789, bad])
-
-
-# -- the band kernel: symmetric dominant matrices eliminated without swaps ---------
-
-def _record_det_stack(monkeypatch):
-    """The prime lists of every det_stack call, the band kernel's fallbacks."""
-    import elltowers.intdet as intdet
-
-    calls, real = [], intdet.det_stack
-    monkeypatch.setattr(intdet, "det_stack", lambda a, qs: calls.append(list(qs)) or real(a, qs))
-    return calls
-
-
-def _symmetric_band(rng, n, w, bound, zeros=0.0):
-    """_band's upper half of width w mirrored below a zero diagonal."""
-    up = _band(rng, n, 0, w, False, bound, zeros)
-    return [[up[min(i, j)][max(i, j)] if i != j else 0 for j in range(n)] for i in range(n)]
+def _symmetric_band(rng, n, w, bound, zeros=0.0, cyclic=False):
+    """_band's upper half of width w, with the corner that the lower band
+    wraps into when cyclic, mirrored below a zero diagonal."""
+    return _symmetric(_band(rng, n, w if cyclic else 0, w, cyclic, bound, zeros))
 
 
 def _dominant(m, q):
@@ -575,6 +380,203 @@ def _dominant(m, q):
         others = sum(map(abs, row)) - abs(row[i])
         row[i] += max(0, -(-(others - row[i]) // q)) * q
     return m
+
+
+def _gram_image(n, q, up):
+    """M = U^T U mod q, diagonally dominant, for U unit upper triangular with
+    h = (q - 1) / 2 wherever up(k, j) (j > k) holds.  Eliminating M mod q
+    without swaps gives pivots 1, and pivot rows and multipliers that are
+    U's rows, all at h: each update subtracts h**2, the largest growth
+    balanced residues allow, and det M = 1 mod q."""
+    h = (q - 1) // 2
+    upper = [[k] + [j for j in range(k + 1, n) if up(k, j)] for k in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for i in upper[k]:
+            for j in upper[k]:
+                m[i][j] += (h if i > k else 1) * (h if j > k else 1)
+    return _dominant([[(x + h) % q - h for x in row] for row in m], q)
+
+
+def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
+    # a symmetric cyclic band: its corners give a profile of half-width
+    # n - 1, so its images are stored dense
+    rng = random.Random(37)
+    qs = primes(3)
+    for n in (64, 97, 131, 200):
+        m = _dominant(_symmetric_band(rng, n, 3, 2**29, cyclic=True), 1)
+        assert _dense_storage(m)
+        assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs]
+    # the elimination of a cyclic band fills its last rows and columns:
+    # with every multiplier and pivot-row entry at h, the boxes reach the
+    # corner at every step and the fill grows by h**2 per step
+    for n in (64, 200):
+        for q in qs[:2]:
+            w = 3
+            m = _gram_image(n, q, lambda k, j: j - k <= w or j >= n - w)
+            got = _det_mod(m, qs)
+            assert got == [_det_mod_reference(m, p) for p in qs]
+            assert got[qs.index(q)] == 1
+
+
+def test_lazy_reduction_covers_every_box_since_the_last():
+    # an arrow whose last row and column get h**2 at every step except
+    # step LAZY - 1: the reduction every LAZY steps must cover the arrow,
+    # or it would be left 2 * LAZY - 1 updates deep, past int64
+    n, hole = 2 * intdet.LAZY + 4, intdet.LAZY - 1
+    for q in primes(2):
+        m = _gram_image(n, q, lambda k, j: j == k + 1 or (j == n - 1 and k != hole))
+        assert _dense_storage(m)
+        assert _det_mod(m, [q]) == [1]
+
+
+def test_large_boxes_update_in_slices_of_rows(monkeypatch):
+    rng = random.Random(43)
+    qs = primes(3)
+    for entries in (1, 50, 500):
+        monkeypatch.setattr(intdet, "UPDATE_ENTRIES", entries)
+        m = _random_matrix(rng, 40, -(2**29), 2**29)
+        assert _stack(m, qs) == [_det_mod_reference(m, q) for q in qs]
+        m = _dominant(_symmetric(m), 1)
+        assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_det_mod_on_banded_and_cyclic_band_matrices(data):
+    # any band through det_stack, and its upper half, mirrored and made
+    # dominant, through det_mod
+    n = data.draw(st.integers(2, 100), label="order")
+    lower = data.draw(st.integers(0, 6), label="lower band")
+    upper = data.draw(st.integers(0, 6), label="upper band")
+    cyclic = data.draw(st.booleans(), label="cyclic")
+    bound = data.draw(st.sampled_from([1, 9, 2**29, 2**40]), label="entry bound")
+    zeros = data.draw(st.sampled_from([0.0, 0.3]), label="zero fraction")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    m = _band(rng, n, lower, upper, cyclic, bound, zeros)
+    qs = primes(3)
+    assert _stack(m, qs) == [_det_mod_reference(m, q) for q in qs]
+    m = _dominant(_symmetric(m), 1)
+    assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs]
+
+
+def test_int64_code_refuses_large_moduli():
+    for bad in ((1 << 30) + 3, 1 << 30):
+        with pytest.raises(ValueError):
+            det_mod(np.eye(2, dtype=np.int64), [1073741789, bad], [0, 1])
+
+
+def _record_det_stack(monkeypatch):
+    """The prime lists of every det_stack call, det_mod's fallbacks."""
+    calls, real = [], intdet.det_stack
+    monkeypatch.setattr(intdet, "det_stack", lambda a, qs: calls.append(list(qs)) or real(a, qs))
+    return calls
+
+
+def _leading_minors_vanish(rng, n, w, qs):
+    """A symmetric dominant band of order n and half-width w whose leading
+    entry vanishes mod qs[1] and whose leading 2 x 2 minor vanishes mod
+    qs[2]: both images lose their pivot before the last step."""
+    m = _dominant(_symmetric_band(rng, n, w, 5), 1)
+    m[0][0] = qs[1]
+    m[1][1] = m[0][1] ** 2 * pow(m[0][0], -1, qs[2]) % qs[2]
+    m = _dominant(m, qs[2])
+    assert (m[0][0] * m[1][1] - m[0][1] ** 2) % qs[2] == 0 and m[0][0] % qs[2]
+    return m
+
+
+def _last_pivot_vanishes(rng, n, w, q):
+    """A symmetric dominant band of order n and half-width w whose
+    determinant, and no leading minor of lower order, vanishes mod q."""
+    m = _dominant(_symmetric_band(rng, n, w, 3), 1)
+    # det is linear in the last diagonal entry: det = x * D + C, with D the
+    # leading minor of order n - 1; pick x = -C / D mod q
+    lead = dense_bareiss_det([row[:-1] for row in m[:-1]])
+    m[-1][-1] = 0
+    rest = dense_bareiss_det(m)
+    m[-1][-1] = -rest * pow(lead, -1, q) % q
+    return _dominant(m, q)
+
+
+def _upper_band_gram(n, w, q):
+    """_gram_image with h on the w diagonals above U's own: with w > LAZY,
+    entries take LAZY updates of h**2 between reductions."""
+    return _gram_image(n, q, lambda k, j: j - k <= w)
+
+
+def test_band_images_whose_leading_minors_vanish_are_recomputed_alone(monkeypatch):
+    qs = primes(4)
+    m = _leading_minors_vanish(random.Random(53), 30, 3, qs)
+    assert not _dense_storage(m)
+    calls = _record_det_stack(monkeypatch)
+    assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs] == _images(m, qs)
+    assert calls == [[qs[1]], [qs[2]]]
+
+
+def test_dense_images_whose_leading_minors_vanish_are_recomputed_alone(monkeypatch):
+    qs = primes(4)
+    m = _leading_minors_vanish(random.Random(54), 30, 20, qs)
+    assert _dense_storage(m)
+    calls = _record_det_stack(monkeypatch)
+    assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs] == _images(m, qs)
+    assert calls == [[qs[1]], [qs[2]]]
+
+
+def test_band_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
+    qs = primes(3)
+    m = _last_pivot_vanishes(random.Random(59), 40, 4, qs[0])
+    assert not _dense_storage(m)
+    calls = _record_det_stack(monkeypatch)
+    got = _det_mod(m, qs)
+    assert got == [_det_mod_reference(m, q) for q in qs] and got[0] == 0 and all(got[1:])
+    assert calls == []
+
+
+def test_dense_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
+    qs = primes(3)
+    m = _last_pivot_vanishes(random.Random(60), 40, 25, qs[0])
+    assert _dense_storage(m)
+    calls = _record_det_stack(monkeypatch)
+    got = _det_mod(m, qs)
+    assert got == [_det_mod_reference(m, q) for q in qs] and got[0] == 0 and all(got[1:])
+    assert calls == []
+
+
+def test_band_worst_case_magnitudes_between_lazy_reductions():
+    w = intdet.LAZY + 2
+    n = 2 * w + 10
+    for q in primes(2):
+        m = _upper_band_gram(n, w, q)
+        assert intdet._width(_profile(m)) == w and not _dense_storage(m)
+        assert _det_mod(m, [q]) == [1]
+
+
+def test_dense_worst_case_magnitudes_between_lazy_reductions():
+    w = intdet.LAZY + 2
+    n = w + 10
+    for q in primes(2):
+        m = _upper_band_gram(n, w, q)
+        assert intdet._width(_profile(m)) == w and _dense_storage(m)
+        assert _det_mod(m, [q]) == [1]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_det_mod_on_symmetric_dominant_bands(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    n = data.draw(st.integers(2, 90), label="order")
+    w = data.draw(st.integers(0, n - 1), label="half-bandwidth")
+    bound = data.draw(st.sampled_from([1, 9, 2**20]), label="entry bound")
+    zeros = data.draw(st.sampled_from([0.0, 0.5]), label="zero fraction")
+    qs = primes(3)
+    # diagonals at the dominance limit, or past it by a multiple of a prime
+    # of the list, so that leading minors vanish modulo it now and then
+    m = _dominant(_symmetric_band(rng, n, w, bound, zeros), 1)
+    for i in range(n):
+        m[i][i] += rng.choice((0, 0, 1, qs[rng.randrange(3)]))
+    event("dense storage" if _dense_storage(m) else "band storage")
+    assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs]
+    assert _det_mod(m, []) == []
 
 
 def _clique_ring(s, m):
@@ -610,67 +612,34 @@ def test_clique_ring_tree_counts():
 
 
 def test_breadth_first_band_laplacian_takes_one_stack_for_all_its_primes(monkeypatch):
-    import elltowers.intdet as intdet
-    from elltowers.multimodular import primes_for_bound
-
     # K_8 x C_21: its breadth-first ordered reduced Laplacian has order 167,
     # half-bandwidth 16 and envelope work 235 per row, past BAREISS_WORK,
-    # so the band kernel takes it; its 18 primes share one stack, where
-    # dense images would go four to a stack
+    # so det_mod takes it in band storage; its 17 primes share one stack,
+    # where dense images would go four to a stack
     graph = _clique_ring(8, 21)
-    calls, real_det_mod = [], intdet.det_mod
-
-    def recording_det_mod(matrix, qs):
-        calls.append((matrix, list(qs)))
-        return real_det_mod(matrix, qs)
-
-    monkeypatch.setattr(intdet, "det_mod", recording_det_mod)
+    calls = _record_det_mod(monkeypatch)
     assert spanning_tree_count(graph) == _clique_ring_trees(8, 21)
-    ((lap, used),) = calls
-    assert lap.shape == (167, 167) and intdet._width(intdet._band_profile(lap)) == 16
-    assert used == primes_for_bound(1 << hadamard_bound_bits(lap))
+    ((matrix, used, first),) = calls
+    assert matrix.shape == (167, 167) and intdet._width(first) == 16
+    assert used == primes_for_bound(math.prod(np.diagonal(matrix).tolist()))
     assert intdet.STACK_ENTRIES // (167 * 167) < len(used)
 
 
 # -- envelope Bareiss: reduced Laplacians without row swaps -----------------------
 
-def _exact_det(m):
-    """sympy's determinant of a list of rows."""
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-
-    n = len(m)
-    return int(DomainMatrix([[ZZ(x) for x in row] for row in m], (n, n), ZZ).det()) if n else 1
-
-
-def _profile(m):
-    """The first nonzero column of each row of a list of rows (the
-    diagonal's when there is none before it)."""
-    return [next((j for j, x in enumerate(row[:i]) if x), i) for i, row in enumerate(m)]
-
-
-def _envelope_det(lap):
-    import elltowers.intdet as intdet
-
-    reach = intdet._reach(lap.first)
-    return bareiss_det(lap.envelope(reach), reach)
-
-
 def _check_envelope(graph):
     """The envelope Bareiss value of graph's reduced Laplacian against the
-    pivoting Bareiss value, sympy and det_int, and its profile against
-    the dense minor's."""
+    pivoting Bareiss value, sympy, det_int and multimodular_det, and its
+    profile against the dense minor's."""
     lap = reduced_laplacian(graph)
     dense = lap.array().tolist()
     assert lap.first == _profile(dense)
     det = _envelope_det(lap)
-    assert det == bareiss_det(dense) == _exact_det(dense) == det_int(lap) > 0
+    assert det == dense_bareiss_det(dense) == sympy_det(dense) == det_int(lap) == multimodular_det(lap) > 0
     return det
 
 
 def test_envelope_grows_by_many_columns_in_one_step():
-    import elltowers.intdet as intdet
-
     # a clique on 0 .. 12 and a path 12 - 13 - ... - 32 of doubled edges:
     # searched from 0, the path is visited last, so it opens the minor, and
     # the other 11 columns of the clique all enter the box at the step of
@@ -682,19 +651,18 @@ def test_envelope_grows_by_many_columns_in_one_step():
     lap = reduced_laplacian(graph)
     reach = intdet._reach(lap.first)
     assert reach[19:21] == [21, 32] and intdet._bareiss_serves(reach)
-    assert bareiss_det([row[:20] for row in lap.array().tolist()[:20]]) == 2**20
+    assert dense_bareiss_det([row[:20] for row in lap.array().tolist()[:20]]) == 2**20
     assert _check_envelope(graph) == 2**20 * 13**11
+
 
 
 @settings(deadline=None, max_examples=50)
 @given(st.data())
 def test_envelope_bareiss_on_random_multigraphs(data):
-    import elltowers.intdet as intdet
-
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     g = data.draw(st.integers(1, 56), label="order")
     extra = data.draw(st.sampled_from([0, 1, 2, 6]), label="extra edges per vertex")
-    pendant = data.draw(st.integers(0, 10), label="pendant path")
+    pendant = data.draw(st.integers(0, 30), label="pendant path")
     # a random tree, then random edges, loops and parallel copies, and a
     # path hanging off one vertex, all relabelled at random
     edges = [(rng.randrange(i), i) for i in range(1, g)]
@@ -709,90 +677,64 @@ def test_envelope_bareiss_on_random_multigraphs(data):
     perm = rng.sample(range(g), g)
     graph = Multigraph.from_edge_list(g, [(perm[t], perm[h]) for t, h in edges])
     _check_envelope(graph)
+    # det_int's route: envelope Bareiss, else det_mod's band or dense storage
     lap = reduced_laplacian(graph)
-    event("Bareiss" if intdet._bareiss_serves(intdet._reach(lap.first)) else "multi-modular")
+    if intdet._bareiss_serves(intdet._reach(lap.first)):
+        event("Bareiss")
+    else:
+        event("band storage" if 2 * intdet._width(lap.first) + 1 < len(lap.first) else "dense storage")
 
 
-def test_band_images_whose_leading_minors_vanish_are_recomputed_alone(monkeypatch):
-    import elltowers.intdet as intdet
-    from elltowers.multimodular import primes
+# -- the shared prime pool and CRT ------------------------------------------------
 
-    rng = random.Random(53)
-    qs = primes(4)
-    m = _dominant(_symmetric_band(rng, 30, 3, 5), 1)
-    # the leading entry vanishes mod qs[1], and the leading 2 x 2 minor
-    # mod qs[2]: both images lose their pivot before the last step
-    m[0][0] = qs[1]
-    m[1][1] = m[0][1] ** 2 * pow(m[0][0], -1, qs[2]) % qs[2]
-    m = _dominant(m, qs[2])
-    assert (m[0][0] * m[1][1] - m[0][1] ** 2) % qs[2] == 0 and m[0][0] % qs[2]
-    a = np.array(m, dtype=np.int64)
-    assert intdet._band_profile(a) is not None
-    calls = _record_det_stack(monkeypatch)
-    got = det_mod(a, qs)
-    assert got == [_det_mod_reference(m, q) for q in qs] == _images(m, qs)
-    assert calls == [[qs[1]], [qs[2]]]
+def test_prime_pool_is_the_previous_prime_chain():
+    import sympy
+
+    chain, q = [], 1 << 30
+    for _ in range(40):
+        q = sympy.prevprime(q)
+        chain.append(q)
+    assert primes(40) == chain
 
 
-def test_band_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
-    import elltowers.intdet as intdet
-    from elltowers.multimodular import primes
+def test_prime_pool_per_modulus():
+    from elltowers.factorint import is_certified_prime
 
-    rng = random.Random(59)
-    qs = primes(3)
-    m = _dominant(_symmetric_band(rng, 40, 4, 3), 1)
-    # det is linear in the last diagonal entry: det = x * D + C, with D the
-    # leading minor of order n - 1; pick x = -C / D mod qs[0]
-    lead = bareiss_det([row[:-1] for row in m[:-1]])
-    m[-1][-1] = 0
-    rest = bareiss_det(m)
-    m[-1][-1] = -rest * pow(lead, -1, qs[0]) % qs[0]
-    m = _dominant(m, qs[0])
-    calls = _record_det_stack(monkeypatch)
-    got = det_mod(np.array(m, dtype=np.int64), qs)
-    assert got == [_det_mod_reference(m, q) for q in qs] and got[0] == 0 and all(got[1:])
-    assert calls == []
+    for m in (4, 9, 625, 2401):
+        qs = primes(25, m)
+        assert qs == sorted(qs, reverse=True) and len(set(qs)) == 25
+        assert all(q % m == 1 and q < 1 << 30 and is_certified_prime(q) for q in qs)
+        # nothing skipped between the ceiling and the last prime handed out
+        assert sum(is_certified_prime(c) for c in range(qs[-1], 1 << 30, m)) == 25
 
 
-def test_band_worst_case_magnitudes_between_lazy_reductions():
-    import elltowers.intdet as intdet
-    from elltowers.multimodular import primes
-
-    # M = U^T U mod q for U unit upper triangular with h = (q - 1) / 2 on
-    # the w diagonals above its own: every pivot is 1 and every pivot-row
-    # entry and multiplier is h, so each update subtracts h**2 from its
-    # box, the largest growth balanced residues allow, and with w > LAZY
-    # entries take LAZY updates between reductions; det M = 1
-    w = intdet.LAZY + 2
-    n = 2 * w + 10
-    for q in primes(2):
-        h = (q - 1) // 2
-        up = [[1 if i == j else h if 0 < j - i <= w else 0 for j in range(n)] for i in range(n)]
-        m = [[sum(up[k][i] * up[k][j] for k in range(n)) % q for j in range(n)] for i in range(n)]
-        m = _dominant([[x - q if x > h else x for x in row] for row in m], q)
-        a = np.array(m, dtype=np.int64)
-        assert intdet._width(intdet._band_profile(a)) == w
-        assert det_mod(a, [q]) == [1]
+def test_crt_symmetric_representative():
+    rng = random.Random(2)
+    for _ in range(50):
+        x = rng.randint(-(10**80), 10**80)
+        qs = primes_for_bound(10**80, 27)
+        assert crt([x % q for q in qs], qs) == x
+    assert crt([0, 0], [5, 7]) == 0
+    assert crt([34], [37]) == -3
 
 
-@settings(deadline=None, max_examples=25)
-@given(st.data())
-def test_det_mod_on_symmetric_dominant_bands(data):
-    import elltowers.intdet as intdet
-    from elltowers.multimodular import primes
+def _mod(values, p):
+    """values % p entrywise, in Python integers, for nested lists."""
+    return [_mod(v, p) for v in values] if isinstance(values, list) else values % p
 
-    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    n = data.draw(st.integers(2, 90), label="order")
-    w = data.draw(st.integers(0, (n - 2) // 2), label="half-bandwidth")
-    bound = data.draw(st.sampled_from([1, 9, 2**20]), label="entry bound")
-    zeros = data.draw(st.sampled_from([0.0, 0.5]), label="zero fraction")
-    qs = primes(3)
-    # diagonals at the dominance limit, or past it by a multiple of a prime
-    # of the list, so that leading minors vanish modulo it now and then
-    m = _dominant(_symmetric_band(rng, n, w, bound, zeros), 1)
-    for i in range(n):
-        m[i][i] += rng.choice((0, 0, 1, qs[rng.randrange(3)]))
-    a = np.array(m, dtype=np.int64)
-    assert intdet._band_profile(a) is not None
-    assert det_mod(a, qs) == [_det_mod_reference(m, q) for q in qs]
-    assert det_mod(a, []) == []
+
+def test_residues_match_python_remainders():
+    qs = [1073741789, 1073741783, 7]
+    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
+    rng = random.Random(5)
+    small = [rng.randint(-(2**62), 2**62) for _ in range(9)]
+    # past int64, where numpy alone would read uint64, float64 or objects
+    cases = (small, [2**63 + 1, -1], [2**64 - 1], [-(2**90), 3, 2**64 + 1],
+             [[rng.randint(-(2**100), 2**100) for _ in range(3)] for _ in range(2)])
+    for values in cases:
+        got = residues(values, q)
+        assert got.dtype == np.int64
+        assert got.tolist() == [_mod(values, p) for p in qs]
+    # an int64 matrix against a flat array of primes
+    a = np.array(small, dtype=np.int64).reshape(3, 3)
+    assert residues(a, q.ravel()).tolist() == [_mod(a.tolist(), p) for p in qs]

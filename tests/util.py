@@ -1,7 +1,10 @@
 """Shared test helpers: independent oracles and random generators.
 
 The spanning-tree oracle enumerates edge subsets directly and never
-touches the library's determinant path, so it can arbitrate for it.
+touches the library's determinant path, so it can arbitrate for it; the
+determinant oracles, dense pivoting Bareiss and sympy, take any square
+integer matrix, where the library's engines take reduced Laplacians
+only.
 """
 
 from __future__ import annotations
@@ -23,15 +26,52 @@ def reciprocal(f: GenPoly) -> GenPoly:
 
 
 def dense_bareiss_order() -> int:
-    """The largest order of a matrix given by its rows that det_int
-    eliminates by Bareiss: a dense profile's envelope work per row,
-    (n - 1)(2n - 1) / 6, is at most BAREISS_WORK."""
+    """The largest order of a reduced Laplacian with a dense profile (a
+    complete graph's) that det_int eliminates by Bareiss: its envelope
+    work per row, (n - 1)(2n - 1) / 6, is at most BAREISS_WORK."""
     from elltowers.intdet import BAREISS_WORK
 
     n = 1
     while n * (2 * n + 1) <= 6 * BAREISS_WORK:  # the work of order n + 1
         n += 1
     return n
+
+
+def dense_bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant of any square integer matrix by dense
+    fraction-free elimination (Bareiss 1968), swapping rows past zero
+    pivots."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(map(int, r)) for r in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i, row_k = m[i], m[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def sympy_det(rows: list[list[int]]) -> int:
+    """sympy's exact determinant of a square integer matrix."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    n = len(rows)
+    return int(DomainMatrix([[ZZ(x) for x in row] for row in rows], (n, n), ZZ).det()) if n else 1
 
 
 def spanning_trees_bruteforce(graph: Multigraph) -> int:
