@@ -59,12 +59,11 @@ envelope Bareiss on the images of a reduced Laplacian modulo each prime
 of qs at once, with the profile its caller passes: no row swaps, step k
 updates the box of its envelope in every image, and the pivot row
 serves as the pivot column.  Modulo q a leading minor may vanish
-although the integer one does not; an image whose pivot vanishes before
-the last step is recomputed alone by det_stack, a dense Gaussian
-elimination that pivots on each image's own first nonzero row, and one
-that vanishes at the last step has determinant 0.  Each image is read
-through one (m, n, n) view of one of two storages, by its half-bandwidth
-w = max(i - first[i]):
+although the integer one does not.  A pivot that vanishes at the last
+step is an image 0; one that vanishes before it ends det_mod with None,
+and multimodular_det then returns the envelope Bareiss value, exact
+whatever its pivots.  Each image is read through one (m, n, n) view of
+one of two storages, by its half-bandwidth w = max(i - first[i]):
 
 * 2w + 1 < n: band storage, n rows of 2w + 1 entries, read through a
   sheared view;
@@ -73,9 +72,8 @@ w = max(i - first[i]):
 multimodular_det sizes its stacks by the entries one image stores,
 n min(n, 2w + 1), so that a stack holds at most STACK_ENTRIES.
 
-Residues are balanced in (-q/2, q/2]; the pivot row (and in det_stack
-the pivot column) is reduced at each step, and every LAZY steps the
-current box (in det_stack the trailing block; delayed reduction, as in
+Residues are balanced in (-q/2, q/2]; the pivot row is reduced at each
+step, and the current box every LAZY steps (delayed reduction, as in
 Dumas, Giorgi and Pernet's FFLAS).  A box's product is a temporary,
 taken in slices of rows when the box is large, so a stack needs no
 stack-sized buffer.
@@ -211,15 +209,6 @@ def _balance(a: np.ndarray, q: np.ndarray, half: np.ndarray) -> None:
     a -= half
 
 
-def _factors(col: np.ndarray, pivots: list[int], qs, q: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """The balanced multipliers col / pivot of each image; an image whose
-    pivot vanished gets multipliers 0."""
-    inv = [pow(x, -1, p) if x else 0 for x, p in zip(pivots, qs)]
-    factors = col * np.array(inv, dtype=np.int64).reshape(-1, 1)
-    _balance(factors, q, half)
-    return factors
-
-
 def _update(box: np.ndarray, factors: np.ndarray, pivot_row: np.ndarray) -> None:
     """box -= factors x pivot_row in every image, in slices of rows so that
     the product of a large box stays within UPDATE_ENTRIES."""
@@ -229,14 +218,13 @@ def _update(box: np.ndarray, factors: np.ndarray, pivot_row: np.ndarray) -> None
         box[:, lo : lo + rows] -= factors[:, lo : lo + rows, None] * pivot_row
 
 
-def det_mod(matrix: np.ndarray, qs, first: list[int]) -> list[int]:
+def det_mod(matrix: np.ndarray, qs, first: list[int]) -> list[int] | None:
     """Determinants of a reduced Laplacian of order n >= 1, an int64 array
     (ReducedLaplacian.array) with profile first, modulo each prime q in
     qs (every q < 2**30), in [0, q): the kernel of the module docstring,
     no row swaps and step k confined to the box of rows and columns
     k + 1 .. reach[k] - 1, in band storage when 2w + 1 < n, else dense.
-    An image whose pivot vanishes before the last step is recomputed
-    alone by det_stack."""
+    None when an image's pivot vanishes before the last step."""
     for q in qs:
         check_word_prime(q)
     n, m, w = len(matrix), len(qs), _width(first)
@@ -261,7 +249,7 @@ def det_mod(matrix: np.ndarray, qs, first: list[int]) -> list[int]:
     else:
         stored = a = residues(matrix, q)
     _balance(stored, q3, half3)
-    images, vanished = [1] * m, set()
+    images = [1] * m
     for k, r in enumerate(_reach(first)):
         row = a[:, k, k:r]
         _balance(row, q, half)
@@ -270,61 +258,23 @@ def det_mod(matrix: np.ndarray, qs, first: list[int]) -> list[int]:
         if k == n - 1:
             break
         if 0 in pivots:
-            vanished.update(j for j, x in enumerate(pivots) if x == 0)
+            return None
         if r > k + 1:
-            _update(a[:, k + 1 : r, k + 1 : r], _factors(row[:, 1:], pivots, qs, q, half), row[:, 1:])
+            # the balanced multipliers row / pivot, every pivot a unit
+            inv = np.array([pow(x, -1, p) for x, p in zip(pivots, qs)], dtype=np.int64)
+            factors = row[:, 1:] * inv[:, None]
+            _balance(factors, q, half)
+            _update(a[:, k + 1 : r, k + 1 : r], factors, row[:, 1:])
         if (k + 1) % LAZY == 0:
             _balance(a[:, k + 1 : r, k + 1 : r], q3, half3)
-    del a, stored, row  # before the fallbacks' dense images
-    for j in sorted(vanished):
-        images[j] = det_stack(residues(matrix, q[j]), qs[j : j + 1])[0]
-    return images
-
-
-def det_stack(a: np.ndarray, qs) -> list[int]:
-    """Determinants of the images a[k] modulo qs[k], in [0, q), from one
-    dense Gaussian elimination over the stack; a is an int64 (len(qs), n,
-    n) array of residues, |a| < q < 2**30, overwritten.  Each image pivots
-    on its own first nonzero row; an image whose column vanishes has
-    determinant 0."""
-    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
-    half = (q - 1) // 2
-    q3, half3 = q[:, :, None], half[:, :, None]
-    n = a.shape[1]
-    _balance(a, q3, half3)
-    images = [1] * len(qs)
-    for k in range(n):
-        # column k below the diagonal is read only at this step, so its
-        # residues go to a temporary
-        col = a[:, k:, k] % q
-        pivots = col[:, 0].tolist()
-        if 0 in pivots:
-            first = (col != 0).argmax(axis=1)
-            idx = np.flatnonzero(first)
-            piv = k + first[idx]
-            rows_k = a[idx, k, k:]
-            a[idx, k, k:] = a[idx, piv, k:]
-            a[idx, piv, k:] = rows_k
-            col[idx, 0] = col[idx, first[idx]]
-            col[idx, first[idx]] = 0
-            for i in idx.tolist():
-                images[i] = -images[i]
-            pivots = col[:, 0].tolist()
-        images = [d * x % p for d, x, p in zip(images, pivots, qs)]
-        if k == n - 1:
-            break
-        row = a[:, k, k + 1 :]
-        _balance(row, q, half)
-        _update(a[:, k + 1 :, k + 1 :], _factors(col[:, 1:], pivots, qs, q, half), row)
-        if (k + 1) % LAZY == 0:
-            _balance(a[:, k + 1 :, k + 1 :], q3, half3)
     return images
 
 
 def multimodular_det(lap: ReducedLaplacian) -> int:
     """Exact determinant of a reduced Laplacian from its images modulo the
     fewest primes whose product passes twice the diagonal product, a
-    bound on |det| (module docstring)."""
+    bound on |det|; by envelope Bareiss when a pivot vanishes modulo one
+    of them before the last step (module docstring)."""
     n, bound = len(lap.diagonal), math.prod(lap.diagonal)
     if n == 0 or bound == 0:
         return bound  # the empty product, 1; or a row of zeros
@@ -335,7 +285,11 @@ def multimodular_det(lap: ReducedLaplacian) -> int:
     stacks = -(-len(qs) // max(1, STACK_ENTRIES // stored))
     images = []
     for s in range(stacks):
-        images += det_mod(matrix, qs[s * len(qs) // stacks : (s + 1) * len(qs) // stacks], lap.first)
+        stack = det_mod(matrix, qs[s * len(qs) // stacks : (s + 1) * len(qs) // stacks], lap.first)
+        if stack is None:
+            reach = _reach(lap.first)
+            return bareiss_det(lap.envelope(reach), reach)
+        images += stack
     return crt(images, qs)
 
 

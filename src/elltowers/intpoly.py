@@ -26,6 +26,8 @@ from itertools import islice
 
 import numpy as np
 
+from .factorint import is_probable_prime, perfect_power
+
 
 class ZeroPolynomialError(ValueError):
     """Operation undefined for the zero polynomial."""
@@ -232,8 +234,15 @@ def real_form(u: IntPoly, q: int = 1) -> IntPoly:
 
 
 def _smallest_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2.  A prime, or a power of one (the
+    orders ell^i of the level cyclotomics), is recognised before trial
+    division, which would take sqrt(ell) steps on a large prime ell."""
     if n % 2 == 0:
         return 2
+    power = perfect_power(n)
+    root = power[0] if power else n
+    if is_probable_prime(root):
+        return root
     q = 3
     while q * q <= n:
         if n % q == 0:

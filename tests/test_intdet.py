@@ -8,7 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 import elltowers.intdet as intdet
 from elltowers import Multigraph, spanning_tree_count
 from elltowers.graphs import reduced_laplacian
-from elltowers.intdet import bareiss_det, det_int, det_mod, det_stack, multimodular_det
+from elltowers.intdet import bareiss_det, det_int, det_mod, multimodular_det
 from elltowers.multimodular import crt, primes, primes_for_bound, residues
 from util import dense_bareiss_det, dense_bareiss_order, spanning_trees_bruteforce, sympy_det
 
@@ -223,127 +223,30 @@ def test_empty_and_singular_laplacians():
     assert spanning_tree_count(Multigraph.from_edge_list(1, [(0, 0)])) == 1
 
 
-# -- det_stack: dense elimination with a pivot per image, the fallback ------------
-
-def _images(m, qs):
-    return [dense_bareiss_det(m) % q for q in qs]
-
-
-def _stack(m, qs):
-    """det_stack of the images of m modulo qs."""
-    return det_stack(residues(m, np.array(qs, dtype=np.int64)), qs)
-
-
-def test_stack_pivots_per_image():
-    rng = random.Random(17)
-    qs = primes(3)
-    n = 9
-    m = _random_matrix(rng, n, -30, 30)
-    # the leading entry vanishes mod qs[1] only, and the leading 2x2
-    # minor mod qs[2] only, so each image swaps rows at its own step
-    m[0][0] = qs[1] * 3
-    m[1][1] = m[0][1] * m[1][0] * pow(m[0][0], -1, qs[2]) % qs[2]
-    assert m[0][0] % qs[2] and (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % qs[2] == 0
-    assert _stack(m, qs) == _images(m, qs)
-
-
-def test_stack_image_zero_while_others_are_not():
-    rng = random.Random(19)
-    qs = primes(4)
-    n = 8
-    # a column that vanishes mod qs[2] only
-    m = _random_matrix(rng, n, -40, 40)
-    for i in range(n):
-        m[i][3] = qs[2] * rng.randint(-2, 2)
-    got = _stack(m, qs)
-    assert got == _images(m, qs) and got[2] == 0 and all(got[k] for k in (0, 1, 3))
-    # det = +-qs[1]: unimodular transforms of diag(qs[1], 1, ..., 1)
-    m = [[qs[1] if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(40):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-3, 3)
-        if rng.random() < 0.5:
-            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        else:
-            for row in m:
-                row[i] += c * row[j]
-    assert abs(dense_bareiss_det(m)) == qs[1]
-    got = _stack(m, qs)
-    assert got == _images(m, qs) and got[1] == 0 and all(got[k] for k in (0, 2, 3))
-
-
-def test_stack_worst_case_magnitudes_past_the_lazy_bound():
-    qs = primes(3)
-    n = intdet.LAZY + 3
-    for q in qs:
-        # M = L U mod q with every multiplier and every pivot-row entry
-        # at (q-1)/2: each rank-1 update subtracts ((q-1)/2)**2 from
-        # every trailing entry, the largest growth balanced residues
-        # allow, LAZY times before the first reduction
-        h = (q - 1) // 2
-        low = [[1 if i == j else h if j < i else 0 for j in range(n)] for i in range(n)]
-        up = [[h if j >= i else 0 for j in range(n)] for i in range(n)]
-        m = [[sum(low[i][k] * up[k][j] for k in range(min(i, j) + 1)) % q for j in range(n)]
-             for i in range(n)]
-        m = [[x - q if x > h else x for x in row] for row in m]
-        assert _stack(m, qs) == _images(m, qs)
-        assert pow(h, n, q) == dense_bareiss_det(m) % q
-
-
-def test_det_stack_images_of_int64_extremes():
-    # int64 entries at the ends of the int64 range, reduced by residues
-    rng = random.Random(23)
-    qs = [1073741789, 1073741783]
-    m = _random_matrix(rng, 12)
-    m[0][0], m[3][5], m[7][2] = 2**63 - 1, -(2**63), 2**63 - 2**28
-    assert _stack(np.array(m, dtype=np.int64), qs) == _images(m, qs)
-
-
-def _det_mod_reference(m, q):
-    """det m mod q by plain row reduction over Python ints."""
-    a = [[x % q for x in row] for row in m]
-    n, det = len(a), 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k] % q
-        inv = pow(a[k][k], -1, q)
-        for i in range(k + 1, n):
-            f = a[i][k] * inv % q
-            if f:
-                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[k])]
-    return det % q
-
-
-def _band(rng, n, lower, upper, cyclic, bound, zeros=0.0):
-    """Random entries on the band lower below to upper above the diagonal,
-    wrapping around the corners when cyclic; zeros elsewhere."""
-    def inside(i, j):
-        if cyclic:
-            return (j - i) % n <= upper or (i - j) % n <= lower
-        return -lower <= j - i <= upper
-    return [[rng.randint(-bound, bound) if inside(i, j) and rng.random() >= zeros else 0
-             for j in range(n)] for i in range(n)]
-
-
-def test_stack_image_swaps_in_a_row_from_below_the_others_envelope():
-    rng = random.Random(31)
-    qs = primes(2)
-    n = 40
-    m = _band(rng, n, 2, 2, False, 50)
-    # column 0 vanishes mod qs[1] down to row 25, which vanishes mod qs[0]:
-    # the qs[1] image swaps row 25, whose band reaches column 27, into the
-    # pivot row, while the qs[0] image keeps a pivot row ending at column
-    # 2; row 26 takes a multiple of the pivot row in both images
-    m[0][0], m[1][0], m[2][0], m[25][0], m[26][0] = qs[1], 2 * qs[1], qs[1], qs[0], 7
-    assert _stack(m, qs) == [_det_mod_reference(m, q) for q in qs] == _images(m, qs)
-
-
 # -- det_mod: symmetric dominant matrices eliminated without swaps ----------------
+
+def _det_mod_reference(m, qs):
+    """What det_mod answers for the rows m, by plain row reduction over
+    Python ints without swaps: det m modulo each q, or None when a pivot
+    vanishes modulo some q before the last step."""
+    images = []
+    for q in qs:
+        a = [[x % q for x in row] for row in m]
+        n, det = len(a), 1
+        for k in range(n):
+            det = det * a[k][k] % q
+            if k == n - 1:
+                break
+            if a[k][k] == 0:
+                return None
+            inv = pow(a[k][k], -1, q)
+            for i in range(k + 1, n):
+                f = a[i][k] * inv % q
+                if f:
+                    a[i] = [(x - f * y) % q for x, y in zip(a[i], a[k])]
+        images.append(det)
+    return images
+
 
 def _profile(m):
     """The first nonzero column of each row of a list of rows (the
@@ -364,6 +267,17 @@ def _det_mod(m, qs):
 def _symmetric(m):
     """The upper triangle of m mirrored below a zero diagonal."""
     return [[m[min(i, j)][max(i, j)] if i != j else 0 for j in range(len(m))] for i in range(len(m))]
+
+
+def _band(rng, n, lower, upper, cyclic, bound, zeros=0.0):
+    """Random entries on the band lower below to upper above the diagonal,
+    wrapping around the corners when cyclic; zeros elsewhere."""
+    def inside(i, j):
+        if cyclic:
+            return (j - i) % n <= upper or (i - j) % n <= lower
+        return -lower <= j - i <= upper
+    return [[rng.randint(-bound, bound) if inside(i, j) and rng.random() >= zeros else 0
+             for j in range(n)] for i in range(n)]
 
 
 def _symmetric_band(rng, n, w, bound, zeros=0.0, cyclic=False):
@@ -406,7 +320,7 @@ def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
     for n in (64, 97, 131, 200):
         m = _dominant(_symmetric_band(rng, n, 3, 2**29, cyclic=True), 1)
         assert _dense_storage(m)
-        assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs]
+        assert _det_mod(m, qs) == _det_mod_reference(m, qs) == [dense_bareiss_det(m) % q for q in qs]
     # the elimination of a cyclic band fills its last rows and columns:
     # with every multiplier and pivot-row entry at h, the boxes reach the
     # corner at every step and the fill grows by h**2 per step
@@ -415,7 +329,7 @@ def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
             w = 3
             m = _gram_image(n, q, lambda k, j: j - k <= w or j >= n - w)
             got = _det_mod(m, qs)
-            assert got == [_det_mod_reference(m, p) for p in qs]
+            assert got == _det_mod_reference(m, qs)
             assert got[qs.index(q)] == 1
 
 
@@ -435,17 +349,15 @@ def test_large_boxes_update_in_slices_of_rows(monkeypatch):
     qs = primes(3)
     for entries in (1, 50, 500):
         monkeypatch.setattr(intdet, "UPDATE_ENTRIES", entries)
-        m = _random_matrix(rng, 40, -(2**29), 2**29)
-        assert _stack(m, qs) == [_det_mod_reference(m, q) for q in qs]
-        m = _dominant(_symmetric(m), 1)
-        assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs]
+        m = _dominant(_symmetric(_random_matrix(rng, 40, -(2**29), 2**29)), 1)
+        assert _det_mod(m, qs) == _det_mod_reference(m, qs) == [dense_bareiss_det(m) % q for q in qs]
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_det_mod_on_banded_and_cyclic_band_matrices(data):
-    # any band through det_stack, and its upper half, mirrored and made
-    # dominant, through det_mod
+    # a band's upper half, mirrored and made dominant; with entries 1 and
+    # zeros a row may vanish, and det_mod answer None
     n = data.draw(st.integers(2, 100), label="order")
     lower = data.draw(st.integers(0, 6), label="lower band")
     upper = data.draw(st.integers(0, 6), label="upper band")
@@ -453,11 +365,11 @@ def test_det_mod_on_banded_and_cyclic_band_matrices(data):
     bound = data.draw(st.sampled_from([1, 9, 2**29, 2**40]), label="entry bound")
     zeros = data.draw(st.sampled_from([0.0, 0.3]), label="zero fraction")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    m = _band(rng, n, lower, upper, cyclic, bound, zeros)
+    m = _dominant(_symmetric(_band(rng, n, lower, upper, cyclic, bound, zeros)), 1)
     qs = primes(3)
-    assert _stack(m, qs) == [_det_mod_reference(m, q) for q in qs]
-    m = _dominant(_symmetric(m), 1)
-    assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs]
+    expected = _det_mod_reference(m, qs)
+    event("a pivot vanishes" if expected is None else "images")
+    assert _det_mod(m, qs) == expected
 
 
 def test_int64_code_refuses_large_moduli():
@@ -466,10 +378,25 @@ def test_int64_code_refuses_large_moduli():
             det_mod(np.eye(2, dtype=np.int64), [1073741789, bad], [0, 1])
 
 
-def _record_det_stack(monkeypatch):
-    """The prime lists of every det_stack call, det_mod's fallbacks."""
-    calls, real = [], intdet.det_stack
-    monkeypatch.setattr(intdet, "det_stack", lambda a, qs: calls.append(list(qs)) or real(a, qs))
+def test_det_mod_images_of_int64_extremes():
+    # int64 entries at the ends of the int64 range, reduced by residues
+    rng = random.Random(23)
+    qs = [1073741789, 1073741783]
+    m = _symmetric(_random_matrix(rng, 12))
+    for i in range(12):
+        m[i][i] = rng.randint(1, 9)
+    m[0][0] = 2**63 - 1
+    m[3][5] = m[5][3] = -(2**63)
+    m[7][2] = m[2][7] = 2**63 - 2**28
+    expected = [dense_bareiss_det(m) % q for q in qs]
+    assert _det_mod(m, qs) == _det_mod_reference(m, qs) == expected
+
+
+def _record_bareiss_det(monkeypatch):
+    """The order of every bareiss_det call, multimodular_det's fallbacks
+    among them."""
+    calls, real = [], intdet.bareiss_det
+    monkeypatch.setattr(intdet, "bareiss_det", lambda rows, reach: calls.append(len(rows)) or real(rows, reach))
     return calls
 
 
@@ -504,31 +431,37 @@ def _upper_band_gram(n, w, q):
     return _gram_image(n, q, lambda k, j: j - k <= w)
 
 
-def test_band_images_whose_leading_minors_vanish_are_recomputed_alone(monkeypatch):
+def test_images_whose_leading_minors_vanish_return_none():
+    # in band storage and in dense storage
     qs = primes(4)
-    m = _leading_minors_vanish(random.Random(53), 30, 3, qs)
-    assert not _dense_storage(m)
-    calls = _record_det_stack(monkeypatch)
-    assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs] == _images(m, qs)
-    assert calls == [[qs[1]], [qs[2]]]
+    for seed, w, dense in ((53, 3, False), (54, 20, True)):
+        m = _leading_minors_vanish(random.Random(seed), 30, w, qs)
+        assert _dense_storage(m) == dense
+        assert _det_mod(m, qs) is None
+        others = [qs[0], qs[3]]
+        assert _det_mod(m, others) == [dense_bareiss_det(m) % q for q in others]
 
 
-def test_dense_images_whose_leading_minors_vanish_are_recomputed_alone(monkeypatch):
-    qs = primes(4)
-    m = _leading_minors_vanish(random.Random(54), 30, 20, qs)
-    assert _dense_storage(m)
-    calls = _record_det_stack(monkeypatch)
-    assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs] == _images(m, qs)
-    assert calls == [[qs[1]], [qs[2]]]
+def test_a_vanishing_modular_pivot_sends_multimodular_det_to_bareiss(monkeypatch):
+    # the leading entry is the first prime that primes_for_bound draws, so
+    # the first stack's leading pivot vanishes and envelope Bareiss answers
+    q = primes(1)[0]
+    lap = intdet.ReducedLaplacian([q, 3, 3, 2], [(0, 1), (0, 2), (1, 2), (2, 3)], [0, 0, 0, 2])
+    assert primes_for_bound(math.prod(lap.diagonal))[0] == q
+    dense = lap.array().tolist()
+    assert lap.first == _profile(dense)
+    calls = _record_bareiss_det(monkeypatch)
+    assert multimodular_det(lap) == dense_bareiss_det(dense) == sympy_det(dense) > 0
+    assert calls == [4]
 
 
 def test_band_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
     qs = primes(3)
     m = _last_pivot_vanishes(random.Random(59), 40, 4, qs[0])
     assert not _dense_storage(m)
-    calls = _record_det_stack(monkeypatch)
+    calls = _record_bareiss_det(monkeypatch)
     got = _det_mod(m, qs)
-    assert got == [_det_mod_reference(m, q) for q in qs] and got[0] == 0 and all(got[1:])
+    assert got == _det_mod_reference(m, qs) and got[0] == 0 and all(got[1:])
     assert calls == []
 
 
@@ -536,9 +469,9 @@ def test_dense_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
     qs = primes(3)
     m = _last_pivot_vanishes(random.Random(60), 40, 25, qs[0])
     assert _dense_storage(m)
-    calls = _record_det_stack(monkeypatch)
+    calls = _record_bareiss_det(monkeypatch)
     got = _det_mod(m, qs)
-    assert got == [_det_mod_reference(m, q) for q in qs] and got[0] == 0 and all(got[1:])
+    assert got == _det_mod_reference(m, qs) and got[0] == 0 and all(got[1:])
     assert calls == []
 
 
@@ -575,7 +508,9 @@ def test_det_mod_on_symmetric_dominant_bands(data):
     for i in range(n):
         m[i][i] += rng.choice((0, 0, 1, qs[rng.randrange(3)]))
     event("dense storage" if _dense_storage(m) else "band storage")
-    assert _det_mod(m, qs) == [_det_mod_reference(m, q) for q in qs]
+    expected = _det_mod_reference(m, qs)
+    event("a pivot vanishes" if expected is None else "images")
+    assert _det_mod(m, qs) == expected
     assert _det_mod(m, []) == []
 
 

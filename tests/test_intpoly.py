@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 import sympy
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from elltowers.intpoly import (
     IntPoly,
     ZeroPolynomialError,
+    _smallest_prime_factor,
     cyclotomic,
     poly_mod_gcd,
     resultant,
@@ -105,6 +107,16 @@ def test_prime_power_fast_path_matches_product_form():
             prod = prod * cyclotomic(ell**j)
         tn = IntPoly((-1,) + (0,) * (n - 1) + (1,))
         assert prod == tn
+
+
+def test_least_prime_of_a_large_prime_and_its_square_needs_no_trial_division():
+    # trial division up to sqrt(10**20 + 39) would take about 5 * 10**9 steps
+    ell = 10**20 + 39
+    assert sympy.isprime(ell)
+    start = time.perf_counter()
+    assert [_smallest_prime_factor(n) for n in (ell, ell**2, 3 * ell)] == [ell, ell, 3]
+    assert time.perf_counter() - start < 1
+    assert [_smallest_prime_factor(n) for n in (2, 9, 15, 49, 77, 1024, 3**7, 101 * 103)] == [2, 3, 3, 7, 7, 2, 3, 101]
 
 
 # -- resultants -----------------------------------------------------------------

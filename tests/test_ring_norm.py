@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elltowers import analysis, intdet, multimodular
+from elltowers import analysis, multimodular
 from elltowers.analysis import DisconnectedTowerError, Tower, level_norm
 from elltowers.cli import main
 from elltowers.corpus import CORPUS
@@ -178,8 +178,8 @@ def test_integral_levels_draw_no_primes(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an integral level norm drew on the prime pools")
 
-    for module, name in ((multimodular, "primes"), (intdet, "det_stack"),
-                         (analysis, "_evaluation_norm"), (analysis, "resultant")):
+    for module, name in ((multimodular, "primes"), (analysis, "_evaluation_norm"),
+                         (analysis, "resultant")):
         monkeypatch.setattr(module, name, refuse)
     t = Tower(build_assignment(parse_tower_spec(corpus_spec("bouquet4-ell3"))),
               mt_check_level=0)
