@@ -431,15 +431,26 @@ def _upper_band_gram(n, w, q):
     return _gram_image(n, q, lambda k, j: j - k <= w)
 
 
-def test_images_whose_leading_minors_vanish_return_none():
-    # in band storage and in dense storage
+def _check_leading_minors_vanish(seed, w, dense):
+    # det_mod answers None for the whole stack; recomputed alone, the
+    # images modulo qs[1] and qs[2] answer None too, and the others their
+    # residues
     qs = primes(4)
-    for seed, w, dense in ((53, 3, False), (54, 20, True)):
-        m = _leading_minors_vanish(random.Random(seed), 30, w, qs)
-        assert _dense_storage(m) == dense
-        assert _det_mod(m, qs) is None
-        others = [qs[0], qs[3]]
-        assert _det_mod(m, others) == [dense_bareiss_det(m) % q for q in others]
+    m = _leading_minors_vanish(random.Random(seed), 30, w, qs)
+    assert _dense_storage(m) == dense
+    assert _det_mod(m, qs) is None
+    det = dense_bareiss_det(m)
+    assert [_det_mod(m, [q]) for q in qs] == [[det % qs[0]], None, None, [det % qs[3]]]
+    others = [qs[0], qs[3]]
+    assert _det_mod(m, others) == [det % q for q in others]
+
+
+def test_band_images_whose_leading_minors_vanish_are_recomputed_alone():
+    _check_leading_minors_vanish(53, 3, False)
+
+
+def test_dense_images_whose_leading_minors_vanish_are_recomputed_alone():
+    _check_leading_minors_vanish(54, 20, True)
 
 
 def test_a_vanishing_modular_pivot_sends_multimodular_det_to_bareiss(monkeypatch):
