@@ -31,9 +31,12 @@ deg(U mod p).  One sweep gives every f_i: f_1 from the factorisation of
 ell - 1, then f_(i+1) in {f_i, ell f_i} from one pow per level.  The
 sweep yields n1, the first rootless level, which bounds the search, and
 r, the eventual number of primes above p; the per-prime report reads n1
-and the closed-form log bound off the search.  For genuinely ell-adic
-voltages no effective bound is available, so n0 is reported empirically
-up to the stored precision and flagged as such.
+and the closed-form log bound off the search; each level below n1 is
+decided by a gcd over F_p in int64 (intpoly.poly_mod_gcd, p < 2^30),
+the one use left of those helpers.  For genuinely ell-adic voltages no
+effective bound is available, so n0 is reported empirically up to the
+stored precision and flagged as such; level i has a root there exactly
+when p divides the exact level norm, for every p.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -162,14 +165,7 @@ def level_norm(f: GenPoly, i: int) -> int:
     m = f.ell**i
     if f.integral and m > 2:
         return _graeffe_norm(*f.integerize(), f.ell, i)
-    reduced = f.reduce_level(i)
-    if reduced.is_zero:
-        return 0
-    if m == 2:
-        return reduced(-1)
-    h = (f.ell - 1) * m // f.ell // 2
-    bound = sum(map(abs, reduced.coeffs)) ** h
-    return _evaluation_norm(reduced, f.ell, m, h, bound)
+    return _evaluation_norm(f.reduce_level(i), f.ell, m)
 
 
 def _graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
@@ -289,16 +285,21 @@ def _norm(r: IntPoly, p: IntPoly) -> int:
 _NORM_BLOCK = 1 << 15
 
 
-def _evaluation_norm(reduced: IntPoly, ell: int, m: int, h: int, bound: int) -> int:
+def _evaluation_norm(reduced: IntPoly, ell: int, m: int) -> int:
     """M_i from the roots of unity of F_q, for word primes q = 1 (mod m):
-    M_i mod q is the product of f_i(zeta^k) over the units k <= m/2.  The
+    M_i mod q is the product of f_i(zeta^k) over the h = phi(m)/2 units
+    k <= m/2, so |M_i| <= (sum |c_e|)^h fixes the primes drawn.  The
     exponent table e k mod m is built once per level; each block of primes
-    shares one array of root powers."""
+    shares one array of root powers.  For m = 2, N_1 = f_1(-1) itself."""
+    if reduced.is_zero:
+        return 0
+    if m == 2:
+        return reduced(-1)
     terms = [(e, c) for e, c in enumerate(reduced.coeffs) if c]
     units = np.array([k for k in range(1, m // 2 + 1) if k % ell], dtype=np.int64)
     idx = np.outer(np.array([e for e, _ in terms], dtype=np.int64), units) % m
     coeffs = [c for _, c in terms]
-    qs = primes_for_bound(bound, m)
+    qs = primes_for_bound(sum(map(abs, coeffs)) ** units.size, m)
     per_block = max(1, _NORM_BLOCK // max(idx.size, m))
     images = []
     for s in range(0, len(qs), per_block):
@@ -451,7 +452,7 @@ class N0Search:
 def _has_primitive_root(g: GenPoly, p: int, i: int) -> bool:
     """Does g mod p vanish at some primitive ell^i-th root of unity over
     the residue tower?  Tested as gcd(g at level i, Phi_{ell^i}) != 1
-    over F_p."""
+    over F_p, in int64 (p < 2^30); only integral towers still ask."""
     reduced = g.reduce_level(i)
     phi = cyclotomic(g.ell**i)
     gcd = poly_mod_gcd(reduced.mod_array(p), phi.mod_array(p), p)
@@ -468,18 +469,16 @@ def n0_search(g: GenPoly, p: int) -> N0Search:
     bound log_ell(r ell dbar / (ell - 1)), r the eventual number of
     primes above p.
 
-    Non-integral: searched up to the stored precision; empirical, and
-    inconclusive if the top level still has roots.
+    Non-integral: searched up to the stored precision, level i having a
+    root exactly when p divides level_norm(g, i) (for any p != ell);
+    empirical, and inconclusive if the top level still has roots.
     """
     ell = g.ell
     if g.is_zero or all(c % p == 0 for c in g.coefficients()):
         raise ValueError("mu(g) must be 0")
     n1 = log_bound = None
     if g.integral:
-        u, _ = g.integerize()
-        dbar = u.degree_mod(p)
-        if dbar < 0:
-            raise ValueError("mu(g) must be 0")
+        dbar = g.integerize()[0].degree_mod(p)
         n1, r = splitting(p, ell, dbar)
         log_bound = 0.0 if dbar == 0 else math.log(r * ell * dbar / (ell - 1), ell)
         top = n1 - 1
@@ -487,13 +486,14 @@ def n0_search(g: GenPoly, p: int) -> N0Search:
         top = g.precision
         if top < 1:
             raise ValueError("need at least one level to search")
-    roots = tuple(i for i in range(1, top + 1) if _has_primitive_root(g, p, i))
+    roots = tuple(i for i in range(1, top + 1)
+                  if (_has_primitive_root(g, p, i) if g.integral else level_norm(g, i) % p == 0))
     if n1 is None and roots and roots[-1] == top:
         raise InconclusiveError(
             f"roots persist at the top searchable level {top}; "
             "raise the voltage precision for a stabilization estimate"
         )
-    return N0Search(max(roots) + 1 if roots else 1, n1 is not None, roots, top, n1, log_bound)
+    return N0Search(roots[-1] + 1 if roots else 1, n1 is not None, roots, top, n1, log_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +533,10 @@ class PrimeAnalysisReport:
 def analyze_prime(tower: Tower, p: int, depth: int) -> PrimeAnalysisReport:
     """Full valuation report for one prime p != ell.
 
-    nu is computed exactly from the level norms below n0, never fitted;
-    predicted valuations below n0 are the exact per-level norm sums.
+    The product identity read at p: ord_p(kappa_n) is the running sum
+    r_n = ord_p(kappa_0) + sum_(i <= n) ord_p(N_i), with ord_p(N_i) =
+    e_i ord_p(M_i).  nu = r_(n0) - mu ell^(n0) exactly, never fitted;
+    below n0 the prediction is r_n, from n0 on the law mu ell^n + nu.
     """
     ell = tower.ell
     if p == ell:
@@ -543,29 +545,24 @@ def analyze_prime(tower: Tower, p: int, depth: int) -> PrimeAnalysisReport:
     search = n0_search(g, p)
     n0 = search.n0
 
-    base_ord = ord_p(tower.kappa_base, p)
-    norm_ords = [ord_p(tower.level_norm(i), p) for i in range(1, depth + 1)]
+    norm_ords = (tower.norm_power(i) * ord_p(tower.real_norm(i), p) for i in range(1, depth + 1))
+    running = list(accumulate(norm_ords, initial=ord_p(tower.kappa_base, p)))
     observed = tuple(ord_p(tower.kappa(n), p) for n in range(depth + 1))
 
-    nu = None
-    if n0 <= depth:
-        nu = base_ord + sum(norm_ords[:n0]) - mu * ell**n0
+    nu = running[n0] - mu * ell**n0 if n0 <= depth else None
 
-    predicted = []
-    for n in range(depth + 1):
-        if nu is not None and n >= n0:
-            predicted.append(mu * ell**n + nu)
-        else:
-            predicted.append(base_ord + sum(norm_ords[:n]))
-    predicted = tuple(predicted)
+    def law(n: int) -> int:
+        return mu * ell**n + nu
+
+    predicted = tuple(law(n) if nu is not None and n >= n0 else r for n, r in enumerate(running))
 
     closed_from = None
     if nu is not None:
         closed_from = n0
-        while closed_from > 1 and predicted[closed_from - 1] == mu * ell ** (closed_from - 1) + nu:
+        while closed_from > 1 and running[closed_from - 1] == law(closed_from - 1):
             closed_from -= 1
 
-    divides_any = mu > 0 or base_ord > 0 or bool(search.root_levels)
+    divides_any = mu > 0 or running[0] > 0 or bool(search.root_levels)
 
     # the bounds hold for f itself only when mu = 0; otherwise ord_p grows
     n1, log_bound = (search.n1, search.log_bound) if mu == 0 else (None, None)

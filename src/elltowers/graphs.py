@@ -183,7 +183,7 @@ class VoltageAssignment:
             for x, v in zip(self.integer_values, self.voltages):
                 if x % mod != v.residue:
                     raise ValueError("integer voltage disagrees with its residue")
-            if mod <= 8 * (sum(abs(x) for x in self.integer_values) + 1):
+            if self.precision < _min_precision_for_integers(self.ell, self.integer_values):
                 raise ValueError("precision too small for unambiguous integer lifts")
 
     @property

@@ -13,7 +13,8 @@ and Tower.level_norm uses resultant only to cross-check that engine at
 the matrix-tree-checked levels.  real_form rewrites a polynomial in
 y = T + q/T, the variable of the real subfield for q = 1.
 Reductions mod p use numpy int64 arrays, which is safe for p below
-2**30.
+2**30; they serve only analysis's root search for integral towers
+(ell-adic towers read their root levels off exact level norms).
 """
 
 from __future__ import annotations
@@ -233,10 +234,12 @@ def real_form(u: IntPoly, q: int = 1) -> IntPoly:
     return IntPoly(tuple(v))
 
 
+@lru_cache(maxsize=None)
 def _smallest_prime_factor(n: int) -> int:
     """The least prime factor of n >= 2.  A prime, or a power of one (the
     orders ell^i of the level cyclotomics), is recognised before trial
-    division, which would take sqrt(ell) steps on a large prime ell."""
+    division, which would take sqrt(ell) steps on a large prime ell.
+    Cached, as cyclotomic_value's two-way recursion asks again for each m."""
     if n % 2 == 0:
         return 2
     power = perfect_power(n)

@@ -27,6 +27,7 @@ path of its own.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -95,15 +96,13 @@ def primes_for_bound(bound: int, modulus: int = 1) -> list[int]:
     exceeds 2 * bound: enough for crt to recover any integer of absolute
     value at most bound."""
     target = 2 * bound
-    count = max(1, target.bit_length() // 30)  # every prime is below 2**30
-    qs, prod = [], 1
+    # every prime is below 2**30, so fewer than bit_length // 30 of them
+    # fall short of target: the walk starts with that many
+    qs = primes(target.bit_length() // 30, modulus)
+    prod = math.prod(qs)
     while prod <= target:
-        for q in primes(count, modulus)[len(qs):]:
-            qs.append(q)
-            prod *= q
-            if prod > target:
-                break
-        count += 1
+        qs = primes(len(qs) + 1, modulus)
+        prod *= qs[-1]
     return qs
 
 

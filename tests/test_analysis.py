@@ -16,7 +16,7 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from elltowers import (
     Multigraph,
@@ -34,13 +34,14 @@ from elltowers import (
 from elltowers import analysis, multimodular
 from elltowers.analysis import (
     DisconnectedTowerError,
+    InconclusiveError,
     InsufficientDataError,
     inertia_degrees,
     multiplicative_order,
     splitting,
 )
 from elltowers.corpus import CORPUS
-from elltowers.factorint import ord_p
+from elltowers.factorint import factor_kappa, ord_p
 from elltowers.genpoly import GenPoly, determinant, voltage_matrix
 from elltowers.intpoly import cyclotomic, resultant
 from elltowers.multimodular import PrimePoolExhaustedError
@@ -99,21 +100,22 @@ def voltage_specs(draw):
     ell = draw(st.sampled_from([2, 3, 5, 7]))
     precision = draw(st.integers(1, 3 if ell == 7 else 4))
     names = ["v1", "v2"][: draw(st.integers(1, 2))]
-    edges = []
-    for _ in range(draw(st.integers(len(names), 3))):
-        kind = draw(st.sampled_from(["integer", "padic", "sqrt"]))
-        if kind == "integer":
-            voltage = str(draw(st.integers(-20, 20)))
-        elif kind == "padic":
-            digits = st.lists(st.integers(0, ell - 1), min_size=precision, max_size=precision)
-            voltage = {"kind": "padic", "digits": draw(digits)}
-        else:
-            branch = draw(st.sampled_from([1, 3, 5, 7] if ell == 2 else range(1, ell)))
-            radicand = branch * branch + (8 if ell == 2 else ell) * draw(st.integers(1, 40))
-            voltage = {"kind": "sqrt", "radicand": radicand, "branch": branch}
-        edges.append({"tail": draw(st.sampled_from(names)), "head": draw(st.sampled_from(names)),
-                      "voltage": voltage})
+    edges = [{"tail": draw(st.sampled_from(names)), "head": draw(st.sampled_from(names)),
+              "voltage": draw_voltage(draw, ell, precision)}
+             for _ in range(draw(st.integers(len(names), 3)))]
     return {"ell": ell, "precision": precision, "vertices": names, "edges": edges}
+
+
+def draw_voltage(draw, ell, precision, kinds=("integer", "padic", "sqrt")):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "integer":
+        return str(draw(st.integers(-20, 20)))
+    if kind == "padic":
+        digits = st.lists(st.integers(0, ell - 1), min_size=precision, max_size=precision)
+        return {"kind": "padic", "digits": draw(digits)}
+    branch = draw(st.sampled_from([1, 3, 5, 7] if ell == 2 else range(1, ell)))
+    radicand = branch * branch + (8 if ell == 2 else ell) * draw(st.integers(1, 40))
+    return {"kind": "sqrt", "radicand": radicand, "branch": branch}
 
 
 @settings(deadline=None, max_examples=40)
@@ -284,11 +286,52 @@ def test_n0_inconclusive_when_roots_persist_at_top_level():
     from elltowers import GenPoly
     from elltowers.analysis import InconclusiveError
 
-    # non-integral declaration, root of T + 2 mod 5 is a primitive 4th
-    # root of unity (Phi_4 = (T+2)(T+3) mod 5) at the top level 2
-    g = GenPoly(2, 2, ((1, 1), (0, 2)), integral=False)
+    # non-integral declaration of 2T + 5 + 2T^-1, fixed by T -> 1/T as
+    # level norms need: at T = +-sqrt(-1) it is 5, so it vanishes mod 5 at
+    # the primitive 4th roots of unity of the top level 2, and at T = -1
+    # (level 1) it is 1
+    g = GenPoly(2, 2, ((0, 5), (1, 2), (3, 2)), integral=False)
     with pytest.raises(InconclusiveError):
         n0_search(g, 5)
+
+
+@st.composite
+def ell_adic_specs(draw):
+    """A bouquet of three loops, or a theta graph with a loop, at ell in
+    {2, 3, 5}, precision up to 4, its first voltage ell-adic."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    precision = draw(st.integers(1, 4))
+    names = ["v1", "v2"][: draw(st.integers(1, 2))]
+    ends = [("v1", "v1")] * 3 if len(names) == 1 else [("v1", "v2")] * 3 + [("v2", "v2")]
+    voltages = [draw_voltage(draw, ell, precision, ("padic", "sqrt"))]
+    voltages += [draw_voltage(draw, ell, precision) for _ in ends[1:]]
+    edges = [{"tail": t, "head": h, "voltage": v} for (t, h), v in zip(ends, voltages)]
+    return {"ell": ell, "precision": precision, "vertices": names, "edges": edges}
+
+
+@settings(deadline=None, max_examples=60)
+@given(ell_adic_specs())
+def test_ell_adic_root_levels_from_norms_match_the_gcd_search(doc):
+    # level i has a root mod p exactly when p | M_i, as the F_p gcd finds
+    try:
+        t = Tower(build_assignment(parse_tower_spec(doc)), mt_check_level=0)
+    except DisconnectedTowerError:
+        assume(False)
+    levels = range(1, t.va.precision + 1)
+    norms = [level_norm(t.f, i) for i in levels]
+    assume(all(norms))
+    primes = sorted({q for m in norms for q, _ in factor_kappa(abs(m), rho_iterations=2000).factors
+                     if q < 2**30 and q != t.ell})
+    assume(primes)
+    for p in primes[:6]:
+        mu, g = mu_invariant(t.f, p)
+        gcd_roots = tuple(i for i in levels if analysis._has_primitive_root(g, p, i))
+        event("roots found" if gcd_roots else "no roots")
+        if gcd_roots and gcd_roots[-1] == levels[-1]:
+            with pytest.raises(InconclusiveError):
+                n0_search(g, p)
+        else:
+            assert n0_search(g, p).root_levels == gcd_roots, (doc, p)
 
 
 # -- per-prime analysis ------------------------------------------------------------

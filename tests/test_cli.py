@@ -334,6 +334,32 @@ def test_analyze_never_divides_message(spec_file, capsys):
     assert "never divides" in out
 
 
+# ell = 7 with two sqrt voltages: the prime 611812412399 >= 2^30 divides the
+# level norm M_2 once, a root that the int64 F_p gcd missed
+ELL7_TWO_SQRT = {
+    "ell": 7, "precision": 3, "vertices": ["v1", "v2"],
+    "edges": [
+        {"tail": "v1", "head": "v2", "voltage": {"kind": "sqrt", "radicand": 2, "branch": 3}},
+        {"tail": "v1", "head": "v2", "voltage": {"kind": "sqrt", "radicand": 11, "branch": 2}},
+        {"tail": "v1", "head": "v2", "voltage": "0"},
+        {"tail": "v1", "head": "v1", "voltage": "1"},
+    ],
+}
+
+
+def test_ell_adic_root_levels_of_a_prime_past_int64(spec_file, capsys):
+    path = spec_file(ELL7_TWO_SQRT)
+    code, out, _ = run_cli(capsys, "report", path, "--levels", "3", "--json", "--budget-ms", "1")
+    assert code == 0
+    rows = {row["p"]: row for row in json.loads(out)["primes"]}
+    row = rows[611812412399]
+    assert (row["mu"], row["n0"], row["nu"]) == (0, 3, 2)
+    assert row["observed"] == row["predicted"] == [0, 0, 2, 2]
+    assert all(r["observed"] == r["predicted"] for r in rows.values() if not r.get("inconclusive"))
+    code, out, _ = run_cli(capsys, "analyze", path, "--p", "611812412399", "--levels", "3")
+    assert code == 0 and "n0 = 3" in out and "nu = 2" in out
+
+
 def test_analyze_json_inconclusive_is_json(spec_file, capsys, monkeypatch):
     import elltowers.cli as cli_mod
     from elltowers.analysis import InconclusiveError

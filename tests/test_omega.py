@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from elltowers import GenPoly, Tower, classify_omega, strip_cyclotomics
+from elltowers import GenPoly, Tower, classify_omega, intpoly, strip_cyclotomics
 from elltowers.cli import DEFAULT_BUDGET_MS, _factorization_dict, _level_rows
 from elltowers.corpus import CORPUS
 from elltowers.intpoly import IntPoly, ZeroPolynomialError, cyclotomic
@@ -143,6 +145,18 @@ def test_value_sieve_leaves_every_factor_and_skips_the_divisions(monkeypatch):
     factors, rest = strip_cyclotomics(us[-1].primitive_part())
     assert factors == ((1, 2),) and rest.degree == 398
     assert divisions == [1, 1]
+
+
+def test_least_primes_of_the_cyclotomic_orders_are_cached(monkeypatch):
+    # cyclotomic_value's recursion asks for the least prime of the same m
+    # on both of its branches; each n reaches perfect_power once
+    u = Tower(build_assignment(parse_tower_spec(DEGREE_400))).f.integerize()[0]
+    intpoly._smallest_prime_factor.cache_clear()
+    seen = Counter()
+    real = intpoly.perfect_power
+    monkeypatch.setattr(intpoly, "perfect_power", lambda n, *a: seen.update([n]) or real(n, *a))
+    strip_cyclotomics(u.primitive_part())
+    assert seen and max(seen.values()) == 1
 
 
 # -- classification ---------------------------------------------------------------

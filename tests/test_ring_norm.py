@@ -36,13 +36,7 @@ def tower_f(doc) -> GenPoly:
 
 def evaluation(f: GenPoly, i: int) -> int:
     """M_i by the evaluation route, which integral towers no longer take."""
-    reduced, m = f.reduce_level(i), f.ell**i
-    if reduced.is_zero:
-        return 0
-    if m == 2:
-        return reduced(-1)
-    h = (f.ell - 1) * m // f.ell // 2
-    return analysis._evaluation_norm(reduced, f.ell, m, h, sum(map(abs, reduced.coeffs)) ** h)
+    return analysis._evaluation_norm(f.reduce_level(i), f.ell, f.ell**i)
 
 
 def subresultant(f: GenPoly, i: int) -> int:
