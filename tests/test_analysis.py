@@ -324,7 +324,7 @@ def test_ell_adic_root_levels_from_norms_match_the_gcd_search(doc):
                      if q < 2**30 and q != t.ell})
     assume(primes)
     for p in primes[:6]:
-        mu, g = mu_invariant(t.f, p)
+        _, g = mu_invariant(t.f, p)
         gcd_roots = tuple(i for i in levels if analysis._has_primitive_root(g, p, i))
         event("roots found" if gcd_roots else "no roots")
         if gcd_roots and gcd_roots[-1] == levels[-1]:
