@@ -36,7 +36,7 @@ decided by a gcd over F_p in int64 (intpoly.poly_mod_gcd, p < 2^30),
 the one use left of those helpers.  For genuinely ell-adic voltages no
 effective bound is available, so n0 is reported empirically up to the
 stored precision and flagged as such; level i has a root there exactly
-when p divides the exact level norm, for every p.
+when ord_p(N_i) > mu phi(ell^i) on the tower's own norms, for every p.
 """
 
 from __future__ import annotations
@@ -442,11 +442,9 @@ class Tower:
 @dataclass(frozen=True)
 class N0Search:
     n0: int
-    certified: bool
     root_levels: tuple[int, ...]
-    searched_to: int
-    n1: int | None
-    log_bound: float | None
+    n1: int
+    log_bound: float
 
 
 def _has_primitive_root(g: GenPoly, p: int, i: int) -> bool:
@@ -460,40 +458,23 @@ def _has_primitive_root(g: GenPoly, p: int, i: int) -> bool:
 
 
 def n0_search(g: GenPoly, p: int) -> N0Search:
-    """Smallest n0 with no primitive ell^i-th-root zero of g mod p for any
-    i >= n0.  Requires mu_p(g) = 0.
+    """The certified search for integral g with mu_p(g) = 0: the smallest
+    n0 with no primitive ell^i-th-root zero of g mod p for any i >= n0.
 
-    Integral exponents: certified, searched below n1, the first level
-    whose inertia degree exceeds dbar = deg(U mod p) (splitting), so the
-    search space is finite.  The search also gives the closed-form
-    bound log_ell(r ell dbar / (ell - 1)), r the eventual number of
-    primes above p.
-
-    Non-integral: searched up to the stored precision, level i having a
-    root exactly when p divides level_norm(g, i) (for any p != ell);
-    empirical, and inconclusive if the top level still has roots.
+    Searched below n1, the first level whose inertia degree exceeds
+    dbar = deg(U mod p) (splitting), so the search space is finite.  The
+    search also gives the closed-form bound log_ell(r ell dbar / (ell - 1)),
+    r the eventual number of primes above p.  Ell-adic towers have no
+    such bound; analyze_prime decides their levels on the tower's norms.
     """
     ell = g.ell
     if g.is_zero or all(c % p == 0 for c in g.coefficients()):
         raise ValueError("mu(g) must be 0")
-    n1 = log_bound = None
-    if g.integral:
-        dbar = g.integerize()[0].degree_mod(p)
-        n1, r = splitting(p, ell, dbar)
-        log_bound = 0.0 if dbar == 0 else math.log(r * ell * dbar / (ell - 1), ell)
-        top = n1 - 1
-    else:
-        top = g.precision
-        if top < 1:
-            raise ValueError("need at least one level to search")
-    roots = tuple(i for i in range(1, top + 1)
-                  if (_has_primitive_root(g, p, i) if g.integral else level_norm(g, i) % p == 0))
-    if n1 is None and roots and roots[-1] == top:
-        raise InconclusiveError(
-            f"roots persist at the top searchable level {top}; "
-            "raise the voltage precision for a stabilization estimate"
-        )
-    return N0Search(roots[-1] + 1 if roots else 1, n1 is not None, roots, top, n1, log_bound)
+    dbar = g.integerize()[0].degree_mod(p)
+    n1, r = splitting(p, ell, dbar)
+    log_bound = 0.0 if dbar == 0 else math.log(r * ell * dbar / (ell - 1), ell)
+    roots = tuple(i for i in range(1, n1) if _has_primitive_root(g, p, i))
+    return N0Search(roots[-1] + 1 if roots else 1, roots, n1, log_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +518,31 @@ def analyze_prime(tower: Tower, p: int, depth: int) -> PrimeAnalysisReport:
     r_n = ord_p(kappa_0) + sum_(i <= n) ord_p(N_i), with ord_p(N_i) =
     e_i ord_p(M_i).  nu = r_(n0) - mu ell^(n0) exactly, never fitted;
     below n0 the prediction is r_n, from n0 on the law mu ell^n + nu.
+
+    Integral towers take n0 from the certified n0_search.  An ell-adic
+    level i has a root of g = f/p^mu mod p exactly when ord_p(N_i) >
+    mu phi(ell^i), as N_i(f) = p^(mu phi(ell^i)) N_i(g) and Phi_(ell^i) is
+    separable mod p: decided up to the stored precision, inconclusive if
+    the top level has a root.
     """
     ell = tower.ell
     if p == ell:
         raise PrimeEqualsEllError("use the ell-part Iwasawa fit for p = ell")
     mu, g = mu_invariant(tower.f, p)
-    search = n0_search(g, p)
-    n0 = search.n0
+    search = n0_search(g, p) if g.integral else None
+    top = depth if g.integral else max(depth, g.precision)
+    norm_ords = [tower.norm_power(i) * ord_p(tower.real_norm(i), p) for i in range(1, top + 1)]
+    if search:
+        root_levels = search.root_levels
+    else:
+        root_levels = tuple(i for i, o in enumerate(norm_ords, start=1)
+                            if o > mu * (ell - 1) * ell ** (i - 1))
+        if root_levels and root_levels[-1] == top:
+            raise InconclusiveError(f"roots persist at the top searchable level {top}; "
+                                    "raise the voltage precision for a stabilization estimate")
+    n0 = root_levels[-1] + 1 if root_levels else 1
 
-    norm_ords = (tower.norm_power(i) * ord_p(tower.real_norm(i), p) for i in range(1, depth + 1))
-    running = list(accumulate(norm_ords, initial=ord_p(tower.kappa_base, p)))
+    running = list(accumulate(norm_ords[:depth], initial=ord_p(tower.kappa_base, p)))
     observed = tuple(ord_p(tower.kappa(n), p) for n in range(depth + 1))
 
     nu = running[n0] - mu * ell**n0 if n0 <= depth else None
@@ -562,14 +558,14 @@ def analyze_prime(tower: Tower, p: int, depth: int) -> PrimeAnalysisReport:
         while closed_from > 1 and running[closed_from - 1] == law(closed_from - 1):
             closed_from -= 1
 
-    divides_any = mu > 0 or running[0] > 0 or bool(search.root_levels)
+    divides_any = mu > 0 or running[0] > 0 or bool(root_levels)
 
     # the bounds hold for f itself only when mu = 0; otherwise ord_p grows
-    n1, log_bound = (search.n1, search.log_bound) if mu == 0 else (None, None)
+    n1, log_bound = (search.n1, search.log_bound) if search and mu == 0 else (None, None)
 
     return PrimeAnalysisReport(
-        p=p, ell=ell, mu=mu, n0=n0, certified=search.certified,
-        root_levels=search.root_levels, nu=nu, observed=observed,
+        p=p, ell=ell, mu=mu, n0=n0, certified=g.integral,
+        root_levels=root_levels, nu=nu, observed=observed,
         predicted=predicted, divides_any=divides_any,
         n1=n1, log_bound=log_bound, closed_form_from=closed_from,
     )

@@ -64,8 +64,9 @@ def padic_sqrt(d: int, ell: int, precision: int, branch: int | None = None) -> T
     """Square root of d in Z_ell, truncated to the given precision.
 
     Z_ell contains two square roots +-x of any admissible d; `branch`
-    selects one of them by its residue mod ell (odd ell) or mod 8
-    (ell = 2).  Omitting the selector is an error, never a guess.
+    selects one of them by its residue mod ell (odd ell) or mod 4
+    (ell = 2: any odd branch, b and b + 4 giving the same root).
+    Omitting the selector is an error, never a guess.
 
     Admissibility: d must be a unit square, i.e. a nonzero quadratic
     residue mod ell for odd ell, and d = 1 mod 8 for ell = 2.
@@ -80,13 +81,13 @@ def padic_sqrt(d: int, ell: int, precision: int, branch: int | None = None) -> T
             raise NonResidueError("radicand must be a 2-adic unit")
         if d % 8 != 1:
             raise NonResidueError(f"{d} is not a square in Z_2 (need d = 1 mod 8)")
-        b = branch % 8
-        if b % 2 == 0 or pow(b, 2, 8) != d % 8:
-            raise NonResidueError(f"branch {branch} is not a root of {d} mod 8")
+        if branch % 2 == 0:
+            raise NonResidueError(f"branch {branch} is even; the square roots of {d} in Z_2 are odd")
         # Lift x^2 = d (mod 2^k) one bit at a time; the solution set mod 2^k
-        # is {+-x, +-x + 2^(k-1)}, so x mod 2^(k-1) is pinned by x mod 8.
+        # is {+-x, +-x + 2^(k-1)}, so x mod 2^(k-1) is pinned by x mod 4:
+        # the first step picks whichever of b, b + 4 squares to d mod 16.
         target = precision + 1
-        x = b
+        x = branch % 8
         for k in range(3, target):
             if (x * x - d) % (1 << (k + 1)):
                 x += 1 << (k - 1)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from elltowers.cli import main
-from elltowers.corpus import BOUQUET2_SQRT17_ELL2, BOUQUET4_ELL3, CORPUS, THETA_ELL5
+from elltowers.corpus import BOUQUET2_SQRT17_ELL2, BOUQUET4_ELL3, CORPUS, PARALLEL4_ELL2, THETA_ELL5
 from elltowers.towerspec import (
     SpecParseError,
     build_assignment,
@@ -360,6 +360,44 @@ def test_ell_adic_root_levels_of_a_prime_past_int64(spec_file, capsys):
     assert code == 0 and "n0 = 3" in out and "nu = 2" in out
 
 
+def test_ell_adic_root_levels_read_the_towers_own_norms(spec_file, capsys, monkeypatch):
+    # every prime's root levels come from the norms the report computes
+    # anyway: one level_norm per level, not one per prime and level
+    import elltowers.analysis as analysis_mod
+
+    calls = []
+    level_norm = analysis_mod.level_norm
+
+    def counted(f, i):
+        calls.append(i)
+        return level_norm(f, i)
+
+    monkeypatch.setattr(analysis_mod, "level_norm", counted)
+    code, out, _ = run_cli(capsys, "report", spec_file(ELL7_TWO_SQRT), "--levels", "3",
+                           "--budget-ms", "2000", "--json")
+    assert code == 0 and len(json.loads(out)["primes"]) > 1
+    assert sorted(calls) == [1, 2, 3]
+
+
+def test_report_text_marks_an_inconclusive_prime(spec_file, capsys):
+    # 1950781795327 divides M_3, the norm of the top stored level
+    code, out, _ = run_cli(capsys, "report", spec_file(ELL7_TWO_SQRT), "--levels", "3",
+                           "--budget-ms", "1", "--p", "1950781795327")
+    assert code == 0 and "p=1950781795327: inconclusive\n" in out
+
+
+def test_ell_part_fit_text_lines(spec_file, capsys):
+    path = spec_file(BOUQUET4_ELL3.spec)
+    law = "ord_3(kappa_n) = 0*3^n + 1*n + 0 for n >= 1"
+    code, out, _ = run_cli(capsys, "analyze", path, "--p", "3", "--levels", "4")
+    assert code == 0 and out == f"{law} (empirical fit on computed levels)\n"
+    code, out, _ = run_cli(capsys, "report", path, "--levels", "4", "--budget-ms", "100")
+    assert code == 0 and f"\nell-part: {law}\n" in out
+    code, out, _ = run_cli(capsys, "analyze", spec_file(PARALLEL4_ELL2.spec),
+                           "--p", "2", "--levels", "3")
+    assert code == 0 and out == "no exact three-parameter fit for ord_2 on the computed levels\n"
+
+
 def test_analyze_json_inconclusive_is_json(spec_file, capsys, monkeypatch):
     import elltowers.cli as cli_mod
     from elltowers.analysis import InconclusiveError
@@ -443,6 +481,10 @@ def test_sqrt_verb(capsys):
     doc = json.loads(out)
     assert doc["residue"] == "9"
     assert doc["digits"] == [1, 0, 0, 1, 0]
+    for branch in ("1", "5"):  # 2-adic branches select by their residue mod 4
+        code, out, _ = run_cli(capsys, "sqrt", "--radicand", "17", "--ell", "2",
+                               "--precision", "8", "--branch", branch)
+        assert code == 0 and out == "sqrt(17) = 1.0010111 (base 2) residue 233 mod 2^8\n"
 
 
 def test_sqrt_verb_requires_branch(capsys):
@@ -477,6 +519,21 @@ def test_selftest_detects_perturbation(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 1
     assert "FAIL" in out and "kappa_2" in out
+
+
+def test_selftest_reports_a_wrong_fit_and_verdict(capsys, monkeypatch):
+    import dataclasses
+
+    import elltowers.cli as cli_mod
+    from elltowers import corpus as corpus_mod
+
+    bad_entry = dataclasses.replace(corpus_mod.THETA_ELL5, ell_fit=(0, 2, 0, 1), verdict="unbounded")
+    monkeypatch.setattr(cli_mod.corpus, "CORPUS", (bad_entry,))
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert "FAIL theta-ell5 ell fit: got (0, 1, 0, 1), want (0, 2, 0, 1)\n" in out
+    assert "FAIL theta-ell5 verdict: got bounded, want unbounded\n" in out
+    assert out.endswith("selftest: 2 mismatch(es)\n")
 
 
 def test_selftest_empty_budget_skips(capsys):

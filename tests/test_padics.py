@@ -64,6 +64,16 @@ def test_sqrt17_deeper_precision_consistent():
     assert (other.residue + r8.residue) % 2**8 == 0  # the two roots are negatives
 
 
+def test_2adic_branch_selects_by_residue_mod_4():
+    # once d = 1 mod 8, b and b + 4 lift to the same root, = b mod 4
+    for b in (1, 3):
+        root = padic_sqrt(17, 2, 10, branch=b)
+        assert root == padic_sqrt(17, 2, 10, branch=b + 4)
+        assert root.residue % 4 == b
+    with pytest.raises(NonResidueError, match="even"):
+        padic_sqrt(17, 2, 10, branch=4)
+
+
 def test_sqrt_identity():
     assert padic_sqrt(1, 7, 3, branch=1).residue == 1
     assert padic_sqrt(1, 2, 4, branch=1).residue == 1
