@@ -12,9 +12,13 @@ one level at a time: kappa_n = kappa_(n-1) * N_n / ell.
 
 f is fixed by T -> 1/T, so N_i = M_i^2 for ell^i > 2, where M_i is the
 norm from the real subfield Q(zeta)^+ (Washington, GTM 83, ch. 2 and
-8); level_norm returns M_i with its sign, and Tower squares it:
-exactly over Z by Graeffe root-powering for integral towers, from the
-roots of unity of F_q and CRT for ell-adic ones.
+8); level_norm returns M_i with its sign, and Tower squares it.  It
+is exact over Z, with no prime drawn, for ell = 2 and 3 (Graeffe norm
+steps down the cyclotomic tower, on integral and ell-adic towers alike)
+and for integral towers at larger ell (scaled Graeffe steps).  Ell-adic
+towers with ell >= 5 take it from the roots of unity of F_q and CRT,
+for word primes q = 1 (mod ell^i), which run out at deep levels
+(PrimePoolExhaustedError names the level).
 Up to mt_check_level, every N_i is recomputed by the subresultant
 sequence and every kappa_n by the matrix-tree theorem on the actual
 cover; a disagreement raises ArithmeticError.
@@ -52,7 +56,7 @@ from .factorint import factor_kappa, ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
 from .intpoly import IntPoly, cyclotomic, poly_mod_gcd, real_form, resultant
-from .multimodular import check_word_prime, crt, primes_for_bound, residues
+from .multimodular import PrimePoolExhaustedError, check_word_prime, crt, primes_for_bound, residues
 
 
 class PrimeEqualsEllError(ValueError):
@@ -154,54 +158,207 @@ def level_norm(f: GenPoly, i: int) -> int:
     over k in (Z/m)^*/{+-1}.  For m = 2 it returns N_1 = f(-1) itself,
     and M_0 = 1 by convention.  A non-symmetric f raises ValueError.
 
-    Integral exponents take M_i by Graeffe root-powering (_graeffe_norm),
-    ell-adic ones by evaluation and CRT (_evaluation_norm).  Tower
-    cross-checks N_i against the subresultant up to mt_check_level."""
+    ell = 2 and 3 take M_i by Graeffe norm steps down the cyclotomic
+    tower (_graeffe_norm), integral and ell-adic exponents alike; larger
+    ell takes it by scaled Graeffe steps (_scaled_graeffe_norm) for
+    integral exponents and by evaluation and CRT (_evaluation_norm) for
+    ell-adic ones.  Tower cross-checks N_i against the subresultant up
+    to mt_check_level."""
     if i == 0:
         return 1
     coeff, modulus = dict(f.terms), f.modulus
     if any(coeff.get(-e % modulus) != c for e, c in f.terms):
         raise ValueError("level norms need f fixed by T -> 1/T, as every voltage determinant is")
-    m = f.ell**i
-    if f.integral and m > 2:
-        return _graeffe_norm(*f.integerize(), f.ell, i)
-    return _evaluation_norm(f.reduce_level(i), f.ell, m)
+    terms = f.level_terms(i)
+    ell = f.ell
+    if ell**i == 2:
+        return sum(-c if e % 2 else c for e, c in terms)
+    if all(e == 0 for e, _ in f.terms):  # f = 0 or a constant c: M_i = c^h
+        return sum(f.coefficients()) ** ((ell - 1) * ell ** (i - 1) // 2)
+    if ell <= 3:
+        return _graeffe_norm(f, terms, i)
+    if f.integral:
+        return _scaled_graeffe_norm(*f.integerize(), ell, i)
+    try:
+        return _evaluation_norm(IntPoly.from_pairs(terms), ell, ell**i)
+    except PrimePoolExhaustedError as exc:
+        raise PrimePoolExhaustedError(f"level {i} of an ell = {ell} tower: {exc}") from None
 
 
-def _graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
-    """M_i for U = T^b f, palindromic of degree 2b, and ell^i > 2.
+def _graeffe_norm(f: GenPoly, terms: list[tuple[int, int]], i: int) -> int:
+    """M_i for ell = 2 or 3, ell^i > 2 and f not constant, with terms =
+    f.level_terms(i), by norm steps down the cyclotomic tower
+    (Washington, GTM 83, ch. 2).
 
-    zeta -> zeta^ell maps the primitive ell^i-th roots of unity ell-to-one
-    onto the primitive ell^(i-1)-th ones, with fibres {zeta omega^j} that
-    respect inversion, so M_i(f) = M_(i-1)(f') for the Graeffe step
-    f'(T^ell) = prod_(j < ell) f(omega^j T) (Pan, SIAM Review 39, 1997):
-    U' = T^b f' has the roots r^ell of U.  For ell = 2 the step carries
-    the sign (-1)^b, which survives only from level 3 to 2 (h = 1).  The
-    steps stop where the norm is a short formula: M_2 = f(sqrt(-1)) for
-    ell = 2, M_1 = f(omega) for ell = 3, and M_1 = Res(Psi_ell, V) above
-    (_scaled_graeffe_norm).  Every step is an identity in Z[T]; no prime
-    is drawn, and for ell = 2 and 3 nothing is divided."""
-    if u.degree < 1:  # f = 0 or a constant c: M_i = c^h
-        return u(0) ** ((ell - 1) * ell ** (i - 1) // 2)
-    if ell == 2:
-        for _ in range(i - 2):
-            even, odd = IntPoly(u.coeffs[0::2]), IntPoly(u.coeffs[1::2])
-            u = even * even - _T * odd * odd  # U(T) U(-T) = U'(T^2)
-        # f(sqrt(-1)) = sum_e u_e sqrt(-1)^(e - b), a rational integer
-        m = sum(u.coeffs[b % 4 :: 4]) - sum(u.coeffs[(b + 2) % 4 :: 4])
-        return -m if i > 2 and b % 2 else m
+    An element of Z[zeta_(ell^j)] is a polynomial U in T, read at zeta.
+    The conjugates of U(zeta) over Q(zeta_(ell^(j-1))) are U(zeta omega^t),
+    so its norm there is U'(zeta^ell) for the Graeffe step U'(T^ell) =
+    prod_(t < ell) U(omega^t T) (Pan, SIAM Review 39, 1997): E(S)^2 -
+    S O(S)^2 for U = E(T^2) + T O(T^2), and X^3 + S Y^3 + S^2 Z^3 -
+    3 S XYZ for U = X(T^3) + T Y(T^3) + T^2 Z(T^3).  The steps stop at
+    Q(sqrt(-1)) for ell = 2 and at Q(omega) for ell = 3: {k = 1 mod 4},
+    and {k = 1 mod 3}, represent (Z/ell^i)^*/{+-1}, so the last element
+    is M_i itself, and a nonzero irrational part raises ArithmeticError.
+
+    An integral f starts from U = T^b f, read as zeta^(-b) U(zeta); each
+    ell = 2 step multiplies zeta^(-b) by (-1)^b, which squares away at the
+    next one.  Any other f starts from its terms with exponents mod
+    ell^i, folded into Z[T]/(Phi_(ell^i)).  An element whose slots
+    outnumber phi(ell^j) is folded, reduced mod Phi_(ell^j), and stays
+    folded at every later level.
+
+    Each element is one int, its coefficients packed w bits apart
+    (Kronecker substitution), so a step is a few big-int operations:
+    masks split off the residue classes mod ell, whose slots then lie
+    ell w bits apart, and the product is folded as an integer mod
+    Phi_(ell^j)(2^w) (_fold).  A folded coefficient is bounded through
+    the largest conjugate, at most ||f||_1^(ell^s) after s steps
+    (_folded_width), so its width only has to grow by ell per step.  An
+    unfolded element has few slots: its width comes from its actual
+    coefficients."""
+    ell = f.ell
+    stop = 2 if ell == 2 else 1  # Q(sqrt(-1)) or Q(omega)
+    size = sum(abs(c) for c in f.coefficients())  # |f(zeta)| <= ||f||_1
+    b, digits = 0, None
+    if f.integral:
+        u, b = f.integerize()
+        if u.degree < (ell - 1) * ell ** (i - 1):
+            digits = list(u.coeffs)
+        else:
+            b = 0
+    if digits is None:
+        slots = _cyclotomic_slots(terms, ell, i)
+        if i == stop:
+            return _read(slots.items(), 0, ell)
+        w = _folded_width(size, ell, 1)
+        classes = [_pack(((k // ell, c) for k, c in slots.items() if k % ell == r), w)
+                   for r in range(ell)]
+    j = i
+    while j > stop:
+        j -= 1
+        phi = (ell - 1) * ell ** (j - 1)  # the slots of a folded element at level j
+        if digits is not None:
+            if len(digits) > phi:  # this step's product is folded
+                w = _folded_width(size, ell, i - j)
+            else:  # at most 2 L A^2 (ell = 2) or 6 L^2 A^3 (ell = 3), L slots of at most A
+                top = max(map(abs, digits)) ** ell * -(-len(digits) // ell) ** (ell - 1)
+                w = (ell * (ell - 1) * top).bit_length() + 1
+            classes = [_pack(enumerate(digits[r::ell]), w) for r in range(ell)]
+        p = _norm_step(classes, w)
+        if digits is not None and len(digits) <= phi:
+            digits = _unpack(p, w, len(digits))
+        else:
+            digits, p = None, _fold(p, ell, w * ell ** (j - 1))
+            if j > stop:
+                classes = _split(p, ell, w, phi)
+                w *= ell
+    m = _read(enumerate(_unpack(p, w, 2) if digits is None else digits), b, ell)
+    return -m if ell == 2 and b % 2 and i > 2 else m
+
+
+def _cyclotomic_slots(terms, ell: int, i: int) -> dict[int, int]:
+    """The terms (e mod ell^i, c) as an element of Z[T]/(Phi_(ell^i)),
+    slot -> coefficient: T^(phi + r) = -sum_(t < ell - 1) T^(r + t n), n =
+    ell^(i-1), phi = (ell - 1) n.  No dense polynomial is built."""
+    n = ell ** (i - 1)
+    phi = (ell - 1) * n
+    slots: dict[int, int] = {}
+    for e, c in terms:
+        if e < phi:
+            slots[e] = slots.get(e, 0) + c
+        else:
+            for t in range(ell - 1):
+                slots[e - phi + t * n] = slots.get(e - phi + t * n, 0) - c
+    return slots
+
+
+def _folded_width(size: int, ell: int, steps: int) -> int:
+    """A slot width w that holds every folded coefficient after the given
+    number of steps, and after every later one at ell times the width.
+
+    In Z[zeta], zeta of order ell^j and n = ell^(j-1), the coefficient k =
+    c + t n (c < n) of alpha is Tr(alpha beta) / ell^j for beta = zeta^(-c)
+    (omega^(-t) - omega), so it is at most phi(ell^j) |omega^(-t) - omega|
+    B / ell^j: B for ell = 2 and 2B / sqrt(3) for ell = 3, with B =
+    max_sigma |sigma(alpha)| <= size^(ell^s) after s steps."""
+    top = size ** (ell**steps)
     if ell == 3:
-        for _ in range(i - 1):
-            # U = X(T^3) + T Y(T^3) + T^2 Z(T^3): the norm from Q(omega)
-            x, y, z = (IntPoly(u.coeffs[r::3]) for r in range(3))
-            u = x * x * x + _T * (y * y * y + _T * z * z * z - (x * y * z).scale(3))
-        # f(omega) = A + B omega + C omega^2, A, B and C the sums of u_e
-        # over e - b = 0, 1, 2 (mod 3), is rational, so B = C
-        return sum(u.coeffs[b % 3 :: 3]) - sum(u.coeffs[(b + 1) % 3 :: 3])
-    return _scaled_graeffe_norm(u, b, ell, i)
+        top = math.isqrt(4 * top * top // 3)
+    return top.bit_length() + 1
 
 
-_T = IntPoly((0, 1))
+def _norm_step(classes: list[int], w: int) -> int:
+    """U' at S = 2^w from the packed residue classes of U."""
+    if len(classes) == 2:
+        e, o = classes
+        return e * e - (o * o << w)
+    x, y, z = classes
+    return x * x * x + ((y * y * y + (z * z * z << w) - 3 * x * y * z) << w)
+
+
+def _fold(p: int, ell: int, block: int) -> int:
+    """The symmetric residue of p mod Phi_(ell^j)(2^w) = sum_(t < ell) X^t,
+    X = 2^block with block = w ell^(j-1): p is reduced mod X^ell - 1
+    by adding its ell block-bit chunks, then X^(ell-1) = -sum_(t < ell - 1)
+    X^t.  Packed coefficients below 2^(w-1) make an element smaller than
+    half the modulus, so the symmetric residue is the element itself."""
+    span = ell * block
+    while hi := p >> span:
+        p = (p & ((1 << span) - 1)) + hi
+    chunks = [p >> (t * block) & ((1 << block) - 1) for t in range(ell)]
+    p = sum(chunk - chunks[-1] << (t * block) for t, chunk in enumerate(chunks[:-1]))
+    modulus = sum(1 << (t * block) for t in range(ell))
+    if 2 * p > modulus:
+        return p - modulus
+    return p + modulus if 2 * p < -modulus else p
+
+
+def _split(p: int, ell: int, w: int, n: int) -> list[int]:
+    """The ell residue classes of the n-slot element p, packed at width
+    ell w: shifted by a bias of 2^(w-1) per slot, every slot is a w-bit
+    field, and one mask per class takes its slots."""
+    rep = _repunit(ell * w, n // ell)
+    half = rep << (w - 1)
+    q = p + sum(half << (r * w) for r in range(ell))
+    mask = (rep << w) - rep
+    return [(q >> (r * w) & mask) - half for r in range(ell)]
+
+
+def _repunit(w: int, n: int) -> int:
+    """sum_(k < n) 2^(w k), by doubling."""
+    if n <= 1:
+        return n
+    half = _repunit(w, n // 2)
+    rep = half | half << (w * (n // 2))
+    return rep | 1 << (w * (n - 1)) if n % 2 else rep
+
+
+def _pack(pairs, w: int) -> int:
+    """sum c 2^(w k) over the (k, c) pairs."""
+    return sum(c << (w * k) for k, c in pairs)
+
+
+def _unpack(p: int, w: int, n: int) -> list[int]:
+    """The n coefficients of p = sum_k d_k 2^(w k), |d_k| < 2^(w-1): with
+    a bias of 2^(w-1) per slot, every slot is a w-bit field."""
+    q, mask = p + (_repunit(w, n) << (w - 1)), (1 << w) - 1
+    return [(q >> (w * k) & mask) - (1 << (w - 1)) for k in range(n)]
+
+
+def _read(slots, b: int, ell: int) -> int:
+    """zeta^(-b) U(zeta) at zeta = sqrt(-1) (ell = 2) or omega (ell = 3),
+    from (exponent, coefficient) pairs, which must be rational."""
+    period = 4 if ell == 2 else 3
+    sums = [0] * period
+    for k, c in slots:
+        sums[(k - b) % period] += c
+    if ell == 2:  # s0 - s2 + (s1 - s3) sqrt(-1)
+        value, irrational = sums[0] - sums[2], sums[1] - sums[3]
+    else:  # s0 - s2 + (s1 - s2) omega
+        value, irrational = sums[0] - sums[2], sums[1] - sums[2]
+    if irrational:
+        raise ArithmeticError(f"the last norm step left the irrational part {irrational}")
+    return value
 
 
 def _scaled_graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
@@ -280,21 +437,22 @@ def _norm(r: IntPoly, p: IntPoly) -> int:
 
 
 # Largest number of int64 entries in the stacks and temporaries of one
-# block of primes.  On padic_deep, blocks of 2**16 entries raised the
-# peak memory by about 0.3 MiB, and blocks of 2**14 ran about 10% slower.
+# block of primes, for the ell-adic norms of ell >= 5.  Set when
+# padic_deep still evaluated its ell = 2 and 3 towers too: there, blocks
+# of 2**16 entries raised the peak memory by about 0.3 MiB, and blocks
+# of 2**14 ran about 10% slower.  Not measured again on ell >= 5 alone.
 _NORM_BLOCK = 1 << 15
 
 
 def _evaluation_norm(reduced: IntPoly, ell: int, m: int) -> int:
-    """M_i from the roots of unity of F_q, for word primes q = 1 (mod m):
-    M_i mod q is the product of f_i(zeta^k) over the h = phi(m)/2 units
-    k <= m/2, so |M_i| <= (sum |c_e|)^h fixes the primes drawn.  The
+    """M_i from the roots of unity of F_q, for word primes q = 1 (mod m),
+    m > 2: M_i mod q is the product of f_i(zeta^k) over the h = phi(m)/2
+    units k <= m/2, so |M_i| <= (sum |c_e|)^h fixes the primes drawn.  The
     exponent table e k mod m is built once per level; each block of primes
-    shares one array of root powers.  For m = 2, N_1 = f_1(-1) itself."""
+    shares one array of root powers.  level_norm takes it for ell-adic
+    towers with ell >= 5 only; the tests take it as the oracle of all."""
     if reduced.is_zero:
         return 0
-    if m == 2:
-        return reduced(-1)
     terms = [(e, c) for e, c in enumerate(reduced.coeffs) if c]
     units = np.array([k for k in range(1, m // 2 + 1) if k % ell], dtype=np.int64)
     idx = np.outer(np.array([e for e, _ in terms], dtype=np.int64), units) % m
@@ -441,7 +599,6 @@ class Tower:
 
 @dataclass(frozen=True)
 class N0Search:
-    n0: int
     root_levels: tuple[int, ...]
     n1: int
     log_bound: float
@@ -474,7 +631,7 @@ def n0_search(g: GenPoly, p: int) -> N0Search:
     n1, r = splitting(p, ell, dbar)
     log_bound = 0.0 if dbar == 0 else math.log(r * ell * dbar / (ell - 1), ell)
     roots = tuple(i for i in range(1, n1) if _has_primitive_root(g, p, i))
-    return N0Search(roots[-1] + 1 if roots else 1, roots, n1, log_bound)
+    return N0Search(roots, n1, log_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,16 @@ Exit codes, all mapped in main, with the message on stderr:
     0  success
     1  domain failure, "error: ..." (invalid graph, disconnected tower,
        precision exceeded, too few levels for the ell-part fit, a
-       non-residue or missing branch given to the sqrt verb)
+       non-residue or missing branch given to the sqrt verb, an ell-adic
+       level norm for ell >= 5 that needs more word primes q = 1 (mod
+       ell^i) than exist)
     2  usage or parse error: argparse rejects bad options (a negative
        --levels, --budget-ms or --matrix-tree-max-level, a non-prime
        --p or sqrt --ell, sqrt's --precision below 1); an unreadable,
        malformed or unbuildable spec (an ell-adic square root that does
        not exist) prints "parse error: ..."
     3  internal error, "internal error: ..." (a failed cross-check, an
-       overflow, an exhausted prime pool)
+       overflow)
 All big integers are printed as decimal strings; --json switches to a
 machine-readable document whose bytes depend only on the input and the
 budget (a timing field aside).  Wall-clock budgets are converted to
@@ -65,6 +67,7 @@ from .factorint import (
 )
 from .graphs import DisconnectedGraphError, tower_problems
 from .intpoly import ZeroPolynomialError
+from .multimodular import PrimePoolExhaustedError
 from .omega import INAPPLICABLE, UnitRootMissingError, classify_omega
 from .padics import AmbiguousBranchError, NonResidueError, PrecisionError, padic_sqrt
 from .towerspec import SpecParseError, build_assignment, parse_tower_spec
@@ -498,6 +501,7 @@ _DOMAIN_ERRORS = (
     InsufficientDataError,
     NonResidueError,
     PrecisionError,
+    PrimePoolExhaustedError,
     ZeroPolynomialError,
     UnitRootMissingError,
 )
@@ -514,7 +518,7 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_DOMAIN
-    except ArithmeticError as exc:  # a failed cross-check, an overflow, no primes left
+    except ArithmeticError as exc:  # a failed cross-check, an overflow
         print(f"internal error: {exc}", file=sys.stderr)
         code = EXIT_INTERNAL
     if argv is None:

@@ -129,6 +129,11 @@ class GenPoly:
         """Image under T^a -> T^(a mod ell^n), as a dense integer polynomial
         of degree < ell^n.  Evaluating it at any ell^n-th root of unity
         agrees with evaluating the generalized polynomial itself."""
+        return IntPoly.from_pairs(self.level_terms(n))
+
+    def level_terms(self, n: int) -> list[tuple[int, int]]:
+        """The terms (a mod ell^n, c), unmerged: the sparse form of
+        reduce_level(n)."""
         if n < 0:
             raise ValueError("level must be >= 0")
         if n > self.precision and not self.integral:
@@ -137,10 +142,8 @@ class GenPoly:
             )
         m = self.ell**n
         if n <= self.precision:
-            pairs = [(e % m, c) for e, c in self.terms]
-        else:
-            pairs = [(self.lift_exponent(e) % m, c) for e, c in self.terms]
-        return IntPoly.from_pairs(pairs)
+            return [(e % m, c) for e, c in self.terms]
+        return [(self.lift_exponent(e) % m, c) for e, c in self.terms]
 
     def integerize(self) -> tuple[IntPoly, int]:
         """(U, b) with U = T^b * f as an honest integer polynomial.

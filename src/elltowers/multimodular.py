@@ -2,8 +2,9 @@
 
 Two engines compute an exact integer from its images modulo many
 primes: intdet's determinant of reduced Laplacians and the level
-norm of ell-adic towers in analysis (integral towers take theirs over Z
-by Graeffe root-powering, and draw no prime).  Both work in numpy int64,
+norm of ell-adic towers with ell >= 5 in analysis (integral towers, and
+every tower with ell = 2 or 3, take theirs over Z by Graeffe steps, and
+draw no prime).  Both work in numpy int64,
 which is exact while every residue is below WORD_LIMIT = 2**30: a
 product of two residues stays below 2**60, and a sum of up to 2**33
 reduced products below 2**63.
@@ -12,8 +13,11 @@ primes(count, modulus) hands out the largest primes q < PRIME_CEILING
 with q = 1 (mod modulus), in decreasing order; the pool of each modulus
 is built on first use and then grown on demand, never at import.  The
 determinants draw on the pool of modulus 1, every prime below the
-ceiling; the level norms of ell-adic towers, which need the ell^i-th
-roots of unity in F_q, draw on the pools of q = 1 (mod ell^i).  crt
+ceiling; the level norms of ell-adic towers with ell >= 5, which need
+the ell^i-th roots of unity in F_q, draw on the pools of q = 1 (mod
+ell^i).  Those pools run out at deep levels (at 5^7 for the radicands
+11 and 19), and PrimePoolExhaustedError then says how many primes were
+needed and how many exist.  crt
 recombines the images into the symmetric representative, so signs are
 recovered as long as the primes' product exceeds twice the absolute
 value (primes_for_bound picks that many).
@@ -43,7 +47,9 @@ _pool_lock = threading.Lock()
 
 class PrimePoolExhaustedError(ArithmeticError):
     """Too few primes q = 1 (mod modulus) below the ceiling for the
-    requested bound; no value is returned."""
+    requested bound; no value is returned.  A stated limit of the
+    ell-adic level norms for ell >= 5, which the CLI reports as a domain
+    failure (exit 1), not as a fault of the tool."""
 
 
 def check_word_prime(q: int) -> None:

@@ -46,7 +46,7 @@ from elltowers.genpoly import GenPoly, determinant, voltage_matrix
 from elltowers.intpoly import cyclotomic, resultant
 from elltowers.multimodular import PrimePoolExhaustedError
 from elltowers.towerspec import build_assignment, parse_tower_spec
-from util import substitute_power
+from util import draw_voltage, substitute_power
 
 TOWERS = {}
 for entry in CORPUS:
@@ -106,18 +106,6 @@ def voltage_specs(draw):
     return {"ell": ell, "precision": precision, "vertices": names, "edges": edges}
 
 
-def draw_voltage(draw, ell, precision, kinds=("integer", "padic", "sqrt")):
-    kind = draw(st.sampled_from(kinds))
-    if kind == "integer":
-        return str(draw(st.integers(-20, 20)))
-    if kind == "padic":
-        digits = st.lists(st.integers(0, ell - 1), min_size=precision, max_size=precision)
-        return {"kind": "padic", "digits": draw(digits)}
-    branch = draw(st.sampled_from([1, 3, 5, 7] if ell == 2 else range(1, ell)))
-    radicand = branch * branch + (8 if ell == 2 else ell) * draw(st.integers(1, 40))
-    return {"kind": "sqrt", "radicand": radicand, "branch": branch}
-
-
 @settings(deadline=None, max_examples=40)
 @given(voltage_specs())
 def test_level_norm_matches_subresultant(doc):
@@ -149,11 +137,12 @@ def test_level_norm_rejects_non_symmetric_f():
 
 
 def test_level_norm_raises_when_primes_run_out(monkeypatch):
-    # below 64 the only prime = 1 (mod 16) is 17, far short of the bound
+    # ell-adic norms for ell >= 5 still evaluate modulo primes q = 1 (mod
+    # ell^i): below 64 there is none = 1 (mod 25)
     monkeypatch.setattr(multimodular, "PRIME_CEILING", 64)
-    f = GenPoly(2, 4, ((0, 4), (1, -1), (15, -1)))
+    f = GenPoly(5, 2, ((0, 4), (1, -1), (24, -1)))
     with pytest.raises(PrimePoolExhaustedError):
-        level_norm(f, 4)
+        level_norm(f, 2)
 
 
 def test_level_norm_cross_check_failure_raises(monkeypatch):
@@ -258,22 +247,21 @@ def test_n0_bouquet4_p2():
     mu, g = mu_invariant(t.f, 2)
     assert mu == 1
     search = n0_search(g, 2)
-    assert search.n0 == 2
-    assert search.root_levels == (1,)
+    assert search.root_levels == (1,)  # n0 = 2
 
 
 def test_n0_bouquet3_p3():
     t = tower("bouquet3-ell5")
     mu, g = mu_invariant(t.f, 3)
     search = n0_search(g, 3)
-    assert search.n0 == 1 and not search.root_levels
+    assert not search.root_levels  # n0 = 1
 
 
 def test_n0_theta_p3():
     t = tower("theta-ell5")
     mu, g = mu_invariant(t.f, 3)
     assert mu == 0
-    assert n0_search(g, 3).n0 == 1
+    assert not n0_search(g, 3).root_levels  # n0 = 1
 
 
 def test_n0_requires_unit_content():
@@ -441,7 +429,7 @@ def test_n0_below_n1_when_defined():
                 continue
             search = n0_search(g, p)
             n1 = analyze_prime(t, p, 1).n1
-            assert search.n0 <= n1
+            assert all(i < n1 for i in search.root_levels)  # n0 <= n1
             assert search.n1 == n1
 
 

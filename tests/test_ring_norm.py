@@ -1,12 +1,13 @@
-"""The Graeffe engine of the integral level norm, against the evaluation
-route and the subresultant.
+"""The Graeffe engine of the level norm, against the evaluation route
+and the subresultant.
 
 level_norm returns M_i, the norm from the real subfield (N_i = M_i^2
-for ell^i > 2).  Integral towers take it exactly over Z by Graeffe
-root-powering; the evaluation route (a product over the roots of unity
-of F_q, recombined by CRT), which ell-adic towers take, is valid at
-every level of an integral tower too, so it is the oracle of the sign,
-and the subresultant Res(Phi_(ell^i), f_i) = N_i is the oracle of both.
+for ell^i > 2).  Integral towers, and ell-adic ones for ell = 2 and 3,
+take it exactly over Z by Graeffe norm steps; the evaluation route (a
+product over the roots of unity of F_q, recombined by CRT), which
+ell-adic towers take for ell >= 5, is valid for every tower below its
+prime-pool wall, so it is the oracle of the sign, and the subresultant
+Res(Phi_(ell^i), f_i) = N_i is the oracle of both.
 """
 
 import json
@@ -22,6 +23,7 @@ from elltowers.corpus import CORPUS
 from elltowers.genpoly import GenPoly, determinant, voltage_matrix
 from elltowers.intpoly import IntPoly, cyclotomic, real_form, resultant
 from elltowers.towerspec import build_assignment, parse_tower_spec
+from util import draw_voltage
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
@@ -35,7 +37,8 @@ def tower_f(doc) -> GenPoly:
 
 
 def evaluation(f: GenPoly, i: int) -> int:
-    """M_i by the evaluation route, which integral towers no longer take."""
+    """M_i by the evaluation route, which only ell-adic towers with
+    ell >= 5 still take."""
     return analysis._evaluation_norm(f.reduce_level(i), f.ell, f.ell**i)
 
 
@@ -168,17 +171,129 @@ def test_theta_at_ell_101():
     assert level_norm(f, 1) == evaluation(f, 1)
 
 
-def test_integral_levels_draw_no_primes(monkeypatch):
+def refuse_primes(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("an integral level norm drew on the prime pools")
+        raise AssertionError("a level norm drew on the prime pools")
 
     for module, name in ((multimodular, "primes"), (analysis, "_evaluation_norm"),
                          (analysis, "resultant")):
         monkeypatch.setattr(module, name, refuse)
+
+
+def test_integral_levels_draw_no_primes(monkeypatch):
+    refuse_primes(monkeypatch)
     t = Tower(build_assignment(parse_tower_spec(corpus_spec("bouquet4-ell3"))),
               mt_check_level=0)
     assert [t.real_norm(i) for i in (1, 2)] == [12, 408]
     assert t.real_norm(8).bit_length() > 3000
+
+
+# Deepest level of the ell-adic draws: the evaluation oracle takes about
+# 0.02 s at 2^11 and 0.04 s at 3^6.
+ADIC_DEPTH = {2: 11, 3: 6}
+
+
+@st.composite
+def adic_specs(draw):
+    """ell-adic towers (sqrt and padic voltages) on 1-2 vertices, ell = 2, 3."""
+    ell = draw(st.sampled_from(sorted(ADIC_DEPTH)))
+    precision = draw(st.integers(1, ADIC_DEPTH[ell]))
+    names = ["v1", "v2"][: draw(st.integers(1, 2))]
+    edges = [{"tail": draw(st.sampled_from(names)), "head": draw(st.sampled_from(names)),
+              "voltage": draw_voltage(draw, ell, precision, ("padic", "sqrt"))}
+             for _ in range(draw(st.integers(len(names), 3)))]
+    return {"ell": ell, "precision": precision, "vertices": names, "edges": edges}
+
+
+@settings(deadline=None, max_examples=60)
+@given(adic_specs())
+def test_adic_steps_match_evaluation_and_subresultant(doc):
+    # the subresultant only while Phi_(ell^i) has degree <= 54
+    f = tower_f(doc)
+    for i in range(1, doc["precision"] + 1):
+        root = level_norm(f, i)
+        assert root == evaluation(f, i), (doc, i)
+        if f.ell**i <= 81:
+            assert (root * root if f.ell**i > 2 else root) == subresultant(f, i), (doc, i)
+
+
+def adic(ell: int, precision: int, coeffs: dict[int, int]) -> GenPoly:
+    """The ell-adic GenPoly sum c_e T^e, exponents taken mod ell^precision."""
+    return GenPoly(ell, precision, tuple(coeffs.items()))
+
+
+@pytest.mark.parametrize("ell, depth", [(2, 10), (3, 6)])
+def test_widths_hold_large_coefficients(ell, depth):
+    # 24 loops on one voltage a: f = 50 - 24 (T^a + T^-a) - (T + 1/T) and
+    # its square, with ||f||_1 = 100 and 10^4, a small (few slots: the
+    # integral towers step unfolded) or with digits at every level; and
+    # c + T + 1/T, whose conjugates all lie within 2 of ||f||_1 = c + 2,
+    # so that its folded coefficients come within a bit of their bound
+    shapes = [{0: 1000, 1: 1, -1: 1}, {0: -4097, 1: 1, -1: 1}]
+    for a in (2, 1 + 2 * ell**4 + ell ** (depth - 1)):
+        loops = {0: 50, a: -24, -a: -24, 1: -1, -1: -1}
+        square = {}
+        for e1, c1 in loops.items():
+            for e2, c2 in loops.items():
+                square[e1 + e2] = square.get(e1 + e2, 0) + c1 * c2
+        shapes += [loops, square]
+    for coeffs in shapes:
+        for integral in (False, True):
+            f = GenPoly(ell, depth + 4, tuple(coeffs.items()), integral)
+            for i in range(1, depth + 1):
+                assert level_norm(f, i) == evaluation(f, i), (coeffs, integral, i)
+
+
+def test_unfolded_widths_hold_the_product_bound():
+    # an unfolded ell = 2 step packs E and O at the width of 2 L A^2 (L
+    # slots of at most A); here E = (1, 1, 1, 1, 1, 1) and the product
+    # coefficient 11 has the bit length of 2 * 6 * 1 = 12
+    f = laurent(2, {0: -1, 1: 1, -1: 1, 2: 1, -2: 1, 3: 1, -3: 1, 4: -1, -4: -1, 5: 1, -5: 1})
+    for i in range(2, 8):
+        check_level(f, i)
+
+
+@pytest.mark.parametrize("ell, i", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4)])
+def test_terms_fold_below_phi(ell, i):
+    # T^(phi + r) = -sum_(t < ell - 1) T^(r + t ell^(i-1)): the slots are
+    # the remainder of the dense reduction by Phi_(ell^i)
+    m = ell**i
+    terms = [(e, (-1) ** e * (e + 2)) for e in range(0, m, max(1, m // 7))] + [(m - 1, 5), (m - 1, 2)]
+    slots = analysis._cyclotomic_slots(terms, ell, i)
+    assert max(slots) < (ell - 1) * ell ** (i - 1)
+    rem = IntPoly.from_pairs(terms).divmod_by_monic(cyclotomic(m))[1]
+    assert IntPoly.from_pairs(slots.items()) == rem
+
+
+def test_irrational_last_element_raises():
+    # level_norm refuses f not fixed by T -> 1/T; past that check, the
+    # last norm step of 2 + T leaves an irrational part
+    for ell, i in ((2, 4), (3, 2)):
+        with pytest.raises(ArithmeticError, match="irrational part"):
+            f = adic(ell, 4, {0: 2, 1: 1})
+            analysis._graeffe_norm(f, f.level_terms(i), i)
+
+
+REPRO_2 = {"ell": 2, "precision": 24, "vertices": ["v"], "edges": [
+    {"tail": "v", "head": "v", "voltage": "1"},
+    {"tail": "v", "head": "v", "voltage": {"kind": "sqrt", "radicand": 17, "branch": 1}},
+    {"tail": "v", "head": "v", "voltage": {"kind": "sqrt", "radicand": 41, "branch": 3}}]}
+REPRO_3 = {"ell": 3, "precision": 14, "vertices": ["v"], "edges": [
+    {"tail": "v", "head": "v", "voltage": "1"},
+    {"tail": "v", "head": "v", "voltage": {"kind": "sqrt", "radicand": 7, "branch": 1}},
+    {"tail": "v", "head": "v", "voltage": {"kind": "sqrt", "radicand": 10, "branch": 1}}]}
+
+
+@pytest.mark.parametrize("doc, wall", [(REPRO_2, 16), (REPRO_3, 10)], ids=["ell2", "ell3"])
+def test_adic_levels_past_the_old_prime_pool_wall(monkeypatch, doc, wall):
+    # primes q = 1 (mod ell^i) below 2^30 ran out at 2^16 and 3^10; the
+    # last level before that still matches evaluation, and from there the
+    # product identity divides by ell at every level with no prime drawn
+    f = tower_f(doc)
+    assert level_norm(f, wall - 1) == evaluation(f, wall - 1)
+    refuse_primes(monkeypatch)
+    t = Tower(build_assignment(parse_tower_spec(doc)), mt_check_level=0)
+    assert t.kappa(wall) > 0
 
 
 @pytest.mark.parametrize("doc, levels", [

@@ -12,12 +12,28 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from elltowers import GenPoly, Multigraph, VoltageAssignment, cover_connected_by_voltages, validate
 
 
 def substitute_power(f: GenPoly, c: int) -> GenPoly:
     """f(T^c): every exponent times c (mod the exponent modulus)."""
     return GenPoly(f.ell, f.precision, tuple((e * c, k) for e, k in f.terms), f.integral)
+
+
+def draw_voltage(draw, ell, precision, kinds=("integer", "padic", "sqrt")):
+    """One voltage of a tower spec, from a hypothesis draw: an integer in
+    [-20, 20], random base-ell digits, or an ell-adic square root."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "integer":
+        return str(draw(st.integers(-20, 20)))
+    if kind == "padic":
+        digits = st.lists(st.integers(0, ell - 1), min_size=precision, max_size=precision)
+        return {"kind": "padic", "digits": draw(digits)}
+    branch = draw(st.sampled_from([1, 3, 5, 7] if ell == 2 else range(1, ell)))
+    radicand = branch * branch + (8 if ell == 2 else ell) * draw(st.integers(1, 40))
+    return {"kind": "sqrt", "radicand": radicand, "branch": branch}
 
 
 def reciprocal(f: GenPoly) -> GenPoly:
