@@ -225,10 +225,11 @@ def adic(ell: int, precision: int, coeffs: dict[int, int]) -> GenPoly:
 @pytest.mark.parametrize("ell, depth", [(2, 10), (3, 6)])
 def test_widths_hold_large_coefficients(ell, depth):
     # 24 loops on one voltage a: f = 50 - 24 (T^a + T^-a) - (T + 1/T) and
-    # its square, with ||f||_1 = 100 and 10^4, a small (few slots: the
-    # integral towers step unfolded) or with digits at every level; and
-    # c + T + 1/T, whose conjugates all lie within 2 of ||f||_1 = c + 2,
-    # so that its folded coefficients come within a bit of their bound
+    # its square, with ||f||_1 = 100 and at most 10^4, a small (few slots:
+    # the integral towers step unfolded) or with digits at every level;
+    # and c + T + 1/T, whose conjugates all lie within 4 of ||f||_1 =
+    # |c| + 2, so that its folded coefficients come within a bit of their
+    # bound
     shapes = [{0: 1000, 1: 1, -1: 1}, {0: -4097, 1: 1, -1: 1}]
     for a in (2, 1 + 2 * ell**4 + ell ** (depth - 1)):
         loops = {0: 50, a: -24, -a: -24, 1: -1, -1: -1}
@@ -246,8 +247,8 @@ def test_widths_hold_large_coefficients(ell, depth):
 
 def test_unfolded_widths_hold_the_product_bound():
     # an unfolded ell = 2 step packs E and O at the width of 2 L A^2 (L
-    # slots of at most A); here E = (1, 1, 1, 1, 1, 1) and the product
-    # coefficient 11 has the bit length of 2 * 6 * 1 = 12
+    # slots of at most A); here E = (1, 1, 1, 1, 1, 1), O alternates, and
+    # the product coefficient 9 has the bit length of 2 * 6 * 1 = 12
     f = laurent(2, {0: -1, 1: 1, -1: 1, 2: 1, -2: 1, 3: 1, -3: 1, 4: -1, -4: -1, 5: 1, -5: 1})
     for i in range(2, 8):
         check_level(f, i)
