@@ -13,12 +13,9 @@ one level at a time: kappa_n = kappa_(n-1) * N_n / ell.
 f is fixed by T -> 1/T, so N_i = M_i^2 for ell^i > 2, where M_i is the
 norm from the real subfield Q(zeta)^+ (Washington, GTM 83, ch. 2 and
 8); level_norm returns M_i with its sign, and Tower squares it.  It
-is exact over Z, with no prime drawn, for ell = 2 and 3 (Graeffe norm
-steps down the cyclotomic tower, on integral and ell-adic towers alike)
-and for integral towers at larger ell (scaled Graeffe steps).  Ell-adic
-towers with ell >= 5 take it from the roots of unity of F_q and CRT,
-for word primes q = 1 (mod ell^i), which run out at deep levels
-(PrimePoolExhaustedError names the level).
+is exact over Z, and no prime is drawn: ell-adic towers, and integral
+towers with ell = 2 or 3, take norm steps down the cyclotomic tower;
+integral towers with ell >= 5 take scaled Graeffe steps.
 Up to mt_check_level, every N_i is recomputed by the subresultant
 sequence and every kappa_n by the matrix-tree theorem on the actual
 cover; a disagreement raises ArithmeticError.
@@ -50,13 +47,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
-import numpy as np
-
 from .factorint import factor_kappa, ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
 from .intpoly import IntPoly, cyclotomic, poly_mod_gcd, real_form, resultant
-from .multimodular import PrimePoolExhaustedError, check_word_prime, crt, primes_for_bound, residues
 
 
 class PrimeEqualsEllError(ValueError):
@@ -158,12 +152,11 @@ def level_norm(f: GenPoly, i: int) -> int:
     over k in (Z/m)^*/{+-1}.  For m = 2 it returns N_1 = f(-1) itself,
     and M_0 = 1 by convention.  A non-symmetric f raises ValueError.
 
-    ell = 2 and 3 take M_i by Graeffe norm steps down the cyclotomic
-    tower (_graeffe_norm), integral and ell-adic exponents alike; larger
-    ell takes it by scaled Graeffe steps (_scaled_graeffe_norm) for
-    integral exponents and by evaluation and CRT (_evaluation_norm) for
-    ell-adic ones.  Tower cross-checks N_i against the subresultant up
-    to mt_check_level."""
+    Ell-adic towers, and integral towers with ell = 2 or 3, take M_i by
+    norm steps down the cyclotomic tower (_graeffe_norm); integral
+    towers with ell >= 5 take it by scaled Graeffe steps
+    (_scaled_graeffe_norm).  Tower cross-checks N_i against the
+    subresultant up to mt_check_level."""
     if i == 0:
         return 1
     coeff, modulus = dict(f.terms), f.modulus
@@ -175,30 +168,27 @@ def level_norm(f: GenPoly, i: int) -> int:
         return sum(-c if e % 2 else c for e, c in terms)
     if all(e == 0 for e, _ in f.terms):  # f = 0 or a constant c: M_i = c^h
         return sum(f.coefficients()) ** ((ell - 1) * ell ** (i - 1) // 2)
-    if ell <= 3:
-        return _graeffe_norm(f, terms, i)
-    if f.integral:
+    if ell > 3 and f.integral:
         return _scaled_graeffe_norm(*f.integerize(), ell, i)
-    try:
-        return _evaluation_norm(IntPoly.from_pairs(terms), ell, ell**i)
-    except PrimePoolExhaustedError as exc:
-        raise PrimePoolExhaustedError(f"level {i} of an ell = {ell} tower: {exc}") from None
+    return _graeffe_norm(f, terms, i)
 
 
 def _graeffe_norm(f: GenPoly, terms: list[tuple[int, int]], i: int) -> int:
-    """M_i for ell = 2 or 3, ell^i > 2 and f not constant, with terms =
+    """M_i for ell^i > 2 and f not constant, with terms =
     f.level_terms(i), by norm steps down the cyclotomic tower
-    (Washington, GTM 83, ch. 2).
+    (Washington, GTM 83, ch. 2); for ell >= 5 only ell-adic f come here.
 
     An element of Z[zeta_(ell^j)] is a polynomial U in T, read at zeta.
     The conjugates of U(zeta) over Q(zeta_(ell^(j-1))) are U(zeta omega^t),
     so its norm there is U'(zeta^ell) for the Graeffe step U'(T^ell) =
-    prod_(t < ell) U(omega^t T) (Pan, SIAM Review 39, 1997): E(S)^2 -
-    S O(S)^2 for U = E(T^2) + T O(T^2), and X^3 + S Y^3 + S^2 Z^3 -
-    3 S XYZ for U = X(T^3) + T Y(T^3) + T^2 Z(T^3).  The steps stop at
-    Q(sqrt(-1)) for ell = 2 and at Q(omega) for ell = 3: {k = 1 mod 4},
-    and {k = 1 mod 3}, represent (Z/ell^i)^*/{+-1}, so the last element
-    is M_i itself, and a nonzero irrational part raises ArithmeticError.
+    prod_(t < ell) U(omega^t T) (Pan, SIAM Review 39, 1997; _norm_step).
+    The steps stop at Q(sqrt(-1)) for ell = 2 and at Q(omega) for odd
+    ell.  Their Galois group, {k = 1 mod 4} or {k = 1 mod ell}, meets
+    {+-1} only in 1, so the last element is the norm of the real f(zeta)
+    from Q(zeta)^+ to the real subfield of Q(sqrt(-1)) or Q(omega): M_i
+    is the last element itself for ell <= 3, and its norm from
+    Q(omega)^+ for ell >= 5 (_read).  A nonzero irrational part raises
+    ArithmeticError.
 
     An integral f starts from U = T^b f, read as zeta^(-b) U(zeta); each
     ell = 2 step multiplies zeta^(-b) by (-1)^b, which squares away at the
@@ -231,6 +221,8 @@ def _graeffe_norm(f: GenPoly, terms: list[tuple[int, int]], i: int) -> int:
         if i == stop:
             return _read(slots.items(), 0, ell)
         w = _folded_width(size, ell, 1)
+        if ell > 3:  # _norm_step reads U at T = 2^(w / ell)
+            w = -(-w // ell) * ell
         classes = [_pack(((k // ell, c) for k, c in slots.items() if k % ell == r), w)
                    for r in range(ell)]
     j = i
@@ -244,7 +236,7 @@ def _graeffe_norm(f: GenPoly, terms: list[tuple[int, int]], i: int) -> int:
                 top = max(map(abs, digits)) ** ell * -(-len(digits) // ell) ** (ell - 1)
                 w = (ell * (ell - 1) * top).bit_length() + 1
             classes = [_pack(enumerate(digits[r::ell]), w) for r in range(ell)]
-        p = _norm_step(classes, w)
+        p = _norm_step(classes, w, w * ell ** (j - 1))
         if digits is not None and len(digits) <= phi:
             digits = _unpack(p, w, len(digits))
         else:
@@ -252,7 +244,8 @@ def _graeffe_norm(f: GenPoly, terms: list[tuple[int, int]], i: int) -> int:
             if j > stop:
                 classes = _split(p, ell, w, phi)
                 w *= ell
-    m = _read(enumerate(_unpack(p, w, 2) if digits is None else digits), b, ell)
+    last = _unpack(p, w, max(ell - 1, 2)) if digits is None else digits  # phi(4) or phi(ell) slots
+    m = _read(enumerate(last), b, ell)
     return -m if ell == 2 and b % 2 and i > 2 else m
 
 
@@ -277,23 +270,107 @@ def _folded_width(size: int, ell: int, steps: int) -> int:
     number of steps, and after every later one at ell times the width.
 
     In Z[zeta], zeta of order ell^j and n = ell^(j-1), the coefficient k =
-    c + t n (c < n) of alpha is Tr(alpha beta) / ell^j for beta = zeta^(-c)
-    (omega^(-t) - omega), so it is at most phi(ell^j) |omega^(-t) - omega|
-    B / ell^j: B for ell = 2 and 2B / sqrt(3) for ell = 3, with B =
-    max_sigma |sigma(alpha)| <= size^(ell^s) after s steps."""
+    c + t n (c < n, t < ell - 1) of alpha, at zeta^c omega^t with omega =
+    zeta^n, is Tr(alpha beta) / ell^j for beta = zeta^(-c) (omega^(-t) -
+    omega).  For this, take the basis element zeta^c' omega^t' of alpha:
+    when c' != c, zeta^(c' - c) omega^s has order ell^e with e >= 2, so
+    its trace is 0; when c' = c, Tr(omega^(t' - t)) - Tr(omega^(t' + 1))
+    is (ell - 1) n + n = ell^j for t' = t and -n + n = 0 otherwise, as
+    Tr(omega^s) = -n for s != 0 (mod ell) and 0 < t' + 1 < ell.  So the
+    coefficient is at most phi(ell^j) |omega^(-t) - omega| B / ell^j,
+    with B = max_sigma |sigma(alpha)| <= size^(ell^s) after s steps: B
+    for ell = 2 (omega = -1), 2B / sqrt(3) for ell = 3, where every
+    |omega^a - omega^b| <= sqrt(3), and below 2B for every ell."""
     top = size ** (ell**steps)
     if ell == 3:
         top = math.isqrt(4 * top * top // 3)
+    elif ell > 3:
+        top *= 2
     return top.bit_length() + 1
 
 
-def _norm_step(classes: list[int], w: int) -> int:
-    """U' at S = 2^w from the packed residue classes of U."""
-    if len(classes) == 2:
+def _norm_step(classes: list[int], w: int, block: int) -> int:
+    """U' at S = 2^w from the packed residue classes C_r(S) of U(T) =
+    sum_(r < ell) T^r C_r(T^ell); for ell >= 5, only mod Phi_(ell^j)(x) =
+    sum_(t < ell) 2^(block t), x = 2^(w / ell), which _fold then reads.
+
+    ell = 2 and 3 take the closed forms E(S)^2 - S O(S)^2 and X^3 + S Y^3
+    + S^2 Z^3 - 3 S XYZ.  Larger ell take U'(x^ell) = U(x) N(beta), for
+    beta = U(omega x) = sum_r X_r omega^r with X_r = x^r C_r(x^ell) and N
+    the norm from Q(omega), over Z[x] (Washington, GTM 83, ch. 2 and 8):
+    N(beta) = N_(Q(omega)^+/Q)(y) for y = beta beta-bar, where beta-bar
+    is the mirror r -> -r and y has the components c_d = sum_r X_r
+    X_(r-d) = c_(-d).  Every product is reduced mod Phi_(ell^j)(x), j
+    the level of U, which keeps the components at the element's size:
+    Z[x] -> Z/Phi_(ell^j)(x) is a ring map, and as Phi_(ell^j)(x) =
+    Phi_(ell^(j-1))(S), U'(S) reduced mod it is the folded element at
+    level j - 1."""
+    ell = len(classes)
+    if ell == 2:
         e, o = classes
         return e * e - (o * o << w)
-    x, y, z = classes
-    return x * x * x + ((y * y * y + (z * z * z << w) - 3 * x * y * z) << w)
+    if ell == 3:
+        x, y, z = classes
+        return x * x * x + ((y * y * y + (z * z * z << w) - 3 * x * y * z) << w)
+    xs = [c << (r * (w // ell)) for r, c in enumerate(classes)]
+    y = [0] * (ell // 2 + 1)
+    for r, x in enumerate(xs):
+        y[0] += x * x
+        for s in range(r + 1, ell):
+            y[_half(s - r, ell)] += x * xs[s]
+    return sum(xs) * _real_norm([_fold(c, ell, block) for c in y], ell, block)
+
+
+def _real_norm(y: list[int], ell: int, block: int = 0) -> int:
+    """N_(Q(omega)^+/Q)(y) for the real y = sum_(d < ell) y_|d| omega^d,
+    given by y_0, ..., y_h, h = (ell - 1)/2: the product of sigma_(g^a)(y)
+    over a < h, with g^a representing (Z/ell)^*/{+-1}, by Galois doubling
+    on P_k = prod_(a < k) sigma_(g^a)(y): P_(2k) = P_k sigma_(g^k)(P_k),
+    P_(k+1) = y sigma_g(P_k).  The last product is rational, c_0 -
+    c_(ell-1) = c_0 - c_1 = sum_r u_r (v_(-r) - v_(1-r)), read in h + 1
+    products.  With a block, every component is reduced mod sum_(t <
+    ell) 2^(block t) (_fold); without one, the norm is exact."""
+    h = ell // 2
+    if h == 1:
+        return y[0] - y[1]
+    g = next(g for g in range(2, ell) if len({_half(pow(g, a, ell), ell) for a in range(h)}) == h)
+    steps = []  # per bit of h after the first: double k, then add one for a 1
+    for bit in bin(h)[3:]:
+        steps += ["double", "add"] if bit == "1" else ["double"]
+    p, k = y, 1
+    for step in steps:
+        if step == "double":
+            u, v, k = p, _conjugate(p, pow(g, k, ell), ell), 2 * k
+        else:
+            u, v, k = y, _conjugate(p, g, ell), k + 1
+        if k == h:
+            value = u[0] * (v[0] - v[1]) + sum(ua * (2 * v[a] - v[a - 1] - v[_half(a + 1, ell)])
+                                               for a, ua in enumerate(u) if a)
+            return _fold(value, ell, block) if block else value
+        p = [0] * (h + 1)
+        for a, ua in enumerate(u):
+            for b, vb in enumerate(v):
+                prod = ua * vb
+                # omega^(+-a) omega^(+-b), one sign for 0
+                for e in ((r + s) % ell for r in {a, -a} for s in {b, -b}):
+                    if e <= h:
+                        p[e] += prod
+        if block:
+            p = [_fold(c, ell, block) for c in p]
+
+
+def _half(e: int, ell: int) -> int:
+    """The representative of +-e mod ell in 0..(ell - 1)/2."""
+    e %= ell
+    return min(e, ell - e)
+
+
+def _conjugate(u: list[int], s: int, ell: int) -> list[int]:
+    """sigma_s(u), omega -> omega^s, on the components 0..h of a real u."""
+    v = [0] * len(u)
+    for d, c in enumerate(u):
+        v[_half(s * d, ell)] = c
+    return v
 
 
 def _fold(p: int, ell: int, block: int) -> int:
@@ -346,19 +423,22 @@ def _unpack(p: int, w: int, n: int) -> list[int]:
 
 
 def _read(slots, b: int, ell: int) -> int:
-    """zeta^(-b) U(zeta) at zeta = sqrt(-1) (ell = 2) or omega (ell = 3),
-    from (exponent, coefficient) pairs, which must be rational."""
-    period = 4 if ell == 2 else 3
+    """zeta^(-b) U(zeta) at zeta = sqrt(-1) (ell = 2), or the norm of U(omega)
+    from Q(omega)^+ (odd ell, U(omega) itself for ell = 3), from
+    (exponent, coefficient) pairs.  The element must be rational (ell <=
+    3) or real (ell >= 5): the components d and -d of sum_d s_d omega^d
+    must agree."""
+    period = 4 if ell == 2 else ell
     sums = [0] * period
     for k, c in slots:
         sums[(k - b) % period] += c
     if ell == 2:  # s0 - s2 + (s1 - s3) sqrt(-1)
-        value, irrational = sums[0] - sums[2], sums[1] - sums[3]
-    else:  # s0 - s2 + (s1 - s2) omega
-        value, irrational = sums[0] - sums[2], sums[1] - sums[2]
-    if irrational:
+        irrational = [sums[1] - sums[3]]
+    else:
+        irrational = [sums[d] - sums[-d] for d in range(1, ell // 2 + 1)]
+    if any(irrational):
         raise ArithmeticError(f"the last norm step left the irrational part {irrational}")
-    return value
+    return sums[0] - sums[2] if ell == 2 else _real_norm(sums[: ell // 2 + 1], ell)
 
 
 def _scaled_graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
@@ -434,86 +514,6 @@ def _norm(r: IntPoly, p: IntPoly) -> int:
         power = (power * alpha).divmod_by_monic(p)[1]
         t.append(sum(x * traces[k] for k, x in enumerate(power.coeffs)))
     return _from_power_sums(t)[0] * (-1) ** n
-
-
-# Largest number of int64 entries in the stacks and temporaries of one
-# block of primes, for the ell-adic norms of ell >= 5.  Set when
-# padic_deep still evaluated its ell = 2 and 3 towers too: there, blocks
-# of 2**16 entries raised the peak memory by about 0.3 MiB, and blocks
-# of 2**14 ran about 10% slower.  Not measured again on ell >= 5 alone.
-_NORM_BLOCK = 1 << 15
-
-
-def _evaluation_norm(reduced: IntPoly, ell: int, m: int) -> int:
-    """M_i from the roots of unity of F_q, for word primes q = 1 (mod m),
-    m > 2: M_i mod q is the product of f_i(zeta^k) over the h = phi(m)/2
-    units k <= m/2, so |M_i| <= (sum |c_e|)^h fixes the primes drawn.  The
-    exponent table e k mod m is built once per level; each block of primes
-    shares one array of root powers.  level_norm takes it for ell-adic
-    towers with ell >= 5 only; the tests take it as the oracle of all."""
-    if reduced.is_zero:
-        return 0
-    terms = [(e, c) for e, c in enumerate(reduced.coeffs) if c]
-    units = np.array([k for k in range(1, m // 2 + 1) if k % ell], dtype=np.int64)
-    idx = np.outer(np.array([e for e, _ in terms], dtype=np.int64), units) % m
-    coeffs = [c for _, c in terms]
-    qs = primes_for_bound(sum(map(abs, coeffs)) ** units.size, m)
-    per_block = max(1, _NORM_BLOCK // max(idx.size, m))
-    images = []
-    for s in range(0, len(qs), per_block):
-        images += _evaluation_block(idx, coeffs, qs[s : s + per_block], ell, m)
-    return crt(images, qs)
-
-
-def _evaluation_block(idx: np.ndarray, coeffs: list[int], qs, ell: int, m: int) -> list[int]:
-    """prod_k sum_e c_e zeta^(e k) mod q for every q of the block, zeta of
-    exact order m in F_q; idx holds the exponents e k mod m."""
-    for q in qs:
-        check_word_prime(q)
-    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
-    q3 = q[:, :, None]
-    table = _root_powers(ell, m, qs)
-    cq = residues(coeffs, q)
-    vals = 0
-    rows = max(1, _NORM_BLOCK // (len(qs) * idx.shape[1]))
-    for s in range(0, idx.shape[0], rows):
-        terms = table[:, idx[s : s + rows]]
-        terms *= cq[:, s : s + rows, None]
-        terms %= q3
-        vals = (vals + terms.sum(axis=1)) % q
-    while vals.shape[1] > 1:  # pairwise product tree
-        half = vals.shape[1] // 2
-        head = vals[:, :half] * vals[:, half : 2 * half] % q
-        if vals.shape[1] % 2:
-            head[:, :1] = head[:, :1] * vals[:, -1:] % q
-        vals = head
-    return vals[:, 0].tolist()
-
-
-def _root_powers(ell: int, m: int, qs) -> np.ndarray:
-    """zeta^j mod q for j < m, one row per q, zeta of exact order m = ell^i
-    in F_q, by doubling: row[s : 2s] = row[:s] * zeta^s."""
-    steps = []  # zeta^(2^k) for every q, k < log2(m)
-    for q in qs:
-        g = 2
-        while True:
-            zeta = pow(g, (q - 1) // m, q)
-            if pow(zeta, m // ell, q) != 1:
-                break
-            g += 1
-        powers = [zeta]
-        while 1 << len(powers) < m:
-            powers.append(powers[-1] * powers[-1] % q)
-        steps.append(powers)
-    steps = np.array(steps, dtype=np.int64)
-    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
-    table = np.empty((len(qs), m), dtype=np.int64)
-    table[:, 0] = 1
-    for k in range(steps.shape[1]):
-        step = 1 << k
-        n = min(step, m - step)
-        table[:, step : step + n] = table[:, :n] * steps[:, k : k + 1] % q
-    return table
 
 
 class Tower:

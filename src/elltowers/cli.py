@@ -17,9 +17,7 @@ Exit codes, all mapped in main, with the message on stderr:
     0  success
     1  domain failure, "error: ..." (invalid graph, disconnected tower,
        precision exceeded, too few levels for the ell-part fit, a
-       non-residue or missing branch given to the sqrt verb, an ell-adic
-       level norm for ell >= 5 that needs more word primes q = 1 (mod
-       ell^i) than exist)
+       non-residue or missing branch given to the sqrt verb)
     2  usage or parse error: argparse rejects bad options (a negative
        --levels, --budget-ms or --matrix-tree-max-level, a non-prime
        --p or sqrt --ell, sqrt's --precision below 1); an unreadable,
@@ -67,7 +65,6 @@ from .factorint import (
 )
 from .graphs import DisconnectedGraphError, tower_problems
 from .intpoly import ZeroPolynomialError
-from .multimodular import PrimePoolExhaustedError
 from .omega import INAPPLICABLE, UnitRootMissingError, classify_omega
 from .padics import AmbiguousBranchError, NonResidueError, PrecisionError, padic_sqrt
 from .towerspec import SpecParseError, build_assignment, parse_tower_spec
@@ -501,7 +498,6 @@ _DOMAIN_ERRORS = (
     InsufficientDataError,
     NonResidueError,
     PrecisionError,
-    PrimePoolExhaustedError,
     ZeroPolynomialError,
     UnitRootMissingError,
 )

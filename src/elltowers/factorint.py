@@ -136,22 +136,35 @@ def _split_power(n: int, p: int) -> tuple[int, int]:
 def integer_nth_root(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 0, k >= 1, exactly.
 
-    Newton's iteration from above, started at a float estimate of the
-    root's leading 53 bits (inflated past its rounding error), so it
-    needs a step or two instead of about k from a power of two.
+    k = 2 is math.isqrt.  For k >= 3 the start x = (r + 1) 2^s, with r
+    the root of n >> s k found the same way, lies above the real root R,
+    by at most e = 2^s; one Newton step from above leaves at most
+    (k - 1) e^2 / (2R) < 1/2, as 2s <= log2(R) - bit_length(k), so the
+    step gives floor(R) or floor(R) + 1, and one power settles which.
+    Only that step and that power run at full size.  Below s = 52 (a
+    root of fewer than about 105 + bit_length(k) bits), the start is a
+    float estimate of the root's leading 53 bits (inflated past its
+    rounding error), and Newton steps run until they stop falling.
     """
     if n < 0 or k < 1:
         raise ValueError
     if n < 2 or k == 1:
         return n
-    shift = max(0, n.bit_length() // k - 52)
-    top = math.exp(math.log(n >> shift * k) / k)  # the root of n's leading bits
-    x = (int(top * (1 + 2.0**-30)) + 2) << shift  # above floor(n ** (1/k))
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+    if k == 2:
+        return math.isqrt(n)
+    s = ((n.bit_length() - 1) // k - k.bit_length()) // 2
+    if s < 52:
+        shift = max(0, n.bit_length() // k - 52)
+        top = math.exp(math.log(n >> shift * k) / k)  # the root of n's leading bits
+        x = (int(top * (1 + 2.0**-30)) + 2) << shift  # above floor(n ** (1/k))
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                return x
+            x = y
+    x = (integer_nth_root(n >> s * k, k) + 1) << s
+    y = ((k - 1) * x + n // x ** (k - 1)) // k
+    return y - 1 if y**k > n else y
 
 
 def perfect_power(n: int, floor: int = 2) -> tuple[int, int] | None:

@@ -7,11 +7,10 @@ behind Phi_d, which comes from one recursion on the least prime of d
 down to Phi_1 = T - 1, and behind omega.strip_cyclotomics.  Resultants
 are computed by the subresultant polynomial remainder sequence
 (fraction-free, exact; no floating point anywhere).  Level norms do not
-go through it: analysis.level_norm computes them (Graeffe norm steps
-over Z for ell = 2 and 3 and for integral towers, evaluation modulo word
-primes for ell-adic towers with ell >= 5), and Tower.level_norm uses
-resultant only to cross-check those engines at the matrix-tree-checked
-levels.  real_form rewrites a polynomial in
+go through it: analysis.level_norm computes them exactly over Z (norm
+steps down the cyclotomic tower, scaled Graeffe steps for integral
+towers with ell >= 5), and Tower.level_norm uses resultant only to
+cross-check those engines at the matrix-tree-checked levels.  real_form rewrites a polynomial in
 y = T + q/T, the variable of the real subfield for q = 1.
 Reductions mod p use numpy int64 arrays, which is safe for p below
 2**30; they serve only analysis's root search for integral towers

@@ -31,7 +31,7 @@ from elltowers import (
     n0_search,
     spanning_tree_count,
 )
-from elltowers import analysis, multimodular
+from elltowers import analysis
 from elltowers.analysis import (
     DisconnectedTowerError,
     InconclusiveError,
@@ -44,7 +44,6 @@ from elltowers.corpus import CORPUS
 from elltowers.factorint import factor_kappa, ord_p
 from elltowers.genpoly import GenPoly, determinant, voltage_matrix
 from elltowers.intpoly import cyclotomic, resultant
-from elltowers.multimodular import PrimePoolExhaustedError
 from elltowers.towerspec import build_assignment, parse_tower_spec
 from util import draw_voltage, substitute_power
 
@@ -134,15 +133,6 @@ def test_level_norm_rejects_non_symmetric_f():
     assert level_norm(integral, 1) == 11
     with pytest.raises(ValueError, match="T -> 1/T"):
         level_norm(GenPoly(5, 3, ((0, 3), (1, -1), (123, -1)), integral=True), 1)
-
-
-def test_level_norm_raises_when_primes_run_out(monkeypatch):
-    # ell-adic norms for ell >= 5 still evaluate modulo primes q = 1 (mod
-    # ell^i): below 64 there is none = 1 (mod 25)
-    monkeypatch.setattr(multimodular, "PRIME_CEILING", 64)
-    f = GenPoly(5, 2, ((0, 4), (1, -1), (24, -1)))
-    with pytest.raises(PrimePoolExhaustedError):
-        level_norm(f, 2)
 
 
 def test_level_norm_cross_check_failure_raises(monkeypatch):

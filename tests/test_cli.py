@@ -310,24 +310,6 @@ def test_internal_faults_exit_3(spec_file, capsys, monkeypatch):
     assert code == 3 and "too large to convert to C long" in err
 
 
-def test_exhausted_prime_pool_is_a_domain_failure(spec_file, capsys, monkeypatch):
-    # ell-adic norms for ell >= 5 evaluate modulo word primes q = 1 (mod
-    # 5^i); below 64 there are four for level 1 and none for level 2
-    from elltowers import multimodular
-
-    monkeypatch.setattr(multimodular, "PRIME_CEILING", 64)
-    doc = {"ell": 5, "precision": 3, "vertices": ["v"],
-           "edges": [{"tail": "v", "head": "v", "voltage": "1"},
-                     {"tail": "v", "head": "v", "voltage": {"kind": "sqrt", "radicand": 11, "branch": 1}}]}
-    path = spec_file(doc)
-    code, out, err = run_cli(capsys, "count", path, "--levels", "1", "--matrix-tree-max-level", "0")
-    assert code == 0
-    code, out, err = run_cli(capsys, "count", path, "--levels", "2", "--matrix-tree-max-level", "0")
-    assert code == 1 and out == ""
-    assert err.startswith("error: level 2 of an ell = 5 tower: only 0 primes = 1 (mod 25) below 64")
-    assert err.rstrip().endswith("needed")
-
-
 def test_analyze_renders_law(spec_file, capsys):
     code, out, _ = run_cli(capsys, "analyze", spec_file(BOUQUET4_ELL3.spec),
                            "--p", "2", "--levels", "4")

@@ -112,6 +112,19 @@ def test_integer_nth_root_near_exact_powers():
             assert r**k <= n < (r + 1) ** k, (b, k)
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 10**5).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)),
+       st.integers(2, 13), st.integers(-1, 1))
+def test_integer_nth_root_brackets_the_root(n, k, near):
+    # up to 10^5 bits, where one Newton step from the root of the top
+    # bits lands on the root or one above it; near = 0 takes n as drawn,
+    # +-1 moves it next to the k-th power of its root
+    if near:
+        n = max(0, integer_nth_root(n, k) ** k + near)
+    r = integer_nth_root(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
 def _unfloored(n: int):
     """The plain search: every k up to the bit length."""
     best = None

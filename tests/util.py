@@ -4,7 +4,8 @@ The spanning-tree oracle enumerates edge subsets directly and never
 touches the library's determinant path, so it can arbitrate for it; the
 determinant oracles, dense pivoting Bareiss and sympy, take any square
 integer matrix, where the library's engines take reduced Laplacians
-only.
+only.  The level-norm oracle evaluates f at the roots of unity of F_q
+and recombines by CRT, independently of the library's norm steps.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
+from sympy import isprime
+from sympy.ntheory.modular import crt
 
 from elltowers import GenPoly, Multigraph, VoltageAssignment, cover_connected_by_voltages, validate
 
@@ -34,6 +38,52 @@ def draw_voltage(draw, ell, precision, kinds=("integer", "padic", "sqrt")):
     branch = draw(st.sampled_from([1, 3, 5, 7] if ell == 2 else range(1, ell)))
     radicand = branch * branch + (8 if ell == 2 else ell) * draw(st.integers(1, 40))
     return {"kind": "sqrt", "radicand": radicand, "branch": branch}
+
+
+def evaluation_norm(f: GenPoly, i: int) -> int:
+    """M_i, the norm of f from Q(zeta_m)^+, m = ell^i, with its sign (N_1
+    = f(-1) for m = 2): the product of f(zeta^k) over the units k <= m/2,
+    taken modulo primes q = 1 (mod m) below 2^30, where F_q has the m-th
+    roots of unity, and recombined by CRT once the primes' product
+    exceeds 2 ||f_i||_1^(number of units).  Runs out of primes at deep
+    levels (about 2^16, 3^10, 5^7), so it is the oracle below those."""
+    ell, m = f.ell, f.ell**i
+    reduced = f.reduce_level(i)
+    if reduced.is_zero:
+        return 0
+    terms = [(e, c) for e, c in enumerate(reduced.coeffs) if c]
+    units = np.array([k for k in range(1, m // 2 + 1) if k % ell], dtype=np.int64)
+    idx = np.outer(np.array([e for e, _ in terms], dtype=np.int64), units) % m
+    bound = 2 * sum(abs(c) for _, c in terms) ** units.size
+    images, qs, prod = [], [], 1
+    q = (2**30 - 2) // m * m + 1
+    while prod <= bound:
+        q -= m
+        assert q > 2, f"too few primes = 1 (mod {m}) below 2^30"
+        if q % 2 == 0 or not isprime(q):
+            continue
+        g = 2
+        while pow(zeta := pow(g, (q - 1) // m, q), m // ell, q) == 1:
+            g += 1
+        powers = np.ones(m, dtype=np.int64)  # zeta^j mod q, by doubling
+        step = 1
+        while step < m:
+            n = min(step, m - step)
+            powers[step : step + n] = powers[:n] * pow(zeta, step, q) % q
+            step *= 2
+        cq = np.array([c % q for _, c in terms], dtype=np.int64)
+        values = (powers[idx] * cq[:, None] % q).sum(axis=0) % q
+        while values.size > 1:  # pairwise product tree
+            half = values.size // 2
+            head = values[:half] * values[half : 2 * half] % q
+            if values.size % 2:
+                head[0] = head[0] * values[-1] % q
+            values = head
+        images.append(int(values[0]))
+        qs.append(q)
+        prod *= q
+    x = int(crt(qs, images)[0])
+    return x - prod if 2 * x > prod else x
 
 
 def reciprocal(f: GenPoly) -> GenPoly:
