@@ -32,12 +32,15 @@ deg(U mod p).  One sweep gives every f_i: f_1 from the factorisation of
 ell - 1, then f_(i+1) in {f_i, ell f_i} from one pow per level.  The
 sweep yields n1, the first rootless level, which bounds the search, and
 r, the eventual number of primes above p; the per-prime report reads n1
-and the closed-form log bound off the search; each level below n1 is
-decided by a gcd over F_p in int64 (intpoly.poly_mod_gcd, p < 2^30),
-the one use left of those helpers.  For genuinely ell-adic voltages no
-effective bound is available, so n0 is reported empirically up to the
-stored precision and flagged as such; level i has a root there exactly
-when ord_p(N_i) > mu phi(ell^i) on the tower's own norms, for every p.
+and the closed-form log bound off the search.  The levels below n1 up
+to the report's depth are decided by a gcd over F_p in int64
+(intpoly.poly_mod_gcd, exact for p < 2^30), the one use left of those
+helpers; the levels above the depth by rootladder, a ladder of powers
+T^(ell^i) mod (U, p) in exact integers.  For genuinely ell-adic
+voltages no effective bound is available, so n0 is reported
+empirically up to the stored precision and flagged as such; level i
+has a root there exactly when ord_p(N_i) > mu phi(ell^i) on the
+tower's own norms, for every p.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .factorint import factor_kappa, ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
 from .intpoly import IntPoly, cyclotomic, poly_mod_gcd, real_form, resultant
+from .rootladder import root_levels as ladder_root_levels
 
 
 class PrimeEqualsEllError(ValueError):
@@ -607,30 +611,45 @@ class N0Search:
 def _has_primitive_root(g: GenPoly, p: int, i: int) -> bool:
     """Does g mod p vanish at some primitive ell^i-th root of unity over
     the residue tower?  Tested as gcd(g at level i, Phi_{ell^i}) != 1
-    over F_p, in int64 (p < 2^30); only integral towers still ask."""
+    over F_p, in int64 (exact for p < 2^30), on dense polynomials of
+    degree about ell^i; n0_search asks it only for the levels up to the
+    report's depth."""
     reduced = g.reduce_level(i)
     phi = cyclotomic(g.ell**i)
     gcd = poly_mod_gcd(reduced.mod_array(p), phi.mod_array(p), p)
     return gcd.size != 1
 
 
-def n0_search(g: GenPoly, p: int) -> N0Search:
+def n0_search(g: GenPoly, p: int, depth: int = 0) -> N0Search:
     """The certified search for integral g with mu_p(g) = 0: the smallest
     n0 with no primitive ell^i-th-root zero of g mod p for any i >= n0.
 
     Searched below n1, the first level whose inertia degree exceeds
     dbar = deg(U mod p) (splitting), so the search space is finite.  The
-    search also gives the closed-form bound log_ell(r ell dbar / (ell - 1)),
-    r the eventual number of primes above p.  Ell-adic towers have no
-    such bound; analyze_prime decides their levels on the tower's norms.
+    levels up to depth, those of analyze_prime's norm table, take
+    _has_primitive_root's gcd against Phi_(ell^i); the levels from
+    depth + 1 to n1 - 1, where Phi_(ell^i) would be dense of degree
+    phi(ell^i), take rootladder's powers of T mod (U, p), whose cost
+    grows by one ell-th power per level.  The split sits at depth
+    because analyze_prime holds N_1..N_depth anyway, so those levels can
+    move to the norm test the ell-adic towers take (ord_p(N_i) > mu
+    phi(ell^i)), while above depth no norm exists and the ladder is
+    exact at any p; depth 0 sends every level to the ladder.  The
+    search also gives the closed-form bound
+    log_ell(r ell dbar / (ell - 1)), r the eventual number of primes
+    above p.  Ell-adic towers have no such bound; analyze_prime decides
+    their levels on the tower's norms.
     """
     ell = g.ell
     if g.is_zero or all(c % p == 0 for c in g.coefficients()):
         raise ValueError("mu(g) must be 0")
-    dbar = g.integerize()[0].degree_mod(p)
+    u = g.integerize()[0]
+    dbar = u.degree_mod(p)
     n1, r = splitting(p, ell, dbar)
     log_bound = 0.0 if dbar == 0 else math.log(r * ell * dbar / (ell - 1), ell)
-    roots = tuple(i for i in range(1, n1) if _has_primitive_root(g, p, i))
+    shallow = min(depth, n1 - 1)
+    roots = tuple(i for i in range(1, shallow + 1) if _has_primitive_root(g, p, i))
+    roots += ladder_root_levels(u.coeffs, p, ell, range(shallow + 1, n1))
     return N0Search(roots, n1, log_bound)
 
 
@@ -686,7 +705,7 @@ def analyze_prime(tower: Tower, p: int, depth: int) -> PrimeAnalysisReport:
     if p == ell:
         raise PrimeEqualsEllError("use the ell-part Iwasawa fit for p = ell")
     mu, g = mu_invariant(tower.f, p)
-    search = n0_search(g, p) if g.integral else None
+    search = n0_search(g, p, depth) if g.integral else None
     top = depth if g.integral else max(depth, g.precision)
     norm_ords = [tower.norm_power(i) * ord_p(tower.real_norm(i), p) for i in range(1, top + 1)]
     if search:

@@ -13,8 +13,10 @@ towers with ell >= 5), and Tower.level_norm uses resultant only to
 cross-check those engines at the matrix-tree-checked levels.  real_form rewrites a polynomial in
 y = T + q/T, the variable of the real subfield for q = 1.
 Reductions mod p use numpy int64 arrays, which is safe for p below
-2**30; they serve only analysis's root search for integral towers
-(ell-adic towers read their root levels off exact level norms).
+2**30; they serve only analysis's root search for integral towers, at
+the levels up to the report's depth (deeper levels take rootladder's
+exact powers of T, and ell-adic towers read their root levels off
+exact level norms).
 """
 
 from __future__ import annotations

@@ -379,6 +379,35 @@ def test_ell_adic_root_levels_read_the_towers_own_norms(spec_file, capsys, monke
     assert sorted(calls) == [1, 2, 3]
 
 
+# ell = 2, loops 1, 2, 2: U = -2 T^4 - T^3 + 6 T^2 - T - 2
+FERMAT_BOUQUET = {
+    "ell": 2, "precision": 1, "vertices": ["v"],
+    "edges": [{"tail": "v", "head": "v", "voltage": v} for v in ("1", "2", "2")],
+}
+
+
+def test_integral_root_levels_above_the_depth_come_from_the_ladder(spec_file, capsys, monkeypatch):
+    # 65537 = 2^16 + 1 has n1 = 19: the levels 9..18 above --levels 8 are
+    # searched by rootladder, with no dense gcd against Phi_(2^i)
+    import elltowers.analysis as analysis_mod
+
+    levels = []
+    has_root = analysis_mod._has_primitive_root
+
+    def counted(g, p, i):
+        levels.append(i)
+        return has_root(g, p, i)
+
+    monkeypatch.setattr(analysis_mod, "_has_primitive_root", counted)
+    code, out, _ = run_cli(capsys, "analyze", spec_file(FERMAT_BOUQUET),
+                           "--p", "65537", "--levels", "8", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["root_levels"], doc["n0"], doc["n1"]) == ([5], 6, 19)
+    assert doc["observed"] == doc["predicted"]
+    assert levels and max(levels) <= 8
+
+
 def test_report_text_marks_an_inconclusive_prime(spec_file, capsys):
     # 1950781795327 divides M_3, the norm of the top stored level
     code, out, _ = run_cli(capsys, "report", spec_file(ELL7_TWO_SQRT), "--levels", "3",
