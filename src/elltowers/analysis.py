@@ -452,13 +452,13 @@ def _scaled_graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
     dividing only by k <= 2b.  After i - 1 steps W has the roots C s,
     s those of U_(i-1) and C = c^(ell^(i-1)), so its real form in
     y = T + C^2/T is V~(y) = C^(b-1) V(y / C), V = real_form(U_(i-1)).
-    With Psi = real_form(Phi_ell) of degree e = (ell - 1)/2,
+    With Psi = real_form(Phi_ell), monic of degree e = (ell - 1)/2,
 
         M_i = Res(Psi, V) = C^(-e(b-1)) prod_(Psi(x)=0) V~(C x)
-            = (-1)^(eb) C^(-e(b-1)) prod_(V~(y)=0) C^e Psi(y / C),
+            = C^(-e(b-1)) Res(Psi, V~(C x)),
 
-    by whichever norm has fewer conjugates; the one division, by the
-    power of C, is exact and trivial when |c| = 1."""
+    the last by intpoly.resultant; the one division, by the power of C,
+    is exact and trivial when |c| = 1."""
     n, c = u.degree, u.leading
     w = [x * c ** (n - 1 - j) for j, x in enumerate(u.coeffs[:-1])] + [1]
     for _ in range(i - 1):
@@ -467,13 +467,8 @@ def _scaled_graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
     lead = c ** (ell ** (i - 1))
     v = real_form(IntPoly(tuple(w)), lead * lead)
     psi = real_form(cyclotomic(ell))
-    e = psi.degree
-    if e <= b:
-        norm = _norm(IntPoly(tuple(x * lead**k for k, x in enumerate(v.coeffs))), psi)
-    else:
-        homogeneous = IntPoly(tuple(x * lead ** (e - k) for k, x in enumerate(psi.coeffs)))
-        norm = (-1) ** (e * b) * _norm(homogeneous, v)
-    root, rem = divmod(norm, lead ** (e * (b - 1)))
+    norm = resultant(psi, IntPoly(tuple(x * lead**k for k, x in enumerate(v.coeffs))))
+    root, rem = divmod(norm, lead ** (psi.degree * (b - 1)))
     if rem:
         raise ArithmeticError("scaled Graeffe norm is not divisible by its scale")
     return root
@@ -505,19 +500,6 @@ def _from_power_sums(sums: list[int]) -> list[int]:
         acc = sums[k] + sum(a[j] * sums[k - j] for j in range(1, k))
         a.append(-acc // k)
     return a[::-1]
-
-
-def _norm(r: IntPoly, p: IntPoly) -> int:
-    """prod r(x) over the roots x of the monic p, the determinant of
-    multiplication by r in Z[x]/(p), from the traces of r^1, ..., r^n."""
-    n = p.degree
-    traces = _power_sums(list(p.coeffs), n - 1)
-    alpha = r.divmod_by_monic(p)[1]
-    power, t = IntPoly((1,)), [n]
-    for _ in range(n):
-        power = (power * alpha).divmod_by_monic(p)[1]
-        t.append(sum(x * traces[k] for k, x in enumerate(power.coeffs)))
-    return _from_power_sums(t)[0] * (-1) ** n
 
 
 class Tower:

@@ -30,9 +30,10 @@ reduced_laplacian reads the minor and its envelope profile (the first
 nonzero column of each row) off the edges as an intdet.ReducedLaplacian,
 the one input of intdet.det_int, which eliminates it without row swaps:
 by exact Bareiss inside the envelope while that is narrow, else modulo
-word-size primes, many images to one stack, in band storage when the
-profile is narrow and dense otherwise.  No dense matrix of Python
-integers is built.
+word-size primes, many images to one stack, each written once into an
+int64 array of one layout: rows sheared to the band when the profile
+is narrow, whole rows otherwise.  No dense matrix of Python integers is
+built.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ sends it to one of two exact engines by its envelope work (below):
   envelope, read from the edges (ReducedLaplacian.envelope).
 * multimodular_det: one elimination over a stack of images modulo
   word-size primes (det_mod), recombined by CRT against the diagonal
-  product, of the int64 array built from the edges
-  (ReducedLaplacian.array).
+  product, of the int64 array built from the diagonal and the edges.
 
 Envelopes.  first[i] is the first nonzero column of row i of a
 symmetric matrix (i when there is none), and reach[k] is one past the
@@ -54,7 +53,7 @@ the envelope work is sum t_k^2 / n, about the box entries per row that
 an elimination updates.  det_int runs Bareiss up to BAREISS_WORK and
 multimodular_det above it.
 
-The modular kernel.  det_mod(matrix, qs, first) runs the loop of
+The modular kernel.  det_mod(images, qs, first) runs the loop of
 envelope Bareiss on the images of a reduced Laplacian modulo each prime
 of qs at once, with the profile its caller passes: no row swaps, step k
 updates the box of its envelope in every image, and the pivot row
@@ -62,21 +61,34 @@ serves as the pivot column.  Modulo q a leading minor may vanish
 although the integer one does not.  A pivot that vanishes at the last
 step is an image 0; one that vanishes before it ends det_mod with None,
 and multimodular_det then returns the envelope Bareiss value, exact
-whatever its pivots.  Each image is read through one (m, n, n) view of
-one of two storages, by its half-bandwidth w = max(i - first[i]):
+whatever its pivots.
 
-* 2w + 1 < n: band storage, n rows of 2w + 1 entries, read through a
-  sheared view;
-* else dense, n x n.
+One layout.  multimodular_det writes the matrix once, into an (n, L)
+int64 array, by its half-bandwidth w = max(i - first[i]): row i holds
+columns i - w .. i + w (L = 2w + 1, sheared) when 2w + 1 < n, and
+columns 0 .. n - 1 (L = n) otherwise.  det_mod reduces it modulo the
+primes of a stack into an (m, n, L) array and reads every image
+through one (n, n) view (_square): entry (i, j) lies at i (L - 1) + j
++ w of a sheared image and at i L + j of an unsheared one.  In a
+sheared image these are distinct for |i - j| <= w, which holds for
+every entry the elimination reads or writes (every row i of step k's
+box has first[i] <= k, so i - k <= w).  multimodular_det sizes its
+stacks so that the m n L entries of a stack of m images stay within
+STACK_ENTRIES whenever one image fits.  Step k's box has side t_k <=
+n - 1, and t_k <= w < n/2 when sheared, so its t_k^2 entries per image
+are at most n L, and fewer than n L / 2 when sheared: the product of a
+box update, det_mod's one large temporary, never exceeds its stack.
 
-multimodular_det sizes its stacks by the entries one image stores,
-n min(n, 2w + 1), so that a stack holds at most STACK_ENTRIES.
-
-Residues are balanced in (-q/2, q/2]; the pivot row is reduced at each
-step, and the current box every LAZY steps (delayed reduction, as in
-Dumas, Giorgi and Pernet's FFLAS).  A box's product is a temporary,
-taken in slices of rows when the box is large, so a stack needs no
-stack-sized buffer.
+Word-size arithmetic.  The images are computed in numpy int64, which
+is exact while every residue is below WORD_LIMIT = 2**30 (LAZY, below,
+bounds the growth between reductions).  Residues are balanced in
+(-q/2, q/2]; the pivot row is reduced at each step, and the current box
+every LAZY steps (delayed reduction, as in Dumas, Giorgi and Pernet's
+FFLAS).  primes(count) hands out the largest primes q < WORD_LIMIT, in
+decreasing order, from one pool that is built on first use and then
+grown on demand, never at import; primes_for_bound picks the fewest
+whose product passes twice a bound on |det|, and crt recombines the
+images into the symmetric representative, so signs are recovered.
 
 BAREISS_WORK is the measured crossover (2-core x86-64, shared, Python
 3.11, numpy 2.4): microseconds per row, medians of five timings of
@@ -103,14 +115,17 @@ band, Bareiss's grows with the work), so BAREISS_WORK is 200.
 from __future__ import annotations
 
 import math
+import threading
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .multimodular import check_word_prime, crt, primes_for_bound, residues
+from .factorint import is_certified_prime
 
 BAREISS_WORK = 200
+
+WORD_LIMIT = 1 << 30
 
 # Balanced residues have |r| <= q/2 < 2**29 for q < 2**30, so one rank-1
 # update adds at most (q/2)**2 < 2**58 to an entry.  An entry reduced
@@ -119,14 +134,17 @@ BAREISS_WORK = 200
 # once more, still below 2**63.
 LAZY = 31
 
-# det_mod stacks hold at most STACK_ENTRIES stored entries (two 256 x 256
-# dense images, or 20 band images of order 255 and half-bandwidth 12) and
-# the product of one box update at most UPDATE_ENTRIES, so a stack and
-# its per-step temporaries take about 1.25 MiB.  Larger stacks
-# run fewer, longer eliminations; 2**18 entries was faster still on the
-# cover_check benchmark but raised its peak memory by about 1 MiB.
+# det_mod stacks hold at most STACK_ENTRIES entries (two unsheared
+# images of order 256, or 20 sheared images of order 255 and
+# half-bandwidth 12), and a box update's product at most as many again
+# (module docstring), so a stack and its per-step temporaries take at
+# most 2 MiB.  Larger stacks run fewer, longer eliminations; 2**18
+# entries was faster still on the cover_check benchmark but raised its
+# peak memory by about 1 MiB.
 STACK_ENTRIES = 1 << 17
-UPDATE_ENTRIES = STACK_ENTRIES // 4
+
+_pool: list[int] = []
+_pool_lock = threading.Lock()
 
 
 class ReducedLaplacian(NamedTuple):
@@ -149,15 +167,6 @@ class ReducedLaplacian(NamedTuple):
         for i, j in self.edges:
             rows[i][j - i] -= 1
         return rows
-
-    def array(self) -> np.ndarray:
-        """The whole matrix, an int64 array."""
-        a = np.diag(np.array(self.diagonal, dtype=np.int64))
-        if self.edges:
-            i, j = np.array(self.edges, dtype=np.intp).T
-            np.subtract.at(a, (i, j), 1)
-            np.subtract.at(a, (j, i), 1)
-        return a
 
 
 def _reach(first: list[int]) -> list[int]:
@@ -202,6 +211,51 @@ def bareiss_det(rows: list[list[int]], reach: list[int]) -> int:
     return prev
 
 
+def check_word_prime(q: int) -> None:
+    """Refuse a modulus outside the range where int64 arithmetic is exact."""
+    if not 2 <= q < WORD_LIMIT:
+        raise ValueError(f"modulus {q} is outside the int64-safe range [2, 2**30)")
+
+
+def primes(count: int) -> list[int]:
+    """The count largest odd primes q < WORD_LIMIT, in decreasing order."""
+    with _pool_lock:
+        q = _pool[-1] if _pool else WORD_LIMIT + 1
+        while len(_pool) < count:
+            q -= 2
+            if q < 3:
+                raise ArithmeticError(f"only {len(_pool)} odd primes below {WORD_LIMIT}, {count} needed")
+            if is_certified_prime(q):
+                _pool.append(q)
+        return _pool[:count]
+
+
+def primes_for_bound(bound: int) -> list[int]:
+    """The fewest leading primes of the pool whose product exceeds 2 *
+    bound: enough for crt to recover any integer of absolute value at
+    most bound."""
+    target = 2 * bound
+    # every prime is below 2**30, so fewer than bit_length // 30 of them
+    # fall short of target: the walk starts with that many
+    qs = primes(target.bit_length() // 30)
+    prod = math.prod(qs)
+    while prod <= target:
+        qs = primes(len(qs) + 1)
+        prod *= qs[-1]
+    return qs
+
+
+def crt(values, moduli) -> int:
+    """The x with |x| < prod(moduli) / 2 and x = values[k] mod moduli[k]
+    (Garner's incremental form; the moduli are distinct primes)."""
+    x, prod = 0, 1
+    for r, q in zip(values, moduli, strict=True):
+        t = (r - x % q) * pow(prod % q, -1, q) % q
+        x += prod * t
+        prod *= q
+    return x - prod if x > prod // 2 else x
+
+
 def _balance(a: np.ndarray, q: np.ndarray, half: np.ndarray) -> None:
     """Reduce a in place to its residues in (-q/2, q/2]."""
     a += half
@@ -209,65 +263,52 @@ def _balance(a: np.ndarray, q: np.ndarray, half: np.ndarray) -> None:
     a -= half
 
 
-def _update(box: np.ndarray, factors: np.ndarray, pivot_row: np.ndarray) -> None:
-    """box -= factors x pivot_row in every image, in slices of rows so that
-    the product of a large box stays within UPDATE_ENTRIES."""
-    pivot_row = pivot_row[:, None, :]
-    rows = max(1, UPDATE_ENTRIES // max(1, pivot_row.size))  # no images: size 0
-    for lo in range(0, box.shape[1], rows):
-        box[:, lo : lo + rows] -= factors[:, lo : lo + rows, None] * pivot_row
+def _square(stored: np.ndarray) -> np.ndarray:
+    """The (..., n, n) view of images stored as an (..., n, L) array in
+    det_mod's layout (module docstring): sheared when L < n."""
+    *lead, n, length = stored.shape
+    shear = length < n
+    flat = stored.reshape(*lead, n * length)[..., length // 2 * shear :]
+    step = stored.itemsize
+    return np.lib.stride_tricks.as_strided(
+        flat, shape=(*lead, n, n), strides=(*flat.strides[:-1], (length - shear) * step, step))
 
 
-def det_mod(matrix: np.ndarray, qs, first: list[int]) -> list[int] | None:
-    """Determinants of a reduced Laplacian of order n >= 1, an int64 array
-    (ReducedLaplacian.array) with profile first, modulo each prime q in
-    qs (every q < 2**30), in [0, q): the kernel of the module docstring,
-    no row swaps and step k confined to the box of rows and columns
-    k + 1 .. reach[k] - 1, in band storage when 2w + 1 < n, else dense.
-    None when an image's pivot vanishes before the last step."""
+def det_mod(images: np.ndarray, qs, first: list[int]) -> list[int] | None:
+    """Determinants of a reduced Laplacian of order n >= 1 with profile
+    first, an (n, L) int64 array in the layout of the module docstring,
+    modulo each prime q in qs (every q < 2**30), in [0, q): the kernel of
+    the module docstring, no row swaps and step k confined to the box of
+    rows and columns k + 1 .. reach[k] - 1.  None when an image's pivot
+    vanishes before the last step."""
     for q in qs:
         check_word_prime(q)
-    n, m, w = len(matrix), len(qs), _width(first)
     q = np.array(qs, dtype=np.int64).reshape(-1, 1)
     half = (q - 1) // 2
     q3, half3 = q[:, :, None], half[:, :, None]
-    if 2 * w + 1 < n:
-        # entry (i, j) of image k is stored[k, i, j - i + w], at
-        # i * 2w + j + w in the image's n (2w + 1) entries: distinct for
-        # |i - j| <= w, which holds for every entry the elimination reads
-        # or writes.  The slots of columns j outside 0 .. n - 1 hold
-        # copies of row i's end entries and are never read.
-        i = np.arange(n)
-        cols = (i[:, None] + np.arange(-w, w + 1)).clip(0, n - 1)
-        stored = matrix[i[:, None], cols]
-        del cols
-        stored = residues(stored, q)
-        step = stored.itemsize
-        a = np.lib.stride_tricks.as_strided(
-            stored.reshape(m, n * (2 * w + 1))[:, w:], shape=(m, n, n),
-            strides=(stored.strides[0], 2 * w * step, step))
-    else:
-        stored = a = residues(matrix, q)
-    _balance(stored, q3, half3)
-    images = [1] * m
+    stack = images % q3
+    _balance(stack, q3, half3)
+    a = _square(stack)
+    dets = [1] * len(qs)
     for k, r in enumerate(_reach(first)):
         row = a[:, k, k:r]
         _balance(row, q, half)
         pivots = row[:, 0].tolist()
-        images = [d * x % p for d, x, p in zip(images, pivots, qs)]
-        if k == n - 1:
+        dets = [d * x % p for d, x, p in zip(dets, pivots, qs)]
+        if k == len(first) - 1:
             break
         if 0 in pivots:
             return None
+        box = a[:, k + 1 : r, k + 1 : r]
         if r > k + 1:
             # the balanced multipliers row / pivot, every pivot a unit
             inv = np.array([pow(x, -1, p) for x, p in zip(pivots, qs)], dtype=np.int64)
             factors = row[:, 1:] * inv[:, None]
             _balance(factors, q, half)
-            _update(a[:, k + 1 : r, k + 1 : r], factors, row[:, 1:])
+            box -= factors[:, :, None] * row[:, None, 1:]
         if (k + 1) % LAZY == 0:
-            _balance(a[:, k + 1 : r, k + 1 : r], q3, half3)
-    return images
+            _balance(box, q3, half3)
+    return dets
 
 
 def multimodular_det(lap: ReducedLaplacian) -> int:
@@ -278,19 +319,26 @@ def multimodular_det(lap: ReducedLaplacian) -> int:
     n, bound = len(lap.diagonal), math.prod(lap.diagonal)
     if n == 0 or bound == 0:
         return bound  # the empty product, 1; or a row of zeros
-    matrix, qs = lap.array(), primes_for_bound(bound)
-    # as few stacks as STACK_ENTRIES allows, of nearly equal size, counting
-    # the entries det_mod stores per image
-    stored = n * min(n, 2 * _width(lap.first) + 1)
-    stacks = -(-len(qs) // max(1, STACK_ENTRIES // stored))
-    images = []
+    length = 2 * _width(lap.first) + 1
+    images = np.zeros((n, length if length < n else n), dtype=np.int64)
+    a, diagonal = _square(images), np.arange(n)
+    a[diagonal, diagonal] = lap.diagonal
+    if lap.edges:
+        # parallel edges add up
+        i, j = np.array(lap.edges, dtype=np.intp).T
+        np.subtract.at(a, (i, j), 1)
+        np.subtract.at(a, (j, i), 1)
+    qs = primes_for_bound(bound)
+    # as few stacks as STACK_ENTRIES allows, of nearly equal size
+    stacks = -(-len(qs) // max(1, STACK_ENTRIES // images.size))
+    dets = []
     for s in range(stacks):
-        stack = det_mod(matrix, qs[s * len(qs) // stacks : (s + 1) * len(qs) // stacks], lap.first)
+        stack = det_mod(images, qs[s * len(qs) // stacks : (s + 1) * len(qs) // stacks], lap.first)
         if stack is None:
             reach = _reach(lap.first)
             return bareiss_det(lap.envelope(reach), reach)
-        images += stack
-    return crt(images, qs)
+        dets += stack
+    return crt(dets, qs)
 
 
 def det_int(lap: ReducedLaplacian) -> int:

@@ -6,11 +6,13 @@ polynomial (divmod_by_monic) stays inside Z[T]; it is the one division
 behind Phi_d, which comes from one recursion on the least prime of d
 down to Phi_1 = T - 1, and behind omega.strip_cyclotomics.  Resultants
 are computed by the subresultant polynomial remainder sequence
-(fraction-free, exact; no floating point anywhere).  Level norms do not
-go through it: analysis.level_norm computes them exactly over Z (norm
-steps down the cyclotomic tower, scaled Graeffe steps for integral
-towers with ell >= 5), and Tower.level_norm uses resultant only to
-cross-check those engines at the matrix-tree-checked levels.  real_form rewrites a polynomial in
+(fraction-free, exact; no floating point anywhere).  It has two
+callers: analysis's scaled Graeffe steps (integral towers with ell >=
+5) take their last step, Res(Psi_ell, V~(C x)) against the monic real
+form of Phi_ell of degree (ell - 1)/2, from it, while the norm steps
+down the cyclotomic tower (every other tower) do not go through it; and
+Tower.real_norm recomputes N_i with it to cross-check those engines at
+the matrix-tree-checked levels.  real_form rewrites a polynomial in
 y = T + q/T, the variable of the real subfield for q = 1.
 Reductions mod p use numpy int64 arrays, which is safe for p below
 2**30; they serve only analysis's root search for integral towers, at

@@ -136,8 +136,11 @@ def test_level_norm_rejects_non_symmetric_f():
 
 
 def test_level_norm_cross_check_failure_raises(monkeypatch):
+    # a norm engine that disagrees with the subresultant; resultant itself
+    # also serves the scaled Graeffe steps of this ell = 5 tower
     t = Tower(build_assignment(parse_tower_spec(CORPUS[0].spec)))
-    monkeypatch.setattr(analysis, "resultant", lambda a, b: 1)
+    level_norm = analysis.level_norm
+    monkeypatch.setattr(analysis, "level_norm", lambda f, i: 2 * level_norm(f, i))
     with pytest.raises(ArithmeticError, match="cross-check"):
         t.level_norm(1)
 
@@ -154,7 +157,11 @@ def test_subresultant_only_at_checked_levels(monkeypatch):
     t = Tower(build_assignment(parse_tower_spec(entry.spec)), mt_check_level=2)
     t.kappa(4)
     ell = t.ell
-    assert calls == [ell - 1, ell * (ell - 1)]
+    # the integral ell = 5 tower's norms take their last scaled Graeffe step
+    # against Psi_ell, of degree (ell - 1) / 2, at every level; the
+    # cross-check takes Phi_(ell^i) at the checked levels only
+    psi = (ell - 1) // 2
+    assert calls == [psi, ell - 1, psi, ell * (ell - 1), psi, psi]
 
 
 def norm_product(t, n):

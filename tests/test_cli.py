@@ -296,8 +296,9 @@ def test_internal_faults_exit_3(spec_file, capsys, monkeypatch):
     import elltowers.cli as cli_mod
 
     path = spec_file(THETA_ELL5.spec)
-    with monkeypatch.context() as m:  # the subresultant now disagrees with every norm
-        m.setattr(analysis_mod, "resultant", lambda a, b: 1)
+    level_norm = analysis_mod.level_norm
+    with monkeypatch.context() as m:  # every norm now disagrees with the subresultant
+        m.setattr(analysis_mod, "level_norm", lambda f, i: 2 * level_norm(f, i))
         code, out, err = run_cli(capsys, "report", path, "--levels", "2", "--json")
     assert code == 3 and out == ""
     assert err.startswith("internal error: level-norm cross-check failed at level 1")

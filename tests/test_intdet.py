@@ -8,9 +8,8 @@ from hypothesis import event, given, settings, strategies as st
 import elltowers.intdet as intdet
 from elltowers import Multigraph, spanning_tree_count
 from elltowers.graphs import reduced_laplacian
-from elltowers.intdet import bareiss_det, det_int, det_mod, multimodular_det
-from elltowers.multimodular import crt, primes, primes_for_bound, residues
-from util import dense_bareiss_det, dense_bareiss_order, spanning_trees_bruteforce, sympy_det
+from elltowers.intdet import bareiss_det, crt, det_int, det_mod, multimodular_det, primes, primes_for_bound
+from util import dense_bareiss_det, dense_bareiss_order, dense_laplacian, spanning_trees_bruteforce, sympy_det
 
 
 def _random_matrix(rng, n, lo=-9, hi=9):
@@ -54,7 +53,7 @@ def test_engines_agree_on_random_matrices():
     for g in (2, 3, 5, 8, 12, 30):
         for _ in range(10):
             lap = reduced_laplacian(_random_multigraph(rng, g, rng.randint(0, 3 * g)))
-            dense = lap.array().tolist()
+            dense = dense_laplacian(lap)
             assert _envelope_det(lap) == multimodular_det(lap) == dense_bareiss_det(dense) > 0
 
 
@@ -101,9 +100,31 @@ def test_det_mod_matches_exact():
     p = 1073741789  # prime below 2**30
     for g in (2, 3, 5, 8, 40):
         lap = reduced_laplacian(_random_multigraph(rng, g, 2 * g))
-        a = lap.array()
-        assert det_mod(a, [p], lap.first) == [dense_bareiss_det(a.tolist()) % p]
-        assert det_mod(a, [], lap.first) == []
+        dense = dense_laplacian(lap)
+        assert _det_mod(dense, [p]) == [dense_bareiss_det(dense) % p]
+        assert _det_mod(dense, []) == []
+
+
+def test_images_are_written_once_from_the_diagonal_and_edges(monkeypatch):
+    # multimodular_det writes each minor into the (n, L) layout straight
+    # from its edges, parallel ones adding up, and hands every stack that
+    # one array: sheared for the narrow bands, unsheared for the random
+    # multigraphs and the wheel
+    rng = random.Random(11)
+    calls = _record_det_mod(monkeypatch)
+    laps = [reduced_laplacian(_random_multigraph(rng, g, 3 * g)) for g in (2, 9, 40, 70)]
+    laps += [reduced_laplacian(_band_graph(g, b)) for g, b in ((60, 1), (90, 6), (120, 20))]
+    laps.append(reduced_laplacian(_wheel(50)))
+    layouts = []
+    for lap in laps:
+        calls.clear()
+        dense = dense_laplacian(lap)
+        assert multimodular_det(lap) == dense_bareiss_det(dense)
+        expected = _stored(dense, lap.first)
+        assert calls and all(images is calls[0][0] for images, _, _ in calls)
+        assert calls[0][0].dtype == np.int64 and np.array_equal(calls[0][0], expected)
+        layouts.append(expected.shape[1] < expected.shape[0])
+    assert layouts == [False] * 4 + [True] * 3 + [False]
 
 
 @settings(deadline=None, max_examples=40)
@@ -114,7 +135,7 @@ def test_diagonal_bound_dominates_laplacian_minors(data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     g = data.draw(st.integers(2, 24), label="order")
     lap = reduced_laplacian(_random_multigraph(rng, g, data.draw(st.integers(0, 3 * g), label="extra edges")))
-    dense = lap.array().tolist()
+    dense = dense_laplacian(lap)
     assert [row[i] for i, row in enumerate(dense)] == lap.diagonal
     det = dense_bareiss_det(dense)
     assert 0 < det <= math.prod(lap.diagonal)  # a connected graph has a spanning tree
@@ -123,19 +144,21 @@ def test_diagonal_bound_dominates_laplacian_minors(data):
 
 def test_multimodular_large_entries():
     # many parallel edges to the dropped vertex put diagonal entries up to
-    # 10**12 on a random graph: a wrong bound or an overflow would corrupt
-    # the CRT
+    # 10**12 on a random graph, and then some at the top of the int64
+    # range: a wrong bound or an overflow would corrupt the CRT
     rng = random.Random(5)
     lap = reduced_laplacian(_random_multigraph(rng, 30, 60))
     lap = lap._replace(diagonal=[d + rng.randint(0, 10**12) for d in lap.diagonal])
-    assert multimodular_det(lap) == _envelope_det(lap) == dense_bareiss_det(lap.array().tolist())
+    assert multimodular_det(lap) == _envelope_det(lap) == dense_bareiss_det(dense_laplacian(lap))
+    lap = lap._replace(diagonal=[2**63 - 1 if i % 7 == 0 else d for i, d in enumerate(lap.diagonal)])
+    assert multimodular_det(lap) == _envelope_det(lap) == dense_bareiss_det(dense_laplacian(lap))
 
 
 def _record_det_mod(monkeypatch):
-    """The matrix, primes and profile of every det_mod call."""
+    """The images, primes and profile of every det_mod call."""
     calls, real = [], intdet.det_mod
     monkeypatch.setattr(intdet, "det_mod",
-                        lambda matrix, qs, first: calls.append((matrix, list(qs), first)) or real(matrix, qs, first))
+                        lambda images, qs, first: calls.append((images, list(qs), first)) or real(images, qs, first))
     return calls
 
 
@@ -156,7 +179,7 @@ def test_multimodular_uses_the_fewest_primes_for_the_hadamard_bound(monkeypatch)
 def _wheel(n):
     """The wheel, hub 0 and rim 1 .. n.  Its reduced Laplacian drops the
     hub: the rim's cycle, whose closing edge gives a profile of half-width
-    n - 1, stored dense."""
+    n - 1, in the unsheared layout."""
     spokes = [(0, i) for i in range(1, n + 1)]
     return Multigraph.from_edge_list(n + 1, spokes + [(i, i % n + 1) for i in range(1, n + 1)])
 
@@ -169,10 +192,22 @@ def _wheel_trees(n):
     return a - 2
 
 
+def _check_boxes_fit(first, length):
+    """Every box that det_mod updates on the profile first, in the layout
+    of row length, has at most n L entries per image, and fewer than
+    n L / 2 when sheared: a box product never exceeds its stack."""
+    n = len(first)
+    for k, r in enumerate(intdet._reach(first)[:-1]):
+        t = r - k - 1  # the box of rows and columns k + 1 .. r - 1
+        assert t * t <= n * length
+        if length < n:
+            assert 2 * t * t < n * length
+
+
 def test_multimodular_stacks_stay_below_the_entry_limit(monkeypatch):
-    # an image in dense storage keeps n x n entries (the wheels), one in
-    # band storage n x (2w + 1) (a band of half-width 40), and the stacks
-    # are partitioned by those stored entries
+    # an image in the unsheared layout keeps n x n entries (the wheels),
+    # one in the sheared layout n x (2w + 1) (a band of half-width 40), and
+    # the stacks are partitioned by those stored entries
     calls = _record_det_mod(monkeypatch)
     cases = [(reduced_laplacian(_wheel(n)), n, _wheel_trees(n)) for n in (40, 100, 182)]
     band = reduced_laplacian(_band_graph(201, 40))
@@ -180,9 +215,10 @@ def test_multimodular_stacks_stay_below_the_entry_limit(monkeypatch):
     counts = []
     for lap, row_entries, det in cases:
         n = len(lap.first)
-        assert min(n, 2 * intdet._width(lap.first) + 1) == row_entries
         calls.clear()
         assert multimodular_det(lap) == det
+        assert {images.shape for images, _, _ in calls} == {(n, row_entries)}
+        _check_boxes_fit(lap.first, row_entries)
         stacks = [qs for _, qs, _ in calls]
         qs = primes_for_bound(math.prod(lap.diagonal))
         per_stack = max(1, intdet.STACK_ENTRIES // (n * row_entries))
@@ -191,8 +227,36 @@ def test_multimodular_stacks_stay_below_the_entry_limit(monkeypatch):
         assert len(stacks) == -(-len(qs) // per_stack)
         assert max(sizes) <= per_stack and max(sizes) - min(sizes) <= 1
         counts.append((per_stack, len(stacks)))
-    # several stacks in each storage, and several images to a band stack
+    # several stacks in each layout, and several images to a sheared stack
     assert counts[2][1] > 1 and counts[3][0] > 1 and counts[3][1] > 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_det_mod_boxes_never_exceed_the_stack(data):
+    # random profiles, from a diagonal to dense: each row j has the edge
+    # (first[j], j) and the diagonal dominates, in whichever layout the
+    # half-bandwidth gives
+    n = data.draw(st.integers(1, 120), label="order")
+    widest = data.draw(st.integers(0, n), label="widest row")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    first = [j - rng.randint(0, min(j, widest)) for j in range(n)]
+    edges = [(f, j) for j, f in enumerate(first) if f < j]
+    diagonal = [1] * n
+    for i, j in edges:
+        diagonal[i] += 1
+        diagonal[j] += 1
+    lap = intdet.ReducedLaplacian(diagonal, edges, first)
+    calls = []
+    real = intdet.det_mod
+    intdet.det_mod = lambda images, qs, first: calls.append(images.shape) or real(images, qs, first)
+    try:
+        assert multimodular_det(lap) == _envelope_det(lap)
+    finally:
+        intdet.det_mod = real
+    ((_, length),) = set(calls)
+    event("sheared" if length < n else "unsheared")
+    _check_boxes_fit(first, length)
 
 
 @settings(deadline=None, max_examples=25)
@@ -210,7 +274,7 @@ def test_det_int_matches_bareiss_across_the_threshold(data):
               for _ in range(rng.randint(1, copies))]
     lap = reduced_laplacian(Multigraph.from_edge_list(g, edges))
     event("Bareiss" if intdet._bareiss_serves(intdet._reach(lap.first)) else "multi-modular")
-    assert det_int(lap) == dense_bareiss_det(lap.array().tolist()) == multimodular_det(lap)
+    assert det_int(lap) == dense_bareiss_det(dense_laplacian(lap)) == multimodular_det(lap)
 
 
 def test_empty_and_singular_laplacians():
@@ -254,14 +318,29 @@ def _profile(m):
     return [next((j for j, x in enumerate(row[:i]) if x), i) for i, row in enumerate(m)]
 
 
-def _dense_storage(m):
-    """Does det_mod store m's images dense (2w + 1 >= n), not as a band?"""
-    return 2 * intdet._width(_profile(m)) + 1 >= len(m)
+def _sheared(m):
+    """Is m's layout sheared (2w + 1 < n), not unsheared (L = n)?"""
+    return 2 * intdet._width(_profile(m)) + 1 < len(m)
+
+
+def _stored(m, first):
+    """The (n, L) int64 array of the rows m in det_mod's layout, entry by
+    entry: row i holds columns i - w .. i + w, zeros past the matrix's
+    edges, when 2w + 1 < n, and all n columns otherwise."""
+    n, w = len(m), intdet._width(first)
+    if 2 * w + 1 >= n:
+        return np.array(m, dtype=np.int64)
+    out = np.zeros((n, 2 * w + 1), dtype=np.int64)
+    for i in range(n):
+        for j in range(max(0, i - w), min(n, i + w + 1)):
+            out[i, j - i + w] = m[i][j]
+    return out
 
 
 def _det_mod(m, qs):
     """det_mod of a symmetric matrix given by its rows, with its profile."""
-    return det_mod(np.array(m, dtype=np.int64), qs, _profile(m))
+    first = _profile(m)
+    return det_mod(_stored(m, first), qs, first)
 
 
 def _symmetric(m):
@@ -314,12 +393,12 @@ def _gram_image(n, q, up):
 
 def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
     # a symmetric cyclic band: its corners give a profile of half-width
-    # n - 1, so its images are stored dense
+    # n - 1, so its images take the unsheared layout
     rng = random.Random(37)
     qs = primes(3)
     for n in (64, 97, 131, 200):
         m = _dominant(_symmetric_band(rng, n, 3, 2**29, cyclic=True), 1)
-        assert _dense_storage(m)
+        assert not _sheared(m)
         assert _det_mod(m, qs) == _det_mod_reference(m, qs) == [dense_bareiss_det(m) % q for q in qs]
     # the elimination of a cyclic band fills its last rows and columns:
     # with every multiplier and pivot-row entry at h, the boxes reach the
@@ -340,17 +419,8 @@ def test_lazy_reduction_covers_every_box_since_the_last():
     n, hole = 2 * intdet.LAZY + 4, intdet.LAZY - 1
     for q in primes(2):
         m = _gram_image(n, q, lambda k, j: j == k + 1 or (j == n - 1 and k != hole))
-        assert _dense_storage(m)
+        assert not _sheared(m)
         assert _det_mod(m, [q]) == [1]
-
-
-def test_large_boxes_update_in_slices_of_rows(monkeypatch):
-    rng = random.Random(43)
-    qs = primes(3)
-    for entries in (1, 50, 500):
-        monkeypatch.setattr(intdet, "UPDATE_ENTRIES", entries)
-        m = _dominant(_symmetric(_random_matrix(rng, 40, -(2**29), 2**29)), 1)
-        assert _det_mod(m, qs) == _det_mod_reference(m, qs) == [dense_bareiss_det(m) % q for q in qs]
 
 
 @settings(deadline=None, max_examples=25)
@@ -379,7 +449,9 @@ def test_int64_code_refuses_large_moduli():
 
 
 def test_det_mod_images_of_int64_extremes():
-    # int64 entries at the ends of the int64 range, reduced by residues
+    # int64 entries at the ends of the int64 range, reduced modulo the
+    # primes by det_mod itself: a random matrix in the unsheared layout,
+    # then a band of half-width 2 in the sheared one
     rng = random.Random(23)
     qs = [1073741789, 1073741783]
     m = _symmetric(_random_matrix(rng, 12))
@@ -388,8 +460,16 @@ def test_det_mod_images_of_int64_extremes():
     m[0][0] = 2**63 - 1
     m[3][5] = m[5][3] = -(2**63)
     m[7][2] = m[2][7] = 2**63 - 2**28
-    expected = [dense_bareiss_det(m) % q for q in qs]
-    assert _det_mod(m, qs) == _det_mod_reference(m, qs) == expected
+    band = _symmetric_band(rng, 12, 2, 9)
+    for i in range(12):
+        band[i][i] = rng.randint(1, 9)
+    band[0][0] = 2**63 - 1
+    band[3][5] = band[5][3] = -(2**63)
+    band[9][8] = band[8][9] = 2**63 - 2**28
+    assert not _sheared(m) and _sheared(band)
+    for m in (m, band):
+        expected = [dense_bareiss_det(m) % q for q in qs]
+        assert _det_mod(m, qs) == _det_mod_reference(m, qs) == expected
 
 
 def _record_bareiss_det(monkeypatch):
@@ -431,13 +511,13 @@ def _upper_band_gram(n, w, q):
     return _gram_image(n, q, lambda k, j: j - k <= w)
 
 
-def _check_leading_minors_vanish(seed, w, dense):
+def _check_leading_minors_vanish(seed, w, sheared):
     # det_mod answers None for the whole stack; recomputed alone, the
     # images modulo qs[1] and qs[2] answer None too, and the others their
     # residues
     qs = primes(4)
     m = _leading_minors_vanish(random.Random(seed), 30, w, qs)
-    assert _dense_storage(m) == dense
+    assert _sheared(m) == sheared
     assert _det_mod(m, qs) is None
     det = dense_bareiss_det(m)
     assert [_det_mod(m, [q]) for q in qs] == [[det % qs[0]], None, None, [det % qs[3]]]
@@ -446,11 +526,11 @@ def _check_leading_minors_vanish(seed, w, dense):
 
 
 def test_band_images_whose_leading_minors_vanish_are_recomputed_alone():
-    _check_leading_minors_vanish(53, 3, False)
+    _check_leading_minors_vanish(53, 3, True)
 
 
 def test_dense_images_whose_leading_minors_vanish_are_recomputed_alone():
-    _check_leading_minors_vanish(54, 20, True)
+    _check_leading_minors_vanish(54, 20, False)
 
 
 def test_a_vanishing_modular_pivot_sends_multimodular_det_to_bareiss(monkeypatch):
@@ -459,7 +539,7 @@ def test_a_vanishing_modular_pivot_sends_multimodular_det_to_bareiss(monkeypatch
     q = primes(1)[0]
     lap = intdet.ReducedLaplacian([q, 3, 3, 2], [(0, 1), (0, 2), (1, 2), (2, 3)], [0, 0, 0, 2])
     assert primes_for_bound(math.prod(lap.diagonal))[0] == q
-    dense = lap.array().tolist()
+    dense = dense_laplacian(lap)
     assert lap.first == _profile(dense)
     calls = _record_bareiss_det(monkeypatch)
     assert multimodular_det(lap) == dense_bareiss_det(dense) == sympy_det(dense) > 0
@@ -469,7 +549,7 @@ def test_a_vanishing_modular_pivot_sends_multimodular_det_to_bareiss(monkeypatch
 def test_band_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
     qs = primes(3)
     m = _last_pivot_vanishes(random.Random(59), 40, 4, qs[0])
-    assert not _dense_storage(m)
+    assert _sheared(m)
     calls = _record_bareiss_det(monkeypatch)
     got = _det_mod(m, qs)
     assert got == _det_mod_reference(m, qs) and got[0] == 0 and all(got[1:])
@@ -479,7 +559,7 @@ def test_band_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
 def test_dense_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
     qs = primes(3)
     m = _last_pivot_vanishes(random.Random(60), 40, 25, qs[0])
-    assert _dense_storage(m)
+    assert not _sheared(m)
     calls = _record_bareiss_det(monkeypatch)
     got = _det_mod(m, qs)
     assert got == _det_mod_reference(m, qs) and got[0] == 0 and all(got[1:])
@@ -491,7 +571,7 @@ def test_band_worst_case_magnitudes_between_lazy_reductions():
     n = 2 * w + 10
     for q in primes(2):
         m = _upper_band_gram(n, w, q)
-        assert intdet._width(_profile(m)) == w and not _dense_storage(m)
+        assert intdet._width(_profile(m)) == w and _sheared(m)
         assert _det_mod(m, [q]) == [1]
 
 
@@ -500,7 +580,7 @@ def test_dense_worst_case_magnitudes_between_lazy_reductions():
     n = w + 10
     for q in primes(2):
         m = _upper_band_gram(n, w, q)
-        assert intdet._width(_profile(m)) == w and _dense_storage(m)
+        assert intdet._width(_profile(m)) == w and not _sheared(m)
         assert _det_mod(m, [q]) == [1]
 
 
@@ -518,7 +598,7 @@ def test_det_mod_on_symmetric_dominant_bands(data):
     m = _dominant(_symmetric_band(rng, n, w, bound, zeros), 1)
     for i in range(n):
         m[i][i] += rng.choice((0, 0, 1, qs[rng.randrange(3)]))
-    event("dense storage" if _dense_storage(m) else "band storage")
+    event("sheared layout" if _sheared(m) else "unsheared layout")
     expected = _det_mod_reference(m, qs)
     event("a pivot vanishes" if expected is None else "images")
     assert _det_mod(m, qs) == expected
@@ -560,14 +640,14 @@ def test_clique_ring_tree_counts():
 def test_breadth_first_band_laplacian_takes_one_stack_for_all_its_primes(monkeypatch):
     # K_8 x C_21: its breadth-first ordered reduced Laplacian has order 167,
     # half-bandwidth 16 and envelope work 235 per row, past BAREISS_WORK,
-    # so det_mod takes it in band storage; its 17 primes share one stack,
-    # where dense images would go four to a stack
+    # so det_mod takes it in the sheared layout; its 17 primes share one
+    # stack, where unsheared images would go four to a stack
     graph = _clique_ring(8, 21)
     calls = _record_det_mod(monkeypatch)
     assert spanning_tree_count(graph) == _clique_ring_trees(8, 21)
-    ((matrix, used, first),) = calls
-    assert matrix.shape == (167, 167) and intdet._width(first) == 16
-    assert used == primes_for_bound(math.prod(np.diagonal(matrix).tolist()))
+    ((images, used, first),) = calls
+    assert images.shape == (167, 33) and intdet._width(first) == 16
+    assert used == primes_for_bound(math.prod(reduced_laplacian(graph).diagonal))
     assert intdet.STACK_ENTRIES // (167 * 167) < len(used)
 
 
@@ -578,7 +658,7 @@ def _check_envelope(graph):
     pivoting Bareiss value, sympy, det_int and multimodular_det, and its
     profile against the dense minor's."""
     lap = reduced_laplacian(graph)
-    dense = lap.array().tolist()
+    dense = dense_laplacian(lap)
     assert lap.first == _profile(dense)
     det = _envelope_det(lap)
     assert det == dense_bareiss_det(dense) == sympy_det(dense) == det_int(lap) == multimodular_det(lap) > 0
@@ -597,7 +677,7 @@ def test_envelope_grows_by_many_columns_in_one_step():
     lap = reduced_laplacian(graph)
     reach = intdet._reach(lap.first)
     assert reach[19:21] == [21, 32] and intdet._bareiss_serves(reach)
-    assert dense_bareiss_det([row[:20] for row in lap.array().tolist()[:20]]) == 2**20
+    assert dense_bareiss_det([row[:20] for row in dense_laplacian(lap)[:20]]) == 2**20
     assert _check_envelope(graph) == 2**20 * 13**11
 
 
@@ -623,12 +703,13 @@ def test_envelope_bareiss_on_random_multigraphs(data):
     perm = rng.sample(range(g), g)
     graph = Multigraph.from_edge_list(g, [(perm[t], perm[h]) for t, h in edges])
     _check_envelope(graph)
-    # det_int's route: envelope Bareiss, else det_mod's band or dense storage
+    # det_int's route: envelope Bareiss, else det_mod's sheared or unsheared
+    # layout
     lap = reduced_laplacian(graph)
     if intdet._bareiss_serves(intdet._reach(lap.first)):
         event("Bareiss")
     else:
-        event("band storage" if 2 * intdet._width(lap.first) + 1 < len(lap.first) else "dense storage")
+        event("sheared layout" if 2 * intdet._width(lap.first) + 1 < len(lap.first) else "unsheared layout")
 
 
 # -- the shared prime pool and CRT ------------------------------------------------
@@ -651,23 +732,3 @@ def test_crt_symmetric_representative():
         assert crt([x % q for q in qs], qs) == x
     assert crt([0, 0], [5, 7]) == 0
     assert crt([34], [37]) == -3
-
-
-def _mod(values, p):
-    """values % p entrywise, in Python integers, for nested lists."""
-    return [_mod(v, p) for v in values] if isinstance(values, list) else values % p
-
-
-def test_residues_match_python_remainders():
-    qs = [1073741789, 1073741783, 7]
-    q = np.array(qs, dtype=np.int64).reshape(-1, 1)
-    rng = random.Random(5)
-    small = [rng.randint(-(2**62), 2**62) for _ in range(9)]
-    # int64 arrays, to both ends of the int64 range
-    for values in (small, [-(2**63), -1, 2**63 - 1]):
-        got = residues(np.array(values, dtype=np.int64), q)
-        assert got.dtype == np.int64
-        assert got.tolist() == [_mod(values, p) for p in qs]
-    # an int64 matrix against a flat array of primes
-    a = np.array(small, dtype=np.int64).reshape(3, 3)
-    assert residues(a, q.ravel()).tolist() == [_mod(a.tolist(), p) for p in qs]

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elltowers import analysis, multimodular
+from elltowers import analysis, intdet
 from elltowers.analysis import DisconnectedTowerError, Tower, level_norm
 from elltowers.cli import main
 from elltowers.corpus import CORPUS
@@ -170,7 +170,7 @@ def refuse_primes(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a level norm drew on the prime pools")
 
-    for module, name in ((multimodular, "primes"), (analysis, "resultant")):
+    for module, name in ((intdet, "primes"), (analysis, "resultant")):
         monkeypatch.setattr(module, name, refuse)
 
 

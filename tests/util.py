@@ -103,6 +103,19 @@ def dense_bareiss_order() -> int:
     return n
 
 
+def dense_laplacian(lap) -> list[list[int]]:
+    """The whole matrix of an intdet.ReducedLaplacian, as rows of Python
+    integers: its diagonal, less one for each edge (i, j) at (i, j) and
+    (j, i), so that parallel edges add up."""
+    rows = [[0] * len(lap.diagonal) for _ in lap.diagonal]
+    for i, d in enumerate(lap.diagonal):
+        rows[i][i] = d
+    for i, j in lap.edges:
+        rows[i][j] -= 1
+        rows[j][i] -= 1
+    return rows
+
+
 def dense_bareiss_det(rows: list[list[int]]) -> int:
     """Exact determinant of any square integer matrix by dense
     fraction-free elimination (Bareiss 1968), swapping rows past zero
