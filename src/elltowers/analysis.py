@@ -196,35 +196,32 @@ def _graeffe_norm(f: GenPoly, terms: list[tuple[int, int]], i: int) -> int:
 
     An integral f starts from U = T^b f, read as zeta^(-b) U(zeta); each
     ell = 2 step multiplies zeta^(-b) by (-1)^b, which squares away at the
-    next one.  Any other f starts from its terms with exponents mod
-    ell^i, folded into Z[T]/(Phi_(ell^i)).  An element whose slots
-    outnumber phi(ell^j) is folded, reduced mod Phi_(ell^j), and stays
-    folded at every later level.
+    next one.  Each step's product is unpacked to its coefficients, and
+    folded first, reduced mod Phi_(ell^j), once they outnumber
+    phi(ell^j).  An ell-adic f starts from its terms with exponents mod
+    ell^i, folded into Z[T]/(Phi_(ell^i)), and stays folded and packed
+    at every level.
 
     Each element is one int, its coefficients packed w bits apart
     (Kronecker substitution), so a step is a few big-int operations:
     masks split off the residue classes mod ell, whose slots then lie
     ell w bits apart, and the product is folded as an integer mod
-    Phi_(ell^j)(2^w) (_fold).  A folded coefficient is bounded through
-    the largest conjugate, at most ||f||_1^(ell^s) after s steps
-    (_folded_width), so its width only has to grow by ell per step.  An
-    unfolded element has few slots: its width comes from its actual
-    coefficients."""
+    Phi_(ell^j)(2^w) (_fold).  One rule sizes the slots: w holds one
+    step's product from an element whose conjugates are at most its own
+    1-norm (_folded_width).  That is ||f||_1 for an ell-adic start, after
+    which w grows by ell per step, and ||U||_1 for an integral U, taken
+    afresh at every step."""
     ell = f.ell
     stop = 2 if ell == 2 else 1  # Q(sqrt(-1)) or Q(omega)
-    size = sum(abs(c) for c in f.coefficients())  # |f(zeta)| <= ||f||_1
     b, digits = 0, None
     if f.integral:
         u, b = f.integerize()
-        if u.degree < (ell - 1) * ell ** (i - 1):
-            digits = list(u.coeffs)
-        else:
-            b = 0
-    if digits is None:
+        digits = list(u.coeffs)
+    else:
         slots = _cyclotomic_slots(terms, ell, i)
         if i == stop:
             return _read(slots.items(), 0, ell)
-        w = _folded_width(size, ell, 1)
+        w = _folded_width(sum(abs(c) for c in f.coefficients()), ell)  # |f(zeta)| <= ||f||_1
         if ell > 3:  # _norm_step reads U at T = 2^(w / ell)
             w = -(-w // ell) * ell
         classes = [_pack(((k // ell, c) for k, c in slots.items() if k % ell == r), w)
@@ -234,20 +231,16 @@ def _graeffe_norm(f: GenPoly, terms: list[tuple[int, int]], i: int) -> int:
         j -= 1
         phi = (ell - 1) * ell ** (j - 1)  # the slots of a folded element at level j
         if digits is not None:
-            if len(digits) > phi:  # this step's product is folded
-                w = _folded_width(size, ell, i - j)
-            else:  # at most 2 L A^2 (ell = 2) or 6 L^2 A^3 (ell = 3), L slots of at most A
-                top = max(map(abs, digits)) ** ell * -(-len(digits) // ell) ** (ell - 1)
-                w = (ell * (ell - 1) * top).bit_length() + 1
+            w = _folded_width(sum(map(abs, digits)), ell)
             classes = [_pack(enumerate(digits[r::ell]), w) for r in range(ell)]
         p = _norm_step(classes, w, w * ell ** (j - 1))
-        if digits is not None and len(digits) <= phi:
-            digits = _unpack(p, w, len(digits))
-        else:
-            digits, p = None, _fold(p, ell, w * ell ** (j - 1))
-            if j > stop:
-                classes = _split(p, ell, w, phi)
-                w *= ell
+        if digits is None or len(digits) > phi:
+            p = _fold(p, ell, w * ell ** (j - 1))
+        if digits is not None:
+            digits = _unpack(p, w, min(len(digits), phi))
+        elif j > stop:
+            classes = _split(p, ell, w, phi)
+            w *= ell
     last = _unpack(p, w, max(ell - 1, 2)) if digits is None else digits  # phi(4) or phi(ell) slots
     m = _read(enumerate(last), b, ell)
     return -m if ell == 2 and b % 2 and i > 2 else m
@@ -269,9 +262,10 @@ def _cyclotomic_slots(terms, ell: int, i: int) -> dict[int, int]:
     return slots
 
 
-def _folded_width(size: int, ell: int, steps: int) -> int:
-    """A slot width w that holds every folded coefficient after the given
-    number of steps, and after every later one at ell times the width.
+def _folded_width(size: int, ell: int) -> int:
+    """The slot width w of one norm step from an element whose conjugates
+    are at most size: w holds every coefficient of the product, folded or
+    not, and ell w those of the next step.
 
     In Z[zeta], zeta of order ell^j and n = ell^(j-1), the coefficient k =
     c + t n (c < n, t < ell - 1) of alpha, at zeta^c omega^t with omega =
@@ -282,12 +276,15 @@ def _folded_width(size: int, ell: int, steps: int) -> int:
     is (ell - 1) n + n = ell^j for t' = t and -n + n = 0 otherwise, as
     Tr(omega^s) = -n for s != 0 (mod ell) and 0 < t' + 1 < ell.  So the
     coefficient is at most phi(ell^j) |omega^(-t) - omega| B / ell^j,
-    with B = max_sigma |sigma(alpha)| <= size^(ell^s) after s steps: B
-    for ell = 2 (omega = -1), 2B / sqrt(3) for ell = 3, where every
-    |omega^a - omega^b| <= sqrt(3), and below 2B for every ell."""
-    top = size ** (ell**steps)
+    with B = max_sigma |sigma(alpha)| <= size^ell: B for ell = 2 (omega =
+    -1); 2B / sqrt(3) for ell = 3, where every |omega^a - omega^b| <=
+    sqrt(3), taken as the rational 7B / 6, as 7/6 > 2/sqrt(3); and below
+    2B for every ell.  This bound cB, c >= 1, also holds an unfolded
+    product U', as ||U'||_1 <= ||U||_1^ell = size^ell.  The next step's
+    bound is at most (cB)^ell, which ell w holds."""
+    top = size**ell
     if ell == 3:
-        top = math.isqrt(4 * top * top // 3)
+        top = -(-7 * top // 6)
     elif ell > 3:
         top *= 2
     return top.bit_length() + 1

@@ -11,11 +11,12 @@ wall, so it is the oracle of the sign, and the subresultant
 Res(Phi_(ell^i), f_i) = N_i is the oracle of both.
 """
 
+import importlib
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from elltowers import analysis, intdet
 from elltowers.analysis import DisconnectedTowerError, Tower, level_norm
@@ -26,7 +27,8 @@ from elltowers.intpoly import IntPoly, cyclotomic, real_form, resultant
 from elltowers.towerspec import build_assignment, parse_tower_spec
 from util import draw_voltage, evaluation_norm as evaluation
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos" / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos" / "specs"
 
 
 def corpus_spec(name):
@@ -103,13 +105,27 @@ def test_linear_v():
         check_level(g, i)
 
 
-def test_ell_2_odd_b_sign():
+def refuse_term_slots(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an integral f started from its folded terms")
+
+    monkeypatch.setattr(analysis, "_cyclotomic_slots", refuse)
+
+
+def test_ell_2_odd_b_sign(monkeypatch):
     # from level 3 to 2 the step f(T) f(-T) = (-1)^b f'(T^2) carries a
     # sign, which odd b leaves in M_i
     f = laurent(2, {0: 3, 1: -1, -1: -1})
     assert [check_level(f, i) for i in range(2, 6)] == [3, 7, 47, 2207]
     cube = laurent(2, {0: 45, 1: -30, -1: -30, 2: 9, -2: 9, 3: -1, -3: -1})  # (3 - x)^3
     assert [check_level(cube, i) for i in range(2, 5)] == [27, 343, 103823]
+    # b = 5, 7, 9, 11 against phi(2^i) <= 2b: U = T^b f starts however
+    # wide it is, so the sign applies from the first step
+    refuse_term_slots(monkeypatch)
+    for b in (5, 7, 9, 11):
+        g = laurent(2, {0: 7, 1: -2, -1: -2, b: 1, -b: 1})
+        for i in range(2, 6):
+            check_level(g, i)
 
 
 def test_constant_f():
@@ -242,11 +258,27 @@ def test_widths_hold_large_coefficients(ell, depth):
 
 
 def test_unfolded_widths_hold_the_product_bound():
-    # an unfolded ell = 2 step packs E and O at the width of 2 L A^2 (L
-    # slots of at most A); here E = (1, 1, 1, 1, 1, 1), O alternates, and
-    # the product coefficient 9 has the bit length of 2 * 6 * 1 = 12
+    # an unfolded step packs U at the width of ||U||_1^ell, which bounds
+    # every coefficient of U'; here E = (1, 1, 1, 1, 1, 1), O alternates,
+    # and the coefficients of U' stay far below ||U||_1^2
     f = laurent(2, {0: -1, 1: 1, -1: 1, 2: 1, -2: 1, 3: 1, -3: 1, 4: -1, -4: -1, 5: 1, -5: 1})
     for i in range(2, 8):
+        check_level(f, i)
+
+
+@pytest.mark.parametrize("ell, loops", [(2, (1, 13, 29)), (2, (1, 12, 30)), (3, (1, 13, 29)),
+                                        (3, (2, 20, 40))])
+def test_wide_integral_u_starts_unfolded(monkeypatch, ell, loops):
+    # U = T^b f has 2b + 1 = 59 to 81 coefficients, more than phi(ell^i)
+    # at every level here: every step's product is folded, and no level
+    # folds f's terms first; b = 29 is odd, so at ell = 2 the sign (-1)^b
+    # applies from the first step on
+    refuse_term_slots(monkeypatch)
+    f = tower_f({"ell": ell, "precision": 1, "vertices": ["v"],
+                 "edges": [{"tail": "v", "head": "v", "voltage": str(a)} for a in loops]})
+    assert f.integerize()[0].degree == 2 * max(loops)
+    for i in range(1, 5 if ell == 2 else 4):
+        assert (ell - 1) * ell ** (i - 1) < 2 * max(loops)
         check_level(f, i)
 
 
@@ -310,3 +342,84 @@ def test_count_runs_past_the_old_prime_pool_wall(tmp_path, capsys, doc, levels):
     assert main(["count", str(spec), "--levels", str(levels), "--budget-ms", "1", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["levels"]
     assert [row["n"] for row in rows] == list(range(levels + 1))
+
+
+def integral_corpus_f(ell):
+    """f of the integral corpus towers with this ell."""
+    fs = [tower_f(e.spec) for e in CORPUS]
+    return [f for f in fs if f.integral and f.ell == ell]
+
+
+def test_norm_steps_match_the_scaled_route_deep():
+    # the scaled Graeffe route (power sums, then Res(Psi_3, V)) shares no
+    # slots or widths with the norm steps, and is cheap at levels the
+    # evaluation oracle cannot reach
+    for f in integral_corpus_f(3):
+        for i in range(1, 12):
+            assert level_norm(f, i) == analysis._scaled_graeffe_norm(*f.integerize(), 3, i), (f, i)
+
+
+def width_slack(f: GenPoly, i: int) -> int:
+    """bits(M_i) + 64 + bits(M_i) // 8 less the widest slot of the norm
+    steps of M_i: the slots grow with the norm, not with a loose bound."""
+    widths, step = [], analysis._norm_step
+
+    def record(classes, w, block):
+        widths.append(w)
+        return step(classes, w, block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_norm_step", record)
+        bits = abs(level_norm(f, i)).bit_length()
+    return bits + 64 + bits // 8 - max(widths, default=0)
+
+
+def test_widths_follow_the_norm_on_the_corpus():
+    for ell, depth in ((2, 14), (3, 10)):
+        for f in integral_corpus_f(ell):
+            for i in range(1, depth + 1):
+                assert width_slack(f, i) >= 0, (f, i)
+
+
+def benchmark_ops(monkeypatch, workload):
+    """The operations of round 0 of a seed-1 run of a benchmark workload."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("workloads").run_ops(workload, 1, 1)[0]
+
+
+@pytest.mark.parametrize("workload", ["integral_deep", "cover_check", "report_cli"])
+def test_widths_follow_the_norm_on_the_benchmark_towers(monkeypatch, workload):
+    for op in benchmark_ops(monkeypatch, workload):
+        f = tower_f(op.doc)
+        if f.integral and f.ell <= 3:
+            for i in range(1, op.levels + 1):
+                assert width_slack(f, i) >= 0, (op.label, i)
+
+
+@st.composite
+def bouquets_and_thetas(draw):
+    """An integral bouquet (2-4 loops) or theta (three edges v1 -> v2),
+    voltages in [-30, 30], ell in {2, 3}; a unit voltage (a unit
+    difference on the theta) keeps every level norm nonzero.  f depends
+    only on |a| for a loop and on the differences on a theta, so the
+    whole domain can be run: its least slack to level 12 (ell = 2) and 8
+    (ell = 3) is 4 bits, on loops 27, 27, 27 and a unit at ell = 3,
+    level 5, where the loops of 27 set the products over the cosets of
+    the ninth roots of unity far apart."""
+    ell = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        names, volts = ["v"], draw(st.lists(st.integers(-30, 30), min_size=2, max_size=4))
+        assume(any(a % ell for a in volts))
+    else:
+        names, volts = ["v1", "v2"], draw(st.lists(st.integers(-30, 30), min_size=3, max_size=3))
+        assume((volts[0] - volts[1]) % ell or (volts[0] - volts[2]) % ell)
+    edges = [{"tail": names[0], "head": names[-1], "voltage": str(a)} for a in volts]
+    return {"ell": ell, "precision": 1, "vertices": names, "edges": edges}
+
+
+@settings(deadline=None, max_examples=60)
+@given(bouquets_and_thetas())
+def test_widths_follow_the_norm(doc):
+    f = tower_f(doc)
+    for i in range(1, (12 if doc["ell"] == 2 else 8) + 1):
+        assert width_slack(f, i) >= 0, (doc, i)
