@@ -37,7 +37,8 @@ ell^i > 2, as N_i = M_i^2) is factored once, and kappa_n's
 factorisation is assembled from the pieces below it.  --budget-ms is
 split evenly across the levels + 1 pieces; each level row reports the
 rho iterations its piece used (rho_iterations) and whether they ran out
-(budget_exhausted).
+(budget_exhausted).  classify factors the content of U within the
+default budget and prints the part it leaves unsplit (content_cofactor).
 """
 
 from __future__ import annotations
@@ -292,10 +293,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_classify(args) -> int:
     _, _, tower = _tower(_read_json(args.file))
-    cls = classify_omega(tower.f)
+    cls = classify_omega(tower.f, DEFAULT_BUDGET_MS * RHO_ITERATIONS_PER_MS)
     if args.json:
         _print_json({**_classification(cls),
-                     "content_primes": [decimal_str(p) for p in cls.content_primes]})
+                     "content_primes": [decimal_str(p) for p in cls.content_primes],
+                     "content_cofactor": None if cls.content_cofactor is None
+                     else decimal_str(cls.content_cofactor)})
     elif cls.verdict == INAPPLICABLE:
         print("inapplicable: voltages are not declared integers, "
               "the root-of-unity criterion does not apply")
@@ -307,6 +310,8 @@ def cmd_classify(args) -> int:
               + f" * ({cls.non_cyclotomic_part})")
         if cls.content_primes:
             print("content primes:", ", ".join(decimal_str(p) for p in cls.content_primes))
+        if cls.content_cofactor != 1:
+            print("content cofactor (not split within the budget):", decimal_str(cls.content_cofactor))
     return EXIT_OK
 
 
@@ -315,7 +320,7 @@ def cmd_report(args) -> int:
     spec, va, tower = _tower(_read_json(args.file), args.matrix_tree_max_level)
     rows = _level_rows(tower, args.levels, args.budget_ms)
     fit = _ell_fit(tower, args.levels) if args.levels >= 3 else None
-    cls = classify_omega(tower.f)
+    cls = classify_omega(tower.f, args.budget_ms * RHO_ITERATIONS_PER_MS)
     primes = set(args.p or []).union(*({p for p, _ in fact.factors} for _, _, fact in rows))
     primes.discard(tower.ell)
     primes_doc = [_prime_entry(tower, p, args.levels)[0] for p in sorted(primes)]
@@ -379,7 +384,7 @@ def cmd_selftest(args) -> int:
                     print(f"FAIL {entry.name} ell fit: got {got_fit}, want {entry.ell_fit}")
                 else:
                     print(f"ok   {entry.name} ell fit {got_fit}")
-            verdict = classify_omega(tower.f).verdict
+            verdict = classify_omega(tower.f, args.budget_ms * RHO_ITERATIONS_PER_MS).verdict
             if verdict != entry.verdict:
                 failures.append((entry.name, "verdict", verdict, entry.verdict))
                 print(f"FAIL {entry.name} verdict: got {verdict}, want {entry.verdict}")

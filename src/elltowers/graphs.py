@@ -29,7 +29,8 @@ an adjacent one: the minor's nonzeros hug the diagonal in a narrow band.
 reduced_laplacian reads the minor and its envelope profile (the first
 nonzero column of each row) off the edges as an intdet.ReducedLaplacian,
 the one input of intdet.det_int, which eliminates it without row swaps:
-by exact Bareiss inside the envelope while that is narrow, else modulo
+by exact Bareiss inside the envelope while that is narrow, each row of
+the envelope one Python integer packed from the edges, else modulo
 word-size primes, many images to one stack, each written once into an
 int64 array of one layout: rows sheared to the band when the profile
 is narrow, whole rows otherwise.  No dense matrix of Python integers is

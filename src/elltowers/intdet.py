@@ -10,7 +10,7 @@ swaps rows, and |det| is at most the product of its diagonal
 sends it to one of two exact engines by its envelope work (below):
 
 * bareiss_det, fraction-free elimination (Bareiss 1968) inside the
-  envelope, read from the edges (ReducedLaplacian.envelope).
+  envelope, each row one Python integer packed straight from the edges.
 * multimodular_det: one elimination over a stack of images modulo
   word-size primes (det_mod), recombined by CRT against the diagonal
   product, of the int64 array built from the diagonal and the edges.
@@ -30,19 +30,41 @@ Envelope Bareiss.  After Bareiss step k, entry (i, j) of the trailing
 block is the minor of the matrix on rows 0..k, i and columns 0..k, j,
 and the pivot of step k is the leading principal minor d_k of order
 k+1, so step k sets a_ij to (d_k a_ij - a_ik a_kj) / d_{k-1}, an exact
-division.  bareiss_det applies that only inside the boxes:
+division.  bareiss_det applies that only inside the boxes, a whole row
+at a time:
 
-* Only the upper triangle, row i holding columns i .. reach[i]-1: the
-  minors are symmetric in i and j, so the pivot row also serves as the
-  pivot column (a_ik = a_ki).
-* Entering entries are scaled.  An entry whose column j has been
-  outside every box so far was never updated, but Bareiss would have:
-  the pivot rows so far are 0 in column j, so each step s only
-  multiplied it by d_s / d_{s-1}, which telescopes to d_{k-1} before
-  step k.  So when column j enters the box
-  at step k (reach[k-1] <= j < reach[k]), its entries in rows k .. j
-  are multiplied by the previous pivot d_{k-1} once, and from then on
-  they are updated at every step, since reach never falls.
+* Packed rows.  Only the upper triangle is kept, row i holding columns
+  i .. reach[i]-1, as one signed-slot integer P_i = sum_j a_ij 2^(s(j-i))
+  with s = bits(D) + 2, D the product of the diagonal.  A slot below
+  2^(s-1) in absolute value is read back exactly: the low slot of P is
+  ((P + 2^(s-1)) mod 2^s) - 2^(s-1), and (P + 2^(s-1)) >> s drops it,
+  the borrow corrected.  The minors are symmetric in i and j, so the
+  pivot row also serves as the pivot column (a_ik = a_ki): step k reads
+  the pivot d_k off P_k and, for each row i = k+1 .. reach[k]-1 of its
+  box, drops one more slot off the pivot row, leaving tail = sum_(j >= i)
+  a_kj 2^(s(j-i)), aligned with P_i, whose low slot is m = a_ik; then
+  P_i = (d_k P_i - m tail) / d_{k-1}.  The update is linear in the
+  slots and d_{k-1} divides every slot of the numerator, so it divides
+  the whole integer exactly, however far the slots of the product
+  overflow into each other, and the quotient's slots are the new
+  entries.  Slots past the box scale by d_k / d_{k-1}, as Bareiss
+  scales them, since the pivot row is 0 there.
+* The slots fit.  After each division every slot is a minor det A[I, J]
+  of A, with |I| = |J|.  A is positive semidefinite, so its compound
+  matrix of minors of that order is too, and Cauchy-Schwarz on it gives
+  |det A[I, J]| <= sqrt(det A[I, I] det A[J, J]); by Hadamard's
+  inequality det A[I, I] <= prod_(i in I) a_ii <= D, as every a_ii >= 1.
+  So every slot is at most D < 2^(s-2) in absolute value.  A zero
+  diagonal entry makes D = 0 and is a row of zeros (A is positive
+  semidefinite): the determinant is 0 at once.
+* Entering rows are scaled.  A row i that has been outside every box so
+  far was never updated, but Bareiss would have: a_ih = 0 at every
+  pivot h so far, so each step h only multiplied the row by d_h /
+  d_{h-1}, which telescopes to d_{k-1} before step k.  So when row i
+  enters the box at step k (reach[k-1] <= i < reach[k], the pivot row k
+  among them when reach[k-1] = k), P_i is multiplied by the previous
+  pivot d_{k-1} once, and from then on it is updated whole at every
+  step, since reach never falls.
 * No row swaps.  If a leading minor d_k vanishes, some x != 0 has
   A_k x = 0; then y = (x, 0) has y^T A y = 0, so A y = 0 (A is positive
   semidefinite) and det A = 0.  A zero pivot ends the elimination with
@@ -95,21 +117,25 @@ BAREISS_WORK is the measured crossover (2-core x86-64, shared, Python
 each minor by each engine, by envelope work per row.  Cover minors
 are the distinct minors of order above 36 in rounds 0-2 of the
 cover_check benchmark (seeds 1-3) and rounds 0-1 of padic_deep (seed
-1); random minors are breadth-first ordered minors of random
-multigraphs of order 24-56 and mean valency 8.
+1), of orders 47-255; random minors are breadth-first ordered minors
+of random multigraphs of order 24-56 and mean valency 8.
 
-    work          <50  50- 100- 150- 200- 250- 400- 500- 700- 1000-
-                       100  150  200  250  400  500  700 1000  4000
-    cover minors    8    8   13   11    9    6   10   13    7    17
-      Bareiss      14   35   41   57   64   95  117  140  189   369
-      multimod.    54   55   53   57   55   65   76   84   85   187
-    random minors             7    6    5   15    9    5    1
-      Bareiss                23   30   37   70   74  173   96
-      multimod.              33   35   37   52   52   86   55
+    work        <50  50- 100- 150- 200- 250- 300- 350- 400- 500- 700- 1000-
+                     100  150  200  250  300  350  400  500  700 1000  4000
+    cover minors 15   21   28   13   14    1    3    3   10   13    7   17
+      Bareiss     3    8   10   12   18   13   22   34   42   70   86  279
+      multimod.  22   23   23   24   26   24   29   29   33   41   44   96
+    random minors           12   17   16   19   10    9   16   21
+      Bareiss                6    8   11   14   17   22   28   35
+      multimod.             20   22   24   24   26   28   30   32
 
-The cover minors tie near 200 and the random ones between 200 and 250
-(multimodular's cost per row barely grows with the width of a narrow
-band, Bareiss's grows with the work), so BAREISS_WORK is 200.
+The cover minors tie between 300 and 350 and the random ones between
+400 and 500, so BAREISS_WORK is 300.  A packed row's slots are as wide
+as the bits of the diagonal product, which grows with the order, so
+Bareiss's cost per row grows with the work and the order together:
+cover minors of order 48-63 gain up to work 320, those of order 107 and
+above lose from about 200 on.  Summed over the cover minors, every
+crossover from 200 to 400 gives the same time within 1%.
 """
 
 from __future__ import annotations
@@ -123,7 +149,7 @@ import numpy as np
 
 from .factorint import is_certified_prime
 
-BAREISS_WORK = 200
+BAREISS_WORK = 300
 
 WORD_LIMIT = 1 << 30
 
@@ -158,16 +184,6 @@ class ReducedLaplacian(NamedTuple):
     edges: list[tuple[int, int]]
     first: list[int]
 
-    def envelope(self, reach: list[int]) -> list[list[int]]:
-        """The upper envelope that bareiss_det eliminates: row i's entries
-        in columns i .. reach[i] - 1, where every edge (i, j) lies."""
-        rows = [[0] * (r - i) for i, r in enumerate(reach)]
-        for row, d in zip(rows, self.diagonal):
-            row[0] = d
-        for i, j in self.edges:
-            rows[i][j - i] -= 1
-        return rows
-
 
 def _reach(first: list[int]) -> list[int]:
     """reach[k] of a profile (module docstring): one past the last row
@@ -189,24 +205,34 @@ def _bareiss_serves(reach: list[int]) -> bool:
     return sum((r - k - 1) ** 2 for k, r in enumerate(reach)) <= BAREISS_WORK * len(reach)
 
 
-def bareiss_det(rows: list[list[int]], reach: list[int]) -> int:
+def bareiss_det(lap: ReducedLaplacian, reach: list[int]) -> int:
     """Exact determinant of a reduced Laplacian by fraction-free
-    elimination of its upper envelope rows (ReducedLaplacian.envelope),
-    in place inside the boxes of reach (module docstring)."""
-    prev, entered = 1, 0  # the columns below entered have been in a box
-    for k, (pivot_row, r) in enumerate(zip(rows, reach)):
+    elimination of its upper envelope, one packed integer per row, inside
+    the boxes of reach (module docstring)."""
+    bound = math.prod(lap.diagonal)
+    if bound == 0:
+        return 0  # a row of zeros
+    s = bound.bit_length() + 2
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    rows = list(lap.diagonal)
+    for i, j in lap.edges:
+        rows[i] -= 1 << s * (j - i)
+    prev, entered = 1, 0  # the rows below entered have been in a box
+    for k, r in enumerate(reach):
         if r > entered:
             if prev != 1:
-                for i in range(k, r):
-                    row, lo = rows[i], max(entered, i) - i
-                    row[lo : r - i] = [x * prev for x in row[lo : r - i]]
+                for i in range(max(entered, k), r):
+                    rows[i] *= prev
             entered = r
-        pivot = pivot_row[0]
+        low = rows[k] + half
+        pivot = (low & mask) - half
         if pivot == 0:
             return 0
         for i in range(k + 1, r):
-            m, row = pivot_row[i - k], rows[i]
-            row[: r - i] = [(pivot * x - m * y) // prev for x, y in zip(row, pivot_row[i - k :])]
+            tail = low >> s  # the pivot row from column i on
+            low = tail + half
+            m = (low & mask) - half
+            rows[i] = (pivot * rows[i] - m * tail) // prev
         prev = pivot
     return prev
 
@@ -335,8 +361,7 @@ def multimodular_det(lap: ReducedLaplacian) -> int:
     for s in range(stacks):
         stack = det_mod(images, qs[s * len(qs) // stacks : (s + 1) * len(qs) // stacks], lap.first)
         if stack is None:
-            reach = _reach(lap.first)
-            return bareiss_det(lap.envelope(reach), reach)
+            return bareiss_det(lap, _reach(lap.first))
         dets += stack
     return crt(dets, qs)
 
@@ -347,5 +372,5 @@ def det_int(lap: ReducedLaplacian) -> int:
     docstring)."""
     reach = _reach(lap.first)
     if _bareiss_serves(reach):
-        return bareiss_det(lap.envelope(reach), reach)
+        return bareiss_det(lap, reach)
     return multimodular_det(lap)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .factorint import factor_kappa, is_certified_prime
+from .factorint import DEFAULT_RHO_ITERATIONS, factor_kappa, is_certified_prime
 from .genpoly import GenPoly
 from .intpoly import IntPoly, ZeroPolynomialError, cyclotomic, cyclotomic_value
 
@@ -83,14 +83,17 @@ class OmegaClassification:
     content: int | None = None  # signed: content of U times its leading sign
     non_cyclotomic_part: IntPoly | None = None
     content_primes: tuple[int, ...] = ()
+    content_cofactor: int | None = None  # the part of |content| left unsplit, 1 when complete
 
 
-def classify_omega(f: GenPoly) -> OmegaClassification:
+def classify_omega(f: GenPoly, rho_iterations: int = DEFAULT_RHO_ITERATIONS) -> OmegaClassification:
     """Bounded/unbounded verdict for omega(kappa_n) along the tower of f.
 
     Unbounded exactly when U keeps a non-cyclotomic factor; inapplicable
     when the voltages were not declared integral (the reduction to an
-    integer polynomial does not exist)."""
+    integer polynomial does not exist).  The content is factored with at
+    most rho_iterations rho steps: content_primes are the primes found,
+    content_cofactor what is left unsplit."""
     if not f.integral:
         return OmegaClassification(INAPPLICABLE)
     u, _b = f.integerize()
@@ -101,12 +104,13 @@ def classify_omega(f: GenPoly) -> OmegaClassification:
     if not factors or factors[0][0] != 1:
         raise UnitRootMissingError("expected 1 to be a root (singular Laplacian)")
     verdict = UNBOUNDED if rest.degree >= 1 else BOUNDED
-    content_primes = tuple(p for p, _ in factor_kappa(abs(content)).factors)
+    content_factored = factor_kappa(abs(content), rho_iterations=rho_iterations)
     return OmegaClassification(
         verdict=verdict,
         unit_root_multiplicity=factors[0][1],
         cyclotomic_factors=factors[1:],
         content=content,
         non_cyclotomic_part=rest,
-        content_primes=content_primes,
+        content_primes=tuple(p for p, _ in content_factored.factors),
+        content_cofactor=content_factored.cofactor,
     )

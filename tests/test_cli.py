@@ -265,6 +265,33 @@ def test_bad_arguments_are_usage_errors(spec_file, capsys, argv):
     assert "error: " in err and "Traceback" not in err
 
 
+def test_classify_reports_the_content_it_cannot_split(capsys, monkeypatch):
+    # classify factors the content of U within DEFAULT_BUDGET_MS *
+    # RHO_ITERATIONS_PER_MS rho steps; with that budget cut to 2 ms (1000
+    # steps), a content of -2 P Q, P and Q primes of 20 digits, keeps P Q
+    # as its cofactor
+    import sympy
+
+    import elltowers.cli as cli
+    import elltowers.omega as omega
+    from elltowers import GenPoly
+
+    P, Q = sympy.nextprime(10**19), sympy.nextprime(3 * 10**19)
+    budgets, factor, classify = [], omega.factor_kappa, cli.classify_omega
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET_MS", 2)
+    monkeypatch.setattr(omega, "factor_kappa",
+                        lambda n, rho_iterations: budgets.append(rho_iterations) or factor(n, rho_iterations))
+    monkeypatch.setattr(cli, "classify_omega",
+                        lambda f, rho: classify(f * GenPoly.constant(f.ell, f.precision, P * Q), rho))
+    path = str(DEMO_SPECS / "bouquet4_ell3.json")
+    doc = json.loads(run_cli(capsys, "classify", path, "--json")[1])
+    assert doc["content"] == str(-2 * P * Q)
+    assert (doc["content_primes"], doc["content_cofactor"]) == (["2"], str(P * Q))
+    text = run_cli(capsys, "classify", path)[1]
+    assert f"content cofactor (not split within the budget): {P * Q}" in text
+    assert budgets == [2 * cli.RHO_ITERATIONS_PER_MS] * 2
+
+
 def test_verbs_are_projections_of_report(capsys):
     """count, classify and analyze print report's sections and their own keys."""
     path = str(DEMO_SPECS / "bouquet4_ell3.json")
@@ -273,7 +300,7 @@ def test_verbs_are_projections_of_report(capsys):
     assert count["levels"] == [{k: v for k, v in row.items() if k != "ord_ell"}
                                for row in report["levels"]]
     classify = json.loads(run_cli(capsys, "classify", path, "--json")[1])
-    assert classify == {**report["classification"], "content_primes": ["2"]}
+    assert classify == {**report["classification"], "content_primes": ["2"], "content_cofactor": "1"}
     assert len(report["primes"]) > 1
     for entry in report["primes"]:
         analyze = json.loads(run_cli(capsys, "analyze", path, "--p", str(entry["p"]),

@@ -9,7 +9,8 @@ import elltowers.intdet as intdet
 from elltowers import Multigraph, spanning_tree_count
 from elltowers.graphs import reduced_laplacian
 from elltowers.intdet import bareiss_det, crt, det_int, det_mod, multimodular_det, primes, primes_for_bound
-from util import dense_bareiss_det, dense_bareiss_order, dense_laplacian, spanning_trees_bruteforce, sympy_det
+from util import (dense_bareiss_det, dense_bareiss_order, dense_laplacian, envelope, spanning_trees_bruteforce,
+                  sympy_det)
 
 
 def _random_matrix(rng, n, lo=-9, hi=9):
@@ -26,8 +27,7 @@ def _random_multigraph(rng, g, extra):
 
 
 def _envelope_det(lap):
-    reach = intdet._reach(lap.first)
-    return bareiss_det(lap.envelope(reach), reach)
+    return bareiss_det(lap, intdet._reach(lap.first))
 
 
 # -- the oracle: dense pivoting Bareiss of any square matrix ---------------------
@@ -71,7 +71,7 @@ def _band_work(n, b):
 def test_dispatcher_threshold(monkeypatch):
     def engines(lap):
         calls = []
-        monkeypatch.setattr(intdet, "bareiss_det", lambda rows, reach: calls.append("bareiss") or 0)
+        monkeypatch.setattr(intdet, "bareiss_det", lambda lap, reach: calls.append("bareiss") or 0)
         monkeypatch.setattr(intdet, "multimodular_det", lambda lap: calls.append("mm") or 0)
         det_int(lap)
         monkeypatch.undo()
@@ -476,7 +476,7 @@ def _record_bareiss_det(monkeypatch):
     """The order of every bareiss_det call, multimodular_det's fallbacks
     among them."""
     calls, real = [], intdet.bareiss_det
-    monkeypatch.setattr(intdet, "bareiss_det", lambda rows, reach: calls.append(len(rows)) or real(rows, reach))
+    monkeypatch.setattr(intdet, "bareiss_det", lambda lap, reach: calls.append(len(lap.diagonal)) or real(lap, reach))
     return calls
 
 
@@ -638,17 +638,17 @@ def test_clique_ring_tree_counts():
 
 
 def test_breadth_first_band_laplacian_takes_one_stack_for_all_its_primes(monkeypatch):
-    # K_8 x C_21: its breadth-first ordered reduced Laplacian has order 167,
-    # half-bandwidth 16 and envelope work 235 per row, past BAREISS_WORK,
-    # so det_mod takes it in the sheared layout; its 17 primes share one
-    # stack, where unsheared images would go four to a stack
-    graph = _clique_ring(8, 21)
+    # K_10 x C_15: its breadth-first ordered reduced Laplacian has order 149,
+    # half-bandwidth 20 and envelope work 355 per row, past BAREISS_WORK,
+    # so det_mod takes it in the sheared layout; its 18 primes share one
+    # stack, where unsheared images would go five to a stack
+    graph = _clique_ring(10, 15)
     calls = _record_det_mod(monkeypatch)
-    assert spanning_tree_count(graph) == _clique_ring_trees(8, 21)
+    assert spanning_tree_count(graph) == _clique_ring_trees(10, 15)
     ((images, used, first),) = calls
-    assert images.shape == (167, 33) and intdet._width(first) == 16
+    assert images.shape == (149, 41) and intdet._width(first) == 20
     assert used == primes_for_bound(math.prod(reduced_laplacian(graph).diagonal))
-    assert intdet.STACK_ENTRIES // (167 * 167) < len(used)
+    assert intdet.STACK_ENTRIES // (149 * 149) < len(used)
 
 
 # -- envelope Bareiss: reduced Laplacians without row swaps -----------------------
@@ -668,9 +668,9 @@ def _check_envelope(graph):
 def test_envelope_grows_by_many_columns_in_one_step():
     # a clique on 0 .. 12 and a path 12 - 13 - ... - 32 of doubled edges:
     # searched from 0, the path is visited last, so it opens the minor, and
-    # the other 11 columns of the clique all enter the box at the step of
-    # vertex 12, after 20 pivots whose leading minor is 2**20, which their
-    # entries are scaled by
+    # the other 11 rows of the clique all enter the box at the step of
+    # vertex 12, after 20 pivots whose leading minor is 2**20, which those
+    # rows are scaled by
     clique = [(u, w) for u in range(13) for w in range(u + 1, 13)]
     path = [(v, v + 1) for v in range(12, 32) for _ in range(2)]
     graph = Multigraph.from_edge_list(33, clique + path)
@@ -710,6 +710,101 @@ def test_envelope_bareiss_on_random_multigraphs(data):
         event("Bareiss")
     else:
         event("sheared layout" if 2 * intdet._width(lap.first) + 1 < len(lap.first) else "unsheared layout")
+
+
+# -- packed rows: wide slots, long rows, degenerate minors -----------------------
+
+def _engines_agree(lap):
+    """bareiss_det against dense_bareiss_det and multimodular_det."""
+    det = _envelope_det(lap)
+    assert det == dense_bareiss_det(dense_laplacian(lap)) == multimodular_det(lap)
+    return det
+
+
+def _heavy(rng, g, extra, most):
+    """_random_multigraph with every edge repeated 1 .. most times."""
+    base = _random_multigraph(rng, g, extra)
+    return Multigraph.from_edge_list(g, [e for e in base.edges for _ in range(rng.randint(1, most))])
+
+
+def test_packed_rows_with_wide_slots():
+    # up to 40 parallel copies of each edge put diagonal entries past 50,
+    # so the slots, as wide as the product of the diagonal, grow from 16
+    # bits at order 2 to 407 bits at order 60
+    rng = random.Random(29)
+    for g in (3, 12, 40, 61):
+        lap = reduced_laplacian(_heavy(rng, g, 2 * g, 40))
+        assert max(lap.diagonal) >= 50
+        assert _engines_agree(lap) > 0
+
+
+def test_packed_rows_spanning_hundreds_of_slots():
+    # the wheel's rim closes on the first row of its minor, so that row
+    # spans all n columns and every row i the n - i columns from i on:
+    # orders 60 and 70 against the dense oracle, 150 and 300 against the
+    # Lucas-number count
+    for n in (60, 70, 150, 300):
+        lap = reduced_laplacian(_wheel(n))
+        assert intdet._reach(lap.first) == [n] * n
+        if n <= 70:
+            assert _engines_agree(lap) == _wheel_trees(n)
+        else:
+            assert _envelope_det(lap) == multimodular_det(lap) == _wheel_trees(n)
+    # and K_8 x C_21 at order 167, its rows 17 columns wide
+    lap = reduced_laplacian(_clique_ring(8, 21))
+    assert _envelope_det(lap) == _clique_ring_trees(8, 21)
+
+
+def test_packed_rows_of_order_0_and_1():
+    for lap, det in ((intdet.ReducedLaplacian([], [], []), 1), (intdet.ReducedLaplacian([5], [], [0]), 5)):
+        assert _engines_agree(lap) == det
+    assert spanning_tree_count(Multigraph.from_edge_list(2, [(0, 1)] * 3)) == 3
+
+
+def test_a_disconnected_minor_ends_at_a_zero_pivot(monkeypatch):
+    # rows 0 .. 9 a 10-cycle joined to nothing else and rows 10 .. 19 a
+    # path hanging off the dropped vertex: the leading minors of orders 1
+    # to 9 are positive and the one of order 10 vanishes, so Bareiss stops
+    # at its tenth pivot; modulo every prime that pivot vanishes before the
+    # last step too, so multimodular_det falls back to bareiss_det
+    edges = [(i, i + 1) for i in range(9)] + [(0, 9)] + [(i, i + 1) for i in range(10, 19)]
+    first = [0, 0, 1, 2, 3, 4, 5, 6, 7, 0, 10] + list(range(10, 19))
+    lap = intdet.ReducedLaplacian([2] * 19 + [1], edges, first)
+    assert first == _profile(dense_laplacian(lap))
+    assert dense_bareiss_det([row[:9] for row in dense_laplacian(lap)[:9]]) == 10
+    calls = _record_bareiss_det(monkeypatch)
+    assert _engines_agree(lap) == 0
+    assert calls == [20]
+    # a vertex with no edge between two joined by three parallel edges:
+    # the diagonal product is 0, and so is the determinant
+    lap = intdet.ReducedLaplacian([5, 0, 5], [(0, 2)] * 3, [0, 1, 0])
+    assert _engines_agree(lap) == 0
+
+
+def test_multimodular_falls_back_to_packed_rows_with_wide_slots(monkeypatch):
+    # the leading diagonal entry raised to the first prime that
+    # primes_for_bound draws (the minor stays positive semidefinite): the
+    # first stack's leading pivot vanishes, and the packed body answers for
+    # an order-40 minor of heavy parallel edges
+    q = primes(1)[0]
+    lap = reduced_laplacian(_heavy(random.Random(31), 41, 60, 20))
+    lap = lap._replace(diagonal=[q] + lap.diagonal[1:])
+    assert primes_for_bound(math.prod(lap.diagonal))[0] == q
+    calls = _record_bareiss_det(monkeypatch)
+    assert multimodular_det(lap) == dense_bareiss_det(dense_laplacian(lap)) > 0
+    assert calls == [40]
+
+
+def test_every_edge_lies_in_its_rows_envelope():
+    # the packed row i holds columns i .. reach[i] - 1: the dense upper
+    # triangle is zero past them
+    rng = random.Random(41)
+    for g in (2, 5, 20, 60):
+        lap = reduced_laplacian(_random_multigraph(rng, g, 2 * g))
+        reach = intdet._reach(lap.first)
+        dense = dense_laplacian(lap)
+        assert envelope(lap, reach) == [row[i:r] for i, (row, r) in enumerate(zip(dense, reach))]
+        assert not any(x for row, r in zip(dense, reach) for x in row[r:])
 
 
 # -- the shared prime pool and CRT ------------------------------------------------

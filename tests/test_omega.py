@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import elltowers.omega as omega
 from elltowers import GenPoly, Tower, classify_omega, intpoly, strip_cyclotomics
 from elltowers.cli import DEFAULT_BUDGET_MS, _factorization_dict, _level_rows
 from elltowers.corpus import CORPUS
@@ -172,7 +173,24 @@ def test_classify_bouquet4_details():
     assert cls.unit_root_multiplicity == 2
     assert cls.content == -2
     assert cls.non_cyclotomic_part == IntPoly((1, 3, 1))
-    assert cls.content_primes == (2,)
+    assert cls.content_primes == (2,) and cls.content_cofactor == 1
+
+
+def test_classify_leaves_an_unsplit_content_within_its_budget(monkeypatch):
+    # bouquet4-ell3's f times P Q, two primes of 20 digits: trial division
+    # and 1000 rho steps cannot split P Q, which stays the content's
+    # cofactor beside the prime 2 (without a budget, rho would take 10**7
+    # steps over it)
+    P, Q = sympy.nextprime(10**19), sympy.nextprime(3 * 10**19)
+    f = TOWERS["bouquet4-ell3"].f
+    calls, factor = [], omega.factor_kappa
+    monkeypatch.setattr(omega, "factor_kappa",
+                        lambda n, rho_iterations: calls.append(factor(n, rho_iterations)) or calls[-1])
+    cls = classify_omega(f * GenPoly.constant(f.ell, f.precision, P * Q), rho_iterations=1000)
+    assert cls.verdict == UNBOUNDED and cls.content == -2 * P * Q
+    assert cls.content_primes == (2,) and cls.content_cofactor == P * Q
+    (content,) = calls
+    assert content.budget_exhausted and content.rho_iterations == 1000
 
 
 def test_classify_theta_details():

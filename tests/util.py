@@ -116,6 +116,18 @@ def dense_laplacian(lap) -> list[list[int]]:
     return rows
 
 
+def envelope(lap, reach: list[int]) -> list[list[int]]:
+    """The upper envelope of an intdet.ReducedLaplacian, as rows of Python
+    integers: row i's entries in columns i .. reach[i] - 1, where every
+    edge (i, j) lies."""
+    rows = [[0] * (r - i) for i, r in enumerate(reach)]
+    for row, d in zip(rows, lap.diagonal):
+        row[0] = d
+    for i, j in lap.edges:
+        rows[i][j - i] -= 1
+    return rows
+
+
 def dense_bareiss_det(rows: list[list[int]]) -> int:
     """Exact determinant of any square integer matrix by dense
     fraction-free elimination (Bareiss 1968), swapping rows past zero
