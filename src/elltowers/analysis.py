@@ -53,7 +53,7 @@ from itertools import accumulate, pairwise
 from .factorint import factor_kappa, ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
-from .intpoly import IntPoly, cyclotomic, poly_mod_gcd, real_form, resultant
+from .intpoly import IntPoly, cyclotomic, pack, poly_mod_gcd, real_form, repunit, resultant, unpack
 from .rootladder import root_levels as ladder_root_levels
 
 
@@ -224,7 +224,7 @@ def _graeffe_norm(f: GenPoly, terms: list[tuple[int, int]], i: int) -> int:
         w = _folded_width(sum(abs(c) for c in f.coefficients()), ell)  # |f(zeta)| <= ||f||_1
         if ell > 3:  # _norm_step reads U at T = 2^(w / ell)
             w = -(-w // ell) * ell
-        classes = [_pack(((k // ell, c) for k, c in slots.items() if k % ell == r), w)
+        classes = [pack(((k // ell, c) for k, c in slots.items() if k % ell == r), w)
                    for r in range(ell)]
     j = i
     while j > stop:
@@ -232,16 +232,16 @@ def _graeffe_norm(f: GenPoly, terms: list[tuple[int, int]], i: int) -> int:
         phi = (ell - 1) * ell ** (j - 1)  # the slots of a folded element at level j
         if digits is not None:
             w = _folded_width(sum(map(abs, digits)), ell)
-            classes = [_pack(enumerate(digits[r::ell]), w) for r in range(ell)]
+            classes = [pack(enumerate(digits[r::ell]), w) for r in range(ell)]
         p = _norm_step(classes, w, w * ell ** (j - 1))
         if digits is None or len(digits) > phi:
             p = _fold(p, ell, w * ell ** (j - 1))
         if digits is not None:
-            digits = _unpack(p, w, min(len(digits), phi))
+            digits = unpack(p, w, min(len(digits), phi))
         elif j > stop:
             classes = _split(p, ell, w, phi)
             w *= ell
-    last = _unpack(p, w, max(ell - 1, 2)) if digits is None else digits  # phi(4) or phi(ell) slots
+    last = unpack(p, w, max(ell - 1, 2)) if digits is None else digits  # phi(4) or phi(ell) slots
     m = _read(enumerate(last), b, ell)
     return -m if ell == 2 and b % 2 and i > 2 else m
 
@@ -395,32 +395,11 @@ def _split(p: int, ell: int, w: int, n: int) -> list[int]:
     """The ell residue classes of the n-slot element p, packed at width
     ell w: shifted by a bias of 2^(w-1) per slot, every slot is a w-bit
     field, and one mask per class takes its slots."""
-    rep = _repunit(ell * w, n // ell)
+    rep = repunit(ell * w, n // ell)
     half = rep << (w - 1)
     q = p + sum(half << (r * w) for r in range(ell))
     mask = (rep << w) - rep
     return [(q >> (r * w) & mask) - half for r in range(ell)]
-
-
-def _repunit(w: int, n: int) -> int:
-    """sum_(k < n) 2^(w k), by doubling."""
-    if n <= 1:
-        return n
-    half = _repunit(w, n // 2)
-    rep = half | half << (w * (n // 2))
-    return rep | 1 << (w * (n - 1)) if n % 2 else rep
-
-
-def _pack(pairs, w: int) -> int:
-    """sum c 2^(w k) over the (k, c) pairs."""
-    return sum(c << (w * k) for k, c in pairs)
-
-
-def _unpack(p: int, w: int, n: int) -> list[int]:
-    """The n coefficients of p = sum_k d_k 2^(w k), |d_k| < 2^(w-1): with
-    a bias of 2^(w-1) per slot, every slot is a w-bit field."""
-    q, mask = p + (_repunit(w, n) << (w - 1)), (1 << w) - 1
-    return [(q >> (w * k) & mask) - (1 << (w - 1)) for k in range(n)]
 
 
 def _read(slots, b: int, ell: int) -> int:

@@ -24,7 +24,8 @@ from operator import add, mul
 
 from .factorint import ord_p
 from .graphs import VoltageAssignment
-from .intpoly import IntPoly, ZeroPolynomialError
+from .intdet import dense_bareiss_det
+from .intpoly import IntPoly, ZeroPolynomialError, pack, unpack
 from .padics import PrecisionError
 
 
@@ -217,13 +218,72 @@ def voltage_matrix(va: VoltageAssignment) -> GenPolyMatrix:
 
 
 def determinant(m: GenPolyMatrix) -> GenPoly:
-    """Exact determinant by Berkowitz's division-free algorithm, valid
-    over any commutative ring.  The result is fixed by T -> 1/T for
-    voltage matrices."""
+    """Exact determinant.  A matrix whose entries are all declared
+    integral takes one integer determinant (_kronecker_determinant); any
+    other takes Berkowitz's division-free algorithm (_berkowitz), valid
+    over any commutative ring.  Both give the same GenPoly.  The result
+    is fixed by T -> 1/T for voltage matrices."""
+    if m.size == 0:
+        raise ValueError("empty matrix")
+    if all(x.integral for row in m.entries for x in row):
+        return _kronecker_determinant(m)
+    return _berkowitz(m)
+
+
+def _kronecker_determinant(m: GenPolyMatrix) -> GenPoly:
+    """det M(T) for declared-integral entries, by Kronecker substitution
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).
+
+    Each exponent residue e is read as its representative in (-q/2, q/2],
+    q = ell^N, so M(T) becomes a Laurent matrix that maps onto M under
+    T^a -> T^(a mod q), a ring map; its determinant maps onto det M.  Row
+    i, times T^(-s_i) with s_i its least exponent, is an honest
+    polynomial row of degree at most d_i, so P(T) = T^(-s) det M(T), s =
+    sum s_i, is a polynomial of degree at most sum d_i.  One integer
+    determinant (intdet.dense_bareiss_det; M(2^w) is not positive
+    semidefinite, so it swaps rows) gives P(2^w), and its w-bit signed
+    slots are P's coefficients (intpoly.unpack) once every |P_k| <
+    2^(w-1).  GenPoly reduces the exponents of T^s P mod q.  Any integer
+    lift of the residues would map back onto det M; these keep the
+    degrees least, and need no guard against wraparound
+    (GenPoly.lift_exponent's, which refuses residues near q/2).
+
+    The slot bound.  P_k = (1/2 pi) int_0^(2 pi) P(e^(it)) e^(-ikt) dt, so
+    |P_k| <= max_(|z| = 1) |P(z)| = max_(|z| = 1) |det M(z)|, as |z^s| =
+    1.  On |z| = 1 each entry has |m_ij(z)| <= ||m_ij||_1, so Hadamard's
+    inequality, |det A| <= prod_i ||row_i(A)||_2, bounds that maximum by
+    H = prod_i sqrt(sum_j ||m_ij||_1^2).  With H^2 < 2^h (h the bits of
+    the integer H^2), |P_k| <= H < 2^ceil(h/2), and w = ceil(h/2) + 1
+    suffices."""
+    entries = m.entries
+    sample = entries[0][0]
+    if any((x.ell, x.precision) != (sample.ell, sample.precision) for row in entries for x in row):
+        raise ValueError("GenPoly operands of different rings")
+    q = sample.modulus
+    rows = [[[(e if 2 * e <= q else e - q, c) for e, c in x.terms] for x in row] for row in entries]
+    square_bound, lows, degree = 1, [], 0
+    for row in rows:
+        exponents = [e for terms in row for e, _ in terms]
+        if not exponents:
+            return GenPoly.zero(sample.ell, sample.precision)  # a row of zeros
+        square_bound *= sum(sum(abs(c) for _, c in terms) ** 2 for terms in row)
+        lows.append(min(exponents))
+        degree += max(exponents) - lows[-1]
+    w = (square_bound.bit_length() + 1) // 2 + 1
+    values = [[pack(((e - low, c) for e, c in terms), w) for terms in row]
+              for row, low in zip(rows, lows)]
+    coeffs = unpack(dense_bareiss_det(values), w, degree + 1)
+    shift = sum(lows)
+    return GenPoly(sample.ell, sample.precision,
+                   tuple((k + shift, c) for k, c in enumerate(coeffs)), True)
+
+
+def _berkowitz(m: GenPolyMatrix) -> GenPoly:
+    """det M by Berkowitz's division-free algorithm, in O(n^4) ring
+    products: the route of matrices with ell-adic entries, whose
+    exponents are residues up to ell^N, too many for packed slots."""
     entries = m.entries
     n = m.size
-    if n == 0:
-        raise ValueError("empty matrix")
     sample = entries[0][0]
     one = GenPoly.constant(sample.ell, sample.precision, 1, True)
 

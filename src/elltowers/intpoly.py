@@ -14,6 +14,9 @@ down the cyclotomic tower (every other tower) do not go through it; and
 Tower.real_norm recomputes N_i with it to cross-check those engines at
 the matrix-tree-checked levels.  real_form rewrites a polynomial in
 y = T + q/T, the variable of the real subfield for q = 1.
+pack and unpack read a polynomial as one integer, its value at T = 2^w
+(Kronecker substitution), and back: the norm steps and the integral
+base determinant (genpoly.determinant) work on such integers.
 Reductions mod p use numpy int64 arrays, which is safe for p below
 2**30; they serve only analysis's root search for integral towers, at
 the levels up to the report's depth (deeper levels take rootladder's
@@ -324,6 +327,31 @@ def resultant(a: IntPoly, b: IntPoly) -> int:
         if db == 0:
             res = pb[0] ** da if da <= 1 else _exact_div(pb[0] ** da, h ** (da - 1))
             return sign * t * res
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: a polynomial as one integer, w bits per slot
+# ---------------------------------------------------------------------------
+
+def repunit(w: int, n: int) -> int:
+    """sum_(k < n) 2^(w k), by doubling."""
+    if n <= 1:
+        return n
+    half = repunit(w, n // 2)
+    rep = half | half << (w * (n // 2))
+    return rep | 1 << (w * (n - 1)) if n % 2 else rep
+
+
+def pack(pairs, w: int) -> int:
+    """sum c 2^(w k) over the (k, c) pairs: the polynomial at T = 2^w."""
+    return sum(c << (w * k) for k, c in pairs)
+
+
+def unpack(p: int, w: int, n: int) -> list[int]:
+    """The n coefficients of p = sum_k d_k 2^(w k), |d_k| < 2^(w-1): with
+    a bias of 2^(w-1) per slot, every slot is a w-bit field."""
+    q, mask = p + (repunit(w, n) << (w - 1)), (1 << w) - 1
+    return [(q >> (w * k) & mask) - (1 << (w - 1)) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------

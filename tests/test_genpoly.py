@@ -16,8 +16,12 @@ from elltowers import (
     mu_invariant,
     voltage_matrix,
 )
+from elltowers import genpoly
+from elltowers.genpoly import _berkowitz
+from elltowers.intdet import dense_bareiss_det
 from elltowers.intpoly import IntPoly, ZeroPolynomialError
-from util import dense_bareiss_det, random_voltage_tower, reciprocal, substitute_power
+from elltowers.towerspec import build_assignment, parse_tower_spec
+from util import random_voltage_tower, reciprocal, substitute_power
 
 THETA = Multigraph.from_edge_list(2, [(0, 1), (1, 0), (1, 0)])
 
@@ -175,9 +179,75 @@ def test_berkowitz_large_integer_matrix():
     size = 7
     ints = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
     entries = tuple(tuple(GenPoly.constant(3, 2, x) for x in row) for row in ints)
-    det = determinant(GenPolyMatrix(entries))
+    det = _berkowitz(GenPolyMatrix(entries))
     expected = dense_bareiss_det(ints)
     assert det == GenPoly.constant(3, 2, expected) or (det.is_zero and expected == 0)
+
+
+@st.composite
+def integral_matrices(draw):
+    """Declared-integral matrices of order 1-8 over Z[T]/(T^q - 1), q =
+    ell^N: exponent residues anywhere in [0, q), half of them within two
+    of q/2 (so their representatives lie near +-q/2), coefficients up
+    to 2^40 in absolute value; the leading entry may be zero, and a row
+    may repeat another (a singular matrix)."""
+    ell, precision = draw(st.sampled_from(((2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 2))))
+    q = ell**precision
+    n = draw(st.integers(1, 8))
+    exponent = st.one_of(st.integers(0, q - 1), st.integers(max(q // 2 - 2, 0), min(q // 2 + 2, q - 1)))
+    coefficient = st.one_of(st.integers(-3, 3), st.integers(-2**40, 2**40))
+    terms = st.lists(st.tuples(exponent, coefficient), max_size=3 if n <= 5 else 2)
+    rows = [[gp(ell, precision, draw(terms)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows[0][0] = GenPoly.zero(ell, precision)
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = list(rows[j])
+    return GenPolyMatrix(tuple(map(tuple, rows)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(integral_matrices())
+def test_integral_route_matches_berkowitz_and_expansion(m):
+    det = determinant(m)
+    assert det.integral
+    assert det == _berkowitz(m) == _det_expansion(m.entries)
+
+
+@st.composite
+def integral_towers(draw):
+    """An integral voltage assignment on a cycle of 1-16 vertices with
+    chords and a loop, voltages in [-20, 20]."""
+    v = draw(st.integers(1, 16))
+    chords = draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)), max_size=v))
+    edges = [(i, (i + 1) % v) for i in range(v)] + chords + [(0, 0)]
+    ell = draw(st.sampled_from((2, 3, 5)))
+    voltages = draw(st.lists(st.integers(-20, 20), min_size=len(edges), max_size=len(edges)))
+    return VoltageAssignment.from_integers(Multigraph.from_edge_list(v, edges), ell, voltages,
+                                           draw(st.integers(1, 5)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(integral_towers())
+def test_integral_voltage_matrices_match_berkowitz(va):
+    m = voltage_matrix(va)
+    assert determinant(m) == _berkowitz(m)
+
+
+def test_ell_adic_matrices_stay_on_berkowitz(monkeypatch):
+    def refuse(m):
+        raise AssertionError("an ell-adic matrix took the integral route")
+
+    monkeypatch.setattr(genpoly, "_kronecker_determinant", refuse)
+    doc = {"ell": 3, "precision": 14, "vertices": ["v"], "edges": [
+        {"tail": "v", "head": "v", "voltage": "1"},
+        {"tail": "v", "head": "v", "voltage": {"kind": "sqrt", "radicand": 7, "branch": 1}},
+        {"tail": "v", "head": "v", "voltage": {"kind": "sqrt", "radicand": 10, "branch": 1}}]}
+    m = voltage_matrix(build_assignment(parse_tower_spec(doc)))
+    f = determinant(m)
+    assert not f.integral and f == _berkowitz(m) and len(f.terms) == 7
+    with pytest.raises(AssertionError, match="integral route"):
+        determinant(voltage_matrix(random_voltage_tower(random.Random(3))))
 
 
 # -- mu, integerize, reduce ------------------------------------------------------

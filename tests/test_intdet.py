@@ -8,9 +8,9 @@ from hypothesis import event, given, settings, strategies as st
 import elltowers.intdet as intdet
 from elltowers import Multigraph, spanning_tree_count
 from elltowers.graphs import reduced_laplacian
-from elltowers.intdet import bareiss_det, crt, det_int, det_mod, multimodular_det, primes, primes_for_bound
-from util import (dense_bareiss_det, dense_bareiss_order, dense_laplacian, envelope, spanning_trees_bruteforce,
-                  sympy_det)
+from elltowers.intdet import (bareiss_det, crt, dense_bareiss_det, det_int, det_mod, multimodular_det, primes,
+                              primes_for_bound)
+from util import dense_bareiss_order, dense_laplacian, envelope, spanning_trees_bruteforce, sympy_det
 
 
 def _random_matrix(rng, n, lo=-9, hi=9):
@@ -30,7 +30,7 @@ def _envelope_det(lap):
     return bareiss_det(lap, intdet._reach(lap.first))
 
 
-# -- the oracle: dense pivoting Bareiss of any square matrix ---------------------
+# -- dense pivoting Bareiss of any square matrix ---------------------------------
 
 def test_known_small_determinants():
     assert dense_bareiss_det([]) == 1
@@ -43,6 +43,28 @@ def test_known_small_determinants():
 def test_row_swap_sign():
     assert dense_bareiss_det([[0, 1], [1, 0]]) == -1
     assert dense_bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+
+def test_dense_bareiss_matches_sympy_with_row_swaps():
+    # sparse rows put zeros on the pivots, so most eliminations swap; a
+    # repeated row or column, or a row of zeros, makes a singular matrix
+    rng = random.Random(27)
+    singular = swapped = 0
+    for _ in range(120):
+        n = rng.randint(1, 9)
+        m = [[rng.choice((0, 0, 0, rng.randint(-2**40, 2**40))) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(n), 2)
+            if rng.random() < 0.5:
+                m[i] = list(m[j])
+            else:
+                for row in m:
+                    row[i] = row[j]
+        det = dense_bareiss_det(m)
+        assert det == sympy_det(m)
+        singular += det == 0
+        swapped += m[0][0] == 0
+    assert singular >= 20 and swapped >= 20
 
 
 # -- det_int and its two engines on reduced Laplacians ---------------------------

@@ -2,10 +2,11 @@
 
 The spanning-tree oracle enumerates edge subsets directly and never
 touches the library's determinant path, so it can arbitrate for it; the
-determinant oracles, dense pivoting Bareiss and sympy, take any square
-integer matrix, where the library's engines take reduced Laplacians
-only.  The level-norm oracle evaluates f at the roots of unity of F_q
-and recombines by CRT, independently of the library's norm steps.
+determinant oracle, sympy, takes any square integer matrix, as does the
+library's own dense pivoting Bareiss (intdet.dense_bareiss_det), where
+its matrix-tree engines take reduced Laplacians only.  The level-norm
+oracle evaluates f at the roots of unity of F_q and recombines by CRT,
+independently of the library's norm steps.
 """
 
 from __future__ import annotations
@@ -126,34 +127,6 @@ def envelope(lap, reach: list[int]) -> list[list[int]]:
     for i, j in lap.edges:
         rows[i][j - i] -= 1
     return rows
-
-
-def dense_bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant of any square integer matrix by dense
-    fraction-free elimination (Bareiss 1968), swapping rows past zero
-    pivots."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, r)) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
 
 
 def sympy_det(rows: list[list[int]]) -> int:
