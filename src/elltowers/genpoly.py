@@ -18,6 +18,7 @@ polynomials can be lifted to honest Laurent polynomials (integerize).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
@@ -217,22 +218,38 @@ def voltage_matrix(va: VoltageAssignment) -> GenPolyMatrix:
     return GenPolyMatrix(tuple(tuple(row) for row in rows))
 
 
+# The packed route runs while the exponents a determinant can have fill
+# at least one of its slots in SLOTS_PER_TERM.  Multiplying the voltages
+# of cycle-and-chord bases of 4-16 vertices by k leaves Berkowitz's time
+# alone and multiplies the packed slots by k.  Timed on a 2-core x86-64
+# with Python 3.11, with one slot in 8 filled the packed route was the
+# faster at every size (16 vertices: 0.061 s against 0.179 s); with one
+# in 16 it lost at 16 vertices (0.216 s), and with one in 32 from 8
+# vertices on.
+SLOTS_PER_TERM = 8
+
+
 def determinant(m: GenPolyMatrix) -> GenPoly:
     """Exact determinant.  A matrix whose entries are all declared
-    integral takes one integer determinant (_kronecker_determinant); any
-    other takes Berkowitz's division-free algorithm (_berkowitz), valid
-    over any commutative ring.  Both give the same GenPoly.  The result
-    is fixed by T -> 1/T for voltage matrices."""
+    integral takes one integer determinant (_kronecker_determinant),
+    unless its exponents are too sparse for packed slots; any other
+    takes Berkowitz's division-free algorithm (_berkowitz), valid over
+    any commutative ring.  Both give the same GenPoly.  The result is
+    fixed by T -> 1/T for voltage matrices."""
     if m.size == 0:
         raise ValueError("empty matrix")
     if all(x.integral for row in m.entries for x in row):
-        return _kronecker_determinant(m)
+        f = _kronecker_determinant(m)
+        if f is not None:
+            return f
     return _berkowitz(m)
 
 
-def _kronecker_determinant(m: GenPolyMatrix) -> GenPoly:
+def _kronecker_determinant(m: GenPolyMatrix) -> GenPoly | None:
     """det M(T) for declared-integral entries, by Kronecker substitution
-    (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4), or None
+    when the exponents it can have fill fewer than one packed slot in
+    SLOTS_PER_TERM (_fills_slots).
 
     Each exponent residue e is read as its representative in (-q/2, q/2],
     q = ell^N, so M(T) becomes a Laurent matrix that maps onto M under
@@ -261,27 +278,39 @@ def _kronecker_determinant(m: GenPolyMatrix) -> GenPoly:
         raise ValueError("GenPoly operands of different rings")
     q = sample.modulus
     rows = [[[(e if 2 * e <= q else e - q, c) for e, c in x.terms] for x in row] for row in entries]
-    square_bound, lows, degree = 1, [], 0
-    for row in rows:
-        exponents = [e for terms in row for e, _ in terms]
-        if not exponents:
-            return GenPoly.zero(sample.ell, sample.precision)  # a row of zeros
-        square_bound *= sum(sum(abs(c) for _, c in terms) ** 2 for terms in row)
-        lows.append(min(exponents))
-        degree += max(exponents) - lows[-1]
+    supports = [{e for terms in row for e, _ in terms} for row in rows]
+    if not all(supports):
+        return GenPoly.zero(sample.ell, sample.precision)  # a row of zeros
+    lows = [min(s) for s in supports]
+    degree = sum(max(s) for s in supports) - sum(lows)
+    if not _fills_slots(supports, degree + 1):
+        return None
+    square_bound = math.prod(sum(sum(abs(c) for _, c in terms) ** 2 for terms in row) for row in rows)
     w = (square_bound.bit_length() + 1) // 2 + 1
     values = [[pack(((e - low, c) for e, c in terms), w) for terms in row]
               for row, low in zip(rows, lows)]
-    coeffs = unpack(dense_bareiss_det(values), w, degree + 1)
-    shift = sum(lows)
-    return GenPoly(sample.ell, sample.precision,
-                   tuple((k + shift, c) for k, c in enumerate(coeffs)), True)
+    coeffs, shift = unpack(dense_bareiss_det(values), w, degree + 1), sum(lows)
+    return GenPoly(sample.ell, sample.precision, tuple((k + shift, c) for k, c in enumerate(coeffs)), True)
+
+
+def _fills_slots(supports: list[set[int]], slots: int) -> bool:
+    """Do the sums of one exponent from each row's support, which hold
+    every exponent of the determinant, number at least slots /
+    SLOTS_PER_TERM?  Adding a row never shrinks the set of sums, so the
+    count stops as soon as it gets there."""
+    sums = {0}
+    for support in supports:
+        sums = {a + b for a in sums for b in support}
+        if len(sums) * SLOTS_PER_TERM >= slots:
+            return True
+    return False
 
 
 def _berkowitz(m: GenPolyMatrix) -> GenPoly:
     """det M by Berkowitz's division-free algorithm, in O(n^4) ring
     products: the route of matrices with ell-adic entries, whose
-    exponents are residues up to ell^N, too many for packed slots."""
+    exponents are residues up to ell^N, too many for packed slots, and
+    of integral ones whose exponents are as sparse."""
     entries = m.entries
     n = m.size
     sample = entries[0][0]

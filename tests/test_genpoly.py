@@ -1,5 +1,6 @@
 import operator
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from elltowers import (
     voltage_matrix,
 )
 from elltowers import genpoly
-from elltowers.genpoly import _berkowitz
+from elltowers.genpoly import _berkowitz, _kronecker_determinant
 from elltowers.intdet import dense_bareiss_det
 from elltowers.intpoly import IntPoly, ZeroPolynomialError
 from elltowers.towerspec import build_assignment, parse_tower_spec
@@ -206,10 +207,17 @@ def integral_matrices(draw):
     return GenPolyMatrix(tuple(map(tuple, rows)))
 
 
+def every_matrix_packed():
+    """The packed route for every integral matrix, however sparse its
+    exponents."""
+    return mock.patch.object(genpoly, "SLOTS_PER_TERM", 10**9)
+
+
 @settings(deadline=None, max_examples=60)
 @given(integral_matrices())
 def test_integral_route_matches_berkowitz_and_expansion(m):
-    det = determinant(m)
+    with every_matrix_packed():
+        det = _kronecker_determinant(m)
     assert det.integral
     assert det == _berkowitz(m) == _det_expansion(m.entries)
 
@@ -231,7 +239,21 @@ def integral_towers(draw):
 @given(integral_towers())
 def test_integral_voltage_matrices_match_berkowitz(va):
     m = voltage_matrix(va)
-    assert determinant(m) == _berkowitz(m)
+    with every_matrix_packed():
+        packed = _kronecker_determinant(m)
+    assert packed == determinant(m) == _berkowitz(m)
+
+
+def test_integral_matrices_with_sparse_exponents_stay_on_berkowitz():
+    # voltages 10^6 apart: the sums of one exponent per row are a few
+    # dozen, where the packed route would spend millions of slots
+    graph = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+    sparse = voltage_matrix(VoltageAssignment.from_integers(graph, 2, [1, 10**6, 3, 0, 5, 10**6], 1))
+    assert _kronecker_determinant(sparse) is None
+    f = determinant(sparse)
+    assert f.integral and f == _berkowitz(sparse) == reciprocal(f)
+    dense = voltage_matrix(VoltageAssignment.from_integers(graph, 2, [1, 2, 3, 0, 5, 2], 1))
+    assert _kronecker_determinant(dense) == _berkowitz(dense)
 
 
 def test_ell_adic_matrices_stay_on_berkowitz(monkeypatch):

@@ -10,8 +10,10 @@ from elltowers.intpoly import (
     ZeroPolynomialError,
     _smallest_prime_factor,
     cyclotomic,
+    pack,
     poly_mod_gcd,
     resultant,
+    unpack,
 )
 
 T = sympy.Symbol("T")
@@ -189,6 +191,20 @@ def test_resultant_multiplicative(data):
         return IntPoly(tuple(c))
     a, b, c = poly("a"), poly("b"), poly("c")
     assert resultant(a, b * c) == resultant(a, b) * resultant(a, c)
+
+
+# -- Kronecker substitution -------------------------------------------------------
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_unpack_reads_back_every_packed_slot(data):
+    # signed slots up to 2^(w-1) - 1 in absolute value, many of them zero
+    w = data.draw(st.integers(2, 70), label="w")
+    top = (1 << (w - 1)) - 1
+    slot = st.one_of(st.just(0), st.sampled_from((top, -top, 1, -1)), st.integers(-top, top))
+    digits = data.draw(st.lists(slot, min_size=1, max_size=300), label="digits")
+    p = pack(enumerate(digits), w)
+    assert unpack(p, w, len(digits)) == digits
 
 
 # -- mod-p helpers ---------------------------------------------------------------
