@@ -157,93 +157,101 @@ def level_norm(f: GenPoly, i: int) -> int:
     and M_0 = 1 by convention.  A non-symmetric f raises ValueError.
 
     Ell-adic towers, and integral towers with ell = 2 or 3, take M_i by
-    norm steps down the cyclotomic tower (_graeffe_norm); integral
-    towers with ell >= 5 take it by scaled Graeffe steps
+    norm steps down the cyclotomic tower (_adic_norm, _integral_norm);
+    integral towers with ell >= 5 take it by scaled Graeffe steps
     (_scaled_graeffe_norm).  Tower cross-checks N_i against the
     subresultant up to mt_check_level."""
+    if i < 0:
+        raise ValueError("level must be >= 0")
     if i == 0:
         return 1
     coeff, modulus = dict(f.terms), f.modulus
     if any(coeff.get(-e % modulus) != c for e, c in f.terms):
         raise ValueError("level norms need f fixed by T -> 1/T, as every voltage determinant is")
-    terms = f.level_terms(i)
     ell = f.ell
     if ell**i == 2:
-        return sum(-c if e % 2 else c for e, c in terms)
+        return sum(-c if e % 2 else c for e, c in f.level_terms(i))
+    terms = None if f.integral else f.level_terms(i)  # PrecisionError past the precision
     if all(e == 0 for e, _ in f.terms):  # f = 0 or a constant c: M_i = c^h
         return sum(f.coefficients()) ** ((ell - 1) * ell ** (i - 1) // 2)
-    if ell > 3 and f.integral:
-        return _scaled_graeffe_norm(*f.integerize(), ell, i)
-    return _graeffe_norm(f, terms, i)
+    if terms is not None:
+        return _adic_norm(terms, sum(map(abs, f.coefficients())), ell, i)
+    return (_integral_norm if ell <= 3 else _scaled_graeffe_norm)(*f.integerize(), ell, i)
 
 
-def _graeffe_norm(f: GenPoly, terms: list[tuple[int, int]], i: int) -> int:
-    """M_i for ell^i > 2 and f not constant, with terms =
-    f.level_terms(i), by norm steps down the cyclotomic tower
-    (Washington, GTM 83, ch. 2); for ell >= 5 only ell-adic f come here.
+# Norm steps (Washington, GTM 83, ch. 2).  An element of Z[zeta_(ell^j)]
+# is a polynomial U in T, read at zeta.  The conjugates of U(zeta) over
+# Q(zeta_(ell^(j-1))) are U(zeta omega^t), so its norm there is
+# U'(zeta^ell) for the Graeffe step U'(T^ell) = prod_(t < ell) U(omega^t
+# T) (Pan, SIAM Review 39, 1997; _norm_step).  The steps stop at
+# Q(sqrt(-1)) for ell = 2 and at Q(omega) for odd ell.  Their Galois
+# group, {k = 1 mod 4} or {k = 1 mod ell}, meets {+-1} only in 1, so the
+# last element is the norm of the real f(zeta) from Q(zeta)^+ to the
+# real subfield of Q(sqrt(-1)) or Q(omega): M_i is the last element
+# itself for ell <= 3, and its norm from Q(omega)^+ for ell >= 5
+# (_read).  A nonzero irrational part raises ArithmeticError.
+#
+# Each element is one int, its coefficients packed w bits apart
+# (Kronecker substitution), so a step is a few big-int operations: masks
+# split off the residue classes mod ell, whose slots then lie ell w bits
+# apart, and the product is folded as an integer mod Phi_(ell^j)(2^w)
+# (_fold).  One rule sizes the slots (_width): a step from a
+# representative U of 1-norm at most size has slots of w = bits(size^ell)
+# + 1 bits, so they hold size^ell.  The unfolded product U' has ||U'||_1
+# <= ||U||_1^ell.  A folded coordinate depends only on the element, not
+# on the representative it was reduced from, and it is a_k - a_(phi + k
+# mod n) for the coefficients a of U' (T^(phi + r) = -sum_(t < ell - 1)
+# T^(r + t n), n = ell^(j-1)), so it too is at most ||U||_1^ell.  Taking
+# each U' as the next representative, a coordinate s steps down is at
+# most size^(ell^s) < 2^((w - 1) ell^(s-1)), which slots of w ell^(s-1)
+# bits hold.
 
-    An element of Z[zeta_(ell^j)] is a polynomial U in T, read at zeta.
-    The conjugates of U(zeta) over Q(zeta_(ell^(j-1))) are U(zeta omega^t),
-    so its norm there is U'(zeta^ell) for the Graeffe step U'(T^ell) =
-    prod_(t < ell) U(omega^t T) (Pan, SIAM Review 39, 1997; _norm_step).
-    The steps stop at Q(sqrt(-1)) for ell = 2 and at Q(omega) for odd
-    ell.  Their Galois group, {k = 1 mod 4} or {k = 1 mod ell}, meets
-    {+-1} only in 1, so the last element is the norm of the real f(zeta)
-    from Q(zeta)^+ to the real subfield of Q(sqrt(-1)) or Q(omega): M_i
-    is the last element itself for ell <= 3, and its norm from
-    Q(omega)^+ for ell >= 5 (_read).  A nonzero irrational part raises
-    ArithmeticError.
+def _width(size: int, ell: int) -> int:
+    """The slot width of a step from an element of 1-norm at most size,
+    a multiple of ell for ell >= 5, as _norm_step reads U at 2^(w/ell)."""
+    w = (size**ell).bit_length() + 1
+    return w if ell <= 3 else -(-w // ell) * ell
 
-    An integral f starts from U = T^b f, read as zeta^(-b) U(zeta); each
-    ell = 2 step multiplies zeta^(-b) by (-1)^b, which squares away at the
-    next one.  Each step's product is unpacked to its coefficients, and
-    folded first, reduced mod Phi_(ell^j), once they outnumber
-    phi(ell^j).  An ell-adic f starts from its terms with exponents mod
-    ell^i, folded into Z[T]/(Phi_(ell^i)), and stays folded and packed
-    at every level.
 
-    Each element is one int, its coefficients packed w bits apart
-    (Kronecker substitution), so a step is a few big-int operations:
-    masks split off the residue classes mod ell, whose slots then lie
-    ell w bits apart, and the product is folded as an integer mod
-    Phi_(ell^j)(2^w) (_fold).  One rule sizes the slots: w holds one
-    step's product from an element whose conjugates are at most its own
-    1-norm (_folded_width).  That is ||f||_1 for an ell-adic start, after
-    which w grows by ell per step, and ||U||_1 for an integral U, taken
-    afresh at every step."""
-    ell = f.ell
+def _integral_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
+    """M_i for ell = 2 or 3, ell^i > 2, from U = T^b f, read as
+    zeta^(-b) U(zeta); each ell = 2 step multiplies zeta^(-b) by (-1)^b,
+    which squares away at the next one.  Every step is sized by the
+    current U's own 1-norm and unpacked after it, folded first, reduced
+    mod Phi_(ell^j), once U's coefficients outnumber phi(ell^j)."""
     stop = 2 if ell == 2 else 1  # Q(sqrt(-1)) or Q(omega)
-    b, digits = 0, None
-    if f.integral:
-        u, b = f.integerize()
-        digits = list(u.coeffs)
-    else:
-        slots = _cyclotomic_slots(terms, ell, i)
-        if i == stop:
-            return _read(slots.items(), 0, ell)
-        w = _folded_width(sum(abs(c) for c in f.coefficients()), ell)  # |f(zeta)| <= ||f||_1
-        if ell > 3:  # _norm_step reads U at T = 2^(w / ell)
-            w = -(-w // ell) * ell
-        classes = [pack(((k // ell, c) for k, c in slots.items() if k % ell == r), w)
-                   for r in range(ell)]
-    j = i
-    while j > stop:
-        j -= 1
+    digits = list(u.coeffs)
+    for j in range(i - 1, stop - 1, -1):
+        w = _width(sum(map(abs, digits)), ell)
+        p = _norm_step([pack(enumerate(digits[r::ell]), w) for r in range(ell)], w, 0)
         phi = (ell - 1) * ell ** (j - 1)  # the slots of a folded element at level j
-        if digits is not None:
-            w = _folded_width(sum(map(abs, digits)), ell)
-            classes = [pack(enumerate(digits[r::ell]), w) for r in range(ell)]
-        p = _norm_step(classes, w, w * ell ** (j - 1))
-        if digits is None or len(digits) > phi:
+        if len(digits) > phi:
             p = _fold(p, ell, w * ell ** (j - 1))
-        if digits is not None:
-            digits = unpack(p, w, min(len(digits), phi))
-        elif j > stop:
-            classes = _split(p, ell, w, phi)
+        digits = unpack(p, w, min(len(digits), phi))
+    m = _read(enumerate(digits), b, ell)
+    return -m if ell == 2 and b % 2 and i > stop else m
+
+
+def _adic_norm(terms, size: int, ell: int, i: int) -> int:
+    """M_i for ell^i > 2 from the terms (e mod ell^i, c) of f, a
+    representative of 1-norm at most size = ||f||_1, folded into
+    Z[T]/(Phi_(ell^i)) and kept folded and packed at every level: after
+    each step, the residue classes of the product are split off at ell
+    times the width."""
+    stop = 2 if ell == 2 else 1  # Q(sqrt(-1)) or Q(omega)
+    slots = _cyclotomic_slots(terms, ell, i)
+    if i == stop:
+        return _read(slots.items(), 0, ell)
+    w = _width(size, ell)
+    classes = [pack(((k // ell, c) for k, c in slots.items() if k % ell == r), w)
+               for r in range(ell)]
+    for j in range(i - 1, stop - 1, -1):
+        block = w * ell ** (j - 1)
+        p = _fold(_norm_step(classes, w, block), ell, block)
+        if j > stop:
+            classes = _split(p, ell, w, (ell - 1) * ell ** (j - 1))
             w *= ell
-    last = unpack(p, w, max(ell - 1, 2)) if digits is None else digits  # phi(4) or phi(ell) slots
-    m = _read(enumerate(last), b, ell)
-    return -m if ell == 2 and b % 2 and i > 2 else m
+    return _read(enumerate(unpack(p, w, max(ell - 1, 2))), 0, ell)  # phi(4) or phi(ell) slots
 
 
 def _cyclotomic_slots(terms, ell: int, i: int) -> dict[int, int]:
@@ -262,50 +270,25 @@ def _cyclotomic_slots(terms, ell: int, i: int) -> dict[int, int]:
     return slots
 
 
-def _folded_width(size: int, ell: int) -> int:
-    """The slot width w of one norm step from an element whose conjugates
-    are at most size: w holds every coefficient of the product, folded or
-    not, and ell w those of the next step.
-
-    In Z[zeta], zeta of order ell^j and n = ell^(j-1), the coefficient k =
-    c + t n (c < n, t < ell - 1) of alpha, at zeta^c omega^t with omega =
-    zeta^n, is Tr(alpha beta) / ell^j for beta = zeta^(-c) (omega^(-t) -
-    omega).  For this, take the basis element zeta^c' omega^t' of alpha:
-    when c' != c, zeta^(c' - c) omega^s has order ell^e with e >= 2, so
-    its trace is 0; when c' = c, Tr(omega^(t' - t)) - Tr(omega^(t' + 1))
-    is (ell - 1) n + n = ell^j for t' = t and -n + n = 0 otherwise, as
-    Tr(omega^s) = -n for s != 0 (mod ell) and 0 < t' + 1 < ell.  So the
-    coefficient is at most phi(ell^j) |omega^(-t) - omega| B / ell^j,
-    with B = max_sigma |sigma(alpha)| <= size^ell: B for ell = 2 (omega =
-    -1); 2B / sqrt(3) for ell = 3, where every |omega^a - omega^b| <=
-    sqrt(3), taken as the rational 7B / 6, as 7/6 > 2/sqrt(3); and below
-    2B for every ell.  This bound cB, c >= 1, also holds an unfolded
-    product U', as ||U'||_1 <= ||U||_1^ell = size^ell.  The next step's
-    bound is at most (cB)^ell, which ell w holds."""
-    top = size**ell
-    if ell == 3:
-        top = -(-7 * top // 6)
-    elif ell > 3:
-        top *= 2
-    return top.bit_length() + 1
-
-
 def _norm_step(classes: list[int], w: int, block: int) -> int:
     """U' at S = 2^w from the packed residue classes C_r(S) of U(T) =
-    sum_(r < ell) T^r C_r(T^ell); for ell >= 5, only mod Phi_(ell^j)(x) =
-    sum_(t < ell) 2^(block t), x = 2^(w / ell), which _fold then reads.
+    sum_(r < ell) T^r C_r(T^ell).  ell = 2 and 3 return it exactly, by
+    the closed forms E(S)^2 - S O(S)^2 and X^3 + S Y^3 + S^2 Z^3 - 3 S
+    XYZ, and do not read block.  Larger ell, with w a multiple of ell,
+    return it only mod Phi_(ell^j)(x) = sum_(t < ell) 2^(block t), x =
+    2^(w / ell), which _fold then reads.
 
-    ell = 2 and 3 take the closed forms E(S)^2 - S O(S)^2 and X^3 + S Y^3
-    + S^2 Z^3 - 3 S XYZ.  Larger ell take U'(x^ell) = U(x) N(beta), for
-    beta = U(omega x) = sum_r X_r omega^r with X_r = x^r C_r(x^ell) and N
-    the norm from Q(omega), over Z[x] (Washington, GTM 83, ch. 2 and 8):
-    N(beta) = N_(Q(omega)^+/Q)(y) for y = beta beta-bar, where beta-bar
-    is the mirror r -> -r and y has the components c_d = sum_r X_r
-    X_(r-d) = c_(-d).  Every product is reduced mod Phi_(ell^j)(x), j
-    the level of U, which keeps the components at the element's size:
-    Z[x] -> Z/Phi_(ell^j)(x) is a ring map, and as Phi_(ell^j)(x) =
+    They take U'(x^ell) = U(x) N(beta), for beta = U(omega x) =
+    sum_r X_r omega^r with X_r = x^r C_r(x^ell) and N the norm from
+    Q(omega), over Z[x] (Washington, GTM 83, ch. 2 and 8): N(beta) =
+    N_(Q(omega)^+/Q)(y) for y = beta beta-bar, where beta-bar is the
+    mirror r -> -r and y has the components c_d = sum_r X_r X_(r-d) =
+    c_(-d).  Every product is reduced mod Phi_(ell^j)(x), j the level
+    of U, which keeps the components at the element's size: Z[x] ->
+    Z/Phi_(ell^j)(x) is a ring map, and as Phi_(ell^j)(x) =
     Phi_(ell^(j-1))(S), U'(S) reduced mod it is the folded element at
-    level j - 1."""
+    level j - 1.  So no intermediate needs a slot bound: only that
+    element's coefficients must fit in w bits."""
     ell = len(classes)
     if ell == 2:
         e, o = classes

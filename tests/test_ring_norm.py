@@ -23,7 +23,7 @@ from elltowers.analysis import DisconnectedTowerError, Tower, level_norm
 from elltowers.cli import main
 from elltowers.corpus import CORPUS
 from elltowers.genpoly import GenPoly, determinant, voltage_matrix
-from elltowers.intpoly import IntPoly, cyclotomic, real_form, resultant
+from elltowers.intpoly import IntPoly, cyclotomic, real_form, resultant, unpack
 from elltowers.towerspec import build_assignment, parse_tower_spec
 from util import draw_voltage, evaluation_norm as evaluation
 
@@ -204,10 +204,11 @@ ADIC_DEPTH = {2: 11, 3: 6, 5: 4, 7: 3}
 
 
 @st.composite
-def adic_specs(draw):
-    """ell-adic towers (sqrt and padic voltages) on 1-2 vertices, ell in 2..7."""
-    ell = draw(st.sampled_from(sorted(ADIC_DEPTH)))
-    precision = draw(st.integers(1, ADIC_DEPTH[ell]))
+def adic_specs(draw, depths=ADIC_DEPTH):
+    """ell-adic towers (sqrt and padic voltages) on 1-2 vertices, ell and
+    the deepest precision from depths (by default ell in 2..7)."""
+    ell = draw(st.sampled_from(sorted(depths)))
+    precision = draw(st.integers(1, depths[ell]))
     names = ["v1", "v2"][: draw(st.integers(1, 2))]
     edges = [{"tail": draw(st.sampled_from(names)), "head": draw(st.sampled_from(names)),
               "voltage": draw_voltage(draw, ell, precision, ("padic", "sqrt"))}
@@ -227,6 +228,16 @@ def test_adic_steps_match_evaluation_and_subresultant(doc):
             assert (root * root if f.ell**i > 2 else root) == subresultant(f, i), (doc, i)
 
 
+@settings(deadline=None, max_examples=40)
+@given(adic_specs({11: 2, 13: 2}))
+def test_adic_steps_at_ell_11_and_13(doc):
+    # every ell >= 5 slot is as narrow as the slot rule allows; the
+    # subresultant against Phi_169, of degree 156, still takes milliseconds
+    f = tower_f(doc)
+    for i in range(1, doc["precision"] + 1):
+        check_level(f, i)
+
+
 def adic(ell: int, precision: int, coeffs: dict[int, int]) -> GenPoly:
     """The ell-adic GenPoly sum c_e T^e, exponents taken mod ell^precision."""
     return GenPoly(ell, precision, tuple(coeffs.items()))
@@ -238,8 +249,9 @@ def test_widths_hold_large_coefficients(ell, depth):
     # its square, with ||f||_1 = 100 and at most 10^4, a small (few slots:
     # the integral towers step unfolded) or with digits at every level;
     # and c + T + 1/T, whose conjugates all lie within 4 of ||f||_1 =
-    # |c| + 2, so that its folded coefficients come within a bit of their
-    # bound
+    # |c| + 2: its largest coefficient fills a slot of the rule's width at
+    # ell = 2 and 3, and comes within 3 to 6 bits of it, less than the
+    # ell bits between the widths _norm_step accepts, at ell = 5 and 7
     shapes = [{0: 1000, 1: 1, -1: 1}, {0: -4097, 1: 1, -1: 1}]
     for a in (2, 1 + 2 * ell**4 + ell ** (depth - 1)):
         loops = {0: 50, a: -24, -a: -24, 1: -1, -1: -1}
@@ -255,6 +267,26 @@ def test_widths_hold_large_coefficients(ell, depth):
             f = GenPoly(ell, depth + 4, tuple(coeffs.items()), integral)
             for i in range(1, depth + 1):
                 assert level_norm(f, i) == evaluation(f, i), (coeffs, integral, i)
+
+
+@pytest.mark.parametrize("ell, c", [(2, 1000), (3, -1000), (5, 13)])
+def test_slot_rule_is_tight(ell, c):
+    # the constant c steps to c^ell, the rule's bound |c|^ell, from level
+    # j to j - 1: the rule's width reads it back, and the next narrower
+    # width that _norm_step accepts (a multiple of ell for ell >= 5)
+    # misreads it; 13^5 has 19 bits, so its width 20 is not rounded up
+    j = 3 if ell == 2 else 2  # the steps stop at level 2 for ell = 2
+    phi = (ell - 1) * ell ** (j - 2)
+    w = analysis._width(abs(c), ell)
+    assert w == (abs(c) ** ell).bit_length() + 1
+
+    def step(w):
+        block = w * ell ** (j - 2)
+        p = analysis._norm_step([c] + [0] * (ell - 1), w, block)
+        return unpack(analysis._fold(p, ell, block), w, phi)
+
+    assert step(w) == [c**ell] + [0] * (phi - 1)
+    assert step(w - (1 if ell <= 3 else ell)) != [c**ell] + [0] * (phi - 1)
 
 
 def test_unfolded_widths_hold_the_product_bound():
@@ -299,8 +331,7 @@ def test_irrational_last_element_raises():
     # last norm step of 2 + T leaves an irrational part
     for ell, i in ((2, 4), (3, 2), (5, 1), (5, 3), (7, 2)):
         with pytest.raises(ArithmeticError, match="irrational part"):
-            f = adic(ell, 4, {0: 2, 1: 1})
-            analysis._graeffe_norm(f, f.level_terms(i), i)
+            analysis._adic_norm(adic(ell, 4, {0: 2, 1: 1}).level_terms(i), 3, ell, i)
 
 
 REPRO_2 = {"ell": 2, "precision": 24, "vertices": ["v"], "edges": [
