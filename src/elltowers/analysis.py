@@ -46,6 +46,7 @@ tower's own norms, for every p.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
@@ -72,6 +73,22 @@ class DisconnectedTowerError(ValueError):
 
 class InsufficientDataError(ValueError):
     pass
+
+
+class LevelTooDeepError(ValueError):
+    """A level i with phi(ell^i) past sys.maxsize: no engine can index its
+    norm's modulus Phi_(ell^i), nor its cover."""
+
+
+def check_levels(ell: int, levels: int) -> None:
+    """Refuse levels 1..levels if one of them is too deep for any engine:
+    level i's norm takes Phi_(ell^i), of degree phi(ell^i), and its cover
+    has more vertices still."""
+    for i in range(1, levels + 1):
+        phi = (ell - 1) * ell ** (i - 1)
+        if phi > sys.maxsize:
+            raise LevelTooDeepError(f"level {i} needs phi({ell}^{i}) = {phi} entries, past the "
+                                    f"{sys.maxsize} that any engine can index")
 
 
 def default_mt_check_level(ell: int) -> int:

@@ -17,7 +17,8 @@ Exit codes, all mapped in main, with the message on stderr:
     0  success
     1  domain failure, "error: ..." (invalid graph, disconnected tower,
        precision exceeded, too few levels for the ell-part fit, a
-       non-residue or missing branch given to the sqrt verb)
+       level i whose phi(ell^i) no engine can index, a non-residue or
+       missing branch given to the sqrt verb)
     2  usage or parse error: argparse rejects bad options (a negative
        --levels, --budget-ms or --matrix-tree-max-level, a non-prime
        --p or sqrt --ell, sqrt's --precision below 1); an unreadable,
@@ -52,8 +53,10 @@ from .analysis import (
     DisconnectedTowerError,
     InconclusiveError,
     InsufficientDataError,
+    LevelTooDeepError,
     Tower,
     analyze_prime,
+    check_levels,
     iwasawa_fit_ell,
 )
 from .factorint import (
@@ -101,8 +104,11 @@ def _assignment(doc):
         raise SpecParseError(str(exc)) from exc
 
 
-def _tower(doc, mt_level=None):
+def _tower(doc, mt_level=None, levels=0):
+    """(spec, voltage assignment, Tower) of a spec document, refusing
+    levels up to `levels` that no engine can index before any work."""
     spec, va = _assignment(doc)
+    check_levels(va.ell, levels)
     return spec, va, Tower(va, mt_check_level=mt_level)
 
 
@@ -240,7 +246,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    _, _, tower = _tower(_read_json(args.file), args.matrix_tree_max_level)
+    _, _, tower = _tower(_read_json(args.file), args.matrix_tree_max_level, args.levels)
     rows = _level_rows(tower, args.levels, args.budget_ms)
     if args.json:
         _print_json({"levels": [{k: v for k, v in row.items() if k != "ord_ell"}
@@ -252,7 +258,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _, va, tower = _tower(_read_json(args.file), args.matrix_tree_max_level)
+    _, va, tower = _tower(_read_json(args.file), args.matrix_tree_max_level, args.levels)
     p, depth = args.p, args.levels
     if p == tower.ell:
         # the ell-part follows the three-parameter Iwasawa-type law
@@ -317,7 +323,7 @@ def cmd_classify(args) -> int:
 
 def cmd_report(args) -> int:
     started = time.monotonic()
-    spec, va, tower = _tower(_read_json(args.file), args.matrix_tree_max_level)
+    spec, va, tower = _tower(_read_json(args.file), args.matrix_tree_max_level, args.levels)
     rows = _level_rows(tower, args.levels, args.budget_ms)
     fit = _ell_fit(tower, args.levels) if args.levels >= 3 else None
     cls = classify_omega(tower.f, args.budget_ms * RHO_ITERATIONS_PER_MS)
@@ -501,6 +507,7 @@ _DOMAIN_ERRORS = (
     DisconnectedGraphError,
     DisconnectedTowerError,
     InsufficientDataError,
+    LevelTooDeepError,
     NonResidueError,
     PrecisionError,
     ZeroPolynomialError,

@@ -7,13 +7,14 @@ edges and its envelope profile.  It is symmetric with a dominant
 nonnegative diagonal, hence positive semidefinite, so neither engine
 swaps rows, and |det| is at most the product of its diagonal
 (Hadamard's inequality for positive semidefinite matrices).  det_int
-sends it to one of two exact engines by its envelope work (below):
+sends it to one of two exact engines by its envelope work, weighted by
+the bits of that product (below):
 
 * bareiss_det, fraction-free elimination (Bareiss 1968) inside the
   envelope, each row one Python integer packed straight from the edges.
-* multimodular_det: one elimination over a stack of images modulo
-  word-size primes (det_mod), recombined by CRT against the diagonal
-  product, of the int64 array built from the diagonal and the edges.
+* multimodular_det: one blocked elimination of the images modulo
+  word-size primes (det_mod), all in one int64 window that slides down
+  the envelope, recombined by CRT against the diagonal product.
 
 Envelopes.  first[i] is the first nonzero column of row i of a
 symmetric matrix (i when there is none), and reach[k] is one past the
@@ -72,41 +73,59 @@ at a time:
 
 Engine choice.  With t_k = reach[k] - k - 1 the side of step k's box,
 the envelope work is sum t_k^2 / n, about the box entries per row that
-an elimination updates.  det_int runs Bareiss up to BAREISS_WORK and
-multimodular_det above it.
+an elimination updates.  A packed row's slots are s = bits(D) + 2 bits
+wide, D the diagonal product, so Bareiss pays for each entry in
+proportion to s, while the modular images cost little more per entry as
+s grows.  det_int runs Bareiss while the work times s is at most
+BAREISS_WORK, and multimodular_det above it.
 
-The modular kernel.  det_mod(images, qs, first) runs the loop of
-envelope Bareiss on the images of a reduced Laplacian modulo each prime
-of qs at once, with the profile its caller passes: no row swaps, step k
-updates the box of its envelope in every image, and the pivot row
-serves as the pivot column.  Modulo q a leading minor may vanish
-although the integer one does not.  A pivot that vanishes at the last
-step is an image 0; one that vanishes before it ends det_mod with None,
-and multimodular_det then returns the envelope Bareiss value, exact
-whatever its pivots.
+The modular kernel.  det_mod(entries, first, qs) eliminates the images
+of a symmetric matrix modulo each prime of qs at once, with the profile
+its caller passes: no row swaps, the boxes of the envelope, the pivot
+row serving as the pivot column, and the multipliers row / pivot.
+Modulo q a leading minor may vanish although the integer one does not.
+A pivot that vanishes at the last step is an image 0; one that
+vanishes before it ends det_mod with None, and multimodular_det then
+returns the envelope Bareiss value, exact whatever its pivots.
 
-One layout.  multimodular_det writes the matrix once, into an (n, L)
-int64 array, by its half-bandwidth w = max(i - first[i]): row i holds
-columns i - w .. i + w (L = 2w + 1, sheared) when 2w + 1 < n, and
-columns 0 .. n - 1 (L = n) otherwise.  det_mod reduces it modulo the
-primes of a stack into an (m, n, L) array and reads every image
-through one (n, n) view (_square): entry (i, j) lies at i (L - 1) + j
-+ w of a sheared image and at i L + j of an unsheared one.  In a
-sheared image these are distinct for |i - j| <= w, which holds for
-every entry the elimination reads or writes (every row i of step k's
-box has first[i] <= k, so i - k <= w).  multimodular_det sizes its
-stacks so that the m n L entries of a stack of m images stay within
-STACK_ENTRIES whenever one image fits.  Step k's box has side t_k <=
-n - 1, and t_k <= w < n/2 when sheared, so its t_k^2 entries per image
-are at most n L, and fewer than n L / 2 when sheared: the product of a
-box update, det_mod's one large temporary, never exceeds its stack.
+Blocks.  det_mod takes the steps BLOCK at a time (delayed, blocked
+reduction, as in Dumas, Giorgi and Pernet's FFLAS-FFPACK).  The boxes of
+steps k0 .. k1 - 1 lie in rows and columns k0 + 1 .. r - 1, r =
+reach[k1 - 1], as reach never falls.  The block's own rows k0 .. k1 - 1
+(its panel) go one at a time: row k takes the updates of the block's
+earlier steps in one product, their multipliers at column k times their
+rows; it is balanced, its pivot read off, and its multipliers balanced
+and kept.  The trailing box, rows and columns k1 .. r - 1, waits: after
+the block one product F^T U of the kept multipliers F with the panel's
+rows U, over columns k1 .. r - 1, updates all of it, and it is balanced
+once.  A row is 0 past its step's reach, so each step's share of the
+product lies in its own box, as one step at a time would have it.
+
+The window.  det_mod keeps the rows and columns k0 .. r - 1 of the
+current block of every image, and nothing else, in one (m, S, S) int64
+window, S the most that any block needs (_window_side).  Only the upper
+triangle counts, as every row is read from its diagonal on.  After a
+block the trailing box moves to the window's corner, where the next
+block starts, and the columns that its boxes reach past r enter,
+written straight from the entries: no step has touched them, and each
+of their entries lies in the window, since an entry (i, j), i <= j, with
+j past every box so far has i >= first[j] >= k0.  multimodular_det
+reads the upper triangle once off the diagonal and edges, as (row,
+column, value) triples with parallel edges added up, and splits its
+primes into stacks only as far as keeping m S^2 within WINDOW_ENTRIES
+needs (whenever one image fits); every cover_check minor takes one
+stack.  A block of b steps keeps b S multipliers per image, and the
+trailing box's product has at most (S - b)^2 entries: det_mod's
+temporaries hold no more than the window, as b S + (S - b)^2 <= S^2.
 
 Word-size arithmetic.  The images are computed in numpy int64, which
-is exact while every residue is below WORD_LIMIT = 2**30 (LAZY, below,
-bounds the growth between reductions).  Residues are balanced in
-(-q/2, q/2]; the pivot row is reduced at each step, and the current box
-every LAZY steps (delayed reduction, as in Dumas, Giorgi and Pernet's
-FFLAS).  primes(count) hands out the largest primes q < WORD_LIMIT, in
+is exact while every residue is below WORD_LIMIT = 2**30.  Residues are
+balanced in (-q/2, q/2], so a product of two is below 2**58.  Every
+entry is balanced at the start of a block (the trailing box after its
+product, an entering entry as it is written), a panel row at its step
+and the multipliers as they are taken, so an entry takes at most BLOCK
+products between balancings (BLOCK, below, bounds their sum below
+2**63).  primes(count) hands out the largest primes q < WORD_LIMIT, in
 decreasing order, from one pool that is built on first use and then
 grown on demand, never at import; primes_for_bound picks the fewest
 whose product passes twice a bound on |det|, and crt recombines the
@@ -114,28 +133,28 @@ images into the symmetric representative, so signs are recovered.
 
 BAREISS_WORK is the measured crossover (2-core x86-64, shared, Python
 3.11, numpy 2.4): microseconds per row, medians of five timings of
-each minor by each engine, by envelope work per row.  Cover minors
-are the distinct minors of order above 36 in rounds 0-2 of the
-cover_check benchmark (seeds 1-3) and rounds 0-1 of padic_deep (seed
-1), of orders 47-255; random minors are breadth-first ordered minors
-of random multigraphs of order 24-56 and mean valency 8.
+each minor by each engine, by envelope work per row times the slot
+width, in thousands.  Cover minors are the 145 distinct minors of order
+above 36 in rounds 0-2 of the cover_check benchmark (seeds 1-3) and
+rounds 0-1 of padic_deep (seed 1), of orders 47-255; random minors are
+150 breadth-first ordered minors of random multigraphs of order 24-56
+and mean valency 8.
 
-    work        <50  50- 100- 150- 200- 250- 300- 350- 400- 500- 700- 1000-
-                     100  150  200  250  300  350  400  500  700 1000  4000
-    cover minors 15   21   28   13   14    1    3    3   10   13    7   17
-      Bareiss     3    8   10   12   18   13   22   34   42   70   86  279
-      multimod.  22   23   23   24   26   24   29   29   33   41   44   96
-    random minors           12   17   16   19   10    9   16   21
-      Bareiss                6    8   11   14   17   22   28   35
-      multimod.             20   22   24   24   26   28   30   32
+    work x s    <10  10-  20-  30-  40-  50-  60-  80- 120- 200- 400-
+                     20   30   40   50   60   80  120  200  400 1210
+    cover minors 32   27   19    4    9    6    5    9   15    9   10
+      Bareiss     5    8   14   19   26   26   32   49   74  189  369
+      multimod.  16   18   20   23   24   21   23   25   28   39   54
+    random minors 4   30   30   13   13   18   19   23
+      Bareiss     5    7   10   14   16   20   25   31
+      multimod.  16   16   19   19   21   21   22   24
 
-The cover minors tie between 300 and 350 and the random ones between
-400 and 500, so BAREISS_WORK is 300.  A packed row's slots are as wide
-as the bits of the diagonal product, which grows with the order, so
-Bareiss's cost per row grows with the work and the order together:
-cover minors of order 48-63 gain up to work 320, those of order 107 and
-above lose from about 200 on.  Summed over the cover minors, every
-crossover from 200 to 400 gives the same time within 1%.
+The cover minors tie between 30,000 and 50,000 and the random ones
+between 50,000 and 80,000, so BAREISS_WORK is 45,000.  Summed over each
+set, every crossover from 40,000 to 60,000 takes at most 1.5% more time
+than the faster engine for each cover minor, and 4% more for each
+random one.  The plain work, with crossovers from 200 to 400, took 1.9-
+5.1% more on the cover minors and 0.7-17% more on the random ones.
 
 Any square matrix.  dense_bareiss_det eliminates a whole dense integer
 matrix by the same fraction-free steps, swapping rows past zero pivots,
@@ -155,25 +174,26 @@ import numpy as np
 
 from .factorint import is_certified_prime
 
-BAREISS_WORK = 300
+BAREISS_WORK = 45_000
 
 WORD_LIMIT = 1 << 30
 
-# Balanced residues have |r| <= q/2 < 2**29 for q < 2**30, so one rank-1
-# update adds at most (q/2)**2 < 2**58 to an entry.  An entry reduced
-# LAZY updates ago is at most q/2 + LAZY * (q/2)**2, below 2**63 while
-# LAZY <= 31 (2**29 + 31 * 2**58 < 32 * 2**58); balancing it adds q/2
-# once more, still below 2**63.
-LAZY = 31
+# det_mod's steps per block.  Balanced residues have |r| <= q/2 < 2**29
+# for q < 2**30, so one product of two adds at most (q/2)**2 < 2**58 to
+# an entry, and an entry balanced BLOCK products ago is at most q/2 +
+# BLOCK * (q/2)**2: below 2**63 for any BLOCK <= 31 (2**29 + 31 * 2**58
+# < 32 * 2**58).  On the cover_check minors 16 to 31 took the same time
+# within 2%, 8 took 14% more; 16 keeps the window smallest.
+BLOCK = 16
 
-# det_mod stacks hold at most STACK_ENTRIES entries (two unsheared
-# images of order 256, or 20 sheared images of order 255 and
-# half-bandwidth 12), and a box update's product at most as many again
-# (module docstring), so a stack and its per-step temporaries take at
-# most 2 MiB.  Larger stacks run fewer, longer eliminations; 2**18
-# entries was faster still on the cover_check benchmark but raised its
-# peak memory by about 1 MiB.
-STACK_ENTRIES = 1 << 17
+# det_mod's windows hold at most WINDOW_ENTRIES entries, and its kept
+# multipliers and the trailing box's product together at most as many
+# again (module docstring), so a window and those temporaries take at
+# most 2 MiB.  Every cover_check minor runs all its images in one window;
+# on the widest (13 images, side 92) tracemalloc puts multimodular_det's
+# peak at 2.3 MB, the residues of its entries and numpy's buffers
+# included.
+WINDOW_ENTRIES = 1 << 17
 
 _pool: list[int] = []
 _pool_lock = threading.Lock()
@@ -200,15 +220,11 @@ def _reach(first: list[int]) -> list[int]:
     return [r + 1 for r in accumulate(last, max)]
 
 
-def _width(first: list[int]) -> int:
-    """The half-bandwidth of a profile, max(i - first[i])."""
-    return max((i - f for i, f in enumerate(first)), default=0)
-
-
-def _bareiss_serves(reach: list[int]) -> bool:
-    """Is the envelope work of the profile with this reach at most
-    BAREISS_WORK?"""
-    return sum((r - k - 1) ** 2 for k, r in enumerate(reach)) <= BAREISS_WORK * len(reach)
+def _bareiss_serves(diagonal: list[int], reach: list[int]) -> bool:
+    """Is the envelope work of the profile with this reach, weighted by
+    the slot width of this diagonal, at most BAREISS_WORK?"""
+    slot = math.prod(diagonal).bit_length() + 2
+    return slot * sum((r - k - 1) ** 2 for k, r in enumerate(reach)) <= BAREISS_WORK * len(reach)
 
 
 def bareiss_det(lap: ReducedLaplacian, reach: list[int]) -> int:
@@ -316,52 +332,91 @@ def _balance(a: np.ndarray, q: np.ndarray, half: np.ndarray) -> None:
     a -= half
 
 
-def _square(stored: np.ndarray) -> np.ndarray:
-    """The (..., n, n) view of images stored as an (..., n, L) array in
-    det_mod's layout (module docstring): sheared when L < n."""
-    *lead, n, length = stored.shape
-    shear = length < n
-    flat = stored.reshape(*lead, n * length)[..., length // 2 * shear :]
-    step = stored.itemsize
-    return np.lib.stride_tricks.as_strided(
-        flat, shape=(*lead, n, n), strides=(*flat.strides[:-1], (length - shear) * step, step))
+def _blocks(reach: list[int]) -> list[tuple[int, int, int]]:
+    """The blocks (k0, k1, r) of det_mod on a profile with this reach:
+    steps k0 .. k1 - 1, BLOCK of them but for the last, whose boxes all
+    lie in rows and columns k0 + 1 .. r - 1, r = reach[k1 - 1]."""
+    n = len(reach)
+    return [(k0, min(k0 + BLOCK, n), reach[min(k0 + BLOCK, n) - 1]) for k0 in range(0, n, BLOCK)]
 
 
-def det_mod(images: np.ndarray, qs, first: list[int]) -> list[int] | None:
-    """Determinants of a reduced Laplacian of order n >= 1 with profile
-    first, an (n, L) int64 array in the layout of the module docstring,
-    modulo each prime q in qs (every q < 2**30), in [0, q): the kernel of
-    the module docstring, no row swaps and step k confined to the box of
-    rows and columns k + 1 .. reach[k] - 1.  None when an image's pivot
-    vanishes before the last step."""
+def _window_side(reach: list[int]) -> int:
+    """The side of det_mod's window on a profile with this reach: the
+    most rows and columns k0 .. r - 1 that a block holds."""
+    return max((r - k0 for k0, _, r in _blocks(reach)), default=0)
+
+
+def det_mod(entries: np.ndarray, first: list[int], qs) -> list[int] | None:
+    """Determinants, in [0, q), modulo each prime q in qs (every q <
+    2**30) of the symmetric matrix of order n = len(first) >= 1 with
+    profile first whose upper triangle has the nonzero entries
+    entries[2] at rows entries[0] <= columns entries[1], each position
+    once, in a (3, E) int64 array: the blocked elimination of the module
+    docstring, all images in one window, no row swaps.  None when an
+    image's pivot vanishes before the last step."""
     for q in qs:
         check_word_prime(q)
+    n, m = len(first), len(qs)
+    rows, cols, values = entries[:, np.argsort(entries[1], kind="stable")]
     q = np.array(qs, dtype=np.int64).reshape(-1, 1)
     half = (q - 1) // 2
     q3, half3 = q[:, :, None], half[:, :, None]
-    stack = images % q3
-    _balance(stack, q3, half3)
-    a = _square(stack)
-    dets = [1] * len(qs)
-    for k, r in enumerate(_reach(first)):
-        row = a[:, k, k:r]
-        _balance(row, q, half)
-        pivots = row[:, 0].tolist()
-        dets = [d * x % p for d, x, p in zip(dets, pivots, qs)]
-        if k == len(first) - 1:
-            break
-        if 0 in pivots:
-            return None
-        box = a[:, k + 1 : r, k + 1 : r]
-        if r > k + 1:
+    values = values % q
+    _balance(values, q, half)
+    # the entries of columns c .. c' - 1 are values[:, start[c] : start[c']]
+    start = np.searchsorted(cols, np.arange(n + 1)).tolist()
+    reach = _reach(first)
+    size = _window_side(reach)
+    window = np.zeros((m, size, size), dtype=np.int64)
+    dets = [1] * m
+    entered = 0  # rows and columns k0 .. entered - 1 hold the trailing box
+    for k0, k1, r in _blocks(reach):
+        # columns entered .. r - 1 enter the window: zeros but for their
+        # entries, as no step has touched them yet
+        t, side, b = entered - k0, r - k0, k1 - k0
+        window[:, :side, t:side] = 0
+        i, j = rows[start[entered] : start[r]] - k0, cols[start[entered] : start[r]] - k0
+        window[:, i, j] = values[:, start[entered] : start[r]]
+        entered = r
+        # the block's steps on its panel, rows k0 .. k1 - 1, each row taking
+        # the updates of the block's earlier steps in one product; the
+        # trailing box, rows and columns k1 .. r - 1, waits for the block
+        factors = np.empty((m, b, side), dtype=np.int64)
+        for p in range(b):
+            row = window[:, p, p:side]
+            if p:
+                row -= np.matmul(factors[:, None, :p, p], window[:, :p, p:side])[:, 0]
+            _balance(row, q, half)
+            pivots = row[:, 0].tolist()
+            dets = [d * x % qk for d, x, qk in zip(dets, pivots, qs)]
+            if k0 + p == n - 1:
+                break
+            if 0 in pivots:
+                return None
             # the balanced multipliers row / pivot, every pivot a unit
-            inv = np.array([pow(x, -1, p) for x, p in zip(pivots, qs)], dtype=np.int64)
-            factors = row[:, 1:] * inv[:, None]
-            _balance(factors, q, half)
-            box -= factors[:, :, None] * row[:, None, 1:]
-        if (k + 1) % LAZY == 0:
+            inv = np.array([pow(x, -1, qk) for x, qk in zip(pivots, qs)], dtype=np.int64)
+            f = factors[:, p, p + 1 :]
+            np.multiply(row[:, 1:], inv[:, None], out=f)
+            _balance(f, q, half)
+        # one rank-b product updates the trailing box, which moves to the
+        # window's corner
+        if side > b:
+            box = np.matmul(factors[:, :, b:].transpose(0, 2, 1), window[:, :b, b:side])
+            np.subtract(window[:, b:side, b:side], box, out=box)
             _balance(box, q3, half3)
+            window[:, : side - b, : side - b] = box
     return dets
+
+
+def _upper_entries(lap: ReducedLaplacian) -> np.ndarray:
+    """The nonzero entries of a reduced Laplacian's upper triangle in
+    det_mod's form: the diagonal, and minus the number of edges (i, j),
+    parallel ones adding up, at each (i, j)."""
+    n = len(lap.diagonal)
+    diagonal = np.arange(n)
+    keys, counts = np.unique(np.array([i * n + j for i, j in lap.edges], dtype=np.int64), return_counts=True)
+    return np.array([np.concatenate((diagonal, keys // n)), np.concatenate((diagonal, keys % n)),
+                     np.concatenate((np.array(lap.diagonal, dtype=np.int64), -counts))], dtype=np.int64)
 
 
 def multimodular_det(lap: ReducedLaplacian) -> int:
@@ -372,32 +427,24 @@ def multimodular_det(lap: ReducedLaplacian) -> int:
     n, bound = len(lap.diagonal), math.prod(lap.diagonal)
     if n == 0 or bound == 0:
         return bound  # the empty product, 1; or a row of zeros
-    length = 2 * _width(lap.first) + 1
-    images = np.zeros((n, length if length < n else n), dtype=np.int64)
-    a, diagonal = _square(images), np.arange(n)
-    a[diagonal, diagonal] = lap.diagonal
-    if lap.edges:
-        # parallel edges add up
-        i, j = np.array(lap.edges, dtype=np.intp).T
-        np.subtract.at(a, (i, j), 1)
-        np.subtract.at(a, (j, i), 1)
+    entries, reach = _upper_entries(lap), _reach(lap.first)
     qs = primes_for_bound(bound)
-    # as few stacks as STACK_ENTRIES allows, of nearly equal size
-    stacks = -(-len(qs) // max(1, STACK_ENTRIES // images.size))
+    # as few stacks as WINDOW_ENTRIES allows, of nearly equal size
+    stacks = -(-len(qs) // max(1, WINDOW_ENTRIES // _window_side(reach) ** 2))
     dets = []
     for s in range(stacks):
-        stack = det_mod(images, qs[s * len(qs) // stacks : (s + 1) * len(qs) // stacks], lap.first)
+        stack = det_mod(entries, lap.first, qs[s * len(qs) // stacks : (s + 1) * len(qs) // stacks])
         if stack is None:
-            return bareiss_det(lap, _reach(lap.first))
+            return bareiss_det(lap, reach)
         dets += stack
     return crt(dets, qs)
 
 
 def det_int(lap: ReducedLaplacian) -> int:
     """Exact determinant of a reduced Laplacian: Bareiss up to
-    BAREISS_WORK of envelope work per row, multi-modular above (module
-    docstring)."""
+    BAREISS_WORK of envelope work per row times the slot width,
+    multi-modular above (module docstring)."""
     reach = _reach(lap.first)
-    if _bareiss_serves(reach):
+    if _bareiss_serves(lap.diagonal, reach):
         return bareiss_det(lap, reach)
     return multimodular_det(lap)

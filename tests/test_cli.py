@@ -159,6 +159,25 @@ def test_report_for_a_20_digit_ell_finishes(spec_file):
     assert (entry["p"], entry["n1"], entry["n0_certified"]) == (3, 1, True)
 
 
+@pytest.mark.parametrize("verb, extra", [("count", ()), ("analyze", ("--p", "2")), ("report", ("--json",))])
+def test_levels_no_engine_can_index_are_refused_first(spec_file, capsys, monkeypatch, verb, extra):
+    # ell = 10^20 + 39 passes validate, but phi(ell) is past sys.maxsize:
+    # level 1 is refused before the tower is built, as a domain failure
+    # naming the level and phi(ell)
+    import elltowers.cli as cli
+
+    ell = 10**20 + 39
+    path = spec_file(theta_spec(ell))
+    assert run_cli(capsys, "validate", path)[0] == 0
+    monkeypatch.setattr(cli, "Tower", lambda *args, **kwargs: pytest.fail("the tower was built"))
+    code, out, err = run_cli(capsys, verb, path, "--levels", "1", *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: level 1 needs phi({ell}^1) = {ell - 1} entries")
+    # level 0 needs no cyclotomic: count still answers it
+    monkeypatch.undo()
+    assert run_cli(capsys, "count", path, "--levels", "0")[:2] == (0, "kappa_0 = 3 = 3\n")
+
+
 def test_unfactored_ell_minus_1_is_an_internal_error(spec_file, capsys):
     # ell - 1 = 92 P Q, P Q out of reach of analysis.ORDER_RHO_ITERATIONS
     # rho steps, which bound the time spent: 12 s with the default 10^7

@@ -99,17 +99,23 @@ def test_dispatcher_threshold(monkeypatch):
         monkeypatch.undo()
         return calls
 
-    # by envelope work: band graphs whose work per row is just within
-    # BAREISS_WORK and just past it
+    # by envelope work weighted by the slot width: band graphs whose
+    # weighted work per row is just within BAREISS_WORK and just past it
     n = 200
-    b = max(b for b in range(1, n) if _band_work(n, b) <= intdet.BAREISS_WORK * n)
+
+    def weighted_work(b):
+        lap = reduced_laplacian(_band_graph(n + 1, b))
+        return (math.prod(lap.diagonal).bit_length() + 2) * _band_work(n, b)
+
+    b = max(b for b in range(1, 40) if weighted_work(b) <= intdet.BAREISS_WORK * n)
+    assert weighted_work(b + 1) > intdet.BAREISS_WORK * n
     for width, engine in ((1, "bareiss"), (b, "bareiss"), (b + 1, "mm"), (2 * b, "mm")):
         lap = reduced_laplacian(_band_graph(n + 1, width))
         assert lap.first == [max(0, j - width) for j in range(n)]
         assert engines(lap) == [engine]
         assert det_int(lap) == _envelope_det(lap) == multimodular_det(lap)
     # a complete graph's minor has a dense profile, whose work per row is
-    # (n - 1)(2n - 1) / 6
+    # (n - 1)(2n - 1) / 6, and diagonal n
     dense = dense_bareiss_order()
     for g in (dense + 1, dense + 2):
         lap = reduced_laplacian(Multigraph.from_edge_list(g, [(i, j) for i in range(g) for j in range(i)]))
@@ -128,25 +134,23 @@ def test_det_mod_matches_exact():
 
 
 def test_images_are_written_once_from_the_diagonal_and_edges(monkeypatch):
-    # multimodular_det writes each minor into the (n, L) layout straight
-    # from its edges, parallel ones adding up, and hands every stack that
-    # one array: sheared for the narrow bands, unsheared for the random
-    # multigraphs and the wheel
+    # multimodular_det reads each minor's upper triangle straight off its
+    # diagonal and edges, parallel ones adding up, into one int64 array of
+    # (row, column, value) triples that every stack shares: narrow bands,
+    # random multigraphs and the wheel, whose profile is dense
     rng = random.Random(11)
     calls = _record_det_mod(monkeypatch)
     laps = [reduced_laplacian(_random_multigraph(rng, g, 3 * g)) for g in (2, 9, 40, 70)]
     laps += [reduced_laplacian(_band_graph(g, b)) for g, b in ((60, 1), (90, 6), (120, 20))]
     laps.append(reduced_laplacian(_wheel(50)))
-    layouts = []
     for lap in laps:
         calls.clear()
         dense = dense_laplacian(lap)
         assert multimodular_det(lap) == dense_bareiss_det(dense)
-        expected = _stored(dense, lap.first)
-        assert calls and all(images is calls[0][0] for images, _, _ in calls)
-        assert calls[0][0].dtype == np.int64 and np.array_equal(calls[0][0], expected)
-        layouts.append(expected.shape[1] < expected.shape[0])
-    assert layouts == [False] * 4 + [True] * 3 + [False]
+        assert calls and all(entries is calls[0][0] for entries, _, _ in calls)
+        entries = calls[0][0]
+        assert entries.dtype == np.int64 and entries.shape[0] == 3
+        assert sorted(map(tuple, entries.T.tolist())) == sorted(_upper(dense))
 
 
 @settings(deadline=None, max_examples=40)
@@ -177,10 +181,10 @@ def test_multimodular_large_entries():
 
 
 def _record_det_mod(monkeypatch):
-    """The images, primes and profile of every det_mod call."""
+    """The entries, primes and profile of every det_mod call."""
     calls, real = [], intdet.det_mod
     monkeypatch.setattr(intdet, "det_mod",
-                        lambda images, qs, first: calls.append((images, list(qs), first)) or real(images, qs, first))
+                        lambda entries, first, qs: calls.append((entries, list(qs), first)) or real(entries, first, qs))
     return calls
 
 
@@ -200,8 +204,8 @@ def test_multimodular_uses_the_fewest_primes_for_the_hadamard_bound(monkeypatch)
 
 def _wheel(n):
     """The wheel, hub 0 and rim 1 .. n.  Its reduced Laplacian drops the
-    hub: the rim's cycle, whose closing edge gives a profile of half-width
-    n - 1, in the unsheared layout."""
+    hub: the rim's cycle, whose closing edge gives a dense profile, of
+    half-width n - 1."""
     spokes = [(0, i) for i in range(1, n + 1)]
     return Multigraph.from_edge_list(n + 1, spokes + [(i, i % n + 1) for i in range(1, n + 1)])
 
@@ -214,51 +218,63 @@ def _wheel_trees(n):
     return a - 2
 
 
-def _check_boxes_fit(first, length):
-    """Every box that det_mod updates on the profile first, in the layout
-    of row length, has at most n L entries per image, and fewer than
-    n L / 2 when sheared: a box product never exceeds its stack."""
-    n = len(first)
-    for k, r in enumerate(intdet._reach(first)[:-1]):
-        t = r - k - 1  # the box of rows and columns k + 1 .. r - 1
-        assert t * t <= n * length
-        if length < n:
-            assert 2 * t * t < n * length
+def _check_window(first, m):
+    """Every block of det_mod on the profile first holds its rows and
+    columns k0 .. r - 1 in the window, and the entries that enter the
+    window at a block (their column in entered .. r - 1, past every box
+    so far) have their rows from k0 on, inside it; the block's multipliers
+    and the trailing box's product together have no more entries than the
+    window.  With m images the window keeps m side**2 entries, within
+    WINDOW_ENTRIES whenever one image fits.  Returns the side."""
+    n, reach = len(first), intdet._reach(first)
+    side = intdet._window_side(reach)
+    entered = 0
+    for k0, k1, r in intdet._blocks(reach):
+        assert k1 - k0 <= intdet.BLOCK <= 31 and r - k0 <= side and (k1 - k0 == intdet.BLOCK or k1 == n)
+        assert all(k0 <= first[j] for j in range(entered, r))
+        assert (k1 - k0) * (r - k0) + (r - k1) ** 2 <= side * side
+        entered = r
+    assert entered == n
+    assert m * side * side <= intdet.WINDOW_ENTRIES or m == 1
+    return side
 
 
 def test_multimodular_stacks_stay_below_the_entry_limit(monkeypatch):
-    # an image in the unsheared layout keeps n x n entries (the wheels),
-    # one in the sheared layout n x (2w + 1) (a band of half-width 40), and
-    # the stacks are partitioned by those stored entries
+    # a window holds side**2 entries per image: the wheels' dense profiles
+    # give side n, a band of half-width 40 side 56, and the primes are
+    # split into stacks only as far as WINDOW_ENTRIES requires
     calls = _record_det_mod(monkeypatch)
-    cases = [(reduced_laplacian(_wheel(n)), n, _wheel_trees(n)) for n in (40, 100, 182)]
+    cases = [(reduced_laplacian(_wheel(n)), _wheel_trees(n)) for n in (40, 150, 182)]
     band = reduced_laplacian(_band_graph(201, 40))
-    cases.append((band, 81, _envelope_det(band)))
+    cases.append((band, _envelope_det(band)))
     counts = []
-    for lap, row_entries, det in cases:
-        n = len(lap.first)
+    for lap, det in cases:
         calls.clear()
         assert multimodular_det(lap) == det
-        assert {images.shape for images, _, _ in calls} == {(n, row_entries)}
-        _check_boxes_fit(lap.first, row_entries)
         stacks = [qs for _, qs, _ in calls]
+        side = intdet._window_side(intdet._reach(lap.first))
+        for qs in stacks:
+            assert _check_window(lap.first, len(qs)) == side
         qs = primes_for_bound(math.prod(lap.diagonal))
-        per_stack = max(1, intdet.STACK_ENTRIES // (n * row_entries))
+        per_stack = max(1, intdet.WINDOW_ENTRIES // side**2)
         sizes = [len(s) for s in stacks]
         assert [q for s in stacks for q in s] == qs
         assert len(stacks) == -(-len(qs) // per_stack)
         assert max(sizes) <= per_stack and max(sizes) - min(sizes) <= 1
-        counts.append((per_stack, len(stacks)))
-    # several stacks in each layout, and several images to a sheared stack
-    assert counts[2][1] > 1 and counts[3][0] > 1 and counts[3][1] > 1
+        counts.append((side, len(stacks)))
+    # the wheels of orders 150 and 182 need several stacks; the band takes
+    # all its primes in one
+    assert counts[0][1] == 1 and counts[1][1] > 1 and counts[2][1] > 1
+    assert counts[3] == (intdet.BLOCK + 40, 1)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_det_mod_boxes_never_exceed_the_stack(data):
     # random profiles, from a diagonal to dense: each row j has the edge
-    # (first[j], j) and the diagonal dominates, in whichever layout the
-    # half-bandwidth gives
+    # (first[j], j) and the diagonal dominates; every block and every
+    # entering entry lies in the window, whose entries the stacks keep
+    # within WINDOW_ENTRIES
     n = data.draw(st.integers(1, 120), label="order")
     widest = data.draw(st.integers(0, n), label="widest row")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
@@ -271,14 +287,14 @@ def test_det_mod_boxes_never_exceed_the_stack(data):
     lap = intdet.ReducedLaplacian(diagonal, edges, first)
     calls = []
     real = intdet.det_mod
-    intdet.det_mod = lambda images, qs, first: calls.append(images.shape) or real(images, qs, first)
+    intdet.det_mod = lambda entries, first, qs: calls.append(len(qs)) or real(entries, first, qs)
     try:
         assert multimodular_det(lap) == _envelope_det(lap)
     finally:
         intdet.det_mod = real
-    ((_, length),) = set(calls)
-    event("sheared" if length < n else "unsheared")
-    _check_boxes_fit(first, length)
+    event("one stack" if len(calls) == 1 else "several stacks")
+    for m in calls:
+        _check_window(first, m)
 
 
 @settings(deadline=None, max_examples=25)
@@ -295,7 +311,7 @@ def test_det_int_matches_bareiss_across_the_threshold(data):
     edges += [(i, j) for i in range(g) for j in range(i) if rng.random() < density
               for _ in range(rng.randint(1, copies))]
     lap = reduced_laplacian(Multigraph.from_edge_list(g, edges))
-    event("Bareiss" if intdet._bareiss_serves(intdet._reach(lap.first)) else "multi-modular")
+    event("Bareiss" if intdet._bareiss_serves(lap.diagonal, intdet._reach(lap.first)) else "multi-modular")
     assert det_int(lap) == dense_bareiss_det(dense_laplacian(lap)) == multimodular_det(lap)
 
 
@@ -340,29 +356,20 @@ def _profile(m):
     return [next((j for j, x in enumerate(row[:i]) if x), i) for i, row in enumerate(m)]
 
 
-def _sheared(m):
-    """Is m's layout sheared (2w + 1 < n), not unsheared (L = n)?"""
-    return 2 * intdet._width(_profile(m)) + 1 < len(m)
+def _width(m):
+    """The half-bandwidth of a list of rows, max(i - first[i])."""
+    return max((i - f for i, f in enumerate(_profile(m))), default=0)
 
 
-def _stored(m, first):
-    """The (n, L) int64 array of the rows m in det_mod's layout, entry by
-    entry: row i holds columns i - w .. i + w, zeros past the matrix's
-    edges, when 2w + 1 < n, and all n columns otherwise."""
-    n, w = len(m), intdet._width(first)
-    if 2 * w + 1 >= n:
-        return np.array(m, dtype=np.int64)
-    out = np.zeros((n, 2 * w + 1), dtype=np.int64)
-    for i in range(n):
-        for j in range(max(0, i - w), min(n, i + w + 1)):
-            out[i, j - i + w] = m[i][j]
-    return out
+def _upper(m):
+    """The nonzero entries (i, j, m[i][j]) of the upper triangle of a
+    list of rows, the diagonal's among them."""
+    return [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if j >= i and x]
 
 
 def _det_mod(m, qs):
     """det_mod of a symmetric matrix given by its rows, with its profile."""
-    first = _profile(m)
-    return det_mod(_stored(m, first), qs, first)
+    return det_mod(np.array(_upper(m), dtype=np.int64).reshape(-1, 3).T, _profile(m), qs)
 
 
 def _symmetric(m):
@@ -415,12 +422,12 @@ def _gram_image(n, q, up):
 
 def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
     # a symmetric cyclic band: its corners give a profile of half-width
-    # n - 1, so its images take the unsheared layout
+    # n - 1, so every block's rows reach the last column
     rng = random.Random(37)
     qs = primes(3)
     for n in (64, 97, 131, 200):
         m = _dominant(_symmetric_band(rng, n, 3, 2**29, cyclic=True), 1)
-        assert not _sheared(m)
+        assert _width(m) == n - 1
         assert _det_mod(m, qs) == _det_mod_reference(m, qs) == [dense_bareiss_det(m) % q for q in qs]
     # the elimination of a cyclic band fills its last rows and columns:
     # with every multiplier and pivot-row entry at h, the boxes reach the
@@ -434,15 +441,18 @@ def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
             assert got[qs.index(q)] == 1
 
 
-def test_lazy_reduction_covers_every_box_since_the_last():
-    # an arrow whose last row and column get h**2 at every step except
-    # step LAZY - 1: the reduction every LAZY steps must cover the arrow,
-    # or it would be left 2 * LAZY - 1 updates deep, past int64
-    n, hole = 2 * intdet.LAZY + 4, intdet.LAZY - 1
-    for q in primes(2):
-        m = _gram_image(n, q, lambda k, j: j == k + 1 or (j == n - 1 and k != hole))
-        assert not _sheared(m)
-        assert _det_mod(m, [q]) == [1]
+def test_lazy_reduction_covers_every_box_since_the_last(monkeypatch):
+    # an arrow whose last row and column get h**2 at every step: each
+    # block's one product piles BLOCK of them onto the corner entry, and
+    # on the last row's entries at the panel's right, between reductions;
+    # at BLOCK = 31, the most the int64 bound allows, as well
+    for block in (intdet.BLOCK, 31):
+        monkeypatch.setattr(intdet, "BLOCK", block)
+        n = 3 * block + 4
+        for q in primes(2):
+            m = _gram_image(n, q, lambda k, j: j == k + 1 or j == n - 1)
+            assert _width(m) == n - 1
+            assert _det_mod(m, [q]) == [1]
 
 
 @settings(deadline=None, max_examples=25)
@@ -467,13 +477,13 @@ def test_det_mod_on_banded_and_cyclic_band_matrices(data):
 def test_int64_code_refuses_large_moduli():
     for bad in ((1 << 30) + 3, 1 << 30):
         with pytest.raises(ValueError):
-            det_mod(np.eye(2, dtype=np.int64), [1073741789, bad], [0, 1])
+            _det_mod([[1, 0], [0, 1]], [1073741789, bad])
 
 
 def test_det_mod_images_of_int64_extremes():
     # int64 entries at the ends of the int64 range, reduced modulo the
-    # primes by det_mod itself: a random matrix in the unsheared layout,
-    # then a band of half-width 2 in the sheared one
+    # primes by det_mod itself: a random matrix, then a band of
+    # half-width 2
     rng = random.Random(23)
     qs = [1073741789, 1073741783]
     m = _symmetric(_random_matrix(rng, 12))
@@ -488,7 +498,7 @@ def test_det_mod_images_of_int64_extremes():
     band[0][0] = 2**63 - 1
     band[3][5] = band[5][3] = -(2**63)
     band[9][8] = band[8][9] = 2**63 - 2**28
-    assert not _sheared(m) and _sheared(band)
+    assert _width(m) > 2 and _width(band) == 2
     for m in (m, band):
         expected = [dense_bareiss_det(m) % q for q in qs]
         assert _det_mod(m, qs) == _det_mod_reference(m, qs) == expected
@@ -528,18 +538,18 @@ def _last_pivot_vanishes(rng, n, w, q):
 
 
 def _upper_band_gram(n, w, q):
-    """_gram_image with h on the w diagonals above U's own: with w > LAZY,
-    entries take LAZY updates of h**2 between reductions."""
+    """_gram_image with h on the w diagonals above U's own: with w >
+    BLOCK, entries take BLOCK updates of h**2 between reductions."""
     return _gram_image(n, q, lambda k, j: j - k <= w)
 
 
-def _check_leading_minors_vanish(seed, w, sheared):
+def _check_leading_minors_vanish(seed, w):
     # det_mod answers None for the whole stack; recomputed alone, the
     # images modulo qs[1] and qs[2] answer None too, and the others their
     # residues
     qs = primes(4)
     m = _leading_minors_vanish(random.Random(seed), 30, w, qs)
-    assert _sheared(m) == sheared
+    assert _width(m) == w
     assert _det_mod(m, qs) is None
     det = dense_bareiss_det(m)
     assert [_det_mod(m, [q]) for q in qs] == [[det % qs[0]], None, None, [det % qs[3]]]
@@ -548,11 +558,11 @@ def _check_leading_minors_vanish(seed, w, sheared):
 
 
 def test_band_images_whose_leading_minors_vanish_are_recomputed_alone():
-    _check_leading_minors_vanish(53, 3, True)
+    _check_leading_minors_vanish(53, 3)
 
 
 def test_dense_images_whose_leading_minors_vanish_are_recomputed_alone():
-    _check_leading_minors_vanish(54, 20, False)
+    _check_leading_minors_vanish(54, 20)
 
 
 def test_a_vanishing_modular_pivot_sends_multimodular_det_to_bareiss(monkeypatch):
@@ -571,7 +581,7 @@ def test_a_vanishing_modular_pivot_sends_multimodular_det_to_bareiss(monkeypatch
 def test_band_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
     qs = primes(3)
     m = _last_pivot_vanishes(random.Random(59), 40, 4, qs[0])
-    assert _sheared(m)
+    assert _width(m) == 4
     calls = _record_bareiss_det(monkeypatch)
     got = _det_mod(m, qs)
     assert got == _det_mod_reference(m, qs) and got[0] == 0 and all(got[1:])
@@ -581,7 +591,7 @@ def test_band_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
 def test_dense_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
     qs = primes(3)
     m = _last_pivot_vanishes(random.Random(60), 40, 25, qs[0])
-    assert not _sheared(m)
+    assert _width(m) == 25
     calls = _record_bareiss_det(monkeypatch)
     got = _det_mod(m, qs)
     assert got == _det_mod_reference(m, qs) and got[0] == 0 and all(got[1:])
@@ -589,20 +599,20 @@ def test_dense_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
 
 
 def test_band_worst_case_magnitudes_between_lazy_reductions():
-    w = intdet.LAZY + 2
+    w = intdet.BLOCK + 2
     n = 2 * w + 10
     for q in primes(2):
         m = _upper_band_gram(n, w, q)
-        assert intdet._width(_profile(m)) == w and _sheared(m)
+        assert _width(m) == w
         assert _det_mod(m, [q]) == [1]
 
 
 def test_dense_worst_case_magnitudes_between_lazy_reductions():
-    w = intdet.LAZY + 2
+    w = intdet.BLOCK + 2
     n = w + 10
     for q in primes(2):
         m = _upper_band_gram(n, w, q)
-        assert intdet._width(_profile(m)) == w and not _sheared(m)
+        assert _width(m) == w and 2 * w + 1 >= n
         assert _det_mod(m, [q]) == [1]
 
 
@@ -620,11 +630,77 @@ def test_det_mod_on_symmetric_dominant_bands(data):
     m = _dominant(_symmetric_band(rng, n, w, bound, zeros), 1)
     for i in range(n):
         m[i][i] += rng.choice((0, 0, 1, qs[rng.randrange(3)]))
-    event("sheared layout" if _sheared(m) else "unsheared layout")
+    event("narrow band" if 2 * _width(m) + 1 < n else "wide band")
     expected = _det_mod_reference(m, qs)
     event("a pivot vanishes" if expected is None else "images")
     assert _det_mod(m, qs) == expected
     assert _det_mod(m, []) == []
+
+
+def test_det_mod_at_orders_around_the_block_boundaries():
+    # orders one short of a block, a block, one past, and two blocks and
+    # one step: the last block may be short, or hold the last step alone;
+    # dense, banded and diagonal profiles, against the dense Bareiss value
+    # and the plain row reduction
+    rng = random.Random(61)
+    qs = primes(3)
+    b = intdet.BLOCK
+    for n in (b - 1, b, b + 1, 2 * b + 1):
+        for w in (0, 1, 3, n - 1):
+            m = _dominant(_symmetric_band(rng, n, w, 2**20), 1)
+            for i in range(n):
+                m[i][i] += rng.randint(1, 9)
+            expected = [dense_bareiss_det(m) % q for q in qs]
+            assert _det_mod(m, qs) == _det_mod_reference(m, qs) == expected
+
+
+def _pivot_vanishes_at(lap, k, q):
+    """lap with its diagonal entry k raised, by less than q, so that the
+    leading minor of order k + 1 vanishes mod q: the minor stays
+    diagonally dominant, so positive semidefinite."""
+    dense = dense_laplacian(lap)
+    lead = [row[: k + 1] for row in dense[: k + 1]]
+    lead[k][k] = 0
+    rest = dense_bareiss_det(lead)  # the minor is linear in entry k: x D + rest
+    d = dense_bareiss_det([row[:k] for row in dense[:k]])
+    x = -rest * pow(d, -1, q) % q
+    diagonal = list(lap.diagonal)
+    diagonal[k] += (x - diagonal[k]) % q
+    return lap._replace(diagonal=diagonal)
+
+
+def test_a_pivot_vanishing_mid_block_sends_multimodular_det_to_bareiss(monkeypatch):
+    # a band of order 3 BLOCK: a pivot that vanishes modulo the first
+    # prime mid-block, in the first block and in the second, ends det_mod
+    # with None, and envelope Bareiss answers
+    q = primes(1)[0]
+    b = intdet.BLOCK
+    band = reduced_laplacian(_band_graph(3 * b + 1, 5))
+    for k in (b // 2, b + b // 2):
+        lap = _pivot_vanishes_at(band, k, q)
+        dense = dense_laplacian(lap)
+        assert primes_for_bound(math.prod(lap.diagonal))[0] == q
+        assert _det_mod(dense, [q]) is None and _det_mod_reference(dense, [q]) is None
+        calls = _record_bareiss_det(monkeypatch)
+        assert multimodular_det(lap) == dense_bareiss_det(dense) > 0
+        assert calls == [3 * b]
+        monkeypatch.undo()
+
+
+def test_a_pivot_vanishing_at_the_last_step_is_an_image_0(monkeypatch):
+    # the last step alone in its block (order 2 BLOCK + 1) and at the end
+    # of a full block (order 2 BLOCK): the image is 0, with no fallback
+    q = primes(1)[0]
+    for n in (2 * intdet.BLOCK + 1, 2 * intdet.BLOCK):
+        lap = _pivot_vanishes_at(reduced_laplacian(_band_graph(n + 1, 4)), n - 1, q)
+        dense = dense_laplacian(lap)
+        qs = primes_for_bound(math.prod(lap.diagonal))
+        got = _det_mod(dense, qs)
+        assert got == _det_mod_reference(dense, qs) and got[0] == 0 and all(got[1:])
+        calls = _record_bareiss_det(monkeypatch)
+        assert multimodular_det(lap) == dense_bareiss_det(dense) > 0
+        assert calls == []
+        monkeypatch.undo()
 
 
 def _clique_ring(s, m):
@@ -661,16 +737,17 @@ def test_clique_ring_tree_counts():
 
 def test_breadth_first_band_laplacian_takes_one_stack_for_all_its_primes(monkeypatch):
     # K_10 x C_15: its breadth-first ordered reduced Laplacian has order 149,
-    # half-bandwidth 20 and envelope work 355 per row, past BAREISS_WORK,
-    # so det_mod takes it in the sheared layout; its 18 primes share one
-    # stack, where unsheared images would go five to a stack
+    # half-bandwidth 20 and envelope work 355 per row, past BAREISS_WORK;
+    # its 18 primes share one window, of side at most BLOCK + 20 + 1,
+    # where whole images would go five to a stack
     graph = _clique_ring(10, 15)
     calls = _record_det_mod(monkeypatch)
     assert spanning_tree_count(graph) == _clique_ring_trees(10, 15)
-    ((images, used, first),) = calls
-    assert images.shape == (149, 41) and intdet._width(first) == 20
+    ((_, used, first),) = calls
+    assert len(first) == 149 and max(i - f for i, f in enumerate(first)) == 20
     assert used == primes_for_bound(math.prod(reduced_laplacian(graph).diagonal))
-    assert intdet.STACK_ENTRIES // (149 * 149) < len(used)
+    assert _check_window(first, len(used)) <= intdet.BLOCK + 21
+    assert intdet.WINDOW_ENTRIES // (149 * 149) < len(used)
 
 
 # -- envelope Bareiss: reduced Laplacians without row swaps -----------------------
@@ -698,7 +775,7 @@ def test_envelope_grows_by_many_columns_in_one_step():
     graph = Multigraph.from_edge_list(33, clique + path)
     lap = reduced_laplacian(graph)
     reach = intdet._reach(lap.first)
-    assert reach[19:21] == [21, 32] and intdet._bareiss_serves(reach)
+    assert reach[19:21] == [21, 32] and intdet._bareiss_serves(lap.diagonal, reach)
     assert dense_bareiss_det([row[:20] for row in dense_laplacian(lap)[:20]]) == 2**20
     assert _check_envelope(graph) == 2**20 * 13**11
 
@@ -725,13 +802,9 @@ def test_envelope_bareiss_on_random_multigraphs(data):
     perm = rng.sample(range(g), g)
     graph = Multigraph.from_edge_list(g, [(perm[t], perm[h]) for t, h in edges])
     _check_envelope(graph)
-    # det_int's route: envelope Bareiss, else det_mod's sheared or unsheared
-    # layout
+    # det_int's route: envelope Bareiss, else det_mod
     lap = reduced_laplacian(graph)
-    if intdet._bareiss_serves(intdet._reach(lap.first)):
-        event("Bareiss")
-    else:
-        event("sheared layout" if 2 * intdet._width(lap.first) + 1 < len(lap.first) else "unsheared layout")
+    event("Bareiss" if intdet._bareiss_serves(lap.diagonal, intdet._reach(lap.first)) else "multi-modular")
 
 
 # -- packed rows: wide slots, long rows, degenerate minors -----------------------

@@ -93,13 +93,14 @@ def reciprocal(f: GenPoly) -> GenPoly:
 
 
 def dense_bareiss_order() -> int:
-    """The largest order of a reduced Laplacian with a dense profile (a
-    complete graph's) that det_int eliminates by Bareiss: its envelope
-    work per row, (n - 1)(2n - 1) / 6, is at most BAREISS_WORK."""
+    """The largest order n of a complete graph's reduced Laplacian, a dense
+    profile with diagonal n, that det_int eliminates by Bareiss: its
+    envelope work per row, (n - 1)(2n - 1) / 6, times the slot width
+    bits(n^n) + 2 is at most BAREISS_WORK."""
     from elltowers.intdet import BAREISS_WORK
 
     n = 1
-    while n * (2 * n + 1) <= 6 * BAREISS_WORK:  # the work of order n + 1
+    while ((n + 1) ** (n + 1)).bit_length() + 2 <= 6 * BAREISS_WORK / (n * (2 * n + 1)):  # order n + 1
         n += 1
     return n
 
