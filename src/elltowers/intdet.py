@@ -12,9 +12,10 @@ the bits of that product (below):
 
 * bareiss_det, fraction-free elimination (Bareiss 1968) inside the
   envelope, each row one Python integer packed straight from the edges.
-* multimodular_det: one blocked elimination of the images modulo
-  word-size primes (det_mod), all in one int64 window that slides down
-  the envelope, recombined by CRT against the diagonal product.
+* multimodular_det: one blocked, division-free elimination of the
+  images modulo word-size primes (det_mod), all in one int64 window
+  that slides down the envelope, recombined by CRT against the
+  diagonal product.
 
 Envelopes.  first[i] is the first nonzero column of row i of a
 symmetric matrix (i when there is none), and reach[k] is one past the
@@ -58,14 +59,15 @@ at a time:
   So every slot is at most D < 2^(s-2) in absolute value.  A zero
   diagonal entry makes D = 0 and is a row of zeros (A is positive
   semidefinite): the determinant is 0 at once.
-* Entering rows are scaled.  A row i that has been outside every box so
-  far was never updated, but Bareiss would have: a_ih = 0 at every
-  pivot h so far, so each step h only multiplied the row by d_h /
-  d_{h-1}, which telescopes to d_{k-1} before step k.  So when row i
-  enters the box at step k (reach[k-1] <= i < reach[k], the pivot row k
-  among them when reach[k-1] = k), P_i is multiplied by the previous
-  pivot d_{k-1} once, and from then on it is updated whole at every
-  step, since reach never falls.
+* Rows enter at their first column.  Row i has a_ih = 0 at every pivot
+  h < first[i], so each such Bareiss step would only multiply it by
+  d_h / d_{h-1}, which telescopes to d_{k-1} before step k = first[i].
+  So bareiss_det leaves row i alone until step first[i], multiplies P_i
+  then by the previous pivot d_{k-1} once (the pivot row k itself when
+  first[k] = k), and from then on updates it whole at every step up to
+  i, each of whose boxes holds it.  A row of step k's box with first[i]
+  > k is skipped, though the pivot row still drops a slot for it, to
+  stay aligned with the rows after it.
 * No row swaps.  If a leading minor d_k vanishes, some x != 0 has
   A_k x = 0; then y = (x, 0) has y^T A y = 0, so A y = 0 (A is positive
   semidefinite) and det A = 0.  A zero pivot ends the elimination with
@@ -82,24 +84,38 @@ BAREISS_WORK, and multimodular_det above it.
 The modular kernel.  det_mod(entries, first, qs) eliminates the images
 of a symmetric matrix modulo each prime of qs at once, with the profile
 its caller passes: no row swaps, the boxes of the envelope, the pivot
-row serving as the pivot column, and the multipliers row / pivot.
-Modulo q a leading minor may vanish although the integer one does not.
-A pivot that vanishes at the last step is an image 0; one that
-vanishes before it ends det_mod with None, and multimodular_det then
-returns the envelope Bareiss value, exact whatever its pivots.
+row serving as the pivot column, and no division.  It keeps the
+trailing matrix as sigma S, S the Schur complement and sigma a scale
+per image.  A step with pivot p = sigma d, d the pivot of S, and pivot
+row u, the first row of sigma S, replaces the rest by p sigma S - u^T u
+= sigma p S', S' the next Schur complement: sigma becomes sigma p, and
+p vanishes exactly when d does.  The determinant, the product of the
+d_k = p_k / sigma_k, is sigma_n over the product of sigma_0 ..
+sigma_(n-1); det_mod folds both products block by block and takes one
+inverse per image, at the end.  Modulo q a leading minor may vanish
+although the integer one does not.  A pivot that vanishes at the last
+step is an image 0; one that vanishes before it ends det_mod with None,
+and multimodular_det then returns the envelope Bareiss value, exact
+whatever its pivots.
 
 Blocks.  det_mod takes the steps BLOCK at a time (delayed, blocked
 reduction, as in Dumas, Giorgi and Pernet's FFLAS-FFPACK).  The boxes of
 steps k0 .. k1 - 1 lie in rows and columns k0 + 1 .. r - 1, r =
-reach[k1 - 1], as reach never falls.  The block's own rows k0 .. k1 - 1
-(its panel) go one at a time: row k takes the updates of the block's
-earlier steps in one product, their multipliers at column k times their
-rows; it is balanced, its pivot read off, and its multipliers balanced
-and kept.  The trailing box, rows and columns k1 .. r - 1, waits: after
-the block one product F^T U of the kept multipliers F with the panel's
-rows U, over columns k1 .. r - 1, updates all of it, and it is balanced
-once.  A row is 0 past its step's reach, so each step's share of the
-product lies in its own box, as one step at a time would have it.
+reach[k1 - 1], as reach never falls.  With p_0 .. p_(b-1) the block's
+pivots, u_0 .. u_(b-1) its pivot rows and R_p = p_0 ... p_(p-1), its
+steps before p turn its row p into R_p times itself less the sum over k
+< p of (p_(k+1) ... p_(p-1)) u_k[p] u_k, and the trailing box into R_b
+times itself less the like sum over k < b.  So the block's own rows k0
+.. k1 - 1 (its panel) go one at a time: row p takes its scale R_p and
+the shares of the block's earlier pivot rows in one product, and is
+reduced.  The trailing box, rows and columns k1 .. r - 1, waits: after
+the block it is scaled by R_b in place, and one product W^T U of the
+weighted pivot rows W with the pivot rows U, over columns k1 .. r - 1,
+updates all of it; it is reduced once.  Each weight is minus the
+product of the pivots after its step, so every term is added.  A row
+is 0 past its step's reach, so each step's share of the product lies in
+its own box, as one step at a time would have it.  A block tests its
+pivots for 0 once, by R_b (by R_(b-1) when it holds the last step).
 
 The window.  det_mod keeps the rows and columns k0 .. r - 1 of the
 current block of every image, and nothing else, in one (m, S, S) int64
@@ -107,25 +123,28 @@ window, S the most that any block needs (_window_side).  Only the upper
 triangle counts, as every row is read from its diagonal on.  After a
 block the trailing box moves to the window's corner, where the next
 block starts, and the columns that its boxes reach past r enter,
-written straight from the entries: no step has touched them, and each
-of their entries lies in the window, since an entry (i, j), i <= j, with
-j past every box so far has i >= first[j] >= k0.  multimodular_det
-reads the upper triangle once off the diagonal and edges, as (row,
-column, value) triples with parallel edges added up, and splits its
-primes into stacks only as far as keeping m S^2 within WINDOW_ENTRIES
-needs (whenever one image fits); every cover_check minor takes one
-stack.  A block of b steps keeps b S multipliers per image, and the
-trailing box's product has at most (S - b)^2 entries: det_mod's
+written straight from the entries times sigma, reduced as they are
+written: no step has touched them, and each of their entries lies in
+the window, since an entry (i, j), i <= j, with j past every box so far
+has i >= first[j] >= k0.  No array holds every entry's residues at
+once.  multimodular_det reads the upper triangle once off the diagonal
+and edges, as (row, column, value) triples with parallel edges added
+up, and splits its primes into stacks only as far as keeping m S^2
+within WINDOW_ENTRIES needs (whenever one image fits); every
+cover_check minor takes one stack.  A block of b steps keeps b (S - b) weighted entries per image,
+and the trailing box's product has at most (S - b)^2 entries: det_mod's
 temporaries hold no more than the window, as b S + (S - b)^2 <= S^2.
 
 Word-size arithmetic.  The images are computed in numpy int64, which
-is exact while every residue is below WORD_LIMIT = 2**30.  Residues are
-balanced in (-q/2, q/2], so a product of two is below 2**58.  Every
-entry is balanced at the start of a block (the trailing box after its
-product, an entering entry as it is written), a panel row at its step
-and the multipliers as they are taken, so an entry takes at most BLOCK
-products between balancings (BLOCK, below, bounds their sum below
-2**63).  primes(count) hands out the largest primes q < WORD_LIMIT, in
+is exact while every sum stays below 2**63.  Every residue lies in
+[0, q), q < WORD_LIMIT = 2**29, so a product of two is at most
+(q - 1)**2 < 2**58.  A panel entry is its scale times itself plus at
+most BLOCK - 1 products, and a box entry its scale times itself plus
+BLOCK products, all of them nonnegative; so for BLOCK <= 31 every sum
+is below 32 * 2**58 = 2**63, and one np.remainder reduces it.  The
+bound is tight: the tests drive a box entry to 32 (q - 1)**2 at BLOCK =
+31, and one more product would pass 2**63 at the largest primes.
+primes(count) hands out the largest primes q < WORD_LIMIT, in
 decreasing order, from one pool that is built on first use and then
 grown on demand, never at import; primes_for_bound picks the fewest
 whose product passes twice a bound on |det|, and crt recombines the
@@ -134,27 +153,26 @@ images into the symmetric representative, so signs are recovered.
 BAREISS_WORK is the measured crossover (2-core x86-64, shared, Python
 3.11, numpy 2.4): microseconds per row, medians of five timings of
 each minor by each engine, by envelope work per row times the slot
-width, in thousands.  Cover minors are the 145 distinct minors of order
-above 36 in rounds 0-2 of the cover_check benchmark (seeds 1-3) and
-rounds 0-1 of padic_deep (seed 1), of orders 47-255; random minors are
+width, in thousands.  Workload minors are the 177 distinct minors of
+order 30 and above in rounds 0-4 of the cover_check, padic_deep and
+integral_deep benchmarks (seed 1), of orders 30-255; random minors are
 150 breadth-first ordered minors of random multigraphs of order 24-56
 and mean valency 8.
 
     work x s    <10  10-  20-  30-  40-  50-  60-  80- 120- 200- 400-
-                     20   30   40   50   60   80  120  200  400 1210
-    cover minors 32   27   19    4    9    6    5    9   15    9   10
-      Bareiss     5    8   14   19   26   26   32   49   74  189  369
-      multimod.  16   18   20   23   24   21   23   25   28   39   54
-    random minors 4   30   30   13   13   18   19   23
-      Bareiss     5    7   10   14   16   20   25   31
-      multimod.  16   16   19   19   21   21   22   24
+                     20   30   40   50   60   80  120  200  400  840
+    workload    90   23   16    8    9    3    5    5    7    6    5
+      Bareiss    3    8   13   19   24   21   26   52   67  125  237
+      multimod. 13   13   14   15   15   15   16   18   20   24   36
+    random minors 6   35   28   17   11    8   18   27
+      Bareiss    5    6    9   12   14   17   22   28
+      multimod. 14   14   15   15   16   16   16   17
 
-The cover minors tie between 30,000 and 50,000 and the random ones
-between 50,000 and 80,000, so BAREISS_WORK is 45,000.  Summed over each
-set, every crossover from 40,000 to 60,000 takes at most 1.5% more time
-than the faster engine for each cover minor, and 4% more for each
-random one.  The plain work, with crossovers from 200 to 400, took 1.9-
-5.1% more on the cover minors and 0.7-17% more on the random ones.
+The workload minors tie between 20,000 and 40,000 and the random ones
+between 50,000 and 60,000.  Summed over the workload minors, BAREISS_WORK
+= 25,000 takes 0.2% more time than the faster engine for each minor,
+the least of the crossovers from 10,000 to 70,000 (3.0% at 45,000); on
+the random minors it takes 6.1% more (0.2% at 45,000).
 
 Any square matrix.  dense_bareiss_det eliminates a whole dense integer
 matrix by the same fraction-free steps, swapping rows past zero pivots,
@@ -167,6 +185,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -174,25 +193,23 @@ import numpy as np
 
 from .factorint import is_certified_prime
 
-BAREISS_WORK = 45_000
+BAREISS_WORK = 25_000
 
-WORD_LIMIT = 1 << 30
+WORD_LIMIT = 1 << 29
 
-# det_mod's steps per block.  Balanced residues have |r| <= q/2 < 2**29
-# for q < 2**30, so one product of two adds at most (q/2)**2 < 2**58 to
-# an entry, and an entry balanced BLOCK products ago is at most q/2 +
-# BLOCK * (q/2)**2: below 2**63 for any BLOCK <= 31 (2**29 + 31 * 2**58
-# < 32 * 2**58).  On the cover_check minors 16 to 31 took the same time
-# within 2%, 8 took 14% more; 16 keeps the window smallest.
+# det_mod's steps per block.  Residues lie in [0, q), q < 2**29, so a
+# product of two is below 2**58, and a box entry sums its scaled self and
+# BLOCK products between reductions: below 2**63 for any BLOCK <= 31
+# (module docstring).  On the cover_check minors 16 to 31 took the same time
+# within 3%, 8 took 14% more; 16 keeps the window smallest.
 BLOCK = 16
 
 # det_mod's windows hold at most WINDOW_ENTRIES entries, and its kept
-# multipliers and the trailing box's product together at most as many
+# weighted pivot rows and the trailing box's product together at most as many
 # again (module docstring), so a window and those temporaries take at
 # most 2 MiB.  Every cover_check minor runs all its images in one window;
-# on the widest (13 images, side 92) tracemalloc puts multimodular_det's
-# peak at 2.3 MB, the residues of its entries and numpy's buffers
-# included.
+# on the widest (14 images, side 92) tracemalloc puts multimodular_det's
+# peak at 2.4 MB, its entries and numpy's buffers included.
 WINDOW_ENTRIES = 1 << 17
 
 _pool: list[int] = []
@@ -239,13 +256,15 @@ def bareiss_det(lap: ReducedLaplacian, reach: list[int]) -> int:
     rows = list(lap.diagonal)
     for i, j in lap.edges:
         rows[i] -= 1 << s * (j - i)
-    prev, entered = 1, 0  # the rows below entered have been in a box
+    first = lap.first
+    entering = [[] for _ in first]  # the rows whose first nonzero is column k
+    for i, f in enumerate(first):
+        entering[f].append(i)
+    prev = 1
     for k, r in enumerate(reach):
-        if r > entered:
-            if prev != 1:
-                for i in range(max(entered, k), r):
-                    rows[i] *= prev
-            entered = r
+        if prev != 1:
+            for i in entering[k]:
+                rows[i] *= prev
         low = rows[k] + half
         pivot = (low & mask) - half
         if pivot == 0:
@@ -253,8 +272,9 @@ def bareiss_det(lap: ReducedLaplacian, reach: list[int]) -> int:
         for i in range(k + 1, r):
             tail = low >> s  # the pivot row from column i on
             low = tail + half
-            m = (low & mask) - half
-            rows[i] = (pivot * rows[i] - m * tail) // prev
+            if first[i] <= k:  # else a_ik = 0, and row i waits to enter
+                m = (low & mask) - half
+                rows[i] = (pivot * rows[i] - m * tail) // prev
         prev = pivot
     return prev
 
@@ -283,7 +303,7 @@ def dense_bareiss_det(rows: list[list[int]]) -> int:
 def check_word_prime(q: int) -> None:
     """Refuse a modulus outside the range where int64 arithmetic is exact."""
     if not 2 <= q < WORD_LIMIT:
-        raise ValueError(f"modulus {q} is outside the int64-safe range [2, 2**30)")
+        raise ValueError(f"modulus {q} is outside the int64-safe range [2, 2**29)")
 
 
 def primes(count: int) -> list[int]:
@@ -304,9 +324,9 @@ def primes_for_bound(bound: int) -> list[int]:
     bound: enough for crt to recover any integer of absolute value at
     most bound."""
     target = 2 * bound
-    # every prime is below 2**30, so fewer than bit_length // 30 of them
+    # every prime is below 2**29, so fewer than bit_length // 29 of them
     # fall short of target: the walk starts with that many
-    qs = primes(target.bit_length() // 30)
+    qs = primes(target.bit_length() // 29)
     prod = math.prod(qs)
     while prod <= target:
         qs = primes(len(qs) + 1)
@@ -325,11 +345,14 @@ def crt(values, moduli) -> int:
     return x - prod if x > prod // 2 else x
 
 
-def _balance(a: np.ndarray, q: np.ndarray, half: np.ndarray) -> None:
-    """Reduce a in place to its residues in (-q/2, q/2]."""
-    a += half
-    np.remainder(a, q, out=a)
-    a -= half
+def _product(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The products modulo q of the rows of a, an (m, w) array of residues
+    modulo the (m, 1) primes q, pairwise: an (m, 1) array."""
+    while a.shape[1] > 1:
+        h = a.shape[1] // 2
+        pairs = a[:, :h] * a[:, h : 2 * h] % q
+        a = np.concatenate((pairs, a[:, 2 * h :]), axis=1)
+    return a
 
 
 def _blocks(reach: list[int]) -> list[tuple[int, int, int]]:
@@ -348,75 +371,90 @@ def _window_side(reach: list[int]) -> int:
 
 def det_mod(entries: np.ndarray, first: list[int], qs) -> list[int] | None:
     """Determinants, in [0, q), modulo each prime q in qs (every q <
-    2**30) of the symmetric matrix of order n = len(first) >= 1 with
+    2**29) of the symmetric matrix of order n = len(first) >= 1 with
     profile first whose upper triangle has the nonzero entries
     entries[2] at rows entries[0] <= columns entries[1], each position
-    once, in a (3, E) int64 array: the blocked elimination of the module
-    docstring, all images in one window, no row swaps.  None when an
-    image's pivot vanishes before the last step."""
+    once, in a (3, E) int64 array: the blocked, division-free elimination
+    of the module docstring, all images in one window, no row swaps.
+    None when an image's pivot vanishes before the last step."""
     for q in qs:
         check_word_prime(q)
     n, m = len(first), len(qs)
     rows, cols, values = entries[:, np.argsort(entries[1], kind="stable")]
     q = np.array(qs, dtype=np.int64).reshape(-1, 1)
-    half = (q - 1) // 2
-    q3, half3 = q[:, :, None], half[:, :, None]
-    values = values % q
-    _balance(values, q, half)
-    # the entries of columns c .. c' - 1 are values[:, start[c] : start[c']]
+    q3 = q[:, :, None]
+    # the entries of columns c .. c' - 1 are values[start[c] : start[c']]
     start = np.searchsorted(cols, np.arange(n + 1)).tolist()
     reach = _reach(first)
     size = _window_side(reach)
     window = np.zeros((m, size, size), dtype=np.int64)
-    dets = [1] * m
+    # scale is sigma at the current block's start, the window holding sigma
+    # times the Schur complement; den is the product of sigma over the steps
+    scale, den = np.ones((m, 1), dtype=np.int64), np.ones((m, 1), dtype=np.int64)
+    # at step p of a block g[:, 0] is R_p, the product of the block's pivots
+    # so far, and g[:, k + 1], k < p, minus the product of those after step
+    # k, the weight of u_k in row p; each block starts from 1 and -1
+    unit = np.concatenate((np.ones((m, 1), dtype=np.int64), np.repeat(q - 1, BLOCK, axis=1)), axis=1)
+    g = np.empty_like(unit)
+    shares = np.empty((m, BLOCK), dtype=np.int64)
+    scales = np.empty((m, BLOCK), dtype=np.int64)  # R_p at each step p
     entered = 0  # rows and columns k0 .. entered - 1 hold the trailing box
     for k0, k1, r in _blocks(reach):
         # columns entered .. r - 1 enter the window: zeros but for their
-        # entries, as no step has touched them yet
+        # entries times sigma, as no step has touched them yet
         t, side, b = entered - k0, r - k0, k1 - k0
         window[:, :side, t:side] = 0
         i, j = rows[start[entered] : start[r]] - k0, cols[start[entered] : start[r]] - k0
-        window[:, i, j] = values[:, start[entered] : start[r]]
+        fresh = values[start[entered] : start[r]] % q
+        fresh *= scale
+        window[:, i, j] = np.remainder(fresh, q, out=fresh)
         entered = r
-        # the block's steps on its panel, rows k0 .. k1 - 1, each row taking
-        # the updates of the block's earlier steps in one product; the
-        # trailing box, rows and columns k1 .. r - 1, waits for the block
-        factors = np.empty((m, b, side), dtype=np.int64)
+        # the block's steps on its panel, rows k0 .. k1 - 1: row p, times R_p,
+        # takes the weighted shares of the pivot rows u_k, k < p, in one
+        # product; the trailing box, rows and columns k1 .. r - 1, waits
+        g[:] = unit
         for p in range(b):
-            row = window[:, p, p:side]
+            scales[:, p] = g[:, 0]
             if p:
-                row -= np.matmul(factors[:, None, :p, p], window[:, :p, p:side])[:, 0]
-            _balance(row, q, half)
-            pivots = row[:, 0].tolist()
-            dets = [d * x % qk for d, x, qk in zip(dets, pivots, qs)]
-            if k0 + p == n - 1:
-                break
-            if 0 in pivots:
-                return None
-            # the balanced multipliers row / pivot, every pivot a unit
-            inv = np.array([pow(x, -1, qk) for x, qk in zip(pivots, qs)], dtype=np.int64)
-            f = factors[:, p, p + 1 :]
-            np.multiply(row[:, 1:], inv[:, None], out=f)
-            _balance(f, q, half)
-        # one rank-b product updates the trailing box, which moves to the
-        # window's corner
+                c = shares[:, : p + 1]
+                np.multiply(g[:, 1 : p + 1], window[:, :p, p], out=c[:, :p])
+                np.remainder(c[:, :p], q, out=c[:, :p])
+                c[:, p] = g[:, 0]
+                row = np.matmul(c[:, None, :], window[:, : p + 1, p:side])[:, 0]
+                np.remainder(row, q, out=window[:, p, p:side])
+            g[:, : p + 1] *= window[:, p, p : p + 1]
+            np.remainder(g[:, : p + 1], q, out=g[:, : p + 1])
+        # a pivot before the last step that vanishes: R_b, or R_(b - 1)
+        # when the block holds the last step, vanishes with it
+        if not (g[:, 0] if k1 < n else scales[:, b - 1]).all():
+            return None
+        den = den * _product(scales[:, :b] * scale % q, q) % q
+        scale = scale * g[:, :1] % q
+        # one rank-b product of the weighted pivot rows with the pivot rows
+        # updates the trailing box, scaled by R_b in place, and its residues
+        # move to the window's corner
         if side > b:
-            box = np.matmul(factors[:, :, b:].transpose(0, 2, 1), window[:, :b, b:side])
-            np.subtract(window[:, b:side, b:side], box, out=box)
-            _balance(box, q3, half3)
-            window[:, : side - b, : side - b] = box
-    return dets
+            weighted = g[:, 1 : b + 1, None] * window[:, :b, b:side]
+            np.remainder(weighted, q3, out=weighted)
+            box = np.matmul(weighted.transpose(0, 2, 1), window[:, :b, b:side])
+            trailing = window[:, b:side, b:side]
+            trailing *= g[:, :1, None]
+            box += trailing
+            np.remainder(box, q3, out=window[:, : side - b, : side - b])
+    # the determinant is sigma_n over the product of sigma_k, k < n
+    return [s * pow(d, -1, qk) % qk for s, d, qk in zip(scale[:, 0].tolist(), den[:, 0].tolist(), qs)]
 
 
 def _upper_entries(lap: ReducedLaplacian) -> np.ndarray:
     """The nonzero entries of a reduced Laplacian's upper triangle in
     det_mod's form: the diagonal, and minus the number of edges (i, j),
     parallel ones adding up, at each (i, j)."""
-    n = len(lap.diagonal)
-    diagonal = np.arange(n)
-    keys, counts = np.unique(np.array([i * n + j for i, j in lap.edges], dtype=np.int64), return_counts=True)
-    return np.array([np.concatenate((diagonal, keys // n)), np.concatenate((diagonal, keys % n)),
-                     np.concatenate((np.array(lap.diagonal, dtype=np.int64), -counts))], dtype=np.int64)
+    # a Counter, not np.unique, whose first call in a process raises its
+    # peak RSS by 0.6-1.3 MB (numpy 2.4's hash tables)
+    counts = Counter(lap.edges)
+    diagonal = range(len(lap.diagonal))
+    return np.array([[*diagonal, *(i for i, _ in counts)], [*diagonal, *(j for _, j in counts)],
+                     [*lap.diagonal, *(-c for c in counts.values())]], dtype=np.int64)
 
 
 def multimodular_det(lap: ReducedLaplacian) -> int:

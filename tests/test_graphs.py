@@ -213,10 +213,10 @@ DENSE = dense_bareiss_order()
 # graph orders on both sides of the Bareiss crossover: the complete graph
 # and the wheel on DENSE + 1 vertices have minors of order DENSE with a
 # dense profile, the largest that Bareiss takes, and those on DENSE + 2
-# vertices go to the multi-modular engine (cycles all take Bareiss); K_26
-# and K_27 add dense minors of envelope work 196 and 212.5 per row, inside
-# Bareiss's range
-ORDERS = tuple(sorted({3, 20, 26, 27, DENSE + 1, DENSE + 2, 36, 37, 100, 255}))
+# vertices go to the multi-modular engine (cycles all take Bareiss); 26,
+# 27, 31, 32, 36 and 37 add dense minors of orders 25-36 about the
+# crossover and det_mod's second block
+ORDERS = tuple(sorted({3, 20, 26, 27, 31, 32, DENSE + 1, DENSE + 2, 36, 37, 100, 255}))
 
 
 @pytest.mark.parametrize("n", ORDERS)

@@ -125,7 +125,7 @@ def test_dispatcher_threshold(monkeypatch):
 
 def test_det_mod_matches_exact():
     rng = random.Random(3)
-    p = 1073741789  # prime below 2**30
+    p = 536870909  # the largest prime below 2**29
     for g in (2, 3, 5, 8, 40):
         lap = reduced_laplacian(_random_multigraph(rng, g, 2 * g))
         dense = dense_laplacian(lap)
@@ -241,12 +241,13 @@ def _check_window(first, m):
 
 def test_multimodular_stacks_stay_below_the_entry_limit(monkeypatch):
     # a window holds side**2 entries per image: the wheels' dense profiles
-    # give side n, a band of half-width 40 side 56, and the primes are
+    # give side n, bands of half-width 40 side 56, and the primes are
     # split into stacks only as far as WINDOW_ENTRIES requires
     calls = _record_det_mod(monkeypatch)
     cases = [(reduced_laplacian(_wheel(n)), _wheel_trees(n)) for n in (40, 150, 182)]
-    band = reduced_laplacian(_band_graph(201, 40))
-    cases.append((band, _envelope_det(band)))
+    for g in (181, 201):
+        band = reduced_laplacian(_band_graph(g, 40))
+        cases.append((band, _envelope_det(band)))
     counts = []
     for lap, det in cases:
         calls.clear()
@@ -262,10 +263,11 @@ def test_multimodular_stacks_stay_below_the_entry_limit(monkeypatch):
         assert len(stacks) == -(-len(qs) // per_stack)
         assert max(sizes) <= per_stack and max(sizes) - min(sizes) <= 1
         counts.append((side, len(stacks)))
-    # the wheels of orders 150 and 182 need several stacks; the band takes
-    # all its primes in one
+    # the wheels of orders 150 and 182 need several stacks; the band of
+    # order 180 takes its 39 primes in one, the one of order 200 its 43 in
+    # two, as a window of side 56 holds 41 images
     assert counts[0][1] == 1 and counts[1][1] > 1 and counts[2][1] > 1
-    assert counts[3] == (intdet.BLOCK + 40, 1)
+    assert counts[3:] == [(intdet.BLOCK + 40, 1), (intdet.BLOCK + 40, 2)]
 
 
 @settings(deadline=None, max_examples=40)
@@ -404,22 +406,6 @@ def _dominant(m, q):
     return m
 
 
-def _gram_image(n, q, up):
-    """M = U^T U mod q, diagonally dominant, for U unit upper triangular with
-    h = (q - 1) / 2 wherever up(k, j) (j > k) holds.  Eliminating M mod q
-    without swaps gives pivots 1, and pivot rows and multipliers that are
-    U's rows, all at h: each update subtracts h**2, the largest growth
-    balanced residues allow, and det M = 1 mod q."""
-    h = (q - 1) // 2
-    upper = [[k] + [j for j in range(k + 1, n) if up(k, j)] for k in range(n)]
-    m = [[0] * n for _ in range(n)]
-    for k in range(n):
-        for i in upper[k]:
-            for j in upper[k]:
-                m[i][j] += (h if i > k else 1) * (h if j > k else 1)
-    return _dominant([[(x + h) % q - h for x in row] for row in m], q)
-
-
 def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
     # a symmetric cyclic band: its corners give a profile of half-width
     # n - 1, so every block's rows reach the last column
@@ -429,30 +415,86 @@ def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
         m = _dominant(_symmetric_band(rng, n, 3, 2**29, cyclic=True), 1)
         assert _width(m) == n - 1
         assert _det_mod(m, qs) == _det_mod_reference(m, qs) == [dense_bareiss_det(m) % q for q in qs]
-    # the elimination of a cyclic band fills its last rows and columns:
-    # with every multiplier and pivot-row entry at h, the boxes reach the
-    # corner at every step and the fill grows by h**2 per step
+    # the elimination of a cyclic band fills its last rows and columns, so
+    # every box reaches the corner: with the pivot rows at q - 1, each
+    # block's product piles onto the entry (n - 2, n - 1)
     for n in (64, 200):
         for q in qs[:2]:
-            w = 3
-            m = _gram_image(n, q, lambda k, j: j - k <= w or j >= n - w)
+            m, det = _extreme_image(n, q, lambda k, j: j - k <= 3 or j >= n - 3, lambda k0, k1: (n - 2, n - 1))
             got = _det_mod(m, qs)
             assert got == _det_mod_reference(m, qs)
-            assert got[qs.index(q)] == 1
+            assert got[qs.index(q)] == det
+
+
+def _extreme_image(n, q, up, target):
+    """A symmetric matrix, diagonally dominant, and its determinant mod q,
+    built as L D L^T mod q so that det_mod's division-free elimination, on
+    the blocks that intdet._blocks gives its profile, meets the largest
+    int64 sums its bound allows.  The pivot p_k is q - 1 at the last step
+    of each block and 1 at the others, and the pivot row u_k = p_k L[:, k]
+    is q - 1 wherever up(k, j), j > k, but for two kinds of entry.  After
+    a block k0 .. k1 - 1 of b steps, target(k0, k1) names an entry (i, j)
+    of its box that every row of the block reaches; for the first block
+    that names it, u_(k1 - 1) is 1 at column i, and u_i[j] is chosen so
+    that the entry is q - 1 at the block's start.  Then the box scale R_b
+    is q - 1, the weight of each u_k at row i, minus the product of the
+    block's pivots after step k times u_k[i], is q - 1, and the entry sums
+    b + 1 products (q - 1)**2: the most, once in each block whose entry
+    is new, as an overflow there could cancel one in a later block."""
+    first = [min([k for k in range(j) if up(k, j)] + [j]) for j in range(n)]
+    blocks = intdet._blocks(intdet._reach(first))
+    start = {k: k0 for k0, k1, _ in blocks for k in range(k0, k1)}
+    ones, targets = {}, {}  # each entry is named for the first block only
+    for k0, k1, r in blocks:
+        if r > k1 and target(k0, k1) not in targets:
+            targets[target(k0, k1)] = k0
+            ones[k1 - 1] = target(k0, k1)[0]
+    low = [[0] * n for _ in range(n)]  # L, unit lower triangular
+    d, sigma, det = [], [1], 1
+    for k in range(n):
+        p = q - 1 if k + 1 == n or start.get(k + 1) == k + 1 else 1
+        d.append(p * pow(sigma[k], -1, q) % q)  # p_k = sigma_k d_k
+        det = det * d[k] % q
+        sigma.append(sigma[k] * p % q)
+        low[k][k] = 1
+        for j in range(k + 1, n):
+            if not up(k, j):
+                continue
+            u = q - 1
+            if ones.get(k) == j:
+                u = 1
+            elif (k, j) in targets:
+                # sigma_k0 S_k0[k, j] = -1, S_k0[k, j] the sum over h = k0 .. k of
+                # L[k, h] d_h L[j, h], whose last term is u_k[j] / sigma_k
+                k0 = targets[(k, j)]
+                rest = sum(low[k][h] * d[h] * low[j][h] for h in range(k0, k))
+                u = sigma[k] * (-pow(sigma[k0], -1, q) - rest) % q
+            low[j][k] = u * p % q  # u_k[j] / p_k, as p_k is 1 or -1
+    m = [[sum(low[i][k] * d[k] * low[j][k] for k in range(min(i, j) + 1)) % q for j in range(n)] for i in range(n)]
+    return _dominant(m, q), det
+
+
+def _check_extreme(monkeypatch, shape):
+    # at BLOCK and at 31, the most that the int64 bound allows: 32 products
+    # (q - 1)**2 < 2**58 stay below 2**63, and 33 pass it at these primes;
+    # shape(b) is the order, the half-width, up and target
+    for block in (intdet.BLOCK, 31):
+        monkeypatch.setattr(intdet, "BLOCK", block)
+        n, width, up, target = shape(block)
+        for q in primes(2):
+            m, det = _extreme_image(n, q, up, target)
+            assert _width(m) == width
+            assert _det_mod(m, [q]) == _det_mod_reference(m, [q]) == [det]
 
 
 def test_lazy_reduction_covers_every_box_since_the_last(monkeypatch):
-    # an arrow whose last row and column get h**2 at every step: each
-    # block's one product piles BLOCK of them onto the corner entry, and
-    # on the last row's entries at the panel's right, between reductions;
-    # at BLOCK = 31, the most the int64 bound allows, as well
-    for block in (intdet.BLOCK, 31):
-        monkeypatch.setattr(intdet, "BLOCK", block)
-        n = 3 * block + 4
-        for q in primes(2):
-            m = _gram_image(n, q, lambda k, j: j == k + 1 or j == n - 1)
-            assert _width(m) == n - 1
-            assert _det_mod(m, [q]) == [1]
+    # an arrow whose last two columns every pivot row reaches: each block's
+    # one product piles its products onto the box's entry (n - 2, n - 1),
+    # three blocks and a short one
+    def arrow(b):
+        n = 3 * b + 4
+        return n, n - 1, lambda k, j: j == k + 1 or j >= n - 2, lambda k0, k1: (n - 2, n - 1)
+    _check_extreme(monkeypatch, arrow)
 
 
 @settings(deadline=None, max_examples=25)
@@ -475,9 +517,9 @@ def test_det_mod_on_banded_and_cyclic_band_matrices(data):
 
 
 def test_int64_code_refuses_large_moduli():
-    for bad in ((1 << 30) + 3, 1 << 30):
+    for bad in ((1 << 29) + 11, 1 << 29, 1073741789):
         with pytest.raises(ValueError):
-            _det_mod([[1, 0], [0, 1]], [1073741789, bad])
+            _det_mod([[1, 0], [0, 1]], [536870909, bad])
 
 
 def test_det_mod_images_of_int64_extremes():
@@ -485,7 +527,7 @@ def test_det_mod_images_of_int64_extremes():
     # primes by det_mod itself: a random matrix, then a band of
     # half-width 2
     rng = random.Random(23)
-    qs = [1073741789, 1073741783]
+    qs = [536870909, 536870879]  # the two largest primes below 2**29
     m = _symmetric(_random_matrix(rng, 12))
     for i in range(12):
         m[i][i] = rng.randint(1, 9)
@@ -535,12 +577,6 @@ def _last_pivot_vanishes(rng, n, w, q):
     rest = dense_bareiss_det(m)
     m[-1][-1] = -rest * pow(lead, -1, q) % q
     return _dominant(m, q)
-
-
-def _upper_band_gram(n, w, q):
-    """_gram_image with h on the w diagonals above U's own: with w >
-    BLOCK, entries take BLOCK updates of h**2 between reductions."""
-    return _gram_image(n, q, lambda k, j: j - k <= w)
 
 
 def _check_leading_minors_vanish(seed, w):
@@ -598,22 +634,21 @@ def test_dense_image_whose_last_pivot_vanishes_needs_no_fallback(monkeypatch):
     assert calls == []
 
 
-def test_band_worst_case_magnitudes_between_lazy_reductions():
-    w = intdet.BLOCK + 2
-    n = 2 * w + 10
-    for q in primes(2):
-        m = _upper_band_gram(n, w, q)
-        assert _width(m) == w
-        assert _det_mod(m, [q]) == [1]
+def _band_shape(order):
+    """A band of half-width b + 2 and order order(b): every row of a block
+    reaches the box's first row and the two columns past it."""
+    def shape(b):
+        return order(b), b + 2, lambda k, j: j - k <= b + 2, lambda k0, k1: (k1, k1 + 1)
+    return shape
 
 
-def test_dense_worst_case_magnitudes_between_lazy_reductions():
-    w = intdet.BLOCK + 2
-    n = w + 10
-    for q in primes(2):
-        m = _upper_band_gram(n, w, q)
-        assert _width(m) == w and 2 * w + 1 >= n
-        assert _det_mod(m, [q]) == [1]
+def test_band_worst_case_magnitudes_between_lazy_reductions(monkeypatch):
+    _check_extreme(monkeypatch, _band_shape(lambda b: 2 * b + 14))
+
+
+def test_dense_worst_case_magnitudes_between_lazy_reductions(monkeypatch):
+    # as wide as half its order and more
+    _check_extreme(monkeypatch, _band_shape(lambda b: b + 12))
 
 
 @settings(deadline=None, max_examples=25)
@@ -652,6 +687,53 @@ def test_det_mod_at_orders_around_the_block_boundaries():
                 m[i][i] += rng.randint(1, 9)
             expected = [dense_bareiss_det(m) % q for q in qs]
             assert _det_mod(m, qs) == _det_mod_reference(m, qs) == expected
+
+
+def test_det_mod_takes_one_inverse_per_image(monkeypatch):
+    # the elimination is division-free: no step inverts its pivot, and
+    # each image takes one pow(x, -1, q), at the end; minors of many
+    # blocks, a dense one, and one of order 1
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(intdet, "pow", counting_pow, raising=False)
+    qs = primes(7)
+    laps = [reduced_laplacian(_band_graph(101, 12)), reduced_laplacian(_wheel(60)), intdet.ReducedLaplacian([5], [], [0])]
+    for lap in laps:
+        calls.clear()
+        det = dense_bareiss_det(dense_laplacian(lap))
+        assert det_mod(intdet._upper_entries(lap), lap.first, qs) == [det % q for q in qs]
+        inverses = [q for _, e, q in calls if e == -1]
+        assert len(inverses) == len(set(inverses)) <= len(qs)
+
+
+def test_multimodular_peak_memory_is_bounded_by_the_window():
+    # a band of order 1,000 and half-width 2 with diagonal entries near
+    # 10**6 takes 688 primes, in two stacks: its residues, 688 times its
+    # 2,997 entries, would take 15.7 MB at once, but det_mod reduces each
+    # block's entering entries as it writes them, so the peak stays within
+    # the window and its temporaries, 2 WINDOW_ENTRIES int64 (module
+    # docstring), and a third of that again for the entries and the rest
+    import tracemalloc
+
+    n, rng = 1000, random.Random(5)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + 3, n))]
+    lap = intdet.ReducedLaplacian([10**6 + rng.randrange(1000) for _ in range(n)], edges,
+                                  [max(0, j - 2) for j in range(n)])
+    qs = primes_for_bound(math.prod(lap.diagonal))  # the pool grows before the trace
+    bound = 3 * 8 * intdet.WINDOW_ENTRIES
+    assert len(qs) * (n + len(edges)) * 8 > 5 * bound
+    tracemalloc.start()
+    try:
+        det = multimodular_det(lap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert det == _envelope_det(lap)
+    assert peak <= bound
 
 
 def _pivot_vanishes_at(lap, k, q):
@@ -781,6 +863,31 @@ def test_envelope_grows_by_many_columns_in_one_step():
 
 
 
+def test_envelope_bareiss_on_profiles_whose_first_is_not_monotone():
+    # a row enters the elimination at its first nonzero column, scaled once
+    # by the pivot before it, and no step before updates it; in reverse
+    # breadth-first order first need not grow with the row, and neither
+    # does it on random profiles, each row j with the edge (first[j], j)
+    rng = random.Random(71)
+    laps = [reduced_laplacian(_random_multigraph(rng, g, rng.randint(0, 2 * g))) for g in range(3, 43)]
+    for _ in range(40):
+        n = rng.randint(2, 60)
+        first = [j - rng.randint(0, min(j, rng.choice((2, 8, n)))) for j in range(n)]
+        edges = [(f, j) for j, f in enumerate(first) if f < j]
+        edges += [(rng.randint(first[j], j - 1), j) for j in range(n) if first[j] < j for _ in range(rng.randint(0, 2))]
+        diagonal = [1] * n
+        for i, j in edges:
+            diagonal[i] += 1
+            diagonal[j] += 1
+        laps.append(intdet.ReducedLaplacian(diagonal, edges, first))
+    unordered = 0
+    for lap in laps:
+        assert lap.first == _profile(dense_laplacian(lap))
+        unordered += any(a > b for a, b in zip(lap.first, lap.first[1:]))
+        assert _envelope_det(lap) == dense_bareiss_det(dense_laplacian(lap))
+    assert unordered >= 60
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.data())
 def test_envelope_bareiss_on_random_multigraphs(data):
@@ -907,7 +1014,7 @@ def test_every_edge_lies_in_its_rows_envelope():
 def test_prime_pool_is_the_previous_prime_chain():
     import sympy
 
-    chain, q = [], 1 << 30
+    chain, q = [], 1 << 29
     for _ in range(40):
         q = sympy.prevprime(q)
         chain.append(q)
