@@ -49,6 +49,7 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, pairwise
 
 from .factorint import factor_kappa, ord_p
@@ -212,7 +213,13 @@ def level_norm(f: GenPoly, i: int) -> int:
 # (Kronecker substitution), so a step is a few big-int operations: masks
 # split off the residue classes mod ell, whose slots then lie ell w bits
 # apart, and the product is folded as an integer mod Phi_(ell^j)(2^w)
-# (_fold).  One rule sizes the slots (_width): a step from a
+# (_fold): with X = 2^(w ell^(j-1)), p is first reduced mod X^ell - 1,
+# then its top X-digit is taken off the rest in one subtraction, as
+# X^(ell-1) = -(1 + X + ... + X^(ell-2)) mod Phi_(ell^j)(2^w).  Down an
+# ell-adic tower the block w ell^(j-1) is w_0 ell^(i-2) at every step,
+# since w grows by ell as j falls, so one set of fold constants serves a
+# whole level norm, its _real_norm products included; _fold keeps the
+# last set.  One rule sizes the slots (_width): a step from a
 # representative U of 1-norm at most size has slots of w = bits(size^ell)
 # + 1 bits, so they hold size^ell.  The unfolded product U' has ||U'||_1
 # <= ||U||_1^ell.  A folded coordinate depends only on the element, not
@@ -254,19 +261,28 @@ def _adic_norm(terms, size: int, ell: int, i: int) -> int:
     representative of 1-norm at most size = ||f||_1, folded into
     Z[T]/(Phi_(ell^i)) and kept folded and packed at every level: after
     each step, the residue classes of the product are split off at ell
-    times the width."""
+    times the width.  The fold block w ell^(j-1) of the step from level
+    j is w_0 ell^(i-2) at every j, as w grows by ell when j falls by one,
+    so every _fold of the call reuses one set of constants."""
     stop = 2 if ell == 2 else 1  # Q(sqrt(-1)) or Q(omega)
     slots = _cyclotomic_slots(terms, ell, i)
     if i == stop:
         return _read(slots.items(), 0, ell)
     w = _width(size, ell)
+    block = w * ell ** (i - 2)
+    # combs[t]: a one every w ell^t bits below 2^((ell - 1) block), where
+    # every folded element of the call lies; built sparsest first, each
+    # by ell copies of the last
+    combs = [repunit(w * ell ** (i - 1 - stop), (ell - 1) * ell ** (stop - 1))]
+    for t in range(i - 2 - stop, -1, -1):
+        combs.append(repunit(w * ell**t, ell, combs[-1]))
+    combs.reverse()
     classes = [pack(((k // ell, c) for k, c in slots.items() if k % ell == r), w)
                for r in range(ell)]
-    for j in range(i - 1, stop - 1, -1):
-        block = w * ell ** (j - 1)
+    for t, j in enumerate(range(i - 1, stop - 1, -1)):
         p = _fold(_norm_step(classes, w, block), ell, block)
         if j > stop:
-            classes = _split(p, ell, w, (ell - 1) * ell ** (j - 1))
+            classes = _split(p, ell, w, combs[t], combs[t + 1])
             w *= ell
     return _read(enumerate(unpack(p, w, max(ell - 1, 2))), 0, ell)  # phi(4) or phi(ell) slots
 
@@ -330,34 +346,57 @@ def _real_norm(y: list[int], ell: int, block: int = 0) -> int:
     P_(k+1) = y sigma_g(P_k).  The last product is rational, c_0 -
     c_(ell-1) = c_0 - c_1 = sum_r u_r (v_(-r) - v_(1-r)), read in h + 1
     products.  With a block, every component is reduced mod sum_(t <
-    ell) 2^(block t) (_fold); without one, the norm is exact."""
+    ell) 2^(block t) (_fold); without one, the norm is exact.  The
+    steps, the conjugations and the components each product adds to are
+    tabled once per ell (_real_plan)."""
     h = ell // 2
     if h == 1:
         return y[0] - y[1]
-    g = next(g for g in range(2, ell) if len({_half(pow(g, a, ell), ell) for a in range(h)}) == h)
-    steps = []  # per bit of h after the first: double k, then add one for a 1
-    for bit in bin(h)[3:]:
-        steps += ["double", "add"] if bit == "1" else ["double"]
-    p, k = y, 1
-    for step in steps:
-        if step == "double":
-            u, v, k = p, _conjugate(p, pow(g, k, ell), ell), 2 * k
-        else:
-            u, v, k = y, _conjugate(p, g, ell), k + 1
-        if k == h:
-            value = u[0] * (v[0] - v[1]) + sum(ua * (2 * v[a] - v[a - 1] - v[_half(a + 1, ell)])
-                                               for a, ua in enumerate(u) if a)
-            return _fold(value, ell, block) if block else value
+    steps, targets = _real_plan(ell)
+    p = y
+    for add, source in steps[:-1]:
+        u, v = (y if add else p), [p[d] for d in source]
         p = [0] * (h + 1)
-        for a, ua in enumerate(u):
-            for b, vb in enumerate(v):
+        for ua, row in zip(u, targets):
+            for vb, es in zip(v, row):
                 prod = ua * vb
-                # omega^(+-a) omega^(+-b), one sign for 0
-                for e in ((r + s) % ell for r in {a, -a} for s in {b, -b}):
-                    if e <= h:
-                        p[e] += prod
+                for e in es:
+                    p[e] += prod
         if block:
             p = [_fold(c, ell, block) for c in p]
+    add, source = steps[-1]
+    u, v = (y if add else p), [p[d] for d in source]
+    value = u[0] * (v[0] - v[1]) + sum(ua * (2 * v[a] - v[a - 1] - v[_half(a + 1, ell)])
+                                       for a, ua in enumerate(u) if a)
+    return _fold(value, ell, block) if block else value
+
+
+@lru_cache(maxsize=1)
+def _real_plan(ell: int) -> tuple[tuple, tuple]:
+    """_real_norm's steps and product table for one ell, h = (ell - 1)/2.
+    A step is (add, source): it takes P_(k+1) = y sigma_g(P_k) when add
+    and P_(2k) = P_k sigma_(g^k)(P_k) when not, and the conjugate has
+    the components v_d = p_source[d] (sigma_s sends omega^d to
+    omega^(s d)).  targets[a][b] lists the components e <= h of
+    omega^(+-a) omega^(+-b), 0 counted once as a sign, so that a
+    product u_a v_b adds to p_e once for each."""
+    h = ell // 2
+    g = next(g for g in range(2, ell) if len({_half(pow(g, a, ell), ell) for a in range(h)}) == h)
+
+    def source(s):
+        inverse = pow(s, -1, ell)
+        return tuple(_half(inverse * d, ell) for d in range(h + 1))
+
+    steps, k = [], 1
+    for bit in bin(h)[3:]:  # per bit of h after the first: double k, then add one for a 1
+        steps.append((False, source(pow(g, k, ell))))
+        k *= 2
+        if bit == "1":
+            steps.append((True, source(g)))
+            k += 1
+    targets = tuple(tuple(tuple(e for r in {a, -a} for s in {b, -b} if (e := (r + s) % ell) <= h)
+                          for b in range(h + 1)) for a in range(h + 1))
+    return tuple(steps), targets
 
 
 def _half(e: int, ell: int) -> int:
@@ -366,39 +405,44 @@ def _half(e: int, ell: int) -> int:
     return min(e, ell - e)
 
 
-def _conjugate(u: list[int], s: int, ell: int) -> list[int]:
-    """sigma_s(u), omega -> omega^s, on the components 0..h of a real u."""
-    v = [0] * len(u)
-    for d, c in enumerate(u):
-        v[_half(s * d, ell)] = c
-    return v
-
-
 def _fold(p: int, ell: int, block: int) -> int:
     """The symmetric residue of p mod Phi_(ell^j)(2^w) = sum_(t < ell) X^t,
     X = 2^block with block = w ell^(j-1): p is reduced mod X^ell - 1
-    by adding its ell block-bit chunks, then X^(ell-1) = -sum_(t < ell - 1)
-    X^t.  Packed coefficients below 2^(w-1) make an element smaller than
-    half the modulus, so the symmetric residue is the element itself."""
-    span = ell * block
+    by adding the bits above X^ell back in, then its top X-digit c is
+    taken off the rest in one subtraction, p = lo - c (1 + X + ... +
+    X^(ell-2)), as X^(ell-1) = -sum_(t < ell - 1) X^t; c times the
+    repunit is built by doubling, in O(log ell) shifts.  Packed
+    coefficients below 2^(w-1) make an element smaller than half the
+    modulus, so the symmetric residue is the element itself.  The masks
+    and the modulus are kept for the last (ell, block) alone
+    (_fold_constants): every fold of an ell-adic level norm is at the
+    one block w_0 ell^(i-2)."""
+    span, span_mask, low, low_mask, modulus = _fold_constants(ell, block)
     while hi := p >> span:
-        p = (p & ((1 << span) - 1)) + hi
-    chunks = [p >> (t * block) & ((1 << block) - 1) for t in range(ell)]
-    p = sum(chunk - chunks[-1] << (t * block) for t, chunk in enumerate(chunks[:-1]))
-    modulus = sum(1 << (t * block) for t in range(ell))
+        p = (p & span_mask) + hi
+    p = (p & low_mask) - repunit(block, ell - 1, p >> low)
     if 2 * p > modulus:
         return p - modulus
     return p + modulus if 2 * p < -modulus else p
 
 
-def _split(p: int, ell: int, w: int, n: int) -> list[int]:
-    """The ell residue classes of the n-slot element p, packed at width
-    ell w: shifted by a bias of 2^(w-1) per slot, every slot is a w-bit
-    field, and one mask per class takes its slots."""
-    rep = repunit(ell * w, n // ell)
-    half = rep << (w - 1)
-    q = p + sum(half << (r * w) for r in range(ell))
-    mask = (rep << w) - rep
+@lru_cache(maxsize=1)
+def _fold_constants(ell: int, block: int) -> tuple[int, int, int, int, int]:
+    """The span ell block, its mask, the span of the low ell - 1
+    X-digits and their mask, and Phi_(ell^j)(2^w), for _fold."""
+    span, low = ell * block, (ell - 1) * block
+    return span, (1 << span) - 1, low, (1 << low) - 1, repunit(block, ell)
+
+
+def _split(p: int, ell: int, w: int, slots: int, classes: int) -> list[int]:
+    """The ell residue classes of the element p, packed at width ell w,
+    given the combs with a one at each of its slots (every w bits) and at
+    each slot of a class (every ell w bits): shifted by a bias of
+    2^(w-1) per slot, every slot is a w-bit field, and one mask per
+    class takes its slots."""
+    half = classes << (w - 1)
+    q = p + (slots << (w - 1))
+    mask = (classes << w) - classes
     return [(q >> (r * w) & mask) - half for r in range(ell)]
 
 

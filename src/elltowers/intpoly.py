@@ -262,14 +262,16 @@ def _smallest_prime_factor(n: int) -> int:
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """rem(lc(b)^(deg a - deg b + 1) * a, b) over Z, list coefficients."""
+    """rem(lc(b)^(deg a - deg b + 1) * a, b) over Z, list coefficients.
+    A monic b (every Phi_m) skips the scaling by lc(b)."""
     db = len(b) - 1
     lead = b[-1]
     r = list(a)
     for k in range(len(a) - 1 - db, -1, -1):
         top = r[db + k]
-        for i in range(len(r)):
-            r[i] *= lead
+        if lead != 1:
+            for i in range(len(r)):
+                r[i] *= lead
         if top:
             for i in range(db + 1):
                 r[k + i] -= top * b[i]
@@ -317,7 +319,7 @@ def resultant(a: IntPoly, b: IntPoly) -> int:
             return 0  # nonconstant common factor
         denom = g * h**delta
         pa, da = pb, db
-        pb = [_exact_div(x, denom) for x in rem]
+        pb = rem if denom == 1 else [_exact_div(x, denom) for x in rem]
         db = len(pb) - 1
         g = pa[-1]
         if delta == 1:
@@ -333,13 +335,19 @@ def resultant(a: IntPoly, b: IntPoly) -> int:
 # Kronecker substitution: a polynomial as one integer, w bits per slot
 # ---------------------------------------------------------------------------
 
-def repunit(w: int, n: int) -> int:
-    """sum_(k < n) 2^(w k), by doubling."""
-    if n <= 1:
-        return n
-    half = repunit(w, n // 2)
-    rep = half | half << (w * (n // 2))
-    return rep | 1 << (w * (n - 1)) if n % 2 else rep
+def repunit(w: int, n: int, digit: int = 1) -> int:
+    """sum_(k < n) digit 2^(w k), by doubling, for 0 <= digit < 2^w (or
+    any digit whose copies w apart do not overlap)."""
+    if n <= 0:
+        return 0
+    rep, k = digit, 1
+    for bit in bin(n)[3:]:  # rep holds k copies
+        rep |= rep << (w * k)
+        k *= 2
+        if bit == "1":
+            rep = rep << w | digit
+            k += 1
+    return rep
 
 
 def pack(pairs, w: int) -> int:

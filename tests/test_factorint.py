@@ -263,6 +263,27 @@ def test_factored_str():
     assert str(factor_kappa(1)) == "1"
 
 
+def test_decimal_str_matches_str():
+    # 0, +-1, +-(10^k +- 1) across the leaf size (10^1234 is the first
+    # power of ten past DECIMAL_LEAF_BITS = 4096 bits) and random
+    # integers of 10^3 to 2 * 10^5 digits, against str(int) with its
+    # digit limit lifted
+    leaf_digits = math.ceil(factorint.DECIMAL_LEAF_BITS * math.log10(2))
+    cases = [0, 1, -1]
+    for k in range(leaf_digits - 2, leaf_digits + 2):
+        cases += [s * (10**k + d) for s in (1, -1) for d in (1, -1)]
+    rng = random.Random(31)
+    cases += [rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+              for digits in (1000, 4000, 25000, 200000)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in cases:
+            assert factorint.decimal_str(n) == str(n), n.bit_length()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # -- batched trial division ---------------------------------------------------------
 
 def _reference_factor(n: int, trial_bound: int, rho_iterations: int) -> FactoredInteger:

@@ -12,6 +12,7 @@ from elltowers.intpoly import (
     cyclotomic,
     pack,
     poly_mod_gcd,
+    repunit,
     resultant,
     unpack,
 )
@@ -170,6 +171,33 @@ def test_resultant_against_sylvester_randoms():
         assert resultant(a, b) == expected, (a.coeffs, b.coeffs)
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_resultant_matches_sympy_and_sylvester(data):
+    # random pairs, monic divisors Phi_m (the matrix-tree cross-check's
+    # first division skips the scaling by lc = 1), leads -1 and pairs in
+    # both degree orders.  sympy.resultant takes the pair with the larger
+    # degree first: on the other order it drops the sign (-1)^(deg a deg b)
+    # when both degrees are odd (sympy 1.14), so it is read through the
+    # swap rule, and the Sylvester determinant arbitrates every pair.
+    coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=7)
+
+    def poly(label):
+        kind = data.draw(st.sampled_from(["random", "cyclotomic", "lead -1"]), label=label)
+        if kind == "cyclotomic":
+            return cyclotomic(data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12]), label=label))
+        c = data.draw(coeffs, label=label)
+        c[-1] = -1 if kind == "lead -1" else c[-1] or 1
+        return IntPoly(tuple(c))
+
+    a, b = poly("a"), poly("b")
+    hi, lo = (a, b) if a.degree >= b.degree else (b, a)
+    sign = -1 if a.degree < b.degree and a.degree % 2 and b.degree % 2 else 1
+    expected = sign * int(sympy.resultant(_to_sympy(hi), _to_sympy(lo)))
+    assert resultant(a, b) == expected == _sylvester_resultant(a, b), (a.coeffs, b.coeffs)
+    assert resultant(b, a) == (-1) ** (a.degree * b.degree) * expected
+
+
 def test_resultant_swap_antisymmetry():
     rng = random.Random(10)
     for _ in range(60):
@@ -205,6 +233,14 @@ def test_unpack_reads_back_every_packed_slot(data):
     digits = data.draw(st.lists(slot, min_size=1, max_size=300), label="digits")
     p = pack(enumerate(digits), w)
     assert unpack(p, w, len(digits)) == digits
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 70), st.integers(0, 300), st.data())
+def test_repunit_repeats_its_digit(w, n, data):
+    digit = data.draw(st.integers(0, (1 << w) - 1), label="digit")
+    assert repunit(w, n, digit) == sum(digit << (w * k) for k in range(n))
+    assert repunit(w, n) == sum(1 << (w * k) for k in range(n))
 
 
 # -- mod-p helpers ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from elltowers.corpus import CORPUS
 from elltowers.genpoly import GenPoly, determinant, voltage_matrix
 from elltowers.intpoly import IntPoly, cyclotomic, real_form, resultant, unpack
 from elltowers.towerspec import build_assignment, parse_tower_spec
-from util import draw_voltage, evaluation_norm as evaluation
+from util import draw_voltage, evaluation_norm as evaluation, fold_by_chunks
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos" / "specs"
@@ -324,6 +324,21 @@ def test_terms_fold_below_phi(ell, i):
     assert max(slots) < (ell - 1) * ell ** (i - 1)
     rem = IntPoly.from_pairs(terms).divmod_by_monic(cyclotomic(m))[1]
     assert IntPoly.from_pairs(slots.items()) == rem
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 200), st.data())
+def test_fold_matches_the_chunk_by_chunk_fold(ell, block, data):
+    # signed p both inside the span of ell blocks and up to three spans
+    # past it (more than one pass of the X^ell - 1 reduction), folded
+    # in turn with another block so that the kept constants change
+    span = ell * block
+    other = data.draw(st.integers(1, 200), label="other block")
+    for _ in range(4):
+        bits = data.draw(st.one_of(st.integers(0, span), st.integers(span, 4 * span)), label="bits")
+        p = data.draw(st.integers(0, 2**bits), label="p") * data.draw(st.sampled_from([1, -1]))
+        assert analysis._fold(p, ell, block) == fold_by_chunks(p, ell, block), (p, ell, block)
+        assert analysis._fold(p, ell, other) == fold_by_chunks(p, ell, other), (p, ell, other)
 
 
 def test_irrational_last_element_raises():

@@ -87,6 +87,24 @@ def evaluation_norm(f: GenPoly, i: int) -> int:
     return x - prod if 2 * x > prod else x
 
 
+def fold_by_chunks(p: int, ell: int, block: int) -> int:
+    """The symmetric residue of p mod sum_(t < ell) X^t, X = 2^block,
+    chunk by chunk: p reduced mod X^ell - 1 by adding its span-bit tops,
+    split into its ell X-digits c_t, and rebuilt as sum_(t < ell - 1)
+    (c_t - c_(ell-1)) X^t, as X^(ell-1) = -sum_(t < ell - 1) X^t; the
+    reference for analysis._fold, which takes the top digit off in one
+    subtraction."""
+    span = ell * block
+    while hi := p >> span:
+        p = (p & ((1 << span) - 1)) + hi
+    chunks = [p >> (t * block) & ((1 << block) - 1) for t in range(ell)]
+    p = sum(chunk - chunks[-1] << (t * block) for t, chunk in enumerate(chunks[:-1]))
+    modulus = sum(1 << (t * block) for t in range(ell))
+    if 2 * p > modulus:
+        return p - modulus
+    return p + modulus if 2 * p < -modulus else p
+
+
 def reciprocal(f: GenPoly) -> GenPoly:
     """f(1/T)."""
     return substitute_power(f, -1)
