@@ -13,9 +13,8 @@ one level at a time: kappa_n = kappa_(n-1) * N_n / ell.
 f is fixed by T -> 1/T, so N_i = M_i^2 for ell^i > 2, where M_i is the
 norm from the real subfield Q(zeta)^+ (Washington, GTM 83, ch. 2 and
 8); level_norm returns M_i with its sign, and Tower squares it.  It
-is exact over Z, and no prime is drawn: ell-adic towers, and integral
-towers with ell = 2 or 3, take norm steps down the cyclotomic tower;
-integral towers with ell >= 5 take scaled Graeffe steps.
+is exact over Z, and no prime is drawn: every tower takes norm steps
+down the cyclotomic tower, each element packed into one integer.
 Up to mt_check_level, every N_i is recomputed by the subresultant
 sequence and every kappa_n by the matrix-tree theorem on the actual
 cover; a disagreement raises ArithmeticError.
@@ -174,10 +173,9 @@ def level_norm(f: GenPoly, i: int) -> int:
     over k in (Z/m)^*/{+-1}.  For m = 2 it returns N_1 = f(-1) itself,
     and M_0 = 1 by convention.  A non-symmetric f raises ValueError.
 
-    Ell-adic towers, and integral towers with ell = 2 or 3, take M_i by
-    norm steps down the cyclotomic tower (_adic_norm, _integral_norm);
-    integral towers with ell >= 5 take it by scaled Graeffe steps
-    (_scaled_graeffe_norm).  Tower cross-checks N_i against the
+    Every tower takes M_i by norm steps down the cyclotomic tower, from
+    f's terms for an ell-adic f (_adic_norm) and from U = T^b f for an
+    integral one (_integral_norm).  Tower cross-checks N_i against the
     subresultant up to mt_check_level."""
     if i < 0:
         raise ValueError("level must be >= 0")
@@ -194,7 +192,7 @@ def level_norm(f: GenPoly, i: int) -> int:
         return sum(f.coefficients()) ** ((ell - 1) * ell ** (i - 1) // 2)
     if terms is not None:
         return _adic_norm(terms, sum(map(abs, f.coefficients())), ell, i)
-    return (_integral_norm if ell <= 3 else _scaled_graeffe_norm)(*f.integerize(), ell, i)
+    return _integral_norm(*f.integerize(), ell, i)
 
 
 # Norm steps (Washington, GTM 83, ch. 2).  An element of Z[zeta_(ell^j)]
@@ -207,7 +205,13 @@ def level_norm(f: GenPoly, i: int) -> int:
 # last element is the norm of the real f(zeta) from Q(zeta)^+ to the
 # real subfield of Q(sqrt(-1)) or Q(omega): M_i is the last element
 # itself for ell <= 3, and its norm from Q(omega)^+ for ell >= 5
-# (_read).  A nonzero irrational part raises ArithmeticError.
+# (_read).  A nonzero irrational part raises ArithmeticError.  The norm
+# from Q(omega)^+ of a real y is taken two ways: by Galois doubling
+# (_real_norm), whose products a folded step reduces as it goes, and as
+# Res(Psi_ell, Y) for y = Y(omega + 1/omega) (_psi_norm), which an
+# integral tower takes where y is exact, at its unfolded steps and its
+# last read: an integral U shorter than phi(ell^j) fills few of y's
+# components, and Y has the degree of the last of them.
 #
 # Each element is one int, its coefficients packed w bits apart
 # (Kronecker substitution), so a step is a few big-int operations: masks
@@ -238,21 +242,24 @@ def _width(size: int, ell: int) -> int:
 
 
 def _integral_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
-    """M_i for ell = 2 or 3, ell^i > 2, from U = T^b f, read as
-    zeta^(-b) U(zeta); each ell = 2 step multiplies zeta^(-b) by (-1)^b,
-    which squares away at the next one.  Every step is sized by the
-    current U's own 1-norm and unpacked after it, folded first, reduced
-    mod Phi_(ell^j), once U's coefficients outnumber phi(ell^j)."""
+    """M_i for ell^i > 2 from U = T^b f, read as zeta^(-b) U(zeta); each
+    ell = 2 step multiplies zeta^(-b) by (-1)^b, which squares away at
+    the next one.  Every step is sized by the current U's own 1-norm and
+    unpacked after it.  Once U's coefficients outnumber phi(ell^j), the
+    step folds at the block w ell^(j-1): its product is reduced mod
+    Phi_(ell^j), and for ell >= 5 so is every product inside it; until
+    then the step is exact, and U' has U's length."""
     stop = 2 if ell == 2 else 1  # Q(sqrt(-1)) or Q(omega)
     digits = list(u.coeffs)
     for j in range(i - 1, stop - 1, -1):
         w = _width(sum(map(abs, digits)), ell)
-        p = _norm_step([pack(enumerate(digits[r::ell]), w) for r in range(ell)], w, 0)
         phi = (ell - 1) * ell ** (j - 1)  # the slots of a folded element at level j
-        if len(digits) > phi:
-            p = _fold(p, ell, w * ell ** (j - 1))
+        block = w * ell ** (j - 1) if len(digits) > phi else 0
+        p = _norm_step([pack(enumerate(digits[r::ell]), w) for r in range(ell)], w, block)
+        if block:
+            p = _fold(p, ell, block)
         digits = unpack(p, w, min(len(digits), phi))
-    m = _read(enumerate(digits), b, ell)
+    m = _read(enumerate(digits), b, ell, _psi_norm)
     return -m if ell == 2 and b % 2 and i > stop else m
 
 
@@ -267,7 +274,7 @@ def _adic_norm(terms, size: int, ell: int, i: int) -> int:
     stop = 2 if ell == 2 else 1  # Q(sqrt(-1)) or Q(omega)
     slots = _cyclotomic_slots(terms, ell, i)
     if i == stop:
-        return _read(slots.items(), 0, ell)
+        return _read(slots.items(), 0, ell, _real_norm)
     w = _width(size, ell)
     block = w * ell ** (i - 2)
     # combs[t]: a one every w ell^t bits below 2^((ell - 1) block), where
@@ -284,7 +291,7 @@ def _adic_norm(terms, size: int, ell: int, i: int) -> int:
         if j > stop:
             classes = _split(p, ell, w, combs[t], combs[t + 1])
             w *= ell
-    return _read(enumerate(unpack(p, w, max(ell - 1, 2))), 0, ell)  # phi(4) or phi(ell) slots
+    return _read(enumerate(unpack(p, w, max(ell - 1, 2))), 0, ell, _real_norm)  # phi(4) or phi(ell) slots
 
 
 def _cyclotomic_slots(terms, ell: int, i: int) -> dict[int, int]:
@@ -308,20 +315,23 @@ def _norm_step(classes: list[int], w: int, block: int) -> int:
     sum_(r < ell) T^r C_r(T^ell).  ell = 2 and 3 return it exactly, by
     the closed forms E(S)^2 - S O(S)^2 and X^3 + S Y^3 + S^2 Z^3 - 3 S
     XYZ, and do not read block.  Larger ell, with w a multiple of ell,
-    return it only mod Phi_(ell^j)(x) = sum_(t < ell) 2^(block t), x =
-    2^(w / ell), which _fold then reads.
+    return it exactly when block is 0, and otherwise only mod
+    Phi_(ell^j)(x) = sum_(t < ell) 2^(block t), x = 2^(w / ell), which
+    _fold then reads.
 
     They take U'(x^ell) = U(x) N(beta), for beta = U(omega x) =
     sum_r X_r omega^r with X_r = x^r C_r(x^ell) and N the norm from
     Q(omega), over Z[x] (Washington, GTM 83, ch. 2 and 8): N(beta) =
     N_(Q(omega)^+/Q)(y) for y = beta beta-bar, where beta-bar is the
     mirror r -> -r and y has the components c_d = sum_r X_r X_(r-d) =
-    c_(-d).  Every product is reduced mod Phi_(ell^j)(x), j the level
-    of U, which keeps the components at the element's size: Z[x] ->
-    Z/Phi_(ell^j)(x) is a ring map, and as Phi_(ell^j)(x) =
-    Phi_(ell^(j-1))(S), U'(S) reduced mod it is the folded element at
-    level j - 1.  So no intermediate needs a slot bound: only that
-    element's coefficients must fit in w bits."""
+    c_(-d), summed over the pairs of nonzero classes.  Without a block,
+    N is Res(Psi_ell, Y) (_psi_norm).  With one, every product is
+    reduced mod Phi_(ell^j)(x), j the level of U, which keeps the
+    components at the element's size: Z[x] -> Z/Phi_(ell^j)(x) is a
+    ring map, and as Phi_(ell^j)(x) = Phi_(ell^(j-1))(S), U'(S) reduced
+    mod it is the folded element at level j - 1.  So no intermediate
+    needs a slot bound: only that element's coefficients must fit in w
+    bits."""
     ell = len(classes)
     if ell == 2:
         e, o = classes
@@ -329,13 +339,16 @@ def _norm_step(classes: list[int], w: int, block: int) -> int:
     if ell == 3:
         x, y, z = classes
         return x * x * x + ((y * y * y + (z * z * z << w) - 3 * x * y * z) << w)
-    xs = [c << (r * (w // ell)) for r, c in enumerate(classes)]
+    xs = [(r, c << (r * (w // ell))) for r, c in enumerate(classes) if c]
     y = [0] * (ell // 2 + 1)
-    for r, x in enumerate(xs):
+    for k, (r, x) in enumerate(xs):
         y[0] += x * x
-        for s in range(r + 1, ell):
-            y[_half(s - r, ell)] += x * xs[s]
-    return sum(xs) * _real_norm([_fold(c, ell, block) for c in y], ell, block)
+        for s, z in xs[k + 1:]:
+            y[_half(s - r, ell)] += x * z
+    u = sum(x for _, x in xs)
+    if block:
+        return u * _real_norm([_fold(c, ell, block) for c in y], ell, block)
+    return u * _psi_norm(y, ell)
 
 
 def _real_norm(y: list[int], ell: int, block: int = 0) -> int:
@@ -399,6 +412,27 @@ def _real_plan(ell: int) -> tuple[tuple, tuple]:
     return tuple(steps), targets
 
 
+def _psi_norm(y: list[int], ell: int) -> int:
+    """N_(Q(omega)^+/Q)(y), as _real_norm without a block, for the real
+    y = sum_(d < ell) y_|d| omega^d with top component t: omega^t y is
+    P(omega) for the palindrome P of degree 2t, and P(T) = T^t Y(T +
+    1/T) (intpoly.real_form), so y = Y(omega + 1/omega) and its norm is
+    Y's product over the roots of the monic Psi_ell = real_form(Phi_ell),
+    Res(Psi_ell, Y).  ell = 3 takes no resultant, as Q(omega)^+ = Q."""
+    if ell == 3:
+        return y[0] - y[1]
+    top = max((d for d, c in enumerate(y) if c), default=-1)
+    if top < 0:
+        return 0
+    return resultant(_psi(ell), real_form(IntPoly(tuple(y[top:0:-1]) + tuple(y[: top + 1]))))
+
+
+@lru_cache(maxsize=1)
+def _psi(ell: int) -> IntPoly:
+    """Psi_ell, the minimal polynomial of omega + 1/omega, for _psi_norm."""
+    return real_form(cyclotomic(ell))
+
+
 def _half(e: int, ell: int) -> int:
     """The representative of +-e mod ell in 0..(ell - 1)/2."""
     e %= ell
@@ -446,12 +480,12 @@ def _split(p: int, ell: int, w: int, slots: int, classes: int) -> list[int]:
     return [(q >> (r * w) & mask) - half for r in range(ell)]
 
 
-def _read(slots, b: int, ell: int) -> int:
-    """zeta^(-b) U(zeta) at zeta = sqrt(-1) (ell = 2), or the norm of U(omega)
-    from Q(omega)^+ (odd ell, U(omega) itself for ell = 3), from
-    (exponent, coefficient) pairs.  The element must be rational (ell <=
-    3) or real (ell >= 5): the components d and -d of sum_d s_d omega^d
-    must agree."""
+def _read(slots, b: int, ell: int, norm) -> int:
+    """zeta^(-b) U(zeta) at zeta = sqrt(-1) (ell = 2), or the norm of
+    omega^(-b) U(omega) from Q(omega)^+ by norm, _real_norm or _psi_norm
+    (odd ell, the element itself for ell = 3), from (exponent,
+    coefficient) pairs.  The element must be rational (ell <= 3) or real
+    (ell >= 5): the components d and -d of sum_d s_d omega^d must agree."""
     period = 4 if ell == 2 else ell
     sums = [0] * period
     for k, c in slots:
@@ -462,64 +496,7 @@ def _read(slots, b: int, ell: int) -> int:
         irrational = [sums[d] - sums[-d] for d in range(1, ell // 2 + 1)]
     if any(irrational):
         raise ArithmeticError(f"the last norm step left the irrational part {irrational}")
-    return sums[0] - sums[2] if ell == 2 else _real_norm(sums[: ell // 2 + 1], ell)
-
-
-def _scaled_graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
-    """M_i for ell >= 5 from the monic W = c^(2b-1) U(T/c), c = lc(U),
-    whose roots are c r: a step takes W's power sums to index 2b ell
-    (O(ell b^2) products) and Newton's identities on every ell-th one,
-    dividing only by k <= 2b.  After i - 1 steps W has the roots C s,
-    s those of U_(i-1) and C = c^(ell^(i-1)), so its real form in
-    y = T + C^2/T is V~(y) = C^(b-1) V(y / C), V = real_form(U_(i-1)).
-    With Psi = real_form(Phi_ell), monic of degree e = (ell - 1)/2,
-
-        M_i = Res(Psi, V) = C^(-e(b-1)) prod_(Psi(x)=0) V~(C x)
-            = C^(-e(b-1)) Res(Psi, V~(C x)),
-
-    the last by intpoly.resultant; the one division, by the power of C,
-    is exact and trivial when |c| = 1."""
-    n, c = u.degree, u.leading
-    w = [x * c ** (n - 1 - j) for j, x in enumerate(u.coeffs[:-1])] + [1]
-    for _ in range(i - 1):
-        sums = _power_sums(w, ell * n)
-        w = _from_power_sums(sums[::ell])
-    lead = c ** (ell ** (i - 1))
-    v = real_form(IntPoly(tuple(w)), lead * lead)
-    psi = real_form(cyclotomic(ell))
-    norm = resultant(psi, IntPoly(tuple(x * lead**k for k, x in enumerate(v.coeffs))))
-    root, rem = divmod(norm, lead ** (psi.degree * (b - 1)))
-    if rem:
-        raise ArithmeticError("scaled Graeffe norm is not divisible by its scale")
-    return root
-
-
-def _power_sums(w: list[int], count: int) -> list[int]:
-    """p_0, ..., p_count for the roots of the monic w (ascending), by
-    Newton's identities: p_j = -(j a_j + sum_(k<j) a_k p_(j-k)), with a_k
-    the coefficient of T^(n-k)."""
-    n = len(w) - 1
-    lower = [(k, w[n - k]) for k in range(1, n + 1) if w[n - k]]
-    sums = [n]
-    for j in range(1, count + 1):
-        acc = j * w[n - j] if j <= n else 0
-        for k, a in lower:
-            if k >= j:
-                break
-            acc += a * sums[j - k]
-        sums.append(-acc)
-    return sums
-
-
-def _from_power_sums(sums: list[int]) -> list[int]:
-    """The monic polynomial (ascending) with power sums sums[1:]: its
-    coefficient a_k of T^(n-k) is -(p_k + sum_(0<j<k) a_j p_(k-j)) / k,
-    exact for the power sums of a monic integer polynomial."""
-    a = [1]
-    for k in range(1, len(sums)):
-        acc = sums[k] + sum(a[j] * sums[k - j] for j in range(1, k))
-        a.append(-acc // k)
-    return a[::-1]
+    return sums[0] - sums[2] if ell == 2 else norm(sums[: ell // 2 + 1], ell)
 
 
 class Tower:

@@ -7,12 +7,12 @@ behind Phi_d, which comes from one recursion on the least prime of d
 down to Phi_1 = T - 1, and behind omega.strip_cyclotomics.  Resultants
 are computed by the subresultant polynomial remainder sequence
 (fraction-free, exact; no floating point anywhere).  It has two
-callers: analysis's scaled Graeffe steps (integral towers with ell >=
-5) take their last step, Res(Psi_ell, V~(C x)) against the monic real
-form of Phi_ell of degree (ell - 1)/2, from it, while the norm steps
-down the cyclotomic tower (every other tower) do not go through it; and
-Tower.real_norm recomputes N_i with it to cross-check those engines at
-the matrix-tree-checked levels.  real_form rewrites a polynomial in
+callers: the norm steps of an integral tower with ell >= 5 take the
+norm from Q(omega)^+ of an unfolded element, and of the last one, as
+Res(Psi_ell, Y) against the monic real form of Phi_ell, of degree
+(ell - 1)/2 (ell-adic towers do not go through it); and Tower.real_norm
+recomputes N_i with it to cross-check the norm steps at the
+matrix-tree-checked levels.  real_form rewrites a polynomial in
 y = T + q/T, the variable of the real subfield for q = 1.
 pack and unpack read a polynomial as one integer, its value at T = 2^w
 (Kronecker substitution), and back: the norm steps and the integral

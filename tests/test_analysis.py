@@ -137,7 +137,8 @@ def test_level_norm_rejects_non_symmetric_f():
 
 def test_level_norm_cross_check_failure_raises(monkeypatch):
     # a norm engine that disagrees with the subresultant; resultant itself
-    # also serves the scaled Graeffe steps of this ell = 5 tower
+    # also serves the norm steps of this integral ell = 5 tower, as
+    # Res(Psi_5, Y)
     t = Tower(build_assignment(parse_tower_spec(CORPUS[0].spec)))
     level_norm = analysis.level_norm
     monkeypatch.setattr(analysis, "level_norm", lambda f, i: 2 * level_norm(f, i))
@@ -157,11 +158,12 @@ def test_subresultant_only_at_checked_levels(monkeypatch):
     t = Tower(build_assignment(parse_tower_spec(entry.spec)), mt_check_level=2)
     t.kappa(4)
     ell = t.ell
-    # the integral ell = 5 tower's norms take their last scaled Graeffe step
-    # against Psi_ell, of degree (ell - 1) / 2, at every level; the
-    # cross-check takes Phi_(ell^i) at the checked levels only
-    psi = (ell - 1) // 2
-    assert calls == [psi, ell - 1, psi, ell * (ell - 1), psi, psi]
+    # the cross-check takes Phi_(ell^i) at the checked levels only; every
+    # other call is a norm from Q(omega)^+ of the integral ell = 5
+    # tower's norm steps, against Psi_ell of degree (ell - 1) / 2
+    phis = {(ell - 1) * ell ** (i - 1) for i in range(1, 5)}
+    assert [d for d in calls if d in phis] == [ell - 1, ell * (ell - 1)]
+    assert all(d == (ell - 1) // 2 for d in calls if d not in phis), calls
 
 
 def norm_product(t, n):

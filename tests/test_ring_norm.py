@@ -2,21 +2,24 @@
 oracle and the subresultant.
 
 level_norm returns M_i, the norm from the real subfield (N_i = M_i^2
-for ell^i > 2).  Ell-adic towers, and integral towers with ell = 2 or
-3, take it exactly over Z by norm steps down the cyclotomic tower;
-integral towers with ell >= 5 by scaled Graeffe steps.  The evaluation
-oracle (util.evaluation_norm: a product over the roots of unity of
-F_q, recombined by CRT) is valid for every tower below its prime-pool
-wall, so it is the oracle of the sign, and the subresultant
-Res(Phi_(ell^i), f_i) = N_i is the oracle of both.
+for ell^i > 2).  Every tower takes it exactly over Z by norm steps down
+the cyclotomic tower, on elements packed into one integer each.  The
+evaluation oracle (util.evaluation_norm: a product over the roots of
+unity of F_q, recombined by CRT) is valid for every tower below its
+prime-pool wall, so it is the oracle of the sign, and the subresultant
+Res(Phi_(ell^i), f_i) = N_i is the oracle of both.  For integral
+towers at odd ell, the scaled Graeffe route (util.scaled_graeffe_norm:
+power sums, then one resultant) shares no slots or widths with the
+norm steps, and is cheap at levels the evaluation oracle cannot reach.
 """
 
 import importlib
 import json
+import random
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from elltowers import analysis, intdet
 from elltowers.analysis import DisconnectedTowerError, Tower, level_norm
@@ -25,7 +28,7 @@ from elltowers.corpus import CORPUS
 from elltowers.genpoly import GenPoly, determinant, voltage_matrix
 from elltowers.intpoly import IntPoly, cyclotomic, real_form, resultant, unpack
 from elltowers.towerspec import build_assignment, parse_tower_spec
-from util import draw_voltage, evaluation_norm as evaluation, fold_by_chunks
+from util import draw_voltage, evaluation_norm as evaluation, fold_by_chunks, scaled_graeffe_norm
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos" / "specs"
@@ -153,9 +156,8 @@ def test_ell_2_at_levels_1_to_3():
 
 @pytest.mark.parametrize("ell", [5, 7, 11, 13])
 def test_scaled_route_with_a_non_unit_lead(ell):
-    # lc(U) = 6 and 1048573: the steps run on c^(2b-1) U(T / c), and the
-    # one exact division by a power of c^(ell^(i-1)) undoes the scaling;
-    # b = 2 and 3 sit on both sides of (ell - 1)/2 = 2, 3, 5, 6
+    # lc(U) = 6 and 1048573; b = 2 and 3 sit on both sides of (ell - 1)/2
+    # = 2, 3, 5, 6
     for lead, b in ((6, 2), (-6, 3), (1048573, 2)):
         coeffs = {0: 5, 1: 1, -1: 1, b: lead, -b: lead}
         f = laurent(ell, coeffs)
@@ -261,9 +263,8 @@ def test_widths_hold_large_coefficients(ell, depth):
                 square[e1 + e2] = square.get(e1 + e2, 0) + c1 * c2
         shapes += [loops, square]
     for coeffs in shapes:
-        # integral towers with ell >= 5 take scaled Graeffe steps, which
-        # pack no slots (and are slow on the dense U of a large exponent)
-        for integral in (False, True) if ell <= 3 else (False,):
+        # an integral f packs U = T^b f, dense up to its large exponent
+        for integral in (False, True):
             f = GenPoly(ell, depth + 4, tuple(coeffs.items()), integral)
             for i in range(1, depth + 1):
                 assert level_norm(f, i) == evaluation(f, i), (coeffs, integral, i)
@@ -402,7 +403,63 @@ def test_norm_steps_match_the_scaled_route_deep():
     # evaluation oracle cannot reach
     for f in integral_corpus_f(3):
         for i in range(1, 12):
-            assert level_norm(f, i) == analysis._scaled_graeffe_norm(*f.integerize(), 3, i), (f, i)
+            assert level_norm(f, i) == scaled_graeffe_norm(*f.integerize(), 3, i), (f, i)
+
+
+# Deepest level of the scaled-route property per ell: at ell = 31 and 101
+# level 2 is one norm step and the last read.
+SCALED_DEPTH = {5: 3, 7: 2, 11: 2, 13: 2, 31: 2, 101: 2}
+
+
+def spec(ell, vertices, edges):
+    """A tower spec with integer voltages, edges as (tail, head, voltage)."""
+    return {"ell": ell, "precision": 1, "vertices": vertices,
+            "edges": [{"tail": t, "head": h, "voltage": str(a)} for t, h, a in edges]}
+
+
+@st.composite
+def integral_specs_past_3(draw):
+    """Integer voltages in [-6, 6] on 1-3 vertices, ell in SCALED_DEPTH;
+    the first edge is repeated up to twice, so that U's lead is often not
+    a unit."""
+    ell = draw(st.sampled_from(sorted(SCALED_DEPTH)))
+    names = ["v1", "v2", "v3"][: draw(st.integers(1, 3))]
+    edges = [(draw(st.sampled_from(names)), draw(st.sampled_from(names)), draw(st.integers(-6, 6)))
+             for _ in range(draw(st.integers(len(names), len(names) + 2)))]
+    return spec(ell, names, edges + edges[:1] * draw(st.integers(0, 2)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(integral_specs_past_3())
+@example(spec(7, ["v"], [("v", "v", 3), ("v", "v", 3), ("v", "v", 1)]))  # lc(U) = -2
+@example(spec(101, ["v1", "v2"], [("v1", "v2", 4), ("v1", "v2", 4), ("v1", "v2", -4),
+                                   ("v2", "v2", 1)]))  # lc(U) = -2, U of degree 16
+@example(spec(31, ["v1", "v2", "v3"], [("v1", "v2", -3), ("v2", "v3", -2), ("v1", "v2", 2),
+                                       ("v1", "v2", 6), ("v3", "v3", -6)]))  # U of degree 30: a folded step
+def test_level_norm_matches_the_scaled_route(doc):
+    # the packed loop against the scaled route on integral towers with
+    # ell >= 5, unit leads and others
+    f = tower_f(doc)
+    u, b = f.integerize()
+    assume(u.degree > 0)  # a constant f takes no norm step
+    event("unit lead" if abs(u.leading) == 1 else "non-unit lead")
+    for i in range(1, SCALED_DEPTH[doc["ell"]] + 1):
+        assert level_norm(f, i) == scaled_graeffe_norm(u, b, doc["ell"], i), (doc, i)
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 101])
+def test_psi_norm_matches_galois_doubling(ell):
+    # Res(Psi_ell, Y) against the exact Galois doubling on random real y
+    # of every top component from 0 (Y constant) to (ell - 1)/2 (Y of
+    # Psi_ell's degree), with components of up to 2 and up to 64 bits,
+    # and on y = 0
+    rng, h = random.Random(ell), ell // 2
+    assert analysis._psi_norm([0] * (h + 1), ell) == analysis._real_norm([0] * (h + 1), ell) == 0
+    for top in range(h + 1):
+        for bits in (2, 64):
+            y = [rng.randint(-(2**bits), 2**bits) for _ in range(top)]
+            y += [rng.choice((-1, 1)) * rng.randint(1, 2**bits)] + [0] * (h - top)
+            assert analysis._psi_norm(y, ell) == analysis._real_norm(y, ell), (ell, y)
 
 
 def width_slack(f: GenPoly, i: int) -> int:

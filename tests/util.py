@@ -5,7 +5,8 @@ touches the library's determinant path, so it can arbitrate for it; the
 determinant oracle, sympy, takes any square integer matrix, as does the
 library's own dense pivoting Bareiss (intdet.dense_bareiss_det), where
 its matrix-tree engines take reduced Laplacians only.  The level-norm
-oracle evaluates f at the roots of unity of F_q and recombines by CRT,
+oracles evaluate f at the roots of unity of F_q and recombine by CRT,
+or take scaled Graeffe steps on power sums and end at one resultant,
 independently of the library's norm steps.
 """
 
@@ -20,6 +21,7 @@ from sympy import isprime
 from sympy.ntheory.modular import crt
 
 from elltowers import GenPoly, Multigraph, VoltageAssignment, cover_connected_by_voltages, validate
+from elltowers.intpoly import IntPoly, cyclotomic, real_form, resultant
 
 
 def substitute_power(f: GenPoly, c: int) -> GenPoly:
@@ -85,6 +87,64 @@ def evaluation_norm(f: GenPoly, i: int) -> int:
         prod *= q
     x = int(crt(qs, images)[0])
     return x - prod if 2 * x > prod else x
+
+
+def scaled_graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
+    """M_i for odd ell from U = T^b f, with no packed slot: the monic W =
+    c^(2b-1) U(T/c), c = lc(U), has the roots c r, and a step takes W's
+    power sums to index 2b ell (O(ell b^2) products) and Newton's
+    identities on every ell-th one, dividing only by k <= 2b.  After
+    i - 1 steps W has the roots C s, s those of U_(i-1) and C =
+    c^(ell^(i-1)), so its real form in y = T + C^2/T is V~(y) = C^(b-1)
+    V(y / C), V = real_form(U_(i-1)).  With Psi = real_form(Phi_ell),
+    monic of degree e = (ell - 1)/2,
+
+        M_i = Res(Psi, V) = C^(-e(b-1)) prod_(Psi(x)=0) V~(C x)
+            = C^(-e(b-1)) Res(Psi, V~(C x)),
+
+    the one division, by the power of C, exact and trivial when |c| = 1.
+    Cheap at ell = 3 depth and on short U at large ell, where the
+    evaluation oracle runs out of primes."""
+    n, c = u.degree, u.leading
+    w = [x * c ** (n - 1 - j) for j, x in enumerate(u.coeffs[:-1])] + [1]
+    for _ in range(i - 1):
+        sums = power_sums(w, ell * n)
+        w = from_power_sums(sums[::ell])
+    lead = c ** (ell ** (i - 1))
+    v = real_form(IntPoly(tuple(w)), lead * lead)
+    psi = real_form(cyclotomic(ell))
+    norm = resultant(psi, IntPoly(tuple(x * lead**k for k, x in enumerate(v.coeffs))))
+    root, rem = divmod(norm, lead ** (psi.degree * (b - 1)))
+    assert not rem, "scaled Graeffe norm is not divisible by its scale"
+    return root
+
+
+def power_sums(w: list[int], count: int) -> list[int]:
+    """p_0, ..., p_count for the roots of the monic w (ascending), by
+    Newton's identities: p_j = -(j a_j + sum_(k<j) a_k p_(j-k)), with a_k
+    the coefficient of T^(n-k)."""
+    n = len(w) - 1
+    lower = [(k, w[n - k]) for k in range(1, n + 1) if w[n - k]]
+    sums = [n]
+    for j in range(1, count + 1):
+        acc = j * w[n - j] if j <= n else 0
+        for k, a in lower:
+            if k >= j:
+                break
+            acc += a * sums[j - k]
+        sums.append(-acc)
+    return sums
+
+
+def from_power_sums(sums: list[int]) -> list[int]:
+    """The monic polynomial (ascending) with power sums sums[1:]: its
+    coefficient a_k of T^(n-k) is -(p_k + sum_(0<j<k) a_j p_(k-j)) / k,
+    exact for the power sums of a monic integer polynomial."""
+    a = [1]
+    for k in range(1, len(sums)):
+        acc = sums[k] + sum(a[j] * sums[k - j] for j in range(1, k))
+        a.append(-acc // k)
+    return a[::-1]
 
 
 def fold_by_chunks(p: int, ell: int, block: int) -> int:
