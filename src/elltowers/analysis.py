@@ -29,9 +29,8 @@ For integral voltages the root search is certified: no roots can occur
 once the inertia degree f_i of p (its order mod ell^i) exceeds
 deg(U mod p).  One sweep gives every f_i: f_1 from the factorisation of
 ell - 1, then f_(i+1) in {f_i, ell f_i} from one pow per level.  The
-sweep yields n1, the first rootless level, which bounds the search, and
-r, the eventual number of primes above p; the per-prime report reads n1
-and the closed-form log bound off the search.  The levels below n1 up
+sweep stops at n1, the first rootless level, which bounds the search
+and which the per-prime report reads off it.  The levels below n1 up
 to the report's depth are decided by a gcd over F_p in int64
 (intpoly.poly_mod_gcd, exact for p < 2^30), the one use left of those
 helpers; the levels above the depth by rootladder, a ladder of powers
@@ -44,12 +43,11 @@ tower's own norms, for every p.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, pairwise
+from itertools import accumulate
 
 from .factorint import factor_kappa, ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
@@ -141,25 +139,16 @@ def inertia_degrees(p: int, ell: int) -> Iterator[int]:
             f *= ell
 
 
-def splitting(p: int, ell: int, dbar: int) -> tuple[int, int]:
-    """(n1, r) from one sweep of the inertia degrees.
-
-    n1 is the first level whose f_i exceeds dbar = deg(U mod p): a root
+def splitting(p: int, ell: int, dbar: int) -> int:
+    """n1, the first level whose f_i exceeds dbar = deg(U mod p): a root
     at a primitive ell^i-th root of unity forces an irreducible factor of
     Phi_{ell^i} mod p, of degree f_i, into U mod p, and f_i never falls,
-    so no level from n1 on carries roots.  r = phi(ell^i) / f_i is the
-    eventual number of primes above p: once f_(i+1) = ell * f_i (for
-    ell = 2, from i = 2 on: f_2 = 2 f_1 whenever p = 3 mod 4), the orders
-    grow by ell at every level, and so does phi(ell^i) = (ell-1) ell^(i-1).
+    so no level from n1 on carries roots.  The closed-form bound on the
+    eventual prime count r above p certifies no level more, so it is not
+    kept: as f_(i+1) is f_i or ell f_i, n1 <= floor(log_ell(r ell dbar /
+    (ell - 1))) + 1 always.
     """
-    n1 = r = None
-    for i, (f, lifted) in enumerate(pairwise(inertia_degrees(p, ell)), start=1):
-        if n1 is None and f > dbar:
-            n1 = i
-        if r is None and lifted > f and (ell > 2 or i > 1):
-            r = (ell - 1) * ell ** (i - 1) // f
-        if n1 is not None and r is not None:
-            return n1, r
+    return next(i for i, f in enumerate(inertia_degrees(p, ell), start=1) if f > dbar)
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +566,13 @@ class Tower:
 
 
 # ---------------------------------------------------------------------------
-# the stabilization level n0 and its certified bounds
+# the stabilization level n0 and its certified bound
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class N0Search:
     root_levels: tuple[int, ...]
     n1: int
-    log_bound: float
 
 
 def _has_primitive_root(g: GenPoly, p: int, i: int) -> bool:
@@ -613,23 +601,20 @@ def n0_search(g: GenPoly, p: int, depth: int = 0) -> N0Search:
     because analyze_prime holds N_1..N_depth anyway, so those levels can
     move to the norm test the ell-adic towers take (ord_p(N_i) > mu
     phi(ell^i)), while above depth no norm exists and the ladder is
-    exact at any p; depth 0 sends every level to the ladder.  The
-    search also gives the closed-form bound
-    log_ell(r ell dbar / (ell - 1)), r the eventual number of primes
-    above p.  Ell-adic towers have no such bound; analyze_prime decides
-    their levels on the tower's norms.
+    exact at any p; depth 0 sends every level to the ladder.  Ell-adic
+    towers have no such bound; analyze_prime decides their levels on the
+    tower's norms.
     """
     ell = g.ell
     if g.is_zero or all(c % p == 0 for c in g.coefficients()):
         raise ValueError("mu(g) must be 0")
     u = g.integerize()[0]
     dbar = u.degree_mod(p)
-    n1, r = splitting(p, ell, dbar)
-    log_bound = 0.0 if dbar == 0 else math.log(r * ell * dbar / (ell - 1), ell)
+    n1 = splitting(p, ell, dbar)
     shallow = min(depth, n1 - 1)
     roots = tuple(i for i in range(1, shallow + 1) if _has_primitive_root(g, p, i))
     roots += ladder_root_levels(u.coeffs, p, ell, range(shallow + 1, n1))
-    return N0Search(roots, n1, log_bound)
+    return N0Search(roots, n1)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +634,6 @@ class PrimeAnalysisReport:
     predicted: tuple[int, ...]
     divides_any: bool
     n1: int | None = None
-    log_bound: float | None = None
     closed_form_from: int | None = None
 
     def closed_form(self) -> str | None:
@@ -715,14 +699,14 @@ def analyze_prime(tower: Tower, p: int, depth: int) -> PrimeAnalysisReport:
 
     divides_any = mu > 0 or running[0] > 0 or bool(root_levels)
 
-    # the bounds hold for f itself only when mu = 0; otherwise ord_p grows
-    n1, log_bound = (search.n1, search.log_bound) if search and mu == 0 else (None, None)
+    # the bound holds for f itself only when mu = 0; otherwise ord_p grows
+    n1 = search.n1 if search and mu == 0 else None
 
     return PrimeAnalysisReport(
         p=p, ell=ell, mu=mu, n0=n0, certified=g.integral,
         root_levels=root_levels, nu=nu, observed=observed,
         predicted=predicted, divides_any=divides_any,
-        n1=n1, log_bound=log_bound, closed_form_from=closed_from,
+        n1=n1, closed_form_from=closed_from,
     )
 
 

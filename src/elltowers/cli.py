@@ -198,7 +198,7 @@ def _prime_entry(tower, p, levels):
         return {"p": p, "inconclusive": True}, exc
     return {
         "p": p, "mu": rep.mu, "n0": rep.n0, "n0_certified": rep.certified,
-        "nu": rep.nu, "n1": rep.n1, "log_bound": rep.log_bound,
+        "nu": rep.nu, "n1": rep.n1,
         "observed": list(rep.observed), "predicted": list(rep.predicted),
         "divides_any": rep.divides_any, "closed_form": rep.closed_form(),
     }, rep
@@ -285,7 +285,7 @@ def cmd_analyze(args) -> int:
     cert = "certified" if doc["n0_certified"] else f"empirical to level {va.precision}"
     print(f"p = {p}: mu = {doc['mu']}, n0 = {doc['n0']} ({cert}), nu = {doc['nu']}")
     if doc["n1"] is not None:
-        print(f"stabilization bounds: n1 = {doc['n1']}, log bound = {doc['log_bound']:.3f}")
+        print(f"stabilization bound: n1 = {doc['n1']}")
     if doc["closed_form"]:
         print(doc["closed_form"])
     if not doc["divides_any"]:

@@ -18,6 +18,7 @@ from elltowers.towerspec import (
     build_assignment,
     parse_tower_spec,
 )
+from util import exact_json
 
 
 @pytest.fixture
@@ -329,6 +330,22 @@ def test_verbs_are_projections_of_report(capsys):
     fit = json.loads(run_cli(capsys, "analyze", path, "--p", "3", "--levels", "4", "--json")[1])
     assert fit == {**report["ell_fit"], "p": 3, "kind": "ell-part-fit",
                    "observed": [row["ord_ell"] for row in report["levels"]]}
+
+
+def test_json_output_holds_no_float(capsys):
+    path = str(DEMO_SPECS / "bouquet4_ell3.json")
+    for argv in (["analyze", path, "--p", "17", "--levels", "4"], ["count", path],
+                 ["classify", path], ["validate", path]):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        exact_json(out)
+
+
+def test_analyze_prints_the_stabilization_bound(capsys):
+    path = str(DEMO_SPECS / "bouquet4_ell3.json")
+    code, out, _ = run_cli(capsys, "analyze", path, "--p", "17", "--levels", "4")
+    assert code == 0
+    assert "stabilization bound: n1 = 3\n" in out
 
 
 def test_count_past_precision_is_domain_error(spec_file, capsys):

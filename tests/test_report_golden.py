@@ -22,6 +22,7 @@ import pytest
 
 from elltowers.cli import main
 from elltowers.corpus import CORPUS
+from util import exact_json
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -59,6 +60,11 @@ def test_every_spec_has_a_golden_file():
 def test_report_matches_golden(stem, spec, levels, tmp_path):
     expected = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     assert report_json(spec, levels, tmp_path) == expected
+
+
+@pytest.mark.parametrize("stem", [c[0] for c in CASES])
+def test_golden_holds_no_float(stem):
+    exact_json((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":

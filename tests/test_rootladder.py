@@ -75,7 +75,7 @@ def _gcd_and_ladder(tower: Tower, p: int):
     ell = tower.ell
     _, g = mu_invariant(tower.f, p)
     u = g.integerize()[0]
-    n1, _ = splitting(p, ell, u.degree_mod(p))
+    n1 = splitting(p, ell, u.degree_mod(p))
     if ell ** (n1 - 1) > ORACLE_MAX_DEGREE:
         return None
     gcd = tuple(i for i in range(1, n1) if analysis._has_primitive_root(g, p, i))

@@ -12,6 +12,7 @@ independently of the library's norm steps.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 
@@ -22,6 +23,15 @@ from sympy.ntheory.modular import crt
 
 from elltowers import GenPoly, Multigraph, VoltageAssignment, cover_connected_by_voltages, validate
 from elltowers.intpoly import IntPoly, cyclotomic, real_form, resultant
+
+
+def exact_json(text: str):
+    """The document parsed from JSON text, refused if the text holds a
+    float: every number the tool prints is exact."""
+    def refuse(number: str):
+        raise AssertionError(f"a JSON float: {number}")
+
+    return json.loads(text, parse_float=refuse)
 
 
 def substitute_power(f: GenPoly, c: int) -> GenPoly:
