@@ -26,16 +26,16 @@ For a prime p != ell the valuation ord_p(kappa_n) obeys
 where p^mu is the content of f, and n0 is the last level at which f/p^mu
 still vanishes at a primitive ell^i-th root of unity mod p, plus one.
 For integral voltages the root search is certified: no roots can occur
-once the inertia degree f_i of p (its order mod ell^i) exceeds
-deg(U mod p).  One sweep gives every f_i: f_1 from the factorisation of
-ell - 1, then f_(i+1) in {f_i, ell f_i} from one pow per level.  The
-sweep stops at n1, the first rootless level, which bounds the search
-and which the per-prime report reads off it.  The levels below n1 up
-to the report's depth are decided by a gcd over F_p in int64
-(intpoly.poly_mod_gcd, exact for p < 2^30), the one use left of those
-helpers; the levels above the depth by rootladder, a ladder of powers
-T^(ell^i) mod (U, p) in exact integers.  For genuinely ell-adic
-voltages no effective bound is available, so n0 is reported
+once the inertia degree f_i of p (its order mod ell^i) exceeds dbar =
+deg(U mod p).  One sweep gives every f_i up to n1, the first rootless
+level: f_1 as the least k <= dbar with p^k = 1 (mod ell), from at most
+dbar products mod ell, then f_(i+1) in {f_i, ell f_i} from one pow per
+level.  n1 bounds the search, and the per-prime report reads it off.
+The levels below n1 up to the report's depth are decided by a gcd over
+F_p in int64 (intpoly.poly_mod_gcd, exact for p < 2^30), the one use
+left of those helpers; the levels above the depth by rootladder, a
+ladder of powers T^(ell^i) mod (U, p) in exact integers.  For genuinely
+ell-adic voltages no effective bound is available, so n0 is reported
 empirically up to the stored precision and flagged as such; level i
 has a root there exactly when ord_p(N_i) > mu phi(ell^i) on the
 tower's own norms, for every p.
@@ -44,12 +44,11 @@ tower's own norms, for every p.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .factorint import factor_kappa, ord_p
+from .factorint import ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
 from .intpoly import IntPoly, cyclotomic, pack, poly_mod_gcd, real_form, repunit, resultant, unpack
@@ -99,56 +98,37 @@ def default_mt_check_level(ell: int) -> int:
 # splitting data of p in the ell-power cyclotomic tower
 # ---------------------------------------------------------------------------
 
-# Rho steps for factoring q - 1 in multiplicative_order, outside any
-# --budget-ms: every ell of the corpus, the demos and the golden specs
-# (and 10^20 + 39) needs none, and 10^5 steps take about 0.2 s on a
-# 115-bit cofactor that they cannot split.
-ORDER_RHO_ITERATIONS = 10**5
+def splitting(p: int, ell: int, dbar: int) -> int:
+    """n1, the first level whose f_i exceeds dbar = deg(U mod p), where
+    f_i is the order of p mod ell^i, the inertia degree of p in
+    Q(zeta_{ell^i}): a root at a primitive ell^i-th root of unity forces
+    an irreducible factor of Phi_{ell^i} mod p, of degree f_i, into U mod
+    p, and f_i never falls, so no level from n1 on carries roots.
 
-
-def multiplicative_order(a: int, q: int) -> int:
-    """The order of a mod the prime q, from the factorisation of q - 1
-    with at most ORDER_RHO_ITERATIONS rho steps."""
-    if a % q == 0:
-        raise ValueError(f"{a} is not a unit mod {q}")
-    group = factor_kappa(q - 1, rho_iterations=ORDER_RHO_ITERATIONS)
-    if not group.complete:
-        # a multiple of the order would certify rootless levels too early
-        raise ArithmeticError(
-            f"cannot certify the order of {a} mod {q}: {q - 1} leaves "
-            f"the unfactored cofactor {group.cofactor}"
-        )
-    order = q - 1
-    for r, _ in group.factors:
-        while order % r == 0 and pow(a, order // r, q) == 1:
-            order //= r
-    return order
-
-
-def inertia_degrees(p: int, ell: int) -> Iterator[int]:
-    """f_1, f_2, ...: f_i is the order of p mod ell^i, the inertia degree
-    of p != ell in Q(zeta_{ell^i}).  The kernel of (Z/ell^(i+1))^* ->
-    (Z/ell^i)^* has order ell, so f_(i+1) is f_i when p^(f_i) = 1 (mod
-    ell^(i+1)) and ell * f_i otherwise (Washington, GTM 83, ch. 2): only
-    f_1 needs a factorisation, each later level costs one pow."""
-    f, modulus = multiplicative_order(p, ell), ell
-    while True:
-        yield f
+    f_1 is the least k <= dbar with p^k = 1 (mod ell), from at most dbar
+    products mod ell; if there is none, f_1 > dbar and n1 = 1.  The
+    kernel of (Z/ell^(i+1))^* -> (Z/ell^i)^* has order ell, so f_(i+1)
+    is f_i when p^(f_i) = 1 (mod ell^(i+1)) and ell f_i otherwise
+    (Washington, GTM 83, ch. 2): each later level costs one pow.  The
+    closed-form bound on the eventual prime count r above p certifies no
+    level more, so it is not kept: n1 <= floor(log_ell(r ell dbar /
+    (ell - 1))) + 1 always.
+    """
+    residue = p % ell
+    if residue == 0:
+        raise ValueError(f"{p} is not a unit mod {ell}")
+    power, f = residue, 1
+    while power != 1:
+        if f >= dbar:
+            return 1
+        power, f = power * residue % ell, f + 1
+    n1, modulus = 1, ell
+    while f <= dbar:
         modulus *= ell
         if pow(p, f, modulus) != 1:
             f *= ell
-
-
-def splitting(p: int, ell: int, dbar: int) -> int:
-    """n1, the first level whose f_i exceeds dbar = deg(U mod p): a root
-    at a primitive ell^i-th root of unity forces an irreducible factor of
-    Phi_{ell^i} mod p, of degree f_i, into U mod p, and f_i never falls,
-    so no level from n1 on carries roots.  The closed-form bound on the
-    eventual prime count r above p certifies no level more, so it is not
-    kept: as f_(i+1) is f_i or ell f_i, n1 <= floor(log_ell(r ell dbar /
-    (ell - 1))) + 1 always.
-    """
-    return next(i for i, f in enumerate(inertia_degrees(p, ell), start=1) if f > dbar)
+        n1 += 1
+    return n1
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +157,6 @@ def level_norm(f: GenPoly, i: int) -> int:
     if ell**i == 2:
         return sum(-c if e % 2 else c for e, c in f.level_terms(i))
     terms = None if f.integral else f.level_terms(i)  # PrecisionError past the precision
-    if all(e == 0 for e, _ in f.terms):  # f = 0 or a constant c: M_i = c^h
-        return sum(f.coefficients()) ** ((ell - 1) * ell ** (i - 1) // 2)
     if terms is not None:
         return _adic_norm(terms, sum(map(abs, f.coefficients())), ell, i)
     return _integral_norm(*f.integerize(), ell, i)

@@ -2,8 +2,8 @@
 
 Claims verified here:
   - level norms satisfy the product identity against matrix-tree counts
-  - inertia degrees match classical cyclotomic splitting data, and the
-    lifted inertia degrees and n1 match sympy's n_order
+  - n1, the first level whose order of p mod ell^i exceeds dbar,
+    matches sympy's n_order, flat orders (p = +-1 mod ell^k) included
   - n0, mu, nu reproduce every pinned reference value
   - predicted valuations equal observed ones wherever both exist
   - the stabilization bound n1 certifies the observed constancy
@@ -12,13 +12,14 @@ Claims verified here:
 
 import math
 import random
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from elltowers import (
     Multigraph,
+    PrecisionError,
     PrimeEqualsEllError,
     Tower,
     VoltageAssignment,
@@ -35,8 +36,6 @@ from elltowers.analysis import (
     DisconnectedTowerError,
     InconclusiveError,
     InsufficientDataError,
-    inertia_degrees,
-    multiplicative_order,
     splitting,
 )
 from elltowers.corpus import CORPUS
@@ -70,12 +69,19 @@ def test_level_norm_level_zero_convention():
 
 
 def test_level_norm_of_constant():
-    from elltowers import GenPoly
-
-    # M_i = 7^(phi(5^i)/2), with N_i = M_i^2
-    c = GenPoly.constant(5, 3, 7)
-    assert level_norm(c, 1) == 7**2
-    assert level_norm(c, 2) == 7**10
+    # a constant takes the packed loops like any f: M_i = c^h with h =
+    # phi(ell^i)/2 and N_i = M_i^2, and N_1 = c at ell = 2, integral and
+    # ell-adic alike
+    for ell in (2, 3, 5, 7, 11):
+        for c in (0, 1, -1, 2, -3, 7):
+            for integral in (True, False):
+                f = GenPoly.constant(ell, 4, c, integral)
+                for i in range(1, 5):
+                    h = 1 if ell**i == 2 else (ell - 1) * ell ** (i - 1) // 2
+                    assert level_norm(f, i) == c**h, (ell, c, integral, i)
+    # an ell-adic constant is known to its precision only
+    with pytest.raises(PrecisionError):
+        level_norm(GenPoly.constant(5, 3, 7, integral=False), 4)
 
 
 def test_norm_valuation_is_phi_times_mu_beyond_n0():
@@ -191,53 +197,38 @@ def test_negative_levels_are_rejected():
 
 # -- splitting data ---------------------------------------------------------------
 
-def test_multiplicative_order():
-    # the order mod the prime ell, from the factorisation of ell - 1
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(17, 3) == 2
-    assert multiplicative_order(3, 13) == 3
-    with pytest.raises(ValueError):
-        multiplicative_order(3, 3)
+def n1_oracle(p, ell):
+    """dbar -> n1, the first level whose order of p mod ell^i (sympy's
+    n_order) exceeds dbar, for dbar 0-40."""
+    from sympy import n_order
 
-
-def f_i(p, ell, i):
-    return list(islice(inertia_degrees(p, ell), i))[-1]
-
-
-def test_inertia_degree_examples():
-    # (p, ell, i, f_i, r_i): r_i = phi(ell^i) / f_i primes lie above p in
-    # Q(zeta_{ell^i}); 3 above 17 in Q(zeta_9), and 109 = 1 mod 27 splits
-    for p, ell, i, f, r in ((2, 3, 2, 6, 1), (17, 3, 2, 2, 3), (109, 3, 3, 1, 18)):
-        assert f_i(p, ell, i) == f
-        assert (ell - 1) * ell ** (i - 1) == f * r
-
-
-def test_inertia_degrees_match_sympy():
-    # ell = 2 with p = 3 (mod 4) is the one case where f_2 = 2 f_1 before
-    # the orders settle into growing by ell
-    from sympy import n_order, primerange
-
-    for ell in (2, 3, 5, 7, 11, 13):
-        for p in primerange(2, 300):
-            if p != ell:
-                degrees = list(islice(inertia_degrees(p, ell), 6))
-                assert degrees == [n_order(p, ell**i) for i in range(1, 7)], (p, ell)
+    orders = [n_order(p, ell)]
+    while orders[-1] <= 40:
+        orders.append(n_order(p, ell ** (len(orders) + 1)))
+    return [next(i for i, f in enumerate(orders, start=1) if f > dbar) for dbar in range(41)]
 
 
 def test_n1_is_the_first_level_whose_order_exceeds_dbar():
-    from sympy import n_order, primerange
+    # f_1 = least dbar with n1 > 1, so this pins f_1 <= 40 too: 3 mod 13
+    # has order 3, and ell = 2 with p = 3 (mod 4) is the one case where
+    # f_2 = 2 f_1 before the orders settle into growing by ell.  The first
+    # three primes = +-1 (mod ell^k), k <= 4, keep f_i at 1 or 2 for k
+    # levels: 109, the first prime = 1 (mod 27), splits completely in Q(zeta_27)
+    from sympy import isprime, primerange
 
     for ell in (2, 3, 5, 7, 11, 13):
-        for p in primerange(2, 200):
+        flat = [islice((p for p in count(ell**k + sign, ell**k) if isprime(p)), 3)
+                for k in range(1, 5) for sign in (1, -1)]
+        for p in chain(primerange(2, 200), *flat):
             if p != ell:
-                for dbar in range(9):
-                    n1 = next(i for i in count(1) if n_order(p, ell**i) > dbar)
-                    assert splitting(p, ell, dbar) == n1, (p, ell, dbar)
+                expected = n1_oracle(p, ell)
+                assert [splitting(p, ell, dbar) for dbar in range(41)] == expected, (p, ell)
 
 
-def test_inertia_rejects_p_equal_ell():
-    with pytest.raises(ValueError):
-        next(inertia_degrees(3, 3))
+def test_splitting_rejects_ell_dividing_p():
+    for dbar in (0, 1, 5):
+        with pytest.raises(ValueError, match="not a unit"):
+            splitting(3, 3, dbar)
 
 
 # -- n0 ---------------------------------------------------------------------------

@@ -147,8 +147,8 @@ def theta_spec(ell):
 
 
 def test_report_for_a_20_digit_ell_finishes(spec_file):
-    # the order of p mod ell comes from factoring ell - 1, with no
-    # trial division of ell up to sqrt(ell)
+    # f_1 of p mod ell comes from at most dbar products mod ell, with
+    # no factorisation of ell - 1 and no trial division up to sqrt(ell)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -179,16 +179,25 @@ def test_levels_no_engine_can_index_are_refused_first(spec_file, capsys, monkeyp
     assert run_cli(capsys, "count", path, "--levels", "0")[:2] == (0, "kappa_0 = 3 = 3\n")
 
 
-def test_unfactored_ell_minus_1_is_an_internal_error(spec_file, capsys):
-    # ell - 1 = 92 P Q, P Q out of reach of analysis.ORDER_RHO_ITERATIONS
-    # rho steps, which bound the time spent: 12 s with the default 10^7
-    ell = 92 * 100000000000000003 * 300000000000000011 + 1
+@pytest.mark.parametrize("ell", [
+    92 * 100000000000000003 * 300000000000000011 + 1,  # ell - 1 = 92 P Q
+    46438616905518423403473179,  # ell - 1 = 2 q, q a 26-digit probable prime
+])
+def test_n1_needs_no_factorisation_of_ell_minus_1(spec_file, capsys, ell):
+    # neither 3 nor 9 is 1 mod ell, so the order of 3 mod ell is past
+    # dbar = deg(U mod 3) = 2 and n1 = 1, however hard ell - 1 is to factor
+    path = spec_file(theta_spec(ell))
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "analyze", spec_file(theta_spec(ell)),
-                             "--p", "3", "--levels", "0")
+    code, out, err = run_cli(capsys, "analyze", path, "--p", "3", "--levels", "0")
     assert time.perf_counter() - start < 2
-    assert (code, out) == (3, "")
-    assert err.startswith(f"internal error: cannot certify the order of 3 mod {ell}")
+    assert (code, err) == (0, "")
+    assert "stabilization bound: n1 = 1\n" in out
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "report", path, "--levels", "0", "--json")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    (entry,) = json.loads(out)["primes"]
+    assert (entry["p"], entry["n1"], entry["n0_certified"]) == (3, 1, True)
 
 
 def test_matrix_tree_level_flag(spec_file, capsys):
