@@ -170,17 +170,19 @@ def _split_power(n: int, p: int) -> tuple[int, int]:
 
 
 def integer_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, exactly.
+    """floor(n ** (1/k)) for n >= 0, k >= 1, exactly, in integers only.
 
-    k = 2 is math.isqrt.  For k >= 3 the start x = (r + 1) 2^s, with r
-    the root of n >> s k found the same way, lies above the real root R,
-    by at most e = 2^s; one Newton step from above leaves at most
-    (k - 1) e^2 / (2R) < 1/2, as 2s <= log2(R) - bit_length(k), so the
-    step gives floor(R) or floor(R) + 1, and one power settles which.
-    Only that step and that power run at full size.  Below s = 52 (a
-    root of fewer than about 105 + bit_length(k) bits), the start is a
-    float estimate of the root's leading 53 bits (inflated past its
-    rounding error), and Newton steps run until they stop falling.
+    k = 2 is math.isqrt.  For k >= 3 let R be the real root, so R >= 2^q
+    with q = (bits(n) - 1) // k.  The start x = (r + 1) 2^s, with r the
+    root of n >> s k found the same way, lies above R by at most e = 2^s.
+    The Newton map g(x) = ((k - 1) x + n / x^(k - 1)) / k has g(R) = R,
+    g'(R) = 0 and g'' <= (k - 1) / R above R, so one step from above
+    leaves R <= g(x) <= R + (k - 1) e^2 / (2R) < R + 1, as 2s +
+    bits(k - 1) <= q + 1.  The step, in integers, gives floor(g(x)):
+    floor(R) or floor(R) + 1, and one power settles which.  Only that
+    step and that power run at full size.  Where no s >= 1 fits, the
+    root has a few bits, below 2^(q + 1), and is taken bit by bit from
+    the top.
     """
     if n < 0 or k < 1:
         raise ValueError
@@ -188,16 +190,14 @@ def integer_nth_root(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    s = ((n.bit_length() - 1) // k - k.bit_length()) // 2
-    if s < 52:
-        shift = max(0, n.bit_length() // k - 52)
-        top = math.exp(math.log(n >> shift * k) / k)  # the root of n's leading bits
-        x = (int(top * (1 + 2.0**-30)) + 2) << shift  # above floor(n ** (1/k))
-        while True:
-            y = ((k - 1) * x + n // x ** (k - 1)) // k
-            if y >= x:
-                return x
-            x = y
+    q = (n.bit_length() - 1) // k
+    s = (q + 1 - (k - 1).bit_length()) // 2
+    if s < 1:
+        x = 0
+        for b in range(q, -1, -1):
+            if (x | 1 << b) ** k <= n:
+                x |= 1 << b
+        return x
     x = (integer_nth_root(n >> s * k, k) + 1) << s
     y = ((k - 1) * x + n // x ** (k - 1)) // k
     return y - 1 if y**k > n else y
@@ -226,9 +226,9 @@ def perfect_power(n: int, floor: int = 2) -> tuple[int, int] | None:
             if root**p == base:
                 base, k = root, k * p
                 continue
-        p += 1
+        p += 1 + p % 2  # the next odd number
         while not is_certified_prime(p):
-            p += 1
+            p += 2
     return (base, k) if k > 1 else None
 
 

@@ -25,7 +25,6 @@ from operator import add, mul
 
 from .factorint import ord_p
 from .graphs import VoltageAssignment
-from .intdet import dense_bareiss_det
 from .intpoly import IntPoly, ZeroPolynomialError, pack, unpack
 from .padics import PrecisionError
 
@@ -191,6 +190,8 @@ class GenPolyMatrix:
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValueError("matrix must be square")
+        if len({(x.ell, x.precision) for row in self.entries for x in row}) > 1:
+            raise ValueError("GenPoly entries of different rings")
 
     @property
     def size(self) -> int:
@@ -220,29 +221,32 @@ def voltage_matrix(va: VoltageAssignment) -> GenPolyMatrix:
 
 # The packed route runs while the exponents a determinant can have fill
 # at least one of its slots in SLOTS_PER_TERM.  Multiplying the voltages
-# of cycle-and-chord bases of 4-16 vertices by k leaves Berkowitz's time
-# alone and multiplies the packed slots by k.  Timed on a 2-core x86-64
-# with Python 3.11, with one slot in 8 filled the packed route was the
-# faster at every size (16 vertices: 0.061 s against 0.179 s); with one
-# in 16 it lost at 16 vertices (0.216 s), and with one in 32 from 8
-# vertices on.
+# of cycle-and-chord bases of 4-24 vertices by k leaves the kernel's time
+# over GenPoly alone and multiplies the packed slots by k.  Timed on a
+# 2-core x86-64 with Python 3.11, best of 5, with one slot in 8 filled
+# the packed route was the faster at every size (16 vertices: 0.059 s
+# against 0.241 s; 24: 0.66 s against 1.98 s); with one in 16 its lead
+# shrank as the base grew, to a tie at 24 vertices (1.75 s against
+# 1.85 s), and with one in 32 it lost from 12 vertices on.
 SLOTS_PER_TERM = 8
 
 
 def determinant(m: GenPolyMatrix) -> GenPoly:
-    """Exact determinant.  A matrix whose entries are all declared
-    integral takes one integer determinant (_kronecker_determinant),
-    unless its exponents are too sparse for packed slots; any other
-    takes Berkowitz's division-free algorithm (_berkowitz), valid over
-    any commutative ring.  Both give the same GenPoly.  The result is
-    fixed by T -> 1/T for voltage matrices."""
+    """Exact determinant by one kernel, Berkowitz's division-free
+    algorithm (_berkowitz), valid over any commutative ring.  A matrix
+    whose entries are all declared integral hands it one packed integer
+    matrix (_kronecker_determinant), unless its exponents are too sparse
+    for packed slots; any other hands it the GenPoly entries themselves.
+    Both give the same GenPoly.  The result is fixed by T -> 1/T for
+    voltage matrices."""
     if m.size == 0:
         raise ValueError("empty matrix")
     if all(x.integral for row in m.entries for x in row):
         f = _kronecker_determinant(m)
         if f is not None:
             return f
-    return _berkowitz(m)
+    sample = m.entries[0][0]
+    return _berkowitz(m.entries, GenPoly.constant(sample.ell, sample.precision, 1))
 
 
 def _kronecker_determinant(m: GenPolyMatrix) -> GenPoly | None:
@@ -257,9 +261,9 @@ def _kronecker_determinant(m: GenPolyMatrix) -> GenPoly | None:
     i, times T^(-s_i) with s_i its least exponent, is an honest
     polynomial row of degree at most d_i, so P(T) = T^(-s) det M(T), s =
     sum s_i, is a polynomial of degree at most sum d_i.  One integer
-    determinant (intdet.dense_bareiss_det; M(2^w) is not positive
-    semidefinite, so it swaps rows) gives P(2^w), and its w-bit signed
-    slots are P's coefficients (intpoly.unpack) once every |P_k| <
+    determinant (_berkowitz over the integers, which takes no pivot, so
+    a leading minor of M(2^w) may vanish) gives P(2^w), and its w-bit
+    signed slots are P's coefficients (intpoly.unpack) once every |P_k| <
     2^(w-1).  GenPoly reduces the exponents of T^s P mod q.  Any integer
     lift of the residues would map back onto det M; these keep the
     degrees least, and need no guard against wraparound
@@ -272,12 +276,9 @@ def _kronecker_determinant(m: GenPolyMatrix) -> GenPoly | None:
     H = prod_i sqrt(sum_j ||m_ij||_1^2).  With H^2 < 2^h (h the bits of
     the integer H^2), |P_k| <= H < 2^ceil(h/2), and w = ceil(h/2) + 1
     suffices."""
-    entries = m.entries
-    sample = entries[0][0]
-    if any((x.ell, x.precision) != (sample.ell, sample.precision) for row in entries for x in row):
-        raise ValueError("GenPoly operands of different rings")
+    sample = m.entries[0][0]
     q = sample.modulus
-    rows = [[[(e if 2 * e <= q else e - q, c) for e, c in x.terms] for x in row] for row in entries]
+    rows = [[[(e if 2 * e <= q else e - q, c) for e, c in x.terms] for x in row] for row in m.entries]
     supports = [{e for terms in row for e, _ in terms} for row in rows]
     if not all(supports):
         return GenPoly.zero(sample.ell, sample.precision)  # a row of zeros
@@ -289,7 +290,7 @@ def _kronecker_determinant(m: GenPolyMatrix) -> GenPoly | None:
     w = (square_bound.bit_length() + 1) // 2 + 1
     values = [[pack(((e - low, c) for e, c in terms), w) for terms in row]
               for row, low in zip(rows, lows)]
-    coeffs, shift = unpack(dense_bareiss_det(values), w, degree + 1), sum(lows)
+    coeffs, shift = unpack(_berkowitz(values, 1), w, degree + 1), sum(lows)
     return GenPoly(sample.ell, sample.precision, tuple((k + shift, c) for k, c in enumerate(coeffs)), True)
 
 
@@ -306,26 +307,32 @@ def _fills_slots(supports: list[set[int]], slots: int) -> bool:
     return False
 
 
-def _berkowitz(m: GenPolyMatrix) -> GenPoly:
-    """det M by Berkowitz's division-free algorithm, in O(n^4) ring
-    products: the route of matrices with ell-adic entries, whose
+def _berkowitz(rows, one):
+    """det of a nonempty square matrix, given by its rows, over any
+    commutative ring with unit one, by Berkowitz's division-free
+    algorithm (Berkowitz 1984), in O(n^4) ring products and no pivot.
+    Its rings here: GenPoly, for matrices with ell-adic entries, whose
     exponents are residues up to ell^N, too many for packed slots, and
-    of integral ones whose exponents are as sparse."""
-    entries = m.entries
-    n = m.size
-    sample = entries[0][0]
-    one = GenPoly.constant(sample.ell, sample.precision, 1, True)
+    for integral ones whose exponents are as sparse; and the integers,
+    for the packed matrices of _kronecker_determinant.
+
+    Step i extends the characteristic polynomial of the leading i x i
+    block A to that of the leading (i + 1) x (i + 1) one, through the
+    products R A^k C, k < i, of row i's part R and column i's part C
+    (a Toeplitz matrix times the old polynomial)."""
+    n = len(rows)
 
     def dot(row, v):  # row[:len(v)] . v
         return reduce(add, map(mul, row, v))
 
     # entering step i, vec is the characteristic polynomial of the leading i x i block
-    vec = [one, -entries[0][0]]
+    vec = [one, -rows[0][0]]
     for i in range(1, n):
-        s, v = [], [entries[j][i] for j in range(i)]
-        for _ in range(i):
-            s.append(dot(entries[i], v))
-            v = [dot(entries[r], v) for r in range(i)]
-        toep = [one, -entries[i][i]] + [-x for x in s]
+        row, v = rows[i], [rows[j][i] for j in range(i)]
+        s = [dot(row, v)]
+        for _ in range(i - 1):
+            v = [dot(rows[r], v) for r in range(i)]
+            s.append(dot(row, v))
+        toep = [one, -row[i]] + [-x for x in s]
         vec = [dot(toep[k::-1], vec) for k in range(i + 2)]
     return -vec[n] if n % 2 else vec[n]

@@ -173,12 +173,6 @@ between 50,000 and 60,000.  Summed over the workload minors, BAREISS_WORK
 = 25,000 takes 0.2% more time than the faster engine for each minor,
 the least of the crossovers from 10,000 to 70,000 (3.0% at 45,000); on
 the random minors it takes 6.1% more (0.2% at 45,000).
-
-Any square matrix.  dense_bareiss_det eliminates a whole dense integer
-matrix by the same fraction-free steps, swapping rows past zero pivots,
-since its input need not be positive semidefinite: it is the integer
-kernel of genpoly.determinant's route for integral voltage matrices,
-which it evaluates at T = 2^w.
 """
 
 from __future__ import annotations
@@ -277,27 +271,6 @@ def bareiss_det(lap: ReducedLaplacian, reach: list[int]) -> int:
                 rows[i] = (pivot * rows[i] - m * tail) // prev
         prev = pivot
     return prev
-
-
-def dense_bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant of any square integer matrix by dense
-    fraction-free elimination (Bareiss 1968), swapping rows past zero
-    pivots: after step k every entry of the trailing block is a minor of
-    order k + 2, so each division by the previous pivot is exact."""
-    m = [list(map(int, r)) for r in rows]
-    sign, prev = 1, 1
-    for k in range(len(m) - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap], sign = m[swap], m[k], -sign
-        pivot, tail = m[k][k], m[k][k + 1 :]
-        for i in range(k + 1, len(m)):
-            row, mik = m[i], m[i][k]
-            row[k + 1 :] = [(a * pivot - mik * b) // prev for a, b in zip(row[k + 1 :], tail)]
-        prev = pivot
-    return sign * m[-1][-1] if m else 1
 
 
 def check_word_prime(q: int) -> None:

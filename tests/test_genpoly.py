@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 from unittest import mock
@@ -19,10 +20,9 @@ from elltowers import (
 )
 from elltowers import genpoly
 from elltowers.genpoly import _berkowitz, _kronecker_determinant
-from elltowers.intdet import dense_bareiss_det
 from elltowers.intpoly import IntPoly, ZeroPolynomialError
 from elltowers.towerspec import build_assignment, parse_tower_spec
-from util import random_voltage_tower, reciprocal, substitute_power
+from util import dense_bareiss_det, random_voltage_tower, reciprocal, substitute_power, sympy_det
 
 THETA = Multigraph.from_edge_list(2, [(0, 1), (1, 0), (1, 0)])
 
@@ -58,6 +58,11 @@ def test_mixed_rings_rejected():
                 op(a, b)
             with pytest.raises(ValueError):
                 op(b, a)
+        # and so are matrices whose entries mix rings, on either route
+        for integral in (True, False):
+            c = gp(3, 3, [(0, 2)], integral)
+            with pytest.raises(ValueError, match="different rings"):
+                GenPolyMatrix(((c, a), (b, c)))
 
 
 def test_reciprocal_and_scale_exponents():
@@ -175,14 +180,43 @@ def test_cofactor_vs_berkowitz():
         determinant(GenPolyMatrix(()))
 
 
+def berkowitz(m: GenPolyMatrix) -> GenPoly:
+    """The kernel over GenPoly, the ring of the ell-adic route."""
+    sample = m.entries[0][0]
+    return _berkowitz(m.entries, GenPoly.constant(sample.ell, sample.precision, 1))
+
+
 def test_berkowitz_large_integer_matrix():
+    # one kernel over two rings: the integers and GenPoly constants
     rng = random.Random(12)
     size = 7
     ints = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
     entries = tuple(tuple(GenPoly.constant(3, 2, x) for x in row) for row in ints)
-    det = _berkowitz(GenPolyMatrix(entries))
     expected = dense_bareiss_det(ints)
-    assert det == GenPoly.constant(3, 2, expected) or (det.is_zero and expected == 0)
+    assert _berkowitz(ints, 1) == expected
+    assert berkowitz(GenPolyMatrix(entries)) == GenPoly.constant(3, 2, expected)
+
+
+def test_integer_kernel_needs_no_pivot():
+    # the packed route's kernel on dense integer matrices whose leading
+    # minors vanish, where Bareiss had to swap rows: a zero (0, 0) entry,
+    # a repeated row, and every permutation matrix of order 1-5
+    rng = random.Random(35)
+    cases = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 2], [3, 0]]]
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(n)):
+            cases.append([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+    for n in range(2, 10):
+        for bits in (3, 40, 300):
+            m = [[rng.randint(-2**bits, 2**bits) for _ in range(n)] for _ in range(n)]
+            m[0][0] = 0
+            cases.append(m)
+            repeated = [row[:] for row in m]
+            i, j = rng.sample(range(n), 2)
+            repeated[i] = list(repeated[j])
+            cases.append(repeated)
+    for m in cases:
+        assert _berkowitz(m, 1) == dense_bareiss_det(m) == sympy_det(m)
 
 
 @st.composite
@@ -219,7 +253,7 @@ def test_integral_route_matches_berkowitz_and_expansion(m):
     with every_matrix_packed():
         det = _kronecker_determinant(m)
     assert det.integral
-    assert det == _berkowitz(m) == _det_expansion(m.entries)
+    assert det == berkowitz(m) == _det_expansion(m.entries)
 
 
 @st.composite
@@ -241,7 +275,7 @@ def test_integral_voltage_matrices_match_berkowitz(va):
     m = voltage_matrix(va)
     with every_matrix_packed():
         packed = _kronecker_determinant(m)
-    assert packed == determinant(m) == _berkowitz(m)
+    assert packed == determinant(m) == berkowitz(m)
 
 
 def test_integral_matrices_with_sparse_exponents_stay_on_berkowitz():
@@ -251,9 +285,9 @@ def test_integral_matrices_with_sparse_exponents_stay_on_berkowitz():
     sparse = voltage_matrix(VoltageAssignment.from_integers(graph, 2, [1, 10**6, 3, 0, 5, 10**6], 1))
     assert _kronecker_determinant(sparse) is None
     f = determinant(sparse)
-    assert f.integral and f == _berkowitz(sparse) == reciprocal(f)
+    assert f.integral and f == berkowitz(sparse) == reciprocal(f)
     dense = voltage_matrix(VoltageAssignment.from_integers(graph, 2, [1, 2, 3, 0, 5, 2], 1))
-    assert _kronecker_determinant(dense) == _berkowitz(dense)
+    assert _kronecker_determinant(dense) == berkowitz(dense)
 
 
 def test_ell_adic_matrices_stay_on_berkowitz(monkeypatch):
@@ -267,7 +301,7 @@ def test_ell_adic_matrices_stay_on_berkowitz(monkeypatch):
         {"tail": "v", "head": "v", "voltage": {"kind": "sqrt", "radicand": 10, "branch": 1}}]}
     m = voltage_matrix(build_assignment(parse_tower_spec(doc)))
     f = determinant(m)
-    assert not f.integral and f == _berkowitz(m) and len(f.terms) == 7
+    assert not f.integral and f == berkowitz(m) and len(f.terms) == 7
     with pytest.raises(AssertionError, match="integral route"):
         determinant(voltage_matrix(random_voltage_tower(random.Random(3))))
 

@@ -8,9 +8,9 @@ from hypothesis import event, given, settings, strategies as st
 import elltowers.intdet as intdet
 from elltowers import Multigraph, spanning_tree_count
 from elltowers.graphs import reduced_laplacian
-from elltowers.intdet import (bareiss_det, crt, dense_bareiss_det, det_int, det_mod, multimodular_det, primes,
-                              primes_for_bound)
-from util import dense_bareiss_order, dense_laplacian, envelope, spanning_trees_bruteforce, sympy_det
+from elltowers.intdet import bareiss_det, crt, det_int, det_mod, multimodular_det, primes, primes_for_bound
+from util import (dense_bareiss_det, dense_bareiss_order, dense_laplacian, envelope, spanning_trees_bruteforce,
+                  sympy_det)
 
 
 def _random_matrix(rng, n, lo=-9, hi=9):
@@ -30,7 +30,7 @@ def _envelope_det(lap):
     return bareiss_det(lap, intdet._reach(lap.first))
 
 
-# -- dense pivoting Bareiss of any square matrix ---------------------------------
+# -- the dense pivoting Bareiss oracle (util) ------------------------------------
 
 def test_known_small_determinants():
     assert dense_bareiss_det([]) == 1
@@ -406,7 +406,7 @@ def _dominant(m, q):
     return m
 
 
-def test_cyclic_band_with_corners_at_orders_past_several_lazy_boundaries():
+def test_cyclic_band_with_corners_at_orders_past_several_block_reductions():
     # a symmetric cyclic band: its corners give a profile of half-width
     # n - 1, so every block's rows reach the last column
     rng = random.Random(37)
@@ -487,7 +487,7 @@ def _check_extreme(monkeypatch, shape):
             assert _det_mod(m, [q]) == _det_mod_reference(m, [q]) == [det]
 
 
-def test_lazy_reduction_covers_every_box_since_the_last(monkeypatch):
+def test_block_reduction_covers_every_step_of_its_block(monkeypatch):
     # an arrow whose last two columns every pivot row reaches: each block's
     # one product piles its products onto the box's entry (n - 2, n - 1),
     # three blocks and a short one
@@ -642,11 +642,11 @@ def _band_shape(order):
     return shape
 
 
-def test_band_worst_case_magnitudes_between_lazy_reductions(monkeypatch):
+def test_band_worst_case_magnitudes_between_block_reductions(monkeypatch):
     _check_extreme(monkeypatch, _band_shape(lambda b: 2 * b + 14))
 
 
-def test_dense_worst_case_magnitudes_between_lazy_reductions(monkeypatch):
+def test_dense_worst_case_magnitudes_between_block_reductions(monkeypatch):
     # as wide as half its order and more
     _check_extreme(monkeypatch, _band_shape(lambda b: b + 12))
 

@@ -2,9 +2,10 @@
 
 The spanning-tree oracle enumerates edge subsets directly and never
 touches the library's determinant path, so it can arbitrate for it; the
-determinant oracle, sympy, takes any square integer matrix, as does the
-library's own dense pivoting Bareiss (intdet.dense_bareiss_det), where
-its matrix-tree engines take reduced Laplacians only.  The level-norm
+determinant oracles, sympy and a dense pivoting Bareiss
+(dense_bareiss_det), take any square integer matrix, where the library's
+matrix-tree engines take reduced Laplacians only, and its one kernel for
+any square matrix is Berkowitz's (genpoly._berkowitz).  The level-norm
 oracles evaluate f at the roots of unity of F_q and recombine by CRT,
 or take scaled Graeffe steps on power sums and end at one resultant,
 independently of the library's norm steps.
@@ -225,6 +226,27 @@ def sympy_det(rows: list[list[int]]) -> int:
 
     n = len(rows)
     return int(DomainMatrix([[ZZ(x) for x in row] for row in rows], (n, n), ZZ).det()) if n else 1
+
+
+def dense_bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant of any square integer matrix by dense
+    fraction-free elimination (Bareiss 1968), swapping rows past zero
+    pivots: after step k every entry of the trailing block is a minor of
+    order k + 2, so each division by the previous pivot is exact."""
+    m = [list(map(int, r)) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        pivot, tail = m[k][k], m[k][k + 1 :]
+        for i in range(k + 1, len(m)):
+            row, mik = m[i], m[i][k]
+            row[k + 1 :] = [(a * pivot - mik * b) // prev for a, b in zip(row[k + 1 :], tail)]
+        prev = pivot
+    return sign * m[-1][-1] if m else 1
 
 
 def spanning_trees_bruteforce(graph: Multigraph) -> int:
