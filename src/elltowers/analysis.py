@@ -52,6 +52,7 @@ from .factorint import ord_p
 from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
 from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
 from .intpoly import IntPoly, cyclotomic, pack, poly_mod_gcd, real_form, repunit, resultant, unpack
+from .padics import PrecisionError
 from .rootladder import root_levels as ladder_root_levels
 
 
@@ -77,15 +78,21 @@ class LevelTooDeepError(ValueError):
     norm's modulus Phi_(ell^i), nor its cover."""
 
 
-def check_levels(ell: int, levels: int) -> None:
-    """Refuse levels 1..levels if one of them is too deep for any engine:
-    level i's norm takes Phi_(ell^i), of degree phi(ell^i), and its cover
-    has more vertices still."""
+def check_levels(va: VoltageAssignment, levels: int) -> None:
+    """Refuse levels 1..levels of va's tower before any work if one of
+    them is too deep for any engine (level i's norm takes Phi_(ell^i), of
+    degree phi(ell^i), and its cover has more vertices still) or, for
+    ell-adic voltages, past their precision, as GenPoly.level_terms
+    would at the first such level."""
+    ell = va.ell
     for i in range(1, levels + 1):
         phi = (ell - 1) * ell ** (i - 1)
         if phi > sys.maxsize:
             raise LevelTooDeepError(f"level {i} needs phi({ell}^{i}) = {phi} entries, past the "
                                     f"{sys.maxsize} that any engine can index")
+    if not va.is_integral and levels > va.precision:
+        raise PrecisionError(f"exponents known mod {ell}^{va.precision}, "
+                             f"level {va.precision + 1} requested")
 
 
 def default_mt_check_level(ell: int) -> int:
@@ -143,9 +150,10 @@ def level_norm(f: GenPoly, i: int) -> int:
     and M_0 = 1 by convention.  A non-symmetric f raises ValueError.
 
     Every tower takes M_i by norm steps down the cyclotomic tower, from
-    f's terms for an ell-adic f (_adic_norm) and from U = T^b f for an
-    integral one (_integral_norm).  Tower cross-checks N_i against the
-    subresultant up to mt_check_level."""
+    f's terms (e mod ell^i, c) for an ell-adic f (_adic_norm), sized by
+    their own 1-norm, and from U = T^b f for an integral one
+    (_integral_norm).  Tower cross-checks N_i against the subresultant
+    up to mt_check_level."""
     if i < 0:
         raise ValueError("level must be >= 0")
     if i == 0:
@@ -156,10 +164,9 @@ def level_norm(f: GenPoly, i: int) -> int:
     ell = f.ell
     if ell**i == 2:
         return sum(-c if e % 2 else c for e, c in f.level_terms(i))
-    terms = None if f.integral else f.level_terms(i)  # PrecisionError past the precision
-    if terms is not None:
-        return _adic_norm(terms, sum(map(abs, f.coefficients())), ell, i)
-    return _integral_norm(*f.integerize(), ell, i)
+    if f.integral:
+        return _integral_norm(*f.integerize(), ell, i)
+    return _adic_norm(f.level_terms(i), ell, i)  # PrecisionError past the precision
 
 
 # Norm steps (Washington, GTM 83, ch. 2).  An element of Z[zeta_(ell^j)]
@@ -190,16 +197,20 @@ def level_norm(f: GenPoly, i: int) -> int:
 # ell-adic tower the block w ell^(j-1) is w_0 ell^(i-2) at every step,
 # since w grows by ell as j falls, so one set of fold constants serves a
 # whole level norm, its _real_norm products included; _fold keeps the
-# last set.  One rule sizes the slots (_width): a step from a
-# representative U of 1-norm at most size has slots of w = bits(size^ell)
-# + 1 bits, so they hold size^ell.  The unfolded product U' has ||U'||_1
-# <= ||U||_1^ell.  A folded coordinate depends only on the element, not
-# on the representative it was reduced from, and it is a_k - a_(phi + k
-# mod n) for the coefficients a of U' (T^(phi + r) = -sum_(t < ell - 1)
-# T^(r + t n), n = ell^(j-1)), so it too is at most ||U||_1^ell.  Taking
-# each U' as the next representative, a coordinate s steps down is at
-# most size^(ell^s) < 2^((w - 1) ell^(s-1)), which slots of w ell^(s-1)
-# bits hold.
+# last set.  An ell-adic level norm starts from f's terms at that block
+# too: as Phi_(ell^i)(T) = Phi_(ell^(i-1))(T^ell) for i >= 2, reduction
+# mod Phi_(ell^i) keeps each residue class C_r(T^ell) of f = sum_r T^r
+# C_r(T^ell) apart, so the class packed at width w, slot e // ell, is
+# folded on its own, X = 2^(w ell^(i-2)).  One rule sizes the slots
+# (_width): a step from a representative U of 1-norm at most size has
+# slots of w = bits(size^ell) + 1 bits, so they hold size^ell.  The
+# unfolded product U' has ||U'||_1 <= ||U||_1^ell.  A folded coordinate
+# depends only on the element, not on the representative it was reduced
+# from, and it is a_k - a_(phi + k mod n) for the coefficients a of U'
+# (T^(phi + r) = -sum_(t < ell - 1) T^(r + t n), n = ell^(j-1)), so it
+# too is at most ||U||_1^ell.  Taking each U' as the next
+# representative, a coordinate s steps down is at most size^(ell^s) <
+# 2^((w - 1) ell^(s-1)), which slots of w ell^(s-1) bits hold.
 
 def _width(size: int, ell: int) -> int:
     """The slot width of a step from an element of 1-norm at most size,
@@ -230,19 +241,21 @@ def _integral_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
     return -m if ell == 2 and b % 2 and i > stop else m
 
 
-def _adic_norm(terms, size: int, ell: int, i: int) -> int:
+def _adic_norm(terms: list[tuple[int, int]], ell: int, i: int) -> int:
     """M_i for ell^i > 2 from the terms (e mod ell^i, c) of f, a
-    representative of 1-norm at most size = ||f||_1, folded into
-    Z[T]/(Phi_(ell^i)) and kept folded and packed at every level: after
-    each step, the residue classes of the product are split off at ell
+    representative of 1-norm size = sum |c|, kept folded and packed at
+    every level: class r of the terms, e = r (mod ell), packed at slot e
+    // ell, is folded into Z[T]/(Phi_(ell^i)) class by class, and after
+    each step the residue classes of the product are split off at ell
     times the width.  The fold block w ell^(j-1) of the step from level
-    j is w_0 ell^(i-2) at every j, as w grows by ell when j falls by one,
-    so every _fold of the call reuses one set of constants."""
+    j is w_0 ell^(i-2) at every j, as w grows by ell when j falls by
+    one, so every _fold of the call reuses one set of constants.  At the
+    last level the terms go to _read as they are: it sums their
+    exponents mod 4 or mod ell."""
     stop = 2 if ell == 2 else 1  # Q(sqrt(-1)) or Q(omega)
-    slots = _cyclotomic_slots(terms, ell, i)
     if i == stop:
-        return _read(slots.items(), 0, ell, _real_norm)
-    w = _width(size, ell)
+        return _read(terms, 0, ell, _real_norm)
+    w = _width(sum(abs(c) for _, c in terms), ell)
     block = w * ell ** (i - 2)
     # combs[t]: a one every w ell^t bits below 2^((ell - 1) block), where
     # every folded element of the call lies; built sparsest first, each
@@ -251,7 +264,7 @@ def _adic_norm(terms, size: int, ell: int, i: int) -> int:
     for t in range(i - 2 - stop, -1, -1):
         combs.append(repunit(w * ell**t, ell, combs[-1]))
     combs.reverse()
-    classes = [pack(((k // ell, c) for k, c in slots.items() if k % ell == r), w)
+    classes = [_fold(pack(((e // ell, c) for e, c in terms if e % ell == r), w), ell, block)
                for r in range(ell)]
     for t, j in enumerate(range(i - 1, stop - 1, -1)):
         p = _fold(_norm_step(classes, w, block), ell, block)
@@ -259,22 +272,6 @@ def _adic_norm(terms, size: int, ell: int, i: int) -> int:
             classes = _split(p, ell, w, combs[t], combs[t + 1])
             w *= ell
     return _read(enumerate(unpack(p, w, max(ell - 1, 2))), 0, ell, _real_norm)  # phi(4) or phi(ell) slots
-
-
-def _cyclotomic_slots(terms, ell: int, i: int) -> dict[int, int]:
-    """The terms (e mod ell^i, c) as an element of Z[T]/(Phi_(ell^i)),
-    slot -> coefficient: T^(phi + r) = -sum_(t < ell - 1) T^(r + t n), n =
-    ell^(i-1), phi = (ell - 1) n.  No dense polynomial is built."""
-    n = ell ** (i - 1)
-    phi = (ell - 1) * n
-    slots: dict[int, int] = {}
-    for e, c in terms:
-        if e < phi:
-            slots[e] = slots.get(e, 0) + c
-        else:
-            for t in range(ell - 1):
-                slots[e - phi + t * n] = slots.get(e - phi + t * n, 0) - c
-    return slots
 
 
 def _norm_step(classes: list[int], w: int, block: int) -> int:
@@ -496,8 +493,8 @@ class Tower:
         also recomputed by the subresultant route."""
         if i not in self._norms:
             root = level_norm(self.f, i)
-            if root == 0:
-                raise DisconnectedTowerError(f"level {i} norm vanishes")
+            if root == 0:  # tower_problems accepted the tower, so every cover is connected
+                raise ArithmeticError(f"level {i} norm vanishes on a connected tower")
             if i <= self.mt_check_level:
                 n = root ** self.norm_power(i)
                 check = resultant(cyclotomic(self.ell**i), self.f.reduce_level(i))

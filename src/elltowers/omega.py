@@ -11,7 +11,8 @@ phi(p^k) = (p - 1) p^(k-1), and each attempt is one exact division by
 a monic Phi_d, made only when Phi_d(a) divides U(a) at a = 2 and 3 (a
 necessary condition that rules out almost every d at the cost of two
 integer remainders).  Phi_1 = T - 1 is the forced root of the singular
-Laplacian, so its multiplicity is at least one.
+Laplacian, so its multiplicity is at least one; a U without that root
+is no voltage determinant, and classify_omega raises ArithmeticError.
 
 For genuinely ell-adic voltages the criterion does not apply; the
 verdict is "inapplicable", and only the omega of each computed level
@@ -29,10 +30,6 @@ from .intpoly import IntPoly, ZeroPolynomialError, cyclotomic, cyclotomic_value
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
 INAPPLICABLE = "inapplicable"
-
-
-class UnitRootMissingError(ValueError):
-    """U(1) != 0 where the Laplacian forces a root at 1 upstream."""
 
 
 def _cyclotomic_orders(max_degree: int) -> list[int]:
@@ -102,7 +99,7 @@ def classify_omega(f: GenPoly, rho_iterations: int = DEFAULT_RHO_ITERATIONS) -> 
     content = sign * u.content()
     factors, rest = strip_cyclotomics(u.primitive_part().scale(sign))
     if not factors or factors[0][0] != 1:
-        raise UnitRootMissingError("expected 1 to be a root (singular Laplacian)")
+        raise ArithmeticError("expected 1 to be a root (singular Laplacian)")
     verdict = UNBOUNDED if rest.degree >= 1 else BOUNDED
     content_factored = factor_kappa(abs(content), rho_iterations=rho_iterations)
     return OmegaClassification(

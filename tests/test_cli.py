@@ -179,6 +179,21 @@ def test_levels_no_engine_can_index_are_refused_first(spec_file, capsys, monkeyp
     assert run_cli(capsys, "count", path, "--levels", "0")[:2] == (0, "kappa_0 = 3 = 3\n")
 
 
+@pytest.mark.parametrize("verb, extra", [("count", ()), ("analyze", ("--p", "3")), ("report", ("--json",))])
+def test_levels_past_the_precision_are_refused_first(spec_file, capsys, monkeypatch, verb, extra):
+    # the sqrt(17) tower is known mod 2^8: levels 9 and on are refused
+    # before the tower is built, naming the first of them, as the level
+    # norm would once it reached it
+    import elltowers.cli as cli
+
+    path = spec_file(BOUQUET2_SQRT17_ELL2.spec)
+    monkeypatch.setattr(cli, "Tower", lambda *args, **kwargs: pytest.fail("the tower was built"))
+    for levels in ("9", "12"):
+        code, out, err = run_cli(capsys, verb, path, "--levels", levels, *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: exponents known mod 2^8, level 9 requested\n"
+
+
 @pytest.mark.parametrize("ell", [
     92 * 100000000000000003 * 300000000000000011 + 1,  # ell - 1 = 92 P Q
     46438616905518423403473179,  # ell - 1 = 2 q, q a 26-digit probable prime
@@ -361,6 +376,17 @@ def test_count_past_precision_is_domain_error(spec_file, capsys):
     code, _, err = run_cli(capsys, "count", spec_file(BOUQUET2_SQRT17_ELL2.spec),
                            "--levels", "9")
     assert code == 1
+
+
+def test_vanishing_level_norm_exits_3(spec_file, capsys, monkeypatch):
+    # tower_problems accepted the tower, so every cover is connected and
+    # no level norm vanishes: one that does is the tool's fault
+    import elltowers.analysis as analysis_mod
+
+    monkeypatch.setattr(analysis_mod, "level_norm", lambda f, i: 0)
+    code, out, err = run_cli(capsys, "count", spec_file(THETA_ELL5.spec), "--levels", "1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: level 1 norm vanishes on a connected tower\n"
 
 
 def test_internal_faults_exit_3(spec_file, capsys, monkeypatch):
@@ -638,10 +664,15 @@ def test_selftest_reports_a_wrong_fit_and_verdict(capsys, monkeypatch):
     assert out.endswith("selftest: 2 mismatch(es)\n")
 
 
-def test_selftest_empty_budget_skips(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--budget-ms", "0")
-    assert code == 0
-    assert "budget" in out
+def test_selftest_takes_no_option_and_repeats_itself(capsys):
+    # selftest reads no clock: it has no budget to skip rows by, so two
+    # runs print the same bytes
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--budget-ms", "0"])
+    assert exc.value.code == 2
+    assert "--budget-ms" in capsys.readouterr().err
+    first, second = run_cli(capsys, "selftest"), run_cli(capsys, "selftest")
+    assert first == second and first[0] == 0
 
 
 BOUQUET3_ELL5_SPEC = {

@@ -13,7 +13,6 @@ from elltowers.omega import (
     BOUNDED,
     INAPPLICABLE,
     UNBOUNDED,
-    UnitRootMissingError,
     _cyclotomic_orders,
 )
 from elltowers.towerspec import build_assignment, parse_tower_spec
@@ -202,10 +201,10 @@ def test_classify_theta_details():
 
 
 def test_classify_requires_the_unit_root():
-    # U = 1 + T has no root at 1
-    with pytest.raises(UnitRootMissingError):
+    # U = 1 + T has no root at 1: no voltage determinant, a broken invariant
+    with pytest.raises(ArithmeticError):
         classify_omega(GenPoly(3, 2, ((0, 1), (1, 1)), integral=True))
-    with pytest.raises(UnitRootMissingError):
+    with pytest.raises(ArithmeticError):
         classify_omega(GenPoly.constant(3, 2, 7))
     with pytest.raises(ZeroPolynomialError):
         classify_omega(GenPoly.zero(3, 2))
