@@ -42,7 +42,7 @@ from .graphs import (
 )
 from .intpoly import IntPoly, cyclotomic, resultant
 from .omega import OmegaClassification, classify_omega, strip_cyclotomics
-from .padics import AmbiguousBranchError, NonResidueError, PrecisionError, TruncatedPadic, padic_sqrt
+from .padics import NonResidueError, PrecisionError, TruncatedPadic, padic_sqrt
 from .towerspec import SpecParseError, TowerSpec, build_assignment, parse_tower_spec
 
 __version__ = "0.1.0"

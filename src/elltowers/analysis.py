@@ -150,10 +150,12 @@ def level_norm(f: GenPoly, i: int) -> int:
     and M_0 = 1 by convention.  A non-symmetric f raises ValueError.
 
     Every tower takes M_i by norm steps down the cyclotomic tower, from
-    f's terms (e mod ell^i, c) for an ell-adic f (_adic_norm), sized by
-    their own 1-norm, and from U = T^b f for an integral one
-    (_integral_norm).  Tower cross-checks N_i against the subresultant
-    up to mt_check_level."""
+    f's terms (e mod ell^i, c) (_adic_norm), sized by their own 1-norm,
+    and from U = T^b f for an integral f whose lifted exponents span
+    fewer than phi(ell^i) (_integral_norm): a wider U would be built
+    densely only to be folded, and at a voltage of 10^30 it could not be
+    built at all.  Tower cross-checks N_i against the subresultant up to
+    mt_check_level."""
     if i < 0:
         raise ValueError("level must be >= 0")
     if i == 0:
@@ -165,7 +167,9 @@ def level_norm(f: GenPoly, i: int) -> int:
     if ell**i == 2:
         return sum(-c if e % 2 else c for e, c in f.level_terms(i))
     if f.integral:
-        return _integral_norm(*f.integerize(), ell, i)
+        span = 2 * max((f.lift_exponent(e) for e, _ in f.terms), default=0)  # deg U, f symmetric
+        if span < (ell - 1) * ell ** (i - 1):
+            return _integral_norm(*f.integerize(), ell, i)
     return _adic_norm(f.level_terms(i), ell, i)  # PrecisionError past the precision
 
 
@@ -182,9 +186,9 @@ def level_norm(f: GenPoly, i: int) -> int:
 # (_read).  A nonzero irrational part raises ArithmeticError.  The norm
 # from Q(omega)^+ of a real y is taken two ways: by Galois doubling
 # (_real_norm), whose products a folded step reduces as it goes, and as
-# Res(Psi_ell, Y) for y = Y(omega + 1/omega) (_psi_norm), which an
-# integral tower takes where y is exact, at its unfolded steps and its
-# last read: an integral U shorter than phi(ell^j) fills few of y's
+# Res(Psi_ell, Y) for y = Y(omega + 1/omega) (_psi_norm), which the
+# steps from U = T^b f take where y is exact, at their unfolded steps and
+# their last read: a U shorter than phi(ell^j) fills few of y's
 # components, and Y has the degree of the last of them.
 #
 # Each element is one int, its coefficients packed w bits apart

@@ -18,13 +18,14 @@ Exit codes, all mapped in main, with the message on stderr:
     1  domain failure, "error: ..." (invalid graph, disconnected tower,
        ell-adic levels past the precision, too few levels for the
        ell-part fit, a level i whose phi(ell^i) no engine can index, a
-       non-residue or missing branch given to the sqrt verb); levels
+       non-residue or a wrong branch given to the sqrt verb); levels
        past the precision or too deep are refused before any work
     2  usage or parse error: argparse rejects bad options (a negative
        --levels, --budget-ms or --matrix-tree-max-level, a non-prime
-       --p or sqrt --ell, sqrt's --precision below 1); an unreadable,
-       malformed or unbuildable spec (an ell-adic square root that does
-       not exist) prints "parse error: ..."
+       --p or sqrt --ell, sqrt's --precision below 1, a missing sqrt
+       --branch); an unreadable, malformed or unbuildable spec (an
+       ell-adic square root that does not exist, a sqrt voltage without
+       its branch) prints "parse error: ..."
     3  internal error, "internal error: ..." (a failed cross-check, an
        overflow, a broken invariant: a level norm that vanishes on an
        accepted tower, a voltage determinant without its root at 1)
@@ -72,7 +73,7 @@ from .factorint import (
 from .graphs import DisconnectedGraphError, tower_problems
 from .intpoly import ZeroPolynomialError
 from .omega import INAPPLICABLE, classify_omega
-from .padics import AmbiguousBranchError, NonResidueError, PrecisionError, padic_sqrt
+from .padics import NonResidueError, PrecisionError, padic_sqrt
 from .towerspec import SpecParseError, build_assignment, parse_tower_spec
 from . import corpus
 
@@ -102,7 +103,7 @@ def _assignment(doc):
     spec = parse_tower_spec(doc)
     try:
         return spec, build_assignment(spec)
-    except (NonResidueError, AmbiguousBranchError) as exc:
+    except NonResidueError as exc:
         raise SpecParseError(str(exc)) from exc
 
 
@@ -488,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radicand", type=int, required=True)
     p.add_argument("--ell", type=_PRIME, required=True)
     p.add_argument("--precision", type=_POSITIVE, required=True)
-    p.add_argument("--branch", type=int, default=None)
+    p.add_argument("--branch", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_sqrt)
 
@@ -496,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DOMAIN_ERRORS = (
-    AmbiguousBranchError,
     DisconnectedGraphError,
     DisconnectedTowerError,
     InsufficientDataError,

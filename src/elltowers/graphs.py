@@ -28,14 +28,7 @@ dropped, and every vertex's neighbours lie in its own search level or
 an adjacent one: the minor's nonzeros hug the diagonal in a narrow band.
 reduced_laplacian reads the minor and its envelope profile (the first
 nonzero column of each row) off the edges as an intdet.ReducedLaplacian,
-the one input of intdet.det_int, which eliminates it without row swaps:
-by exact Bareiss inside the envelope while that is narrow for the width
-of its slots, each row of the envelope one Python integer packed from
-the edges, else modulo word-size primes, every image at once in one
-int64 window that slides down the envelope, the rows written from the
-diagonal and edges as they enter it, and each block of steps applied to
-the rows below it by one product.  No dense matrix of Python integers is
-built.
+the one input of intdet.det_int, whose docstring describes its engines.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ norm from Q(omega)^+ of an unfolded element, and of the last one, as
 Res(Psi_ell, Y) against the monic real form of Phi_ell, of degree
 (ell - 1)/2 (ell-adic towers do not go through it); and Tower.real_norm
 recomputes N_i with it to cross-check the norm steps at the
-matrix-tree-checked levels.  real_form rewrites a polynomial in
-y = T + q/T, the variable of the real subfield for q = 1.
+matrix-tree-checked levels.  real_form rewrites a palindromic
+polynomial in y = T + 1/T, the variable of the real subfield.
 pack and unpack read a polynomial as one integer, its value at T = 2^w
 (Kronecker substitution), and back: the norm steps and the integral
 base determinant (genpoly.determinant) work on such integers.
@@ -27,10 +27,8 @@ exact level norms).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -212,32 +210,24 @@ def cyclotomic_value(d: int, a: int) -> int:
     return lifted if m % p == 0 else lifted // cyclotomic_value(m, a)
 
 
-def _dickson_coefficients(q: int = 1) -> Iterator[list[int]]:
-    """D_0, D_1, ... as coefficient lists, D_e(T + q/T) = T^e + q^e T^-e:
-    D_0 = 2, D_1 = x and D_(e+1) = x D_e - q D_(e-1)."""
-    prev, cur = [2], [0, 1]
-    yield prev
-    while True:
-        yield cur
-        nxt = [0] + cur
-        for k, c in enumerate(prev):
-            nxt[k] -= q * c
-        prev, cur = cur, nxt
-
-
-def real_form(u: IntPoly, q: int = 1) -> IntPoly:
-    """V with U(T) = T^b V(T + q/T), for U of degree 2b with u_(b-e) =
-    q^e u_(b+e) (palindromic for q = 1): T^-b U = u_b + sum_(e >= 1)
-    u_(b+e) (T^e + q^e T^-e), so V = u_b + sum u_(b+e) D_e, of degree b
-    with lc(U).  real_form(Phi_m) is Psi_m, the minimal polynomial of
-    zeta_m + 1/zeta_m, for m > 2."""
+def real_form(u: IntPoly) -> IntPoly:
+    """V with U(T) = T^b V(T + 1/T), for a palindromic U of degree 2b:
+    T^-b U = u_b + sum_(e >= 1) u_(b+e) (T^e + T^-e), so V = u_b + sum
+    u_(b+e) D_e, of degree b with lc(U), by the Dickson polynomials D_0 =
+    2, D_1 = x, D_(e+1) = x D_e - D_(e-1), with D_e(T + 1/T) = T^e +
+    T^-e.  real_form(Phi_m) is Psi_m, the minimal polynomial of zeta_m +
+    1/zeta_m, for m > 2."""
     b = u.degree // 2
     v = [0] * (b + 1)
     v[0] = u.coeffs[b]
-    for e, d in zip(range(1, b + 1), islice(_dickson_coefficients(q), 1, None)):
-        c = u.coeffs[b + e]
-        for k, x in enumerate(d):
+    prev, cur = [2], [0, 1]
+    for c in u.coeffs[b + 1:]:
+        for k, x in enumerate(cur):
             v[k] += c * x
+        nxt = [0] + cur
+        for k, x in enumerate(prev):
+            nxt[k] -= x
+        prev, cur = cur, nxt
     return IntPoly(tuple(v))
 
 

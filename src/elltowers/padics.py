@@ -20,10 +20,6 @@ class NonResidueError(ValueError):
     """The radicand has no square root in Z_ell."""
 
 
-class AmbiguousBranchError(ValueError):
-    """Both square roots match the request; a branch selector is needed."""
-
-
 @dataclass(frozen=True)
 class TruncatedPadic:
     ell: int
@@ -60,21 +56,19 @@ class TruncatedPadic:
         return f"{d[0]}." + "".join(str(x) for x in d[1:]) + f" (base {self.ell})"
 
 
-def padic_sqrt(d: int, ell: int, precision: int, branch: int | None = None) -> TruncatedPadic:
+def padic_sqrt(d: int, ell: int, precision: int, branch: int) -> TruncatedPadic:
     """Square root of d in Z_ell, truncated to the given precision.
 
     Z_ell contains two square roots +-x of any admissible d; `branch`
     selects one of them by its residue mod ell (odd ell) or mod 4
-    (ell = 2: any odd branch, b and b + 4 giving the same root).
-    Omitting the selector is an error, never a guess.
+    (ell = 2: any odd branch, b and b + 4 giving the same root), so it
+    is required, never a guess.
 
     Admissibility: d must be a unit square, i.e. a nonzero quadratic
     residue mod ell for odd ell, and d = 1 mod 8 for ell = 2.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    if branch is None:
-        raise AmbiguousBranchError("two square roots exist; pass a branch selector")
 
     if ell == 2:
         if d % 2 == 0:

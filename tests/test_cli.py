@@ -2,14 +2,17 @@
 determinism, and the embedded selftest."""
 
 import copy
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from elltowers.cli import main
 from elltowers.corpus import BOUQUET2_SQRT17_ELL2, BOUQUET4_ELL3, CORPUS, PARALLEL4_ELL2, THETA_ELL5
@@ -245,6 +248,44 @@ def test_count_matches_table(spec_file, capsys):
     doc = json.loads(doc_out)
     assert doc["levels"][3]["kappa"] == str(2**124 * 3 * 5**3)
     assert [(row["rho_iterations"], row["budget_exhausted"]) for row in doc["levels"]] == [(0, False)] * 4
+
+
+@st.composite
+def big_voltage_towers(draw):
+    """(spec, levels): an integral bouquet (2-3 loops) or theta (three
+    edges v1 -> v2) at ell in {2, 3, 5}, voltages up to 10^30 in size,
+    one of them (one difference on the theta) a unit mod ell, so every
+    cover is connected."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    big = st.integers(-(10**30), 10**30)
+    if draw(st.booleans()):
+        names, volts = ["v"], draw(st.lists(big, min_size=2, max_size=3))
+        assume(any(a % ell for a in volts))
+    else:
+        names, volts = ["v1", "v2"], draw(st.lists(big, min_size=3, max_size=3))
+        assume((volts[0] - volts[1]) % ell or (volts[0] - volts[2]) % ell)
+    edges = [{"tail": names[0], "head": names[-1], "voltage": str(a)} for a in volts]
+    return {"ell": ell, "precision": 1, "vertices": names, "edges": edges}, {2: 6, 3: 4, 5: 3}[ell]
+
+
+@settings(deadline=None, max_examples=25)
+@given(big_voltage_towers())
+def test_count_rows_depend_on_voltages_mod_ell_n(tmp_path_factory, tower):
+    # level n sees every voltage only mod ell^n, so count's rows at any
+    # voltage equal those of the voltages reduced, which stay small
+    doc, levels = tower
+    modulus, rows = doc["ell"] ** levels, []
+    small = {**doc, "edges": [{**e, "voltage": str(int(e["voltage"]) % modulus)}
+                              for e in doc["edges"]]}
+    for d in (doc, small):
+        path = tmp_path_factory.mktemp("big") / "tower.json"
+        path.write_text(json.dumps(d))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["count", str(path), "--levels", str(levels), "--budget-ms", "1", "--json"])
+        assert code == 0
+        rows.append(exact_json(out.getvalue())["levels"])
+    assert rows[0] == rows[1]
 
 
 NON_RESIDUE_SPEC = {  # 3 is not a square in Z_2
@@ -616,10 +657,17 @@ def test_sqrt_verb(capsys):
 
 
 def test_sqrt_verb_requires_branch(capsys):
-    code, _, err = run_cli(capsys, "sqrt", "--radicand", "17", "--ell", "2",
-                           "--precision", "5")
-    assert code == 1
-    assert "branch" in err
+    # a missing --branch is a usage error, as a spec's sqrt voltage
+    # without one is a parse error: both exit 2.  3 is no square mod 5,
+    # which the verb names once it has a branch
+    for radicand, ell in (("17", "2"), ("3", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sqrt", "--radicand", radicand, "--ell", ell, "--precision", "4"])
+        assert exc.value.code == 2
+        assert "--branch" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "sqrt", "--radicand", "3", "--ell", "5",
+                             "--precision", "4", "--branch", "1")
+    assert (code, out, err) == (1, "", "error: 3 is not a quadratic residue mod 5\n")
 
 
 def test_selftest_passes(capsys):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from elltowers import (
-    AmbiguousBranchError,
     Multigraph,
     NonResidueError,
     PrecisionError,
@@ -92,8 +91,8 @@ def test_sqrt_non_residues_rejected(d, ell):
 
 
 def test_sqrt_branch_required_and_checked():
-    with pytest.raises(AmbiguousBranchError):
-        padic_sqrt(17, 2, 5)
+    with pytest.raises(TypeError):
+        padic_sqrt(17, 2, 5)  # no default: omitting the branch is no guess
     with pytest.raises(NonResidueError):
         padic_sqrt(2, 7, 2, branch=1)  # 1 is not a root of 2 mod 7
 

@@ -28,7 +28,8 @@ from elltowers.corpus import CORPUS
 from elltowers.genpoly import GenPoly, determinant, voltage_matrix
 from elltowers.intpoly import IntPoly, cyclotomic, pack, real_form, resultant, unpack
 from elltowers.towerspec import build_assignment, parse_tower_spec
-from util import draw_voltage, evaluation_norm as evaluation, fold_by_chunks, scaled_graeffe_norm
+from util import (draw_voltage, evaluation_norm as evaluation, fold_by_chunks, scaled_graeffe_norm,
+                  scaled_real_form)
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos" / "specs"
@@ -93,10 +94,10 @@ def test_dickson_and_real_cyclotomics():
     assert real_form(cyclotomic(4)).coeffs == (0, 1)
     assert real_form(cyclotomic(8)).coeffs == (-2, 0, 1)
     assert real_form(cyclotomic(9)).coeffs == (1, -3, 0, 1)
-    # with q: U = (T - 2)(T - 3)(T - 6/2)(T - 6/3) pairs r with 6/r, and
-    # V(y) = (y - 5)^2 has the roots r + 6/r
+    # the oracle's form in y = T + q/T: U = (T - 2)(T - 3)(T - 6/2)(T -
+    # 6/3) pairs r with 6/r, and V(y) = (y - 5)^2 has the roots r + 6/r
     u = IntPoly((36, -60, 37, -10, 1))
-    assert real_form(u, 6).coeffs == (25, -10, 1)
+    assert scaled_real_form(u, 6).coeffs == (25, -10, 1)
 
 
 def test_linear_v():
@@ -108,27 +109,33 @@ def test_linear_v():
         check_level(g, i)
 
 
-def refuse_term_slots(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("an integral f took the ell-adic norm steps")
+def integral_engine(f: GenPoly, i: int) -> int:
+    """M_i by the norm steps on U = T^b f (analysis._integral_norm), also
+    at the levels that level_norm sends to the term steps, where U spans
+    phi(ell^i) or more; level_norm itself at ell^i = 2."""
+    return level_norm(f, i) if f.ell**i == 2 else analysis._integral_norm(*f.integerize(), f.ell, i)
 
-    monkeypatch.setattr(analysis, "_adic_norm", refuse)
+
+def check_integral(f: GenPoly, i: int) -> int:
+    """check_level, and the integral engine gives the same M_i."""
+    root = check_level(f, i)
+    assert integral_engine(f, i) == root, (f, i)
+    return root
 
 
-def test_ell_2_odd_b_sign(monkeypatch):
+def test_ell_2_odd_b_sign():
     # from level 3 to 2 the step f(T) f(-T) = (-1)^b f'(T^2) carries a
     # sign, which odd b leaves in M_i
     f = laurent(2, {0: 3, 1: -1, -1: -1})
-    assert [check_level(f, i) for i in range(2, 6)] == [3, 7, 47, 2207]
+    assert [check_integral(f, i) for i in range(2, 6)] == [3, 7, 47, 2207]
     cube = laurent(2, {0: 45, 1: -30, -1: -30, 2: 9, -2: 9, 3: -1, -3: -1})  # (3 - x)^3
-    assert [check_level(cube, i) for i in range(2, 5)] == [27, 343, 103823]
-    # b = 5, 7, 9, 11 against phi(2^i) <= 2b: U = T^b f starts however
-    # wide it is, so the sign applies from the first step
-    refuse_term_slots(monkeypatch)
+    assert [check_integral(cube, i) for i in range(2, 5)] == [27, 343, 103823]
+    # b = 5, 7, 9, 11 against phi(2^i) <= 2b: the integral engine starts
+    # U = T^b f however wide it is, so the sign applies from the first step
     for b in (5, 7, 9, 11):
         g = laurent(2, {0: 7, 1: -2, -1: -2, b: 1, -b: 1})
         for i in range(2, 6):
-            check_level(g, i)
+            check_integral(g, i)
 
 
 def test_constant_f():
@@ -303,18 +310,17 @@ def test_unfolded_widths_hold_the_product_bound():
 
 @pytest.mark.parametrize("ell, loops", [(2, (1, 13, 29)), (2, (1, 12, 30)), (3, (1, 13, 29)),
                                         (3, (2, 20, 40))])
-def test_wide_integral_u_starts_unfolded(monkeypatch, ell, loops):
+def test_wide_integral_u_starts_unfolded(ell, loops):
     # U = T^b f has 2b + 1 = 59 to 81 coefficients, more than phi(ell^i)
-    # at every level here: every step's product is folded, and no level
-    # folds f's terms first; b = 29 is odd, so at ell = 2 the sign (-1)^b
-    # applies from the first step on
-    refuse_term_slots(monkeypatch)
+    # at every level here: level_norm folds f's terms, and the integral
+    # engine, taken directly, folds every step's product; b = 29 is odd,
+    # so at ell = 2 the sign (-1)^b applies from the first step on
     f = tower_f({"ell": ell, "precision": 1, "vertices": ["v"],
                  "edges": [{"tail": "v", "head": "v", "voltage": str(a)} for a in loops]})
     assert f.integerize()[0].degree == 2 * max(loops)
     for i in range(1, 5 if ell == 2 else 4):
         assert (ell - 1) * ell ** (i - 1) < 2 * max(loops)
-        check_level(f, i)
+        check_integral(f, i)
 
 
 @pytest.mark.parametrize("ell, i", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4)])
@@ -477,9 +483,10 @@ def test_psi_norm_matches_galois_doubling(ell):
             assert analysis._psi_norm(y, ell) == analysis._real_norm(y, ell), (ell, y)
 
 
-def width_slack(f: GenPoly, i: int) -> int:
+def width_slack(f: GenPoly, i: int, norm) -> int:
     """bits(M_i) + 64 + bits(M_i) // 8 less the widest slot of the norm
-    steps of M_i: the slots grow with the norm, not with a loose bound."""
+    steps of M_i = norm(f, i): the slots grow with the norm, not with a
+    loose bound."""
     widths, step = [], analysis._norm_step
 
     def record(classes, w, block):
@@ -488,7 +495,7 @@ def width_slack(f: GenPoly, i: int) -> int:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_norm_step", record)
-        bits = abs(level_norm(f, i)).bit_length()
+        bits = abs(norm(f, i)).bit_length()
     return bits + 64 + bits // 8 - max(widths, default=0)
 
 
@@ -496,7 +503,7 @@ def test_widths_follow_the_norm_on_the_corpus():
     for ell, depth in ((2, 14), (3, 10)):
         for f in integral_corpus_f(ell):
             for i in range(1, depth + 1):
-                assert width_slack(f, i) >= 0, (f, i)
+                assert width_slack(f, i, level_norm) >= 0, (f, i)
 
 
 def benchmark_ops(monkeypatch, workload):
@@ -511,7 +518,7 @@ def test_widths_follow_the_norm_on_the_benchmark_towers(monkeypatch, workload):
         f = tower_f(op.doc)
         if f.integral and f.ell <= 3:
             for i in range(1, op.levels + 1):
-                assert width_slack(f, i) >= 0, (op.label, i)
+                assert width_slack(f, i, level_norm) >= 0, (op.label, i)
 
 
 @st.composite
@@ -538,6 +545,8 @@ def bouquets_and_thetas(draw):
 @settings(deadline=None, max_examples=60)
 @given(bouquets_and_thetas())
 def test_widths_follow_the_norm(doc):
+    # the integral engine's widths; level_norm sends a U that spans
+    # phi(ell^i) to the term steps, sized by f's 1-norm alone
     f = tower_f(doc)
     for i in range(1, (12 if doc["ell"] == 2 else 8) + 1):
-        assert width_slack(f, i) >= 0, (doc, i)
+        assert width_slack(f, i, integral_engine) >= 0, (doc, i)

@@ -107,8 +107,8 @@ def scaled_graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
     identities on every ell-th one, dividing only by k <= 2b.  After
     i - 1 steps W has the roots C s, s those of U_(i-1) and C =
     c^(ell^(i-1)), so its real form in y = T + C^2/T is V~(y) = C^(b-1)
-    V(y / C), V = real_form(U_(i-1)).  With Psi = real_form(Phi_ell),
-    monic of degree e = (ell - 1)/2,
+    V(y / C), V = real_form(U_(i-1)), by scaled_real_form with q = C^2.
+    With Psi = real_form(Phi_ell), monic of degree e = (ell - 1)/2,
 
         M_i = Res(Psi, V) = C^(-e(b-1)) prod_(Psi(x)=0) V~(C x)
             = C^(-e(b-1)) Res(Psi, V~(C x)),
@@ -122,12 +122,31 @@ def scaled_graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
         sums = power_sums(w, ell * n)
         w = from_power_sums(sums[::ell])
     lead = c ** (ell ** (i - 1))
-    v = real_form(IntPoly(tuple(w)), lead * lead)
+    v = scaled_real_form(IntPoly(tuple(w)), lead * lead)
     psi = real_form(cyclotomic(ell))
     norm = resultant(psi, IntPoly(tuple(x * lead**k for k, x in enumerate(v.coeffs))))
     root, rem = divmod(norm, lead ** (psi.degree * (b - 1)))
     assert not rem, "scaled Graeffe norm is not divisible by its scale"
     return root
+
+
+def scaled_real_form(u: IntPoly, q: int) -> IntPoly:
+    """V with U(T) = T^b V(T + q/T), for U of degree 2b with u_(b-e) =
+    q^e u_(b+e): V = u_b + sum_(e >= 1) u_(b+e) D_e, by D_0 = 2, D_1 = x
+    and D_(e+1) = x D_e - q D_(e-1), with D_e(T + q/T) = T^e + q^e T^-e.
+    intpoly.real_form is q = 1."""
+    b = u.degree // 2
+    v = [0] * (b + 1)
+    v[0] = u.coeffs[b]
+    prev, cur = [2], [0, 1]
+    for c in u.coeffs[b + 1:]:
+        for k, x in enumerate(cur):
+            v[k] += c * x
+        nxt = [0] + cur
+        for k, x in enumerate(prev):
+            nxt[k] -= q * x
+        prev, cur = cur, nxt
+    return IntPoly(tuple(v))
 
 
 def power_sums(w: list[int], count: int) -> list[int]:
