@@ -5,7 +5,8 @@ bouquet at ell = 3 with voltages (1,1,2,2) has U(T) = T^b f(T) with the
 forced (T-1)^2 factor and a leftover quadratic whose roots lie off the
 unit circle, so omega(kappa_n) grows forever.  The theta graph at
 ell = 5 with voltages (1,2,2) leaves a pure product of cyclotomics, so
-omega stays bounded.  `classify` gives the verdict exactly from U;
+omega stays bounded.  `classify` gives the verdict exactly from U,
+whose cyclotomic part is (T^g - 1)^2 with g the gcd of f's exponents;
 `count` shows omega level by level from the factored level pieces.
 """
 

@@ -41,7 +41,7 @@ from .graphs import (
     validate,
 )
 from .intpoly import IntPoly, cyclotomic, resultant
-from .omega import OmegaClassification, classify_omega, strip_cyclotomics
+from .omega import OmegaClassification, classify_omega
 from .padics import NonResidueError, PrecisionError, TruncatedPadic, padic_sqrt
 from .towerspec import SpecParseError, TowerSpec, build_assignment, parse_tower_spec
 

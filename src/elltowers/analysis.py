@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .factorint import ord_p
-from .genpoly import GenPoly, determinant, mu_invariant, voltage_matrix
+from .genpoly import GenPoly, LevelTooDeepError, determinant, mu_invariant, voltage_matrix
 from .graphs import VoltageAssignment, derived_graph, spanning_tree_count, tower_problems
 from .intpoly import IntPoly, cyclotomic, pack, poly_mod_gcd, real_form, repunit, resultant, unpack
 from .padics import PrecisionError
@@ -71,11 +71,6 @@ class DisconnectedTowerError(ValueError):
 
 class InsufficientDataError(ValueError):
     pass
-
-
-class LevelTooDeepError(ValueError):
-    """A level i with phi(ell^i) past sys.maxsize: no engine can index its
-    norm's modulus Phi_(ell^i), nor its cover."""
 
 
 def check_levels(va: VoltageAssignment, levels: int) -> None:

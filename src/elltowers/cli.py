@@ -18,8 +18,9 @@ Exit codes, all mapped in main, with the message on stderr:
     1  domain failure, "error: ..." (invalid graph, disconnected tower,
        ell-adic levels past the precision, too few levels for the
        ell-part fit, a level i whose phi(ell^i) no engine can index, a
-       non-residue or a wrong branch given to the sqrt verb); levels
-       past the precision or too deep are refused before any work
+       U = T^b f whose degree no engine can index, a non-residue or a
+       wrong branch given to the sqrt verb); levels past the precision
+       or too deep are refused before any work
     2  usage or parse error: argparse rejects bad options (a negative
        --levels, --budget-ms or --matrix-tree-max-level, a non-prime
        --p or sqrt --ell, sqrt's --precision below 1, a missing sqrt
@@ -28,7 +29,8 @@ Exit codes, all mapped in main, with the message on stderr:
        its branch) prints "parse error: ..."
     3  internal error, "internal error: ..." (a failed cross-check, an
        overflow, a broken invariant: a level norm that vanishes on an
-       accepted tower, a voltage determinant without its root at 1)
+       accepted tower, a voltage determinant that is not (T^g - 1)^2
+       times a V with V(1) != 0)
 All big integers are printed as decimal strings; --json switches to a
 machine-readable document whose bytes depend only on the input and the
 budget (a timing field aside).  Wall-clock budgets are converted to
@@ -56,7 +58,6 @@ from .analysis import (
     DisconnectedTowerError,
     InconclusiveError,
     InsufficientDataError,
-    LevelTooDeepError,
     Tower,
     analyze_prime,
     check_levels,
@@ -70,6 +71,7 @@ from .factorint import (
     multiply_factored,
     ord_p,
 )
+from .genpoly import LevelTooDeepError
 from .graphs import DisconnectedGraphError, tower_problems
 from .intpoly import ZeroPolynomialError
 from .omega import INAPPLICABLE, classify_omega

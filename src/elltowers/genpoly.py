@@ -19,6 +19,7 @@ polynomials can be lifted to honest Laurent polynomials (integerize).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
@@ -31,6 +32,12 @@ from .padics import PrecisionError
 
 class NonIntegralExponentError(ValueError):
     """Integer-polynomial view requested for declared ell-adic exponents."""
+
+
+class LevelTooDeepError(ValueError):
+    """A polynomial no engine can index, its degree past sys.maxsize: a
+    level i's norm modulus Phi_(ell^i), of degree phi(ell^i), and its
+    cover, or U = T^b f at integral voltages of that size."""
 
 
 @dataclass(frozen=True)
@@ -150,12 +157,17 @@ class GenPoly:
         """(U, b) with U = T^b * f as an honest integer polynomial.
 
         For the determinant polynomial of a voltage matrix the support is
-        symmetric, so U is palindromic of degree 2b and U(0) != 0.
+        symmetric, so U is palindromic of degree 2b and U(0) != 0.  A U
+        of degree past sys.maxsize raises LevelTooDeepError.
         """
         if self.is_zero:
             return IntPoly(()), 0
         lifted = [(self.lift_exponent(e), c) for e, c in self.terms]
         b = -min(e for e, _ in lifted)
+        degree = max(e for e, _ in lifted) + b
+        if degree > sys.maxsize:
+            raise LevelTooDeepError(f"U = T^b f has degree {degree}, past the {sys.maxsize} "
+                                    f"that any engine can index")
         return IntPoly.from_pairs((e + b, c) for e, c in lifted), b
 
     def __str__(self) -> str:

@@ -4,7 +4,7 @@ Coefficients are arbitrary-precision integers stored lowest degree
 first; the zero polynomial is the empty tuple.  Division by a monic
 polynomial (divmod_by_monic) stays inside Z[T]; it is the one division
 behind Phi_d, which comes from one recursion on the least prime of d
-down to Phi_1 = T - 1, and behind omega.strip_cyclotomics.  Resultants
+down to Phi_1 = T - 1.  Resultants
 are computed by the subresultant polynomial remainder sequence
 (fraction-free, exact; no floating point anywhere).  It has two
 callers: the norm steps of an integral tower with ell >= 5 take the
@@ -199,17 +199,6 @@ def cyclotomic(d: int) -> IntPoly:
     return lifted if m % p == 0 else lifted.exact_div_monic(inner)
 
 
-def cyclotomic_value(d: int, a: int) -> int:
-    """Phi_d(a) for an integer a >= 2 (every Phi_m(a) > 0), by the
-    recursion of cyclotomic on values, building no Phi_d."""
-    if d == 1:
-        return a - 1
-    p = _smallest_prime_factor(d)
-    m = d // p
-    lifted = cyclotomic_value(m, a**p)
-    return lifted if m % p == 0 else lifted // cyclotomic_value(m, a)
-
-
 def real_form(u: IntPoly) -> IntPoly:
     """V with U(T) = T^b V(T + 1/T), for a palindromic U of degree 2b:
     T^-b U = u_b + sum_(e >= 1) u_(b+e) (T^e + T^-e), so V = u_b + sum
@@ -231,12 +220,10 @@ def real_form(u: IntPoly) -> IntPoly:
     return IntPoly(tuple(v))
 
 
-@lru_cache(maxsize=None)
 def _smallest_prime_factor(n: int) -> int:
     """The least prime factor of n >= 2.  A prime, or a power of one (the
     orders ell^i of the level cyclotomics), is recognised before trial
-    division, which would take sqrt(ell) steps on a large prime ell.
-    Cached, as cyclotomic_value's two-way recursion asks again for each m."""
+    division, which would take sqrt(ell) steps on a large prime ell."""
     if n % 2 == 0:
         return 2
     power = perfect_power(n)

@@ -5,14 +5,43 @@ number of distinct primes omega(kappa_n) stays bounded along the tower
 exactly when every root of U is a root of unity; root-of-unity roots of
 an integer polynomial all come from cyclotomic factors over Q
 (Kronecker), so the test is exact and involves no numerics.
-strip_cyclotomics divides U by Phi_d for every d with phi(d) <= deg U,
-from d = 1 up: the candidate orders are built from prime powers, with
-phi(p^k) = (p - 1) p^(k-1), and each attempt is one exact division by
-a monic Phi_d, made only when Phi_d(a) divides U(a) at a = 2 and 3 (a
-necessary condition that rules out almost every d at the cost of two
-integer remainders).  Phi_1 = T - 1 is the forced root of the singular
-Laplacian, so its multiplicity is at least one; a U without that root
-is no voltage determinant, and classify_omega raises ArithmeticError.
+
+The cyclotomic part needs no search.  For the voltage determinant f of
+a tower (a connected base with a cycle voltage prime to ell, as
+tower_problems demands), U = c (T^g - 1)^2 V with g the gcd of f's
+exponents, c the signed content, and V(zeta) != 0 at every root of
+unity zeta; so U's cyclotomic factors are Phi_d^2 for d | g, and
+classify_omega divides them out as one exact division by the sparse
+monic (T^g - 1)^2.
+
+1. Where U vanishes on the unit circle.  For |z| = 1, L(z) = D - A(z)
+   is Hermitian positive semidefinite: x* L(z) x = sum over edges t -> h
+   of voltage a of |x_t - z^a x_h|^2, a loop giving |1 - z^a|^2 |x_v|^2.
+   A kernel vector has x_t = z^a x_h along every edge, so, on a
+   connected base, it is fixed by its value at one vertex, and exists
+   exactly when z^c = 1 for the voltage c of every cycle: when z^g' = 1,
+   g' the gcd of the cycle voltages.
+2. g' = g.  Conjugating L(T) by diag(T^phi(v)), with phi(v) the voltage
+   of a tree path from a root to v (the potentials of the base search),
+   leaves f unchanged and turns every voltage into a cycle voltage, a
+   multiple of g'; so f(T) = F(T^g'), with F the determinant of the
+   voltages divided by g'.  Conversely, if h divides every exponent of
+   f, then f(zeta_h) = f(1) = 0, so L(zeta_h) is singular and h | g'.
+3. Multiplicity exactly 2.  Each g-th root of unity is a simple root of
+   T^g - 1, so U vanishes there to the order to which F vanishes at S =
+   1.  Along S = e^(it), F is the product of the eigenvalues of a
+   Hermitian family whose least one, lambda(t), is simple (the kernel
+   at t = 0 is the constants), >= 0 and 0 at t = 0, so of even order at
+   least 2.  If lambda(t) = o(t^2), its eigenvector x0 + t x1 + O(t^2),
+   x0 the constant c0 != 0, has x1_t - x1_h = i a' c0 on every edge of
+   F's voltage a' (each term of the quadratic form is t^2 |x1_t - x1_h -
+   i a' c0|^2 + O(t^3)); summed around a cycle this makes every cycle
+   voltage of F zero, but they have gcd 1.  So lambda, and F, vanish to
+   order exactly 2, and V has no root on the unit circle.
+
+So omega stays bounded exactly when V is a constant.  A U that breaks
+the rule (a constant f, a remainder, V(1) = 0) is no voltage
+determinant, and classify_omega raises ArithmeticError.
 
 For genuinely ell-adic voltages the criterion does not apply; the
 verdict is "inapplicable", and only the omega of each computed level
@@ -21,55 +50,16 @@ verdict is "inapplicable", and only the omega of each computed level
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .factorint import DEFAULT_RHO_ITERATIONS, factor_kappa, is_certified_prime
+from .factorint import DEFAULT_RHO_ITERATIONS, factor_kappa
 from .genpoly import GenPoly
-from .intpoly import IntPoly, ZeroPolynomialError, cyclotomic, cyclotomic_value
+from .intpoly import IntPoly
 
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
 INAPPLICABLE = "inapplicable"
-
-
-def _cyclotomic_orders(max_degree: int) -> list[int]:
-    """Every d with phi(d) <= max_degree, ascending.  Each d is built once
-    from its prime powers by increasing prime; a prime p of such a d has
-    phi(p) = p - 1 <= max_degree."""
-    orders = [(1, 1)]  # (d, phi(d))
-    for p in range(2, max_degree + 2):
-        if not is_certified_prime(p):
-            continue
-        for d, phi in list(orders):
-            power, phi_power = p, p - 1
-            while phi * phi_power <= max_degree:
-                orders.append((d * power, phi * phi_power))
-                power, phi_power = power * p, phi_power * p
-    return sorted(d for d, phi in orders if phi <= max_degree)
-
-
-def strip_cyclotomics(u: IntPoly) -> tuple[tuple[tuple[int, int], ...], IntPoly]:
-    """Divide out every cyclotomic factor of u, Phi_1 = T - 1 included,
-    with multiplicity; returns ((d, multiplicity), ...) by ascending d
-    and the cyclotomic-free remainder."""
-    if u.is_zero:
-        raise ZeroPolynomialError("zero polynomial")
-    found = []
-    rest = u
-    # Phi_d | rest forces Phi_d(a) | rest(a), and Phi_d(a) >= 1 for a >= 2
-    values = [rest(2), rest(3)]
-    for d in _cyclotomic_orders(u.degree):
-        at = [cyclotomic_value(d, 2), cyclotomic_value(d, 3)]
-        mult = 0
-        while all(v % p == 0 for v, p in zip(values, at)):
-            quotient, remainder = rest.divmod_by_monic(cyclotomic(d))
-            if not remainder.is_zero:
-                break
-            rest, mult = quotient, mult + 1
-            values = [v // p for v, p in zip(values, at)]
-        if mult:
-            found.append((d, mult))
-    return tuple(found), rest
 
 
 @dataclass(frozen=True)
@@ -88,24 +78,31 @@ def classify_omega(f: GenPoly, rho_iterations: int = DEFAULT_RHO_ITERATIONS) -> 
 
     Unbounded exactly when U keeps a non-cyclotomic factor; inapplicable
     when the voltages were not declared integral (the reduction to an
-    integer polynomial does not exist).  The content is factored with at
-    most rho_iterations rho steps: content_primes are the primes found,
-    content_cofactor what is left unsplit."""
+    integer polynomial does not exist).  The cyclotomic part is (T^g -
+    1)^2, g the gcd of f's exponents (module docstring): Phi_1 = T - 1
+    twice, as unit_root_multiplicity, and Phi_d twice for every d | g, d
+    > 1.  The content is factored with at most rho_iterations rho steps:
+    content_primes are the primes found, content_cofactor what is left
+    unsplit."""
     if not f.integral:
         return OmegaClassification(INAPPLICABLE)
     u, _b = f.integerize()
     sign = 1 if u.leading > 0 else -1  # a zero U raises ZeroPolynomialError here
-    # (T - 1)^m is primitive, so by Gauss's lemma U / (T - 1)^m has U's content
+    g = math.gcd(*(f.lift_exponent(e) for e, _ in f.terms))
+    if g == 0:
+        raise ArithmeticError("a constant f has no root at 1 (singular Laplacian)")
+    # (T^g - 1)^2 is primitive, so by Gauss's lemma U / (T^g - 1)^2 has U's content
     content = sign * u.content()
-    factors, rest = strip_cyclotomics(u.primitive_part().scale(sign))
-    if not factors or factors[0][0] != 1:
-        raise ArithmeticError("expected 1 to be a root (singular Laplacian)")
-    verdict = UNBOUNDED if rest.degree >= 1 else BOUNDED
+    square = IntPoly.from_pairs(((0, 1), (g, -2), (2 * g, 1)))
+    rest, remainder = u.primitive_part().scale(sign).divmod_by_monic(square)
+    if not remainder.is_zero or rest(1) == 0:
+        raise ArithmeticError(f"U is not (T^{g} - 1)^2 times a V with V(1) != 0: no voltage determinant")
+    divisors = {k for i in range(1, math.isqrt(g) + 1) if g % i == 0 for k in (i, g // i)}
     content_factored = factor_kappa(abs(content), rho_iterations=rho_iterations)
     return OmegaClassification(
-        verdict=verdict,
-        unit_root_multiplicity=factors[0][1],
-        cyclotomic_factors=factors[1:],
+        verdict=UNBOUNDED if rest.degree >= 1 else BOUNDED,
+        unit_root_multiplicity=2,
+        cyclotomic_factors=tuple((d, 2) for d in sorted(divisors) if d > 1),
         content=content,
         non_cyclotomic_part=rest,
         content_primes=tuple(p for p, _ in content_factored.factors),

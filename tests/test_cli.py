@@ -288,6 +288,19 @@ def test_count_rows_depend_on_voltages_mod_ell_n(tmp_path_factory, tower):
     assert rows[0] == rows[1]
 
 
+@pytest.mark.parametrize("verb, extra", [("classify", ()), ("analyze", ("--p", "2", "--levels", "2")),
+                                         ("report", ("--levels", "2", "--budget-ms", "1"))])
+def test_verbs_that_build_U_refuse_a_degree_no_engine_can_index(spec_file, capsys, verb, extra):
+    # loops 1 and 10^30 + 1: count answers from f's terms, but classify,
+    # analyze and report build U = T^b f, of degree 2 (10^30 + 1), past
+    # sys.maxsize: a domain failure naming the degree
+    path = spec_file({"ell": 3, "precision": 1, "vertices": ["v"],
+                      "edges": [{"tail": "v", "head": "v", "voltage": v} for v in ("1", str(10**30 + 1))]})
+    code, out, err = run_cli(capsys, verb, path, *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: U = T^b f has degree {2 * (10**30 + 1)}, past the {sys.maxsize} ")
+
+
 NON_RESIDUE_SPEC = {  # 3 is not a square in Z_2
     "ell": 2, "precision": 8, "vertices": ["v1"],
     "edges": [{"tail": "v1", "head": "v1", "voltage": {"kind": "sqrt", "radicand": 3, "branch": 1}},

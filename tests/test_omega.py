@@ -1,28 +1,63 @@
-from collections import Counter
+import json
+import math
+from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import elltowers.omega as omega
-from elltowers import GenPoly, Tower, classify_omega, intpoly, strip_cyclotomics
+from elltowers import GenPoly, Tower, classify_omega
+from elltowers.analysis import DisconnectedTowerError
 from elltowers.cli import DEFAULT_BUDGET_MS, _factorization_dict, _level_rows
 from elltowers.corpus import CORPUS
 from elltowers.intpoly import IntPoly, ZeroPolynomialError, cyclotomic
-from elltowers.omega import (
-    BOUNDED,
-    INAPPLICABLE,
-    UNBOUNDED,
-    _cyclotomic_orders,
-)
+from elltowers.omega import BOUNDED, INAPPLICABLE, UNBOUNDED, OmegaClassification
 from elltowers.towerspec import build_assignment, parse_tower_spec
 from util import reciprocal
 
 TOWERS = {e.name: Tower(build_assignment(parse_tower_spec(e.spec))) for e in CORPUS}
+DEMOS = [Tower(build_assignment(parse_tower_spec(json.loads(path.read_text()))))
+         for path in sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.json"))]
 T = sympy.Symbol("T")
 
 
-# -- candidate orders ------------------------------------------------------------
+# -- the generic strip, an oracle for classify's cyclotomic part ------------------
+
+def _cyclotomic_orders(max_degree: int) -> list[int]:
+    """Every d with phi(d) <= max_degree, ascending.  Each d is built once
+    from its prime powers by increasing prime; a prime p of such a d has
+    phi(p) = p - 1 <= max_degree."""
+    orders = [(1, 1)]  # (d, phi(d))
+    for p in range(2, max_degree + 2):
+        if not sympy.isprime(p):
+            continue
+        for d, phi in list(orders):
+            power, phi_power = p, p - 1
+            while phi * phi_power <= max_degree:
+                orders.append((d * power, phi * phi_power))
+                power, phi_power = power * p, phi_power * p
+    return sorted(d for d, phi in orders if phi <= max_degree)
+
+
+def _strip_by_trial_division(u: IntPoly):
+    """Every cyclotomic factor of u, Phi_1 = T - 1 included, with
+    multiplicity: ((d, multiplicity), ...) by ascending d, and the
+    cyclotomic-free rest, by trying every Phi_d with phi(d) <= deg u."""
+    if u.is_zero:
+        raise ZeroPolynomialError("zero polynomial")
+    found, rest = [], u
+    for d in _cyclotomic_orders(u.degree):
+        mult = 0
+        while True:
+            quotient, remainder = rest.divmod_by_monic(cyclotomic(d))
+            if not remainder.is_zero:
+                break
+            rest, mult = quotient, mult + 1
+        if mult:
+            found.append((d, mult))
+    return tuple(found), rest
+
 
 def test_cyclotomic_orders_are_the_d_with_small_totient():
     # phi(d) > sqrt(d/2), so every d with phi(d) <= 60 is below 2 (60^2 + 1)
@@ -31,45 +66,44 @@ def test_cyclotomic_orders_are_the_d_with_small_totient():
         assert _cyclotomic_orders(degree) == [d for d, phi in totients.items() if phi <= degree]
 
 
-# -- cyclotomic stripping --------------------------------------------------------
-
 def test_strip_unit_root_examples():
-    assert strip_cyclotomics(IntPoly((-3, 6, -3))) == (((1, 2),), IntPoly((-3,)))  # -3(T-1)^2
+    strip = _strip_by_trial_division
+    assert strip(IntPoly((-3, 6, -3))) == (((1, 2),), IntPoly((-3,)))  # -3(T-1)^2
     # -2 + 4T^3 - 2T^6 = -2 (T-1)^2 Phi_3^2
-    assert strip_cyclotomics(IntPoly((-2, 0, 0, 4, 0, 0, -2))) == (((1, 2), (3, 2)), IntPoly((-2,)))
+    assert strip(IntPoly((-2, 0, 0, 4, 0, 0, -2))) == (((1, 2), (3, 2)), IntPoly((-2,)))
     # U = T^3 f for f = -T^-3 - 2T^-2 - 3T^-1 + 12 - 3T - 2T^2 - T^3
-    factors, rest = strip_cyclotomics(IntPoly((-1, -2, -3, 12, -3, -2, -1)))
+    factors, rest = strip(IntPoly((-1, -2, -3, 12, -3, -2, -1)))
     assert factors == ((1, 2),)
     assert rest.coeffs == (-1, -4, -10, -4, -1)
     assert rest.coeffs == rest.coeffs[::-1] and rest(1) != 0
     # no root at 1: no d = 1 entry
-    assert strip_cyclotomics(IntPoly((1, 1))) == (((2, 1),), IntPoly((1,)))
+    assert strip(IntPoly((1, 1))) == (((2, 1),), IntPoly((1,)))
     with pytest.raises(ZeroPolynomialError):
-        strip_cyclotomics(IntPoly(()))
+        strip(IntPoly(()))
 
 
 def test_strip_theta_u1():
     u1 = (cyclotomic(3) * cyclotomic(3)).scale(-2)
-    factors, rest = strip_cyclotomics(u1)
+    factors, rest = _strip_by_trial_division(u1)
     assert factors == ((3, 2),)
     assert rest.coeffs == (-2,)
 
 
 def test_strip_quartic_with_no_unit_roots():
     u1 = IntPoly((-1, -4, -10, -4, -1))
-    factors, rest = strip_cyclotomics(u1)
+    factors, rest = _strip_by_trial_division(u1)
     assert factors == ()
     assert rest == u1
 
 
 def test_strip_constant():
-    factors, rest = strip_cyclotomics(IntPoly((7,)))
+    factors, rest = _strip_by_trial_division(IntPoly((7,)))
     assert factors == () and rest.coeffs == (7,)
 
 
 def test_strip_mixed_product():
     u1 = cyclotomic(4) * cyclotomic(6) * cyclotomic(6) * IntPoly((3, 1, 3))
-    factors, rest = strip_cyclotomics(u1)
+    factors, rest = _strip_by_trial_division(u1)
     assert dict(factors) == {4: 1, 6: 2}
     assert rest == IntPoly((3, 1, 3))
 
@@ -98,7 +132,7 @@ def test_strip_matches_sympy_on_planted_products(planted, half, scale):
     u = IntPoly(tuple(half[:0:-1] + half)).scale(scale)
     for d in planted:
         u = u * cyclotomic(d)
-    factors, rest = strip_cyclotomics(u)
+    factors, rest = _strip_by_trial_division(u)
     rebuilt = rest
     for d, mult in factors:
         for _ in range(mult):
@@ -108,19 +142,80 @@ def test_strip_matches_sympy_on_planted_products(planted, half, scale):
     assert [d for d, _ in factors] == sorted(d for d, _ in factors)
 
 
-def _strip_by_trial_division(u: IntPoly):
-    """strip_cyclotomics without its value sieve: every Phi_d is tried."""
-    found, rest = [], u
-    for d in _cyclotomic_orders(u.degree):
-        mult = 0
-        while True:
-            quotient, remainder = rest.divmod_by_monic(cyclotomic(d))
-            if not remainder.is_zero:
-                break
-            rest, mult = quotient, mult + 1
-        if mult:
-            found.append((d, mult))
-    return tuple(found), rest
+# -- classify's cyclotomic part against the oracle ---------------------------------
+
+def agrees_with_the_oracle(f: GenPoly) -> OmegaClassification:
+    """classify_omega(f), checked against the trial-division strip of the
+    primitive, sign-normalised U, and rebuilt as content (T^g - 1)^2 V
+    with g the gcd of f's exponents."""
+    cls = classify_omega(f)
+    u, _b = f.integerize()
+    sign = 1 if u.leading > 0 else -1
+    factors, rest = _strip_by_trial_division(u.primitive_part().scale(sign))
+    assert factors[0] == (1, cls.unit_root_multiplicity)
+    assert (factors[1:], rest) == (cls.cyclotomic_factors, cls.non_cyclotomic_part)
+    g = math.gcd(*(f.lift_exponent(e) for e, _ in f.terms))
+    square = IntPoly.from_pairs(((0, 1), (g, -2), (2 * g, 1)))
+    assert square.scale(cls.content) * cls.non_cyclotomic_part == u
+    return cls
+
+
+def assert_bounded_closed_form(tower: Tower, levels) -> None:
+    """|N_n| = |c|^phi(ell^n) ell^2 on a bounded tower: U = c (T^g - 1)^2,
+    and T -> T^g permutes the primitive ell^n-th roots (ell does not
+    divide g), over which the product of T - 1 is +-Phi_(ell^n)(1) = +-ell."""
+    c, ell = classify_omega(tower.f).content, tower.ell
+    for n in levels:
+        assert abs(tower.level_norm(n)) == abs(c) ** ((ell - 1) * ell ** (n - 1)) * ell**2
+
+
+@st.composite
+def connected_integral_towers(draw, multiplier):
+    """A tower over a random connected base of 1-5 vertices (a cycle
+    through them, or a loop on one vertex, and 1-3 more edges, loops and
+    parallel edges among them) at ell in {2, 3, 5, 7}: voltages g k_e,
+    with g in 1..12 and k_e in [-multiplier, multiplier], disguised by
+    the coboundary of random potentials."""
+    ell = draw(st.sampled_from([2, 3, 5, 7]))
+    v = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(v)))
+    edges = [(order[i], order[(i + 1) % v]) for i in range(v)] if v > 1 else [(0, 0)]
+    vertex = st.integers(0, v - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+    g = draw(st.integers(1, 12))
+    potentials = draw(st.lists(st.integers(-4, 4), min_size=v, max_size=v))
+    ks = draw(st.lists(st.integers(-multiplier, multiplier), min_size=len(edges), max_size=len(edges)))
+    doc = {"ell": ell, "precision": 1, "vertices": [f"v{i}" for i in range(v)],
+           "edges": [{"tail": f"v{t}", "head": f"v{h}", "voltage": str(g * k + potentials[h] - potentials[t])}
+                     for (t, h), k in zip(edges, ks)]}
+    try:
+        return Tower(build_assignment(parse_tower_spec(doc)), mt_check_level=0)
+    except DisconnectedTowerError:
+        assume(False)
+
+
+@settings(deadline=None, max_examples=150)
+@given(connected_integral_towers(multiplier=3))
+def test_classify_agrees_with_the_oracle_on_random_towers(tower):
+    cls = agrees_with_the_oracle(tower.f)
+    if cls.verdict == BOUNDED:
+        assert_bounded_closed_form(tower, (1, 2, 3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_integral_towers(multiplier=1))
+def test_bounded_towers_have_the_closed_form(tower):
+    # voltages g k_e with |k_e| <= 1 leave about half the towers bounded
+    assume(classify_omega(tower.f).verdict == BOUNDED)
+    assert_bounded_closed_form(tower, (1, 2, 3))
+
+
+def test_bounded_closed_form_on_the_corpus_and_the_demos():
+    towers = [t for t in (*TOWERS.values(), *DEMOS)
+              if t.f.integral and classify_omega(t.f).verdict == BOUNDED]
+    assert len(towers) >= 3
+    for tower in towers:
+        assert_bounded_closed_form(tower, range(1, 5))
 
 
 # loop voltages 1, 200 and 2 at ell = 3: U of degree 400, no cyclotomic
@@ -129,34 +224,22 @@ DEGREE_400 = {"ell": 3, "precision": 1, "vertices": ["v1"],
               "edges": [{"tail": "v1", "head": "v1", "voltage": str(v)} for v in (1, 200, 2)]}
 
 
-def test_value_sieve_leaves_every_factor_and_skips_the_divisions(monkeypatch):
-    # Phi_d(a) | U(a) at a = 2, 3 is necessary for Phi_d | U, so the sieve
-    # changes no answer; on the degree-400 bouquet it leaves only the two
-    # divisions by T - 1 that succeed, out of about 790 trial divisions
-    us = [TOWERS[e.name].f.integerize()[0] for e in CORPUS if TOWERS[e.name].f.integral]
-    us.append(Tower(build_assignment(parse_tower_spec(DEGREE_400))).f.integerize()[0])
-    assert us[-1].degree == 400
-    for u in us:
-        assert strip_cyclotomics(u.primitive_part()) == _strip_by_trial_division(u.primitive_part())
+def test_classify_takes_one_division(monkeypatch):
+    # the oracle tries the 790 orders with phi(d) <= 400; classify divides
+    # once, by (T - 1)^2, as g = 1
+    fs = [t.f for t in (*TOWERS.values(), *DEMOS) if t.f.integral]
+    fs.append(Tower(build_assignment(parse_tower_spec(DEGREE_400))).f)
+    assert fs[-1].integerize()[0].degree == 400
+    for f in fs:
+        agrees_with_the_oracle(f)
     divisions = []
     real = IntPoly.divmod_by_monic
     monkeypatch.setattr(IntPoly, "divmod_by_monic",
-                        lambda self, d: divisions.append(d.degree) or real(self, d))
-    factors, rest = strip_cyclotomics(us[-1].primitive_part())
-    assert factors == ((1, 2),) and rest.degree == 398
-    assert divisions == [1, 1]
-
-
-def test_least_primes_of_the_cyclotomic_orders_are_cached(monkeypatch):
-    # cyclotomic_value's recursion asks for the least prime of the same m
-    # on both of its branches; each n reaches perfect_power once
-    u = Tower(build_assignment(parse_tower_spec(DEGREE_400))).f.integerize()[0]
-    intpoly._smallest_prime_factor.cache_clear()
-    seen = Counter()
-    real = intpoly.perfect_power
-    monkeypatch.setattr(intpoly, "perfect_power", lambda n, *a: seen.update([n]) or real(n, *a))
-    strip_cyclotomics(u.primitive_part())
-    assert seen and max(seen.values()) == 1
+                        lambda self, d: divisions.append(d) or real(self, d))
+    cls = classify_omega(fs[-1])
+    assert (cls.unit_root_multiplicity, cls.cyclotomic_factors) == (2, ())
+    assert cls.non_cyclotomic_part.degree == 398
+    assert divisions == [IntPoly((1, -2, 1))]
 
 
 # -- classification ---------------------------------------------------------------
@@ -206,6 +289,9 @@ def test_classify_requires_the_unit_root():
         classify_omega(GenPoly(3, 2, ((0, 1), (1, 1)), integral=True))
     with pytest.raises(ArithmeticError):
         classify_omega(GenPoly.constant(3, 2, 7))
+    # U = (T - 1)^4: V = (T - 1)^2 keeps the root at 1
+    with pytest.raises(ArithmeticError):
+        classify_omega(GenPoly(3, 2, ((-2, 1), (-1, -4), (0, 6), (1, -4), (2, 1)), integral=True))
     with pytest.raises(ZeroPolynomialError):
         classify_omega(GenPoly.zero(3, 2))
 
