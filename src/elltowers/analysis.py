@@ -179,12 +179,15 @@ def level_norm(f: GenPoly, i: int) -> int:
 # real subfield of Q(sqrt(-1)) or Q(omega): M_i is the last element
 # itself for ell <= 3, and its norm from Q(omega)^+ for ell >= 5
 # (_read).  A nonzero irrational part raises ArithmeticError.  The norm
-# from Q(omega)^+ of a real y is taken two ways: by Galois doubling
-# (_real_norm), whose products a folded step reduces as it goes, and as
-# Res(Psi_ell, Y) for y = Y(omega + 1/omega) (_psi_norm), which the
-# steps from U = T^b f take where y is exact, at their unfolded steps and
-# their last read: a U shorter than phi(ell^j) fills few of y's
-# components, and Y has the degree of the last of them.
+# from Q(omega)^+ of a real y has two engines of equal value: Galois
+# doubling (_real_norm), O(log ell) products of elements of (ell + 1)/2
+# components, and Res(Psi_ell, Y) for y = Y(omega + 1/omega)
+# (_psi_norm), a subresultant sequence from Psi_ell, of degree (ell -
+# 1)/2, against Y, whose degree is y's top component.  A folded step
+# takes Galois doubling, whose products it reduces as it goes.  Every
+# unfolded element, of an integral or an ell-adic tower, at an unfolded
+# step or at the last read, takes one rule by ell (_exact_norm): Galois
+# doubling below RESULTANT_ELL, the resultant from there on.
 #
 # Each element is one int, its coefficients packed w bits apart
 # (Kronecker substitution), so a step is a few big-int operations: masks
@@ -211,6 +214,35 @@ def level_norm(f: GenPoly, i: int) -> int:
 # representative, a coordinate s steps down is at most size^(ell^s) <
 # 2^((w - 1) ell^(s-1)), which slots of w ell^(s-1) bits hold.
 
+# The least ell whose unfolded elements take Res(Psi_ell, Y) (_exact_norm),
+# measured on six towers: the theta of demos/specs/theta_ell5.json, two
+# bouquets with loops a, b and 1 (a, b in [-4, 4]), the 3-vertex base
+# with edges v1-v2, v2-v3, v1-v2, v1-v2, v3-v3 and voltages -3, -2, 2, 6,
+# -6 (U of degree 30), and two ell-adic bouquets with a sqrt, a padic and
+# a unit voltage.  Each engine was timed on the same unfolded elements,
+# best of two (2-core x86-64, shared, Python 3.11).  The faster engine
+# depends on y's top component as well as on ell: the short U of the
+# theta and the bouquets take the resultant faster from about ell = 41
+# on, U of degree 30 takes doubling faster up to ell = 113, and the full
+# y of an ell-adic tower's last read at every ell measured, to 151.
+# Seconds at level 3, doubling / resultant (one bouquet):
+#
+#     ell      37         43         47         53         61         73         101
+#     deg 30   1.13/5.20  3.69/12.7  7.67/18.8  4.91/35.4  10.3/-
+#     theta    .012/.005  .059/.007  .094/.009  .085/.019  .171/.028  .607/.063  3.62/.186
+#     bouquet  .068/.086  .332/.093  .699/.090  .519/.160  1.62/.397  4.56/.593
+#
+# The rule follows what each tower reaches in 10 s, the north star's
+# measure.  Up to ell = 53 the degree-30 U reaches level 3 by doubling
+# alone, and its seconds outweigh the short U's; from 59 on its level 3
+# takes more than 10 s by either engine (doubling 24.4 s at 59 and 10.3 s
+# at 61, the resultant 35.4 s already at 53), and the short U's level 3,
+# 4-20 times faster by the resultant, decide.  At
+# level 2 alone doubling takes less summed over the six up to ell = 113
+# (101: 0.44 s against 0.97 s), as the long and full y cost most there.
+RESULTANT_ELL = 59
+
+
 def _width(size: int, ell: int) -> int:
     """The slot width of a step from an element of 1-norm at most size,
     a multiple of ell for ell >= 5, as _norm_step reads U at 2^(w/ell)."""
@@ -236,7 +268,7 @@ def _integral_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
         if block:
             p = _fold(p, ell, block)
         digits = unpack(p, w, min(len(digits), phi))
-    m = _read(enumerate(digits), b, ell, _psi_norm)
+    m = _read(enumerate(digits), b, ell)
     return -m if ell == 2 and b % 2 and i > stop else m
 
 
@@ -253,7 +285,7 @@ def _adic_norm(terms: list[tuple[int, int]], ell: int, i: int) -> int:
     exponents mod 4 or mod ell."""
     stop = 2 if ell == 2 else 1  # Q(sqrt(-1)) or Q(omega)
     if i == stop:
-        return _read(terms, 0, ell, _real_norm)
+        return _read(terms, 0, ell)
     w = _width(sum(abs(c) for _, c in terms), ell)
     block = w * ell ** (i - 2)
     # combs[t]: a one every w ell^t bits below 2^((ell - 1) block), where
@@ -270,7 +302,7 @@ def _adic_norm(terms: list[tuple[int, int]], ell: int, i: int) -> int:
         if j > stop:
             classes = _split(p, ell, w, combs[t], combs[t + 1])
             w *= ell
-    return _read(enumerate(unpack(p, w, max(ell - 1, 2))), 0, ell, _real_norm)  # phi(4) or phi(ell) slots
+    return _read(enumerate(unpack(p, w, max(ell - 1, 2))), 0, ell)  # phi(4) or phi(ell) slots
 
 
 def _norm_step(classes: list[int], w: int, block: int) -> int:
@@ -288,9 +320,9 @@ def _norm_step(classes: list[int], w: int, block: int) -> int:
     N_(Q(omega)^+/Q)(y) for y = beta beta-bar, where beta-bar is the
     mirror r -> -r and y has the components c_d = sum_r X_r X_(r-d) =
     c_(-d), summed over the pairs of nonzero classes.  Without a block,
-    N is Res(Psi_ell, Y) (_psi_norm).  With one, every product is
-    reduced mod Phi_(ell^j)(x), j the level of U, which keeps the
-    components at the element's size: Z[x] -> Z/Phi_(ell^j)(x) is a
+    N is taken exactly, by _exact_norm's rule on ell.  With one, every
+    product is reduced mod Phi_(ell^j)(x), j the level of U, which keeps
+    the components at the element's size: Z[x] -> Z/Phi_(ell^j)(x) is a
     ring map, and as Phi_(ell^j)(x) = Phi_(ell^(j-1))(S), U'(S) reduced
     mod it is the folded element at level j - 1.  So no intermediate
     needs a slot bound: only that element's coefficients must fit in w
@@ -311,7 +343,15 @@ def _norm_step(classes: list[int], w: int, block: int) -> int:
     u = sum(x for _, x in xs)
     if block:
         return u * _real_norm([_fold(c, ell, block) for c in y], ell, block)
-    return u * _psi_norm(y, ell)
+    return u * _exact_norm(y, ell)
+
+
+def _exact_norm(y: list[int], ell: int) -> int:
+    """N_(Q(omega)^+/Q)(y) of an unfolded real y = sum_(d < ell) y_|d|
+    omega^d, given by y_0, ..., y_h: by Galois doubling (_real_norm) for
+    ell below RESULTANT_ELL, and as Res(Psi_ell, Y) (_psi_norm) from it
+    on."""
+    return _real_norm(y, ell) if ell < RESULTANT_ELL else _psi_norm(y, ell)
 
 
 def _real_norm(y: list[int], ell: int, block: int = 0) -> int:
@@ -392,8 +432,21 @@ def _psi_norm(y: list[int], ell: int) -> int:
 
 @lru_cache(maxsize=1)
 def _psi(ell: int) -> IntPoly:
-    """Psi_ell, the minimal polynomial of omega + 1/omega, for _psi_norm."""
-    return real_form(cyclotomic(ell))
+    """Psi_ell, the minimal polynomial of omega + 1/omega, for _psi_norm,
+    in O(ell) operations.  T^-h Phi_ell(T) = sum_(|k| <= h) T^k, h = (ell
+    - 1)/2, is U_h(x/2) + U_(h-1)(x/2) at x = T + 1/T, for the Chebyshev
+    polynomials of the second kind, U_n(x/2) = sum_(|k| <= n, k = n mod 2)
+    T^k = sum_j (-1)^j C(n - j, j) x^(n - 2j); each binomial comes from
+    the last by one product and one exact division."""
+    h = ell // 2
+    coeffs = [0] * (h + 1)
+    for n in (h, h - 1):
+        c = 1
+        for j in range(n // 2 + 1):
+            if j:
+                c = -c * (n - 2 * j + 2) * (n - 2 * j + 1) // (j * (n - j + 1))
+            coeffs[n - 2 * j] += c
+    return IntPoly(tuple(coeffs))
 
 
 def _half(e: int, ell: int) -> int:
@@ -443,11 +496,11 @@ def _split(p: int, ell: int, w: int, slots: int, classes: int) -> list[int]:
     return [(q >> (r * w) & mask) - half for r in range(ell)]
 
 
-def _read(slots, b: int, ell: int, norm) -> int:
+def _read(slots, b: int, ell: int) -> int:
     """zeta^(-b) U(zeta) at zeta = sqrt(-1) (ell = 2), or the norm of
-    omega^(-b) U(omega) from Q(omega)^+ by norm, _real_norm or _psi_norm
-    (odd ell, the element itself for ell = 3), from (exponent,
-    coefficient) pairs.  The element must be rational (ell <= 3) or real
+    omega^(-b) U(omega) from Q(omega)^+ by _exact_norm's rule on ell (odd
+    ell, the element itself for ell = 3), from (exponent, coefficient)
+    pairs.  The element must be rational (ell <= 3) or real
     (ell >= 5): the components d and -d of sum_d s_d omega^d must agree."""
     period = 4 if ell == 2 else ell
     sums = [0] * period
@@ -459,7 +512,7 @@ def _read(slots, b: int, ell: int, norm) -> int:
         irrational = [sums[d] - sums[-d] for d in range(1, ell // 2 + 1)]
     if any(irrational):
         raise ArithmeticError(f"the last norm step left the irrational part {irrational}")
-    return sums[0] - sums[2] if ell == 2 else norm(sums[: ell // 2 + 1], ell)
+    return sums[0] - sums[2] if ell == 2 else _exact_norm(sums[: ell // 2 + 1], ell)
 
 
 class Tower:

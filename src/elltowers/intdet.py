@@ -150,29 +150,38 @@ grown on demand, never at import; primes_for_bound picks the fewest
 whose product passes twice a bound on |det|, and crt recombines the
 images into the symmetric representative, so signs are recovered.
 
-BAREISS_WORK is the measured crossover (2-core x86-64, shared, Python
-3.11, numpy 2.4): microseconds per row, medians of five timings of
-each minor by each engine, by envelope work per row times the slot
-width, in thousands.  Workload minors are the 177 distinct minors of
-order 30 and above in rounds 0-4 of the cover_check, padic_deep and
-integral_deep benchmarks (seed 1), of orders 30-255; random minors are
-150 breadth-first ordered minors of random multigraphs of order 24-56
-and mean valency 8.
+BAREISS_WORK is the measured crossover, timed cold: every CLI call and
+every benchmark round is a fresh process, so each minor was timed as
+the first determinant of a fresh process that had imported the program,
+where the modular engine also pays its first-call costs (numpy's first
+argsort, searchsorted and matmul, and the prime pool).  Microseconds per
+row (2-core x86-64, shared, Python 3.11, numpy 2.4), medians of three
+to eight such timings of each minor by each engine (eight between
+15,000 and 150,000), by envelope work per row times the slot width, in
+thousands.  Workload minors are the 325 distinct minors of order 31-255
+in the rounds of seeds 1 and 2 of the padic_deep, integral_deep and
+cover_check benchmarks; random minors are 60 breadth-first ordered
+minors of order 23-55 of random multigraphs, a path and three random
+edges per vertex.
 
     work x s    <10  10-  20-  30-  40-  50-  60-  80- 120- 200- 400-
-                     20   30   40   50   60   80  120  200  400  840
-    workload    90   23   16    8    9    3    5    5    7    6    5
-      Bareiss    3    8   13   19   24   21   26   52   67  125  237
-      multimod. 13   13   14   15   15   15   16   18   20   24   36
-    random minors 6   35   28   17   11    8   18   27
-      Bareiss    5    6    9   12   14   17   22   28
-      multimod. 14   14   15   15   16   16   16   17
+                     20   30   40   50   60   80  120  200  400  920
+    workload   160   44   27   17   16    7    9   10   13   12   10
+      Bareiss    8   17   25   30   41   40   53   77  130  231  405
+      multimod. 45   39   41   46   40   48   41   40   45   55   75
+    random minors 2   17   13    8    3    6    9    2
+      Bareiss   10   15   20   25   36   34   45   62
+      multimod. 69   55   63   56   51   64   48   48
 
-The workload minors tie between 20,000 and 40,000 and the random ones
-between 50,000 and 60,000.  Summed over the workload minors, BAREISS_WORK
-= 25,000 takes 0.2% more time than the faster engine for each minor,
-the least of the crossovers from 10,000 to 70,000 (3.0% at 45,000); on
-the random minors it takes 6.1% more (0.2% at 45,000).
+Cold, the workload minors tie between 40,000 and 60,000 and the random
+ones between 60,000 and 80,000 (warm, the modular engine takes 25-35
+microseconds per row up to 80,000).  Summed over the workload minors,
+BAREISS_WORK = 50,000 takes 4.4% more time than the faster engine for
+each minor (40,000 takes the least, 2.3%), and 14.1% more on the random
+minors (75,000, 0.6%).  It keeps every padic_deep minor (weighted work
+up to 47,297 over seeds 1-5) in Bareiss, where the modular engine's
+first call would raise the process's peak RSS by 0.14 MB (the median
+ru_maxrss rise) and Bareiss raises it by nothing.
 """
 
 from __future__ import annotations
@@ -187,7 +196,7 @@ import numpy as np
 
 from .factorint import is_certified_prime
 
-BAREISS_WORK = 25_000
+BAREISS_WORK = 50_000
 
 WORD_LIMIT = 1 << 29
 

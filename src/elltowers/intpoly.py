@@ -7,10 +7,11 @@ behind Phi_d, which comes from one recursion on the least prime of d
 down to Phi_1 = T - 1.  Resultants
 are computed by the subresultant polynomial remainder sequence
 (fraction-free, exact; no floating point anywhere).  It has two
-callers: the norm steps of an integral tower with ell >= 5 take the
-norm from Q(omega)^+ of an unfolded element, and of the last one, as
-Res(Psi_ell, Y) against the monic real form of Phi_ell, of degree
-(ell - 1)/2 (ell-adic towers do not go through it); and Tower.real_norm
+callers: the norm steps of every tower, integral or ell-adic, with ell
+at or past analysis.RESULTANT_ELL take the norm from Q(omega)^+ of an
+unfolded element, and of the last one, as Res(Psi_ell, Y) against the
+monic Psi_ell of degree (ell - 1)/2 (smaller ell take Galois doubling,
+and no tower's folded steps go through it); and Tower.real_norm
 recomputes N_i with it to cross-check the norm steps at the
 matrix-tree-checked levels.  real_form rewrites a palindromic
 polynomial in y = T + 1/T, the variable of the real subfield.

@@ -1,5 +1,7 @@
+import importlib
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +9,14 @@ from hypothesis import event, given, settings, strategies as st
 
 import elltowers.intdet as intdet
 from elltowers import Multigraph, spanning_tree_count
-from elltowers.graphs import reduced_laplacian
+from elltowers.analysis import Tower, default_mt_check_level
+from elltowers.graphs import derived_graph, reduced_laplacian
 from elltowers.intdet import bareiss_det, crt, det_int, det_mod, multimodular_det, primes, primes_for_bound
+from elltowers.towerspec import build_assignment, parse_tower_spec
 from util import (dense_bareiss_det, dense_bareiss_order, dense_laplacian, envelope, spanning_trees_bruteforce,
                   sympy_det)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _random_matrix(rng, n, lo=-9, hi=9):
@@ -121,6 +127,69 @@ def test_dispatcher_threshold(monkeypatch):
         lap = reduced_laplacian(Multigraph.from_edge_list(g, [(i, j) for i in range(g) for j in range(i)]))
         assert engines(lap) == ["bareiss" if g == dense + 1 else "mm"]
         assert det_int(lap) == g ** (g - 2)
+
+
+# the crossover as tabled in a warm process, where the modular engine's
+# first-call cost was already paid
+WARM_BAREISS_WORK = 25_000
+
+
+def _weighted_work(lap):
+    """The envelope work of a minor times its slot width, summed over its
+    rows: det_int compares it with BAREISS_WORK times the order."""
+    reach = intdet._reach(lap.first)
+    return (math.prod(lap.diagonal).bit_length() + 2) * sum((r - k - 1) ** 2 for k, r in enumerate(reach))
+
+
+def test_padic_deep_level_2_minor_takes_bareiss(monkeypatch):
+    # an ell = 7 bouquet of padic_deep's [sqrt, padic, 1] shape: its
+    # level-2 cover has an order-48 minor of weighted work 47,297 per row,
+    # the most of any padic_deep minor (seeds 1-5), past the warm
+    # crossover but within the cold one, so the modular engine, whose
+    # first call a fresh process would pay, is never called
+    doc = {"ell": 7, "precision": 3, "vertices": ["v1"], "edges": [
+        {"tail": "v1", "head": "v1", "voltage": {"kind": "sqrt", "radicand": 974, "branch": 1}},
+        {"tail": "v1", "head": "v1", "voltage": {"kind": "padic", "digits": [1, 2, 3]}},
+        {"tail": "v1", "head": "v1", "voltage": "1"}]}
+    va = build_assignment(parse_tower_spec(doc))
+    lap = reduced_laplacian(derived_graph(va, 2))
+    assert len(lap.diagonal) == 48
+    assert WARM_BAREISS_WORK * 48 < _weighted_work(lap) <= intdet.BAREISS_WORK * 48
+    det = multimodular_det(lap)
+
+    def refuse(lap):
+        raise AssertionError("the modular engine was called")
+
+    monkeypatch.setattr(intdet, "multimodular_det", refuse)
+    tower = Tower(va)  # matrix-tree checked to level 2 at ell = 7
+    assert tower.mt_check_level == 2
+    assert [tower.kappa(n) for n in range(4)][2] == det  # the matrix-tree theorem
+
+
+def test_workload_minors_between_the_crossovers_agree(monkeypatch):
+    # every distinct matrix-tree minor of the counting workloads (seeds
+    # 1-3, rounds 0-2) that the warm crossover sent to the modular engine
+    # and BAREISS_WORK keeps in Bareiss: both engines and the dense
+    # pivoting oracle agree on it
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    minors = {}
+    for workload in ("padic_deep", "integral_deep", "cover_check"):
+        for seed in (1, 2, 3):
+            for ops in workloads.run_ops(workload, seed, 3):
+                for op in ops:
+                    va = build_assignment(parse_tower_spec(op.doc))
+                    top = default_mt_check_level(va.ell) if op.mt_level is None else op.mt_level
+                    for i in range(min(op.levels, top) + 1):
+                        lap = reduced_laplacian(derived_graph(va, i))
+                        minors[tuple(map(tuple, lap))] = lap
+    between = [lap for lap in minors.values()
+               if WARM_BAREISS_WORK * len(lap.diagonal) < _weighted_work(lap)
+               <= intdet.BAREISS_WORK * len(lap.diagonal)]
+    assert len(between) >= 30
+    for lap in between:
+        det = bareiss_det(lap, intdet._reach(lap.first))
+        assert det == multimodular_det(lap) == dense_bareiss_det(dense_laplacian(lap)) > 0
 
 
 def test_det_mod_matches_exact():

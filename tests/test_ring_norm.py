@@ -483,6 +483,43 @@ def test_psi_norm_matches_galois_doubling(ell):
             assert analysis._psi_norm(y, ell) == analysis._real_norm(y, ell), (ell, y)
 
 
+@st.composite
+def real_elements(draw):
+    """(ell, y) for a real y = sum_(d < ell) y_|d| omega^d of any top
+    component, y = 0 included, with components of a few bits or of
+    seventy."""
+    ell = draw(st.sampled_from([5, 7, 11, 13, 31, 101]))
+    h = ell // 2
+    top = draw(st.integers(-1, h))
+    bits = draw(st.sampled_from([2, 70]))
+    component = st.integers(-(2**bits), 2**bits)
+    y = draw(st.lists(component, min_size=top + 1, max_size=top + 1))
+    if top >= 0 and not y[top]:
+        y[top] = 1
+    return ell, y + [0] * (h - top)
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_elements())
+def test_both_real_norms_agree_with_their_sign(ell_and_y):
+    # _exact_norm picks one of the two by ell alone, so the crossover can
+    # move without moving a value: Galois doubling and Res(Psi_ell, Y)
+    # agree on every real y, zero and sign included
+    ell, y = ell_and_y
+    norm = analysis._real_norm(y, ell)
+    event("negative" if norm < 0 else "zero" if norm == 0 else "positive")
+    assert norm == analysis._psi_norm(y, ell) == analysis._exact_norm(y, ell)
+
+
+def test_psi_is_the_real_form_of_phi():
+    # the closed form U_h + U_(h-1) against real_form(Phi_ell) of the
+    # Dickson recurrence, for every odd prime below 300
+    primes = [p for p in range(3, 300, 2) if all(p % q for q in range(3, int(p**0.5) + 1, 2))]
+    assert len(primes) == 61
+    for ell in primes:
+        assert analysis._psi(ell) == real_form(cyclotomic(ell)), ell
+
+
 def width_slack(f: GenPoly, i: int, norm) -> int:
     """bits(M_i) + 64 + bits(M_i) // 8 less the widest slot of the norm
     steps of M_i = norm(f, i): the slots grow with the norm, not with a
