@@ -90,10 +90,14 @@ def check_levels(va: VoltageAssignment, levels: int) -> None:
                              f"level {va.precision + 1} requested")
 
 
+MT_CHECK_LEVELS, MT_CHECK_LEVEL_ELSE = {2: 5, 3: 3}, 2
+
+
 def default_mt_check_level(ell: int) -> int:
     """How far up the tower matrix-tree determinants double-check the
-    resultant route by default; covers grow like ell^n."""
-    return {2: 5, 3: 3}.get(ell, 2)
+    resultant route by default: MT_CHECK_LEVELS by ell, else
+    MT_CHECK_LEVEL_ELSE; covers grow like ell^n."""
+    return MT_CHECK_LEVELS.get(ell, MT_CHECK_LEVEL_ELSE)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +637,7 @@ def n0_search(g: GenPoly, p: int, depth: int = 0) -> N0Search:
     tower's norms.
     """
     ell = g.ell
-    if g.is_zero or all(c % p == 0 for c in g.coefficients()):
+    if g.is_zero or all(c % p == 0 for _, c in g.terms):
         raise ValueError("mu(g) must be 0")
     u = g.integerize()[0]
     dbar = u.degree_mod(p)

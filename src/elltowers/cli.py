@@ -58,6 +58,8 @@ from .analysis import (
     DisconnectedTowerError,
     InconclusiveError,
     InsufficientDataError,
+    MT_CHECK_LEVEL_ELSE,
+    MT_CHECK_LEVELS,
     Tower,
     analyze_prime,
     check_levels,
@@ -453,9 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget-ms", type=_NATURAL, default=DEFAULT_BUDGET_MS,
                            help="factoring budget (converted to a fixed iteration count)")
+        defaults = ", ".join(f"{n} for ell={ell}" for ell, n in MT_CHECK_LEVELS.items())
         p.add_argument("--matrix-tree-max-level", type=_NATURAL, default=None,
                        help="deepest level cross-checked by matrix-tree "
-                            "(default: 5 for ell=2, 3 for ell=3, else 2)")
+                            f"(default: {defaults}, else {MT_CHECK_LEVEL_ELSE})")
         p.add_argument("--levels", type=_NATURAL, default=3, help="deepest level n")
 
     p = sub.add_parser("validate", help="check a tower spec")

@@ -68,11 +68,6 @@ class GenPoly:
     def constant(cls, ell: int, precision: int, c: int, integral: bool = True) -> "GenPoly":
         return cls(ell, precision, ((0, c),), integral)
 
-    @classmethod
-    def monomial(cls, ell: int, precision: int, exponent: int, coeff: int = 1,
-                 integral: bool = False) -> "GenPoly":
-        return cls(ell, precision, ((exponent, coeff),), integral)
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -82,9 +77,6 @@ class GenPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficients(self) -> list[int]:
-        return [c for _, c in self.terms]
 
     def _ring(self, other: "GenPoly") -> int:
         """The shared exponent modulus; refuses an operand of another ring."""
@@ -112,12 +104,6 @@ class GenPoly:
                 acc[e] = acc.get(e, 0) + ca * cb
         return GenPoly(self.ell, self.precision, tuple(acc.items()),
                        self.integral and other.integral)
-
-    def divide_coefficients(self, k: int) -> "GenPoly":
-        if any(c % k for _, c in self.terms):
-            raise ValueError(f"{k} does not divide every coefficient")
-        return GenPoly(self.ell, self.precision,
-                       tuple((e, c // k) for e, c in self.terms), self.integral)
 
     # -- lifting and reduction ----------------------------------------------
 
@@ -187,7 +173,7 @@ def mu_invariant(f: GenPoly, p: int) -> tuple[int, GenPoly]:
     if f.is_zero:
         raise ZeroPolynomialError("mu of the zero polynomial")
     mu = min(ord_p(c, p) for _, c in f.terms)
-    return mu, f.divide_coefficients(p**mu)
+    return mu, GenPoly(f.ell, f.precision, tuple((e, c // p**mu) for e, c in f.terms), f.integral)
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +199,21 @@ class GenPolyMatrix:
 def voltage_matrix(va: VoltageAssignment) -> GenPolyMatrix:
     """The g x g matrix D - sum_s (T^alpha(s) at inc(s)) - (T^-alpha(s)
     at the reversed incidence); D is the valency matrix.  Its determinant
-    is the generalized polynomial driving every level norm."""
-    graph = va.graph
-    g = graph.num_vertices
-    n = va.precision
-    ell = va.ell
-    zero = GenPoly.zero(ell, n, va.is_integral)
-    rows = [[zero for _ in range(g)] for _ in range(g)]
-    for i in range(g):
-        rows[i][i] = GenPoly.constant(ell, n, graph.valency(i), va.is_integral)
-    for idx, (t, h) in enumerate(graph.edges):
-        r = va.voltages[idx].residue
-        fwd = GenPoly.monomial(ell, n, r, -1, va.is_integral)
-        bwd = GenPoly.monomial(ell, n, -r, -1, va.is_integral)
-        rows[t][h] = rows[t][h] + fwd
-        rows[h][t] = rows[h][t] + bwd
-    return GenPolyMatrix(tuple(tuple(row) for row in rows))
+    is the generalized polynomial driving every level norm.  One pass
+    over the edges gathers each entry's terms: an edge t -> h of residue
+    r adds 1 at (t, t) and at (h, h), so a loop adds 2, and -T^r at (t, h)
+    and -T^-r at (h, t).  The empty entries share one zero."""
+    ell, n, integral = va.ell, va.precision, va.is_integral
+    terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (t, h), v in zip(va.graph.edges, va.voltages):
+        r = v.residue
+        for entry, term in (((t, t), (0, 1)), ((h, h), (0, 1)), ((t, h), (r, -1)), ((h, t), (-r, -1))):
+            terms.setdefault(entry, []).append(term)
+    g, zero = va.graph.num_vertices, GenPoly(ell, n, (), integral)
+    rows = [[zero] * g for _ in range(g)]
+    for (i, j), entry_terms in terms.items():
+        rows[i][j] = GenPoly(ell, n, tuple(entry_terms), integral)
+    return GenPolyMatrix(tuple(map(tuple, rows)))
 
 
 # The packed route runs while the exponents a determinant can have fill

@@ -363,6 +363,18 @@ def test_bad_arguments_are_usage_errors(spec_file, capsys, argv):
     assert "error: " in err and "Traceback" not in err
 
 
+def test_matrix_tree_default_is_stated_from_its_table(capsys, monkeypatch):
+    # the --matrix-tree-max-level help text reads the table the default does
+    import elltowers.cli as cli
+    from elltowers.analysis import default_mt_check_level
+
+    assert [default_mt_check_level(ell) for ell in (2, 3, 5, 101)] == [5, 3, 2, 2]
+    monkeypatch.setattr(cli, "MT_CHECK_LEVELS", {7: 4})
+    with pytest.raises(SystemExit):
+        main(["count", "--help"])
+    assert "(default: 4 for ell=7, else 2)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_classify_reports_the_content_it_cannot_split(capsys, monkeypatch):
     # classify factors the content of U within DEFAULT_BUDGET_MS *
     # RHO_ITERATIONS_PER_MS rho steps; with that budget cut to 2 ms (1000

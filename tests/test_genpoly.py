@@ -113,6 +113,46 @@ def test_voltage_matrix_four_parallel():
     assert m.entries[1][0] == gp(2, n, [(-1, -1), (-2, -1), (-3, -1), (-4, -1)])
 
 
+@st.composite
+def voltage_assignments(draw):
+    """Voltages on a random multigraph of 1-5 vertices: loops and parallel
+    edges come both by chance and by repeating a drawn edge; the voltages
+    are declared integers in [-30, 30] or ell-adic residues."""
+    v = draw(st.integers(1, 5))
+    edge = st.tuples(st.integers(0, v - 1), st.integers(0, v - 1))
+    edges = draw(st.lists(edge, min_size=1, max_size=8))
+    edges += [edges[k] for k in draw(st.lists(st.integers(0, len(edges) - 1), max_size=3))]
+    edges += [(k, k) for k in draw(st.lists(st.integers(0, v - 1), max_size=2))]
+    graph = Multigraph.from_edge_list(v, edges)
+    ell, precision = draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-30, 30), min_size=len(edges), max_size=len(edges)))
+        return VoltageAssignment.from_integers(graph, ell, values, precision)
+    residues = draw(st.lists(st.integers(0, ell**precision - 1), min_size=len(edges), max_size=len(edges)))
+    return VoltageAssignment(graph, ell, tuple(TruncatedPadic(ell, precision, r) for r in residues))
+
+
+@settings(deadline=None, max_examples=120)
+@given(voltage_assignments())
+def test_voltage_matrix_entries_match_the_definition(va):
+    # entry (i, j) is delta_ij deg(i) - sum of T^v over the edges i -> j
+    # - sum of T^-v over the edges j -> i; a loop counts at both its ends
+    m, mod, g = voltage_matrix(va), va.ell**va.precision, va.graph.num_vertices
+    values = va.integer_values or [x.residue for x in va.voltages]
+    assert m.size == g
+    for i in range(g):
+        for j in range(g):
+            want = {0: sum((t == i) + (h == i) for t, h in va.graph.edges) if i == j else 0}
+            for (t, h), x in zip(va.graph.edges, values):
+                if (t, h) == (i, j):
+                    want[x % mod] = want.get(x % mod, 0) - 1
+                if (h, t) == (i, j):
+                    want[-x % mod] = want.get(-x % mod, 0) - 1
+            entry = m.entries[i][j]
+            assert dict(entry.terms) == {e: c for e, c in want.items() if c}, (i, j)
+            assert (entry.ell, entry.precision, entry.integral) == (va.ell, va.precision, va.is_integral)
+
+
 # -- determinants ---------------------------------------------------------------
 
 def test_determinant_theta():
@@ -358,11 +398,8 @@ def test_lift_guard_near_modulus():
 def test_reduce_level_wraps_exponents():
     # 4 - T^s17 - T^-s17 - T^5 - T^-5 at level 1 (all exponents odd): 4 - 4T
     s17 = TruncatedPadic(2, 8, 233)
-    f = (GenPoly.constant(2, 8, 4, integral=False)
-         + GenPoly.monomial(2, 8, s17.residue, -1)
-         + GenPoly.monomial(2, 8, TruncatedPadic(2, 8, -233).residue, -1)
-         + GenPoly.monomial(2, 8, 5, -1)
-         + GenPoly.monomial(2, 8, -5, -1))
+    f = gp(2, 8, [(0, 4), (s17.residue, -1), (TruncatedPadic(2, 8, -233).residue, -1),
+                  (5, -1), (-5, -1)], integral=False)
     r1 = f.reduce_level(1)
     assert r1 == IntPoly((4, -4))
     assert r1(-1) == 8  # the level-1 norm of the sqrt(17) tower

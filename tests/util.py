@@ -54,28 +54,24 @@ def draw_voltage(draw, ell, precision, kinds=("integer", "padic", "sqrt")):
     return {"kind": "sqrt", "radicand": radicand, "branch": branch}
 
 
-def evaluation_norm(f: GenPoly, i: int) -> int:
-    """M_i, the norm of f from Q(zeta_m)^+, m = ell^i, with its sign (N_1
-    = f(-1) for m = 2): the product of f(zeta^k) over the units k <= m/2,
-    taken modulo primes q = 1 (mod m) below 2^30, where F_q has the m-th
-    roots of unity, and recombined by CRT once the primes' product
-    exceeds 2 ||f_i||_1^(number of units).  Runs out of primes at deep
-    levels (about 2^16, 3^10, 5^7), so it is the oracle below those."""
+def primes_one_mod(m: int):
+    """The primes q = 1 (mod m) below 2^30, largest first: F_q has the
+    m-th roots of unity."""
+    q = (2**30 - 2) // m * m + 1
+    while (q := q - m) > 2:
+        if q % 2 and isprime(q):
+            yield q
+
+
+def evaluation_images(f: GenPoly, i: int, primes):
+    """(q, M_i mod q) for each prime q = 1 (mod ell^i) of primes: the
+    product of f(zeta^k) over the units k <= m/2, m = ell^i, with zeta a
+    primitive m-th root of unity of F_q."""
     ell, m = f.ell, f.ell**i
-    reduced = f.reduce_level(i)
-    if reduced.is_zero:
-        return 0
-    terms = [(e, c) for e, c in enumerate(reduced.coeffs) if c]
+    terms = f.level_terms(i)
     units = np.array([k for k in range(1, m // 2 + 1) if k % ell], dtype=np.int64)
     idx = np.outer(np.array([e for e, _ in terms], dtype=np.int64), units) % m
-    bound = 2 * sum(abs(c) for _, c in terms) ** units.size
-    images, qs, prod = [], [], 1
-    q = (2**30 - 2) // m * m + 1
-    while prod <= bound:
-        q -= m
-        assert q > 2, f"too few primes = 1 (mod {m}) below 2^30"
-        if q % 2 == 0 or not isprime(q):
-            continue
+    for q in primes:
         g = 2
         while pow(zeta := pow(g, (q - 1) // m, q), m // ell, q) == 1:
             g += 1
@@ -93,11 +89,29 @@ def evaluation_norm(f: GenPoly, i: int) -> int:
             if values.size % 2:
                 head[0] = head[0] * values[-1] % q
             values = head
-        images.append(int(values[0]))
+        yield q, int(values[0])
+
+
+def evaluation_norm(f: GenPoly, i: int) -> int:
+    """M_i, the norm of f from Q(zeta_m)^+, m = ell^i, with its sign (N_1
+    = f(-1) for m = 2): its images mod primes q = 1 (mod m) below 2^30
+    (evaluation_images), recombined by CRT once the primes' product
+    exceeds 2 ||f_i||_1^(number of units).  Runs out of primes at deep
+    levels (about 2^16, 3^10, 5^7), so it is the oracle below those."""
+    ell, m = f.ell, f.ell**i
+    reduced = f.reduce_level(i)
+    if reduced.is_zero:
+        return 0
+    bound = 2 * sum(map(abs, reduced.coeffs)) ** (m // 2 - m // 2 // ell)
+    images, qs, prod = [], [], 1
+    for q, image in evaluation_images(f, i, primes_one_mod(m)):
+        images.append(image)
         qs.append(q)
         prod *= q
-    x = int(crt(qs, images)[0])
-    return x - prod if 2 * x > prod else x
+        if prod > bound:
+            x = int(crt(qs, images)[0])
+            return x - prod if 2 * x > prod else x
+    raise AssertionError(f"too few primes = 1 (mod {m}) below 2^30")
 
 
 def scaled_graeffe_norm(u: IntPoly, b: int, ell: int, i: int) -> int:
